@@ -24,9 +24,10 @@ race:
 
 # bench-smoke runs the fast-path micro-benchmarks a handful of iterations
 # under the race detector: not for numbers, but to drive the benchmark paths
-# (shadow caches, batched transfer) through the race checker cheaply.
+# (shadow caches, batched transfer, and the segment scan and recovery pass
+# with their per-client scan scratch) through the race checker cheaply.
 bench-smoke:
-	$(GO) test -race -run xxx -bench 'BenchmarkAlloc$$|BenchmarkMallocFree|BenchmarkQueueTransfer|BenchmarkQueueBatch' -benchtime 10x .
+	$(GO) test -race -run xxx -bench 'BenchmarkAlloc$$|BenchmarkMallocFree|BenchmarkQueueTransfer|BenchmarkQueueBatch|BenchmarkSegmentScan|BenchmarkRecoveryCXLSHM' -benchtime 10x .
 
 verify: vet build test race bench-smoke
 

@@ -344,17 +344,52 @@ func BenchmarkRecoveryPmemGC(b *testing.B) {
 	b.ReportMetric(float64(n), "objs/recovery")
 }
 
+// BenchmarkSegmentScan times the owner's §5.3 scan of its first segment.
+// live: every block allocated and the free lists empty, so the scan's
+// membership set stays empty too. mixed: what a scan meets after a recovery —
+// 32 blocks live, the rest free, half of those pushed onto client_free by
+// another client's final release.
 func BenchmarkSegmentScan(b *testing.B) {
-	p := benchPool(b)
-	c, _ := p.Connect()
-	for i := 0; i < 2000; i++ {
-		if _, _, err := c.Malloc(64, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.ScanSegment(0, false)
+	for _, shape := range []string{"live", "mixed"} {
+		b.Run(shape, func(b *testing.B) {
+			p := benchPool(b)
+			c, _ := p.Connect()
+			other, _ := p.Connect()
+			var roots, shared []layout.Addr
+			for i := 0; i < 2000; i++ {
+				root, block, err := c.Malloc(64, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				roots = append(roots, root)
+				if shape == "mixed" && i%2 == 0 {
+					r, err := other.AttachRoot(block)
+					if err != nil {
+						b.Fatal(err)
+					}
+					shared = append(shared, r)
+				}
+			}
+			if shape == "mixed" {
+				// The owner lets go first, so that the other client's release
+				// of a shared block is the final one.
+				for _, r := range roots[32:] {
+					if _, err := c.ReleaseRoot(r); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for _, r := range shared[16:] {
+					if _, err := other.ReleaseRoot(r); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.ScanSegment(0, false)
+			}
+		})
 	}
 }
 

@@ -2,8 +2,11 @@ package recovery
 
 import (
 	"errors"
+	"math"
+	"sync"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/layout"
 	"repro/internal/shm"
 )
@@ -230,5 +233,118 @@ func TestMonitorFsckDutySurfacesFailures(t *testing.T) {
 	}
 	if dirty != 1 || panicked != 1 {
 		t.Fatalf("fsck failures: dirty=%d panicked=%d, want 1 and 1 (%+v)", dirty, panicked, m.Failures())
+	}
+}
+
+// Two passes over independent dead clients run on the service's two
+// executors while the monitor's maintenance scans borrow whichever is free.
+// The scan's scratch (membership bitset, re-link candidates, cascade stack)
+// lives on the executor, so no two goroutines ever share one: `make race`
+// runs this under the race detector, which is what proves it.
+func TestConcurrentPassesKeepScanScratchPerExecutor(t *testing.T) {
+	p, err := shm.NewPool(shm.Config{Geometry: layout.GeometryConfig{
+		MaxClients: 8, NumSegments: 32, SegmentWords: 1 << 13, PageWords: 1 << 9, MaxQueues: 8,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.CloseDevice() })
+	svc, err := NewServiceWorkers(p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The test runs the passes itself; the monitor only maintains.
+	m := NewMonitor(svc, MonitorConfig{Threshold: math.MaxInt32})
+	m.recoverFn = func(cid int) (Report, error) { return Report{}, nil }
+	survivor, err := p.Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The survivor holds each round's shared objects until the next round's
+	// passes are over, so those passes overlap maintenance scans of the
+	// segments the previous round abandoned.
+	var held []layout.Addr
+	for round := 0; round < 4; round++ {
+		var cids [2]int
+		var shared []layout.Addr
+		for i := range cids {
+			v, err := p.Connect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cids[i] = v.ID()
+			var prev layout.Addr
+			for j := 0; j < 300; j++ {
+				root, block, err := v.Malloc(32+j%5*40, j%4/3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case j%4 == 3: // reclaimed by a cascade through its embedded reference
+					if err := v.SetEmbed(block, 0, prev); err != nil {
+						t.Fatal(err)
+					}
+				case j%10 == 0:
+					r, err := survivor.AttachRoot(block)
+					if err != nil {
+						t.Fatal(err)
+					}
+					shared = append(shared, r)
+				case j%8 == 1: // lost: free-marked, publication deferred
+					if _, err := v.ReleaseRoot(root); err != nil {
+						t.Fatal(err)
+					}
+				}
+				prev = block
+			}
+			if err := p.MarkClientDead(cids[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for _, cid := range cids {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := svc.RecoverClient(cid); err != nil {
+					t.Errorf("RecoverClient(%d): %v", cid, err)
+				}
+			}()
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		for passes := true; passes; {
+			select {
+			case <-done:
+				passes = false
+			default:
+				m.Tick()
+			}
+		}
+		for _, r := range held {
+			if _, err := survivor.ReleaseRoot(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		held = shared
+		survivor.Heartbeat()
+		m.Tick()
+	}
+	for _, r := range held {
+		if _, err := survivor.ReleaseRoot(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	survivor.Heartbeat()
+	m.Tick()
+	m.Tick()
+	if fails := m.Failures(); len(fails) > 0 {
+		t.Fatalf("monitor recorded %d failed duties, first: %+v", len(fails), fails[0])
+	}
+	if u := p.Usage(); u.SegmentsAbandoned != 0 {
+		t.Fatalf("abandoned segments left behind: %+v", u)
+	}
+	if res := check.Validate(p); !res.Clean() {
+		t.Fatalf("pool not clean: %v", res.Issues)
 	}
 }

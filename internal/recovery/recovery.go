@@ -462,7 +462,7 @@ func (s *Service) sweepRootRefPages(exec *shm.Client, seg int) int {
 			continue
 		}
 		base := geo.PageBase(seg, pg)
-		scanPos := dev.Load(geo.PageMetaAddr(seg, pg) + 2) // pmScan
+		scanPos := dev.Load(geo.PageMetaAddr(seg, pg) + shm.PageMetaScanOff)
 		end := base + layout.Addr(geo.PageWords)
 		if scanPos > end {
 			scanPos = end

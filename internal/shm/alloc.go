@@ -52,6 +52,10 @@ const (
 	pmScan = 2 // bump pointer into the never-allocated tail of the page
 )
 
+// PageMetaScanOff is pmScan for the recovery service, whose RootRef sweep
+// walks a dead client's slots up to the page's bump pointer.
+const PageMetaScanOff = pmScan
+
 func (c *Client) pageMetaAddr(pr pageRef) layout.Addr { return c.geo.PageMetaAddr(pr.seg, pr.page) }
 
 // allocSampleEvery is the Malloc latency sampling period: one call in this

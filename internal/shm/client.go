@@ -66,6 +66,9 @@ type Client struct {
 	// eliding the free path's device loads (refcache.go).
 	roots  map[layout.Addr]*rootShadow
 	blocks map[layout.Addr]*blockShadow
+	// scr is the reusable scratch of the segment scan and the reclaim
+	// cascade (scan.go).
+	scr scanScratch
 
 	// leases tracks this client's live byte leases by block, enforcing the
 	// no-aliasing rule; leasePool recycles Lease wrappers so the steady-state

@@ -77,7 +77,7 @@ func (c *Client) reclaim(block layout.Addr) {
 // (iteratively — recovery must handle arbitrarily deep structures without
 // growing the Go stack) and frees every object whose count reaches zero.
 func (c *Client) cascadeFree(start layout.Addr) {
-	stack := []layout.Addr{start}
+	stack := append(c.scr.stack[:0], start)
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -102,6 +102,7 @@ func (c *Client) cascadeFree(start layout.Addr) {
 		}
 		c.reclaimRaw(b, m)
 	}
+	c.scr.stack = stack
 }
 
 // reclaimRaw frees one block whose reference count is zero and whose

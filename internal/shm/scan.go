@@ -59,14 +59,15 @@ type ScanReport struct {
 // sweep and segment reclamation.
 //
 // The scan runs in rounds: reclaiming a leaked block cascades frees that
-// may land on this segment's lists after the membership snapshot, so lost
-// free blocks are only re-linked in a round that reclaimed nothing (with a
-// fresh snapshot).
+// may land on this segment's lists after the membership snapshot, so a round
+// only records the lost free blocks it meets and re-links them itself when
+// it reclaimed nothing (its snapshot is then still fresh); a round that did
+// reclaim drops its candidates and the next one starts afresh.
 func (c *Client) ScanSegment(seg int, ownerDead bool) ScanReport {
 	if c.ownedBySeg[seg] != nil {
 		// Scanning a segment we own is a publication epoch — mandatory, not
 		// just convenient: our own deferred frees are in the lost-block state
-		// (freeer == us), so the relink round would re-insert them and a later
+		// (freeer == us), so the re-link would re-insert them and a later
 		// publication burst would then insert them a second time.
 		c.flushPending(EpochScan)
 	}
@@ -86,39 +87,96 @@ func (c *Client) ScanSegment(seg int, ownerDead bool) ScanReport {
 }
 
 func (c *Client) scanSegment(seg int, ownerDead bool) ScanReport {
-	var total ScanReport
+	reclaimed, swept := 0, 0
 	for {
-		r := c.scanSegmentOnce(seg, ownerDead, false)
-		total.Reclaimed += r.Reclaimed
-		total.SweptRoots += r.SweptRoots
-		if r.Reclaimed == 0 && r.SweptRoots == 0 {
-			break
-		}
-		if r.Freed {
-			total.Quiet, total.Freed = true, true
-			return total
+		r := c.scanSegmentOnce(seg, ownerDead)
+		reclaimed += r.Reclaimed
+		swept += r.SweptRoots
+		if r.Freed || (r.Reclaimed == 0 && r.SweptRoots == 0) {
+			r.Reclaimed, r.SweptRoots = reclaimed, swept
+			return r
 		}
 	}
-	r := c.scanSegmentOnce(seg, ownerDead, true)
-	total.Reclaimed += r.Reclaimed
-	total.SweptRoots += r.SweptRoots
-	total.Relinked = r.Relinked
-	total.Live = r.Live
-	total.Pending = r.Pending
-	total.Quiet = r.Quiet
-	total.Freed = r.Freed
-	total.FlagCleared = r.FlagCleared
-	return total
 }
 
-func (c *Client) scanSegmentOnce(seg int, ownerDead, relink bool) ScanReport {
+// segSet is the scan's free-list membership set: one bit per word of the
+// segment being scanned, indexed by word offset from the segment base, so
+// recording and testing a node costs no hashing and the set is reused from
+// scan to scan. Only addresses inside the segment are indexed. A damaged
+// chain's node outside it is never recorded, hence never "seen" again: the
+// walk's step bound ends a cycle out there, and the block walk only ever
+// asks about addresses inside the segment.
+type segSet struct {
+	base, words layout.Addr
+	bits        []uint64
+}
+
+// reset empties the set and aims it at the segment of words words at base.
+func (s *segSet) reset(base, words layout.Addr) {
+	if n := int((words + 63) / 64); n <= cap(s.bits) {
+		s.bits = s.bits[:n]
+		clear(s.bits)
+	} else {
+		s.bits = make([]uint64, n)
+	}
+	s.base, s.words = base, words
+}
+
+func (s *segSet) add(a layout.Addr) {
+	if off := a - s.base; off < s.words {
+		s.bits[off>>6] |= 1 << (off & 63)
+	}
+}
+
+func (s *segSet) has(a layout.Addr) bool {
+	off := a - s.base
+	return off < s.words && s.bits[off>>6]&(1<<(off&63)) != 0
+}
+
+// markChain records the free chain starting at head, linked through the
+// word at nextOff, in c.scr.onList. The walk is bounded: this is recovery
+// machinery and may run over a damaged pool, where a free chain can contain
+// a cycle (e.g. a corruption-induced double insert). A repeat visit or an
+// impossible chain length ends the walk — every reachable block's
+// membership is already recorded by then, and the repairing fsck owns
+// diagnosing the broken chain itself.
+func (c *Client) markChain(head, nextOff layout.Addr, maxSteps int) {
+	steps := 0
+	for b := head; b != 0; b = c.h.Load(b + nextOff) {
+		if c.scr.onList.has(b) {
+			break
+		}
+		if steps++; steps > maxSteps {
+			break
+		}
+		c.scr.onList.add(b)
+	}
+}
+
+// lostNode is a re-link candidate: a free-marked block or a cleared RootRef
+// slot that is on no free list and whose freeer can no longer push it.
+type lostNode struct {
+	meta, addr, nextOff layout.Addr // page meta area, node, its next-pointer word
+}
+
+// scanScratch is the memory a client's scans and reclaim cascades reuse from
+// call to call, so that in steady state they allocate nothing. A Client is
+// single-goroutine and neither user re-enters itself, so one copy suffices.
+type scanScratch struct {
+	onList segSet
+	lost   []lostNode
+	stack  []layout.Addr // cascadeFree's explicit DFS stack
+}
+
+func (c *Client) scanSegmentOnce(seg int, ownerDead bool) ScanReport {
 	var r ScanReport
 	a := c.geo.SegStateAddr(seg)
 	w := c.h.Load(a)
 	st := layout.UnpackSegState(w)
 	switch st.State {
 	case layout.SegHugeHead:
-		if layout.UnpackMeta(c.h.Load(c.geo.SegmentBase(seg) + layout.MetaOff)).Quarantined() {
+		m := layout.UnpackMeta(c.h.Load(c.geo.SegmentBase(seg) + layout.MetaOff))
+		if m.Quarantined() {
 			// Quarantined by the repairing fsck: never reclaimed, never
 			// released — counting it live pins the whole run in place.
 			r.Live++
@@ -133,7 +191,6 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead, relink bool) ScanReport {
 		// interrupted allocation. Safe to reclaim when the owner is dead
 		// (nobody can be mid-operation) — the scan's caller guarantees that
 		// or is the owner itself.
-		m := layout.UnpackMeta(c.h.Load(c.geo.SegmentBase(seg) + layout.MetaOff))
 		if m.BlockWords == 0 {
 			// Header/meta never initialized (mid-allocation crash): free the
 			// head and let orphan bodies be swept by the caller.
@@ -157,7 +214,7 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead, relink bool) ScanReport {
 	}
 
 	// Membership pass: every block currently reachable from a free list.
-	onList := make(map[layout.Addr]struct{})
+	c.scr.onList.reset(c.geo.SegmentBase(seg), layout.Addr(c.geo.SegmentWords))
 	for p := 0; p < numPages; p++ {
 		meta := c.geo.PageMetaAddr(seg, p)
 		info := layout.UnpackPageMeta(c.h.Load(meta + pmInfo))
@@ -168,34 +225,11 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead, relink bool) ScanReport {
 		if info.Kind == layout.PageKindRootRef {
 			nextOff = layout.RootRefPptrOff
 		}
-		// Bounded walk: this scan is recovery machinery and may run over a
-		// damaged pool, where a free chain can contain a cycle (e.g. a
-		// corruption-induced double insert). A repeat visit or an impossible
-		// chain length ends the walk — every reachable block's membership is
-		// already recorded by then, and the repairing fsck owns diagnosing
-		// the broken chain itself.
-		steps := 0
-		for b := c.h.Load(meta + pmFree); b != 0; b = c.h.Load(b + nextOff) {
-			if _, seen := onList[b]; seen {
-				break
-			}
-			if steps++; steps > int(c.geo.PageWords) {
-				break
-			}
-			onList[b] = struct{}{}
-		}
+		c.markChain(c.h.Load(meta+pmFree), nextOff, int(c.geo.PageWords))
 	}
-	cfSteps := 0
-	for b := c.h.Load(c.geo.SegClientFreeAddr(seg)); b != 0; b = c.h.Load(b + freeNextOff) {
-		if _, seen := onList[b]; seen {
-			break
-		}
-		if cfSteps++; cfSteps > numPages*int(c.geo.PageWords) {
-			break
-		}
-		onList[b] = struct{}{}
-	}
+	c.markChain(c.h.Load(c.geo.SegClientFreeAddr(seg)), freeNextOff, numPages*int(c.geo.PageWords))
 
+	lost := c.scr.lost[:0]
 	for p := 0; p < numPages; p++ {
 		metaA := c.geo.PageMetaAddr(seg, p)
 		info := layout.UnpackPageMeta(c.h.Load(metaA + pmInfo))
@@ -213,7 +247,7 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead, relink bool) ScanReport {
 			continue
 		case layout.PageKindRootRef:
 			for slot := base; slot+layout.RootRefWords <= scanPos; slot += layout.RootRefWords {
-				if _, free := onList[slot]; free {
+				if c.scr.onList.has(slot) {
 					continue
 				}
 				if slot == c.inflightRoot {
@@ -239,12 +273,7 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead, relink bool) ScanReport {
 				// loses slots (RootRef frees are owner-local), so a dead
 				// owner's fence makes the re-push safe; a live owner is the
 				// scanner itself.
-				if relink {
-					c.h.Store(slot+layout.RootRefPptrOff, c.h.Load(metaA+pmFree))
-					c.storePMFree(seg, metaA, slot)
-					onList[slot] = struct{}{}
-					r.Relinked++
-				}
+				lost = append(lost, lostNode{metaA, slot, layout.RootRefPptrOff})
 			}
 		case layout.PageKindNormal:
 			if int(info.SizeClass) >= len(c.geo.Classes) {
@@ -252,7 +281,7 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead, relink bool) ScanReport {
 			}
 			bw := layout.Addr(c.geo.Classes[info.SizeClass].BlockWords)
 			for b := base; b+bw <= scanPos; b += bw {
-				if _, free := onList[b]; free {
+				if c.scr.onList.has(b) {
 					continue
 				}
 				m := layout.UnpackMeta(c.h.Load(b + layout.MetaOff))
@@ -277,29 +306,32 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead, relink bool) ScanReport {
 					}
 				} else {
 					// Free-marked block not on any list: lost mid-free. The
-					// freeer's ID was recorded in the meta embed field.
-					freeer := int(m.EmbedCnt)
-					switch {
-					case !relink:
-						// Membership snapshot may be stale in a reclaiming
-						// round; the relink round handles lost blocks.
-					case freeer == c.cid || c.pool.ClientDeadOrRecovered(freeer):
-						c.h.Store(b+freeNextOff, c.h.Load(metaA+pmFree))
-						c.storePMFree(seg, metaA, b)
-						onList[b] = struct{}{}
-						r.Relinked++
-					default:
+					// freeer's ID was recorded in the meta embed field. It is
+					// judged here, as close to the snapshot as the walk gets:
+					// a dead freeer is fenced, so that verdict cannot go stale
+					// before the re-link below.
+					if freeer := int(m.EmbedCnt); freeer == c.cid || c.pool.ClientDeadOrRecovered(freeer) {
+						lost = append(lost, lostNode{metaA, b, freeNextOff})
+					} else {
 						r.Pending++ // live freeer will complete the push
 					}
 				}
 			}
 		}
 	}
+	c.scr.lost = lost[:0]
 
 	r.Quiet = r.Live == 0 && r.Pending == 0
-	if !relink {
+	if r.Reclaimed > 0 || r.SweptRoots > 0 {
+		// The reclaims' cascaded frees may have landed on this segment's
+		// lists since the snapshot: the candidates are stale.
 		return r
 	}
+	for _, l := range lost {
+		c.h.Store(l.addr+l.nextOff, c.h.Load(l.meta+pmFree))
+		c.storePMFree(seg, l.meta, l.addr)
+	}
+	r.Relinked = len(lost)
 	if r.Quiet && ownerDead {
 		// Return the whole segment to the pool (resets flags and
 		// client_free; versions defeat ABA on reuse).

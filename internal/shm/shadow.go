@@ -322,12 +322,10 @@ func (c *Client) checkPendCoherent(seg, pg int, op *ownedPage) error {
 	if info.Kind == layout.PageKindRootRef {
 		nextOff = layout.RootRefPptrOff
 	}
-	onList := make(map[layout.Addr]struct{})
-	for b := op.free; b != 0; b = c.h.Load(b + nextOff) {
-		onList[b] = struct{}{}
-	}
+	c.scr.onList.reset(c.geo.SegmentBase(seg), layout.Addr(c.geo.SegmentWords))
+	c.markChain(op.free, nextOff, int(c.geo.PageWords))
 	for _, b := range op.pend {
-		if _, published := onList[b]; published {
+		if c.scr.onList.has(b) {
 			return fmt.Errorf("shm: seg %d page %d pending block %#x already on the published free list", seg, pg, b)
 		}
 		if info.Kind == layout.PageKindRootRef {
