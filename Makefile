@@ -1,12 +1,14 @@
 # Developer entry points. `make verify` is the full pre-merge gate:
-# vet + build + tests, plus the race detector on the concurrency-heavy
-# packages (allocator, recovery, metrics).
+# vet + build + tests, plus the race detector on every package that owns a
+# goroutine or a crash campaign (allocator, recovery, metrics, the serving
+# tier and its transports, the sweep, fsck).
 
 GO ?= go
 
 .PHONY: all build test vet race verify bench bench-fastpath bench-compare \
 	bench-smoke test-mmap sweep corrupt fsck-smoke top-smoke ci \
-	bench-resilience bench-scale serving-smoke bench-serving serving-compare
+	bench-resilience bench-scale serving-smoke bench-serving serving-compare \
+	benchmark-check dep-guard
 
 all: verify
 
@@ -20,7 +22,9 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/shm ./internal/recovery ./internal/obs .
+	$(GO) test -race ./internal/shm ./internal/recovery ./internal/obs . \
+		./internal/serving ./internal/kv ./internal/netrpc ./internal/rpc \
+		./internal/mapreduce ./internal/sweep ./internal/check
 
 # bench-smoke runs the fast-path micro-benchmarks a handful of iterations
 # under the race detector: not for numbers, but to drive the benchmark paths
@@ -33,20 +37,20 @@ verify: vet build test race bench-smoke
 
 # test-mmap re-runs the core packages with every pool on the mmap'd-file
 # backend (cxl.MapDevice over an unlinked temp file), the recovery crash
-# matrix included, plus a short fault-injection campaign.
+# matrix (every device write of the scenario) included. The crash campaign
+# on mmap is `make sweep`.
 test-mmap:
 	CXLSHM_BACKEND=mmap $(GO) test ./internal/shm ./internal/recovery ./internal/check ./internal/alloc .
-	CXLSHM_BACKEND=mmap $(GO) test -run TestRecoverEveryCrashPoint ./internal/recovery
-	$(GO) run ./cmd/faultsim -trials 50 -backend mmap
 
-# sweep runs the bounded access-granular crash sweep on both backends:
-# every scripted operation crashed at up to 40 of its device writes, each
-# followed by recovery and a full-pool fsck, plus a phase-B pass that
-# crashes the recovery executor itself. Violations print a minimal
+# sweep runs the exhaustive access-granular crash sweep on both backends:
+# every scripted operation crashed before every one of its device writes,
+# each followed by recovery and a full-pool fsck, plus a phase-B pass that
+# crashes the recovery executor before every one of its own writes (32 ops,
+# 1810 + 7395 positions, about 5 s per backend). Violations print a minimal
 # `faultsim -repro` line and fail the target.
 sweep:
-	$(GO) run ./cmd/faultsim -sweep -max-writes 40 -recovery-sweep
-	$(GO) run ./cmd/faultsim -sweep -max-writes 40 -recovery-sweep -backend mmap
+	$(GO) run ./cmd/faultsim -sweep -recovery-sweep
+	$(GO) run ./cmd/faultsim -sweep -recovery-sweep -backend mmap
 
 # corrupt runs the bounded corruption campaign on both backends: every
 # fault class (bit flip, torn write, stuck CAS) against every targetable
@@ -88,13 +92,31 @@ top-smoke:
 	$(GO) run ./cmd/cxlsnap -metrics .ci-top.cxl > /dev/null
 	rm -f .ci-top.cxl
 
+# benchmark-check vets and tests the benchmark module (benchmark/, a Go
+# module of its own that tier-1 never builds), so a PR that breaks the frozen
+# call list of benchmark/README.md fails CI instead of the benchmark run.
+benchmark-check:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
+# dep-guard keeps the crash harness out of the product: nothing the library,
+# the serving tier or the recovery service links may import
+# internal/faultinject (crashes are injected from outside, through
+# shm.Config.Middleware).
+dep-guard:
+	@if $(GO) list -deps . ./internal/shm ./internal/kv ./internal/serving \
+		./internal/netrpc ./internal/recovery | grep -q 'internal/faultinject'; then \
+		echo "dep-guard: product code depends on internal/faultinject"; exit 1; fi
+
 # ci is the continuous-integration gate (.github/workflows/ci.yml): vet,
-# tier-1 build+test, a race pass over the fast-path and queue tests on both
-# backends, the fast-path regression gate against the committed
-# BENCH_fastpath.json, the mmap-backend suite, the bounded crash sweep (one
-# leg with telemetry collection enabled), the cxltop/cxlsnap observer
-# smoke, and the serving-tier chaos smoke on both worker backends.
-ci: vet build test
+# tier-1 build+test, the benchmark module's own vet+test, the
+# faultinject dependency guard, a race pass over the fast-path and queue
+# tests on both backends, the fast-path regression gate against the
+# committed BENCH_fastpath.json, the mmap-backend suite, the exhaustive
+# crash sweep (plus bounded legs with telemetry collection enabled and at
+# 64-client geometry), the cxltop/cxlsnap observer smoke, and the
+# serving-tier chaos smoke on both worker backends.
+ci: vet build test benchmark-check dep-guard
 	$(GO) test -race -run 'TestDeviceAccessBudget|TestQueue' ./internal/shm
 	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestDeviceAccessBudget|TestQueue' ./internal/shm
 	$(GO) test -race -run TestSlotChurn ./internal/shm

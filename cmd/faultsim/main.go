@@ -1,23 +1,22 @@
-// Command faultsim runs the crash-consistency fault-injection campaign of
-// the paper's §6.2.2: a workload of allocations, releases, reference
-// exchanges, and embedded-reference updates is executed with a crash
-// injected at a random critical point; after recovery the whole pool is
-// validated for leaks, double frees, and wild pointers. The paper runs
-// >100k trials; pick -trials to taste.
+// Command faultsim runs the crash-consistency campaigns of the paper's
+// §6.2.2 with one crash model: a client dies before its Nth device write.
+// It has exactly three modes; with none it prints usage and exits 2.
 //
 // Usage:
 //
-//	faultsim [-trials N] [-seed S] [-systematic] [-backend heap|mmap]
-//	faultsim -sweep [-max-writes N] [-recovery-sweep] [-backend heap|mmap]
+//	faultsim -sweep [-max-writes N] [-recovery-sweep] [-clients N] [-backend heap|mmap]
 //	faultsim -repro "op=NAME access=N [epoch=T] [recovery-access=R]" [-backend heap|mmap]
+//	faultsim -corrupt [-region R] [-class C] [-seed S] [-resilience-out FILE] [-backend heap|mmap]
 //
-// -backend mmap runs every trial on an mmap'd-file device (cxl.MapDevice),
-// exercising crash recovery over the cross-process backend's data path.
+// -sweep is the exhaustive access-granular campaign (internal/sweep): every
+// device write of every scripted operation is a crash position, each
+// followed by recovery and a full-pool fsck; -recovery-sweep also crashes
+// the recovery executor at each of its own writes. Violations print a
+// minimal -repro invocation and exit nonzero. -corrupt is the media-fault
+// campaign (bit flips, torn writes, stuck CAS) with the repairing fsck.
 //
-// -sweep replaces the named-point campaign with the exhaustive
-// access-granular one (internal/sweep): every device write of every scripted
-// operation is a crash position, each followed by recovery and a full-pool
-// fsck. Violations print a minimal -repro invocation and exit nonzero.
+// -backend mmap runs on an mmap'd-file device (cxl.MapDevice), exercising
+// crash recovery over the cross-process backend's data path.
 package main
 
 import (
@@ -27,21 +26,15 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/check"
-	"repro/internal/faultinject"
 	"repro/internal/layout"
 	"repro/internal/obs"
-	"repro/internal/recovery"
-	"repro/internal/shm"
 	"repro/internal/sweep"
 )
 
 func main() {
-	trials := flag.Int("trials", 2000, "randomized trials to run")
-	seed := flag.Int64("seed", 1, "base RNG seed")
-	systematic := flag.Bool("systematic", false, "also crash at every occurrence of every crash point")
+	seed := flag.Int64("seed", 1, "with -corrupt: base RNG seed")
 	metrics := flag.Bool("metrics", false, "collect pool metrics; write FAULTSIM_metrics.json and print a summary")
-	doSweep := flag.Bool("sweep", false, "run the exhaustive access-granular crash sweep instead of trials")
+	doSweep := flag.Bool("sweep", false, "run the exhaustive access-granular crash sweep")
 	doCorrupt := flag.Bool("corrupt", false, "run the corruption campaign (bit flips, torn writes, stuck CAS) with repair")
 	region := flag.String("region", "", "with -corrupt: restrict to one region (comma-separated ok; empty = all)")
 	class := flag.String("class", "", "with -corrupt: restrict to one fault class (comma-separated ok; empty = all)")
@@ -50,20 +43,18 @@ func main() {
 	recoverySweep := flag.Bool("recovery-sweep", false, "with -sweep: also crash the recovery pass at each of its own writes")
 	clients := flag.Int("clients", 0, "with -sweep: size of the client-slot table (0 = default 8)")
 	repro := flag.String("repro", "", `reproduce one sweep position: "op=NAME access=N [epoch=T] [recovery-access=R]"`)
-	flag.StringVar(&backend, "backend", "", "device backend per trial: heap (default) or mmap")
+	flag.StringVar(&backend, "backend", "", "device backend: heap (default) or mmap")
 	flag.Parse()
 	if *metrics {
 		obs.EnableGlobal()
 	}
 
-	if *doCorrupt {
+	switch {
+	case *doCorrupt:
 		if err := runCorrupt(*seed, *region, *class, *resilienceOut); err != nil {
 			fail(err)
 		}
-		return
-	}
-
-	if *doSweep || *repro != "" {
+	case *doSweep || *repro != "":
 		cfg := sweep.Config{
 			Backend:       backend,
 			MaxWrites:     *maxWrites,
@@ -91,58 +82,24 @@ func main() {
 		fmt.Printf("sweep: %d ops, %d crash positions (+%d recovery positions) — all recovered and validated clean\n",
 			st.Ops, st.Positions, st.RecoveryPositions)
 		if *metrics {
-			writeMetrics(false)
+			writeMetrics()
 		}
-		return
-	}
-
-	crashes, clean := 0, 0
-	if *systematic {
-		n, err := runSystematic()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("systematic: %d crash positions, all recovered cleanly\n", n)
-	}
-	for t := 0; t < *trials; t++ {
-		crashed, err := runTrial(*seed + int64(t))
-		if err != nil {
-			fail(fmt.Errorf("trial %d: %w", t, err))
-		}
-		if crashed {
-			crashes++
-		} else {
-			clean++
-		}
-		if (t+1)%500 == 0 {
-			fmt.Printf("  %d trials (%d crashed, %d clean) — no leak/double-free/wild-pointer\n",
-				t+1, crashes, clean)
-		}
-	}
-	fmt.Printf("randomized: %d trials, %d with injected crashes, %d crash-free — all validated clean\n",
-		*trials, crashes, clean)
-	if *metrics {
-		writeMetrics(true)
+	default:
+		fmt.Fprintln(os.Stderr, "faultsim: pick a mode: -sweep, -corrupt or -repro")
+		flag.Usage()
+		os.Exit(2)
 	}
 }
 
 // writeMetrics dumps the campaign-wide metrics snapshot, stamped with the
-// provenance (backend, geometry, layout version, build) that produced it.
-// Sweep mode builds pools with its own per-op geometry, so only the trials
-// campaign records the pool shape.
-func writeMetrics(withGeometry bool) {
+// provenance (backend, layout version, build) that produced it. The sweep
+// builds pools with its own per-op geometry, so no pool shape is recorded.
+func writeMetrics() {
 	snap := obs.GlobalSnapshot()
-	fmt.Println("-- metrics (all trials) --")
+	fmt.Println("-- metrics (whole sweep) --")
 	snap.WriteSummary(os.Stdout)
 	prov := obs.CollectProvenance("faultsim", backendName())
 	prov.LayoutVersion = layout.LayoutVersion
-	if withGeometry {
-		prov.MaxClients = 8
-		prov.NumSegments = 16
-		prov.SegmentWords = 1 << 13
-		prov.PageWords = 1 << 9
-		prov.MaxQueues = 8
-	}
 	data, err := obs.MarshalReportJSON(snap, nil, prov)
 	if err != nil {
 		fail(err)
@@ -160,292 +117,8 @@ func backendName() string {
 	return backend
 }
 
-// backend selects the per-trial device backend (-backend flag).
+// backend selects the device backend (-backend flag).
 var backend string
-
-func newPool() (*shm.Pool, error) {
-	return shm.NewPool(shm.Config{
-		Geometry: layout.GeometryConfig{
-			MaxClients: 8, NumSegments: 16, SegmentWords: 1 << 13, PageWords: 1 << 9, MaxQueues: 8,
-		},
-		Backend: backend,
-	})
-}
-
-// workload mirrors the recovery test scenario: every crash point is
-// exercised (see internal/recovery's occurrence audit).
-func workload(x, o *shm.Client) ([]layout.Addr, error) {
-	var oRoots []layout.Addr
-	r1, _, err := x.Malloc(64, 0)
-	if err != nil {
-		return oRoots, err
-	}
-	x.CloneRoot(r1)
-	if _, err := x.ReleaseRoot(r1); err != nil {
-		return oRoots, err
-	}
-	if _, err := x.ReleaseRoot(r1); err != nil {
-		return oRoots, err
-	}
-	rh, _, err := x.Malloc(96*1024, 0)
-	if err != nil {
-		return oRoots, err
-	}
-	if _, err := x.ReleaseRoot(rh); err != nil {
-		return oRoots, err
-	}
-	rp, parent, err := x.Malloc(64, 2)
-	if err != nil {
-		return oRoots, err
-	}
-	rc1, ch1, err := x.Malloc(32, 0)
-	if err != nil {
-		return oRoots, err
-	}
-	if err := x.SetEmbed(parent, 0, ch1); err != nil {
-		return oRoots, err
-	}
-	x.ReleaseRoot(rc1)
-	rc2, ch2, err := x.Malloc(32, 1)
-	if err != nil {
-		return oRoots, err
-	}
-	rg, gch, err := x.Malloc(16, 0)
-	if err != nil {
-		return oRoots, err
-	}
-	if err := x.SetEmbed(ch2, 0, gch); err != nil {
-		return oRoots, err
-	}
-	x.ReleaseRoot(rg)
-	if err := x.SetEmbed(parent, 1, ch2); err != nil {
-		return oRoots, err
-	}
-	x.ReleaseRoot(rc2)
-	ry, y, err := x.Malloc(32, 0)
-	if err != nil {
-		return oRoots, err
-	}
-	if err := x.ChangeEmbed(parent, 0, y); err != nil {
-		return oRoots, err
-	}
-	x.ReleaseRoot(ry)
-	x.ReleaseRoot(rp)
-
-	qr, q, err := x.CreateQueue(o.ID(), 4)
-	if err != nil {
-		return oRoots, err
-	}
-	oq, err := o.OpenQueue(q)
-	if err != nil {
-		return oRoots, err
-	}
-	oRoots = append(oRoots, oq)
-	ro1, o1, err := x.Malloc(64, 0)
-	if err != nil {
-		return oRoots, err
-	}
-	if err := x.Send(q, o1); err != nil {
-		return oRoots, err
-	}
-	x.ReleaseRoot(ro1)
-	rb, _, err := o.Receive(q)
-	if err != nil {
-		return oRoots, err
-	}
-	oRoots = append(oRoots, rb)
-
-	// Batched legs: SendBatch/ReceiveBatch walk the same per-slot crash
-	// points as Send/Receive but with one tail/head publication per batch —
-	// a crash mid-batch strands a different prefix of slots.
-	var batch []layout.Addr
-	var batchRoots []layout.Addr
-	for i := 0; i < 3; i++ {
-		r, b, err := x.Malloc(64, 0)
-		if err != nil {
-			return oRoots, err
-		}
-		batchRoots = append(batchRoots, r)
-		batch = append(batch, b)
-	}
-	n, err := x.SendBatch(q, batch)
-	if err != nil {
-		return oRoots, err
-	}
-	if n != len(batch) {
-		return oRoots, fmt.Errorf("short batch send: %d of %d", n, len(batch))
-	}
-	for _, r := range batchRoots {
-		if _, err := x.ReleaseRoot(r); err != nil {
-			return oRoots, err
-		}
-	}
-	broots, _, err := o.ReceiveBatch(q, 4)
-	if err != nil {
-		return oRoots, err
-	}
-	if len(broots) != n {
-		return oRoots, fmt.Errorf("short batch receive: %d of %d", len(broots), n)
-	}
-	oRoots = append(oRoots, broots...)
-	x.ReleaseRoot(qr)
-
-	qr2, q2, err := o.CreateQueue(x.ID(), 4)
-	if err != nil {
-		return oRoots, err
-	}
-	oRoots = append(oRoots, qr2)
-	xq, err := x.OpenQueue(q2)
-	if err != nil {
-		return oRoots, err
-	}
-	ro3, o3, err := o.Malloc(64, 0)
-	if err != nil {
-		return oRoots, err
-	}
-	if err := o.Send(q2, o3); err != nil {
-		return oRoots, err
-	}
-	o.ReleaseRoot(ro3)
-	rx, _, err := x.Receive(q2)
-	if err != nil {
-		return oRoots, err
-	}
-	x.ReleaseRoot(rx)
-	x.ReleaseRoot(xq)
-
-	ro4, o4, err := o.Malloc(64, 0)
-	if err != nil {
-		return oRoots, err
-	}
-	xr4, err := x.OpenQueue(o4)
-	if err != nil {
-		return oRoots, err
-	}
-	o.ReleaseRoot(ro4)
-	x.ReleaseRoot(xr4)
-	return oRoots, nil
-}
-
-func runTrial(seed int64) (crashed bool, err error) {
-	p, err := newPool()
-	if err != nil {
-		return false, err
-	}
-	defer p.CloseDevice()
-	x, err := p.Connect()
-	if err != nil {
-		return false, err
-	}
-	o, err := p.Connect()
-	if err != nil {
-		return false, err
-	}
-	svc, err := recovery.NewService(p)
-	if err != nil {
-		return false, err
-	}
-	x.SetInjector(faultinject.Random(seed, 0.005))
-	var oRoots []layout.Addr
-	var werr error
-	crash := faultinject.Run(func() { oRoots, werr = workload(x, o) })
-	if crash == nil && werr != nil {
-		return false, werr
-	}
-	if crash != nil {
-		if err := p.MarkClientDead(x.ID()); err != nil {
-			return true, err
-		}
-		if _, err := svc.RecoverClient(x.ID()); err != nil {
-			return true, err
-		}
-	}
-	for _, r := range oRoots {
-		if _, err := o.ReleaseRoot(r); err != nil {
-			return crash != nil, fmt.Errorf("survivor release: %w", err)
-		}
-	}
-	// Publish the short-lived clients' counters for -metrics before the
-	// monitor fences them (a fenced client's shard is frozen as-is).
-	x.FlushMetrics()
-	o.FlushMetrics()
-	mon := recovery.NewMonitor(svc, recovery.MonitorConfig{})
-	for i := 0; i < 4; i++ {
-		mon.Tick()
-	}
-	res := check.Validate(p)
-	if !res.Clean() {
-		for _, is := range res.Issues {
-			fmt.Fprintf(os.Stderr, "  %s\n", is)
-		}
-		return crash != nil, fmt.Errorf("validation failed with %d issues (crash=%v)", len(res.Issues), crash)
-	}
-	if res.AllocatedObjects != 0 {
-		return crash != nil, fmt.Errorf("%d objects leaked (crash=%v)", res.AllocatedObjects, crash)
-	}
-	return crash != nil, nil
-}
-
-func runSystematic() (int, error) {
-	positions := 0
-	for _, pt := range faultinject.AllPoints {
-		for occ := 1; ; occ++ {
-			p, err := newPool()
-			if err != nil {
-				return positions, err
-			}
-			x, err := p.Connect()
-			if err != nil {
-				return positions, err
-			}
-			o, err := p.Connect()
-			if err != nil {
-				return positions, err
-			}
-			svc, err := recovery.NewService(p)
-			if err != nil {
-				return positions, err
-			}
-			inj := faultinject.At(pt, occ)
-			x.SetInjector(inj)
-			var oRoots []layout.Addr
-			var werr error
-			crash := faultinject.Run(func() { oRoots, werr = workload(x, o) })
-			if crash == nil {
-				p.CloseDevice()
-				if werr != nil {
-					return positions, werr
-				}
-				break // all occurrences of this point covered
-			}
-			positions++
-			if err := p.MarkClientDead(x.ID()); err != nil {
-				return positions, err
-			}
-			if _, err := svc.RecoverClient(x.ID()); err != nil {
-				return positions, err
-			}
-			for _, r := range oRoots {
-				if _, err := o.ReleaseRoot(r); err != nil {
-					return positions, err
-				}
-			}
-			mon := recovery.NewMonitor(svc, recovery.MonitorConfig{})
-			for i := 0; i < 4; i++ {
-				mon.Tick()
-			}
-			res := check.Validate(p)
-			if !res.Clean() || res.AllocatedObjects != 0 {
-				return positions, fmt.Errorf("%s occurrence %d: validation failed", pt, occ)
-			}
-			p.CloseDevice()
-			if occ > 200 {
-				return positions, fmt.Errorf("%s: runaway occurrence count", pt)
-			}
-		}
-	}
-	return positions, nil
-}
 
 // parseRepro fills cfg from a sweep violation's repro spec, e.g.
 // "op=send access=18" or "op=free-huge access=1 recovery-access=12".

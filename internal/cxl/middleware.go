@@ -207,8 +207,8 @@ func (k AccessKind) String() string {
 // AccessHook observes one access before it executes. cid is the client the
 // access is issued for, or 0 for management-plane accesses. A hook may
 // panic (e.g. with faultinject.Crash) to bring down the current client at
-// an exact device-access boundary — the access-granular generalization of
-// the §6.2.2 crash points, as stack configuration instead of code edits.
+// an exact device-access boundary — the §6.2.2 crash injector as stack
+// configuration instead of code edits.
 type AccessHook func(cid int, kind AccessKind, a Addr)
 
 type hookMem struct {

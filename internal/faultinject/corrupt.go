@@ -8,7 +8,7 @@ import (
 	"repro/internal/cxl"
 )
 
-// Corruption model. The crash points and the access sweeper cover fail-stop:
+// Corruption model. The access sweeper covers fail-stop:
 // a client dies, the words it wrote stay exactly as written. This file covers
 // the messier device-side faults ("Towards CXL Resilience to CPU Failures"):
 //
@@ -83,11 +83,11 @@ func ParseClass(s string) (Class, error) {
 	return "", fmt.Errorf("faultinject: unknown fault class %q (want one of %v)", s, AllClasses)
 }
 
-// StuckCASSpin is the synthetic crash point raised when a spin-flavored
+// stuckCASSpin is the crash label raised when a spin-flavored
 // stuck CAS has failed enough times that the acting client counts as wedged;
 // the harness converts the panic into a client death, modeling an agent that
 // hung retrying and was fenced.
-const StuckCASSpin Point = "corrupt/stuck-cas-spin"
+const stuckCASSpin Point = "corrupt/stuck-cas-spin"
 
 // spinFailures is how many injected CAS failures a spin-flavored stuck CAS
 // delivers before declaring the caller wedged.
@@ -277,7 +277,7 @@ func (c *Corruptor) Lie() bool {
 // Hook is the cxl.WriteFaultHook delivering live stuck-CAS faults. Stores
 // always pass through; a CAS against an armed target either success-lies
 // (the caller proceeds believing the word updated, but it is stale) or fails
-// spinFailures times and then raises StuckCASSpin, wedging the caller.
+// spinFailures times and then raises stuckCASSpin, wedging the caller.
 func (c *Corruptor) Hook(kind cxl.AccessKind, a cxl.Addr, v uint64) (uint64, cxl.WriteFault) {
 	if kind != cxl.OpCAS {
 		return v, cxl.WriteThrough
@@ -308,7 +308,7 @@ func (c *Corruptor) Hook(kind cxl.AccessKind, a cxl.Addr, v uint64) (uint64, cxl
 			After: v, Mode: "live",
 		})
 		c.mu.Unlock()
-		panic(Crash{Point: StuckCASSpin})
+		panic(Crash{Point: stuckCASSpin})
 	}
 	c.mu.Unlock()
 	return v, cxl.WriteFailCAS

@@ -148,7 +148,7 @@ func TestCorruptorStuckCASLie(t *testing.T) {
 }
 
 // TestCorruptorStuckCASSpin drives the spin flavor: CAS fails spinFailures-1
-// times and the next attempt wedges the caller with StuckCASSpin.
+// times and the next attempt wedges the caller with stuckCASSpin.
 func TestCorruptorStuckCASSpin(t *testing.T) {
 	var spinner *Corruptor
 	for seed := int64(0); seed < 32; seed++ {
@@ -175,7 +175,7 @@ func TestCorruptorStuckCASSpin(t *testing.T) {
 			}
 		}
 	})
-	if crash == nil || crash.Point != StuckCASSpin {
+	if crash == nil || crash.Point != stuckCASSpin {
 		t.Fatalf("spin did not wedge the caller: crash=%v", crash)
 	}
 	if got := mem.Load(9); got != 1 {

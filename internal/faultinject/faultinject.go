@@ -1,139 +1,27 @@
-// Package faultinject provides crash-point injection for the
-// crash-consistency validation campaign (paper §6.2.2). The paper compiles
-// its test program with a flag that plants "randomly bring down the current
-// client" snippets at every critical point of allocation, deallocation,
-// reference count maintenance, and reference exchange; this package is the
-// Go equivalent. Production code paths call Injector.Hit at each critical
-// point; an armed injector panics with Crash, which the client harness
-// catches and converts into a simulated client death (the client is
-// RAS-fenced and left exactly as the crash found it).
+// Package faultinject is the crash-consistency test harness of the paper's
+// §6.2.2 study, kept entirely outside the product: nothing under
+// internal/shm imports it. There is one crash model — "the client dies
+// before its Nth device write" — delivered by the AccessSweeper, a
+// cxl.AccessHook that panics with Crash at an exact store/CAS boundary;
+// the harness catches the panic with Run, RAS-fences the client, and leaves
+// the pool exactly as the crash found it. The Corruptor (corrupt.go) is the
+// second fault family: media faults instead of client deaths.
 package faultinject
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
-// Point names one crash point in the CXL-SHM implementation.
+// Point labels where an injected crash fired: "sweep/write-N" for the
+// access sweeper, "corrupt/stuck-cas-spin" for the corruptor's wedged CAS
+// loop.
 type Point string
 
-// Crash points, in rough code-path order. Each corresponds to a gap between
-// two shared-memory effects whose interleaving with a failure the recovery
-// protocol must tolerate.
-const (
-	// Allocation fast path (§5.1).
-	AfterRootRefClaim   Point = "alloc/after-rootref-claim"   // RootRef in_use set, nothing linked
-	AfterLink           Point = "alloc/after-link"            // RootRef.pptr written, free ptr not advanced
-	AfterAdvance        Point = "alloc/after-advance"         // free ptr advanced, block meta not set
-	AfterBlockMeta      Point = "alloc/after-block-meta"      // meta set, header (refcnt) not set
-	AfterHeaderInit     Point = "alloc/after-header-init"     // header set, era not bumped
-	AfterSegmentClaim   Point = "alloc/after-segment-claim"   // segment CAS'd, page not claimed
-	AfterHugeClaim      Point = "alloc/after-huge-claim"      // some huge segments CAS'd mid-claim
-	AfterRootRefAdvance Point = "alloc/after-rootref-advance" // RootRef freelist advanced, in_use not set
-
-	// Era-based reference count transactions (§4.3, Figure 4(c)).
-	AfterRedoLog   Point = "era/after-redo-log"   // entry valid, CAS not attempted
-	AfterCommitCAS Point = "era/after-commit-cas" // ModifyRefCnt committed, ModifyRef pending
-	AfterModifyRef Point = "era/after-modify-ref" // ref written, era not bumped
-	AfterEraBump   Point = "era/after-era-bump"   // era bumped, redo entry not cleared
-
-	// change (atomic re-point of an embedded reference, §5.4).
-	AfterChangeDecCAS   Point = "change/after-dec-cas"   // A decremented, first era bump pending
-	AfterChangeFirstEra Point = "change/after-first-era" // first era bump done, B not incremented
-	AfterChangeIncCAS   Point = "change/after-inc-cas"   // B incremented, ModifyRef pending
-	AfterChangeModify   Point = "change/after-modify"    // embed word written, second bump pending
-
-	// Reclamation (§5.3).
-	BeforeReclaim     Point = "free/before-reclaim"      // count hit zero, nothing reclaimed
-	AfterLeakFlag     Point = "free/after-leak-flag"     // segment flagged, cascade pending
-	MidCascade        Point = "free/mid-cascade"         // between child releases of a cascade
-	AfterMetaFree     Point = "free/after-meta-free"     // meta marked free, not on any list
-	AfterFreePush     Point = "free/after-free-push"     // block pushed, era bookkeeping pending
-	AfterRootRefClear Point = "free/after-rootref-clear" // RootRef in_use cleared, not on freelist
-
-	// Reference exchange over SPSC queues (§5.2).
-	AfterSendAttach     Point = "queue/after-send-attach"     // slot holds ref, tail not advanced
-	AfterReceiveAttach  Point = "queue/after-receive-attach"  // receiver holds ref, slot not released
-	AfterReceiveRelease Point = "queue/after-receive-release" // slot released, head not advanced
-)
-
-// AllPoints lists every crash point, for systematic campaigns.
-var AllPoints = []Point{
-	AfterRootRefClaim, AfterLink, AfterAdvance, AfterBlockMeta, AfterHeaderInit,
-	AfterSegmentClaim, AfterHugeClaim, AfterRootRefAdvance,
-	AfterRedoLog, AfterCommitCAS, AfterModifyRef, AfterEraBump,
-	AfterChangeDecCAS, AfterChangeFirstEra, AfterChangeIncCAS, AfterChangeModify,
-	BeforeReclaim, AfterLeakFlag, MidCascade, AfterMetaFree, AfterFreePush, AfterRootRefClear,
-	AfterSendAttach, AfterReceiveAttach, AfterReceiveRelease,
-}
-
-// Crash is the panic payload raised at an armed crash point. The client
+// Crash is the panic payload raised at an injected crash. The client
 // harness recovers it and simulates the client's death.
 type Crash struct {
 	Point Point
 }
 
 func (c Crash) Error() string { return fmt.Sprintf("faultinject: injected crash at %s", c.Point) }
-
-// Injector decides whether a given Hit should crash. A nil *Injector never
-// crashes, so production code can call Hit unconditionally.
-type Injector struct {
-	// target, when non-empty, restricts crashing to that point.
-	target Point
-	// countdown: crash on the n-th matching hit (1 = first).
-	countdown int
-	// rng, when set, crashes any matching hit with probability prob.
-	rng  *rand.Rand
-	prob float64
-
-	hits int
-}
-
-// At returns an injector that crashes at the n-th occurrence (1-based) of
-// point p.
-func At(p Point, n int) *Injector {
-	if n < 1 {
-		n = 1
-	}
-	return &Injector{target: p, countdown: n}
-}
-
-// Random returns an injector that crashes at any crash point with the given
-// probability, using the seeded source (deterministic campaigns need
-// deterministic seeds).
-func Random(seed int64, prob float64) *Injector {
-	return &Injector{rng: rand.New(rand.NewSource(seed)), prob: prob}
-}
-
-// Hits reports how many matching crash points were encountered.
-func (in *Injector) Hits() int {
-	if in == nil {
-		return 0
-	}
-	return in.hits
-}
-
-// Hit is called by production code at each crash point. It panics with
-// Crash when the injector decides to fire.
-func (in *Injector) Hit(p Point) {
-	if in == nil {
-		return
-	}
-	if in.rng != nil {
-		in.hits++
-		if in.rng.Float64() < in.prob {
-			panic(Crash{Point: p})
-		}
-		return
-	}
-	if in.target != p {
-		return
-	}
-	in.hits++
-	if in.hits == in.countdown {
-		panic(Crash{Point: p})
-	}
-}
 
 // Run executes f, converting an injected Crash panic into a returned *Crash.
 // Any other panic propagates. It returns nil if f completes normally.

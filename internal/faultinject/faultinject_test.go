@@ -1,64 +1,44 @@
 package faultinject
 
-import "testing"
+import (
+	"testing"
 
-func TestNilInjectorNeverCrashes(t *testing.T) {
-	var in *Injector
-	for _, p := range AllPoints {
-		in.Hit(p) // must not panic
-	}
-	if in.Hits() != 0 {
-		t.Fatal("nil injector counted hits")
-	}
-}
+	"repro/internal/cxl"
+)
 
-func TestAtCrashesOnNthOccurrence(t *testing.T) {
-	in := At(AfterCommitCAS, 3)
+func TestSweeperCrashesBeforeNthVictimWrite(t *testing.T) {
+	s := NewAccessSweeper()
+	s.SetVictim(2)
+	s.Arm(3)
+	landed := 0
 	crash := Run(func() {
 		for i := 0; i < 10; i++ {
-			in.Hit(AfterRedoLog) // different point: ignored
-			in.Hit(AfterCommitCAS)
+			s.Hook(2, cxl.OpLoad, 0)  // loads never count
+			s.Hook(1, cxl.OpStore, 0) // another client's write: ignored
+			s.Hook(2, cxl.OpStore, 0)
+			landed++
 		}
 	})
-	if crash == nil {
-		t.Fatal("expected crash")
+	if crash == nil || crash.Point != SweepPoint(3) {
+		t.Fatalf("crash = %v, want %s", crash, SweepPoint(3))
 	}
-	if crash.Point != AfterCommitCAS {
-		t.Fatalf("crashed at %s", crash.Point)
-	}
-	if in.Hits() != 3 {
-		t.Fatalf("hits = %d, want 3", in.Hits())
+	if landed != 2 {
+		t.Fatalf("%d victim writes landed before the crash, want 2", landed)
 	}
 }
 
-func TestAtClampsZeroOccurrence(t *testing.T) {
-	in := At(AfterLink, 0)
-	crash := Run(func() { in.Hit(AfterLink) })
-	if crash == nil {
-		t.Fatal("occurrence 0 must clamp to 1 and crash on first hit")
+func TestSweeperCountsStoresAndCASOnly(t *testing.T) {
+	s := NewAccessSweeper()
+	s.StartCounting()
+	for _, k := range []cxl.AccessKind{cxl.OpLoad, cxl.OpStore, cxl.OpCAS, cxl.OpFlush, cxl.OpFence} {
+		s.Hook(0, k, 0)
 	}
-}
-
-func TestRandomIsDeterministicPerSeed(t *testing.T) {
-	// Count hits until the first crash; the schedule must replay per seed.
-	hitsUntilCrash := func(seed int64) int {
-		in := Random(seed, 0.05)
-		crashed := Run(func() {
-			for i := 0; i < 1_000_000; i++ {
-				in.Hit(AfterRedoLog)
-			}
-		})
-		if crashed == nil {
-			t.Fatalf("seed %d never crashed in 1M hits at p=0.05", seed)
-		}
-		return in.Hits()
+	if got := s.StopCounting(); got != 2 {
+		t.Fatalf("counted %d writes, want 2 (store + CAS)", got)
 	}
-	a, b := hitsUntilCrash(7), hitsUntilCrash(7)
-	if a != b {
-		t.Fatalf("same seed diverged: %d vs %d hits until crash", a, b)
-	}
-	if a < 1 {
-		t.Fatal("crash before any hit")
+	s.Hook(0, cxl.OpStore, 0) // off: must neither count nor crash
+	if s.StopCounting() != 2 {
+		t.Fatal("idle sweeper kept counting")
 	}
 }
 
@@ -72,21 +52,8 @@ func TestRunPropagatesForeignPanics(t *testing.T) {
 }
 
 func TestCrashErrorString(t *testing.T) {
-	c := Crash{Point: AfterLink}
+	c := Crash{Point: SweepPoint(1)}
 	if c.Error() == "" {
 		t.Fatal("empty error string")
-	}
-}
-
-func TestAllPointsAreDistinct(t *testing.T) {
-	seen := map[Point]bool{}
-	for _, p := range AllPoints {
-		if seen[p] {
-			t.Fatalf("duplicate point %s", p)
-		}
-		seen[p] = true
-	}
-	if len(seen) < 20 {
-		t.Fatalf("only %d crash points registered", len(seen))
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"repro/internal/cxl"
 )
 
-// AccessSweeper generalizes the named crash points to every device write: a
+// AccessSweeper makes every device write a crash position: a
 // campaign first runs an operation once in counting mode to learn how many
 // device stores/CAS attempts the victim issues, then re-runs it once per
 // write index with the sweeper armed, crashing the victim exactly before
@@ -62,11 +62,7 @@ func (s *AccessSweeper) Arm(n int) {
 // Disarm turns the sweeper off (epilogue, recovery, validation run clean).
 func (s *AccessSweeper) Disarm() { s.mode = swOff }
 
-// Writes returns the matching writes observed since the last Start/Arm.
-func (s *AccessSweeper) Writes() int { return s.writes }
-
-// SweepPoint names the synthetic crash point for write index n, so sweep
-// crashes flow through the same Crash/Run machinery as the named points.
+// SweepPoint labels the crash before write index n.
 func SweepPoint(n int) Point {
 	return Point(fmt.Sprintf("sweep/write-%d", n))
 }

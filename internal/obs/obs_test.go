@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"encoding/json"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -194,5 +195,14 @@ func TestEventJSONAndString(t *testing.T) {
 	}
 	if e.String() == "" || obs.FenceHeartbeat.String() != "heartbeat-timeout" {
 		t.Fatal("string forms missing")
+	}
+}
+
+// Provenance must say how many CPUs produced the numbers.
+func TestProvenanceStampsCPUs(t *testing.T) {
+	prov := obs.CollectProvenance("test", "heap")
+	if prov.NumCPU != runtime.NumCPU() || prov.GOMAXPROCS != runtime.GOMAXPROCS(0) || prov.NumCPU < 1 {
+		t.Fatalf("provenance stamps num_cpu=%d gomaxprocs=%d, runtime says %d/%d",
+			prov.NumCPU, prov.GOMAXPROCS, runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	}
 }

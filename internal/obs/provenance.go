@@ -14,13 +14,18 @@ import (
 // caller (obs cannot import layout); zero values are omitted for tools
 // that run many geometries in one process.
 type Provenance struct {
-	Tool    string `json:"tool"`
-	Time    string `json:"time"`
-	Git     string `json:"git,omitempty"`
-	Go      string `json:"go"`
-	OS      string `json:"os"`
-	Arch    string `json:"arch"`
-	Backend string `json:"backend,omitempty"`
+	Tool string `json:"tool"`
+	Time string `json:"time"`
+	Git  string `json:"git,omitempty"`
+	Go   string `json:"go"`
+	OS   string `json:"os"`
+	Arch string `json:"arch"`
+	// NumCPU and GOMAXPROCS say how many CPUs the numbers were measured on
+	// (a scaling curve taken on one vCPU is time-slicing, not contention).
+	// Baselines written before the fields existed read back as zero.
+	NumCPU     int    `json:"num_cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	Backend    string `json:"backend,omitempty"`
 
 	LayoutVersion uint64 `json:"layout_version,omitempty"`
 	MaxClients    int    `json:"max_clients,omitempty"`
@@ -34,13 +39,15 @@ type Provenance struct {
 // empty (the tool's default); geometry fields are left for the caller.
 func CollectProvenance(tool, backend string) *Provenance {
 	return &Provenance{
-		Tool:    tool,
-		Time:    time.Now().UTC().Format(time.RFC3339),
-		Git:     gitDescribe(),
-		Go:      runtime.Version(),
-		OS:      runtime.GOOS,
-		Arch:    runtime.GOARCH,
-		Backend: backend,
+		Tool:       tool,
+		Time:       time.Now().UTC().Format(time.RFC3339),
+		Git:        gitDescribe(),
+		Go:         runtime.Version(),
+		OS:         runtime.GOOS,
+		Arch:       runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Backend:    backend,
 	}
 }
 

@@ -2,17 +2,20 @@ package recovery_test
 
 // The strongest randomized campaign: two clients run symmetric random
 // workloads (allocate, clone, link, change, release, exchange over queues)
-// with *independent* crash injectors — either, both, or neither may die at
-// arbitrary instructions. After recovering whoever died and releasing
-// whatever the survivors still hold, the pool must validate with zero
-// objects.
+// with *independent* crash injectors — each actor is set to die before a
+// random one of its own device writes, the index drawn from its own seeded
+// rng after a counting pass. An actor's path changes once its peer is gone,
+// so the second index is drawn over the writes that actor issues given the
+// first death; either or both may die. After recovering whoever died and
+// releasing whatever the survivors still hold, the pool must validate with
+// zero objects.
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/cxl"
 	"repro/internal/faultinject"
 	"repro/internal/layout"
 	"repro/internal/recovery"
@@ -117,19 +120,46 @@ func TestDoubleCrashCampaign(t *testing.T) {
 	if testing.Short() {
 		trials = 20
 	}
+	crashedTrials, crashedActors := 0, 0
 	for seed := 0; seed < trials; seed++ {
-		runDoubleCrashTrial(t, int64(seed))
+		// Count a's writes, pick its death; count b's writes given that
+		// death, pick b's; then run with both armed.
+		fs := [2]*fault{newFault(0), newFault(0)}
+		actors := runDoubleCrashTrial(t, int64(seed), fs)
+		fs[0] = newFault(1 + actors[0].rng.Intn(fs[0].writes))
+		actors = runDoubleCrashTrial(t, int64(seed), fs)
+		fs = [2]*fault{newFault(fs[0].n), newFault(1 + actors[1].rng.Intn(fs[1].writes))}
+		actors = runDoubleCrashTrial(t, int64(seed), fs)
+		if actors[0].crashed || actors[1].crashed {
+			crashedTrials++
+		}
+		for _, a := range actors {
+			if a.crashed {
+				crashedActors++
+			}
+		}
+	}
+	t.Logf("%d/%d trials crashed at least one actor (%d/%d actors)",
+		crashedTrials, trials, crashedActors, 2*trials)
+	if crashedTrials != trials {
+		t.Fatalf("only %d/%d trials crashed an actor", crashedTrials, trials)
 	}
 }
 
-func runDoubleCrashTrial(t *testing.T, seed int64) {
+// runDoubleCrashTrial runs one seeded story with actor i under fs[i] and
+// returns the actors (their rngs positioned after the workload).
+func runDoubleCrashTrial(t *testing.T, seed int64, fs [2]*fault) []*randomActor {
 	t.Helper()
-	p, err := shm.NewPool(shm.Config{Geometry: layout.GeometryConfig{
-		MaxClients: 8, NumSegments: 32, SegmentWords: 1 << 13, PageWords: 1 << 9, MaxQueues: 8,
-	}})
+	p, err := shm.NewPool(shm.Config{
+		Geometry: layout.GeometryConfig{
+			MaxClients: 8, NumSegments: 32, SegmentWords: 1 << 13, PageWords: 1 << 9, MaxQueues: 8,
+		},
+		Middleware: []cxl.Middleware{fs[0].hook(), fs[1].hook()},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer p.CloseDevice()
 	ca := connect(t, p)
 	cb := connect(t, p)
 	// Wire queues in both directions before arming injectors.
@@ -152,8 +182,9 @@ func runDoubleCrashTrial(t *testing.T, seed int64) {
 		{c: ca, rng: rand.New(rand.NewSource(seed * 2)), sendQ: qAB, recvQ: qBA},
 		{c: cb, rng: rand.New(rand.NewSource(seed*2 + 1)), sendQ: qBA, recvQ: qAB},
 	}
-	ca.SetInjector(faultinject.Random(seed*3+10, 0.004))
-	cb.SetInjector(faultinject.Random(seed*3+11, 0.004))
+	for i, a := range actors {
+		fs[i].arm(a.c.ID())
+	}
 
 	// Interleave steps deterministically; a crash removes the actor.
 	for step := 0; step < 150; step++ {
@@ -161,7 +192,6 @@ func runDoubleCrashTrial(t *testing.T, seed int64) {
 			if a.crashed {
 				continue
 			}
-			a := a
 			crash := faultinject.Run(func() {
 				if err := a.step(t); err != nil {
 					t.Fatalf("seed %d: actor %d: %v", seed, a.c.ID(), err)
@@ -174,6 +204,9 @@ func runDoubleCrashTrial(t *testing.T, seed int64) {
 				}
 			}
 		}
+	}
+	for _, f := range fs {
+		f.disarm()
 	}
 
 	// Recover the dead; survivors drop everything (queues included — their
@@ -214,5 +247,5 @@ func runDoubleCrashTrial(t *testing.T, seed int64) {
 		t.Fatalf("seed %d: %d objects leaked (crashed: a=%v b=%v)",
 			seed, res.AllocatedObjects, actors[0].crashed, actors[1].crashed)
 	}
-	_ = fmt.Sprint
+	return actors
 }

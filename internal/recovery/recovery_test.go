@@ -5,22 +5,25 @@ import (
 	"testing"
 
 	"repro/internal/check"
-	"repro/internal/faultinject"
+	"repro/internal/cxl"
 	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/recovery"
 	"repro/internal/shm"
 )
 
-func newTestPool(t *testing.T) *shm.Pool {
+func newTestPool(t *testing.T, mws ...cxl.Middleware) *shm.Pool {
 	t.Helper()
-	p, err := shm.NewPool(shm.Config{Geometry: layout.GeometryConfig{
-		MaxClients:   8,
-		NumSegments:  16,
-		SegmentWords: 1 << 13,
-		PageWords:    1 << 9,
-		MaxQueues:    8,
-	}})
+	p, err := shm.NewPool(shm.Config{
+		Geometry: layout.GeometryConfig{
+			MaxClients:   8,
+			NumSegments:  16,
+			SegmentWords: 1 << 13,
+			PageWords:    1 << 9,
+			MaxQueues:    8,
+		},
+		Middleware: mws,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +283,7 @@ func TestInFlightReferenceSurvivesSenderDeath(t *testing.T) {
 }
 
 // scenario runs a deterministic workload in which `x` (the injected crasher)
-// exercises every crash point: allocation (small, embedded, huge), clone and
+// exercises every protocol path: allocation (small, embedded, huge), clone and
 // release, embedded-reference change, cascading frees, queue send and
 // receive, and cross-client frees. Roots held by `o` (the survivor) are
 // returned for cleanup.
@@ -353,9 +356,9 @@ func scenario(t *testing.T, x, o *shm.Client) (oRoots []layout.Addr) {
 	must(err)
 	oRoots = append(oRoots, rb)
 
-	// Batched send/receive on the same queue: the per-slot crash points fire
-	// once per element, but head/tail publish only once per batch, so a crash
-	// mid-batch strands a different prefix than the single-shot paths.
+	// Batched send/receive on the same queue: slots attach once per element
+	// but head/tail publish only once per batch, so a crash mid-batch strands
+	// a different prefix than the single-shot paths.
 	var batch, batchRoots []layout.Addr
 	for i := 0; i < 3; i++ {
 		r, b, err := x.Malloc(64, 0)
@@ -448,83 +451,25 @@ func finishAndValidate(t *testing.T, p *shm.Pool, svc *recovery.Service,
 	}
 }
 
-// TestRecoverEveryCrashPoint is the systematic arm of the paper's §6.2.2
-// fault-injection study: for every crash point, at every occurrence index,
-// kill the client exactly there, recover, and verify the pool has no leak,
-// no double free, and no wild pointer.
+// TestRecoverEveryCrashPoint is the exhaustive arm of the paper's §6.2.2
+// fault-injection study, with the store index as the crash coordinate: the
+// client is killed before every device write of the whole scenario, and
+// after each death recovery must leave no leak, no double free, and no wild
+// pointer.
 func TestRecoverEveryCrashPoint(t *testing.T) {
-	for _, pt := range faultinject.AllPoints {
-		pt := pt
-		t.Run(string(pt), func(t *testing.T) {
-			occurrence := 1
-			for {
-				p := newTestPool(t)
-				x := connect(t, p)
-				o := connect(t, p)
-				svc, err := recovery.NewService(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				inj := faultinject.At(pt, occurrence)
-				x.SetInjector(inj)
-				var oRoots []layout.Addr
-				crash := faultinject.Run(func() {
-					oRoots = scenario(t, x, o)
-				})
-				if crash == nil {
-					if occurrence == 1 && inj.Hits() == 0 {
-						t.Fatalf("crash point %s never exercised by the scenario", pt)
-					}
-					// All occurrences covered.
-					break
-				}
-				finishAndValidate(t, p, svc, x, o, oRoots, fmt.Sprintf("%s#%d", pt, occurrence))
-				occurrence++
-				if occurrence > 60 {
-					t.Fatalf("crash point %s hit more than 60 times; scenario runaway?", pt)
-				}
-			}
-		})
-	}
-}
-
-// TestRandomFaultCampaign is the randomized arm: a seeded random injector
-// crashes the client at arbitrary points across repeated runs.
-func TestRandomFaultCampaign(t *testing.T) {
-	trials := 150
-	if testing.Short() {
-		trials = 25
-	}
-	for seed := 0; seed < trials; seed++ {
-		p := newTestPool(t)
+	eachWrite(t, func(t *testing.T, f *fault) {
+		p := newTestPool(t, f.hook())
+		defer p.CloseDevice()
 		x := connect(t, p)
 		o := connect(t, p)
 		svc, err := recovery.NewService(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		x.SetInjector(faultinject.Random(int64(seed), 0.01))
 		var oRoots []layout.Addr
-		crash := faultinject.Run(func() {
-			oRoots = scenario(t, x, o)
-		})
-		ctx := fmt.Sprintf("seed=%d crash=%v", seed, crash)
-		if crash == nil {
-			// No injection fired: release x's nothing (scenario released all
-			// its roots) and just validate.
-			for _, r := range oRoots {
-				if _, err := o.ReleaseRoot(r); err != nil {
-					t.Fatalf("[%s] release: %v", ctx, err)
-				}
-			}
-			res := mustClean(t, p, ctx)
-			if res.AllocatedObjects != 0 {
-				t.Fatalf("[%s] %d objects leaked without any crash", ctx, res.AllocatedObjects)
-			}
-			continue
-		}
-		finishAndValidate(t, p, svc, x, o, oRoots, ctx)
-	}
+		f.crash(x.ID(), func() { oRoots = scenario(t, x, o) })
+		finishAndValidate(t, p, svc, x, o, oRoots, fmt.Sprintf("write %d", f.n))
+	})
 }
 
 func TestMonitorDetectsStalledClient(t *testing.T) {

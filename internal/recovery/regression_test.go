@@ -1,14 +1,14 @@
 package recovery_test
 
-// Named-crash-point regression tests for the bugs the access-granular sweep
-// (internal/sweep) shook out. Each test pins the exact crash position that
-// exposed the bug and fails on pre-fix code.
+// Regression tests for the bugs the access-granular sweep (internal/sweep)
+// shook out. Each test crashes the victim before every device write of the
+// small operation that exposed the bug (eachWrite), so it fails on pre-fix
+// code, names the write index, and keeps working when a write is added.
 
 import (
 	"testing"
 
 	"repro/internal/cxl"
-	"repro/internal/faultinject"
 	"repro/internal/layout"
 	"repro/internal/recovery"
 	"repro/internal/shm"
@@ -19,8 +19,10 @@ import (
 // sender reusing the ring must reclaim it; overwriting the slot word leaks
 // the orphan's target permanently. Found by `faultsim -repro "op=send
 // access=18"`.
-func TestQueueOrphanSlotReuse(t *testing.T) {
-	p := newTestPool(t)
+func TestQueueOrphanSlotReuse(t *testing.T) { eachWrite(t, orphanSlotStory) }
+
+func orphanSlotStory(t *testing.T, f *fault) {
+	p := newTestPool(t, f.hook())
 	defer p.CloseDevice()
 	x := connect(t, p)
 	o := connect(t, p)
@@ -37,18 +39,16 @@ func TestQueueOrphanSlotReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	x.SetInjector(faultinject.At(faultinject.AfterSendAttach, 1))
-	crash := faultinject.Run(func() {
+	f.crash(x.ID(), func() {
 		_, b, err := x.Malloc(64, 0)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		_ = x.Send(q, b)
+		if err := x.Send(q, b); err != nil {
+			t.Error(err)
+		}
 	})
-	if crash == nil {
-		t.Fatal("expected crash at AfterSendAttach")
-	}
 	if err := p.MarkClientDead(x.ID()); err != nil {
 		t.Fatal(err)
 	}
@@ -56,15 +56,17 @@ func TestQueueOrphanSlotReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A new sender incarnation fills the whole ring — its first send lands on
-	// the orphaned slot — and the receiver drains it.
+	// A new sender incarnation fills the whole ring — if x died between
+	// attach and tail publication its first send lands on the orphaned
+	// slot, if x's send completed the ring holds one message already —
+	// and the receiver drains it.
 	n := connect(t, p)
 	for i := 0; i < 4; i++ {
 		r, b, err := n.Malloc(64, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := n.Send(q, b); err != nil {
+		if err := n.Send(q, b); err != nil && err != shm.ErrQueueFull {
 			t.Fatal(err)
 		}
 		if _, err := n.ReleaseRoot(r); err != nil {
@@ -109,10 +111,15 @@ func TestQueueOrphanSlotReuse(t *testing.T) {
 // committed header, recovery of a client that crashed mid-claim would
 // mistake the garbage for a live object. Found by extending the sweep
 // workload with a payload-dirtying step.
-func TestHugeRecycleGarbageHeader(t *testing.T) {
-	p, err := shm.NewPool(shm.Config{Geometry: layout.GeometryConfig{
-		MaxClients: 4, NumSegments: 5, SegmentWords: 1 << 13, PageWords: 1 << 9, MaxQueues: 2,
-	}})
+func TestHugeRecycleGarbageHeader(t *testing.T) { eachWrite(t, hugeRecycleStory) }
+
+func hugeRecycleStory(t *testing.T, f *fault) {
+	p, err := shm.NewPool(shm.Config{
+		Geometry: layout.GeometryConfig{
+			MaxClients: 4, NumSegments: 5, SegmentWords: 1 << 13, PageWords: 1 << 9, MaxQueues: 2,
+		},
+		Middleware: []cxl.Middleware{f.hook()},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,17 +159,14 @@ func TestHugeRecycleGarbageHeader(t *testing.T) {
 	}
 
 	// Occupy the freed head segment (2) so the next huge claim's head lands
-	// on seg 3 — the dirtied former body base.
+	// on seg 3 — the dirtied former body base. x dies somewhere in that
+	// claim; past the second segment CAS is the window that bit.
 	z := connect(t, p)
 	rz, _, err := z.Malloc(64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x.SetInjector(faultinject.At(faultinject.AfterHugeClaim, 2))
-	crash := faultinject.Run(func() { _, _, _ = x.Malloc(hugeSize, 0) })
-	if crash == nil {
-		t.Fatal("expected crash mid huge claim")
-	}
+	f.crash(x.ID(), func() { _, _, _ = x.Malloc(hugeSize, 0) })
 	if err := p.MarkClientDead(x.ID()); err != nil {
 		t.Fatal(err)
 	}
@@ -195,23 +199,17 @@ func TestHugeRecycleGarbageHeader(t *testing.T) {
 // Recovery must invalidate the victim's redo entry before publishing
 // RECOVERED: in the other order, a recovery pass that itself crashes between
 // the two stores leaves a RECOVERED slot carrying a valid redo entry for the
-// next incarnation to inherit. The test sweeps every device write of the
-// recovery pass and asserts the poisonous intermediate state never exists.
+// next incarnation to inherit. The victim dies before each write of an
+// attach (past the commit CAS its redo entry is committed but not replayed);
+// for each of those deaths the recovery pass is crashed before each of its
+// own writes, and the poisonous intermediate state must never exist.
 func TestRecoveryClearsRedoBeforePublish(t *testing.T) {
-	run := func(sw *faultinject.AccessSweeper) (*shm.Pool, *recovery.Service, int) {
-		p, err := shm.NewPool(shm.Config{
-			Geometry: layout.GeometryConfig{
-				MaxClients: 8, NumSegments: 16, SegmentWords: 1 << 13, PageWords: 1 << 9, MaxQueues: 8,
-			},
-			Middleware: []cxl.Middleware{cxl.WithAccessHook(sw.Hook)},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, err := p.Connect()
-		if err != nil {
-			t.Fatal(err)
-		}
+	// run is one story: fv kills the victim inside AttachRoot, fr kills the
+	// recovery pass (executor client and management plane).
+	run := func(fv, fr *fault) {
+		p := newTestPool(t, fv.hook(), fr.hook())
+		defer p.CloseDevice()
+		x := connect(t, p)
 		svc, err := recovery.NewService(p)
 		if err != nil {
 			t.Fatal(err)
@@ -220,110 +218,32 @@ func TestRecoveryClearsRedoBeforePublish(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Crash with the redo entry committed but not replayed.
-		x.SetInjector(faultinject.At(faultinject.AfterCommitCAS, 1))
-		if crash := faultinject.Run(func() { _, _ = x.AttachRoot(b) }); crash == nil {
-			t.Fatal("expected crash at AfterCommitCAS")
-		}
+		fv.crash(x.ID(), func() { _, _ = x.AttachRoot(b) })
 		if err := p.MarkClientDead(x.ID()); err != nil {
 			t.Fatal(err)
 		}
-		return p, svc, x.ID()
-	}
-
-	// Counting pass: how many writes does this recovery issue?
-	sw := faultinject.NewAccessSweeper()
-	p, svc, victim := run(sw)
-	sw.StartCounting()
-	if _, err := svc.RecoverClient(victim); err != nil {
-		t.Fatal(err)
-	}
-	writes := sw.StopCounting()
-	p.CloseDevice()
-	if writes == 0 {
-		t.Fatal("recovery issued no writes")
-	}
-
-	for r := 1; r <= writes; r++ {
-		sw := faultinject.NewAccessSweeper()
-		p, svc, victim := run(sw)
-		sw.Arm(r)
-		crash := faultinject.Run(func() { _, _ = svc.RecoverClient(victim) })
-		sw.Disarm()
-		if crash != nil {
-			_, redoValid := p.ReadRedo(victim)
-			if p.ClientStatus(victim) == layout.ClientRecovered && redoValid {
-				t.Fatalf("recovery crash at write %d/%d left RECOVERED slot with valid redo entry", r, writes)
-			}
+		crash := fr.crash(-1, func() { _, _ = svc.RecoverClient(x.ID()) })
+		if crash == nil {
+			return
 		}
-		p.CloseDevice()
-	}
-}
-
-// SendBatch and ReceiveBatch must walk the same per-slot crash points as the
-// single-shot paths — a batch of 3 hits each point 3 times. This pins the
-// batched paths into every named-point campaign.
-func TestBatchedQueuePointsCovered(t *testing.T) {
-	p := newTestPool(t)
-	defer p.CloseDevice()
-	x := connect(t, p)
-	o := connect(t, p)
-	qr, q, err := x.CreateQueue(o.ID(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oq, err := o.OpenQueue(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var blocks []layout.Addr
-	var roots []layout.Addr
-	for i := 0; i < 3; i++ {
-		r, b, err := x.Malloc(64, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		roots = append(roots, r)
-		blocks = append(blocks, b)
-	}
-	sendInj := faultinject.At(faultinject.AfterSendAttach, 1000) // count, never fire
-	x.SetInjector(sendInj)
-	n, err := x.SendBatch(q, blocks)
-	if err != nil || n != 3 {
-		t.Fatalf("SendBatch = %d, %v", n, err)
-	}
-	if got := sendInj.Hits(); got != 3 {
-		t.Fatalf("AfterSendAttach hit %d times in a 3-batch, want 3", got)
-	}
-	for _, r := range roots {
-		if _, err := x.ReleaseRoot(r); err != nil {
-			t.Fatal(err)
+		if _, redoValid := p.ReadRedo(x.ID()); redoValid && p.ClientStatus(x.ID()) == layout.ClientRecovered {
+			t.Fatalf("victim write %d, recovery write %d: RECOVERED slot with a valid redo entry", fv.n, fr.n)
 		}
 	}
 
-	recvInj := faultinject.At(faultinject.AfterReceiveAttach, 1000)
-	o.SetInjector(recvInj)
-	rroots, _, err := o.ReceiveBatch(q, 4)
-	if err != nil || len(rroots) != 3 {
-		t.Fatalf("ReceiveBatch = %d, %v", len(rroots), err)
+	attach := newFault(0)
+	run(attach, newFault(0))
+	if attach.writes == 0 {
+		t.Fatal("attach issued no writes")
 	}
-	if got := recvInj.Hits(); got != 3 {
-		t.Fatalf("AfterReceiveAttach hit %d times in a 3-batch, want 3", got)
-	}
-	for _, r := range rroots {
-		if _, err := o.ReleaseRoot(r); err != nil {
-			t.Fatal(err)
+	for v := 1; v <= attach.writes; v++ {
+		rec := newFault(0)
+		run(newFault(v), rec)
+		if rec.writes == 0 {
+			t.Fatalf("victim write %d: recovery issued no writes", v)
 		}
-	}
-	if _, err := x.ReleaseRoot(qr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.ReleaseRoot(oq); err != nil {
-		t.Fatal(err)
-	}
-	res := mustClean(t, p, "batched points")
-	if res.AllocatedObjects != 0 {
-		t.Fatalf("%d objects leaked", res.AllocatedObjects)
+		for r := 1; r <= rec.writes; r++ {
+			run(newFault(v), newFault(r))
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/faultinject"
 	"repro/internal/layout"
 	"repro/internal/recovery"
 	"repro/internal/shm"
@@ -80,20 +79,20 @@ func TestTwoClientsCrashTogether(t *testing.T) {
 	}
 }
 
-// TestRecoveryExecutorCrashesMidRecovery injects crashes into the recovery
-// service's own client while it recovers a victim; a fresh service must
-// converge — the recovery is fail-safe (§3.2).
+// TestRecoveryExecutorCrashesMidRecovery kills the recovery service itself
+// (its executor client and its management-plane writes) before a seeded
+// random device write of the pass that recovers a victim; a fresh service
+// must converge — the recovery is fail-safe (§3.2).
 func TestRecoveryExecutorCrashesMidRecovery(t *testing.T) {
-	for seed := 0; seed < 30; seed++ {
-		p := newTestPool(t)
+	// trial runs one recovery story under f and reports whether the
+	// executor died.
+	trial := func(seed int64, f *fault) bool {
+		p := newTestPool(t, f.hook())
+		defer p.CloseDevice()
 		victim := connect(t, p)
 		o := connect(t, p)
 		// The victim dies holding a mix of plain, shared, embedded objects.
-		var oRoots []layout.Addr
-		crash := faultinject.Run(func() { oRoots = scenario(t, victim, o) })
-		if crash != nil {
-			t.Fatal("scenario must not crash without injector")
-		}
+		oRoots := scenario(t, victim, o)
 		// Give the victim some unreleased objects too.
 		for i := 0; i < 20; i++ {
 			if _, _, err := victim.Malloc(48, 1); err != nil {
@@ -104,15 +103,11 @@ func TestRecoveryExecutorCrashesMidRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// First recovery attempt: executor armed to die at a random point.
 		svc1, err := recovery.NewService(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc1.Executor().SetInjector(faultinject.Random(int64(seed), 0.02))
-		execCrash := faultinject.Run(func() {
-			_, _ = svc1.RecoverClient(victim.ID())
-		})
+		execCrash := f.crash(-1, func() { _, _ = svc1.RecoverClient(victim.ID()) })
 		if execCrash != nil {
 			// The recovery service died mid-recovery. Fence it, recover it,
 			// and run a fresh service for the original victim.
@@ -127,7 +122,9 @@ func TestRecoveryExecutorCrashesMidRecovery(t *testing.T) {
 				t.Fatalf("seed %d: recover executor: %v", seed, err)
 			}
 			// The victim may be mid-recovered (status Dead still): re-run.
-			if p.ClientStatus(victim.ID()) != layout.ClientRecovered {
+			// Any other status means the pass got as far as RECOVERED —
+			// svc2's own executor may already have leased the slot.
+			if p.ClientStatus(victim.ID()) == layout.ClientDead {
 				if _, err := svc2.RecoverClient(victim.ID()); err != nil {
 					t.Fatalf("seed %d: re-recover victim: %v", seed, err)
 				}
@@ -143,10 +140,26 @@ func TestRecoveryExecutorCrashesMidRecovery(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			mon.Tick()
 		}
-		res := mustClean(t, p, fmt.Sprintf("exec-crash seed=%d (crashed=%v)", seed, execCrash != nil))
+		res := mustClean(t, p, fmt.Sprintf("exec-crash seed=%d write=%d", seed, f.n))
 		if res.AllocatedObjects != 0 {
-			t.Fatalf("seed %d: %d objects leaked", seed, res.AllocatedObjects)
+			t.Fatalf("seed %d write %d: %d objects leaked", seed, f.n, res.AllocatedObjects)
 		}
+		return execCrash != nil
+	}
+
+	count := newFault(0)
+	trial(-1, count)
+	crashed := 0
+	const seeds = 30
+	for seed := int64(0); seed < seeds; seed++ {
+		n := 1 + rand.New(rand.NewSource(seed)).Intn(count.writes)
+		if trial(seed, newFault(n)) {
+			crashed++
+		}
+	}
+	t.Logf("executor crashed in %d/%d trials (pass has %d writes)", crashed, seeds, count.writes)
+	if crashed != seeds {
+		t.Fatalf("only %d/%d trials crashed the executor", crashed, seeds)
 	}
 }
 

@@ -215,7 +215,8 @@ func TestPipelinedCalls(t *testing.T) {
 		return nil
 	})
 	var stop atomic.Bool
-	go srv.Serve(stop.Load)
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(stop.Load) }()
 	defer stop.Store(true)
 
 	// Issue 6 calls back-to-back, then collect out of order.
@@ -248,6 +249,11 @@ func TestPipelinedCalls(t *testing.T) {
 	// Cleanup must leave nothing allocated.
 	caller.Close()
 	stop.Store(true)
+	// The server's shm.Client is single-threaded: drain it from here only
+	// once the Serve goroutine has returned.
+	if err := <-serveDone; err != nil {
+		t.Fatal(err)
+	}
 	for {
 		served, _ := srv.Poll()
 		if !served {

@@ -3,7 +3,6 @@ package shm
 import (
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/layout"
 	"repro/internal/obs"
 )
@@ -119,7 +118,6 @@ func (c *Client) malloc(dataBytes, embedRefs int) (layout.Addr, layout.Addr, err
 		c.h.Store(root, layout.PackRootRef(true, 1))
 		c.inflightRoot = 0
 		c.noteRoot(root, 1, 0)
-		c.hit(faultinject.AfterRootRefClaim)
 		block, err := c.allocHuge(root, dataBytes, embedRefs)
 		if err != nil {
 			c.abortRootRef(root)
@@ -140,7 +138,6 @@ func (c *Client) malloc(dataBytes, embedRefs int) (layout.Addr, layout.Addr, err
 	// Step 2: link. The slot (still unclaimed) now points at a block that is
 	// still, from the page's perspective, free.
 	c.h.Store(root+layout.RootRefPptrOff, slot.addr)
-	c.hit(faultinject.AfterLink)
 	c.timedFence()
 
 	// Claim the slot only after the link, so an in_use slot always carries a
@@ -153,7 +150,6 @@ func (c *Client) malloc(dataBytes, embedRefs int) (layout.Addr, layout.Addr, err
 	c.h.Store(root, layout.PackRootRef(true, 1))
 	c.inflightRoot = 0
 	c.noteRoot(root, 1, slot.addr)
-	c.hit(faultinject.AfterRootRefClaim)
 	c.timedFence()
 	c.timedFlush(root)
 
@@ -161,7 +157,6 @@ func (c *Client) malloc(dataBytes, embedRefs int) (layout.Addr, layout.Addr, err
 	// paper's fence): advancing first could leak the block, linking first is
 	// recovered by the pptr==free-pointer check.
 	c.advanceSlot(slot)
-	c.hit(faultinject.AfterAdvance)
 
 	// Step 4: initialize the block. Embedded reference words must be zero
 	// before the object becomes visible (recovery DFS walks them).
@@ -175,7 +170,6 @@ func (c *Client) malloc(dataBytes, embedRefs int) (layout.Addr, layout.Addr, err
 		BlockWords: cls.BlockWords,
 	})
 	c.h.Store(slot.addr+layout.MetaOff, metaW)
-	c.hit(faultinject.AfterBlockMeta)
 	headerW := layout.PackHeader(layout.Header{
 		LCID:   uint16(c.cid),
 		LEra:   c.era,
@@ -183,7 +177,6 @@ func (c *Client) malloc(dataBytes, embedRefs int) (layout.Addr, layout.Addr, err
 	})
 	c.h.Store(slot.addr+layout.HeaderOff, headerW)
 	c.noteBlock(slot.addr, headerW, metaW)
-	c.hit(faultinject.AfterHeaderInit)
 	// Publishing a header at the current era is a commit-like event: bump so
 	// every published (cid, era) pair stays unique (recovery Conditions 1/2
 	// depend on it). This is the §5.1 "special algorithm for the
@@ -459,7 +452,6 @@ func (c *Client) tryClaimSegment(i int) (*ownedSeg, bool) {
 	// Reset the owner-local page counter; page metas are initialized
 	// lazily at claimPageIn.
 	c.h.Store(c.geo.SegNextPageAddr(i), 0)
-	c.hit(faultinject.AfterSegmentClaim)
 	c.loc[obs.CtrSegClaim]++
 	os := &ownedSeg{seg: i, pages: make([]*ownedPage, c.geo.PagesPerSegment)}
 	c.owned = append(c.owned, os)
@@ -490,7 +482,6 @@ func (c *Client) takeRootRefSlot() (layout.Addr, error) {
 				c.pendCount--
 				c.noteUsedDelta(op, 1)
 				c.inflightRoot = slot
-				c.hit(faultinject.AfterRootRefAdvance)
 				return slot, nil
 			}
 			if head := op.free; head != 0 {
@@ -498,7 +489,6 @@ func (c *Client) takeRootRefSlot() (layout.Addr, error) {
 				c.h.Store(op.meta+pmFree, op.free)
 				c.noteUsedDelta(op, 1)
 				c.inflightRoot = head
-				c.hit(faultinject.AfterRootRefAdvance)
 				return head, nil
 			}
 			end := c.geo.PageBase(op.pr.seg, op.pr.page) + layout.Addr(c.geo.PageWords)
@@ -508,7 +498,6 @@ func (c *Client) takeRootRefSlot() (layout.Addr, error) {
 				c.h.Store(op.meta+pmScan, op.scan)
 				c.noteUsedDelta(op, 1)
 				c.inflightRoot = slot
-				c.hit(faultinject.AfterRootRefAdvance)
 				return slot, nil
 			}
 			op.onClassList = false
@@ -539,7 +528,6 @@ func (c *Client) allocRootRef() (layout.Addr, error) {
 	c.h.Store(slot, layout.PackRootRef(true, 1))
 	c.inflightRoot = 0
 	c.noteRoot(slot, 1, 0)
-	c.hit(faultinject.AfterRootRefClaim)
 	return slot, nil
 }
 
@@ -560,7 +548,6 @@ func (c *Client) freeRootRefSlot(slot layout.Addr) {
 	}
 	c.dropRoot(slot)
 	c.h.Store(slot, 0)
-	c.hit(faultinject.AfterRootRefClear)
 	seg := c.geo.SegmentIndexOf(slot)
 	op := c.ownedPageOf(seg, slot)
 	if op == nil {
@@ -595,7 +582,6 @@ func (c *Client) allocHuge(root layout.Addr, dataBytes, embedRefs int) (layout.A
 	// Claiming the segments plays the role of advancing the free pointer —
 	// on a crash the run is owned by the dead client and reclaimed with it.
 	c.h.Store(root+layout.RootRefPptrOff, block)
-	c.hit(faultinject.AfterLink)
 	c.timedFence()
 	c.timedFlush(root)
 	for i := 0; i < embedRefs; i++ {
@@ -606,11 +592,9 @@ func (c *Client) allocHuge(root layout.Addr, dataBytes, embedRefs int) (layout.A
 		EmbedCnt:   uint16(embedRefs),
 		BlockWords: totalWords,
 	}))
-	c.hit(faultinject.AfterBlockMeta)
 	c.h.Store(block+layout.HeaderOff, layout.PackHeader(layout.Header{
 		LCID: uint16(c.cid), LEra: c.era, RefCnt: 1,
 	}))
-	c.hit(faultinject.AfterHeaderInit)
 	c.bumpEra()
 	c.loc[obs.CtrAllocHuge]++
 	return block, nil
@@ -669,7 +653,6 @@ func (c *Client) hugeRunScan(lo, hi, k int) int {
 				break
 			}
 			claimed++
-			c.hit(faultinject.AfterHugeClaim)
 		}
 		if ok {
 			return start

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/cxl"
-	"repro/internal/faultinject"
 	"repro/internal/layout"
 	"repro/internal/obs"
 )
@@ -81,9 +80,6 @@ type Client struct {
 	// the crash sweep names the trigger in its repro lines.
 	epochTrigger string
 	epochSeq     uint64
-
-	// fi is the crash injector (nil in production).
-	fi *faultinject.Injector
 
 	// mx is this client's private metrics shard (pool.obs, shard cid):
 	// single-writer, cache-line-isolated. Hot paths do not even pay its
@@ -198,9 +194,6 @@ func (c *Client) Pool() *Pool { return c.pool }
 
 // Era returns the client's current era (Era[cid][cid]).
 func (c *Client) Era() uint32 { return c.era }
-
-// SetInjector arms a crash injector on this client (tests only).
-func (c *Client) SetInjector(fi *faultinject.Injector) { c.fi = fi }
 
 // SetBreakdown binds a Figure 7 cost view to this client's metrics and
 // enables full Malloc wall-time accounting.
@@ -334,6 +327,3 @@ func (c *Client) bumpEra() {
 		c.publishMetrics()
 	}
 }
-
-// hit triggers the crash injector at a named point.
-func (c *Client) hit(p faultinject.Point) { c.fi.Hit(p) }

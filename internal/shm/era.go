@@ -1,7 +1,6 @@
 package shm
 
 import (
-	"repro/internal/faultinject"
 	"repro/internal/layout"
 	"repro/internal/obs"
 )
@@ -52,7 +51,6 @@ func (c *Client) AttachReference(ref, refed layout.Addr) error {
 		c.logRedo(RedoEntry{
 			Op: OpAttach, Era: c.era, Ref: ref, Refed: refed, SavedCnt: saved.RefCnt,
 		})
-		c.hit(faultinject.AfterRedoLog)
 		newW := layout.PackHeader(layout.Header{
 			LCID: uint16(c.cid), LEra: c.era, RefCnt: saved.RefCnt + 1,
 		})
@@ -67,12 +65,9 @@ func (c *Client) AttachReference(ref, refed layout.Addr) error {
 		}
 		savedW, guessed = c.h.Load(refed+layout.HeaderOff), false
 	}
-	c.hit(faultinject.AfterCommitCAS)
 	c.h.Store(ref, refed) // ModifyRef
 	c.noteRootTarget(ref, refed)
-	c.hit(faultinject.AfterModifyRef)
 	c.bumpEra() // closes the transaction; the redo entry is now stale by era
-	c.hit(faultinject.AfterEraBump)
 	return nil
 }
 
@@ -129,7 +124,6 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, deferReclaim, elideModif
 		c.logRedo(RedoEntry{
 			Op: OpRelease, Era: c.era, Ref: ref, Refed: refed, SavedCnt: saved.RefCnt,
 		})
-		c.hit(faultinject.AfterRedoLog)
 		newCnt = saved.RefCnt - 1
 		newW := layout.PackHeader(layout.Header{
 			LCID: uint16(c.cid), LEra: c.era, RefCnt: newCnt,
@@ -145,13 +139,10 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, deferReclaim, elideModif
 		}
 		savedW, guessed = c.h.Load(refed+layout.HeaderOff), false
 	}
-	c.hit(faultinject.AfterCommitCAS)
 	if newCnt != 0 {
 		c.h.Store(ref, 0) // ModifyRef
 		c.noteRootTarget(ref, 0)
-		c.hit(faultinject.AfterModifyRef)
 		c.bumpEra() // closes the transaction; the redo entry is now stale by era
-		c.hit(faultinject.AfterEraBump)
 		return newCnt, false, nil
 	}
 	m := c.metaOf(refed)
@@ -172,8 +163,6 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, deferReclaim, elideModif
 		c.h.Store(ref, 0) // ModifyRef
 		c.noteRootTarget(ref, 0)
 	}
-	c.hit(faultinject.AfterModifyRef)
-	c.hit(faultinject.BeforeReclaim)
 	switch {
 	case deferReclaim:
 		// Hazard-era retire: flag for the scan (covers our death) and
@@ -193,7 +182,6 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, deferReclaim, elideModif
 		pendingReclaim = true
 	}
 	c.bumpEra() // closes the transaction; the redo entry is now stale by era
-	c.hit(faultinject.AfterEraBump)
 	return newCnt, pendingReclaim, nil
 }
 
@@ -225,15 +213,11 @@ func (c *Client) moveRef(dst, src, target layout.Addr, closeTxn bool) error {
 		return ErrFenced
 	}
 	c.logRedo(RedoEntry{Op: OpMove, Era: c.era, Ref: dst, Refed: target, Refed2: src})
-	c.hit(faultinject.AfterRedoLog)
 	c.h.Store(dst, target) // ModifyRef (destination)
 	c.noteRootTarget(dst, target)
-	c.hit(faultinject.AfterReceiveAttach)
 	c.h.Store(src, 0) // ModifyRef (source)
-	c.hit(faultinject.AfterReceiveRelease)
 	if closeTxn {
 		c.bumpEra()
-		c.hit(faultinject.AfterEraBump)
 	}
 	return nil
 }
@@ -269,7 +253,6 @@ func (c *Client) changeTxn(ref, a, b layout.Addr, deferReclaim bool) error {
 		c.logRedo(RedoEntry{
 			Op: OpChange, Era: c.era, Ref: ref, Refed: a, SavedCnt: saved.RefCnt, Refed2: b,
 		})
-		c.hit(faultinject.AfterRedoLog)
 		newCntA = saved.RefCnt - 1
 		newW := layout.PackHeader(layout.Header{
 			LCID: uint16(c.cid), LEra: c.era, RefCnt: newCntA,
@@ -284,9 +267,7 @@ func (c *Client) changeTxn(ref, a, b layout.Addr, deferReclaim bool) error {
 			return ErrFenced
 		}
 	}
-	c.hit(faultinject.AfterChangeDecCAS)
 	c.bumpEra()
-	c.hit(faultinject.AfterChangeFirstEra)
 
 	// Phase 2: increment b.
 	for {
@@ -313,10 +294,8 @@ func (c *Client) changeTxn(ref, a, b layout.Addr, deferReclaim bool) error {
 			return ErrFenced
 		}
 	}
-	c.hit(faultinject.AfterChangeIncCAS)
 	c.h.Store(ref, b) // ModifyRef
 	c.noteRootTarget(ref, b)
-	c.hit(faultinject.AfterChangeModify)
 	c.bumpEra()
 	if newCntA == 0 {
 		// Flag synchronously after the second bump: recovery era-gates a

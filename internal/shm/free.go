@@ -1,7 +1,6 @@
 package shm
 
 import (
-	"repro/internal/faultinject"
 	"repro/internal/layout"
 	"repro/internal/obs"
 )
@@ -37,7 +36,6 @@ func (c *Client) flagSegmentLeaking(addr layout.Addr) {
 	if c.pool.flagLeaking(seg) {
 		c.loc[obs.CtrLeakFlag]++
 	}
-	c.hit(faultinject.AfterLeakFlag)
 }
 
 // FlagSegmentLeaking sets the POTENTIAL_LEAKING flag on segment seg (also
@@ -89,7 +87,6 @@ func (c *Client) cascadeFree(start layout.Addr) {
 				continue
 			}
 			_, pending, err := c.releaseTxn(ea, t)
-			c.hit(faultinject.MidCascade)
 			if err != nil {
 				continue // stale/fenced: leave for the scan
 			}
@@ -136,7 +133,6 @@ func (c *Client) reclaimRaw(block layout.Addr, m layout.Meta) {
 	c.h.Store(block+layout.MetaOff, layout.PackMeta(layout.Meta{
 		Flags: 0, EmbedCnt: uint16(c.cid), BlockWords: m.BlockWords,
 	}))
-	c.hit(faultinject.AfterMetaFree)
 
 	if op := c.ownedPageOf(seg, block); op != nil {
 		// Owner-local free: two device stores total. The list/counter
@@ -158,7 +154,6 @@ func (c *Client) reclaimRaw(block layout.Addr, m layout.Meta) {
 			}
 		}
 	}
-	c.hit(faultinject.AfterFreePush)
 }
 
 // freeHuge returns a huge object's segments to the free pool: bodies from

@@ -1,7 +1,6 @@
 package shm
 
 import (
-	"repro/internal/faultinject"
 	"repro/internal/layout"
 	"repro/internal/obs"
 )
@@ -218,7 +217,6 @@ func (c *Client) Send(block layout.Addr, target layout.Addr) error {
 	if err := c.AttachReference(slot, target); err != nil {
 		return err
 	}
-	c.hit(faultinject.AfterSendAttach)
 	qs.tail++
 	c.h.Store(qs.tailA, qs.tail)
 	c.loc[obs.CtrQueueSend]++
@@ -294,7 +292,6 @@ func (c *Client) SendBatch(block layout.Addr, targets []layout.Addr) (int, error
 			publish(i)
 			return i, err
 		}
-		c.hit(faultinject.AfterSendAttach)
 	}
 	publish(n)
 	return n, nil

@@ -6,8 +6,9 @@
 // everything a survivor can reach, and fscks the whole pool — so each
 // (operation, write index) pair is a complete crash-recover-validate story.
 //
-// Named crash points (internal/faultinject.AllPoints) cover the gaps the
-// implementation knows about; the sweep covers the gaps it doesn't. Phase B
+// This is the repository's one crash model: a CPU can die between any two
+// stores, so the store index — not a hand-picked gap in the code — is the
+// crash coordinate, and the product carries no injection sites. Phase B
 // extends the same idea to the recovery pass itself: crash the victim, then
 // crash the recovery executor at every one of its writes, recover both, and
 // validate.

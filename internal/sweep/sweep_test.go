@@ -27,19 +27,22 @@ func TestPositions(t *testing.T) {
 	}
 }
 
-// TestSweepBounded runs the full phase-A sweep with a tight position budget
-// on the heap backend. This is the CI-sized version of `faultsim -sweep`;
-// any violation is a real crash-consistency bug.
+// TestSweepBounded runs the whole phase-A sweep — every device write of every
+// scripted op — on the heap backend (under a second), so `go test ./...`
+// sees what `faultsim -sweep` sees. Any violation is a real
+// crash-consistency bug; a lower op or position count means a PR quietly
+// shrank the crash coverage (ROADMAP: "sweep positions not lower").
 func TestSweepBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is slow")
 	}
-	vs, st, err := Run(Config{Backend: "heap", MaxWrites: 6})
+	vs, st, err := Run(Config{Backend: "heap"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Ops == 0 || st.Positions == 0 {
-		t.Fatalf("sweep ran nothing: %+v", st)
+	if st.Ops != 32 || st.Positions < 1810 {
+		t.Fatalf("sweep coverage shrank: %d ops, %d positions (want 32 ops, >= 1810 positions)",
+			st.Ops, st.Positions)
 	}
 	for _, v := range vs {
 		t.Errorf("%s", v)
