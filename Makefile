@@ -31,7 +31,7 @@ race:
 # (shadow caches, batched transfer, and the segment scan and recovery pass
 # with their per-client scan scratch) through the race checker cheaply.
 bench-smoke:
-	$(GO) test -race -run xxx -bench 'BenchmarkAlloc$$|BenchmarkMallocFree|BenchmarkQueueTransfer|BenchmarkQueueBatch|BenchmarkSegmentScan|BenchmarkRecoveryCXLSHM' -benchtime 10x .
+	$(GO) test -race -run xxx -bench 'BenchmarkAlloc$$|BenchmarkMallocFree|BenchmarkQueueTransfer|BenchmarkQueueBatch|BenchmarkSegmentScan|BenchmarkRecoveryCXLSHM' -benchtime 10x -benchmem .
 
 verify: vet build test race bench-smoke
 
@@ -111,8 +111,10 @@ dep-guard:
 # ci is the continuous-integration gate (.github/workflows/ci.yml): vet,
 # tier-1 build+test, the benchmark module's own vet+test, the
 # faultinject dependency guard, a race pass over the fast-path and queue
-# tests on both backends, the fast-path regression gate against the
-# committed BENCH_fastpath.json, the mmap-backend suite, the exhaustive
+# tests on both backends, the zero-allocation fast-path pin on both backends,
+# three race passes over the in-process serving chaos, the fast-path
+# regression gate against the committed BENCH_fastpath.json, the
+# mmap-backend suite, the exhaustive
 # crash sweep (plus bounded legs with telemetry collection enabled and at
 # 64-client geometry), the cxltop/cxlsnap observer smoke, and the
 # serving-tier chaos smoke on both worker backends.
@@ -121,6 +123,9 @@ ci: vet build test benchmark-check dep-guard
 	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestDeviceAccessBudget|TestQueue' ./internal/shm
 	$(GO) test -race -run TestSlotChurn ./internal/shm
 	CXLSHM_BACKEND=mmap $(GO) test -race -run TestSlotChurn ./internal/shm
+	$(GO) test -run TestFastPathZeroAllocs ./internal/shm
+	CXLSHM_BACKEND=mmap $(GO) test -run TestFastPathZeroAllocs ./internal/shm
+	$(GO) test -race -count=3 -run TestChaosInProcess ./internal/serving
 	$(MAKE) bench-compare
 	$(MAKE) test-mmap
 	$(MAKE) sweep

@@ -46,6 +46,7 @@ func BenchmarkMallocFree(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				root, _, err := c.Malloc(size, 0)
@@ -69,6 +70,7 @@ func BenchmarkAlloc(b *testing.B) {
 		b.Fatal(err)
 	}
 	roots := make([]layout.Addr, 0, 256)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		root, _, err := c.Malloc(64, 0)
@@ -99,6 +101,7 @@ func BenchmarkAttachRelease(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		root, err := c.AttachRoot(block)
@@ -146,6 +149,7 @@ func BenchmarkQueueTransfer(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.Send(q, obj); err != nil {
@@ -183,6 +187,7 @@ func BenchmarkQueueBatch(b *testing.B) {
 	for i := range targets {
 		targets[i] = obj
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += batch {
 		sent, err := s.SendBatch(q, targets)

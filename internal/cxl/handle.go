@@ -8,20 +8,24 @@ import "sync/atomic"
 // by a single goroutine and is not goroutine-safe (matching the paper's
 // one-client-per-thread model); the Memory underneath is fully concurrent.
 //
-// Dispatch is two-tier, so the heap fast path never pays interface calls:
-// when the handle is opened directly on a *Device (or *MapDevice, or only
-// handle-transparent middleware such as WithLatency is stacked above one),
-// dev is set and Load/Store/CAS touch the word array with one bounds check
-// and one sync/atomic op. Intercepting middleware (WithCounting,
-// WithAccessHook) clears dev via retarget so every access flows through the
-// interface path it observes.
+// Dispatch hangs on one precomputed condition, held in words: the device's
+// word array exactly when nothing observes or prices this handle's accesses
+// (opened directly on a *Device or *MapDevice, no hook, no latency model,
+// not counting), nil otherwise. Under it Load/Store/CAS are a bounds test
+// against words, the fence-word load (Store/CAS) and one sync/atomic op; any
+// other access — words nil, a wild address, a fenced client — runs the
+// *Slow twin: wild-access panic, dropped writes, hooks, latency, counters,
+// interface path. setFast recomputes it in Open (clear if the device counts),
+// retarget and setHook (clear) and setLatency (clear for a non-zero profile).
 type Handle struct {
 	// mem is the full Memory stack accesses flow through when dev is nil.
 	mem Memory
 	// dev short-circuits to the concrete bottom device when no intercepting
-	// middleware is stacked (devirtualized fast path).
+	// middleware is stacked (devirtualized path, hooks and latency allowed).
 	dev *Device
-	cid int
+	// words is dev's word array while the fast-path condition holds.
+	words []uint64
+	cid   int
 
 	// fencedW points at this client's RAS fence word in the bottom device
 	// (heap or mmap'd file). Fencing is device-authoritative, so the fast
@@ -53,14 +57,23 @@ func (d *Device) Open(cid int) *Handle {
 	if cid <= 0 || cid >= len(d.fenced) {
 		panic("cxl: Open with out-of-range client id")
 	}
-	return &Handle{
+	return (&Handle{
 		mem:     d,
 		dev:     d,
 		cid:     cid,
 		fencedW: &d.fenced[cid],
 		ctr:     &d.hctr[cid],
 		count:   d.countAccesses,
+	}).setFast()
+}
+
+// setFast recomputes the fast-path condition (see Handle).
+func (h *Handle) setFast() *Handle {
+	h.words = nil
+	if h.dev != nil && h.hook == nil && h.lat == nil && !h.count {
+		h.words = h.dev.words
 	}
+	return h
 }
 
 // retarget reroutes the handle's data path through m, an intercepting
@@ -77,7 +90,7 @@ func (h *Handle) retarget(m Memory) *Handle {
 	h.dev = nil
 	h.count = false
 	h.hook = nil
-	return h
+	return h.setFast()
 }
 
 // setLatency installs the latency profile (WithLatency middleware).
@@ -85,7 +98,7 @@ func (h *Handle) setLatency(l Latency) *Handle {
 	if l != (Latency{}) {
 		h.lat = &l
 	}
-	return h
+	return h.setFast()
 }
 
 // setHook installs an access hook (WithAccessHook middleware). Multiple
@@ -99,25 +112,27 @@ func (h *Handle) setHook(hook AccessHook) *Handle {
 	} else {
 		h.hook = hook
 	}
-	return h
+	return h.setFast()
 }
 
 // ClientID returns the client ID this handle was opened for.
 func (h *Handle) ClientID() int { return h.cid }
 
 // Fenced reports whether this handle's client has been RAS-fenced.
-func (h *Handle) Fenced() bool {
-	if w := h.fencedW; w != nil {
-		return w.Load() != 0
-	}
-	return h.mem.ClientFenced(h.cid)
-}
+func (h *Handle) Fenced() bool { return h.fencedW.Load() != 0 }
 
 // DroppedWrites reports how many stores/CAS were swallowed by the fence.
 func (h *Handle) DroppedWrites() uint64 { return h.droppedWrites }
 
 // Load atomically reads the word at a.
 func (h *Handle) Load(a Addr) uint64 {
+	if a != 0 && a < uint64(len(h.words)) {
+		return atomic.LoadUint64(&h.words[a])
+	}
+	return h.loadSlow(a)
+}
+
+func (h *Handle) loadSlow(a Addr) uint64 {
 	if h.hook != nil {
 		h.hook(h.cid, OpLoad, a)
 	}
@@ -138,6 +153,14 @@ func (h *Handle) Load(a Addr) uint64 {
 // silently dropped, exactly as a RAS-isolated node's writes never reach the
 // device.
 func (h *Handle) Store(a Addr, v uint64) {
+	if a != 0 && a < uint64(len(h.words)) && h.fencedW.Load() == 0 {
+		atomic.StoreUint64(&h.words[a], v)
+		return
+	}
+	h.storeSlow(a, v)
+}
+
+func (h *Handle) storeSlow(a Addr, v uint64) {
 	d := h.dev
 	if d != nil {
 		d.check(a)
@@ -165,6 +188,13 @@ func (h *Handle) Store(a Addr, v uint64) {
 // CAS atomically compares-and-swaps the word at a. Returns false without
 // touching memory if the client is fenced.
 func (h *Handle) CAS(a Addr, old, new uint64) bool {
+	if a != 0 && a < uint64(len(h.words)) && h.fencedW.Load() == 0 {
+		return atomic.CompareAndSwapUint64(&h.words[a], old, new)
+	}
+	return h.casSlow(a, old, new)
+}
+
+func (h *Handle) casSlow(a Addr, old, new uint64) bool {
 	d := h.dev
 	if d != nil {
 		d.check(a)

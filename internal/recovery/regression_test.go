@@ -247,3 +247,68 @@ func TestRecoveryClearsRedoBeforePublish(t *testing.T) {
 		}
 	}
 }
+
+// A client that dies between the commit CAS of the last release of another
+// client's block and the push onto that owner's client_free list leaves a
+// refcount-zero block for the live owner's own scan to reclaim. The reclaim
+// parks the block in the owner's pending tier — the lost-block state, freeer
+// == the scanner — so the scan's next round used to re-link it as well, and
+// the next publication burst listed it a second time: two Mallocs then
+// returned the same block. Found by the remote-free leg of
+// TestShadowCrashRecoveryProperty.
+func TestOwnerScanReclaimNotRelinked(t *testing.T) { eachWrite(t, ownerScanReclaimStory) }
+
+func ownerScanReclaimStory(t *testing.T, f *fault) {
+	p := newTestPool(t, f.hook())
+	defer p.CloseDevice()
+	owner := connect(t, p)
+	x := connect(t, p)
+	svc, err := recovery.NewService(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One block per page, so the owner's next Malloc of the class is a
+	// refill: it runs the flagged-segment scan.
+	oroot, block, err := owner.Malloc(2000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xroot, err := x.AttachRoot(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := owner.ReleaseRoot(oroot); err != nil {
+		t.Fatal(err)
+	}
+	f.crash(x.ID(), func() { x.ReleaseRoot(xroot) })
+	if err := p.MarkClientDead(x.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.RecoverClient(x.ID()); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[layout.Addr]bool{}
+	var roots []layout.Addr
+	for i := 0; i < 3; i++ {
+		root, b, err := owner.Malloc(2000, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen[b] {
+			t.Fatalf("Malloc %d returned block %#x a second time", i, b)
+		}
+		seen[b] = true
+		roots = append(roots, root)
+	}
+	if err := owner.CheckShadow(); err != nil {
+		t.Fatalf("owner shadow: %v", err)
+	}
+	for _, r := range roots {
+		if _, err := owner.ReleaseRoot(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res := mustClean(t, p, "owner scan reclaim"); res.AllocatedObjects != 0 {
+		t.Fatalf("%d objects leaked", res.AllocatedObjects)
+	}
+}

@@ -83,9 +83,10 @@ func shadowCrashTrial(t *testing.T, seed int64, f *fault) (*rand.Rand, bool) {
 
 	rng := rand.New(rand.NewSource(seed))
 	var roots []layout.Addr
+	var lent layout.Addr // survivor root of case 6, while the victim may die or fail under it
 	crash := f.crash(victim.ID(), func() {
 		for op := 0; op < 400; op++ {
-			switch rng.Intn(6) {
+			switch rng.Intn(7) {
 			case 0, 1:
 				root, _, err := victim.Malloc(16+rng.Intn(240), rng.Intn(3))
 				if err != nil {
@@ -132,9 +133,32 @@ func shadowCrashTrial(t *testing.T, seed int64, f *fault) (*rand.Rand, bool) {
 					return
 				}
 				roots = append(roots, proot)
+			case 6:
+				// Remote free: the victim drops the last reference to a
+				// survivor block of a one-block-per-page class, pushing it
+				// onto the survivor's client_free list (or dying on the way).
+				sroot, sblock, err := survivor.Malloc(2000, 0)
+				if err != nil {
+					return
+				}
+				lent = sroot
+				vroot, err := victim.AttachRoot(sblock)
+				if err != nil {
+					return
+				}
+				if _, err := survivor.ReleaseRoot(sroot); err != nil {
+					t.Fatal(err)
+				}
+				lent = 0
+				if _, err := victim.ReleaseRoot(vroot); err != nil {
+					return
+				}
 			}
 		}
 	})
+	if lent != 0 {
+		bFill = append(bFill, lent) // released with the survivor's other roots
+	}
 	// On the counting pass nothing fired: the victim still dies,
 	// holding whatever it holds (same recovery obligations).
 	if err := p.MarkClientDead(victim.ID()); err != nil {
@@ -157,6 +181,25 @@ func shadowCrashTrial(t *testing.T, seed int64, f *fault) (*rand.Rand, bool) {
 	// recovery of its peer.
 	if err := survivor.CheckShadow(); err != nil {
 		t.Fatalf("survivor shadow: %v", err)
+	}
+
+	// The survivor's next refills of the remotely freed class collect its
+	// client_free lists, dropping those blocks' reference shadows.
+	var sroots []layout.Addr
+	for i := 0; i < 3; i++ {
+		root, _, err := survivor.Malloc(2000, 0)
+		if err != nil {
+			t.Fatalf("survivor malloc: %v", err)
+		}
+		sroots = append(sroots, root)
+	}
+	if err := survivor.CheckShadow(); err != nil {
+		t.Fatalf("survivor shadow after collecting remote frees: %v", err)
+	}
+	for _, r := range sroots {
+		if _, err := survivor.ReleaseRoot(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Drain queue A (anything the victim published is survivor's to

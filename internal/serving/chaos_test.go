@@ -9,9 +9,6 @@ import (
 	"repro/internal/shm"
 )
 
-// raceDetector is set by race_test.go when the binary is built with -race.
-var raceDetector bool
-
 // TestChaosInProcess runs the full serving chaos harness with in-process
 // workers on the heap backend: preload, three workers serving zipfian
 // traffic, one killed mid-stream, monitor-driven recovery, metadata-only
@@ -19,17 +16,6 @@ var raceDetector bool
 func TestChaosInProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos run in -short mode")
-	}
-	if raceDetector {
-		// In-process workers stand in for OS processes that share only the
-		// pool. One worker's SCAN reads value words with atomic loads while
-		// another's in-place PUT writes them through a plain-copy lease — a
-		// data-plane overlap the kv layer resolves by validation, not by a
-		// lock (ROADMAP [robust] tracks the lease/fence side of it). Across
-		// processes the detector never sees it; in one process it flags it
-		// in about one run in three. TestServingCrossProcess runs the same chaos
-		// with real processes and stays on under -race.
-		t.Skip("in-process chaos is not race-detector clean by construction")
 	}
 	cfg := serving.ChaosConfig{
 		Workers:    3,

@@ -192,17 +192,8 @@ func (w *Worker) dispatch(fn uint64, payload []byte) ([]byte, error) {
 		if len(payload) < 8 {
 			return nil, reqError(fn, 8, len(payload))
 		}
-		key, val := u64(payload), payload[8:]
-		// In-place update through the zero-copy write lease when the key
-		// exists (§6.4 atomic in-place update); insert otherwise.
-		err := w.store.Update(key, func(dst []byte) error {
-			copy(dst, val)
-			return nil
-		})
-		if errors.Is(err, kv.ErrNotFound) {
-			err = w.store.Put(key, val)
-		}
-		return nil, err
+		// Atomic word stores through the fenceable Handle, never a plain copy.
+		return nil, w.store.Put(u64(payload), payload[8:])
 
 	case FnScan:
 		if len(payload) != 16 {

@@ -55,8 +55,6 @@ const (
 // walks a dead client's slots up to the page's bump pointer.
 const PageMetaScanOff = pmScan
 
-func (c *Client) pageMetaAddr(pr pageRef) layout.Addr { return c.geo.PageMetaAddr(pr.seg, pr.page) }
-
 // allocSampleEvery is the Malloc latency sampling period: one call in this
 // many feeds the alloc_ns histogram, keeping the fast path flat while the
 // histogram still converges within any benchmark-scale run. Must be a power
@@ -176,7 +174,7 @@ func (c *Client) malloc(dataBytes, embedRefs int) (layout.Addr, layout.Addr, err
 		RefCnt: 1,
 	})
 	c.h.Store(slot.addr+layout.HeaderOff, headerW)
-	c.noteBlock(slot.addr, headerW, metaW)
+	c.noteBlock(slot.op, slot.addr, headerW, metaW)
 	// Publishing a header at the current era is a commit-like event: bump so
 	// every published (cid, era) pair stays unique (recovery Conditions 1/2
 	// depend on it). This is the §5.1 "special algorithm for the
@@ -228,7 +226,7 @@ func (c *Client) tryPage(op *ownedPage, ci int) (blockSlot, bool) {
 		}, true
 	}
 	bw := c.geo.Classes[ci].BlockWords
-	end := c.geo.PageBase(op.pr.seg, op.pr.page) + layout.Addr(c.geo.PageWords)
+	end := op.base + layout.Addr(c.geo.PageWords)
 	if op.scan+bw <= end {
 		return blockSlot{op: op, addr: op.scan, fromFree: false, next: op.scan + bw}, true
 	}
@@ -379,12 +377,16 @@ func (c *Client) claimPageIn(os *ownedSeg, kind uint8, ci int) (*ownedPage, bool
 		return nil, false
 	}
 	op := &ownedPage{
-		pr:   pageRef{seg: os.seg, page: n},
 		meta: c.geo.PageMetaAddr(os.seg, n),
+		base: c.geo.PageBase(os.seg, n),
+		unit: layout.RootRefWords,
 		scan: c.geo.PageBase(os.seg, n),
 		info: layout.PackPageMeta(layout.PageMeta{
 			Kind: kind, Used: 0, SizeClass: uint32(ci),
 		}),
+	}
+	if kind == layout.PageKindNormal {
+		op.unit = c.geo.Classes[ci].BlockWords
 	}
 	// Initialize the page meta before publishing it via the next-page
 	// counter; the segment is exclusively ours so this is owner-local.
@@ -491,7 +493,7 @@ func (c *Client) takeRootRefSlot() (layout.Addr, error) {
 				c.inflightRoot = head
 				return head, nil
 			}
-			end := c.geo.PageBase(op.pr.seg, op.pr.page) + layout.Addr(c.geo.PageWords)
+			end := op.base + layout.Addr(c.geo.PageWords)
 			if op.scan+layout.RootRefWords <= end {
 				slot := op.scan
 				op.scan += layout.RootRefWords
@@ -548,8 +550,7 @@ func (c *Client) freeRootRefSlot(slot layout.Addr) {
 	}
 	c.dropRoot(slot)
 	c.h.Store(slot, 0)
-	seg := c.geo.SegmentIndexOf(slot)
-	op := c.ownedPageOf(seg, slot)
+	op := c.ownedPageOf(c.geo.SegmentIndexOf(slot), slot)
 	if op == nil {
 		// Not ours (recovery executor freeing a dead client's RootRef): the
 		// slot is in an abandoned page, just leave it cleared — the segment

@@ -40,9 +40,9 @@ type Client struct {
 	classPages [][]*ownedPage
 	rootPages  []*ownedPage
 	// owned lists the shadows of owned segments in claim order; ownedBySeg
-	// indexes them for the free path's ownership test (no device load).
+	// indexes them by segment for the free path's ownership test.
 	owned      []*ownedSeg
-	ownedBySeg map[int]*ownedSeg
+	ownedBySeg []*ownedSeg
 	// segCursor/hugeCursor stripe claim scans across clients so they do not
 	// all CAS-contend on the lowest free segments (alloc.go).
 	segCursor  int
@@ -61,10 +61,6 @@ type Client struct {
 	// scan this client's own segments — the scan must count the slot live,
 	// not re-link it as lost (scan.go).
 	inflightRoot layout.Addr
-	// roots/blocks shadow this client's RootRef slots and allocated blocks,
-	// eliding the free path's device loads (refcache.go).
-	roots  map[layout.Addr]*rootShadow
-	blocks map[layout.Addr]*blockShadow
 	// scr is the reusable scratch of the segment scan and the reclaim
 	// cascade (scan.go).
 	scr scanScratch
@@ -108,11 +104,6 @@ type Client struct {
 	closed bool
 }
 
-// pageRef locates one page.
-type pageRef struct {
-	seg, page int
-}
-
 // Connect leases a client slot and joins the pool. The claim is
 // bitmap-guided (slotlease.go): O(1) device CASes regardless of MaxClients
 // or how many slots are occupied, with a linear status scan only as the
@@ -139,10 +130,8 @@ func (p *Pool) Connect() (*Client, error) {
 		eraRow:     make([]uint32, geo.MaxClients+1),
 		eraKnown:   make([]bool, geo.MaxClients+1),
 		classPages: make([][]*ownedPage, len(geo.Classes)),
-		ownedBySeg: make(map[int]*ownedSeg),
+		ownedBySeg: make([]*ownedSeg, geo.NumSegments),
 		queues:     make(map[layout.Addr]*queueShadow),
-		roots:      make(map[layout.Addr]*rootShadow),
-		blocks:     make(map[layout.Addr]*blockShadow),
 		leases:     make(map[layout.Addr]*Lease),
 		mx:         p.obs.Shard(cid),
 	}

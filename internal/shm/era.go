@@ -154,11 +154,8 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, deferReclaim, elideModif
 	// crash before the slot clear leaves an in_use slot over a refcount-zero
 	// block, which SweepRootRefSlot already resolves by clearing the slot,
 	// and recovery's redo replay performs the elided store itself.
-	elide := elideModify && !deferReclaim && m.EmbedCnt == 0 && m.Flags&layout.MetaHuge == 0
-	if elide {
-		seg := c.geo.SegmentIndexOf(refed)
-		elide = seg >= 0 && c.ownedPageOf(seg, refed) != nil
-	}
+	elide := elideModify && !deferReclaim && m.EmbedCnt == 0 && m.Flags&layout.MetaHuge == 0 &&
+		c.ownedPageOf(c.geo.SegmentIndexOf(refed), refed) != nil
 	if !elide {
 		c.h.Store(ref, 0) // ModifyRef
 		c.noteRootTarget(ref, 0)
@@ -317,7 +314,7 @@ func (c *Client) changeTxn(ref, a, b layout.Addr, deferReclaim bool) error {
 // transaction — the slot is single-writer, so the shadow (when present)
 // supplies the current count without a device load.
 func (c *Client) CloneRoot(root layout.Addr) {
-	if rs := c.roots[root]; rs != nil {
+	if rs := c.rootRef(root); rs != nil {
 		rs.cnt++
 		c.h.Store(root, layout.PackRootRef(true, rs.cnt))
 		return
@@ -337,7 +334,7 @@ func (c *Client) CloneRoot(root layout.Addr) {
 // owner-local), falling back to device loads for slots inherited from a
 // previous incarnation.
 func (c *Client) ReleaseRoot(root layout.Addr) (objectFreed bool, err error) {
-	rs := c.roots[root]
+	rs := c.rootRef(root)
 	var cnt uint32
 	var target layout.Addr
 	if rs != nil {
@@ -395,7 +392,7 @@ func (c *Client) AttachRoot(block layout.Addr) (root layout.Addr, err error) {
 // RootTarget reads the object address a RootRef points to (shadowed for
 // slots this client claimed).
 func (c *Client) RootTarget(root layout.Addr) layout.Addr {
-	if rs := c.roots[root]; rs != nil {
+	if rs := c.rootRef(root); rs != nil {
 		return rs.target
 	}
 	return c.h.Load(root + layout.RootRefPptrOff)

@@ -225,6 +225,34 @@ func TestShadowCoherentAfterWorkload(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Remote frees of a one-block-per-page class: b frees a's block into a's
+	// client_free list, so a's next refill of the class has no page left and
+	// must collect it — dropping the block's reference shadow on the way —
+	// instead of claiming a fresh page.
+	var prev layout.Addr
+	for i := 0; i < 4; i++ {
+		root, block, err := a.Malloc(2000, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && block != prev {
+			t.Fatalf("refill %d claimed %#x instead of collecting the remotely freed %#x", i, block, prev)
+		}
+		broot, err := b.AttachRoot(block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.ReleaseRoot(root); err != nil {
+			t.Fatal(err)
+		}
+		if freed, err := b.ReleaseRoot(broot); err != nil || !freed {
+			t.Fatalf("remote release: freed=%v err=%v", freed, err)
+		}
+		if err := a.CheckShadow(); err != nil {
+			t.Fatalf("client a with block %#x on its client_free list: %v", block, err)
+		}
+		prev = block
+	}
 	if err := a.CheckShadow(); err != nil {
 		t.Errorf("client a: %v", err)
 	}
@@ -232,6 +260,65 @@ func TestShadowCoherentAfterWorkload(t *testing.T) {
 		t.Errorf("client b: %v", err)
 	}
 	mustValidate(t, p)
+}
+
+// TestFastPathZeroAllocs pins the host side of the fast paths: on a warmed
+// client (pages claimed, reference tables allocated, pending lists grown) a
+// malloc/free pair, an attach/release pair and a queue hand-off allocate
+// nothing on the Go heap.
+func TestFastPathZeroAllocs(t *testing.T) {
+	p := newTestPool(t)
+	a := connect(t, p)
+	b := connect(t, p)
+	_, q, err := a.CreateQueue(b.ID(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.OpenQueue(q); err != nil {
+		t.Fatal(err)
+	}
+	_, obj, err := a.Malloc(64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"Malloc+ReleaseRoot", func() {
+			root, _, err := a.Malloc(64, 0)
+			must(err)
+			_, err = a.ReleaseRoot(root)
+			must(err)
+		}},
+		{"AttachRoot+ReleaseRoot", func() {
+			root, err := b.AttachRoot(obj)
+			must(err)
+			_, err = b.ReleaseRoot(root)
+			must(err)
+		}},
+		{"Send+Receive+ReleaseRoot", func() {
+			must(a.Send(q, obj))
+			root, _, err := b.Receive(q)
+			must(err)
+			_, err = b.ReleaseRoot(root)
+			must(err)
+		}},
+	} {
+		// Warm-up past pendCap, so every publication burst's slices have
+		// reached their steady-state capacity.
+		for i := 0; i < 600; i++ {
+			tc.op()
+		}
+		if n := testing.AllocsPerRun(1000, tc.op); n != 0 {
+			t.Errorf("%s allocates %.2f objects/op, want 0", tc.name, n)
+		}
+	}
 }
 
 func TestQueueBatchRoundTrip(t *testing.T) {

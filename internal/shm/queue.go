@@ -130,7 +130,9 @@ func (c *Client) CreateQueueBetween(senderCID, receiverCID, capacity int) (root,
 	m.Flags |= layout.MetaQueue
 	mw := layout.PackMeta(m)
 	c.h.Store(block+layout.MetaOff, mw)
-	c.noteMeta(block, mw)
+	if bs := c.blockRef(block); bs != nil {
+		bs.meta = mw
+	}
 
 	reg := -1
 	for i := 0; i < c.geo.MaxQueues; i++ {

@@ -18,10 +18,10 @@ import (
 //     target. Both words are single-writer (§5.2: CloneRoot/ReleaseRoot use
 //     no atomics), and the segment scan never rewrites a live owner's
 //     in_use slots, so the mirror is exact while the client lives. Entries
-//     are created when the slot is claimed and deleted when it is freed.
+//     are filled when the slot is claimed and emptied when it is freed.
 //
 //   - blockShadow carries a block's meta word (immutable from allocation
-//     to free, single-writer exceptions routed through noteMeta) and the
+//     to free, the one in-place rewrite, CreateQueue's queue flag, updates it) and the
 //     last header word this client itself published. The header is shared
 //     state (any client may CAS it), so the cached value is only ever a
 //     CAS *guess*: the transaction loops in era.go seed their first
@@ -29,8 +29,8 @@ import (
 //     the CAS. A stale guess costs one extra CAS attempt; it can never
 //     commit, because the commit is a full-word compare.
 //
-// Entries are created at Malloc, updated at every header publication by
-// this client, and deleted when the block is freed — by this client
+// Entries are filled at Malloc, updated at every header publication by
+// this client, and emptied when the block is freed — by this client
 // (reclaimRaw) or, for blocks other clients freed into our segments'
 // client_free lists, when the deferred frees are collected. Between a
 // remote free and that collection an entry is stale but unreachable: no
@@ -39,64 +39,106 @@ import (
 // never see them, and a crash loses nothing but cached copies of device
 // words.
 
+// Representation: each ownedPage carries a dense value table — roots for a
+// RootRef page, blocks for a normal page — indexed by (addr − base) / unit,
+// allocated by the first note on the page and kept while the page is owned,
+// i.e. while the client lives: 16 B of host memory per slot of a touched
+// page. Anything that is not a live entry of an owned page misses, and a
+// miss means a device load. Only this file knows the tables.
+
 type rootShadow struct {
-	cnt    uint32
+	cnt    uint32 // thread-local count; 0 = empty entry (a claimed slot counts ≥ 1)
 	target layout.Addr
 }
 
 type blockShadow struct {
 	header uint64 // last header word this client published (CAS guess only)
-	meta   uint64 // packed meta word; immutable while allocated
+	meta   uint64 // packed meta word, immutable while allocated; 0 = empty entry
 }
 
-// noteRoot records (or resets) the shadow of a just-claimed RootRef slot.
+// refSlot locates addr in its page's table: the page and the entry index, or
+// a nil page unless addr is the first word of a slot of an owned page.
+func (c *Client) refSlot(addr layout.Addr) (*ownedPage, int) {
+	op := c.ownedPageOf(c.geo.SegmentIndexOf(addr), addr)
+	if op == nil || (addr-op.base)%op.unit != 0 {
+		return nil, 0
+	}
+	return op, int((addr - op.base) / op.unit)
+}
+
+// rootRef returns the live shadow of a RootRef slot, or nil. A normal page
+// has no roots table, so a block misses here, and a slot in blockRef.
+func (c *Client) rootRef(root layout.Addr) *rootShadow {
+	if op, i := c.refSlot(root); op != nil && i < len(op.roots) && op.roots[i].cnt != 0 {
+		return &op.roots[i]
+	}
+	return nil
+}
+
+// blockRef returns the live shadow of a block, or nil.
+func (c *Client) blockRef(block layout.Addr) *blockShadow {
+	if op, i := c.refSlot(block); op != nil && i < len(op.blocks) && op.blocks[i].meta != 0 {
+		return &op.blocks[i]
+	}
+	return nil
+}
+
+// noteRoot records (or resets) the shadow of a just-claimed RootRef slot
+// (from takeRootRefSlot, so in a page of ours).
 func (c *Client) noteRoot(root layout.Addr, cnt uint32, target layout.Addr) {
-	c.roots[root] = &rootShadow{cnt: cnt, target: target}
+	op, i := c.refSlot(root)
+	if op.roots == nil {
+		op.roots = make([]rootShadow, c.geo.RootRefsPerPage())
+	}
+	op.roots[i] = rootShadow{cnt: cnt, target: target}
 }
 
 // noteRootTarget records a new value of a reference word if — and only if —
 // that word is the pptr of a shadowed RootRef. ref may just as well be an
-// embedded reference or a queue slot: those live in normal pages, so
-// ref-RootRefPptrOff can never collide with a RootRef slot address this
-// client has shadowed, and the lookup simply misses.
+// embedded reference, a queue slot or a named-root directory word: none of
+// those is the pptr of a slot in a RootRef page this client owns, and the
+// lookup simply misses.
 func (c *Client) noteRootTarget(ref, target layout.Addr) {
 	if ref < layout.RootRefPptrOff {
 		return
 	}
-	if rs := c.roots[ref-layout.RootRefPptrOff]; rs != nil {
+	if rs := c.rootRef(ref - layout.RootRefPptrOff); rs != nil {
 		rs.target = target
 	}
 }
 
-func (c *Client) dropRoot(root layout.Addr) { delete(c.roots, root) }
+func (c *Client) dropRoot(root layout.Addr) {
+	if rs := c.rootRef(root); rs != nil {
+		*rs = rootShadow{}
+	}
+}
 
-// noteBlock records the shadow of a just-initialized block.
-func (c *Client) noteBlock(block layout.Addr, header, meta uint64) {
-	c.blocks[block] = &blockShadow{header: header, meta: meta}
+// noteBlock records the shadow of a just-initialized block of page op.
+func (c *Client) noteBlock(op *ownedPage, block layout.Addr, header, meta uint64) {
+	if op.blocks == nil {
+		op.blocks = make([]blockShadow, c.geo.PageWords/op.unit)
+	}
+	op.blocks[(block-op.base)/op.unit] = blockShadow{header: header, meta: meta}
 }
 
 // noteHeader updates the cached header after this client published a new
 // header word (allocation init or a committed transaction CAS).
 func (c *Client) noteHeader(block layout.Addr, w uint64) {
-	if bs := c.blocks[block]; bs != nil {
+	if bs := c.blockRef(block); bs != nil {
 		bs.header = w
 	}
 }
 
-// noteMeta updates the cached meta word on the rare legitimate in-place
-// meta rewrite (CreateQueue setting the queue flag).
-func (c *Client) noteMeta(block layout.Addr, w uint64) {
-	if bs := c.blocks[block]; bs != nil {
-		bs.meta = w
+func (c *Client) dropBlock(block layout.Addr) {
+	if bs := c.blockRef(block); bs != nil {
+		*bs = blockShadow{}
 	}
 }
-
-func (c *Client) dropBlock(block layout.Addr) { delete(c.blocks, block) }
 
 // guessHeader returns a first CAS attempt value for block's header: the
 // cached word when present (guessed=true), a device load otherwise.
 func (c *Client) guessHeader(block layout.Addr) (w uint64, guessed bool) {
-	if bs := c.blocks[block]; bs != nil {
+	if bs := c.blockRef(block); bs != nil {
 		return bs.header, true
 	}
 	return c.h.Load(block + layout.HeaderOff), false
@@ -104,44 +146,46 @@ func (c *Client) guessHeader(block layout.Addr) (w uint64, guessed bool) {
 
 // metaOf reads a block's meta through the shadow when present.
 func (c *Client) metaOf(block layout.Addr) layout.Meta {
-	if bs := c.blocks[block]; bs != nil {
+	if bs := c.blockRef(block); bs != nil {
 		return layout.UnpackMeta(bs.meta)
 	}
 	return layout.UnpackMeta(c.h.Load(block + layout.MetaOff))
 }
 
-// checkRefShadow verifies the reference caches against the device (the
-// CheckShadow leg for this file). Root shadows must match exactly. Block
-// shadows: a no-longer-allocated block is a pending remote free (dropped at
-// the next client_free collection) and is skipped; otherwise the meta must
-// match, and the header must match unless another client has published over
-// it — detectable because a committed header always carries its writer's
-// LCID.
-func errShadow(format string, args ...any) error {
-	return fmt.Errorf("shm: "+format, args...)
-}
-
-func (c *Client) checkRefShadow() error {
-	for root, rs := range c.roots {
+// checkRefShadow verifies every live entry of one page's table against the
+// device (CheckShadow's leg for this file). Root shadows must match exactly.
+// Block shadows: a no-longer-allocated block is a remote free awaiting
+// collection and is skipped; otherwise the meta must match, and the header
+// too unless another client (a different LCID) has published over it.
+func (c *Client) checkRefShadow(op *ownedPage) error {
+	for i := range op.roots {
+		rs, root := &op.roots[i], op.base+layout.Addr(i)*op.unit
+		if rs.cnt == 0 {
+			continue
+		}
 		inUse, cnt := layout.UnpackRootRef(c.h.Load(root))
 		if !inUse || cnt != rs.cnt {
-			return errShadow("RootRef %#x shadow cnt %d, device inUse=%v cnt=%d", root, rs.cnt, inUse, cnt)
+			return fmt.Errorf("shm: RootRef %#x shadow cnt %d, device inUse=%v cnt=%d", root, rs.cnt, inUse, cnt)
 		}
 		if got := c.h.Load(root + layout.RootRefPptrOff); got != rs.target {
-			return errShadow("RootRef %#x shadow target %#x, device %#x", root, rs.target, got)
+			return fmt.Errorf("shm: RootRef %#x shadow target %#x, device %#x", root, rs.target, got)
 		}
 	}
-	for block, bs := range c.blocks {
+	for i := range op.blocks {
+		bs, block := &op.blocks[i], op.base+layout.Addr(i)*op.unit
+		if bs.meta == 0 {
+			continue
+		}
 		mw := c.h.Load(block + layout.MetaOff)
 		if !layout.UnpackMeta(mw).Allocated() {
 			continue // freed by another client; entry dropped at collection
 		}
 		if mw != bs.meta {
-			return errShadow("block %#x shadow meta %#x, device %#x", block, bs.meta, mw)
+			return fmt.Errorf("shm: block %#x shadow meta %#x, device %#x", block, bs.meta, mw)
 		}
 		hw := c.h.Load(block + layout.HeaderOff)
 		if hw != bs.header && layout.UnpackHeader(hw).LCID == uint16(c.cid) {
-			return errShadow("block %#x shadow header %#x, device %#x (own LCID)", block, bs.header, hw)
+			return fmt.Errorf("shm: block %#x shadow header %#x, device %#x (own LCID)", block, bs.header, hw)
 		}
 	}
 	return nil

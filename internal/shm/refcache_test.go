@@ -1,0 +1,115 @@
+package shm
+
+import (
+	"testing"
+
+	"repro/internal/layout"
+)
+
+// TestRefShadowMisses feeds the dense lookups every kind of address that is
+// not a live entry of an owned page. A map lookup used to miss on these for
+// free; a slice index has to be told to. Each must miss — through every
+// helper that takes an arbitrary address — without panicking and without
+// disturbing the live entries next to it.
+func TestRefShadowMisses(t *testing.T) {
+	p, err := NewPool(Config{Geometry: layout.GeometryConfig{
+		MaxClients: 4, NumSegments: 8, SegmentWords: 1 << 13, PageWords: 1 << 9, MaxQueues: 4,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := p.Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := p.Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, block, err := c.Malloc(64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, foreign, err := other.Malloc(64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	droppedRoot, dropped, err := c.Malloc(64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReleaseRoot(droppedRoot); err != nil {
+		t.Fatal(err)
+	}
+	if c.rootRef(root) == nil || c.blockRef(block) == nil {
+		t.Fatal("live RootRef / block not shadowed")
+	}
+	geo := c.geo
+	own := c.owned[0]
+
+	for _, tc := range []struct {
+		name     string
+		addr     layout.Addr
+		wantSeg  bool // ownedSegOf hits
+		wantPage bool // ownedPageOf hits
+	}{
+		{name: "named-root directory word (segment -1)", addr: geo.RootDirAddr(0)},
+		{name: "telemetry word (segment -1)", addr: geo.TelemetryBase},
+		{name: "foreign segment", addr: foreign},
+		{name: "segment header of an owned segment", addr: geo.SegmentBase(own.seg) + 1, wantSeg: true},
+		{name: "unclaimed page of an owned segment", addr: geo.PageBase(own.seg, own.nextPage), wantSeg: true},
+		{name: "RootRef pptr word (interior)", addr: root + layout.RootRefPptrOff, wantSeg: true, wantPage: true},
+		{name: "block meta word (interior)", addr: block + layout.MetaOff, wantSeg: true, wantPage: true},
+		{name: "block data word (interior)", addr: block + layout.DataOff, wantSeg: true, wantPage: true},
+		{name: "freed RootRef slot", addr: droppedRoot, wantSeg: true, wantPage: true},
+		{name: "freed block", addr: dropped, wantSeg: true, wantPage: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := tc.addr
+			seg := geo.SegmentIndexOf(a)
+			if got := c.ownedSegOf(seg) != nil; got != tc.wantSeg {
+				t.Errorf("ownedSegOf(%d) hit=%v, want %v", seg, got, tc.wantSeg)
+			}
+			if got := c.ownedPageOf(seg, a) != nil; got != tc.wantPage {
+				t.Errorf("ownedPageOf(%d, %#x) hit=%v, want %v", seg, a, got, tc.wantPage)
+			}
+			if rs := c.rootRef(a); rs != nil {
+				t.Errorf("rootRef(%#x) = %+v, want miss", a, *rs)
+			}
+			if bs := c.blockRef(a); bs != nil {
+				t.Errorf("blockRef(%#x) = %+v, want miss", a, *bs)
+			}
+			// Every helper that takes an arbitrary address must treat it as
+			// a miss: no panic, the device fallback where it has one, and
+			// the live neighbours untouched.
+			c.noteRootTarget(a+layout.RootRefPptrOff, 0xdead)
+			c.dropRoot(a)
+			c.noteHeader(a, 0xdead)
+			c.dropBlock(a)
+			if w, guessed := c.guessHeader(a); guessed {
+				t.Errorf("guessHeader(%#x) guessed %#x from a shadow", a, w)
+			}
+			c.metaOf(a)
+		})
+	}
+
+	// A RootRef page has no block table and a normal page no root table.
+	if rs := c.rootRef(block); rs != nil {
+		t.Errorf("rootRef(block %#x) = %+v, want miss", block, *rs)
+	}
+	if bs := c.blockRef(root); bs != nil {
+		t.Errorf("blockRef(root %#x) = %+v, want miss", root, *bs)
+	}
+	if rs := c.rootRef(root); rs == nil || rs.cnt != 1 || rs.target != block {
+		t.Errorf("live RootRef shadow disturbed: %+v", rs)
+	}
+	if bs := c.blockRef(block); bs == nil || bs.header == 0xdead || bs.meta == 0xdead {
+		t.Errorf("live block shadow disturbed: %+v", bs)
+	}
+	if err := c.CheckShadow(); err != nil {
+		t.Errorf("shadow after the misses: %v", err)
+	}
+	if err := other.CheckShadow(); err != nil {
+		t.Errorf("other client's shadow: %v", err)
+	}
+}

@@ -64,13 +64,6 @@ type ScanReport struct {
 // it reclaimed nothing (its snapshot is then still fresh); a round that did
 // reclaim drops its candidates and the next one starts afresh.
 func (c *Client) ScanSegment(seg int, ownerDead bool) ScanReport {
-	if c.ownedBySeg[seg] != nil {
-		// Scanning a segment we own is a publication epoch — mandatory, not
-		// just convenient: our own deferred frees are in the lost-block state
-		// (freeer == us), so the re-link would re-insert them and a later
-		// publication burst would then insert them a second time.
-		c.flushPending(EpochScan)
-	}
 	t0 := time.Now()
 	c.pool.obs.Trace(obs.Event{Type: obs.EvScanStarted, Client: c.cid, Segment: seg})
 	total := c.scanSegment(seg, ownerDead)
@@ -89,6 +82,13 @@ func (c *Client) ScanSegment(seg int, ownerDead bool) ScanReport {
 func (c *Client) scanSegment(seg int, ownerDead bool) ScanReport {
 	reclaimed, swept := 0, 0
 	for {
+		if c.ownedSegOf(seg) != nil {
+			// A round over a segment we own starts with a publication epoch:
+			// our deferred frees are in the lost-block state (freeer == us),
+			// so the re-link would insert them and a later burst insert them
+			// again. Every round: a round's own reclaims park more of them.
+			c.flushPending(EpochScan)
+		}
 		r := c.scanSegmentOnce(seg, ownerDead)
 		reclaimed += r.Reclaimed
 		swept += r.SweptRoots

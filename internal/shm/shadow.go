@@ -34,15 +34,19 @@ import (
 // a temporarily-full page popped from the class/RootRef cache is now
 // re-added the moment one of its blocks comes back.
 
-// ownedPage is the client-side shadow of one owned page: the pageRef, the
-// device address of its meta area, mirrors of the three meta words, and the
-// class-cache membership flag.
+// ownedPage is the client-side shadow of one owned page: where its slots
+// are, the device address of its meta area, mirrors of the three meta words,
+// the class-cache membership flag and the page's reference shadows.
 type ownedPage struct {
-	pr   pageRef
 	meta layout.Addr // device address of the page's meta area
-	info uint64      // shadow of meta+pmInfo (packed PageMeta)
-	free uint64      // shadow of meta+pmFree (free-list head)
-	scan uint64      // shadow of meta+pmScan (bump pointer)
+	// Slot i (RootRef, or block of the page's class) sits at base + i*unit;
+	// roots or blocks shadows them, allocated on first use (refcache.go).
+	base, unit layout.Addr
+	roots      []rootShadow
+	blocks     []blockShadow
+	info       uint64 // shadow of meta+pmInfo (packed PageMeta)
+	free       uint64 // shadow of meta+pmFree (free-list head)
+	scan       uint64 // shadow of meta+pmScan (bump pointer)
 	// onClassList marks the page as present in classPages[class] (normal
 	// pages) or rootPages (RootRef pages), making re-adds O(1).
 	onClassList bool
@@ -72,18 +76,20 @@ type ownedSeg struct {
 	pages    []*ownedPage // indexed by page number; nil beyond nextPage
 }
 
-// ownedSegOf returns the shadow for seg if this client owns it, else nil.
-// This replaces the SegState device load on the free fast path: a segment
-// enters the map at claimSegment and never leaves while the client lives
-// (live clients never release active segments).
+// ownedSegOf returns the shadow for seg if this client owns it, else nil
+// (also for SegmentIndexOf's −1), sparing the free path a SegState load: a
+// segment enters at claimSegment and never leaves while the client lives.
 func (c *Client) ownedSegOf(seg int) *ownedSeg {
+	if uint(seg) >= uint(len(c.ownedBySeg)) {
+		return nil
+	}
 	return c.ownedBySeg[seg]
 }
 
 // ownedPageOf returns the shadow for the page containing addr, or nil when
 // the address is not in an owned, claimed page.
 func (c *Client) ownedPageOf(seg int, addr layout.Addr) *ownedPage {
-	os := c.ownedBySeg[seg]
+	os := c.ownedSegOf(seg)
 	if os == nil {
 		return nil
 	}
@@ -100,7 +106,7 @@ func (c *Client) ownedPageOf(seg int, addr layout.Addr) *ownedPage {
 // this instead of a raw store.
 func (c *Client) storePMFree(seg int, metaA layout.Addr, v uint64) {
 	c.h.Store(metaA+pmFree, v)
-	if os := c.ownedBySeg[seg]; os != nil {
+	if os := c.ownedSegOf(seg); os != nil {
 		// metaA identifies the page by its meta address, not a data address;
 		// recover the page index from the meta-area offset.
 		pg := int((metaA - c.geo.PageMetaAddr(seg, 0)) / layout.Addr(layout.PageMetaWords))
@@ -293,10 +299,10 @@ func (c *Client) CheckShadow() error {
 			if err := c.checkPendCoherent(os.seg, pg, op); err != nil {
 				return err
 			}
+			if err := c.checkRefShadow(op); err != nil {
+				return err
+			}
 		}
-	}
-	if err := c.checkRefShadow(); err != nil {
-		return err
 	}
 	for block, qs := range c.queues {
 		// The client's own end is exact; the opposite end may lag (it is
