@@ -112,7 +112,9 @@ dep-guard:
 # tier-1 build+test, the benchmark module's own vet+test, the
 # faultinject dependency guard, a race pass over the fast-path and queue
 # tests on both backends, the zero-allocation fast-path pin on both backends,
-# three race passes over the in-process serving chaos, the fast-path
+# three race passes over the in-process serving chaos, ten seconds of fuzzing
+# each on the two byte parsers a peer can reach (netrpc frames, serving
+# requests), the fast-path
 # regression gate against the committed BENCH_fastpath.json, the
 # mmap-backend suite, the exhaustive
 # crash sweep (plus bounded legs with telemetry collection enabled and at
@@ -126,6 +128,8 @@ ci: vet build test benchmark-check dep-guard
 	$(GO) test -run TestFastPathZeroAllocs ./internal/shm
 	CXLSHM_BACKEND=mmap $(GO) test -run TestFastPathZeroAllocs ./internal/shm
 	$(GO) test -race -count=3 -run TestChaosInProcess ./internal/serving
+	$(GO) test -run xxx -fuzz FuzzServeFrame -fuzztime 10s ./internal/netrpc
+	$(GO) test -run xxx -fuzz FuzzDispatch -fuzztime 10s ./internal/serving
 	$(MAKE) bench-compare
 	$(MAKE) test-mmap
 	$(MAKE) sweep

@@ -3,7 +3,7 @@
 //
 //	cxlkv demo   [flags]   — the original single-process walkthrough
 //	cxlkv serve  [flags]   — one worker process: attach a pool file, serve
-//	                         GET/PUT/SCAN over loopback TCP
+//	                         GET/PUT/SCAN over a Unix-domain socket
 //	cxlkv chaos  [flags]   — orchestrate N workers (in-process or child OS
 //	                         processes on an mmap pool file), drive zipfian
 //	                         traffic, kill one mid-stream, measure recovery

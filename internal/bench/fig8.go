@@ -259,7 +259,7 @@ func spscPairs(pairs, msgs, payload int) (kops float64, err error) {
 	return kcalls(pairs*msgs, time.Since(start)), nil
 }
 
-// netRPCPairs runs the pass-by-value baseline over loopback TCP.
+// netRPCPairs runs the pass-by-value baseline over netrpc's Unix socket.
 func netRPCPairs(pairs, calls, payload int) (kops float64, err error) {
 	srv, err := netrpc.NewServer(func(fn uint64, p []byte) ([]byte, error) {
 		out := make([]byte, 64)

@@ -201,6 +201,9 @@ func (s *Store) AcquirePartition(p int, steal bool) bool {
 
 // PartitionOwner reads partition p's lease word.
 func (s *Store) PartitionOwner(p int) int {
+	if p < 0 || p >= s.writers {
+		return 0 // no such partition (p can come off the wire): nobody owns it
+	}
 	return int(s.c.LoadWord(s.index, s.buckets+4+p))
 }
 

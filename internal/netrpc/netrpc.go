@@ -1,13 +1,19 @@
 // Package netrpc is the pass-by-value RPC baseline of Figure 8 — a
-// length-prefixed binary protocol over loopback TCP, standing in for the
-// paper's RDMA-based RPC (Herd-style over ConnectX-5) — and the wire layer
-// of the serving tier (internal/serving): worker processes serve GET/PUT/
-// SCAN frames over it, so it is hardened against exactly the partial
+// length-prefixed binary protocol over a Unix-domain stream socket, standing
+// in for the paper's RDMA-based RPC (Herd-style over ConnectX-5) — and the
+// wire layer of the serving tier (internal/serving): worker processes serve
+// GET/PUT/SCAN frames over it, so it is hardened against exactly the partial
 // failures the paper argues a resilient system must absorb. A peer that
 // lies in its length header is refused before any allocation, a peer that
 // stalls mid-frame is disconnected by deadline instead of pinning a
 // goroutine forever, and a handler error travels back as an error frame
 // instead of silently tearing the connection down.
+//
+// It is a same-host transport and nothing else: every peer maps the same
+// pool file, so a server listens on a name of its own in the Linux abstract
+// socket namespace (no file: a kill -9'd worker leaves nothing behind) and a
+// frame costs the serialize / copy through the kernel / deserialize of
+// pass-by-value, not a trip through the TCP/IP stack as well.
 //
 // Wire format, both directions:
 //
@@ -25,7 +31,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"time"
 )
 
@@ -37,6 +46,10 @@ const DefaultMaxPayload = 16 << 20
 // errFlag marks a response payload as an error message. Request lengths
 // must keep it clear, which also caps legal payloads below 2 GiB.
 const errFlag = 1 << 31
+
+// maxRetained caps the frame buffer a connection keeps between frames, so
+// one 16 MiB frame does not pin 16 MiB on every idle connection after it.
+const maxRetained = 64 << 10
 
 // ServerError is a handler (or dispatch) failure reported by the server
 // through an error frame. The connection stays up: the call failed, the
@@ -77,10 +90,12 @@ func (c Config) maxPayload() uint32 {
 
 // Handler executes one function over the request payload, returning the
 // response payload. A returned error travels to the caller as an error
-// frame; the connection keeps serving.
+// frame; the connection keeps serving. payload is the connection's receive
+// buffer, reused for the next frame: it is valid only until the handler
+// returns, so a handler copies whatever it keeps.
 type Handler func(fn uint64, payload []byte) ([]byte, error)
 
-// Server serves pass-by-value calls on a loopback listener.
+// Server serves pass-by-value calls on an abstract Unix-domain socket.
 type Server struct {
 	ln      net.Listener
 	handler Handler
@@ -91,15 +106,26 @@ type Server struct {
 	closed  bool
 }
 
-// NewServer starts a server on an ephemeral loopback port with the zero
-// Config (no deadlines, DefaultMaxPayload).
+// NewServer starts a server with the zero Config (no deadlines,
+// DefaultMaxPayload).
 func NewServer(handler Handler) (*Server, error) {
 	return NewServerConfig(handler, Config{})
 }
 
-// NewServerConfig starts a server on an ephemeral loopback port.
+// listeners numbers this process's servers, so each gets a name of its own.
+var listeners atomic.Uint64
+
+// NewServerConfig starts a server on a fresh abstract socket name,
+// "@cxlshm-netrpc-<pid>-<n>". A name already bound (another pid namespace
+// sharing this network namespace) is skipped.
 func NewServerConfig(handler Handler, cfg Config) (*Server, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	listen := func() (net.Listener, error) {
+		return net.Listen("unix", fmt.Sprintf("@cxlshm-netrpc-%d-%d", os.Getpid(), listeners.Add(1)))
+	}
+	ln, err := listen()
+	for errors.Is(err, syscall.EADDRINUSE) {
+		ln, err = listen()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +135,7 @@ func NewServerConfig(handler Handler, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Addr returns the server's dial address.
+// Addr returns the server's dial address: one whitespace-free token.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 func (s *Server) acceptLoop() {
@@ -141,20 +167,28 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// srvConn is one served connection: its buffered ends and the header and
+// request buffers every frame on it reuses.
+type srvConn struct {
+	conn net.Conn
+	r    *bufio.Reader
+	w    *bufio.Writer
+	hdr  [12]byte
+	buf  []byte
+}
+
 func (s *Server) serveConn(conn net.Conn) {
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
+	sc := &srvConn{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
 	maxPayload := s.cfg.maxPayload()
-	var hdr [12]byte
 	for {
 		// Waiting for the next request is legitimate idleness, bounded
-		// separately (if at all) from the mid-frame deadline below.
+		// separately (if at all) from the last frame's mid-frame deadline.
 		if s.cfg.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		} else {
+		} else if s.cfg.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Time{})
 		}
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if _, err := io.ReadFull(sc.r, sc.hdr[:]); err != nil {
 			return
 		}
 		// The header has arrived: the rest of the frame must follow
@@ -163,37 +197,37 @@ func (s *Server) serveConn(conn net.Conn) {
 		if s.cfg.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 		}
-		fn := binary.LittleEndian.Uint64(hdr[0:8])
-		n := binary.LittleEndian.Uint32(hdr[8:12])
+		fn := binary.LittleEndian.Uint64(sc.hdr[0:8])
+		n := binary.LittleEndian.Uint32(sc.hdr[8:12])
 		// The length header is untrusted input: refuse it BEFORE the
 		// allocation it sizes. Nothing after a hostile header can be
 		// trusted to re-frame, so the connection is answered and dropped.
 		if n&errFlag != 0 || n > maxPayload {
-			s.writeResp(conn, w, fn, []byte(fmt.Sprintf(
+			s.writeResp(sc, fn, []byte(fmt.Sprintf(
 				"frame payload %d exceeds MaxPayload %d", n&^uint32(errFlag), maxPayload)), true)
 			return
 		}
-		payload := make([]byte, n) // the pass-by-value copy-in
-		if _, err := io.ReadFull(r, payload); err != nil {
+		if uint32(cap(sc.buf)) < n {
+			sc.buf = make([]byte, n)
+		}
+		payload := sc.buf[:n] // the pass-by-value copy-in
+		if _, err := io.ReadFull(sc.r, payload); err != nil {
 			return
 		}
 		resp, err := s.handler(fn, payload)
-		if err != nil {
+		if cap(sc.buf) > maxRetained {
+			sc.buf = nil
+		}
+		isErr := err != nil
+		if isErr {
 			// The handler failed, the transport did not: report the error
 			// in-band and keep serving this connection.
-			if !s.writeResp(conn, w, fn, []byte(err.Error()), true) {
-				return
-			}
-			continue
+			resp = []byte(err.Error())
+		} else if uint64(len(resp)) > uint64(maxPayload) {
+			resp, isErr = []byte(fmt.Sprintf(
+				"handler response %d exceeds MaxPayload %d", len(resp), maxPayload)), true
 		}
-		if uint64(len(resp)) > uint64(maxPayload) {
-			if !s.writeResp(conn, w, fn, []byte(fmt.Sprintf(
-				"handler response %d exceeds MaxPayload %d", len(resp), maxPayload)), true) {
-				return
-			}
-			continue
-		}
-		if !s.writeResp(conn, w, fn, resp, false) {
+		if !s.writeResp(sc, fn, resp, isErr) {
 			return
 		}
 	}
@@ -201,24 +235,30 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // writeResp writes one response frame (the copy-out), reporting whether
 // the connection is still usable.
-func (s *Server) writeResp(conn net.Conn, w *bufio.Writer, fn uint64, payload []byte, isErr bool) bool {
+func (s *Server) writeResp(sc *srvConn, fn uint64, payload []byte, isErr bool) bool {
 	if s.cfg.WriteTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		sc.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], fn)
 	n := uint32(len(payload))
 	if isErr {
 		n |= errFlag
 	}
+	return writeFrame(sc.w, &sc.hdr, fn, n, payload) == nil
+}
+
+// writeFrame writes one frame through w in one piece. hdr is the
+// connection's own header scratch: a local one escapes to the heap, through
+// the writer's io.Writer, on every frame.
+func writeFrame(w *bufio.Writer, hdr *[12]byte, fn uint64, n uint32, payload []byte) error {
+	binary.LittleEndian.PutUint64(hdr[0:8], fn)
 	binary.LittleEndian.PutUint32(hdr[8:12], n)
 	if _, err := w.Write(hdr[:]); err != nil {
-		return false
+		return err
 	}
 	if _, err := w.Write(payload); err != nil {
-		return false
+		return err
 	}
-	return w.Flush() == nil
+	return w.Flush()
 }
 
 // Close stops the server and waits for connections to drain.
@@ -247,29 +287,37 @@ type Client struct {
 	cfg  Config
 	r    *bufio.Reader
 	w    *bufio.Writer
+	hdr  [12]byte // the frame header in flight, either direction
+	err  error    // first transport error: the stream is out of step for good
 }
 
 // Dial connects to a server with the zero Config.
 func Dial(addr string) (*Client, error) { return DialConfig(addr, Config{}) }
 
-// DialConfig connects to a server. cfg.ReadTimeout is the per-call
-// response ceiling: a server that hangs mid-call returns a timeout error
-// instead of blocking the caller forever.
+// DialConfig connects to the server at addr (a Server.Addr). cfg.ReadTimeout
+// is the per-call response ceiling: a server that hangs mid-call returns a
+// timeout error instead of blocking the caller forever.
 func DialConfig(addr string, cfg Config) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := net.Dial("unix", addr)
 	if err != nil {
 		return nil, err
 	}
 	return &Client{conn: conn, cfg: cfg, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
 }
 
-// Call sends fn with payload and returns the response payload. Each call
-// serializes, copies through the kernel, and deserializes — the baseline
-// cost structure. A handler failure returns a *ServerError; transport
-// errors (including deadline expiry) leave the connection unusable.
+// Call sends fn with payload and returns the response payload, a fresh
+// slice the caller owns. Each call serializes, copies through the kernel,
+// and deserializes — the baseline cost structure. A handler failure returns
+// a *ServerError and the connection stays usable; a transport error (deadline
+// expiry and a mis-framed response included) is final: a late response may
+// still be in flight, so every later Call fails with that error, wrapped,
+// without touching the socket.
 func (c *Client) Call(fn uint64, payload []byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.err != nil {
+		return nil, fmt.Errorf("netrpc: connection unusable after: %w", c.err)
+	}
 	maxPayload := c.cfg.maxPayload()
 	if uint64(len(payload)) > uint64(maxPayload) {
 		return nil, fmt.Errorf("%w (%d > %d)", ErrPayloadTooLarge, len(payload), maxPayload)
@@ -277,40 +325,38 @@ func (c *Client) Call(fn uint64, payload []byte) ([]byte, error) {
 	if c.cfg.WriteTimeout > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
 	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], fn)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(payload)))
-	if _, err := c.w.Write(hdr[:]); err != nil {
-		return nil, err
-	}
-	if _, err := c.w.Write(payload); err != nil {
-		return nil, err
-	}
-	if err := c.w.Flush(); err != nil {
-		return nil, err
+	if err := writeFrame(c.w, &c.hdr, fn, uint32(len(payload)), payload); err != nil {
+		return c.fail(err)
 	}
 	if c.cfg.ReadTimeout > 0 {
 		c.conn.SetReadDeadline(time.Now().Add(c.cfg.ReadTimeout))
-	} else {
-		c.conn.SetReadDeadline(time.Time{})
 	}
-	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
-		return nil, err
+	if _, err := io.ReadFull(c.r, c.hdr[:]); err != nil {
+		return c.fail(err)
 	}
-	n := binary.LittleEndian.Uint32(hdr[8:12])
+	if got := binary.LittleEndian.Uint64(c.hdr[0:8]); got != fn {
+		return c.fail(fmt.Errorf("netrpc: response to function %d, called %d", got, fn))
+	}
+	n := binary.LittleEndian.Uint32(c.hdr[8:12])
 	isErr := n&errFlag != 0
 	n &^= uint32(errFlag)
 	if n > maxPayload {
-		return nil, fmt.Errorf("%w (response %d > %d)", ErrPayloadTooLarge, n, maxPayload)
+		return c.fail(fmt.Errorf("%w (response %d > %d)", ErrPayloadTooLarge, n, maxPayload))
 	}
-	resp := make([]byte, n)
+	resp := make([]byte, n) // the one copy-out: the caller owns it
 	if _, err := io.ReadFull(c.r, resp); err != nil {
-		return nil, err
+		return c.fail(err)
 	}
 	if isErr {
 		return nil, &ServerError{Msg: string(resp)}
 	}
 	return resp, nil
+}
+
+// fail records the transport error that ends this connection's use.
+func (c *Client) fail(err error) ([]byte, error) {
+	c.err = err
+	return nil, err
 }
 
 // Close closes the connection.

@@ -3,13 +3,29 @@ package serving
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"repro/internal/netrpc"
 )
 
-// Conn is a typed client for one worker's RPC endpoint.
+// Conn is a typed client for one worker's RPC endpoint. Like the
+// netrpc.Client under it, it may be shared across goroutines and carries
+// one call at a time.
 type Conn struct {
 	c *netrpc.Client
+
+	mu  sync.Mutex
+	req [16]byte // fixed-size request scratch: a local one escapes per call
+}
+
+// callFixed sends a request of one or two words from the scratch.
+func (c *Conn) callFixed(fn uint64, words ...uint64) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, w := range words {
+		putU64(c.req[8*i:], w)
+	}
+	return c.c.Call(fn, c.req[:8*len(words)])
 }
 
 // DialWorker connects to a worker.
@@ -38,9 +54,7 @@ func (c *Conn) Ping() (int, error) {
 
 // Get fetches key's value. found is false when the key does not exist.
 func (c *Conn) Get(key uint64) (val []byte, found bool, err error) {
-	var req [8]byte
-	putU64(req[:], key)
-	resp, err := c.c.Call(FnGet, req[:])
+	resp, err := c.callFixed(FnGet, key)
 	if err != nil {
 		return nil, false, err
 	}
@@ -66,10 +80,7 @@ func (c *Conn) Put(key uint64, val []byte) error {
 // returns how many arrived (the records themselves are decoded only to be
 // validated — the serving driver measures batch-read cost, not content).
 func (c *Conn) Scan(startBucket, maxRecords uint64) (int, error) {
-	var req [16]byte
-	putU64(req[:8], startBucket)
-	putU64(req[8:], maxRecords)
-	resp, err := c.c.Call(FnScan, req[:])
+	resp, err := c.callFixed(FnScan, startBucket, maxRecords)
 	if err != nil {
 		return 0, err
 	}
@@ -87,9 +98,7 @@ func (c *Conn) Scan(startBucket, maxRecords uint64) (int, error) {
 // Takeover asks the worker to steal write ownership of partition p — the
 // §6.4 metadata-only failover: no data moves, one lease word changes.
 func (c *Conn) Takeover(p int) error {
-	var req [8]byte
-	putU64(req[:], uint64(p))
-	_, err := c.c.Call(FnTakeover, req[:])
+	_, err := c.callFixed(FnTakeover, uint64(p))
 	return err
 }
 

@@ -4,6 +4,7 @@ package serving_test
 
 import (
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -18,7 +19,7 @@ import (
 
 // TestServingCrossProcess is the serving tier's acceptance story across
 // real OS processes: worker children (this test binary re-exec'd) attach
-// the same mmap pool file and serve over loopback TCP, the driver runs
+// the same mmap pool file and serve over Unix-domain sockets, the driver runs
 // zipfian traffic against them, one child is SIGKILLed mid-stream, the
 // monitor in THIS process detects the frozen heartbeat through the shared
 // file and recovers the slot, a surviving child steals the dead writer's
@@ -53,7 +54,7 @@ func TestServingCrossProcess(t *testing.T) {
 	}
 	defer p.CloseDevice()
 
-	spawn := serving.ExecSpawner(cfg.Net, func(idx int) *exec.Cmd {
+	children := serving.ExecSpawner(cfg.Net, func(idx int) *exec.Cmd {
 		cmd := exec.Command(os.Args[0], "-test.run", "^TestServingWorkerHelper$", "-test.v")
 		cmd.Env = append(os.Environ(),
 			"CXLSHM_SERVING_HELPER=1",
@@ -62,6 +63,14 @@ func TestServingCrossProcess(t *testing.T) {
 		)
 		return cmd
 	})
+	var addrs []string
+	spawn := func(idx int, wc serving.WorkerConfig) (serving.WorkerProc, error) {
+		proc, err := children(idx, wc)
+		if err == nil {
+			addrs = append(addrs, proc.Addr())
+		}
+		return proc, err
+	}
 
 	res, err := serving.RunChaos(p, spawn, cfg)
 	if err != nil {
@@ -94,6 +103,20 @@ func TestServingCrossProcess(t *testing.T) {
 	}
 	if !res.FsckClean {
 		t.Errorf("pool not fsck-clean after cross-process chaos (%d issues)", res.FsckIssues)
+	}
+	// Every child is gone, one of them by SIGKILL: none may have left its
+	// address bound (an abstract name dies with its process; a socket file
+	// would not).
+	if len(addrs) != cfg.Workers {
+		t.Fatalf("saw %d worker addresses, want %d", len(addrs), cfg.Workers)
+	}
+	for _, addr := range addrs {
+		ln, err := net.Listen("unix", addr)
+		if err != nil {
+			t.Errorf("worker address %s still bound after its process died: %v", addr, err)
+			continue
+		}
+		ln.Close()
 	}
 }
 

@@ -1,6 +1,7 @@
 package serving_test
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -153,4 +154,38 @@ func TestServingWriteOwnership(t *testing.T) {
 		t.Fatalf("put after takeover: %v", err)
 	}
 	_ = w1
+}
+
+// TestServingBackToBackPuts pins the handler side of netrpc's buffer
+// reuse: the second PUT arrives in the bytes the first one came in, so the
+// store must have copied the first value before its handler returned.
+func TestServingBackToBackPuts(t *testing.T) {
+	cfg := serving.ChaosConfig{Workers: 2, Keys: 100, ValSize: 32}
+	p := newServingPool(t, cfg)
+	w0, _ := startStore(t, p, 0, 32)
+	conn, err := serving.DialWorker(w0.Addr(), netrpc.Config{ReadTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	var keys [2]uint64 // two keys of worker 0's partition
+	for k, n := uint64(1000), 0; n < len(keys); k++ {
+		if kv.Partition(k, 1024, 2) == 0 {
+			keys[n] = k
+			n++
+		}
+	}
+	vals := [2][]byte{bytes.Repeat([]byte{0x11}, 32), bytes.Repeat([]byte{0xEE}, 32)}
+	for i, k := range keys {
+		if err := conn.Put(k, vals[i]); err != nil {
+			t.Fatalf("put %d: %v", k, err)
+		}
+	}
+	for i, k := range keys {
+		got, found, err := conn.Get(k)
+		if err != nil || !found || !bytes.Equal(got, vals[i]) {
+			t.Fatalf("get %d after back-to-back puts: %x found=%v err=%v, want %x", k, got, found, err, vals[i])
+		}
+	}
 }
