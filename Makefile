@@ -45,8 +45,8 @@ test-mmap:
 # sweep runs the exhaustive access-granular crash sweep on both backends:
 # every scripted operation crashed before every one of its device writes,
 # each followed by recovery and a full-pool fsck, plus a phase-B pass that
-# crashes the recovery executor before every one of its own writes (32 ops,
-# 1810 + 7395 positions, about 5 s per backend). Violations print a minimal
+# crashes the recovery executor before every one of its own writes (35 ops,
+# 1853 + 7843 positions, about 5 s per backend). Violations print a minimal
 # `faultsim -repro` line and fail the target.
 sweep:
 	$(GO) run ./cmd/faultsim -sweep -recovery-sweep
@@ -111,7 +111,8 @@ dep-guard:
 # ci is the continuous-integration gate (.github/workflows/ci.yml): vet,
 # tier-1 build+test, the benchmark module's own vet+test, the
 # faultinject dependency guard, a race pass over the fast-path and queue
-# tests on both backends, the zero-allocation fast-path pin on both backends,
+# tests on both backends, the recovery pass's device-access budget on both
+# backends, the zero-allocation fast-path pin on both backends,
 # three race passes over the in-process serving chaos, ten seconds of fuzzing
 # each on the two byte parsers a peer can reach (netrpc frames, serving
 # requests), the fast-path
@@ -123,6 +124,8 @@ dep-guard:
 ci: vet build test benchmark-check dep-guard
 	$(GO) test -race -run 'TestDeviceAccessBudget|TestQueue' ./internal/shm
 	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestDeviceAccessBudget|TestQueue' ./internal/shm
+	$(GO) test -run TestRecoveryPassAccessBudget ./internal/recovery
+	CXLSHM_BACKEND=mmap $(GO) test -run TestRecoveryPassAccessBudget ./internal/recovery
 	$(GO) test -race -run TestSlotChurn ./internal/shm
 	CXLSHM_BACKEND=mmap $(GO) test -race -run TestSlotChurn ./internal/shm
 	$(GO) test -run TestFastPathZeroAllocs ./internal/shm

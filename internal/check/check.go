@@ -7,7 +7,10 @@
 // first principles — RootRef slots, embedded references (which include
 // queue slots) — and compares it with the count stored in each header. It
 // also audits allocator structures: free-list membership, page accounting,
-// segment states, the superblock itself.
+// segment states, the superblock itself. A free block on no list is lost
+// unless its freeer is alive (deferred publication's pending tier) or its
+// segment's owner is gone (shm.Pool.SegOwnerGone: reclaimed by refcount
+// alone, never allocated from again); every other invariant binds everywhere.
 //
 // The validator must survive arbitrary metadata damage: every load is
 // bounds-checked (corrupt pointers and counts otherwise walk off the pool
@@ -159,7 +162,7 @@ type hints struct {
 	bumpPages  []pageHint     // pages whose bump pointer left the page
 	blockMeta  []metaHint     // blocks whose meta word disagrees with its page
 	hugeSpan   []hugeHint     // huge heads whose BlockWords disagrees with the run
-	lostFree   []lostHint     // free blocks/slots on no list
+	lostFree   []lostHint     // free blocks on no list
 	queues     []queueHint    // queue-specific damage
 	eraRaise   map[int]uint64 // client -> highest era observed of it (on violation)
 	staleRedo  []int          // settled clients with valid redo entries
@@ -183,7 +186,6 @@ type hugeHint struct {
 type lostHint struct {
 	block   layout.Addr
 	seg, pg int
-	rootRef bool
 }
 
 type queueHint struct {
@@ -223,20 +225,12 @@ func (v *validator) load(a layout.Addr) uint64 {
 // blocks "on no list" the expected steady state while their freeer lives:
 // the freeer either publishes them at its next epoch boundary, or dies — at
 // which point its status leaves ClientAlive, the gate stops excusing, and
-// the segment-local scan is responsible for re-linking them.
+// a live owner's segment-local scan is responsible for re-linking them.
 func (v *validator) clientAlive(cid int) bool {
 	if cid < 1 || cid > v.geo.MaxClients {
 		return false
 	}
 	return v.load(v.geo.ClientStatusAddr(cid)) == layout.ClientAlive
-}
-
-// segOwnerAlive reports whether seg is actively owned by a live client.
-// RootRef frees are always owner-local, so a lost free slot in such a
-// segment is a pending (unpublished) free of the live owner, not damage.
-func (v *validator) segOwnerAlive(seg int) bool {
-	st := layout.UnpackSegState(v.load(v.geo.SegStateAddr(seg)))
-	return st.State == layout.SegActive && v.clientAlive(int(st.CID))
 }
 
 // inQuarantine reports whether a points at (or into) quarantined territory.
@@ -442,6 +436,7 @@ func (v *validator) walkPagedSegment(seg int) {
 		}
 	}
 
+	ownerGone := v.p.SegOwnerGone(seg)
 	for pg := 0; pg < numPages; pg++ {
 		metaA := v.geo.PageMetaAddr(seg, pg)
 		info := layout.UnpackPageMeta(v.load(metaA + pmInfo))
@@ -462,12 +457,10 @@ func (v *validator) walkPagedSegment(seg int) {
 		case layout.PageKindUnused:
 		case layout.PageKindRootRef:
 			for slot := base; slot+layout.RootRefWords <= layout.Addr(scanPos); slot += layout.RootRefWords {
+				// A cleared slot on no list is at rest: a live owner's
+				// unpublished free, or in a segment whose owner is gone.
 				inUse, _ := layout.UnpackRootRef(v.load(slot))
 				if !inUse {
-					if v.free[slot] == 0 && !v.segOwnerAlive(seg) {
-						v.res.add(LostFreeBlock, slot, "free RootRef slot on no list (%d/%d)", seg, pg)
-						v.hints.lostFree = append(v.hints.lostFree, lostHint{slot, seg, pg, true})
-					}
 					continue
 				}
 				v.res.RootRefsInUse++
@@ -523,12 +516,13 @@ func (v *validator) walkPagedSegment(seg int) {
 					switch v.free[b] {
 					case 0:
 						// The meta embed field records the freeer; a live
-						// freeer holds the block on its pending tier.
-						if v.clientAlive(int(m.EmbedCnt)) {
+						// freeer holds the block on its pending tier. Where
+						// the owner is gone, frees push nothing: at rest.
+						if v.clientAlive(int(m.EmbedCnt)) || ownerGone {
 							break
 						}
 						v.res.add(LostFreeBlock, b, "free block on no list (%d/%d)", seg, pg)
-						v.hints.lostFree = append(v.hints.lostFree, lostHint{b, seg, pg, false})
+						v.hints.lostFree = append(v.hints.lostFree, lostHint{b, seg, pg})
 					case 1:
 						// fine
 					default:

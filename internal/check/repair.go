@@ -591,16 +591,11 @@ func (r *repairer) rebuildSegmentFreeLists(seg int) {
 		"segment %d free lists rebuilt from block metadata", seg)
 }
 
-// relinkLostBlock pushes one orphaned free block (or RootRef slot) back
-// onto its page's free list.
+// relinkLostBlock pushes one orphaned free block back onto its page's free
+// list.
 func (r *repairer) relinkLostBlock(h lostHint) {
 	metaA := r.geo.PageMetaAddr(h.seg, h.pg)
-	head := r.p.Device().Load(metaA + pmFree)
-	if h.rootRef {
-		r.store(h.block+layout.RootRefPptrOff, head)
-	} else {
-		r.store(h.block+layout.DataOff, head)
-	}
+	r.store(h.block+layout.DataOff, r.p.Device().Load(metaA+pmFree))
 	r.store(metaA+pmFree, uint64(h.block))
 	r.act("relink-lost", h.block, "free block relinked onto page %d/%d list", h.seg, h.pg)
 }

@@ -32,8 +32,8 @@ type Handle struct {
 	// check survives retargeting through middleware.
 	fencedW *atomic.Uint32
 	// ctr is this client's counter block in the bottom device, merged into
-	// Stats on read. count gates load/store/CAS counting on the fast path;
-	// on the interface path the bottom device counts for itself.
+	// Stats on read. count gates all counting on it; on the interface path
+	// the bottom device counts loads, stores and CAS for itself.
 	ctr   *counters
 	count bool
 
@@ -227,7 +227,9 @@ func (h *Handle) SFence() {
 	if h.hook != nil {
 		h.hook(h.cid, OpFence, 0)
 	}
-	h.ctr.fences.Add(1)
+	if h.count {
+		h.ctr.fences.Add(1)
+	}
 	if h.lat != nil && h.lat.FenceNS > 0 {
 		h.lat.charge(h.lat.FenceNS)
 	}
@@ -243,7 +245,9 @@ func (h *Handle) Flush(a Addr) {
 	if h.hook != nil {
 		h.hook(h.cid, OpFlush, a)
 	}
-	h.ctr.flushes.Add(1)
+	if h.count {
+		h.ctr.flushes.Add(1)
+	}
 	if h.lat != nil && h.lat.FlushNS > 0 {
 		h.lat.charge(h.lat.FlushNS)
 	}

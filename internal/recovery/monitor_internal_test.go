@@ -146,13 +146,16 @@ func TestMonitorScanPanicBacksOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := x.Malloc(64, 0); err != nil {
+	root, _, err := x.Malloc(64, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	geo := p.Geometry()
 	dev := p.Device()
-	// Find the claimed segment, poison its page free-list head with a wild
-	// pointer, and force it abandoned so maintenance tries to scan it.
+	// Find the claimed segment, poison something a dead owner's scan still
+	// dereferences — the pptr of its in_use RootRef slot (the free lists are
+	// not walked there) — and force it abandoned so maintenance tries to scan
+	// it.
 	seg := -1
 	for s := 0; s < geo.NumSegments; s++ {
 		if p.SegState(s).CID == uint16(x.ID()) {
@@ -163,7 +166,7 @@ func TestMonitorScanPanicBacksOff(t *testing.T) {
 	if seg < 0 {
 		t.Fatal("no segment claimed")
 	}
-	dev.Store(geo.PageMetaAddr(seg, 1)+1, 1<<60)
+	dev.Store(root+layout.RootRefPptrOff, 1<<60)
 	st := p.SegState(seg)
 	st.State = layout.SegAbandoned
 	dev.Store(geo.SegStateAddr(seg), layout.PackSegState(st))

@@ -160,6 +160,9 @@ func (s *Service) recoverWith(exec *shm.Client, cid int) (Report, error) {
 	p.Obs().Trace(obs.Event{Type: obs.EvRecoveryStarted, Client: cid})
 	p.Telemetry().StampRecoveryStart(cid, t0.UnixNano())
 
+	mx := exec.Metrics()
+	hugeFreed := mx.Get(obs.CtrFreeHuge)
+
 	// Step 2: redo decision and replay.
 	r.RedoNeeded = s.replayRedo(exec, cid)
 
@@ -184,8 +187,7 @@ func (s *Service) recoverWith(exec *shm.Client, cid int) (Report, error) {
 
 	// Huge objects: free heads whose count is zero (interrupted allocation
 	// or interrupted free); keep live ones (others still reference them).
-	freedHuge := s.sweepHugeOwned(exec, cid, owned)
-	r.HugeFreed += freedHuge
+	s.sweepHugeOwned(exec, owned)
 
 	// Normal segments: one scan; quiet ones are freed, the rest abandoned.
 	for _, seg := range owned {
@@ -235,6 +237,8 @@ func (s *Service) recoverWith(exec *shm.Client, cid int) (Report, error) {
 	// Publish the executor's scan/sweep counts before announcing the pass,
 	// so a snapshot taken after the recovery sees exact totals.
 	exec.FlushMetrics()
+	// Huge objects freed over the whole pass, most of them by the root sweep.
+	r.HugeFreed = int(mx.Get(obs.CtrFreeHuge) - hugeFreed)
 	sh := p.Obs().Shard(0)
 	sh.Inc(obs.CtrRecoveryPass)
 	sh.Observe(obs.HistRecoveryNS, time.Since(t0).Nanoseconds())
@@ -461,14 +465,14 @@ func (s *Service) sweepRootRefPages(exec *shm.Client, seg int) int {
 		if info.Kind != layout.PageKindRootRef {
 			continue
 		}
+		// Highest slot first: slots fill in allocation order, each allocation
+		// under a larger era, so the executor stores its era witness (a new
+		// maximum only) once per page, not per root — same Condition-2
+		// evidence. The bump pointer is clamped both ways: n is unsigned.
 		base := geo.PageBase(seg, pg)
-		scanPos := dev.Load(geo.PageMetaAddr(seg, pg) + shm.PageMetaScanOff)
-		end := base + layout.Addr(geo.PageWords)
-		if scanPos > end {
-			scanPos = end
-		}
-		for slot := base; slot+layout.RootRefWords <= scanPos; slot += layout.RootRefWords {
-			if exec.SweepRootRefSlot(slot) {
+		scanPos := min(max(dev.Load(geo.PageMetaAddr(seg, pg)+shm.PageMetaScanOff), base), base+layout.Addr(geo.PageWords))
+		for n := (scanPos - base) / layout.RootRefWords; n > 0; n-- {
+			if exec.SweepRootRefSlot(base + (n-1)*layout.RootRefWords) {
 				swept++
 			}
 		}
@@ -476,28 +480,14 @@ func (s *Service) sweepRootRefPages(exec *shm.Client, seg int) int {
 	return swept
 }
 
-// sweepHugeOwned frees the dead client's huge objects whose count is zero.
-func (s *Service) sweepHugeOwned(exec *shm.Client, cid int, owned []int) int {
-	p := s.pool
-	geo := p.Geometry()
-	dev := p.Device()
-	freed := 0
+// sweepHugeOwned frees the dead client's huge objects whose count is zero
+// (the scan leaves a live head alone).
+func (s *Service) sweepHugeOwned(exec *shm.Client, owned []int) {
 	for _, seg := range owned {
-		st := p.SegState(seg)
-		if st.State != layout.SegHugeHead {
-			continue
-		}
-		block := geo.SegmentBase(seg)
-		hdr := layout.UnpackHeader(dev.Load(block + layout.HeaderOff))
-		if hdr.RefCnt > 0 {
-			continue // live: other clients still hold references
-		}
-		rep := s.scanSegment(exec, seg)
-		if rep.Freed {
-			freed++
+		if s.pool.SegState(seg).State == layout.SegHugeHead {
+			s.scanSegment(exec, seg)
 		}
 	}
-	return freed
 }
 
 // coveredByLiveHead reports whether body segment seg belongs to a surviving

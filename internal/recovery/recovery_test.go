@@ -575,3 +575,37 @@ func TestRecoveryServiceIsRestartable(t *testing.T) {
 		t.Fatalf("%d objects leaked", res.AllocatedObjects)
 	}
 }
+
+// The RootRef sweep walks each page from its bump pointer down, on unsigned
+// arithmetic: a damaged bump pointer below the page base must read as an
+// empty page (as it did for the ascending loop this one replaced), not wrap
+// into a sweep of everything beneath the page.
+func TestSweepIgnoresBumpPointerBelowPage(t *testing.T) {
+	p := newTestPool(t)
+	c := connect(t, p)
+	svc, err := recovery.NewService(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, _, err := c.Malloc(64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo := p.Geometry()
+	seg := geo.SegmentIndexOf(root)
+	pg := geo.PageIndexOf(seg, root)
+	p.Device().Store(geo.PageMetaAddr(seg, pg)+shm.PageMetaScanOff, geo.PageBase(seg, pg)-layout.RootRefWords)
+	if err := p.MarkClientDead(c.ID()); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := svc.RecoverClient(c.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SweptRoots != 0 {
+		t.Fatalf("swept %d roots of a page whose bump pointer says it holds none", rep.SweptRoots)
+	}
+	if inUse, _ := layout.UnpackRootRef(p.Device().Load(root)); !inUse {
+		t.Fatal("the slot above the damaged bump pointer was swept")
+	}
+}

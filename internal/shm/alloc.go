@@ -101,7 +101,7 @@ func (c *Client) malloc(dataBytes, embedRefs int) (layout.Addr, layout.Addr, err
 	}
 	// Step 1 (reordered, see allocRootRef): advance a RootRef page past one
 	// free slot without claiming it. Until the claim lands the slot is in the
-	// "lost slot" state the segment-local scan already re-links, so failing
+	// "lost slot" state a segment-local scan already counts free, so failing
 	// out (or crashing) anywhere below leaks nothing.
 	root, err := c.takeRootRefSlot()
 	if err != nil {
@@ -290,7 +290,7 @@ func (c *Client) collectDeferredFrees(ci int) bool {
 		batches = batches[:0]
 		for head != 0 {
 			next := c.h.Load(head + freeNextOff)
-			c.dropBlock(head) // another client freed it; retire the stale shadow
+			c.blockRef(head).drop() // another client freed it; retire the stale shadow
 			if op := c.ownedPageOf(os.seg, head); op != nil {
 				i := 0
 				for ; i < len(batches); i++ {
@@ -311,7 +311,7 @@ func (c *Client) collectDeferredFrees(ci int) bool {
 			// Rewrite the next pointers into one page-local chain ending at
 			// the page's current free head, then publish the new head. A
 			// crash mid-chain leaves free-marked blocks on no list — the
-			// same lost-block state the segment-local scan already re-links.
+			// same lost-block state the segment-local scan already handles.
 			for j, blk := range b.blocks {
 				nxt := op.free
 				if j+1 < len(b.blocks) {
@@ -466,8 +466,8 @@ func (c *Client) tryClaimSegment(i int) (*ownedSeg, bool) {
 // takeRootRefSlot advances a RootRef page past one free slot WITHOUT
 // claiming it: word0 is left untouched. Until a later in_use store commits
 // the slot, a crash leaves it in the lost-slot state (below the bump
-// pointer, on no list, not in_use) that the segment-local scan already
-// re-links once this client is dead — so callers may interleave arbitrary
+// pointer, on no list, not in_use) that the segment-local scan counts as
+// free once this client is dead — so callers may interleave arbitrary
 // work between take and claim.
 //
 // The slot comes from the pending tier first (a slot this client freed but
@@ -543,7 +543,7 @@ func (c *Client) abortRootRef(slot layout.Addr) {
 // (owner-local; RootRefs always live in their creator's pages). Ownership is
 // decided by the shadow index — no device load — and the single device store
 // (word0 ← 0) puts the slot in exactly the lost-slot state the segment scan
-// re-links if this client dies before its next publication burst.
+// counts free if this client dies before its next publication burst.
 func (c *Client) freeRootRefSlot(slot layout.Addr) {
 	if slot == c.inflightRoot {
 		c.inflightRoot = 0

@@ -270,7 +270,7 @@ func (c *Client) Close() error {
 	c.closed = true
 	// Publish deferred frees before the fence: after MarkClientDeadReason
 	// the device drops this client's stores, and the pending blocks would
-	// have to wait for a segment scan to be re-linked.
+	// stay off every list (which a dead owner's segment scan tolerates).
 	c.flushPending(EpochDetach)
 	c.publishMetrics()
 	c.publishShared()

@@ -34,7 +34,8 @@ func (c *Client) AttachReference(ref, refed layout.Addr) error {
 	// The first CAS attempt is seeded from the block shadow when this client
 	// allocated refed (refcache.go): a stale guess cannot commit (the commit
 	// is a full-word compare) and simply falls back to a device load.
-	savedW, guessed := c.guessHeader(refed)
+	bs := c.blockRef(refed)
+	savedW, guessed := c.guessHeader(bs, refed)
 	for {
 		saved := layout.UnpackHeader(savedW)
 		if saved.RefCnt == 0 || saved.RefCnt == layout.MaxRefCount {
@@ -56,7 +57,7 @@ func (c *Client) AttachReference(ref, refed layout.Addr) error {
 		})
 		c.loc[obs.CtrCASAttempt]++
 		if c.h.CAS(refed+layout.HeaderOff, savedW, newW) {
-			c.noteHeader(refed, newW)
+			bs.noteHeader(newW)
 			break
 		}
 		c.loc[obs.CtrCASRetry]++
@@ -80,7 +81,7 @@ func (c *Client) ReleaseReference(ref, refed layout.Addr) (freed bool, err error
 		return false, err
 	}
 	if pending {
-		c.reclaim(refed)
+		c.cascadeFree(refed)
 	}
 	return newCnt == 0, nil
 }
@@ -109,8 +110,9 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, deferReclaim, elideModif
 	if c.h.Fenced() {
 		return 0, false, ErrFenced
 	}
-	// First CAS attempt seeded from the block shadow (see AttachReference).
-	savedW, guessed := c.guessHeader(refed)
+	// Resolved once, for the CAS guess (see AttachReference) down to the reclaim.
+	op, bs := c.blockOf(refed)
+	savedW, guessed := c.guessHeader(bs, refed)
 	for {
 		saved := layout.UnpackHeader(savedW)
 		if saved.RefCnt == 0 {
@@ -130,7 +132,7 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, deferReclaim, elideModif
 		})
 		c.loc[obs.CtrCASAttempt]++
 		if c.h.CAS(refed+layout.HeaderOff, savedW, newW) {
-			c.noteHeader(refed, newW)
+			bs.noteHeader(newW)
 			break
 		}
 		c.loc[obs.CtrCASRetry]++
@@ -145,7 +147,7 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, deferReclaim, elideModif
 		c.bumpEra() // closes the transaction; the redo entry is now stale by era
 		return newCnt, false, nil
 	}
-	m := c.metaOf(refed)
+	m := c.metaOf(bs, refed)
 	// ModifyRef elision (ReleaseRoot only): when the count hit zero, the
 	// reference is a RootRef pptr the caller is about to free, and the block
 	// reclaims into the owner's pending tier, the pptr store is dead — the
@@ -154,8 +156,7 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, deferReclaim, elideModif
 	// crash before the slot clear leaves an in_use slot over a refcount-zero
 	// block, which SweepRootRefSlot already resolves by clearing the slot,
 	// and recovery's redo replay performs the elided store itself.
-	elide := elideModify && !deferReclaim && m.EmbedCnt == 0 && m.Flags&layout.MetaHuge == 0 &&
-		c.ownedPageOf(c.geo.SegmentIndexOf(refed), refed) != nil
+	elide := elideModify && !deferReclaim && m.EmbedCnt == 0 && m.Flags&layout.MetaHuge == 0 && op != nil
 	if !elide {
 		c.h.Store(ref, 0) // ModifyRef
 		c.noteRootTarget(ref, 0)
@@ -170,7 +171,7 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, deferReclaim, elideModif
 		// Plain object: reclaim inside the transaction window. A crash
 		// here is covered by the still-valid redo entry (recovery flags
 		// the segment, §5.3).
-		c.reclaimRaw(refed, m)
+		c.reclaimRaw(refed, m, op, bs)
 	default:
 		// Embed-carrying object: the cascade needs its own transactions,
 		// so flag the segment before this transaction closes; the caller
@@ -256,7 +257,7 @@ func (c *Client) changeTxn(ref, a, b layout.Addr, deferReclaim bool) error {
 		})
 		c.loc[obs.CtrCASAttempt]++
 		if c.h.CAS(a+layout.HeaderOff, savedW, newW) {
-			c.noteHeader(a, newW)
+			c.blockRef(a).noteHeader(newW)
 			break
 		}
 		c.loc[obs.CtrCASRetry]++
@@ -283,7 +284,7 @@ func (c *Client) changeTxn(ref, a, b layout.Addr, deferReclaim bool) error {
 		})
 		c.loc[obs.CtrCASAttempt]++
 		if c.h.CAS(b+layout.HeaderOff, savedW, newW) {
-			c.noteHeader(b, newW)
+			c.blockRef(b).noteHeader(newW)
 			break
 		}
 		c.loc[obs.CtrCASRetry]++
@@ -303,7 +304,7 @@ func (c *Client) changeTxn(ref, a, b layout.Addr, deferReclaim bool) error {
 		if deferReclaim {
 			c.park(a)
 		} else {
-			c.reclaim(a)
+			c.cascadeFree(a)
 		}
 	}
 	return nil
@@ -366,7 +367,7 @@ func (c *Client) ReleaseRoot(root layout.Addr) (objectFreed bool, err error) {
 			return false, rerr
 		}
 		if pending {
-			c.reclaim(target)
+			c.cascadeFree(target)
 		}
 		objectFreed = newCnt == 0
 	}

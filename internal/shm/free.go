@@ -65,20 +65,17 @@ func (p *Pool) flagLeaking(seg int) bool {
 	}
 }
 
-// reclaim frees a refcount-zero object whose transaction already closed
-// (embed-carrying or change-path objects). The segment is already flagged.
-func (c *Client) reclaim(block layout.Addr) {
-	c.cascadeFree(block)
-}
-
-// cascadeFree releases all embedded references reachable from start
-// (iteratively — recovery must handle arbitrarily deep structures without
-// growing the Go stack) and frees every object whose count reaches zero.
+// cascadeFree frees a refcount-zero object whose transaction already closed
+// (embed-carrying or change-path objects; the segment is already flagged): it
+// releases all embedded references reachable from start (iteratively —
+// recovery must handle arbitrarily deep structures without growing the Go
+// stack) and frees every object whose count reaches zero.
 func (c *Client) cascadeFree(start layout.Addr) {
 	stack := append(c.scr.stack[:0], start)
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		op, bs := c.blockOf(b)
 		m := layout.UnpackMeta(c.h.Load(b + layout.MetaOff))
 		for i := 0; i < int(m.EmbedCnt); i++ {
 			ea := b + layout.DataOff + layout.Addr(i)
@@ -97,7 +94,7 @@ func (c *Client) cascadeFree(start layout.Addr) {
 				stack = append(stack, t)
 			}
 		}
-		c.reclaimRaw(b, m)
+		c.reclaimRaw(b, m, op, bs)
 	}
 	c.scr.stack = stack
 }
@@ -108,38 +105,47 @@ func (c *Client) cascadeFree(start layout.Addr) {
 // then either parks it on the owner's pending list (owner-local free:
 // publication to the page free list is deferred to the next epoch burst,
 // shadow.go) or pushes it onto the segment's client_free list (cross-client
-// deferred free, paper Figure 3).
+// deferred free, paper Figure 3) — unless nobody will allocate from the
+// segment again (SegOwnerGone): then the free-mark, with freeer 0 for "no
+// push follows", is the whole free. Decided before the free-mark, and the
+// segment is not touched after it: the block stays allocated until the last
+// store, so the scan cannot release the segment under a write in flight.
 //
 // Order matters: header zero, then meta free-mark. After the free-mark the
 // block is in the "lost" state — free-marked, on no list — which is exactly
 // what the owner-local deferral relies on: if the freeer crashes before its
-// publication burst, the segment-local scan re-links the block once the
-// recorded freeer is dead — at which point the freeer is RAS-fenced, so its
-// own late publication can never land and double-insert the block.
-// The caller passes the block's unpacked meta (it always has it in hand from
-// the release transaction), saving the re-load here.
-func (c *Client) reclaimRaw(block layout.Addr, m layout.Meta) {
+// publication burst, the segment-local scan takes the block for free once
+// the recorded freeer is dead — at which point the freeer is RAS-fenced, so
+// its own late publication can never land.
+// The caller passes what its transaction already resolved: the block's
+// unpacked meta, its owned page and its live shadow (blockOf).
+func (c *Client) reclaimRaw(block layout.Addr, m layout.Meta, op *ownedPage, bs *blockShadow) {
 	if m.Flags&layout.MetaHuge != 0 {
 		c.freeHuge(block, m)
 		return
 	}
-	seg := c.geo.SegmentIndexOf(block)
-	if seg < 0 {
-		return
+	seg, freeer := 0, uint16(c.cid)
+	if op == nil {
+		if seg = c.geo.SegmentIndexOf(block); seg < 0 {
+			return
+		}
+		if c.pool.SegOwnerGone(seg) {
+			freeer = 0
+		}
 	}
 	c.loc[obs.CtrFree]++
-	c.dropBlock(block)
+	bs.drop()
 	c.h.Store(block+layout.HeaderOff, 0)
 	c.h.Store(block+layout.MetaOff, layout.PackMeta(layout.Meta{
-		Flags: 0, EmbedCnt: uint16(c.cid), BlockWords: m.BlockWords,
+		Flags: 0, EmbedCnt: freeer, BlockWords: m.BlockWords,
 	}))
 
-	if op := c.ownedPageOf(seg, block); op != nil {
+	if op != nil {
 		// Owner-local free: two device stores total. The list/counter
 		// publication is deferred (shadow.go) — and skipped entirely if a
 		// malloc reuses the block from the pending tier first.
 		c.deferFree(op, block)
-	} else {
+	} else if freeer != 0 {
 		// Cross-client deferred free: push onto the segment's client_free
 		// list; the owner collects in its slow path.
 		cf := c.geo.SegClientFreeAddr(seg)

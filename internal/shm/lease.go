@@ -69,7 +69,7 @@ func (c *Client) AcquireLease(block layout.Addr) (*Lease, error) {
 	if _, live := c.leases[block]; live {
 		return nil, ErrLeaseAliased
 	}
-	m := c.metaOf(block)
+	m := c.metaOf(c.blockRef(block), block)
 	if !m.Allocated() {
 		return nil, ErrStaleReference
 	}

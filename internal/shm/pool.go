@@ -398,3 +398,12 @@ func (p *Pool) ClientDeadOrRecovered(cid int) bool {
 	s := p.ClientStatus(cid)
 	return s == layout.ClientDead || s == layout.ClientRecovered || s == layout.ClientSlotFree
 }
+
+// SegOwnerGone reports whether paged segment seg will never be allocated
+// from again: ABANDONED, or ACTIVE under an owner no longer alive. Its one
+// exit is → FREE, by a scan that judges by refcount alone (scan.go).
+func (p *Pool) SegOwnerGone(seg int) bool {
+	st := p.SegState(seg)
+	return st.State == layout.SegAbandoned ||
+		st.State == layout.SegActive && p.ClientDeadOrRecovered(int(st.CID))
+}

@@ -75,12 +75,21 @@ func (c *Client) rootRef(root layout.Addr) *rootShadow {
 	return nil
 }
 
+// blockOf resolves block once for everything a transaction asks about it:
+// its owned page (nil for a block of another client's page) and its live
+// shadow (nil when there is none).
+func (c *Client) blockOf(block layout.Addr) (*ownedPage, *blockShadow) {
+	op, i := c.refSlot(block)
+	if op != nil && i < len(op.blocks) && op.blocks[i].meta != 0 {
+		return op, &op.blocks[i]
+	}
+	return op, nil
+}
+
 // blockRef returns the live shadow of a block, or nil.
 func (c *Client) blockRef(block layout.Addr) *blockShadow {
-	if op, i := c.refSlot(block); op != nil && i < len(op.blocks) && op.blocks[i].meta != 0 {
-		return &op.blocks[i]
-	}
-	return nil
+	_, bs := c.blockOf(block)
+	return bs
 }
 
 // noteRoot records (or resets) the shadow of a just-claimed RootRef slot
@@ -122,31 +131,32 @@ func (c *Client) noteBlock(op *ownedPage, block layout.Addr, header, meta uint64
 }
 
 // noteHeader updates the cached header after this client published a new
-// header word (allocation init or a committed transaction CAS).
-func (c *Client) noteHeader(block layout.Addr, w uint64) {
-	if bs := c.blockRef(block); bs != nil {
+// header word. Like drop, it accepts the nil of a block without a live shadow.
+func (bs *blockShadow) noteHeader(w uint64) {
+	if bs != nil {
 		bs.header = w
 	}
 }
 
-func (c *Client) dropBlock(block layout.Addr) {
-	if bs := c.blockRef(block); bs != nil {
+func (bs *blockShadow) drop() {
+	if bs != nil {
 		*bs = blockShadow{}
 	}
 }
 
 // guessHeader returns a first CAS attempt value for block's header: the
-// cached word when present (guessed=true), a device load otherwise.
-func (c *Client) guessHeader(block layout.Addr) (w uint64, guessed bool) {
-	if bs := c.blockRef(block); bs != nil {
+// word cached in bs when block has a live shadow (guessed=true), a device
+// load otherwise.
+func (c *Client) guessHeader(bs *blockShadow, block layout.Addr) (w uint64, guessed bool) {
+	if bs != nil {
 		return bs.header, true
 	}
 	return c.h.Load(block + layout.HeaderOff), false
 }
 
-// metaOf reads a block's meta through the shadow when present.
-func (c *Client) metaOf(block layout.Addr) layout.Meta {
-	if bs := c.blockRef(block); bs != nil {
+// metaOf reads block's meta through its shadow bs when that is live.
+func (c *Client) metaOf(bs *blockShadow, block layout.Addr) layout.Meta {
+	if bs != nil {
 		return layout.UnpackMeta(bs.meta)
 	}
 	return layout.UnpackMeta(c.h.Load(block + layout.MetaOff))

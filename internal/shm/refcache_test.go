@@ -84,12 +84,11 @@ func TestRefShadowMisses(t *testing.T) {
 			// the live neighbours untouched.
 			c.noteRootTarget(a+layout.RootRefPptrOff, 0xdead)
 			c.dropRoot(a)
-			c.noteHeader(a, 0xdead)
-			c.dropBlock(a)
-			if w, guessed := c.guessHeader(a); guessed {
-				t.Errorf("guessHeader(%#x) guessed %#x from a shadow", a, w)
+			c.blockRef(a).noteHeader(0xdead)
+			c.blockRef(a).drop()
+			if op, bs := c.blockOf(a); bs != nil || (op != nil && !tc.wantPage) {
+				t.Errorf("blockOf(%#x) = page %v, shadow %v; want no shadow, and no page outside an owned one", a, op != nil, bs != nil)
 			}
-			c.metaOf(a)
 		})
 	}
 

@@ -17,12 +17,14 @@ import (
 //     touched (lcid) by a client that is no longer alive — completing the
 //     interrupted reclamation, including the DFS release of any embedded
 //     references the dead client hadn't released yet (§5.4);
-//   - re-inserts "lost" free blocks: marked free but on no free list,
-//     where the recorded freeer is dead (its RAS fence guarantees its own
-//     pending push can never land);
-//   - sweeps leftover in_use RootRef slots of dead owners;
-//   - reports whether the segment is quiet (no live or pending block), at
-//     which point an abandoned segment is returned to the free pool.
+//   - in a live owner's segment, re-inserts "lost" free blocks: marked
+//     free but on no free list, where the recorded freeer is dead (its RAS
+//     fence guarantees its own pending push can never land);
+//   - in a dead owner's segment, sweeps leftover in_use RootRef slots and
+//     judges the rest by refcount alone: nobody will allocate there again,
+//     so no list is written — a free-marked block or a cleared slot is free
+//     wherever it is (one exception, in scanSegmentOnce) — and once quiet
+//     (no live or pending block) the segment returns to the free pool.
 //
 // Concurrency contract: a segment is scanned either by its live owner (its
 // own slow path) or — for segments whose owner is dead — by the recovery
@@ -59,10 +61,10 @@ type ScanReport struct {
 // sweep and segment reclamation.
 //
 // The scan runs in rounds: reclaiming a leaked block cascades frees that
-// may land on this segment's lists after the membership snapshot, so a round
-// only records the lost free blocks it meets and re-links them itself when
-// it reclaimed nothing (its snapshot is then still fresh); a round that did
-// reclaim drops its candidates and the next one starts afresh.
+// may land in this segment behind the walk or after the membership snapshot,
+// so a round only records the lost free blocks it meets and re-links them
+// itself when it reclaimed nothing (its snapshot is then still fresh); a round
+// that did reclaim drops its verdict and the next one starts afresh.
 func (c *Client) ScanSegment(seg int, ownerDead bool) ScanReport {
 	t0 := time.Now()
 	c.pool.obs.Trace(obs.Event{Type: obs.EvScanStarted, Client: c.cid, Segment: seg})
@@ -153,6 +155,25 @@ func (c *Client) markChain(head, nextOff layout.Addr, maxSteps int) {
 	}
 }
 
+// markFreeLists records in c.scr.onList every block reachable from a free
+// list of seg: its claimed pages' lists and client_free.
+func (c *Client) markFreeLists(seg, numPages int) {
+	c.scr.onList.reset(c.geo.SegmentBase(seg), layout.Addr(c.geo.SegmentWords))
+	for p := 0; p < numPages; p++ {
+		meta := c.geo.PageMetaAddr(seg, p)
+		info := layout.UnpackPageMeta(c.h.Load(meta + pmInfo))
+		if info.Kind == layout.PageKindQuarantined {
+			continue
+		}
+		nextOff := layout.Addr(freeNextOff)
+		if info.Kind == layout.PageKindRootRef {
+			nextOff = layout.RootRefPptrOff
+		}
+		c.markChain(c.h.Load(meta+pmFree), nextOff, int(c.geo.PageWords))
+	}
+	c.markChain(c.h.Load(c.geo.SegClientFreeAddr(seg)), freeNextOff, numPages*int(c.geo.PageWords))
+}
+
 // lostNode is a re-link candidate: a free-marked block or a cleared RootRef
 // slot that is on no free list and whose freeer can no longer push it.
 type lostNode struct {
@@ -213,21 +234,13 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) ScanReport {
 		numPages = c.geo.PagesPerSegment
 	}
 
-	// Membership pass: every block currently reachable from a free list.
-	c.scr.onList.reset(c.geo.SegmentBase(seg), layout.Addr(c.geo.SegmentWords))
-	for p := 0; p < numPages; p++ {
-		meta := c.geo.PageMetaAddr(seg, p)
-		info := layout.UnpackPageMeta(c.h.Load(meta + pmInfo))
-		if info.Kind == layout.PageKindQuarantined {
-			continue
-		}
-		nextOff := layout.Addr(freeNextOff)
-		if info.Kind == layout.PageKindRootRef {
-			nextOff = layout.RootRefPptrOff
-		}
-		c.markChain(c.h.Load(meta+pmFree), nextOff, int(c.geo.PageWords))
+	// Membership pass, for a scan that re-links what it finds lost. A dead
+	// owner's segment is reclaimed by refcount alone — nothing is re-linked —
+	// and its lists are walked on demand (below), at most once per round.
+	listed := !ownerDead
+	if listed {
+		c.markFreeLists(seg, numPages)
 	}
-	c.markChain(c.h.Load(c.geo.SegClientFreeAddr(seg)), freeNextOff, numPages*int(c.geo.PageWords))
 
 	lost := c.scr.lost[:0]
 	for p := 0; p < numPages; p++ {
@@ -247,7 +260,7 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) ScanReport {
 			continue
 		case layout.PageKindRootRef:
 			for slot := base; slot+layout.RootRefWords <= scanPos; slot += layout.RootRefWords {
-				if c.scr.onList.has(slot) {
+				if !ownerDead && c.scr.onList.has(slot) {
 					continue
 				}
 				if slot == c.inflightRoot {
@@ -270,10 +283,11 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) ScanReport {
 					continue
 				}
 				// Lost free slot: cleared but never pushed. Only the owner
-				// loses slots (RootRef frees are owner-local), so a dead
-				// owner's fence makes the re-push safe; a live owner is the
-				// scanner itself.
-				lost = append(lost, lostNode{metaA, slot, layout.RootRefPptrOff})
+				// loses slots (RootRef frees are owner-local), and a live
+				// owner is the scanner itself.
+				if !ownerDead {
+					lost = append(lost, lostNode{metaA, slot, layout.RootRefPptrOff})
+				}
 			}
 		case layout.PageKindNormal:
 			if int(info.SizeClass) >= len(c.geo.Classes) {
@@ -281,7 +295,7 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) ScanReport {
 			}
 			bw := layout.Addr(c.geo.Classes[info.SizeClass].BlockWords)
 			for b := base; b+bw <= scanPos; b += bw {
-				if c.scr.onList.has(b) {
+				if !ownerDead && c.scr.onList.has(b) {
 					continue
 				}
 				m := layout.UnpackMeta(c.h.Load(b + layout.MetaOff))
@@ -304,17 +318,29 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) ScanReport {
 					} else {
 						r.Pending++
 					}
-				} else {
+				} else if freeer := int(m.EmbedCnt); ownerDead {
+					// Free, listed or not — unless its freeer lives and is not
+					// the owner (whose frees never push): it chose to push
+					// before the owner died (reclaimRaw), so the block is
+					// pending until client_free or a page list holds it.
+					if freeer != 0 && freeer != int(st.CID) && !c.pool.ClientDeadOrRecovered(freeer) {
+						if !listed {
+							listed = true
+							c.markFreeLists(seg, numPages)
+						}
+						if !c.scr.onList.has(b) {
+							r.Pending++
+						}
+					}
+				} else if freeer == c.cid || c.pool.ClientDeadOrRecovered(freeer) {
 					// Free-marked block not on any list: lost mid-free. The
 					// freeer's ID was recorded in the meta embed field. It is
 					// judged here, as close to the snapshot as the walk gets:
 					// a dead freeer is fenced, so that verdict cannot go stale
 					// before the re-link below.
-					if freeer := int(m.EmbedCnt); freeer == c.cid || c.pool.ClientDeadOrRecovered(freeer) {
-						lost = append(lost, lostNode{metaA, b, freeNextOff})
-					} else {
-						r.Pending++ // live freeer will complete the push
-					}
+					lost = append(lost, lostNode{metaA, b, freeNextOff})
+				} else {
+					r.Pending++ // live freeer will complete the push
 				}
 			}
 		}
@@ -333,9 +359,11 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) ScanReport {
 	}
 	r.Relinked = len(lost)
 	if r.Quiet && ownerDead {
-		// Return the whole segment to the pool (resets flags and
-		// client_free; versions defeat ABA on reuse).
+		// Return the whole segment to the pool (resets flags and client_free;
+		// versions defeat ABA on reuse) — and the page count, lest a claimer
+		// dying before its own reset leave a scan these unlisted free blocks.
 		c.h.Store(c.geo.SegClientFreeAddr(seg), 0)
+		c.h.Store(c.geo.SegNextPageAddr(seg), 0)
 		c.releaseSegment(seg)
 		r.Freed = true
 		return r
@@ -380,7 +408,8 @@ func (c *Client) scanFlaggedOwned() {
 //     block is still free, so only the slot is cleared.
 //   - target header refcount == 0: the allocation never initialized the
 //     count; the block is reclaimed by the segment scan, clear the slot.
-//   - otherwise: a normal era-based release of the reference.
+//   - otherwise: a normal era-based release, the slot's word 0 being the
+//     reference word: the ModifyRef (or its redo replay) clears the slot.
 //
 // Returns true if the slot was in use. Must run after the dead client's
 // redo entry has been replayed (recovery does; the segment scan only sees
@@ -418,9 +447,7 @@ func (c *Client) SweepRootRefSlot(slot layout.Addr) bool {
 		c.h.Store(slot, 0)
 		return true
 	}
-	if _, err := c.ReleaseReference(slot+layout.RootRefPptrOff, pptr); err != nil {
-		return true
-	}
-	c.h.Store(slot, 0)
+	// A failed release (fenced, stale) leaves the slot as it is, for a rerun.
+	_, _ = c.ReleaseReference(slot, pptr)
 	return true
 }

@@ -3,6 +3,7 @@ package shm_test
 import (
 	"testing"
 
+	"repro/internal/cxl"
 	"repro/internal/layout"
 	"repro/internal/shm"
 )
@@ -91,16 +92,24 @@ func newScanFixture(t *testing.T, backend string) *scanFixture {
 }
 
 // A segment-local scan is recovery machinery: it must terminate, without a
-// panic, over free chains a corruption damaged, and classify every block
-// exactly as the hash-set scan it replaced did — the expected reports were
-// recorded from that version.
+// panic, over free chains a corruption damaged. The conservative scan
+// (ownerDead=false: the one an owner runs over its own segment, and the fsck
+// over a segment whose owner it cannot prove dead) still walks the chains and
+// re-links what no list holds; it must classify every block exactly as the
+// hash-set scan it replaced did — the expected re-link counts were recorded
+// from that version. A dead owner's scan (ownerDead=true) judges by refcount
+// alone: the same damage changes nothing in its report, and it writes no word
+// of any chain.
 func TestScanDamagedFreeChains(t *testing.T) {
 	tail := func(f *scanFixture) layout.Addr { return f.pub[len(f.pub)-1] + layout.DataOff }
-	// 12 owner RootRefs swept (the slots then re-linked with the 4 lost ones
-	// and the 4 lost blocks); the survivor's 4 blocks stay live.
+	// Conservative scan: the owner's 12 in_use RootRefs and the 12 blocks
+	// they and the survivor hold stay live; the 4 lost slots and the 4 lost
+	// blocks are re-linked unless the damaged chain reaches them first.
 	relinked := func(n int) shm.ScanReport {
-		return shm.ScanReport{Relinked: n, SweptRoots: 12, Live: 4}
+		return shm.ScanReport{Relinked: n, Live: 24}
 	}
+	// Dead owner's scan: 12 RootRefs swept, the survivor's 4 blocks stay live.
+	byRefcount := shm.ScanReport{SweptRoots: 12, Live: 4}
 	cases := []struct {
 		name   string
 		damage func(f *scanFixture)
@@ -109,7 +118,7 @@ func TestScanDamagedFreeChains(t *testing.T) {
 		{
 			name:   "undamaged",
 			damage: func(f *scanFixture) {},
-			want:   relinked(20),
+			want:   relinked(8),
 		},
 		{
 			// (a) the page free list's tail points back at its head.
@@ -117,7 +126,7 @@ func TestScanDamagedFreeChains(t *testing.T) {
 			damage: func(f *scanFixture) {
 				f.p.Device().Store(tail(f), f.pub[0])
 			},
-			want: relinked(20),
+			want: relinked(8),
 		},
 		{
 			// (b) the chain leaves for another segment and comes back at a lost
@@ -130,7 +139,7 @@ func TestScanDamagedFreeChains(t *testing.T) {
 				dev.Store(out+layout.DataOff, f.lost[0])
 				dev.Store(f.lost[0]+layout.DataOff, 0)
 			},
-			want: relinked(19),
+			want: relinked(7),
 		},
 		{
 			// (c) the chain lands in the middle of a live block, whose data
@@ -144,7 +153,7 @@ func TestScanDamagedFreeChains(t *testing.T) {
 				dev.Store(tail(f), mid)
 				dev.Store(mid+layout.DataOff, f.lostSlots[0])
 			},
-			want: relinked(19),
+			want: relinked(7),
 		},
 		{
 			// (d) client_free runs through more nodes than the segment has
@@ -163,7 +172,7 @@ func TestScanDamagedFreeChains(t *testing.T) {
 				dev.Store(node+layout.DataOff, f.lost[0])
 				dev.Store(f.lost[0]+layout.DataOff, 0)
 			},
-			want: relinked(20),
+			want: relinked(8),
 		},
 	}
 	for _, backend := range []string{"heap", "mmap"} {
@@ -171,12 +180,49 @@ func TestScanDamagedFreeChains(t *testing.T) {
 			t.Run(backend+"/"+tc.name, func(t *testing.T) {
 				f := newScanFixture(t, backend)
 				tc.damage(f)
-				if got := f.x.ScanSegment(f.seg, true); got != tc.want {
-					t.Errorf("first scan:\n got %+v\nwant %+v", got, tc.want)
+				if got := f.x.ScanSegment(f.seg, false); got != tc.want {
+					t.Errorf("conservative scan:\n got %+v\nwant %+v", got, tc.want)
+				}
+			})
+			t.Run(backend+"/"+tc.name+"/dead-owner", func(t *testing.T) {
+				f := newScanFixture(t, backend)
+				tc.damage(f)
+				chain := f.chainWords()
+				before := f.loadAll(chain)
+				if got := f.x.ScanSegment(f.seg, true); got != byRefcount {
+					t.Errorf("dead owner's scan:\n got %+v\nwant %+v", got, byRefcount)
+				}
+				for i, w := range f.loadAll(chain) {
+					if w != before[i] {
+						t.Errorf("dead owner's scan wrote chain word %#x: %#x -> %#x", chain[i], before[i], w)
+					}
 				}
 			})
 		}
 	}
+}
+
+// chainWords lists every word a free chain of the fixture's segment runs
+// through: the two list heads and the next-pointer words of the published,
+// the lost and the (lost) RootRef nodes.
+func (f *scanFixture) chainWords() []layout.Addr {
+	pg := f.geo.PageIndexOf(f.seg, f.pub[0])
+	words := []layout.Addr{f.geo.PageMetaAddr(f.seg, pg) + 1, f.geo.SegClientFreeAddr(f.seg)} // pmFree
+	for _, b := range append(append([]layout.Addr{}, f.pub...), f.lost...) {
+		words = append(words, b+layout.DataOff)
+	}
+	for _, s := range f.lostSlots {
+		words = append(words, s+layout.RootRefPptrOff)
+	}
+	return words
+}
+
+func (f *scanFixture) loadAll(addrs []layout.Addr) []uint64 {
+	out := make([]uint64, len(addrs))
+	for i, a := range addrs {
+		out[i] = f.p.Device().Load(a)
+	}
+	return out
 }
 
 // newMixedScanSegment builds the shape the scan spends its time on after a
@@ -219,9 +265,9 @@ func newMixedScanSegment(tb testing.TB, free, live int) (*shm.Client, int) {
 		}
 		roots = append(roots, root)
 	}
-	// Half the free blocks reach the lists through the owner's own
-	// publication, the other half through the executor's sweep of the dead
-	// owner's RootRefs, which pushes them onto client_free.
+	// Half the free blocks are freed and published by the owner itself, the
+	// other half by the executor's sweep of the dead owner's RootRefs, which
+	// free-marks them and lists them nowhere.
 	for i := live; i < len(roots); i += 2 {
 		if _, err := owner.ReleaseRoot(roots[i]); err != nil {
 			tb.Fatal(err)
@@ -237,26 +283,28 @@ func newMixedScanSegment(tb testing.TB, free, live int) (*shm.Client, int) {
 	return x, seg
 }
 
-// A steady-state scan allocates nothing: the membership set, the re-link
-// candidates and the reclaim cascade's stack are per-client scratch.
+// A steady-state scan allocates nothing: what it keeps between calls (the
+// membership set, the re-link candidates, the reclaim cascade's stack) is
+// per-client scratch.
 func TestScanSegmentAllocatesNothing(t *testing.T) {
 	x, seg := newMixedScanSegment(t, 512, 32)
 	geo, dev := x.Pool().Geometry(), x.Pool().Device()
-	listed := 0
-	for b := dev.Load(geo.SegClientFreeAddr(seg)); b != 0; b = dev.Load(b + layout.DataOff) {
-		listed++
-	}
+	freeMarked := 0 // listed or not
 	for pg := 0; pg < int(dev.Load(geo.SegNextPageAddr(seg))); pg++ {
 		meta := geo.PageMetaAddr(seg, pg)
-		if layout.UnpackPageMeta(dev.Load(meta)).Kind != layout.PageKindNormal {
+		info := layout.UnpackPageMeta(dev.Load(meta))
+		if info.Kind != layout.PageKindNormal {
 			continue
 		}
-		for b := dev.Load(meta + 1); b != 0; b = dev.Load(b + layout.DataOff) { // pmFree
-			listed++
+		bw := layout.Addr(geo.Classes[info.SizeClass].BlockWords)
+		for b := geo.PageBase(seg, pg); b+bw <= dev.Load(meta+2); b += bw { // pmScan
+			if !layout.UnpackMeta(dev.Load(b + layout.MetaOff)).Allocated() {
+				freeMarked++
+			}
 		}
 	}
-	if listed < 500 {
-		t.Fatalf("%d blocks on the segment's free lists, want at least 500", listed)
+	if freeMarked < 500 {
+		t.Fatalf("%d free-marked blocks in the segment, want at least 500", freeMarked)
 	}
 	want := shm.ScanReport{Live: 32}
 	allocs := testing.AllocsPerRun(50, func() {
@@ -266,5 +314,109 @@ func TestScanSegmentAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ScanSegment allocates %v times per scan in steady state, want 0", allocs)
+	}
+}
+
+// peerHeldBlock builds the set-up of the live-freeer tests: a block in owner's
+// segment on which peer holds the last reference (through root), and an idle
+// executor x.
+func peerHeldBlock(t *testing.T, mws ...cxl.Middleware) (p *shm.Pool, owner, peer, x *shm.Client, root, block layout.Addr) {
+	t.Helper()
+	p, err := shm.NewPool(shm.Config{
+		Geometry:   layout.GeometryConfig{MaxClients: 8, NumSegments: 16, SegmentWords: 1 << 13, PageWords: 1 << 9, MaxQueues: 8},
+		Middleware: mws,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.CloseDevice() })
+	owner, peer, x = connect(t, p), connect(t, p), connect(t, p)
+	ownRoot, block, err := owner.Malloc(64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root, err = peer.AttachRoot(block); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := owner.ReleaseRoot(ownRoot); err != nil {
+		t.Fatal(err)
+	}
+	return p, owner, peer, x, root, block
+}
+
+// The one case in which a dead owner's scan still consults a list: a live
+// client chose to push its free onto client_free while the owner was alive,
+// and the owner died before the push landed. The free-marked block names that
+// live freeer, so it is pending — the segment must not be released under the
+// push — until client_free holds it. The access hook is the scheduling point:
+// it runs the owner's death and a scan between the freeer's free-mark and the
+// first access of its push.
+func TestDeadOwnerScanWaitsForLivePush(t *testing.T) {
+	var between func()
+	var freeer int
+	var cf layout.Addr
+	p, owner, peer, x, root, block := peerHeldBlock(t, cxl.WithAccessHook(func(cid int, kind cxl.AccessKind, a cxl.Addr) {
+		if f := between; f != nil && cid == freeer && kind == cxl.OpLoad && a == cf {
+			between = nil
+			f()
+		}
+	}))
+	seg := p.Geometry().SegmentIndexOf(block)
+	freeer, cf = peer.ID(), p.Geometry().SegClientFreeAddr(seg)
+	between = func() {
+		if err := p.MarkClientDead(owner.ID()); err != nil {
+			t.Fatal(err)
+		}
+		if m := layout.UnpackMeta(p.Device().Load(block + layout.MetaOff)); m.Allocated() || int(m.EmbedCnt) != freeer {
+			t.Fatalf("block not free-marked by the live freeer before its push: %+v", m)
+		}
+		if rep := x.ScanSegment(seg, true); rep.Pending != 1 || rep.Quiet || rep.Freed {
+			t.Fatalf("scan under a push in flight: %+v, want the block pending and the segment kept", rep)
+		}
+	}
+	if freed, err := peer.ReleaseRoot(root); err != nil || !freed {
+		t.Fatalf("ReleaseRoot: freed=%v err=%v", freed, err)
+	}
+	if between != nil {
+		t.Fatal("the release never reached its client_free push")
+	}
+	if got := p.Device().Load(cf); got != block {
+		t.Fatalf("client_free head %#x after the push, want the block %#x", got, block)
+	}
+	if rep := x.ScanSegment(seg, true); rep.Pending != 0 || !rep.Freed {
+		t.Fatalf("scan after the push landed: %+v, want the segment released", rep)
+	}
+	if st := p.SegState(seg); st.State != layout.SegFree {
+		t.Fatalf("segment state %d after the release, want FREE", st.State)
+	}
+}
+
+// The push of a live freeer may have left client_free again before the owner
+// died: the owner collects that list into its pages' free lists. The block
+// still names the live freeer, so a dead owner's scan must look for it on the
+// page lists too, or the segment would stay pending for as long as the freeer
+// lives.
+func TestDeadOwnerScanFindsCollectedPush(t *testing.T) {
+	p, owner, peer, x, root, block := peerHeldBlock(t)
+	if freed, err := peer.ReleaseRoot(root); err != nil || !freed {
+		t.Fatalf("ReleaseRoot: freed=%v err=%v", freed, err)
+	}
+	geo, dev := p.Geometry(), p.Device()
+	seg := geo.SegmentIndexOf(block)
+	cf := geo.SegClientFreeAddr(seg)
+	if dev.Load(cf) != block {
+		t.Fatal("the peer's free did not land on client_free")
+	}
+	// What the owner's collection does: client_free emptied, the block chained
+	// onto its page's free list.
+	pmFree := geo.PageMetaAddr(seg, geo.PageIndexOf(seg, block)) + 1
+	dev.Store(cf, 0)
+	dev.Store(block+layout.DataOff, dev.Load(pmFree))
+	dev.Store(pmFree, block)
+	if err := p.MarkClientDead(owner.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if rep := x.ScanSegment(seg, true); rep.Pending != 0 || !rep.Freed {
+		t.Fatalf("scan: %+v, want the segment released", rep)
 	}
 }

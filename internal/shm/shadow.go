@@ -54,7 +54,7 @@ type ownedPage struct {
 	// pend holds blocks (or RootRef slots) freed by this client but not yet
 	// published to the page's device free list: each is free-marked on the
 	// device (header zero, meta recording this client as freeer — exactly
-	// the "lost block" state the segment-local scan re-links once the freeer
+	// the "lost block" state the segment-local scan accepts once the freeer
 	// is dead), while the chain/head stores are batched into the next
 	// publication burst. Allocation pops from here first, so a free/malloc
 	// pair in the same epoch costs zero list publication stores.
@@ -120,7 +120,7 @@ func (c *Client) storePMFree(seg int, metaA layout.Addr, v uint64) {
 
 // pendCap bounds the client-wide count of unpublished frees. Reaching it
 // forces a publication burst, so the worst-case "lost block" exposure after
-// a crash (all re-linked by the segment scan) stays bounded no matter how
+// a crash (all free to the segment scan) stays bounded no matter how
 // free-heavy the workload is.
 const pendCap = 256
 
@@ -168,8 +168,8 @@ func (c *Client) noteUsedDelta(op *ownedPage, d int32) {
 // block into one intrusive list ending at the current published head, then
 // publish the new head with a single pmFree store, then fold the deferred
 // Used delta into one pmInfo store. A crash before the head store leaves the
-// pending blocks exactly as they were — free-marked on no list, re-linked by
-// the segment scan once this client is dead; a crash after it has published
+// pending blocks exactly as they were — free-marked on no list, free to the
+// segment scan once this client is dead; a crash after it has published
 // everything that matters (the Used counter is an occupancy hint).
 func (c *Client) publishPage(op *ownedPage) {
 	info := layout.UnpackPageMeta(op.info)
@@ -230,8 +230,8 @@ const (
 // one coalesced burst. Called at the epoch boundaries (alloc refill,
 // heartbeat, scan entry of an owned segment, close) and by the pendCap
 // backstop. A fenced client skips both the stores (the device would drop
-// them) and the shadow mutation, leaving the pending state for recovery's
-// segment scan to re-link.
+// them) and the shadow mutation, leaving the pending state as recovery's
+// segment scan expects it.
 func (c *Client) flushPending(trigger string) {
 	if len(c.pendPages) == 0 || c.h.Fenced() {
 		return

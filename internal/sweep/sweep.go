@@ -16,6 +16,7 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/check"
@@ -129,12 +130,13 @@ type env struct {
 	extraCID int
 	extraGen uint64
 
-	r1, b1     layout.Addr   // long-lived small object, published as named root 0
-	rp, parent layout.Addr   // embed-carrying parent
-	rh, rh2    layout.Addr   // huge-object roots
-	bh         layout.Addr   // first huge object's block
-	qr, q, oq  layout.Addr   // queue: x's root, block, o's root
-	burst      []layout.Addr // roots of the deferred-free burst leg
+	r1, b1       layout.Addr   // long-lived small object, published as named root 0
+	rp, parent   layout.Addr   // embed-carrying parent
+	rh, rh2      layout.Addr   // huge-object roots
+	bh           layout.Addr   // first huge object's block
+	qr, q, oq    layout.Addr   // queue: x's root, block, o's root
+	burst        []layout.Addr // roots of the deferred-free burst leg
+	rro, rrx, bx layout.Addr   // remote-release legs: x's roots on o's and on extra's block, the latter block
 
 	nextPayload uint64
 	receipts    map[uint64]int
@@ -408,6 +410,28 @@ func script() []op {
 			_, err = e.extra.ReleaseRoot(r)
 			return err
 		}},
+		// Remote-release legs: x takes the last reference on a block of o's and
+		// on one of extra's. release-remote-last drops the first (a push onto a
+		// live owner's client_free); reclaim-extra leaves extra's segment
+		// ABANDONED under the second, which release-into-abandoned drops (a
+		// free-mark, no push) for maintenance to then free the segment.
+		{"share-remote", actorX, func(e *env) error {
+			ro, b, err := e.o.Malloc(64, 0)
+			if err != nil {
+				return err
+			}
+			if e.rro, err = e.x.AttachRoot(b); err != nil {
+				return err
+			}
+			if _, err = e.o.ReleaseRoot(ro); err != nil {
+				return err
+			}
+			if _, e.bx, err = e.extra.Malloc(64, 0); err != nil {
+				return err
+			}
+			e.rrx, err = e.x.AttachRoot(e.bx)
+			return err
+		}},
 		{"reclaim-extra", actorX, func(e *env) error {
 			cid := e.extra.ID()
 			e.extra = nil
@@ -430,6 +454,24 @@ func script() []op {
 					e.extraGen, c.Generation())
 			}
 			e.extra = c
+			return nil
+		}},
+		{"release-remote-last", actorX, func(e *env) error {
+			_, err := e.x.ReleaseRoot(e.rro)
+			return err
+		}},
+		{"release-into-abandoned", actorX, func(e *env) error {
+			seg := e.p.Geometry().SegmentIndexOf(e.bx)
+			if _, err := e.x.ReleaseRoot(e.rrx); err != nil {
+				return err
+			}
+			mon := recovery.NewMonitor(e.svc, recovery.MonitorConfig{Threshold: math.MaxInt32})
+			for i := 0; e.p.SegState(seg).State != layout.SegFree; i++ {
+				if i == 4 {
+					return fmt.Errorf("segment %d not FREE four ticks after its last block went", seg)
+				}
+				mon.Tick()
+			}
 			return nil
 		}},
 		// Byte-lease leg: a lease is client-local state over data words, so
@@ -665,6 +707,8 @@ func finish(e *env, svc *recovery.Service, v Violation) []Violation {
 		bad("fsck: %s", strings.Join(lines, "; "))
 	} else if res.AllocatedObjects != 0 {
 		bad("fsck: %d objects survive a fully-released run", res.AllocatedObjects)
+	} else if u := e.p.Usage(); u.SegmentsAbandoned != 0 {
+		bad("%d segments still ABANDONED after a fully-released run", u.SegmentsAbandoned)
 	}
 
 	for id, n := range e.receipts {
