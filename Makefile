@@ -46,7 +46,7 @@ test-mmap:
 # every scripted operation crashed before every one of its device writes,
 # each followed by recovery and a full-pool fsck, plus a phase-B pass that
 # crashes the recovery executor before every one of its own writes (35 ops,
-# 1853 + 7843 positions, about 5 s per backend). Violations print a minimal
+# 1854 + 6402 positions, about 5 s per backend). Violations print a minimal
 # `faultsim -repro` line and fail the target.
 sweep:
 	$(GO) run ./cmd/faultsim -sweep -recovery-sweep
@@ -111,7 +111,9 @@ dep-guard:
 # ci is the continuous-integration gate (.github/workflows/ci.yml): vet,
 # tier-1 build+test, the benchmark module's own vet+test, the
 # faultinject dependency guard, a race pass over the fast-path and queue
-# tests on both backends, the recovery pass's device-access budget on both
+# tests on both backends, the device-access budgets of the recovery pass, the
+# tick after it and the idle tick over a dead loader's segments on both
+# backends, the telemetry delta-publication pin under the race detector on both
 # backends, the zero-allocation fast-path pin on both backends,
 # three race passes over the in-process serving chaos, ten seconds of fuzzing
 # each on the two byte parsers a peer can reach (netrpc frames, serving
@@ -124,8 +126,10 @@ dep-guard:
 ci: vet build test benchmark-check dep-guard
 	$(GO) test -race -run 'TestDeviceAccessBudget|TestQueue' ./internal/shm
 	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestDeviceAccessBudget|TestQueue' ./internal/shm
-	$(GO) test -run TestRecoveryPassAccessBudget ./internal/recovery
-	CXLSHM_BACKEND=mmap $(GO) test -run TestRecoveryPassAccessBudget ./internal/recovery
+	$(GO) test -run 'TestRecoveryPassAccessBudget|TestIdleTickAfterLoaderDeath' ./internal/recovery
+	CXLSHM_BACKEND=mmap $(GO) test -run 'TestRecoveryPassAccessBudget|TestIdleTickAfterLoaderDeath' ./internal/recovery
+	$(GO) test -race -run TestTelemetryDeltaPublication ./internal/shm
+	CXLSHM_BACKEND=mmap $(GO) test -race -run TestTelemetryDeltaPublication ./internal/shm
 	$(GO) test -race -run TestSlotChurn ./internal/shm
 	CXLSHM_BACKEND=mmap $(GO) test -race -run TestSlotChurn ./internal/shm
 	$(GO) test -run TestFastPathZeroAllocs ./internal/shm

@@ -9,7 +9,7 @@
 // also audits allocator structures: free-list membership, page accounting,
 // segment states, the superblock itself. A free block on no list is lost
 // unless its freeer is alive (deferred publication's pending tier) or its
-// segment's owner is gone (shm.Pool.SegOwnerGone: reclaimed by refcount
+// segment's owner is gone (shm.Pool.SegGoneWord: reclaimed by refcount
 // alone, never allocated from again); every other invariant binds everywhere.
 //
 // The validator must survive arbitrary metadata damage: every load is
@@ -436,7 +436,7 @@ func (v *validator) walkPagedSegment(seg int) {
 		}
 	}
 
-	ownerGone := v.p.SegOwnerGone(seg)
+	ownerGone := v.p.SegGoneWord(seg) != 0
 	for pg := 0; pg < numPages; pg++ {
 		metaA := v.geo.PageMetaAddr(seg, pg)
 		info := layout.UnpackPageMeta(v.load(metaA + pmInfo))

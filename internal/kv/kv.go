@@ -63,8 +63,8 @@ type Store struct {
 	// eras around traversals and deletes retire nodes instead of freeing
 	// them, making concurrent read-during-delete safe.
 	hazard bool
-	// scratch is the reusable copy buffer for the non-zero-copy fallback
-	// paths of View/Update (backends without direct byte access).
+	// scratch is the reusable copy buffer of Update and of View's fallback
+	// (backends without direct byte access).
 	scratch []byte
 }
 
@@ -235,7 +235,7 @@ func (s *Store) Put(key uint64, val []byte) error {
 	// Walk the chain for an existing record.
 	if rec := s.find(key, b); rec != 0 {
 		s.c.WriteData(rec, (recValueWord)*layout.WordBytes, val)
-		return nil
+		return s.done(nil)
 	}
 	// Insert at head.
 	recBytes := (recValueWord)*layout.WordBytes + s.valSize
@@ -259,6 +259,15 @@ func (s *Store) Put(key uint64, val []byte) error {
 	}
 	// The bucket now holds the counted reference; drop ours.
 	_, err = s.c.ReleaseRoot(root)
+	return s.done(err)
+}
+
+// done is a mutation's last step: the device drops a fenced client's stores
+// silently, so a write is done only if the fence was open after its last one.
+func (s *Store) done(err error) error {
+	if err == nil && s.c.Fenced() {
+		return shm.ErrFenced
+	}
 	return err
 }
 
@@ -352,12 +361,13 @@ func (s *Store) View(key uint64, f func(val []byte) error) error {
 	return ErrChainBroke
 }
 
-// Update calls f with a mutable zero-copy view of key's value bytes and
-// applies whatever f writes in place — the §6.4 atomic in-place update
-// served through the data plane with no copy in either direction. The
-// caller must be the key's partition writer (enforced when leases are in
-// use); the single-writer rule is what makes the record stable under f,
-// so no validation or retry is needed. The view is valid only inside f.
+// Update calls f with key's value bytes in a reused buffer and applies
+// whatever f writes in place — the §6.4 atomic in-place update. The bytes go
+// back through the client's fenceable Handle, as Put's do (a byte lease would
+// write around the RAS fence). The caller must be the key's partition writer
+// (enforced when leases are in use); the single-writer rule is what makes the
+// record stable under f, so no validation or retry is needed. The buffer is
+// valid only inside f.
 func (s *Store) Update(key uint64, f func(val []byte) error) error {
 	if err := s.checkOwner(key); err != nil {
 		return err
@@ -366,17 +376,13 @@ func (s *Store) Update(key uint64, f func(val []byte) error) error {
 	if rec == 0 {
 		return ErrNotFound
 	}
-	l, err := s.c.AcquireLease(rec)
-	switch err {
-	case nil:
-	case shm.ErrNoDirectAccess:
-		return s.updateCopy(rec, f)
-	default:
+	buf := s.scratchBuf()
+	s.c.ReadData(rec, recValueWord*layout.WordBytes, buf)
+	if err := f(buf); err != nil {
 		return err
 	}
-	defer s.c.ReleaseLease(l)
-	off := recValueWord * layout.WordBytes
-	return f(l.Bytes()[off : off+s.valSize])
+	s.c.WriteData(rec, recValueWord*layout.WordBytes, buf)
+	return s.done(nil)
 }
 
 // scratchBuf returns the store's reusable fallback copy buffer.
@@ -403,18 +409,6 @@ func (s *Store) viewCopy(key uint64, b int, f func(val []byte) error) error {
 		}
 	}
 	return ErrChainBroke
-}
-
-// updateCopy is Update's fallback: read-modify-write through the scratch
-// buffer. The single-writer rule keeps rec stable, as in Update.
-func (s *Store) updateCopy(rec layout.Addr, f func(val []byte) error) error {
-	buf := s.scratchBuf()
-	s.c.ReadData(rec, recValueWord*layout.WordBytes, buf)
-	if err := f(buf); err != nil {
-		return err
-	}
-	s.c.WriteData(rec, recValueWord*layout.WordBytes, buf)
-	return nil
 }
 
 // Delete removes key. Unlinking is one embedded-reference change on the
@@ -455,14 +449,14 @@ func (s *Store) unlink(holder layout.Addr, idx int, rec layout.Addr) error {
 	next := s.c.LoadWord(rec, recNextIdx)
 	if s.hazard {
 		if next == 0 {
-			return s.c.RetireEmbed(holder, idx)
+			return s.done(s.c.RetireEmbed(holder, idx))
 		}
-		return s.c.ChangeEmbedRetire(holder, idx, next)
+		return s.done(s.c.ChangeEmbedRetire(holder, idx, next))
 	}
 	if next == 0 {
-		return s.c.ClearEmbed(holder, idx)
+		return s.done(s.c.ClearEmbed(holder, idx))
 	}
-	return s.c.ChangeEmbed(holder, idx, next)
+	return s.done(s.c.ChangeEmbed(holder, idx, next))
 }
 
 // Range calls f for every record (order unspecified) until f returns

@@ -11,6 +11,8 @@ package recovery_test
 // zero objects.
 
 import (
+	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -32,6 +34,9 @@ type randomActor struct {
 	// sendQ/recvQ are the actor's queue endpoints (block addresses).
 	sendQ, recvQ layout.Addr
 	crashed      bool
+	// links counts the embed links attempted, received those of them into
+	// an object the peer allocated.
+	links, received int
 }
 
 func (a *randomActor) step(t *testing.T) error {
@@ -83,6 +88,21 @@ func (a *randomActor) step(t *testing.T) error {
 			return nil
 		}
 		idx := a.rng.Intn(int(m.EmbedCnt))
+		// "Only one client may ever modify a given embedded reference"
+		// (shm.SetEmbed, §4.3), and both actors can hold the same object:
+		// a word is its object's allocator's to link or the peer's, by the
+		// parity of its address bits. What two writers of one word lose when
+		// one of them dies in it is pinned by
+		// TestRedoReplayOwnsTheEmbedWordItDiedIn.
+		p := a.c.Pool()
+		mine := int(p.SegState(p.Geometry().SegmentIndexOf(holder)).CID) == a.c.ID()
+		if word := holder + layout.DataOff + layout.Addr(idx); mine != (bits.OnesCount64(word)%2 == 0) {
+			return nil
+		}
+		a.links++
+		if !mine {
+			a.received++
+		}
 		if err := a.c.ChangeEmbed(holder, idx, target); err != nil && err != shm.ErrStaleReference {
 			return err
 		}
@@ -120,7 +140,7 @@ func TestDoubleCrashCampaign(t *testing.T) {
 	if testing.Short() {
 		trials = 20
 	}
-	crashedTrials, crashedActors := 0, 0
+	crashedTrials, crashedActors, links, received := 0, 0, 0, 0
 	for seed := 0; seed < trials; seed++ {
 		// Count a's writes, pick its death; count b's writes given that
 		// death, pick b's; then run with both armed.
@@ -137,12 +157,16 @@ func TestDoubleCrashCampaign(t *testing.T) {
 			if a.crashed {
 				crashedActors++
 			}
+			links, received = links+a.links, received+a.received
 		}
 	}
-	t.Logf("%d/%d trials crashed at least one actor (%d/%d actors)",
-		crashedTrials, trials, crashedActors, 2*trials)
+	t.Logf("%d/%d trials crashed at least one actor (%d/%d actors); %d embed links, %d into received objects",
+		crashedTrials, trials, crashedActors, 2*trials, links, received)
 	if crashedTrials != trials {
 		t.Fatalf("only %d/%d trials crashed an actor", crashedTrials, trials)
+	}
+	if received == 0 {
+		t.Fatal("no actor linked an embed of an object it had received")
 	}
 }
 
@@ -248,4 +272,98 @@ func runDoubleCrashTrial(t *testing.T, seed int64, fs [2]*fault) []*randomActor 
 			seed, res.AllocatedObjects, actors[0].crashed, actors[1].crashed)
 	}
 	return actors
+}
+
+// Why an actor links only the embed words it is the one writer of. Actor a
+// dies between the commit CAS and the ModifyRef of an attach into an embed
+// word of an object b also holds. From that death until RecoverClient(a)
+// returns, the word's legitimate writer is a's redo entry: the replay stores
+// a's target there (ModifyRef is idempotent "under the single-writer rule",
+// era.go). A link b makes after the recovery is kept. A link b makes before it
+// is a second writer's: the replay overwrites it and b's target keeps a count
+// no reference accounts for. That leak is the contract's to prevent, not
+// recovery's to repair — the replay cannot tell a survivor's store from the
+// dead client's own — and it is the parent's behaviour as much as this one's.
+func TestRedoReplayOwnsTheEmbedWordItDiedIn(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		beforeRecovery bool
+		leaked         int
+	}{
+		{"the peer links after the recovery", false, 0},
+		{"the peer links before the recovery", true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var word layout.Addr // the embed word a dies before storing to
+			var victim int
+			p := newTestPool(t, cxl.WithAccessHook(func(cid int, kind cxl.AccessKind, addr cxl.Addr) {
+				if word != 0 && cid == victim && kind == cxl.OpStore && addr == word {
+					panic(faultinject.Crash{Point: "attach/before-modify-ref"})
+				}
+			}))
+			defer p.CloseDevice()
+			svc, err := recovery.NewService(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := connect(t, p), connect(t, p)
+			_, holder, err := a.Malloc(64, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, ta, err := a.Malloc(16, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, err := b.AttachRoot(holder)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rtb, tb, err := b.Malloc(16, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			word, victim = holder+layout.DataOff, a.ID()
+			if faultinject.Run(func() { a.ChangeEmbed(holder, 0, ta) }) == nil {
+				t.Fatal("a's attach never came to its ModifyRef")
+			}
+			word = 0
+			if err := p.MarkClientDead(a.ID()); err != nil {
+				t.Fatal(err)
+			}
+			recoverA := func() {
+				r, err := svc.RecoverClient(a.ID())
+				if err != nil || !r.RedoNeeded {
+					t.Fatalf("recover a: %+v, %v; want its attach replayed", r, err)
+				}
+			}
+			if !tc.beforeRecovery {
+				recoverA()
+			}
+			if err := b.ChangeEmbed(holder, 0, tb); err != nil {
+				t.Fatal(err)
+			}
+			if tc.beforeRecovery {
+				recoverA()
+			}
+
+			for _, root := range []layout.Addr{rb, rtb} {
+				if _, err := b.ReleaseRoot(root); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mon := recovery.NewMonitor(svc, recovery.MonitorConfig{Threshold: math.MaxInt32})
+			for i := 0; i < 3; i++ {
+				mon.Tick()
+			}
+			res := check.Validate(p)
+			if res.AllocatedObjects != tc.leaked || res.Clean() != (tc.leaked == 0) {
+				t.Fatalf("%d objects left, issues %v; want %d", res.AllocatedObjects, res.Issues, tc.leaked)
+			}
+			if tc.leaked > 0 && (len(res.Issues) != 1 || res.Issues[0].Kind != check.Leak || res.Issues[0].Addr != tb) {
+				t.Fatalf("issues %v; want the one leak at b's target %#x", res.Issues, tb)
+			}
+		})
+	}
 }

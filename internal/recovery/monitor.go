@@ -12,8 +12,19 @@ import (
 // Monitor is the standalone failure detector (paper §3.2): it watches every
 // client's heartbeat counter and, when one stalls, fences the client and
 // runs recovery asynchronously — other clients never block on this. It also
-// periodically rescans abandoned and POTENTIAL_LEAKING segments, reconciles
-// the free-slot bitmap, and sweeps the queue registry.
+// rescans abandoned segments, reconciles the free-slot bitmap, and sweeps the
+// queue registry.
+//
+// An ABANDONED segment is rescanned because something happened to it, not
+// because a tick passed: nobody allocates there, so it changes only when a
+// block in it is freed, and the freeer (or a scan that left work pending)
+// flags it (shm's flagLeaking). A flagged segment is scanned at the next
+// tick, an unflagged one every abandonedRescan-th tick since its last scan:
+// a lost flag — a free racing the walker, a free whose request trusted a state
+// word flagged when read and cleared since, a killed scanner, a repair action,
+// a stuck CAS — is a bounded delay, not a leak. A monitor's first tick scans
+// them all (it may be a restarted service's); one it meets later was scanned
+// by the pass that abandoned it, and its clock starts there.
 //
 // Heartbeat scanning is sharded: the device reads (status + beat per slot)
 // run lock-free, split across goroutines for pools past 64 slots, and only
@@ -59,7 +70,10 @@ type Monitor struct {
 	// tick instead of panicking the monitor every interval.
 	scanBackoff map[int]int
 	scanNextTry map[int]uint64
-	ticks       uint64
+	// lastScan is the tick of each ABANDONED segment's last scan (or first
+	// sighting); 0 while the segment is in any other state.
+	lastScan []uint64
+	ticks    uint64
 	// inflight marks clients whose recovery has been dispatched to a worker
 	// goroutine and not yet recorded (concurrent dispatch mode only), so a
 	// client is never recovered by two workers at once and ticks arriving
@@ -151,6 +165,7 @@ func NewMonitor(svc *Service, cfg MonitorConfig) *Monitor {
 		nextTry:     make(map[int]uint64),
 		scanBackoff: make(map[int]int),
 		scanNextTry: make(map[int]uint64),
+		lastScan:    make([]uint64, svc.pool.Geometry().NumSegments),
 		inflight:    make(map[int]bool),
 		execIDs:     make(map[int]bool),
 		fsckEvery:   cfg.FsckEvery,
@@ -264,6 +279,10 @@ type beatObs struct {
 	status uint64
 	beat   uint64
 }
+
+// abandonedRescan is the period, in ticks, of an unflagged ABANDONED segment's
+// rescan: ≈ 1.3 s at the default interval (§5.3: "not more than once per second").
+const abandonedRescan = 128
 
 // beatShard is the slot-range size one gather goroutine covers. Pools at
 // or under one shard scan inline (no goroutines — keeps small-pool ticks
@@ -398,13 +417,20 @@ func (m *Monitor) Tick() {
 			continue
 		}
 		st := p.SegState(seg)
-		switch st.State {
-		case layout.SegAbandoned:
-			m.scanLocked(seg)
-		case layout.SegHugeHead:
-			if p.ClientDeadOrRecovered(int(st.CID)) {
+		if st.State != layout.SegAbandoned {
+			m.lastScan[seg] = 0
+			if st.State == layout.SegHugeHead && p.ClientDeadOrRecovered(int(st.CID)) {
 				m.scanLocked(seg)
 			}
+			continue
+		}
+		if m.lastScan[seg] == 0 && m.ticks > 1 {
+			m.lastScan[seg] = m.ticks // abandoned, and scanned, by a pass since the last tick
+		}
+		if last := m.lastScan[seg]; last == 0 || st.Flags&layout.SegFlagPotentialLeaking != 0 ||
+			m.ticks-last >= abandonedRescan {
+			m.lastScan[seg] = m.ticks
+			m.scanLocked(seg)
 		}
 	}
 	// Reconcile the free-slot bitmap with the authoritative status words:

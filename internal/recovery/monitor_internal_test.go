@@ -154,8 +154,8 @@ func TestMonitorScanPanicBacksOff(t *testing.T) {
 	dev := p.Device()
 	// Find the claimed segment, poison something a dead owner's scan still
 	// dereferences — the pptr of its in_use RootRef slot (the free lists are
-	// not walked there) — and force it abandoned so maintenance tries to scan
-	// it.
+	// not walked there) — and force it abandoned and flagged, so maintenance
+	// tries to scan it at every tick its backoff allows.
 	seg := -1
 	for s := 0; s < geo.NumSegments; s++ {
 		if p.SegState(s).CID == uint16(x.ID()) {
@@ -168,7 +168,7 @@ func TestMonitorScanPanicBacksOff(t *testing.T) {
 	}
 	dev.Store(root+layout.RootRefPptrOff, 1<<60)
 	st := p.SegState(seg)
-	st.State = layout.SegAbandoned
+	st.State, st.Flags = layout.SegAbandoned, layout.SegFlagPotentialLeaking
 	dev.Store(geo.SegStateAddr(seg), layout.PackSegState(st))
 	if err := p.MarkClientDead(x.ID()); err != nil {
 		t.Fatal(err)

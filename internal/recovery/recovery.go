@@ -456,6 +456,7 @@ func (s *Service) sweepRootRefPages(exec *shm.Client, seg int) int {
 	geo := p.Geometry()
 	dev := p.Device()
 	swept := 0
+	var rs shm.RootSweep
 	numPages := int(dev.Load(geo.SegNextPageAddr(seg)))
 	if numPages > geo.PagesPerSegment {
 		numPages = geo.PagesPerSegment
@@ -472,7 +473,7 @@ func (s *Service) sweepRootRefPages(exec *shm.Client, seg int) int {
 		base := geo.PageBase(seg, pg)
 		scanPos := min(max(dev.Load(geo.PageMetaAddr(seg, pg)+shm.PageMetaScanOff), base), base+layout.Addr(geo.PageWords))
 		for n := (scanPos - base) / layout.RootRefWords; n > 0; n-- {
-			if exec.SweepRootRefSlot(base + (n-1)*layout.RootRefWords) {
+			if exec.SweepRootRefSlot(base+(n-1)*layout.RootRefWords, &rs) {
 				swept++
 			}
 		}
@@ -518,7 +519,7 @@ func (s *Service) coveredByLiveHead(cid, seg int) bool {
 }
 
 // abandonSegment transitions an owned segment to ABANDONED, preserving the
-// POTENTIAL_LEAKING flag; the monitor rescans abandoned segments until quiet.
+// POTENTIAL_LEAKING flag: the monitor rescans an abandoned segment when flagged.
 func (s *Service) abandonSegment(seg int) {
 	p := s.pool
 	a := p.Geometry().SegStateAddr(seg)

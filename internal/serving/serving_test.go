@@ -3,6 +3,7 @@ package serving_test
 import (
 	"bytes"
 	"errors"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -187,5 +188,72 @@ func TestServingBackToBackPuts(t *testing.T) {
 		if err != nil || !found || !bytes.Equal(got, vals[i]) {
 			t.Fatalf("get %d after back-to-back puts: %x found=%v err=%v, want %x", k, got, found, err, vals[i])
 		}
+	}
+}
+
+// TestFencedWorkerRefusesWrites is the acknowledged-but-dropped write: a
+// worker fenced while it keeps serving (a paused process the monitor gave up
+// on, resumed) has every store swallowed by the device. A PUT through the
+// zombie must come back as an error — update and insert alike — and the
+// survivor that takes its partition over must still read the old value.
+func TestFencedWorkerRefusesWrites(t *testing.T) {
+	cfg := serving.ChaosConfig{Workers: 2, Keys: 100, ValSize: 32}
+	p, err := shm.NewPool(shm.Config{
+		Geometry: serving.SizeGeometry(cfg),
+		File:     filepath.Join(t.TempDir(), "pool.cxl"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.CloseDevice() })
+	w0, w1 := startStore(t, p, 100, 32)
+	net := netrpc.Config{ReadTimeout: 5 * time.Second}
+	zombie, err := serving.DialWorker(w0.Addr(), net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer zombie.Close()
+	survivor, err := serving.DialWorker(w1.Addr(), net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer survivor.Close()
+
+	var old, fresh uint64 // a preloaded and a never-written key of partition 0
+	for k := uint64(0); kv.Partition(k, 1024, 2) != 0; k++ {
+		old = k + 1
+	}
+	for fresh = 5000; kv.Partition(fresh, 1024, 2) != 0; fresh++ {
+	}
+	want, _, err := survivor.Get(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = bytes.Clone(want)
+
+	// Fenced but still the partition's recorded writer: the ownership check
+	// passes, only the fence can refuse the write.
+	if err := p.MarkClientDead(w0.CID()); err != nil {
+		t.Fatal(err)
+	}
+	val := bytes.Repeat([]byte{0xAB}, 32)
+	for _, k := range []uint64{old, fresh} {
+		var se *netrpc.ServerError
+		if err := zombie.Put(k, val); !errors.As(err, &se) {
+			t.Fatalf("put %d through the fenced worker: err=%v, want a *netrpc.ServerError", k, err)
+		}
+	}
+	if err := survivor.Takeover(0); err != nil {
+		t.Fatalf("takeover: %v", err)
+	}
+	if got, found, err := survivor.Get(old); err != nil || !found || !bytes.Equal(got, want) {
+		t.Fatalf("survivor reads key %d: %x found=%v err=%v, want the old value %x", old, got, found, err, want)
+	}
+	if _, found, err := survivor.Get(fresh); err != nil || found {
+		t.Fatalf("survivor reads key %d: found=%v err=%v, want not found", fresh, found, err)
+	}
+	// A fenced worker stops answering altogether: its reads would be stale.
+	if _, _, err := zombie.Get(old); err == nil {
+		t.Fatal("the fenced worker still serves reads")
 	}
 }

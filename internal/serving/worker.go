@@ -58,6 +58,9 @@ type Worker struct {
 
 	mu    sync.Mutex // serializes all use of the single shm.Client
 	parts map[int]bool
+	// fenced latches the first shm.ErrFenced a mutation reports: the worker
+	// answers nothing from then on (its reads would be stale) and wants to quit.
+	fenced bool
 
 	ops, errs atomic.Uint64
 	quit      chan struct{}
@@ -134,8 +137,8 @@ func (w *Worker) Addr() string { return w.srv.Addr() }
 // CID returns the worker's client slot ID.
 func (w *Worker) CID() int { return w.c.ID() }
 
-// QuitRequested is closed when a peer sends FnQuit; the owning process
-// should then call Stop and exit.
+// QuitRequested is closed when a peer sends FnQuit or the worker finds itself
+// fenced; the owning process should then call Stop and exit.
 func (w *Worker) QuitRequested() <-chan struct{} { return w.quit }
 
 func (w *Worker) heartbeatLoop(every time.Duration) {
@@ -158,9 +161,16 @@ func (w *Worker) handle(fn uint64, payload []byte) ([]byte, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.ops.Add(1)
+	if w.fenced {
+		return nil, shm.ErrFenced
+	}
 	resp, err := w.dispatch(fn, payload)
 	if err != nil {
 		w.errs.Add(1)
+		if errors.Is(err, shm.ErrFenced) {
+			w.fenced = true
+			w.quitOnce.Do(func() { close(w.quit) })
+		}
 	}
 	return resp, err
 }

@@ -89,6 +89,9 @@ type Client struct {
 	loc [obs.NumCounters]uint64
 	// pubTick counts era bumps since the last publish.
 	pubTick uint32
+	// telLast is what this incarnation last stored into each slot of its
+	// telemetry block: publishShared stores only what changed (telemetry.go).
+	telLast TelLast
 	// timing, when set (SetBreakdown), charges full Malloc wall time into
 	// the metrics for the Figure 7 breakdown. Latency histograms are
 	// sampled regardless (1/allocSampleEvery).
@@ -246,13 +249,14 @@ func (c *Client) Heartbeat() {
 // It goes through the client's RAS-fenceable handle: once the client is
 // fenced, a straggling publication is dropped by the device, so it can
 // never clobber the final pre-fence vector forensics read. Never called
-// from the era-bump path — publication cost (a few hundred plain stores)
-// stays off the allocation fast path and out of its access budgets.
+// from the era-bump path — publication cost (the words that changed, a few
+// hundred plain stores the first two times) stays off the allocation fast
+// path and out of its access budgets.
 func (c *Client) publishShared() {
 	if c.h.Fenced() {
 		return
 	}
-	c.pool.tel.PublishShard(c.h, c.cid, &c.loc, c.mx, time.Now().UnixNano())
+	c.pool.tel.PublishShard(c.h, c.cid, &c.loc, c.mx, time.Now().UnixNano(), &c.telLast)
 }
 
 // Fenced reports whether this client has been RAS-fenced.

@@ -96,23 +96,29 @@ func (c *Client) ReleaseReference(ref, refed layout.Addr) (freed bool, err error
 // the reclaim needs further transactions, so this transaction flags the
 // segment itself before closing and the caller runs the cascade afterwards.
 func (c *Client) releaseTxn(ref, refed layout.Addr) (newCnt uint16, pendingReclaim bool, err error) {
-	return c.releaseTxnMode(ref, refed, false, false)
+	return c.releaseTxnMode(ref, refed, false, false, 0, 0)
 }
 
 // releaseRetire is releaseTxn with deferred reclamation: a zero count flags
 // the segment and reports pending, but nothing is freed (hazard.go parks
 // the node instead).
 func (c *Client) releaseRetire(ref, refed layout.Addr) (newCnt uint16, pendingReclaim bool, err error) {
-	return c.releaseTxnMode(ref, refed, true, false)
+	return c.releaseTxnMode(ref, refed, true, false, 0, 0)
 }
 
-func (c *Client) releaseTxnMode(ref, refed layout.Addr, deferReclaim, elideModify bool) (newCnt uint16, pendingReclaim bool, err error) {
+// releaseTxnMode is the release transaction in all its modes. A caller that
+// has read refed's header word passes it as hdrW, the first CAS guess; goneW
+// is as for reclaimRaw. Zero means not read.
+func (c *Client) releaseTxnMode(ref, refed layout.Addr, deferReclaim, elideModify bool, hdrW, goneW uint64) (newCnt uint16, pendingReclaim bool, err error) {
 	if c.h.Fenced() {
 		return 0, false, ErrFenced
 	}
 	// Resolved once, for the CAS guess (see AttachReference) down to the reclaim.
 	op, bs := c.blockOf(refed)
-	savedW, guessed := c.guessHeader(bs, refed)
+	savedW, guessed := hdrW, true
+	if hdrW == 0 {
+		savedW, guessed = c.guessHeader(bs, refed)
+	}
 	for {
 		saved := layout.UnpackHeader(savedW)
 		if saved.RefCnt == 0 {
@@ -171,7 +177,7 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, deferReclaim, elideModif
 		// Plain object: reclaim inside the transaction window. A crash
 		// here is covered by the still-valid redo entry (recovery flags
 		// the segment, §5.3).
-		c.reclaimRaw(refed, m, op, bs)
+		c.reclaimRaw(refed, m, op, bs, goneW)
 	default:
 		// Embed-carrying object: the cascade needs its own transactions,
 		// so flag the segment before this transaction closes; the caller
@@ -362,7 +368,7 @@ func (c *Client) ReleaseRoot(root layout.Addr) (objectFreed bool, err error) {
 		// The pptr store of the release is elided when the block reclaims
 		// into the pending tier (releaseTxnMode): the slot clear right below
 		// makes the word unreachable before anything can read it.
-		newCnt, pending, rerr := c.releaseTxnMode(root+layout.RootRefPptrOff, target, false, true)
+		newCnt, pending, rerr := c.releaseTxnMode(root+layout.RootRefPptrOff, target, false, true, 0, 0)
 		if rerr != nil {
 			return false, rerr
 		}

@@ -33,34 +33,62 @@ func (c *Client) flagSegmentLeaking(addr layout.Addr) {
 	if seg < 0 {
 		return
 	}
-	if c.pool.flagLeaking(seg) {
+	if c.pool.flagLeaking(c.pool.dev, seg, 0) {
 		c.loc[obs.CtrLeakFlag]++
+		c.pool.obs.Trace(obs.Event{Type: obs.EvSegmentFlagged, Segment: seg})
 	}
 }
 
 // FlagSegmentLeaking sets the POTENTIAL_LEAKING flag on segment seg (also
 // used by the recovery service when replaying a release that hit zero).
 func (p *Pool) FlagSegmentLeaking(seg int) {
-	if p.flagLeaking(seg) {
+	if p.flagLeaking(p.dev, seg, 0) {
 		p.obs.Shard(0).Inc(obs.CtrLeakFlag)
+		p.obs.Trace(obs.Event{Type: obs.EvSegmentFlagged, Segment: seg})
 	}
 }
 
-// flagLeaking sets the flag, reporting whether this call made the 0→1
-// transition — only that transition is traced and worth counting (the flag
-// is sticky until a scan clears it, so re-flags are routine noise).
-func (p *Pool) flagLeaking(seg int) bool {
+// flagWriter is the write plane a flag goes through: a client's RAS-fenceable
+// Handle, or the management plane (cxl.Memory), as for telWriter.
+type flagWriter interface {
+	Load(layout.Addr) uint64
+	CAS(a layout.Addr, old, new uint64) bool
+}
+
+// flagLeaking sets the flag, the one place that does, reporting whether this
+// call made the 0→1 transition — only that transition is worth a caller's
+// counting and tracing (the flag is sticky until a scan clears it, so re-flags
+// are routine noise). w is the segment's state word if the caller holds it,
+// else 0. A held word is trusted: flagged already — a free's common case, w
+// being the word its owner-gone verdict loaded — costs no access, and one
+// attempt is made, since whoever else rewrote an unflagged ABANDONED word
+// flagged or released the segment. What the trust can lose — w read flagged
+// before the release transaction began, the flag cleared by a scan before its
+// free-mark landed — is one of the lost events the monitor's backstop bounds.
+//
+// On an ABANDONED segment the flag is the request to scan it at the monitor's
+// next tick rather than its 128th (recovery.Monitor). A free and a scan that
+// leaves work pending make it through their own handle, so that the client's
+// fence stops it and its death just before it is a crash position (a freeer
+// that dies there has its release's redo entry still open — the replay flags
+// — or flagged before closing it), and neither count nor trace it: it is
+// routine, and a tick's worth of frees would flush the forensic event ring.
+func (p *Pool) flagLeaking(m flagWriter, seg int, w uint64) bool {
 	a := p.geo.SegStateAddr(seg)
-	for {
-		w := p.dev.Load(a)
+	for held := w != 0; ; {
+		if !held {
+			w = m.Load(a)
+		}
 		st := layout.UnpackSegState(w)
 		if st.Flags&layout.SegFlagPotentialLeaking != 0 {
 			return false
 		}
 		st.Flags |= layout.SegFlagPotentialLeaking
-		if p.dev.CAS(a, w, layout.PackSegState(st)) {
-			p.obs.Trace(obs.Event{Type: obs.EvSegmentFlagged, Segment: seg})
+		if m.CAS(a, w, layout.PackSegState(st)) {
 			return true
+		}
+		if held {
+			return false
 		}
 	}
 }
@@ -94,7 +122,7 @@ func (c *Client) cascadeFree(start layout.Addr) {
 				stack = append(stack, t)
 			}
 		}
-		c.reclaimRaw(b, m, op, bs)
+		c.reclaimRaw(b, m, op, bs, 0)
 	}
 	c.scr.stack = stack
 }
@@ -106,10 +134,12 @@ func (c *Client) cascadeFree(start layout.Addr) {
 // publication to the page free list is deferred to the next epoch burst,
 // shadow.go) or pushes it onto the segment's client_free list (cross-client
 // deferred free, paper Figure 3) — unless nobody will allocate from the
-// segment again (SegOwnerGone): then the free-mark, with freeer 0 for "no
-// push follows", is the whole free. Decided before the free-mark, and the
-// segment is not touched after it: the block stays allocated until the last
-// store, so the scan cannot release the segment under a write in flight.
+// segment again (SegGoneWord): then the free-mark, with freeer 0 for "no
+// push follows", is the whole free. Decided before the free-mark, and nothing
+// in the segment is written after it but the rescan request (flagLeaking: a
+// CAS a released segment's state word refuses): the block stays allocated
+// until the last store, so the scan cannot release the segment under a write
+// in flight.
 //
 // Order matters: header zero, then meta free-mark. After the free-mark the
 // block is in the "lost" state — free-marked, on no list — which is exactly
@@ -118,8 +148,9 @@ func (c *Client) cascadeFree(start layout.Addr) {
 // the recorded freeer is dead — at which point the freeer is RAS-fenced, so
 // its own late publication can never land.
 // The caller passes what its transaction already resolved: the block's
-// unpacked meta, its owned page and its live shadow (blockOf).
-func (c *Client) reclaimRaw(block layout.Addr, m layout.Meta, op *ownedPage, bs *blockShadow) {
+// unpacked meta, its owned page and its live shadow (blockOf), and goneW, the
+// segment's state word if it has seen the owner gone (SegGoneWord; 0 = ask).
+func (c *Client) reclaimRaw(block layout.Addr, m layout.Meta, op *ownedPage, bs *blockShadow, goneW uint64) {
 	if m.Flags&layout.MetaHuge != 0 {
 		c.freeHuge(block, m)
 		return
@@ -129,7 +160,10 @@ func (c *Client) reclaimRaw(block layout.Addr, m layout.Meta, op *ownedPage, bs 
 		if seg = c.geo.SegmentIndexOf(block); seg < 0 {
 			return
 		}
-		if c.pool.SegOwnerGone(seg) {
+		if goneW == 0 {
+			goneW = c.pool.SegGoneWord(seg)
+		}
+		if goneW != 0 {
 			freeer = 0
 		}
 	}
@@ -159,6 +193,9 @@ func (c *Client) reclaimRaw(block layout.Addr, m layout.Meta, op *ownedPage, bs 
 				return
 			}
 		}
+	} else if layout.UnpackSegState(goneW).State == layout.SegAbandoned {
+		// Request a rescan; one still ACTIVE has its recovery pass's scan ahead.
+		c.pool.flagLeaking(c.h, seg, goneW)
 	}
 }
 

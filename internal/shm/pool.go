@@ -399,11 +399,16 @@ func (p *Pool) ClientDeadOrRecovered(cid int) bool {
 	return s == layout.ClientDead || s == layout.ClientRecovered || s == layout.ClientSlotFree
 }
 
-// SegOwnerGone reports whether paged segment seg will never be allocated
-// from again: ABANDONED, or ACTIVE under an owner no longer alive. Its one
-// exit is → FREE, by a scan that judges by refcount alone (scan.go).
-func (p *Pool) SegOwnerGone(seg int) bool {
-	st := p.SegState(seg)
-	return st.State == layout.SegAbandoned ||
-		st.State == layout.SegActive && p.ClientDeadOrRecovered(int(st.CID))
+// SegGoneWord returns paged segment seg's state word (never zero there) if
+// the segment will never be allocated from again — ABANDONED, or ACTIVE under
+// an owner no longer alive — and 0 otherwise. Its one exit from that is
+// → FREE, by a scan that judges by refcount alone (scan.go).
+func (p *Pool) SegGoneWord(seg int) uint64 {
+	w := p.dev.Load(p.geo.SegStateAddr(seg))
+	st := layout.UnpackSegState(w)
+	if st.State == layout.SegAbandoned ||
+		st.State == layout.SegActive && p.ClientDeadOrRecovered(int(st.CID)) {
+		return w
+	}
+	return 0
 }

@@ -219,6 +219,7 @@ func (c *Client) Send(block layout.Addr, target layout.Addr) error {
 	if err := c.AttachReference(slot, target); err != nil {
 		return err
 	}
+	c.blockRef(target).noteHeader(0) // the receiver's release rewrites it: guessHeader
 	qs.tail++
 	c.h.Store(qs.tailA, qs.tail)
 	c.loc[obs.CtrQueueSend]++
@@ -282,6 +283,9 @@ func (c *Client) SendBatch(block layout.Addr, targets []layout.Addr) (int, error
 			qs.tail += uint64(sent)
 			c.h.Store(qs.tailA, qs.tail)
 			c.loc[obs.CtrQueueSend] += uint64(sent)
+			for _, t := range targets[:sent] {
+				c.blockRef(t).noteHeader(0) // as in Send, once the batch's own attaches are done
+			}
 		}
 	}
 	for i := 0; i < n; i++ {

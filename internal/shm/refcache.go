@@ -26,8 +26,9 @@ import (
 //     state (any client may CAS it), so the cached value is only ever a
 //     CAS *guess*: the transaction loops in era.go seed their first
 //     attempt from it and fall back to a device load when the guess loses
-//     the CAS. A stale guess costs one extra CAS attempt; it can never
-//     commit, because the commit is a full-word compare.
+//     the CAS, or when a hand-off to another client dropped it (0). A stale
+//     guess costs one extra CAS attempt; it can never commit, because the
+//     commit is a full-word compare.
 //
 // Entries are filled at Malloc, updated at every header publication by
 // this client, and emptied when the block is freed — by this client
@@ -145,10 +146,13 @@ func (bs *blockShadow) drop() {
 }
 
 // guessHeader returns a first CAS attempt value for block's header: the
-// word cached in bs when block has a live shadow (guessed=true), a device
-// load otherwise.
+// word cached in bs when block has a live shadow holding one (guessed=true),
+// a device load otherwise. A hand-off drops the word (noteHeader(0), Send):
+// the receiver's release will have rewritten the header by the time the
+// sender comes back, and a lost CAS costs a re-load and a re-logged redo
+// entry where a miss costs the load alone.
 func (c *Client) guessHeader(bs *blockShadow, block layout.Addr) (w uint64, guessed bool) {
-	if bs != nil {
+	if bs != nil && bs.header != 0 {
 		return bs.header, true
 	}
 	return c.h.Load(block + layout.HeaderOff), false
@@ -194,7 +198,7 @@ func (c *Client) checkRefShadow(op *ownedPage) error {
 			return fmt.Errorf("shm: block %#x shadow meta %#x, device %#x", block, bs.meta, mw)
 		}
 		hw := c.h.Load(block + layout.HeaderOff)
-		if hw != bs.header && layout.UnpackHeader(hw).LCID == uint16(c.cid) {
+		if hw != bs.header && bs.header != 0 && layout.UnpackHeader(hw).LCID == uint16(c.cid) {
 			return fmt.Errorf("shm: block %#x shadow header %#x, device %#x (own LCID)", block, bs.header, hw)
 		}
 	}

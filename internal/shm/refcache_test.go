@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/layout"
+	"repro/internal/obs"
 )
 
 // TestRefShadowMisses feeds the dense lookups every kind of address that is
@@ -110,5 +111,72 @@ func TestRefShadowMisses(t *testing.T) {
 	}
 	if err := other.CheckShadow(); err != nil {
 		t.Errorf("other client's shadow: %v", err)
+	}
+}
+
+// A hand-off drops the sender's header guess: the receiver's release rewrites
+// the header before the sender comes back to the block, and a stale guess
+// costs a failed CAS, a re-load and a re-logged redo entry where no guess
+// costs the load. Sender and receiver both retry nothing, and both shadows
+// stay coherent with the device.
+func TestHandOffDropsHeaderGuess(t *testing.T) {
+	p, err := NewPool(Config{Geometry: layout.GeometryConfig{
+		MaxClients: 4, NumSegments: 8, SegmentWords: 1 << 13, PageWords: 1 << 9, MaxQueues: 4,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snd, err := p.Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcv, err := p.Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, q, err := snd.CreateQueue(rcv.ID(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rcv.OpenQueue(q); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		root, block, err := snd.Malloc(64, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			err = snd.Send(q, block)
+		} else {
+			_, err = snd.SendBatch(q, []layout.Addr{block})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, guessed := snd.guessHeader(snd.blockRef(block), block); guessed {
+			t.Fatalf("the sender still guesses header %#x after the hand-off", w)
+		}
+		if err := snd.CheckShadow(); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := rcv.Receive(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rcv.ReleaseRoot(got); err != nil {
+			t.Fatal(err)
+		}
+		if freed, err := snd.ReleaseRoot(root); err != nil || !freed {
+			t.Fatalf("sender's release: freed=%v err=%v", freed, err)
+		}
+	}
+	for _, c := range []*Client{snd, rcv} {
+		if n := c.Metrics().Get(obs.CtrCASRetry); n != 0 {
+			t.Fatalf("client %d retried %d CAS over 100 hand-offs", c.ID(), n)
+		}
+		if err := c.CheckShadow(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

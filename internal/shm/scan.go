@@ -24,7 +24,10 @@ import (
 //     judges the rest by refcount alone: nobody will allocate there again,
 //     so no list is written — a free-marked block or a cleared slot is free
 //     wherever it is (one exception, in scanSegmentOnce) — and once quiet
-//     (no live or pending block) the segment returns to the free pool.
+//     (no live or pending block) the segment returns to the free pool. Until
+//     then it is ABANDONED and changes only when a block in it is freed: the
+//     freeer flags it POTENTIAL_LEAKING (flagLeaking), as does a scan that
+//     leaves a block pending, and the monitor rescans on the flag.
 //
 // Concurrency contract: a segment is scanned either by its live owner (its
 // own slow path) or — for segments whose owner is dead — by the recovery
@@ -51,8 +54,6 @@ type ScanReport struct {
 	Quiet bool
 	// Freed reports that the scan returned the segment to the free pool.
 	Freed bool
-	// FlagCleared reports that the POTENTIAL_LEAKING flag was cleared.
-	FlagCleared bool
 }
 
 // ScanSegment runs the segment-local scan of seg, executed by client c.
@@ -189,6 +190,19 @@ type scanScratch struct {
 	stack  []layout.Addr // cascadeFree's explicit DFS stack
 }
 
+// RootSweep is what one walk of SweepRootRefSlot calls over a dead client's
+// RootRef slots remembers from root to root; the zero value starts a walk. It
+// is the last target segment seen ACTIVE under a dead owner and its state
+// word. That verdict holds for the rest of the walk: the segment's only way
+// out is → ABANDONED → FREE, and every later target there is pinned allocated
+// by the very root being swept. (If another executor abandons the segment
+// meanwhile, a free this walk then makes into it goes unflagged, for the
+// monitor's backstop to find.)
+type RootSweep struct {
+	seg   int
+	goneW uint64
+}
+
 func (c *Client) scanSegmentOnce(seg int, ownerDead bool) ScanReport {
 	var r ScanReport
 	a := c.geo.SegStateAddr(seg)
@@ -259,6 +273,7 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) ScanReport {
 			r.Live++
 			continue
 		case layout.PageKindRootRef:
+			var rs RootSweep
 			for slot := base; slot+layout.RootRefWords <= scanPos; slot += layout.RootRefWords {
 				if !ownerDead && c.scr.onList.has(slot) {
 					continue
@@ -274,7 +289,7 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) ScanReport {
 				inUse, _ := layout.UnpackRootRef(c.h.Load(slot))
 				if inUse {
 					if ownerDead {
-						if c.SweepRootRefSlot(slot) {
+						if c.SweepRootRefSlot(slot, &rs) {
 							r.SweptRoots++
 						}
 					} else {
@@ -368,18 +383,18 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) ScanReport {
 		r.Freed = true
 		return r
 	}
-	if r.Pending == 0 && st.Flags&layout.SegFlagPotentialLeaking != 0 {
+	if r.Pending > 0 {
+		// A live client's push or reclaim is still to land here and will not
+		// announce itself: an ABANDONED segment comes back at the next tick.
+		c.pool.flagLeaking(c.h, seg, w)
+	} else if st.Flags&layout.SegFlagPotentialLeaking != 0 {
 		// Everything interrupted has been resolved; clear the sticky flag so
 		// the segment isn't rescanned forever. Live blocks are fine — the
-		// flag only means "a reclaim may have been cut short here".
-		cur := c.h.Load(a)
-		cst := layout.UnpackSegState(cur)
-		if cst.Flags&layout.SegFlagPotentialLeaking != 0 {
-			cst.Flags &^= layout.SegFlagPotentialLeaking
-			if c.h.CAS(a, cur, layout.PackSegState(cst)) {
-				r.FlagCleared = true
-			}
-		}
+		// flag only means "a reclaim may have been cut short here". Nobody
+		// rewrites a flagged word under a scan, so w is still current — and
+		// if it is not, the flag stays.
+		st.Flags &^= layout.SegFlagPotentialLeaking
+		c.h.CAS(a, w, layout.PackSegState(st))
 	}
 	return r
 }
@@ -411,10 +426,14 @@ func (c *Client) scanFlaggedOwned() {
 //   - otherwise: a normal era-based release, the slot's word 0 being the
 //     reference word: the ModifyRef (or its redo replay) clears the slot.
 //
-// Returns true if the slot was in use. Must run after the dead client's
-// redo entry has been replayed (recovery does; the segment scan only sees
-// abandoned segments, which recovery produces after replay).
-func (c *Client) SweepRootRefSlot(slot layout.Addr) bool {
+// The in-flight check applies only where the target's owner is gone: a dead
+// client allocates, and links, none but its own blocks. Each word is read
+// once: the header load is the release's first CAS guess, the owner-gone
+// verdict its reclaim's, and rs carries the verdict from root to root. Must
+// run after the dead client's redo entry has been replayed (recovery does; the
+// segment scan only sees abandoned segments, which recovery produces after
+// replay). Returns true if the slot was in use.
+func (c *Client) SweepRootRefSlot(slot layout.Addr, rs *RootSweep) bool {
 	inUse, _ := layout.UnpackRootRef(c.h.Load(slot))
 	if !inUse {
 		return false
@@ -425,29 +444,35 @@ func (c *Client) SweepRootRefSlot(slot layout.Addr) bool {
 		c.h.Store(slot, 0)
 		return true
 	}
-	tseg := c.geo.SegmentIndexOf(pptr)
-	if tseg >= 0 {
-		tst := layout.UnpackSegState(c.h.Load(c.geo.SegStateAddr(tseg)))
-		if tst.State == layout.SegActive || tst.State == layout.SegAbandoned {
-			if tp := c.geo.PageIndexOf(tseg, pptr); tp >= 0 {
-				tmeta := c.geo.PageMetaAddr(tseg, tp)
-				if c.h.Load(tmeta+pmFree) == pptr || c.h.Load(tmeta+pmScan) == pptr {
-					// In-flight allocation: the block never left the free
-					// pointer, so releasing would double-free (§5.1).
-					c.h.Store(slot, 0)
-					return true
-				}
+	var goneW uint64
+	if tseg := c.geo.SegmentIndexOf(pptr); tseg >= 0 {
+		if goneW = rs.goneW; goneW == 0 || rs.seg != tseg {
+			goneW = c.pool.SegGoneWord(tseg)
+			rs.seg, rs.goneW = tseg, 0
+			if layout.UnpackSegState(goneW).State == layout.SegActive {
+				rs.goneW = goneW // an ABANDONED word may yet gain its flag: ask again
+			}
+		}
+		if tp := c.geo.PageIndexOf(tseg, pptr); tp >= 0 && goneW != 0 {
+			tmeta := c.geo.PageMetaAddr(tseg, tp)
+			if c.h.Load(tmeta+pmFree) == pptr || c.h.Load(tmeta+pmScan) == pptr {
+				// In-flight allocation: the block never left the free
+				// pointer, so releasing would double-free (§5.1).
+				c.h.Store(slot, 0)
+				return true
 			}
 		}
 	}
-	hdr := layout.UnpackHeader(c.h.Load(pptr + layout.HeaderOff))
-	if hdr.RefCnt == 0 {
+	hdrW := c.h.Load(pptr + layout.HeaderOff)
+	if layout.UnpackHeader(hdrW).RefCnt == 0 {
 		// Initialization never completed (or the object is already being
 		// reclaimed); the segment scan finishes the block.
 		c.h.Store(slot, 0)
 		return true
 	}
 	// A failed release (fenced, stale) leaves the slot as it is, for a rerun.
-	_, _ = c.ReleaseReference(slot, pptr)
+	if _, pending, _ := c.releaseTxnMode(slot, pptr, false, false, hdrW, goneW); pending {
+		c.cascadeFree(pptr)
+	}
 	return true
 }

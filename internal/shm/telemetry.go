@@ -25,7 +25,8 @@ import (
 //   - Client metric blocks are single-writer by construction (the client
 //     slot lease): only the slot's current incarnation publishes, through
 //     its own RAS-fenceable handle, so a fenced client's stray publication
-//     is dropped by the device itself.
+//     is dropped by the device itself. Being the only writer, it knows what
+//     each slot holds (TelLast) and stores only the words that changed.
 //   - The pool block has concurrent writers in multiple processes; its
 //     words are CAS-added individually and each is monotonic.
 //   - Timelines are stamped by whoever fences/recovers the client; the
@@ -88,12 +89,25 @@ func (t *Telemetry) Validate() error {
 
 // --- client metric blocks (double-buffered seqlock) ---
 
+// telVecWords is the length of one published vector: counters, then buckets.
+const telVecWords = int(obs.NumCounters) + int(obs.NumHistos)*obs.HistBuckets
+
+// TelLast is a publisher's host-side copy of what each of its block's two
+// slots last held. It lives with the single-goroutine publisher (Client), not
+// here: the zero value knows nothing, so a fresh Connect writes everything.
+type TelLast struct {
+	known [2]bool
+	vec   [2][telVecWords]uint64
+}
+
 // PublishShard writes a client's counter vector and its shard's histogram
 // vectors into metric block idx through w. The inactive slot is filled
 // first and the commit word flipped last, so a crash at any word leaves
 // the previously committed slot untouched — readers never lose the last
-// stable vector, and never see a torn one.
-func (t *Telemetry) PublishShard(w telWriter, idx int, counters *[obs.NumCounters]uint64, sh *obs.Shard, now int64) {
+// stable vector, and never see a torn one. Only the words that differ from
+// what that slot held two publications ago are stored, plus time and commit;
+// last follows every store, so a publication cut short leaves it exact.
+func (t *Telemetry) PublishShard(w telWriter, idx int, counters *[obs.NumCounters]uint64, sh *obs.Shard, now int64, last *TelLast) {
 	if idx < 1 || idx > t.geo.MaxClients {
 		return
 	}
@@ -103,16 +117,21 @@ func (t *Telemetry) PublishShard(w telWriter, idx int, counters *[obs.NumCounter
 	a := t.geo.TelSlotBase(idx, next)
 	w.Store(a+layout.TelSlotOffTime, uint64(now))
 	a += layout.TelSlotOffCounters
-	for i := range counters {
-		w.Store(a, counters[i])
-		a++
-	}
+	var vec [telVecWords]uint64
+	n := copy(vec[:], counters[:])
 	for h := obs.Histo(0); h < obs.NumHistos; h++ {
 		for b := 0; b < obs.HistBuckets; b++ {
-			w.Store(a, sh.Bucket(h, b))
-			a++
+			vec[n] = sh.Bucket(h, b)
+			n++
 		}
 	}
+	for i, v := range vec {
+		if !last.known[next] || last.vec[next][i] != v {
+			w.Store(a+layout.Addr(i), v)
+			last.vec[next][i] = v
+		}
+	}
+	last.known[next] = true
 	w.Store(commit, ((c>>1)+1)<<1|uint64(next))
 }
 

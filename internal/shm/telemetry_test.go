@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/layout"
 	"repro/internal/obs"
+	"repro/internal/recovery"
 	"repro/internal/shm"
 )
 
@@ -89,13 +90,14 @@ func TestTelemetryCrashMidPublish(t *testing.T) {
 	}
 	sh := obs.NewRegistry(1).Shard(0)
 	sh.Observe(obs.HistAllocNS, 100)
-	tel.PublishShard(&haltingWriter{p: p, left: 1 << 20}, cid, &committed, sh, 42)
+	tel.PublishShard(&haltingWriter{p: p, left: 1 << 20}, cid, &committed, sh, 42, new(shm.TelLast))
 
 	var torn [obs.NumCounters]uint64
 	for i := range torn {
 		torn[i] = 7777
 	}
-	// Stores per publish: time + counters + histogram vectors + commit.
+	// Stores per publish that knows nothing of the slot (a fresh TelLast):
+	// time + counters + histogram vectors + commit.
 	total := 1 + int(obs.NumCounters) + int(obs.NumHistos)*obs.HistBuckets + 1
 	for budget := 0; budget < total; budget++ {
 		func() {
@@ -104,7 +106,7 @@ func TestTelemetryCrashMidPublish(t *testing.T) {
 					t.Fatalf("budget %d: publish finished under a smaller store budget than %d", budget, total)
 				}
 			}()
-			tel.PublishShard(&haltingWriter{p: p, left: budget}, cid, &torn, sh, 43)
+			tel.PublishShard(&haltingWriter{p: p, left: budget}, cid, &torn, sh, 43, new(shm.TelLast))
 		}()
 		b, ok := tel.ReadBlock(cid)
 		if !ok || !b.Consistent {
@@ -118,7 +120,7 @@ func TestTelemetryCrashMidPublish(t *testing.T) {
 		}
 	}
 	// Sanity: the full budget does commit.
-	tel.PublishShard(&haltingWriter{p: p, left: total}, cid, &torn, sh, 43)
+	tel.PublishShard(&haltingWriter{p: p, left: total}, cid, &torn, sh, 43, new(shm.TelLast))
 	if b, _ := tel.ReadBlock(cid); b.Publishes != 2 || b.Counters != torn {
 		t.Fatalf("complete publish did not commit (publishes=%d)", b.Publishes)
 	}
@@ -170,11 +172,12 @@ func TestTelemetrySeqlockNoTornReads(t *testing.T) {
 	}
 
 	var ctrs [obs.NumCounters]uint64
+	var last shm.TelLast
 	for k := 1; k <= rounds; k++ {
 		for i := range ctrs {
 			ctrs[i] = uint64(k)
 		}
-		tel.PublishShard(p.Device(), cid, &ctrs, sh, int64(k))
+		tel.PublishShard(p.Device(), cid, &ctrs, sh, int64(k), &last)
 	}
 	close(stop)
 	wg.Wait()
@@ -227,4 +230,167 @@ func TestQueueDepths(t *testing.T) {
 	}
 	b.ReleaseRoot(bq)
 	a.ReleaseRoot(qr)
+}
+
+// countingWriter counts the stores of one publication.
+type countingWriter struct {
+	p      *shm.Pool
+	stores int
+}
+
+func (w *countingWriter) Load(a layout.Addr) uint64 { return w.p.Device().Load(a) }
+func (w *countingWriter) Store(a layout.Addr, v uint64) {
+	w.stores++
+	w.p.Device().Store(a, v)
+}
+
+// TestTelemetryDeltaPublication pins the delta protocol: a publisher with a
+// TelLast stores only the words that differ from what the target slot held
+// two publications ago (plus time and commit), a reader racing it never sees
+// a torn or regressed vector, and a re-leased slot's first publications are
+// complete.
+func TestTelemetryDeltaPublication(t *testing.T) {
+	p := newTestPool(t)
+	tel := p.Telemetry()
+	sh := obs.NewRegistry(1).Shard(0)
+
+	t.Run("one counter changed", func(t *testing.T) {
+		const cid = 3
+		var ctrs [obs.NumCounters]uint64
+		var last shm.TelLast
+		full := 1 + int(obs.NumCounters) + int(obs.NumHistos)*obs.HistBuckets + 1
+		for k := 1; k <= 6; k++ {
+			ctrs[obs.CtrAlloc]++
+			w := &countingWriter{p: p}
+			tel.PublishShard(w, cid, &ctrs, sh, int64(k), &last)
+			switch {
+			case k <= 2 && w.stores != full:
+				t.Fatalf("publish %d (first write of its slot) stored %d words, want all %d", k, w.stores, full)
+			case k > 2 && w.stores > 4:
+				t.Fatalf("publish %d with one counter changed stored %d words, want at most 4", k, w.stores)
+			}
+			if b, ok := tel.ReadBlock(cid); !ok || !b.Consistent || b.Counters != ctrs || b.TimeNS != int64(k) {
+				t.Fatalf("publish %d read back ok=%v %+v", k, ok, b.Counters)
+			}
+		}
+		// Publications cut short after 0..3 stores, each with two more counters
+		// changed: the copy follows every store that landed, so the complete
+		// publication after them leaves no stale word behind.
+		for budget := 0; budget <= 3; budget++ {
+			ctrs[obs.CtrAlloc]++
+			ctrs[obs.CtrFree]++
+			func() {
+				defer func() { recover() }()
+				tel.PublishShard(&haltingWriter{p: p, left: budget}, cid, &ctrs, sh, 7, &last)
+			}()
+			if b, _ := tel.ReadBlock(cid); b.TimeNS != 6 {
+				t.Fatalf("budget %d: a publication cut short became visible (time %d)", budget, b.TimeNS)
+			}
+		}
+		ctrs[obs.CtrAlloc]++
+		tel.PublishShard(p.Device(), cid, &ctrs, sh, 8, &last)
+		if b, ok := tel.ReadBlock(cid); !ok || !b.Consistent || b.Counters != ctrs || b.TimeNS != 8 {
+			t.Fatalf("after four publications cut short: ok=%v %+v, want %+v", ok, b.Counters, ctrs)
+		}
+	})
+
+	t.Run("racing reader", func(t *testing.T) {
+		const cid = 5
+		rounds := 10_000
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var seen uint64
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					b, ok := tel.ReadBlock(cid)
+					if !ok || !b.Consistent {
+						continue
+					}
+					// Publication k holds k in counter 0 and in the time word,
+					// spread over counters 1..5 one increment at a time.
+					var sum uint64
+					for _, v := range b.Counters[1:6] {
+						sum += v
+					}
+					if k := b.Counters[0]; sum != k || uint64(b.TimeNS) != k {
+						t.Errorf("torn read: counter 0 = %d, counters 1..5 sum to %d, time %d", k, sum, b.TimeNS)
+						return
+					} else if k < seen {
+						t.Errorf("regressed read: publication %d after %d", k, seen)
+						return
+					} else {
+						seen = k
+					}
+				}
+			}()
+		}
+		var ctrs [obs.NumCounters]uint64
+		var last shm.TelLast
+		for k := 1; k <= rounds; k++ {
+			ctrs[0] = uint64(k)
+			ctrs[1+k%5]++
+			tel.PublishShard(p.Device(), cid, &ctrs, sh, int64(k), &last)
+		}
+		close(stop)
+		wg.Wait()
+	})
+
+	t.Run("re-leased slot", func(t *testing.T) {
+		c := connect(t, p)
+		cid := c.ID()
+		for i := 0; i < 4; i++ {
+			if _, _, err := c.Malloc(64, 0); err != nil {
+				t.Fatal(err)
+			}
+			c.FlushMetrics()
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		svc, err := recovery.NewService(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.RecoverClient(cid); err != nil {
+			t.Fatal(err)
+		}
+		// Whatever the idle block's slots hold is not the next lessee's.
+		geo, dev := p.Geometry(), p.Device()
+		for slot := 0; slot < 2; slot++ {
+			for i := uint64(0); i < geo.TelSlotWords; i++ {
+				dev.Store(geo.TelSlotBase(cid, slot)+layout.Addr(i), 0xdead)
+			}
+		}
+		var c2 *shm.Client
+		for c2 == nil || c2.ID() != cid {
+			c2 = connect(t, p)
+		}
+		for publish := 1; publish <= 3; publish++ {
+			b, ok := tel.ReadBlock(cid)
+			if !ok || !b.Consistent || int(b.Publishes) != publish {
+				t.Fatalf("publication %d of the new lessee: ok=%v %+v", publish, ok, b)
+			}
+			for i, v := range b.Counters {
+				if v == 0xdead {
+					t.Fatalf("publication %d left counter %d of the previous lessee's slot in place", publish, i)
+				}
+			}
+			for h := range b.Histos {
+				for i, v := range b.Histos[h] {
+					if v == 0xdead {
+						t.Fatalf("publication %d left bucket %d/%d of the previous lessee's slot in place", publish, h, i)
+					}
+				}
+			}
+			c2.FlushMetrics()
+		}
+	})
 }
