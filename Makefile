@@ -5,10 +5,8 @@
 
 GO ?= go
 
-.PHONY: all build test vet race verify bench bench-fastpath bench-compare \
-	bench-smoke test-mmap sweep corrupt fsck-smoke top-smoke ci \
-	bench-resilience bench-scale serving-smoke bench-serving serving-compare \
-	benchmark-check dep-guard
+.PHONY: all build test vet race verify bench bench-smoke test-mmap sweep \
+	corrupt fsck-smoke top-smoke ci serving-smoke benchmark-check dep-guard
 
 all: verify
 
@@ -56,14 +54,9 @@ sweep:
 # fault class (bit flip, torn write, stuck CAS) against every targetable
 # metadata region, each trial followed by the repairing fsck, a full
 # revalidation, and a rerun of the scripted workload over the repaired
-# pool. Violations print a `faultsim -corrupt` repro line and fail.
+# pool. It prints one outcome count line per fault class; violations print
+# a `faultsim -corrupt` repro line and fail.
 corrupt:
-	$(GO) run ./cmd/faultsim -corrupt -resilience-out ""
-
-# bench-resilience runs the same campaign and (re)writes
-# BENCH_resilience.json in the repo root: repair success rate and
-# blast-radius distribution per fault class, both backends.
-bench-resilience:
 	$(GO) run ./cmd/faultsim -corrupt
 
 # fsck-smoke drives the operator-facing repair path end to end: build a
@@ -110,22 +103,21 @@ dep-guard:
 
 # ci is the continuous-integration gate (.github/workflows/ci.yml): vet,
 # tier-1 build+test, the benchmark module's own vet+test, the
-# faultinject dependency guard, a race pass over the fast-path and queue
-# tests on both backends, the device-access budgets of the recovery pass, the
+# faultinject dependency guard, a race pass over the fast-path device-access
+# budgets, the client-scaling curve's budgets and the queue tests on both
+# backends, the device-access budgets of the recovery pass, the
 # tick after it and the idle tick over a dead loader's segments on both
 # backends, the telemetry delta-publication pin under the race detector on both
 # backends, the zero-allocation fast-path pin on both backends,
 # three race passes over the in-process serving chaos, ten seconds of fuzzing
 # each on the two byte parsers a peer can reach (netrpc frames, serving
-# requests), the fast-path
-# regression gate against the committed BENCH_fastpath.json, the
-# mmap-backend suite, the exhaustive
+# requests), the mmap-backend suite, the exhaustive
 # crash sweep (plus bounded legs with telemetry collection enabled and at
 # 64-client geometry), the cxltop/cxlsnap observer smoke, and the
 # serving-tier chaos smoke on both worker backends.
 ci: vet build test benchmark-check dep-guard
-	$(GO) test -race -run 'TestDeviceAccessBudget|TestQueue' ./internal/shm
-	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestDeviceAccessBudget|TestQueue' ./internal/shm
+	$(GO) test -race -run 'TestDeviceAccessBudget|TestClientScaling|TestQueue' ./internal/shm
+	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestDeviceAccessBudget|TestClientScaling|TestQueue' ./internal/shm
 	$(GO) test -run 'TestRecoveryPassAccessBudget|TestIdleTickAfterLoaderDeath' ./internal/recovery
 	CXLSHM_BACKEND=mmap $(GO) test -run 'TestRecoveryPassAccessBudget|TestIdleTickAfterLoaderDeath' ./internal/recovery
 	$(GO) test -race -run TestTelemetryDeltaPublication ./internal/shm
@@ -137,7 +129,6 @@ ci: vet build test benchmark-check dep-guard
 	$(GO) test -race -count=3 -run TestChaosInProcess ./internal/serving
 	$(GO) test -run xxx -fuzz FuzzServeFrame -fuzztime 10s ./internal/netrpc
 	$(GO) test -run xxx -fuzz FuzzDispatch -fuzztime 10s ./internal/serving
-	$(MAKE) bench-compare
 	$(MAKE) test-mmap
 	$(MAKE) sweep
 	$(MAKE) corrupt
@@ -157,45 +148,5 @@ serving-smoke:
 	$(GO) run ./cmd/cxlkv chaos -backend inproc -workers 3 -keys 20000 -conns 4 -ops 5000
 	$(GO) run ./cmd/cxlkv chaos -backend proc -workers 3 -keys 20000 -conns 4 -ops 5000
 
-# bench-serving runs the full serving chaos benchmark (child OS processes
-# on an mmap pool file, zipfian traffic, one SIGKILL mid-stream) and
-# (re)writes BENCH_serving.json in the repo root with provenance.
-bench-serving:
-	$(GO) run ./cmd/cxlkv chaos -backend proc -out BENCH_serving.json
-
-# serving-compare re-runs the serving chaos benchmark and gates it against
-# the committed BENCH_serving.json: the hard invariants (zero survivor
-# errors, zero lost writes, zero corruptions, fsck clean) are absolute;
-# latency and recovery-SLO gates allow 4x slack over the baseline because
-# serving latencies are wall-clock and machine-local. After an intentional
-# change, re-run `make bench-serving` and commit the new baseline.
-serving-compare:
-	$(GO) run ./cmd/cxlkv chaos -backend proc -compare BENCH_serving.json
-
 bench:
 	$(GO) test -run xxx -bench . -benchtime=1s .
-
-# bench-fastpath measures ns/op and device loads/stores/CAS per fast-path
-# operation and (re)writes BENCH_fastpath.json in the repo root, stamped
-# with the build/geometry provenance that produced it.
-bench-fastpath:
-	$(GO) run ./cmd/cxlbench fastpath
-
-# bench-scale measures the client-scaling curve (attach cost and per-client
-# alloc/free device accesses at 1..256 attached clients) plus the 8-way
-# concurrent-recovery comparison, and (re)writes BENCH_scale.json in the
-# repo root with build/geometry provenance.
-bench-scale:
-	$(GO) run ./cmd/cxlbench scale
-
-# bench-compare re-measures the fast paths and the client-scaling curve,
-# failing when any operation's device accesses per op — or any per-client
-# access count at any point of the scaling curve — regressed more than 10%
-# against the committed BENCH_fastpath.json / BENCH_scale.json. Wall time
-# is not compared (machine-local); the access counts are deterministic, so
-# this is a sharp CI gate. After an intentional improvement, re-run
-# `make bench-fastpath` / `make bench-scale` and commit the new baseline.
-bench-compare:
-	$(GO) run ./cmd/cxlbench fastpath-compare
-	$(GO) run ./cmd/cxlbench scale-compare
-	$(MAKE) serving-compare

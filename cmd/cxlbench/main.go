@@ -55,80 +55,6 @@ func main() {
 				fatal(err)
 			}
 			bench.PrintTable1(os.Stdout, rows)
-		case "fastpath":
-			rows, err := bench.FastPath(scale)
-			if err != nil {
-				fatal(err)
-			}
-			bench.PrintFastPath(os.Stdout, rows)
-			data, err := bench.MarshalFastPath(rows, fastPathProvenance())
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile("BENCH_fastpath.json", append(data, '\n'), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Println("written to BENCH_fastpath.json")
-		case "fastpath-compare":
-			committed, err := os.ReadFile("BENCH_fastpath.json")
-			if err != nil {
-				fatal(fmt.Errorf("no committed baseline (run `cxlbench fastpath` first): %w", err))
-			}
-			want, err := bench.UnmarshalFastPath(committed)
-			if err != nil {
-				fatal(err)
-			}
-			rows, err := bench.FastPath(scale)
-			if err != nil {
-				fatal(err)
-			}
-			bench.PrintFastPath(os.Stdout, rows)
-			if regs := bench.CompareFastPath(want, rows, 0.10); len(regs) > 0 {
-				for _, r := range regs {
-					fmt.Fprintf(os.Stderr, "REGRESSION %s\n", r)
-				}
-				fatal(fmt.Errorf("%d fast-path op(s) regressed >10%% vs committed BENCH_fastpath.json", len(regs)))
-			}
-			fmt.Println("all ops within 10% of committed BENCH_fastpath.json")
-		case "scale":
-			rows, err := bench.ClientScaling(scale, nil)
-			if err != nil {
-				fatal(err)
-			}
-			rec, err := bench.ConcurrentRecovery(scale)
-			if err != nil {
-				fatal(err)
-			}
-			bench.PrintScale(os.Stdout, rows, rec)
-			data, err := bench.MarshalScale(rows, rec, scaleProvenance())
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile("BENCH_scale.json", append(data, '\n'), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Println("written to BENCH_scale.json")
-		case "scale-compare":
-			committed, err := os.ReadFile("BENCH_scale.json")
-			if err != nil {
-				fatal(fmt.Errorf("no committed baseline (run `cxlbench scale` first): %w", err))
-			}
-			want, _, err := bench.UnmarshalScale(committed)
-			if err != nil {
-				fatal(err)
-			}
-			rows, err := bench.ClientScaling(scale, nil)
-			if err != nil {
-				fatal(err)
-			}
-			bench.PrintScale(os.Stdout, rows, nil)
-			if regs := bench.CompareScale(want, rows, 0.10); len(regs) > 0 {
-				for _, r := range regs {
-					fmt.Fprintf(os.Stderr, "REGRESSION %s\n", r)
-				}
-				fatal(fmt.Errorf("%d scale point(s) regressed >10%% vs committed BENCH_scale.json", len(regs)))
-			}
-			fmt.Println("all points within 10% of committed BENCH_scale.json")
 		case "fig6":
 			rows, err := bench.Fig6(scale, counts)
 			if err != nil {
@@ -211,7 +137,7 @@ func main() {
 
 	if flag.Arg(0) == "all" {
 		for _, name := range []string{
-			"table1", "fastpath", "scale", "fig6", "fig7", "recovery", "blocking",
+			"table1", "fig6", "fig7", "recovery", "blocking",
 			"fig8", "fig9", "fig10a", "fig10b", "fig10c", "fig10d",
 		} {
 			run(name)
@@ -221,38 +147,6 @@ func main() {
 	for _, name := range flag.Args() {
 		run(name)
 	}
-}
-
-// fastPathProvenance stamps BENCH_fastpath.json with what produced it:
-// build/environment plus the fixed pool geometry bench.FastPath uses.
-func fastPathProvenance() *obs.Provenance {
-	backend := os.Getenv(shm.BackendEnv)
-	if backend == "" {
-		backend = "heap"
-	}
-	prov := obs.CollectProvenance("cxlbench", backend)
-	prov.LayoutVersion = layout.LayoutVersion
-	prov.MaxClients = 8
-	prov.NumSegments = 128
-	prov.SegmentWords = 1 << 15
-	prov.PageWords = 1 << 11
-	return prov
-}
-
-// scaleProvenance stamps BENCH_scale.json with what produced it: the
-// scaling curve's fixed 256+-slot geometry.
-func scaleProvenance() *obs.Provenance {
-	backend := os.Getenv(shm.BackendEnv)
-	if backend == "" {
-		backend = "heap"
-	}
-	prov := obs.CollectProvenance("cxlbench", backend)
-	prov.LayoutVersion = layout.LayoutVersion
-	prov.MaxClients = 260
-	prov.NumSegments = 600
-	prov.SegmentWords = 1 << 13
-	prov.PageWords = 1 << 9
-	return prov
 }
 
 func usage() {
@@ -266,15 +160,6 @@ tables.
 
 experiments:
   table1    memory-type micro-benchmark (paper Table 1)
-  fastpath  device accesses + ns per fast-path op; writes BENCH_fastpath.json
-  fastpath-compare
-            re-measure and fail if any op's device accesses regressed >10%
-            against the committed BENCH_fastpath.json (the CI gate)
-  scale     client-scaling curve to 256 attachments + concurrent-recovery
-            comparison; writes BENCH_scale.json
-  scale-compare
-            re-measure and fail if any point's per-client device accesses
-            regressed >10% against the committed BENCH_scale.json (CI gate)
   fig6      threadtest/shbench allocator comparison (Figure 6)
   fig7      allocation fast-path cost breakdown (Figure 7)
   recovery  recovery throughput vs GC-based recovery (§6.2.1)

@@ -10,8 +10,8 @@
 //	cxlkv drive  [flags]   — standalone load driver against running workers
 //
 // Running cxlkv with no subcommand (or with old-style flags) is the demo,
-// unchanged. The chaos orchestrator is what `make bench-serving` runs to
-// produce BENCH_serving.json.
+// unchanged. The chaos orchestrator is what `make serving-smoke` runs on
+// both worker backends; it exits non-zero when an invariant is violated.
 package main
 
 import (
@@ -30,7 +30,6 @@ import (
 	"repro/internal/kv"
 	"repro/internal/layout"
 	"repro/internal/netrpc"
-	"repro/internal/obs"
 	"repro/internal/recovery"
 	"repro/internal/serving"
 	"repro/internal/shm"
@@ -134,8 +133,6 @@ func chaosCmd(args []string) error {
 	kill := fs.Bool("kill", true, "kill one worker mid-traffic")
 	backend := fs.String("backend", "proc", "proc: child OS processes on an mmap pool file; inproc: workers in this process (heap pool)")
 	poolFile := fs.String("pool", "", "pool file path (proc backend; default: temp file, removed after)")
-	out := fs.String("out", "", "write BENCH_serving.json here")
-	compare := fs.String("compare", "", "compare this run against the baseline BENCH_serving.json at this path and fail on regression")
 	fs.Parse(args)
 
 	cfg := serving.ChaosConfig{
@@ -203,33 +200,9 @@ func chaosCmd(args []string) error {
 	}
 	printChaos(res)
 
-	if *out != "" {
-		bench := &serving.ServingBench{
-			Provenance: obs.CollectProvenance("cxlkv chaos", *backend),
-			Run:        res,
-		}
-		if err := bench.Write(*out); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
 	if res.SurvivorErrors != 0 || res.LostWrites != 0 || res.Corruptions != 0 || !res.FsckClean {
 		return fmt.Errorf("chaos invariants violated (survivor_errors=%d lost=%d corrupt=%d fsck_clean=%v)",
 			res.SurvivorErrors, res.LostWrites, res.Corruptions, res.FsckClean)
-	}
-	if *compare != "" {
-		base, err := serving.LoadBench(*compare)
-		if err != nil {
-			return err
-		}
-		cur := &serving.ServingBench{Run: res}
-		if bad := serving.Compare(base, cur); len(bad) > 0 {
-			for _, b := range bad {
-				fmt.Fprintf(os.Stderr, "serving-compare: %s\n", b)
-			}
-			return fmt.Errorf("serving regressed against %s (%d gates failed)", *compare, len(bad))
-		}
-		fmt.Printf("serving-compare: within gates of %s\n", *compare)
 	}
 	return nil
 }

@@ -1,55 +1,17 @@
 // The -corrupt mode: drive the corruption campaign (internal/sweep) over
-// one or both backends and emit BENCH_resilience.json — repair success
-// rate and blast-radius distribution per fault class.
+// one or both backends and print one outcome count line per fault class.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
 
 	"repro/internal/faultinject"
-	"repro/internal/layout"
-	"repro/internal/obs"
 	"repro/internal/sweep"
 )
 
-// classSummary aggregates one fault class's trials on one backend.
-type classSummary struct {
-	Trials      int `json:"trials"`
-	Repaired    int `json:"repaired"`
-	Quarantined int `json:"quarantined"`
-	Benign      int `json:"benign"`
-	Violations  int `json:"violations"`
-
-	// Blast-radius distribution across the class's trials.
-	Blast struct {
-		TotalWordsRewritten int            `json:"total_words_rewritten"`
-		MaxWordsRewritten   int            `json:"max_words_rewritten"`
-		ObjectsRepaired     int            `json:"objects_repaired"`
-		ObjectsQuarantined  int            `json:"objects_quarantined"`
-		PagesQuarantined    int            `json:"pages_quarantined"`
-		ObjectsLost         int            `json:"objects_lost"`
-		RefsSevered         int            `json:"refs_severed"`
-		WordsHistogram      map[string]int `json:"words_rewritten_histogram"`
-		PerRegionWords      map[string]int `json:"per_region_words_rewritten"`
-	} `json:"blast"`
-}
-
-// resilienceBackend is one backend's full campaign result.
-type resilienceBackend struct {
-	Classes map[string]*classSummary `json:"classes"`
-	Trials  []sweep.CorruptTrial     `json:"trials"`
-}
-
-type resilienceReport struct {
-	Provenance *obs.Provenance              `json:"provenance"`
-	Seed       int64                        `json:"seed"`
-	Backends   map[string]resilienceBackend `json:"backends"`
-}
-
-func runCorrupt(seed int64, regionSpec, classSpec, out string) error {
+func runCorrupt(seed int64, regionSpec, classSpec string) error {
 	var regions []faultinject.Region
 	for _, s := range splitSpec(regionSpec) {
 		r, err := faultinject.ParseRegion(s)
@@ -72,10 +34,6 @@ func runCorrupt(seed int64, regionSpec, classSpec, out string) error {
 		backends = []string{backend}
 	}
 
-	report := resilienceReport{
-		Seed:     seed,
-		Backends: map[string]resilienceBackend{},
-	}
 	violations := 0
 	for _, be := range backends {
 		fmt.Printf("-- corruption campaign: backend %s --\n", be)
@@ -91,92 +49,34 @@ func runCorrupt(seed int64, regionSpec, classSpec, out string) error {
 		if err != nil {
 			return err
 		}
-		rb := resilienceBackend{Classes: map[string]*classSummary{}, Trials: trials}
-		for _, tr := range trials {
-			cs := rb.Classes[tr.Class]
-			if cs == nil {
-				cs = &classSummary{}
-				cs.Blast.WordsHistogram = map[string]int{}
-				cs.Blast.PerRegionWords = map[string]int{}
-				rb.Classes[tr.Class] = cs
-			}
-			cs.Trials++
-			switch tr.Outcome {
-			case "repaired":
-				cs.Repaired++
-			case "quarantined":
-				cs.Quarantined++
-			case "benign":
-				cs.Benign++
-			case "violation":
-				cs.Violations++
-			}
-			b := tr.Blast
-			cs.Blast.TotalWordsRewritten += b.WordsRewritten
-			if b.WordsRewritten > cs.Blast.MaxWordsRewritten {
-				cs.Blast.MaxWordsRewritten = b.WordsRewritten
-			}
-			cs.Blast.ObjectsRepaired += b.ObjectsRepaired
-			cs.Blast.ObjectsQuarantined += b.ObjectsQuarantined
-			cs.Blast.PagesQuarantined += b.PagesQuarantined
-			cs.Blast.ObjectsLost += b.ObjectsLost
-			cs.Blast.RefsSevered += b.RefsSevered
-			cs.Blast.WordsHistogram[wordsBucket(b.WordsRewritten)]++
-			cs.Blast.PerRegionWords[tr.Region] += b.WordsRewritten
-		}
-		report.Backends[be] = rb
 		for _, v := range vs {
 			fmt.Fprintf(os.Stderr, "VIOLATION %s\n", v)
 		}
 		violations += len(vs)
-		for class, cs := range rb.Classes {
-			fmt.Printf("  %s: %d trials — %d repaired, %d quarantined, %d benign, %d violations (max blast %d words)\n",
-				class, cs.Trials, cs.Repaired, cs.Quarantined, cs.Benign, cs.Violations,
-				cs.Blast.MaxWordsRewritten)
-		}
-	}
 
-	if out != "" {
-		prov := obs.CollectProvenance("faultsim -corrupt", strings.Join(backends, ","))
-		prov.LayoutVersion = layout.LayoutVersion
-		prov.MaxClients = 8
-		prov.NumSegments = 16
-		prov.SegmentWords = 1 << 13
-		prov.PageWords = 1 << 9
-		prov.MaxQueues = 8
-		report.Provenance = prov
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
+		// RunCorrupt runs the trials class by class: print each class's
+		// outcome counts and the most words one trial's repair rewrote.
+		for len(trials) > 0 {
+			n := 1
+			for n < len(trials) && trials[n].Class == trials[0].Class {
+				n++
+			}
+			outcomes := map[string]int{}
+			maxBlast := 0
+			for _, tr := range trials[:n] {
+				outcomes[tr.Outcome]++
+				maxBlast = max(maxBlast, tr.Blast.WordsRewritten)
+			}
+			fmt.Printf("  %s: %d trials — %d repaired, %d quarantined, %d benign, %d violations (max blast %d words)\n",
+				trials[0].Class, n, outcomes["repaired"], outcomes["quarantined"], outcomes["benign"],
+				outcomes["violation"], maxBlast)
+			trials = trials[n:]
 		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("resilience report written to %s\n", out)
 	}
 	if violations > 0 {
 		return fmt.Errorf("corruption campaign: %d violations", violations)
 	}
 	return nil
-}
-
-// wordsBucket maps a blast radius (words rewritten) to a log-ish histogram
-// bucket so the distribution survives JSON without carrying raw samples.
-func wordsBucket(n int) string {
-	switch {
-	case n == 0:
-		return "0"
-	case n <= 2:
-		return "1-2"
-	case n <= 8:
-		return "3-8"
-	case n <= 32:
-		return "9-32"
-	case n <= 128:
-		return "33-128"
-	default:
-		return ">128"
-	}
 }
 
 func splitSpec(s string) []string {

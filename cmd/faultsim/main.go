@@ -6,7 +6,7 @@
 //
 //	faultsim -sweep [-max-writes N] [-recovery-sweep] [-clients N] [-backend heap|mmap]
 //	faultsim -repro "op=NAME access=N [epoch=T] [recovery-access=R]" [-backend heap|mmap]
-//	faultsim -corrupt [-region R] [-class C] [-seed S] [-resilience-out FILE] [-backend heap|mmap]
+//	faultsim -corrupt [-region R] [-class C] [-seed S] [-backend heap|mmap]
 //
 // -sweep is the exhaustive access-granular campaign (internal/sweep): every
 // device write of every scripted operation is a crash position, each
@@ -38,7 +38,6 @@ func main() {
 	doCorrupt := flag.Bool("corrupt", false, "run the corruption campaign (bit flips, torn writes, stuck CAS) with repair")
 	region := flag.String("region", "", "with -corrupt: restrict to one region (comma-separated ok; empty = all)")
 	class := flag.String("class", "", "with -corrupt: restrict to one fault class (comma-separated ok; empty = all)")
-	resilienceOut := flag.String("resilience-out", "BENCH_resilience.json", "with -corrupt: write the resilience report here (empty = skip)")
 	maxWrites := flag.Int("max-writes", 0, "with -sweep: bound crash positions per operation (0 = every write)")
 	recoverySweep := flag.Bool("recovery-sweep", false, "with -sweep: also crash the recovery pass at each of its own writes")
 	clients := flag.Int("clients", 0, "with -sweep: size of the client-slot table (0 = default 8)")
@@ -51,7 +50,7 @@ func main() {
 
 	switch {
 	case *doCorrupt:
-		if err := runCorrupt(*seed, *region, *class, *resilienceOut); err != nil {
+		if err := runCorrupt(*seed, *region, *class); err != nil {
 			fail(err)
 		}
 	case *doSweep || *repro != "":

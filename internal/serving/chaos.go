@@ -254,53 +254,52 @@ func ExecSpawner(net netrpc.Config, mkCmd func(idx int) *exec.Cmd) Spawner {
 	}
 }
 
-// ChaosResult is the outcome of one serving run, JSON-shaped for
-// BENCH_serving.json.
+// ChaosResult is the outcome of one serving run.
 type ChaosResult struct {
-	Workers    int     `json:"workers"`
-	Keys       int     `json:"keys"`
-	ValSize    int     `json:"val_size"`
-	Buckets    int     `json:"buckets"`
-	WriteRatio float64 `json:"write_ratio"`
-	Zipf       float64 `json:"zipf"`
-	Conns      int     `json:"conns"`
-	OpsPerConn int     `json:"ops_per_conn"`
+	Workers    int
+	Keys       int
+	ValSize    int
+	Buckets    int
+	WriteRatio float64
+	Zipf       float64
+	Conns      int
+	OpsPerConn int
 
-	Ops       uint64  `json:"ops"`
-	WallNS    int64   `json:"wall_ns"`
-	OpsPerSec float64 `json:"ops_per_sec"`
+	Ops       uint64
+	WallNS    int64
+	OpsPerSec float64
 
-	ReadP50NS   int64 `json:"read_p50_ns"`
-	ReadP99NS   int64 `json:"read_p99_ns"`
-	WriteP50NS  int64 `json:"write_p50_ns"`
-	WriteP99NS  int64 `json:"write_p99_ns"`
-	ScanP50NS   int64 `json:"scan_p50_ns,omitempty"`
-	ScanP99NS   int64 `json:"scan_p99_ns,omitempty"`
-	WindowP99NS int64 `json:"window_p99_ns,omitempty"`
+	ReadP50NS   int64
+	ReadP99NS   int64
+	WriteP50NS  int64
+	WriteP99NS  int64
+	ScanP50NS   int64
+	ScanP99NS   int64
+	WindowP99NS int64
 
-	SurvivorErrors uint64 `json:"survivor_errors"`
-	VictimErrors   uint64 `json:"victim_errors"`
-	StalledWrites  uint64 `json:"stalled_writes"`
-	LostWrites     uint64 `json:"lost_writes"`
-	Corruptions    uint64 `json:"corruptions"`
-	Rerouted       uint64 `json:"rerouted"`
+	SurvivorErrors uint64
+	VictimErrors   uint64
+	StalledWrites  uint64
+	LostWrites     uint64
+	Corruptions    uint64
+	Rerouted       uint64
 
-	Killed                 bool  `json:"killed"`
-	VictimWorker           int   `json:"victim_worker,omitempty"`
-	VictimCID              int   `json:"victim_cid,omitempty"`
-	DetectToRecoveredNS    int64 `json:"detect_to_recovered_ns,omitempty"`
-	TimelineDetectToRecNS  int64 `json:"timeline_detect_to_recovered_ns,omitempty"`
-	TakeoverNS             int64 `json:"takeover_ns,omitempty"`
-	DisruptionNS           int64 `json:"disruption_ns,omitempty"`
+	Killed                bool
+	VictimWorker          int
+	VictimCID             int
+	DetectToRecoveredNS   int64
+	TimelineDetectToRecNS int64
+	TakeoverNS            int64
+	DisruptionNS          int64
 
-	FsckClean  bool `json:"fsck_clean"`
-	FsckIssues int  `json:"fsck_issues"`
+	FsckClean  bool
+	FsckIssues int
 }
 
 // RunChaos executes one full serving run on pool: preload, spawn workers
 // through spawn, drive traffic, optionally kill one worker mid-stream and
 // fail its partition over, then drain, recover every slot, and fsck.
-func RunChaos(pool *shm.Pool, spawn Spawner, cfg ChaosConfig) (*ChaosResult, error) {
+func RunChaos(pool *shm.Pool, spawn Spawner, cfg ChaosConfig) (res *ChaosResult, err error) {
 	cfg.fill()
 
 	// Preload through a direct pool client: partition leases are all zero
@@ -336,7 +335,18 @@ func RunChaos(pool *shm.Pool, spawn Spawner, cfg ChaosConfig) (*ChaosResult, err
 		return nil, fmt.Errorf("serving: recover loader: %w", err)
 	}
 
+	// procs holds the spawned workers not yet killed or shut down. An error
+	// return kills them all, so a failed run leaves no orphan child process.
 	procs := make([]WorkerProc, cfg.Workers)
+	defer func() {
+		if err != nil {
+			for _, p := range procs {
+				if p != nil {
+					p.Kill()
+				}
+			}
+		}
+	}()
 	addrs := make([]string, cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		p, err := spawn(i, WorkerConfig{
@@ -373,17 +383,17 @@ func RunChaos(pool *shm.Pool, spawn Spawner, cfg ChaosConfig) (*ChaosResult, err
 		return nil, err
 	}
 
-	type runOut struct {
+	var out struct {
 		rep *DriverReport
 		err error
 	}
-	done := make(chan runOut, 1)
+	finished := make(chan struct{})
 	go func() {
-		rep, err := driver.Run()
-		done <- runOut{rep, err}
+		out.rep, out.err = driver.Run()
+		close(finished)
 	}()
 
-	res := &ChaosResult{
+	res = &ChaosResult{
 		Workers: cfg.Workers, Keys: cfg.Keys, ValSize: cfg.ValSize,
 		Buckets: cfg.Buckets, WriteRatio: cfg.WriteRatio, Zipf: cfg.Zipf,
 		Conns: cfg.Conns, OpsPerConn: cfg.OpsPerConn,
@@ -394,7 +404,13 @@ func RunChaos(pool *shm.Pool, spawn Spawner, cfg ChaosConfig) (*ChaosResult, err
 		victim = cfg.Workers / 2
 		total := uint64(cfg.Conns) * uint64(cfg.OpsPerConn)
 		for driver.OpsDone() < total/3 {
-			time.Sleep(time.Millisecond)
+			select {
+			case <-finished: // a driver that returns nil has done every op
+				if out.err != nil {
+					return nil, fmt.Errorf("serving: driver stopped before the kill point: %w", out.err)
+				}
+			case <-time.After(time.Millisecond):
+			}
 		}
 		victimCID := procs[victim].CID()
 		driver.ExpectDown(victim)
@@ -403,6 +419,7 @@ func RunChaos(pool *shm.Pool, spawn Spawner, cfg ChaosConfig) (*ChaosResult, err
 		if err := procs[victim].Kill(); err != nil {
 			return nil, fmt.Errorf("serving: kill worker %d: %w", victim, err)
 		}
+		procs[victim] = nil
 
 		// The monitor owns detection: wait for its recovery record.
 		var rec recovery.RecoveryRecord
@@ -448,7 +465,7 @@ func RunChaos(pool *shm.Pool, spawn Spawner, cfg ChaosConfig) (*ChaosResult, err
 		}
 	}
 
-	out := <-done
+	<-finished
 	if out.rep != nil {
 		rep := out.rep
 		res.Ops = rep.Ops
@@ -478,13 +495,14 @@ func RunChaos(pool *shm.Pool, spawn Spawner, cfg ChaosConfig) (*ChaosResult, err
 	// parked-dead slots are recovered exactly once, by us.
 	stopMon()
 	for i, p := range procs {
-		if i == victim {
+		if p == nil {
 			continue
 		}
 		cid := p.CID()
 		if err := p.Shutdown(); err != nil {
 			return res, fmt.Errorf("serving: shutdown worker %d: %w", i, err)
 		}
+		procs[i] = nil
 		if _, err := svc.RecoverClient(cid); err != nil {
 			return res, fmt.Errorf("serving: recover worker %d (cid %d): %w", i, cid, err)
 		}

@@ -74,6 +74,72 @@ func TestChaosInProcess(t *testing.T) {
 	}
 }
 
+// trackedWorker counts Kill calls and can report an address nobody listens
+// on, so that every driver connection fails to dial it.
+type trackedWorker struct {
+	serving.WorkerProc
+	unreachable bool
+	kills       *int
+}
+
+func (w trackedWorker) Addr() string {
+	if w.unreachable {
+		return "@cxlshm-netrpc-nobody-listens-here"
+	}
+	return w.WorkerProc.Addr()
+}
+
+func (w trackedWorker) Kill() error {
+	*w.kills++
+	return w.WorkerProc.Kill()
+}
+
+// TestChaosDriverStopsBeforeKillPoint: when the traffic driver returns before
+// the kill point (here every connection fails to dial worker 1), RunChaos
+// must return the driver's error instead of waiting forever for operations
+// that will never come, and must kill the workers it spawned.
+func TestChaosDriverStopsBeforeKillPoint(t *testing.T) {
+	cfg := serving.ChaosConfig{
+		Workers:    2,
+		Keys:       2000,
+		Conns:      2,
+		OpsPerConn: 500,
+		Kill:       true,
+	}
+	p, err := shm.NewPool(shm.Config{Geometry: serving.SizeGeometry(cfg)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.CloseDevice()
+	inproc := serving.InProcSpawner(p)
+	kills := 0
+	spawn := func(idx int, wc serving.WorkerConfig) (serving.WorkerProc, error) {
+		w, err := inproc(idx, wc)
+		if err != nil {
+			return nil, err
+		}
+		return trackedWorker{w, idx == 1, &kills}, nil
+	}
+
+	errc := make(chan error, 1)
+	go func() {
+		_, err := serving.RunChaos(p, spawn, cfg)
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("RunChaos succeeded with an undialable worker")
+		}
+		t.Logf("RunChaos: %v", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("RunChaos still waiting for the kill point 5s after its driver stopped")
+	}
+	if kills != cfg.Workers {
+		t.Errorf("failed run killed %d of its %d workers", kills, cfg.Workers)
+	}
+}
+
 // TestChaosNoKill is the control: same harness, no failure injected —
 // nothing stalls, nothing reroutes, fsck clean.
 func TestChaosNoKill(t *testing.T) {

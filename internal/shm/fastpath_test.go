@@ -9,15 +9,13 @@ import (
 	"repro/internal/shm"
 )
 
-// Access-budget regression tests: the fast-path overhaul's gains are counted
-// in device words touched per operation, so they are pinned here as budgets.
-// The budgets carry a little slack over the measured steady state (malloc
-// ≈7.2, free ≈10, send+receive+release 34, batched trio ≈23 at the time of
-// writing — after deferred publication, the reference shadow caches, and the
-// CAS-free receive move) to absorb incidental slow-path amortization, but
-// sit far below the previous generation's costs (malloc ≈10.1, free 22,
-// trio 57) — a regression that reintroduces per-op metadata traffic trips
-// them immediately.
+// Access-budget regression tests: the fast paths' cost is counted in device
+// words touched per operation, the cost that carries over to real CXL
+// hardware, so it is pinned here as budgets about 5 % over the measured steady
+// state (malloc 7.17, free 10.03, send+receive+release 30.02, batched trio
+// 23.21 on both backends), so a regression that reintroduces per-op metadata
+// traffic trips them immediately. `go test -v -run TestDeviceAccessBudget`
+// prints the measured counts.
 
 func newCountingPool(t *testing.T) *shm.Pool {
 	t.Helper()
@@ -80,14 +78,15 @@ func TestDeviceAccessBudget(t *testing.T) {
 			}
 		}
 	})
-	if mallocCost > 10 {
-		t.Errorf("malloc touches %.2f device words/op, budget 10", mallocCost)
+	t.Logf("malloc %.3f, free %.3f, pair %.3f device accesses/op", mallocCost, freeCost, mallocCost+freeCost)
+	if mallocCost > 7.5 {
+		t.Errorf("malloc touches %.2f device words/op, budget 7.5", mallocCost)
 	}
-	if freeCost > 12 {
-		t.Errorf("free touches %.2f device words/op, budget 12", freeCost)
+	if freeCost > 10.5 {
+		t.Errorf("free touches %.2f device words/op, budget 10.5", freeCost)
 	}
-	if pair := mallocCost + freeCost; pair > 20 {
-		t.Errorf("malloc+free pair touches %.2f device words, budget 20", pair)
+	if pair := mallocCost + freeCost; pair > 17.8 {
+		t.Errorf("malloc+free pair touches %.2f device words, budget 17.8", pair)
 	}
 
 	snd := connect(t, p)
@@ -117,13 +116,14 @@ func TestDeviceAccessBudget(t *testing.T) {
 			}
 		}
 	})
-	if trioCost > 38 {
-		t.Errorf("send+receive+release touches %.2f device words, budget 38", trioCost)
+	t.Logf("send+receive+release %.3f device accesses/op", trioCost)
+	if trioCost > 31.5 {
+		t.Errorf("send+receive+release touches %.2f device words, budget 31.5", trioCost)
 	}
 
-	// Batched trio (same shape as the benchmark's batch row): SendBatch and
-	// ReceiveBatch amortize the tail/head stores across the batch, and the
-	// batch's receive moves all close under one era bump.
+	// Batched trio: SendBatch and ReceiveBatch amortize the tail/head stores
+	// across the batch, and the batch's receive moves all close under one era
+	// bump.
 	const batch = 40 // queue capacity is 64
 	targets := make([]layout.Addr, batch)
 	for i := range targets {
@@ -145,8 +145,9 @@ func TestDeviceAccessBudget(t *testing.T) {
 			}
 		}
 	}) * float64(n) / float64(n/batch*batch) // perOp divides by n; renormalize to items
-	if batchCost > 27 {
-		t.Errorf("batched trio touches %.2f device words/item, budget 27", batchCost)
+	t.Logf("batched trio (%d/batch) %.3f device accesses/item", batch, batchCost)
+	if batchCost > 24.4 {
+		t.Errorf("batched trio touches %.2f device words/item, budget 24.4", batchCost)
 	}
 }
 

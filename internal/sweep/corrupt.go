@@ -46,25 +46,25 @@ type CorruptConfig struct {
 
 // CorruptTrial is the structured outcome of one (region, class) trial.
 type CorruptTrial struct {
-	Region  string `json:"region"`
-	Class   string `json:"class"`
-	Backend string `json:"backend"`
-	Seed    int64  `json:"seed"`
+	Region  string
+	Class   string
+	Backend string
+	Seed    int64
 	// Outcome is "repaired", "quarantined", "benign", or "violation".
-	Outcome string `json:"outcome"`
+	Outcome string
 	// Faults is the injected fault sequence (the determinism contract).
-	Faults []faultinject.InjectedFault `json:"faults"`
+	Faults []faultinject.InjectedFault
 	// Crashed lists clients that died during the faulted window (stuck-CAS
 	// spins, or operations walking damaged metadata).
-	Crashed []int `json:"crashed,omitempty"`
+	Crashed []int
 	// PreIssues counts validator issues before repair; Rounds/Actions
 	// summarize the repair pass; Blast is its damage accounting.
-	PreIssues int               `json:"pre_issues"`
-	Rounds    int               `json:"rounds"`
-	Actions   int               `json:"actions"`
-	Blast     check.BlastRadius `json:"blast"`
+	PreIssues int
+	Rounds    int
+	Actions   int
+	Blast     check.BlastRadius
 	// Violations carries this trial's failures (empty on success).
-	Violations []Violation `json:"violations,omitempty"`
+	Violations []Violation
 }
 
 // Repro formats the faultsim invocation reproducing this trial.
