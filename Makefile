@@ -6,7 +6,8 @@
 GO ?= go
 
 .PHONY: all build test vet race verify bench bench-smoke test-mmap sweep \
-	corrupt fsck-smoke top-smoke ci serving-smoke benchmark-check dep-guard
+	corrupt fsck-smoke top-smoke ci serving-smoke benchmark-check dep-guard \
+	inline-check
 
 all: verify
 
@@ -92,6 +93,21 @@ benchmark-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
+# inline-check guards the host side of the shm fast path, which no device-
+# access budget can see: the shift-based address → segment → page mapping,
+# the size-class table lookup, the owned-segment lookup and the device
+# Handle's Load must each stay inlinable. It fails naming the first one the
+# compiler no longer inlines.
+INLINE_FUNCS = '(*Handle).Load' '(*Geometry).SegmentIndexOf' '(*Geometry).PageIndexOf' \
+	'(*Geometry).SegmentBase' '(*Geometry).PageBase' '(*Geometry).ClassIndexFor' '(*Client).ownedSegOf'
+
+inline-check:
+	@names=$$($(GO) build -gcflags=-m ./internal/layout ./internal/shm ./internal/cxl 2>&1 | \
+		sed -n 's/.*: can inline //p'); \
+	for f in $(INLINE_FUNCS); do \
+		printf '%s\n' "$$names" | grep -qxF "$$f" || { echo "inline-check: $$f is no longer inlined"; exit 1; }; \
+	done
+
 # dep-guard keeps the crash harness out of the product: nothing the library,
 # the serving tier or the recovery service links may import
 # internal/faultinject (crashes are injected from outside, through
@@ -103,7 +119,8 @@ dep-guard:
 
 # ci is the continuous-integration gate (.github/workflows/ci.yml): vet,
 # tier-1 build+test, the benchmark module's own vet+test, the
-# faultinject dependency guard, a race pass over the fast-path device-access
+# faultinject dependency guard, the fast path's inline guard, a race pass
+# over the fast-path device-access
 # budgets, the client-scaling curve's budgets and the queue tests on both
 # backends, the device-access budgets of the recovery pass, the
 # tick after it and the idle tick over a dead loader's segments on both
@@ -115,7 +132,7 @@ dep-guard:
 # crash sweep (plus bounded legs with telemetry collection enabled and at
 # 64-client geometry), the cxltop/cxlsnap observer smoke, and the
 # serving-tier chaos smoke on both worker backends.
-ci: vet build test benchmark-check dep-guard
+ci: vet build test benchmark-check dep-guard inline-check
 	$(GO) test -race -run 'TestDeviceAccessBudget|TestClientScaling|TestQueue' ./internal/shm
 	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestDeviceAccessBudget|TestClientScaling|TestQueue' ./internal/shm
 	$(GO) test -run 'TestRecoveryPassAccessBudget|TestIdleTickAfterLoaderDeath' ./internal/recovery

@@ -85,8 +85,8 @@ const (
 type Config struct {
 	MaxClients   int // default 32
 	NumSegments  int // default 64
-	SegmentBytes int // default 512 KiB; the paper uses 64 MiB
-	PageBytes    int // default 32 KiB
+	SegmentBytes int // default 512 KiB, a power of two (the paper uses 64 MiB)
+	PageBytes    int // default 32 KiB, a power of two: addresses map to pages by shifts
 	MaxQueues    int // default 128
 	Latency      LatencyModel
 
@@ -139,6 +139,10 @@ func NewPool(cfg Config) (*Pool, error) {
 	}
 	lat.FlushNS = cfg.FlushCostNS
 	lat.FenceNS = cfg.FenceCostNS
+	if cfg.SegmentBytes&(cfg.SegmentBytes-1) != 0 || cfg.PageBytes&(cfg.PageBytes-1) != 0 {
+		return nil, fmt.Errorf("cxlshm: SegmentBytes %d and PageBytes %d must each be a power of two",
+			cfg.SegmentBytes, cfg.PageBytes)
+	}
 	p, err := shm.NewPool(shm.Config{
 		Geometry: layout.GeometryConfig{
 			MaxClients:   cfg.MaxClients,

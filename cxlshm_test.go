@@ -2,6 +2,7 @@ package cxlshm_test
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -24,6 +25,23 @@ func newPool(t *testing.T) *cxlshm.Pool {
 	}
 	t.Cleanup(p.Close)
 	return p
+}
+
+// TestNewPoolRejectsNonPowerOfTwo: segments and pages are located by shifts,
+// so their sizes must be powers of two.
+func TestNewPoolRejectsNonPowerOfTwo(t *testing.T) {
+	for _, cfg := range []cxlshm.Config{
+		{SegmentBytes: 96 * 1024, PageBytes: 4 * 1024},
+		{SegmentBytes: 64 * 1024, PageBytes: 6 * 1024},
+	} {
+		if p, err := cxlshm.NewPool(cfg); err == nil || !strings.Contains(err.Error(), "power of two") {
+			if p != nil {
+				p.Close()
+			}
+			t.Errorf("NewPool(%d B segments, %d B pages) err = %v, want a power-of-two refusal",
+				cfg.SegmentBytes, cfg.PageBytes, err)
+		}
+	}
 }
 
 func validateClean(t *testing.T, p *cxlshm.Pool, wantObjects int) {

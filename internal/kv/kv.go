@@ -176,35 +176,64 @@ func (s *Store) PartitionOf(key uint64) int {
 	return Partition(key, s.buckets, s.writers)
 }
 
+// A lease word records its writer's cid in the low 16 bits and the writer's
+// slot-lease generation above them: a steal can then tell the writer that
+// took the lease from a later lessee of the same slot.
+func packLease(cid int, gen uint64) uint64 { return gen<<16 | uint64(cid) }
+
+func unpackLease(w uint64) (cid int, gen uint64) { return int(w & 0xffff), w >> 16 }
+
 // AcquirePartition records this client as partition p's writer (lease word).
-// Returns false if another live writer holds it; pass steal to take over a
-// dead writer's partition — the §6.4 metadata-only repartitioning.
+// Returns false if another writer holds it; pass steal to take over a dead
+// writer's partition — the §6.4 metadata-only repartitioning. A steal, too,
+// is refused until the recorded writer can no longer write (stealable).
 func (s *Store) AcquirePartition(p int, steal bool) bool {
 	if p < 0 || p >= s.writers {
 		return false
 	}
 	leaseIdx := s.buckets + 4 + p
+	mine := packLease(s.c.ID(), s.c.Generation())
 	// Bounded load+CAS retry: a concurrent acquirer (or a recovery pass
 	// rewriting index words) between the load and the CAS is a reload, not
-	// a refusal. Only a live competing writer (without steal) refuses.
+	// a refusal.
 	for attempt := 0; attempt < 8; attempt++ {
 		cur := s.c.LoadWord(s.index, leaseIdx)
-		if cur != 0 && !steal {
+		if cur != 0 && cur != mine && (!steal || !s.stealable(cur)) {
 			return false
 		}
-		if s.c.CASWord(s.index, leaseIdx, cur, uint64(s.c.ID())) {
+		if s.c.CASWord(s.index, leaseIdx, cur, mine) {
 			return true
 		}
 	}
 	return false
 }
 
-// PartitionOwner reads partition p's lease word.
+// stealable reports whether the writer recorded in lease word w can write no
+// more: its slot is FREE or RECOVERED, or leased under another generation.
+// A live writer may be in the middle of a PUT that passed checkOwner, and a
+// dead one's redo entry owns the word it died writing until recovery
+// resolves it (a replay after the steal would overwrite the new writer's
+// link). One or two loads, once per failover.
+func (s *Store) stealable(w uint64) bool {
+	cid, gen := unpackLease(w)
+	pool := s.c.Pool()
+	if cid < 1 || cid > pool.Geometry().MaxClients {
+		return true
+	}
+	switch pool.ClientStatus(cid) {
+	case layout.ClientSlotFree, layout.ClientRecovered:
+		return true
+	}
+	return pool.SlotGeneration(cid) != gen
+}
+
+// PartitionOwner returns the cid recorded in partition p's lease word.
 func (s *Store) PartitionOwner(p int) int {
 	if p < 0 || p >= s.writers {
 		return 0 // no such partition (p can come off the wire): nobody owns it
 	}
-	return int(s.c.LoadWord(s.index, s.buckets+4+p))
+	cid, _ := unpackLease(s.c.LoadWord(s.index, s.buckets+4+p))
+	return cid
 }
 
 // checkOwner enforces the single-writer rule when leases are in use: if the

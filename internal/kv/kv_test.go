@@ -325,7 +325,21 @@ func TestPartitionLeaseEnforcesSingleWriter(t *testing.T) {
 	if err := s2.Put(other, []byte{3}); err != nil {
 		t.Fatalf("write to unleased partition: %v", err)
 	}
-	// Takeover transfers write rights.
+	// Takeover transfers write rights, but only from a writer that can no
+	// longer write: refused while w1 lives, granted once it is recovered.
+	if s2.AcquirePartition(p1, true) {
+		t.Fatal("partition stolen from a live writer")
+	}
+	svc, err := recovery.NewService(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.RecoverClient(w1.ID()); err != nil {
+		t.Fatal(err)
+	}
 	if !s2.AcquirePartition(p1, true) {
 		t.Fatal("steal failed")
 	}

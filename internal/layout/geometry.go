@@ -1,6 +1,9 @@
 package layout
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Geometry fixes the layout of the shared pool (paper Figure 3):
 //
@@ -83,6 +86,10 @@ type Geometry struct {
 	TotalWords    uint64
 
 	Classes []SizeClass
+	classOf []uint8 // (dataBytes+15)/16 → smallest class that fits (ClassIndexFor)
+	// log2 of SegmentWords and PageWords: an address maps to its segment and
+	// page by shifts, which is why NewGeometry requires powers of two.
+	segShift, pageShift uint8
 }
 
 // MaxNamedRoots is the size of the named-root directory: well-known
@@ -113,8 +120,8 @@ const PoolMagic = 0xC1525348 // "CXL-SHM" truncated tag
 type GeometryConfig struct {
 	MaxClients   int    // default 32
 	NumSegments  int    // default 64
-	SegmentWords uint64 // default 1<<16 words (512 KiB)
-	PageWords    uint64 // default 1<<12 words (32 KiB)
+	SegmentWords uint64 // default 1<<16 words (512 KiB); a power of two
+	PageWords    uint64 // default 1<<12 words (32 KiB); a power of two
 	MaxQueues    int    // default 128
 }
 
@@ -141,6 +148,10 @@ func NewGeometry(cfg GeometryConfig) (*Geometry, error) {
 	if cfg.PageWords < 64 {
 		return nil, fmt.Errorf("layout: PageWords %d too small (min 64)", cfg.PageWords)
 	}
+	if cfg.SegmentWords&(cfg.SegmentWords-1) != 0 || cfg.PageWords&(cfg.PageWords-1) != 0 {
+		return nil, fmt.Errorf("layout: SegmentWords %d and PageWords %d must each be a power of two",
+			cfg.SegmentWords, cfg.PageWords)
+	}
 	if cfg.SegmentWords < cfg.PageWords*2 {
 		return nil, fmt.Errorf("layout: SegmentWords %d must hold at least two pages of %d words",
 			cfg.SegmentWords, cfg.PageWords)
@@ -153,6 +164,8 @@ func NewGeometry(cfg GeometryConfig) (*Geometry, error) {
 		SegmentWords: cfg.SegmentWords,
 		PageWords:    cfg.PageWords,
 		RedoWords:    DefaultRedoWords,
+		segShift:     uint8(bits.TrailingZeros64(cfg.SegmentWords)),
+		pageShift:    uint8(bits.TrailingZeros64(cfg.PageWords)),
 	}
 	g.ClientStateWords = clientFixedWords + uint64(g.MaxClients) + 1
 
@@ -195,6 +208,7 @@ func NewGeometry(cfg GeometryConfig) (*Geometry, error) {
 	g.TotalWords = uint64(g.TelemetryBase) + g.telemetryWords()
 
 	g.Classes = BuildSizeClasses(g.PageWords)
+	g.classOf = buildClassTable(g.Classes)
 	return g, nil
 }
 
@@ -276,7 +290,7 @@ func (g *Geometry) RootDirAddr(i int) Addr { return g.RootDirBase + Addr(i) }
 
 // SegmentBase returns the base address of segment i.
 func (g *Geometry) SegmentBase(i int) Addr {
-	return g.SegmentsBase + Addr(uint64(i)*g.SegmentWords)
+	return g.SegmentsBase + Addr(i)<<(g.segShift&63)
 }
 
 // SegmentIndexOf maps an address inside the segments area to its segment
@@ -285,7 +299,7 @@ func (g *Geometry) SegmentIndexOf(a Addr) int {
 	if a < g.SegmentsBase || a >= g.TelemetryBase {
 		return -1
 	}
-	return int((a - g.SegmentsBase) / Addr(g.SegmentWords))
+	return int((a - g.SegmentsBase) >> (g.segShift & 63))
 }
 
 // SegNextPageAddr returns the address of segment i's next-unclaimed-page
@@ -299,7 +313,7 @@ func (g *Geometry) PageMetaAddr(s, p int) Addr {
 
 // PageBase returns the base address of page p in segment s.
 func (g *Geometry) PageBase(s, p int) Addr {
-	return g.SegmentBase(s) + Addr(g.SegHeaderWords) + Addr(uint64(p)*g.PageWords)
+	return g.SegmentBase(s) + Addr(g.SegHeaderWords) + Addr(p)<<(g.pageShift&63)
 }
 
 // PageIndexOf maps an address inside segment s to a page index, or -1 if it
@@ -309,7 +323,7 @@ func (g *Geometry) PageIndexOf(s int, a Addr) int {
 	if off < Addr(g.SegHeaderWords) {
 		return -1
 	}
-	p := int((off - Addr(g.SegHeaderWords)) / Addr(g.PageWords))
+	p := int((off - Addr(g.SegHeaderWords)) >> (g.pageShift & 63))
 	if p >= g.PagesPerSegment {
 		return -1
 	}

@@ -2,6 +2,7 @@ package layout
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -93,29 +94,36 @@ func TestSizeClassesAreSortedAndAligned(t *testing.T) {
 }
 
 func TestClassIndexForFindsSmallestFit(t *testing.T) {
-	classes := BuildSizeClasses(1 << 12)
+	g, err := NewGeometry(GeometryConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := g.Classes
 	for want, c := range classes {
-		if got := ClassIndexFor(classes, c.DataBytes); got != want {
+		if got := g.ClassIndexFor(c.DataBytes); got != want {
 			t.Fatalf("exact size %d: class %d, want %d", c.DataBytes, got, want)
 		}
-		if got := ClassIndexFor(classes, c.DataBytes-1); got != want {
+		if got := g.ClassIndexFor(c.DataBytes - 1); got != want {
 			t.Fatalf("size %d: class %d, want %d", c.DataBytes-1, got, want)
 		}
 	}
 	last := classes[len(classes)-1]
-	if got := ClassIndexFor(classes, last.DataBytes+1); got != -1 {
+	if got := g.ClassIndexFor(last.DataBytes + 1); got != -1 {
 		t.Fatalf("oversize request got class %d, want -1 (huge path)", got)
 	}
-	if got := ClassIndexFor(classes, 0); got != 0 {
+	if got := g.ClassIndexFor(0); got != 0 {
 		t.Fatalf("zero-byte request got class %d, want 0", got)
 	}
 }
 
 func TestClassIndexForMatchesLinearScan(t *testing.T) {
-	classes := BuildSizeClasses(1 << 12)
+	g, err := NewGeometry(GeometryConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(42))
 	linear := func(n int) int {
-		for _, c := range classes {
+		for _, c := range g.Classes {
 			if c.DataBytes >= n {
 				return c.Index
 			}
@@ -124,8 +132,73 @@ func TestClassIndexForMatchesLinearScan(t *testing.T) {
 	}
 	for i := 0; i < 2000; i++ {
 		n := rng.Intn(40000) + 1
-		if got, want := ClassIndexFor(classes, n), linear(n); got != want {
-			t.Fatalf("size %d: binary %d, linear %d", n, got, want)
+		if got, want := g.ClassIndexFor(n), linear(n); got != want {
+			t.Fatalf("size %d: table %d, linear %d", n, got, want)
+		}
+	}
+}
+
+// binaryClassSearch is the size-class lookup the table replaced: the smallest
+// class whose payload fits dataBytes (below 1 counts as 1), or -1.
+func binaryClassSearch(classes []SizeClass, dataBytes int) int {
+	if dataBytes <= 0 {
+		dataBytes = 1
+	}
+	lo, hi := 0, len(classes)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if classes[mid].DataBytes < dataBytes {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(classes) {
+		return -1
+	}
+	return lo
+}
+
+// TestClassTableMatchesBinarySearch checks the class table against a binary
+// search for every size up to one past the largest class, at every page size
+// the repository configures.
+func TestClassTableMatchesBinarySearch(t *testing.T) {
+	for pw := uint64(1 << 9); pw <= 1<<12; pw <<= 1 {
+		g, err := NewGeometry(GeometryConfig{SegmentWords: pw * 16, PageWords: pw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range g.Classes {
+			if c.DataBytes%16 != 0 {
+				t.Fatalf("PageWords %d: class %d holds %d B, not a multiple of 16", pw, c.Index, c.DataBytes)
+			}
+		}
+		largest := g.Classes[len(g.Classes)-1].DataBytes
+		for n := -1; n <= largest+1; n++ {
+			if got, want := g.ClassIndexFor(n), binaryClassSearch(g.Classes, n); got != want {
+				t.Fatalf("PageWords %d, %d B: table %d, binary search %d", pw, n, got, want)
+			}
+		}
+	}
+}
+
+// TestGeometryRejectsNonPowerOfTwo: the address → segment → page mapping is
+// shifts, so a segment or page size that is not a power of two must be
+// refused, both when formatting and when attaching through a superblock.
+func TestGeometryRejectsNonPowerOfTwo(t *testing.T) {
+	bad := []GeometryConfig{
+		{SegmentWords: 3 << 12, PageWords: 1 << 10},
+		{SegmentWords: 1 << 14, PageWords: 3 << 8},
+		{SegmentWords: (1 << 14) + 8, PageWords: 1 << 10},
+	}
+	for _, cfg := range bad {
+		if _, err := NewGeometry(cfg); err == nil || !strings.Contains(err.Error(), "power of two") {
+			t.Errorf("NewGeometry(%+v) err = %v, want a power-of-two refusal", cfg, err)
+		}
+		sb := Superblock{Magic: PoolMagic, Version: LayoutVersion, SegmentWords: cfg.SegmentWords,
+			PageWords: cfg.PageWords, NumSegments: 4, MaxClients: 4, MaxQueues: 4}
+		if _, err := sb.Geometry(); err == nil || !strings.Contains(err.Error(), "power of two") {
+			t.Errorf("Superblock%+v.Geometry() err = %v, want a power-of-two refusal", cfg, err)
 		}
 	}
 }

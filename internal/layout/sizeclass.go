@@ -56,26 +56,27 @@ func BuildSizeClasses(pageWords uint64) []SizeClass {
 	return classes
 }
 
-// ClassIndexFor returns the smallest class whose payload fits dataBytes, or
-// -1 if dataBytes exceeds the largest class (the allocation must then take
-// the huge-object path).
-func ClassIndexFor(classes []SizeClass, dataBytes int) int {
-	if dataBytes <= 0 {
-		dataBytes = 1
-	}
-	// Classes are sorted ascending; binary search is overkill for ~40
-	// entries but keeps the lookup O(log n) regardless of configuration.
-	lo, hi := 0, len(classes)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if classes[mid].DataBytes < dataBytes {
-			lo = mid + 1
-		} else {
-			hi = mid
+// buildClassTable maps each 16 B step of data size, (dataBytes+15)/16, to the
+// smallest class that holds it. Every class size is a multiple of 16 B, so
+// the step determines the class exactly.
+func buildClassTable(classes []SizeClass) []uint8 {
+	t := make([]uint8, classes[len(classes)-1].DataBytes/16+1)
+	ci := 0
+	for i := range t {
+		for classes[ci].DataBytes < i*16 {
+			ci++
 		}
+		t[i] = uint8(ci)
 	}
-	if lo == len(classes) {
-		return -1
+	return t
+}
+
+// ClassIndexFor returns the smallest class whose payload fits dataBytes (a
+// size below 1 counts as 1), or -1 if dataBytes exceeds the largest class
+// (the allocation must then take the huge-object path). One table load.
+func (g *Geometry) ClassIndexFor(dataBytes int) int {
+	if i := uint(max(dataBytes, 0)+15) / 16; i < uint(len(g.classOf)) {
+		return int(g.classOf[i])
 	}
-	return lo
+	return -1
 }

@@ -218,13 +218,16 @@ func (s *Shard) Get(c Counter) uint64 {
 // owner accumulates counts in plain local memory and publishes the running
 // totals periodically, so the hot path pays plain increments instead of one
 // atomic RMW per event. Only the shard's single writer may call it (it
-// overwrites, not adds).
+// overwrites, not adds). It stores only the counters that changed: with one
+// writer, readers see exactly what storing them all would leave.
 func (s *Shard) SetCounters(v *[NumCounters]uint64) {
 	if s == nil {
 		return
 	}
 	for i := range v {
-		s.counters[i].Store(v[i])
+		if s.counters[i].Load() != v[i] {
+			s.counters[i].Store(v[i])
+		}
 	}
 }
 

@@ -45,6 +45,11 @@ type Monitor struct {
 	// scanning (idle pooled executors do not beat).
 	execIDs map[int]bool
 
+	// tickMu serializes Ticks, which own beats, the heartbeat gather's
+	// buffer, for their whole duration.
+	tickMu sync.Mutex
+	beats  []beatObs
+
 	mu       sync.Mutex
 	lastBeat map[int]uint64
 	seen     map[int]bool // cid has had lastBeat seeded this incarnation
@@ -166,6 +171,7 @@ func NewMonitor(svc *Service, cfg MonitorConfig) *Monitor {
 		scanBackoff: make(map[int]int),
 		scanNextTry: make(map[int]uint64),
 		lastScan:    make([]uint64, svc.pool.Geometry().NumSegments),
+		beats:       make([]beatObs, svc.pool.Geometry().MaxClients+1),
 		inflight:    make(map[int]bool),
 		execIDs:     make(map[int]bool),
 		fsckEvery:   cfg.FsckEvery,
@@ -289,50 +295,51 @@ const abandonedRescan = 128
 // deterministic and allocation-free); larger pools fan out.
 const beatShard = 64
 
-// gatherBeats reads every slot's status (and heartbeat, for live slots)
-// without holding the monitor lock, sharded across goroutines for pools
-// past beatShard slots. Device words are read once per tick; processing
+// gatherBeats reads every slot's status (and heartbeat, for live slots) into
+// m.beats without holding the monitor lock, sharded across goroutines for
+// pools past beatShard slots. Device words are read once per tick; processing
 // happens later under the lock against this stable snapshot.
 func (m *Monitor) gatherBeats() []beatObs {
+	n := m.svc.pool.Geometry().MaxClients
+	if n <= beatShard {
+		m.scanBeats(1, n)
+		return m.beats
+	}
+	var wg sync.WaitGroup
+	for lo := 1; lo <= n; lo += beatShard {
+		hi := min(lo+beatShard-1, n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m.scanBeats(lo, hi)
+		}()
+	}
+	wg.Wait()
+	return m.beats
+}
+
+// scanBeats fills m.beats[lo..hi]; an executor slot reads as cid 0.
+func (m *Monitor) scanBeats(lo, hi int) {
 	p := m.svc.pool
 	geo := p.Geometry()
 	dev := p.Device()
-	out := make([]beatObs, geo.MaxClients+1)
-	scan := func(lo, hi int) {
-		for cid := lo; cid <= hi; cid++ {
-			if m.execIDs[cid] {
-				continue
-			}
-			o := beatObs{cid: cid, status: p.ClientStatus(cid)}
+	for cid := lo; cid <= hi; cid++ {
+		o := beatObs{}
+		if !m.execIDs[cid] {
+			o = beatObs{cid: cid, status: p.ClientStatus(cid)}
 			if o.status == layout.ClientAlive {
 				o.beat = dev.Load(geo.ClientHeartbeatAddr(cid))
 			}
-			out[cid] = o
 		}
+		m.beats[cid] = o
 	}
-	if geo.MaxClients <= beatShard {
-		scan(1, geo.MaxClients)
-		return out
-	}
-	var wg sync.WaitGroup
-	for lo := 1; lo <= geo.MaxClients; lo += beatShard {
-		hi := lo + beatShard - 1
-		if hi > geo.MaxClients {
-			hi = geo.MaxClients
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			scan(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out
 }
 
 // Tick performs one round of failure detection and background maintenance.
 // Exported so tests and benchmarks can drive the monitor deterministically.
 func (m *Monitor) Tick() {
+	m.tickMu.Lock()
+	defer m.tickMu.Unlock()
 	p := m.svc.pool
 	geo := p.Geometry()
 	beats := m.gatherBeats()

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/check"
 	"repro/internal/layout"
@@ -131,6 +132,44 @@ func TestMonitorHeartbeatBootstrap(t *testing.T) {
 	if f.Misses != 3 {
 		t.Fatalf("fence misses = %d, want 3", f.Misses)
 	}
+}
+
+// A tick over an idle pool allocates nothing: the monitor runs every 10 ms
+// for the life of the pool, so any per-tick garbage is steady GC work.
+func TestMonitorTickAllocatesNothing(t *testing.T) {
+	p := newMonitorPool(t)
+	x, err := p.Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewService(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMonitor(svc, MonitorConfig{Threshold: math.MaxInt32})
+	m.Tick() // first observations fill the monitor's maps
+	if n := testing.AllocsPerRun(100, func() { x.Heartbeat(); m.Tick() }); n != 0 {
+		t.Fatalf("Monitor.Tick allocates %.1f times per tick, want 0", n)
+	}
+}
+
+// Ticks driven by hand while the monitor's own goroutine ticks share the
+// heartbeat gather's buffer; the race detector checks they take turns.
+func TestConcurrentTicksShareTheBeatBuffer(t *testing.T) {
+	p := newMonitorPool(t)
+	if _, err := p.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewService(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMonitor(svc, MonitorConfig{Interval: time.Microsecond, Threshold: math.MaxInt32})
+	m.Start()
+	for i := 0; i < 200; i++ {
+		m.Tick()
+	}
+	m.Stop()
 }
 
 // A maintenance scan that panics on damaged metadata must not kill the

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"math/bits"
 	"os"
@@ -421,7 +422,35 @@ func RunChaos(pool *shm.Pool, spawn Spawner, cfg ChaosConfig) (res *ChaosResult,
 		}
 		procs[victim] = nil
 
-		// The monitor owns detection: wait for its recovery record.
+		// Metadata-only failover: a survivor steals the dead writer's
+		// partition lease, and the driver re-routes writes to it. The monitor
+		// owns detection and recovery; until it has recovered the victim the
+		// worker refuses the steal as pending, and we retry.
+		survivor := (victim + 1) % cfg.Workers
+		conn, err := DialWorker(addrs[survivor], cfg.Net)
+		if err != nil {
+			return nil, err
+		}
+		var t0 time.Time
+		for {
+			t0 = time.Now()
+			err = conn.Takeover(victim)
+			if !errors.Is(err, ErrTakeoverPending) || time.Since(killAt) > 30*time.Second {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		conn.Close()
+		if err != nil {
+			return nil, fmt.Errorf("serving: takeover by worker %d of victim cid %d: %w", survivor, victimCID, err)
+		}
+		res.TakeoverNS = time.Since(t0).Nanoseconds()
+		driver.SetRoute(victim, survivor)
+		driver.SetWindow(false)
+		res.DisruptionNS = time.Since(killAt).Nanoseconds()
+
+		// The recovery that let the steal through is recorded by the
+		// monitor once its pass returns.
 		var rec recovery.RecoveryRecord
 		for found := false; !found; {
 			for _, r := range mon.Recoveries() {
@@ -432,34 +461,15 @@ func RunChaos(pool *shm.Pool, spawn Spawner, cfg ChaosConfig) (res *ChaosResult,
 			}
 			if !found {
 				if time.Since(killAt) > 30*time.Second {
-					return nil, fmt.Errorf("serving: victim cid %d not recovered within 30s", victimCID)
+					return nil, fmt.Errorf("serving: no recovery record for victim cid %d within 30s", victimCID)
 				}
 				time.Sleep(time.Millisecond)
 			}
 		}
-
-		// Metadata-only failover: a survivor steals the dead writer's
-		// partition lease, and the driver re-routes writes to it.
-		survivor := (victim + 1) % cfg.Workers
-		conn, err := DialWorker(addrs[survivor], cfg.Net)
-		if err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		err = conn.Takeover(victim)
-		conn.Close()
-		if err != nil {
-			return nil, fmt.Errorf("serving: takeover by worker %d: %w", survivor, err)
-		}
-		res.TakeoverNS = time.Since(t0).Nanoseconds()
-		driver.SetRoute(victim, survivor)
-		driver.SetWindow(false)
-
 		res.Killed = true
 		res.VictimWorker = victim
 		res.VictimCID = victimCID
 		res.DetectToRecoveredNS = rec.Duration.Nanoseconds()
-		res.DisruptionNS = time.Since(killAt).Nanoseconds()
 		if tl, ok := pool.Telemetry().ReadTimeline(victimCID); ok {
 			res.TimelineDetectToRecNS = tl.DurationNS
 		}

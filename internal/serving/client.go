@@ -2,6 +2,7 @@ package serving
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -96,9 +97,15 @@ func (c *Conn) Scan(startBucket, maxRecords uint64) (int, error) {
 }
 
 // Takeover asks the worker to steal write ownership of partition p — the
-// §6.4 metadata-only failover: no data moves, one lease word changes.
+// §6.4 metadata-only failover: no data moves, one lease word changes. It
+// returns ErrTakeoverPending while the partition's writer may still write;
+// the caller retries.
 func (c *Conn) Takeover(p int) error {
 	_, err := c.callFixed(FnTakeover, uint64(p))
+	var se *netrpc.ServerError
+	if errors.As(err, &se) && se.Msg == ErrTakeoverPending.Error() {
+		return ErrTakeoverPending
+	}
 	return err
 }
 

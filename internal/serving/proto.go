@@ -11,6 +11,7 @@ package serving
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -27,7 +28,8 @@ import (
 //
 // Failures (unknown key partition ownership, takeover refusal, store
 // errors) travel back as netrpc error frames and surface from Conn methods
-// as *netrpc.ServerError.
+// as *netrpc.ServerError — except a takeover refused because the partition's
+// writer may still write, which Conn.Takeover returns as ErrTakeoverPending.
 const (
 	FnPing uint64 = iota + 1
 	FnGet
@@ -45,6 +47,11 @@ const maxScanRecords = 4096
 func u64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
 
 func putU64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
+
+// ErrTakeoverPending is the retriable FnTakeover refusal: the partition's
+// recorded writer is alive, or dead and not yet recovered. Retry once the
+// recovery monitor has recovered it.
+var ErrTakeoverPending = errors.New("serving: takeover pending: the partition's writer is not yet recovered")
 
 func reqError(fn uint64, want int, got int) error {
 	return fmt.Errorf("serving: fn %d: request needs %d bytes, got %d", fn, want, got)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/kv"
 	"repro/internal/netrpc"
+	"repro/internal/recovery"
 	"repro/internal/serving"
 	"repro/internal/shm"
 )
@@ -146,15 +147,33 @@ func TestServingWriteOwnership(t *testing.T) {
 		t.Fatalf("connection dead after refused write: %v", err)
 	}
 
-	// Takeover moves ownership: worker 0 steals partition 1, the same put
-	// now succeeds.
+	// Takeover moves ownership once partition 1's writer can no longer
+	// write: refused as pending while worker 1 lives, granted after it is
+	// stopped and recovered. The same put then succeeds.
+	if err := conn0.Takeover(1); !errors.Is(err, serving.ErrTakeoverPending) {
+		t.Fatalf("takeover from a live writer: %v, want ErrTakeoverPending", err)
+	}
+	cid1 := w1.CID()
+	if err := w1.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := recovery.NewService(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.RecoverClient(cid1); err != nil {
+		t.Fatal(err)
+	}
 	if err := conn0.Takeover(1); err != nil {
 		t.Fatalf("takeover: %v", err)
 	}
 	if err := conn0.Put(key1, val); err != nil {
 		t.Fatalf("put after takeover: %v", err)
 	}
-	_ = w1
+	// A partition the store does not have is a plain error, not a retry.
+	if err := conn0.Takeover(2); err == nil || errors.Is(err, serving.ErrTakeoverPending) {
+		t.Fatalf("takeover of a partition the store lacks: %v, want a non-retriable error", err)
+	}
 }
 
 // TestServingBackToBackPuts pins the handler side of netrpc's buffer
@@ -242,6 +261,17 @@ func TestFencedWorkerRefusesWrites(t *testing.T) {
 		if err := zombie.Put(k, val); !errors.As(err, &se) {
 			t.Fatalf("put %d through the fenced worker: err=%v, want a *netrpc.ServerError", k, err)
 		}
+	}
+	// The fenced writer's partition moves only after its recovery.
+	if err := survivor.Takeover(0); !errors.Is(err, serving.ErrTakeoverPending) {
+		t.Fatalf("takeover before recovery: %v, want ErrTakeoverPending", err)
+	}
+	svc, err := recovery.NewService(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.RecoverClient(w0.CID()); err != nil {
+		t.Fatal(err)
 	}
 	if err := survivor.Takeover(0); err != nil {
 		t.Fatalf("takeover: %v", err)

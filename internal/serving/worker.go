@@ -237,9 +237,11 @@ func (w *Worker) dispatch(fn uint64, payload []byte) ([]byte, error) {
 			return nil, reqError(fn, 8, len(payload))
 		}
 		p := int(u64(payload))
+		if p < 0 || p >= w.store.Writers() {
+			return nil, fmt.Errorf("takeover of partition %d refused: the store has %d", p, w.store.Writers())
+		}
 		if !w.store.AcquirePartition(p, true) {
-			return nil, fmt.Errorf("takeover of partition %d refused (owner %d)",
-				p, w.store.PartitionOwner(p))
+			return nil, ErrTakeoverPending
 		}
 		w.parts[p] = true
 		return nil, nil

@@ -103,11 +103,11 @@ func (c *Client) malloc(dataBytes, embedRefs int) (layout.Addr, layout.Addr, err
 	// free slot without claiming it. Until the claim lands the slot is in the
 	// "lost slot" state a segment-local scan already counts free, so failing
 	// out (or crashing) anywhere below leaks nothing.
-	root, err := c.takeRootRefSlot()
+	rop, root, err := c.takeRootRefSlot()
 	if err != nil {
 		return 0, 0, err
 	}
-	ci := layout.ClassIndexFor(c.geo.Classes, dataBytes)
+	ci := c.geo.ClassIndexFor(dataBytes)
 	if ci < 0 {
 		// Huge objects keep the classic claim-first order: the multi-segment
 		// claim loop can fail midway, and a committed in_use slot is what the
@@ -115,7 +115,7 @@ func (c *Client) malloc(dataBytes, embedRefs int) (layout.Addr, layout.Addr, err
 		c.h.Store(root+layout.RootRefPptrOff, 0)
 		c.h.Store(root, layout.PackRootRef(true, 1))
 		c.inflightRoot = 0
-		c.noteRoot(root, 1, 0)
+		c.noteRoot(rop, root, 1, 0)
 		block, err := c.allocHuge(root, dataBytes, embedRefs)
 		if err != nil {
 			c.abortRootRef(root)
@@ -124,7 +124,7 @@ func (c *Client) malloc(dataBytes, embedRefs int) (layout.Addr, layout.Addr, err
 		// Huge blocks are not block-shadowed: any client frees them straight
 		// back to the segment vector, so there is no collection point at
 		// which a stale entry would be dropped.
-		c.noteRoot(root, 1, block)
+		c.noteRoot(rop, root, 1, block)
 		return root, block, nil
 	}
 	slot, err := c.findBlock(ci)
@@ -147,7 +147,7 @@ func (c *Client) malloc(dataBytes, embedRefs int) (layout.Addr, layout.Addr, err
 	// slot over a still-free block) are ones the §5.1 sweep already resolves.
 	c.h.Store(root, layout.PackRootRef(true, 1))
 	c.inflightRoot = 0
-	c.noteRoot(root, 1, slot.addr)
+	c.noteRoot(rop, root, 1, slot.addr)
 	c.timedFence()
 	c.timedFlush(root)
 
@@ -290,8 +290,9 @@ func (c *Client) collectDeferredFrees(ci int) bool {
 		batches = batches[:0]
 		for head != 0 {
 			next := c.h.Load(head + freeNextOff)
-			c.blockRef(head).drop() // another client freed it; retire the stale shadow
-			if op := c.ownedPageOf(os.seg, head); op != nil {
+			op, bs := c.blockOf(head)
+			bs.drop() // another client freed it; retire the stale shadow
+			if op != nil {
 				i := 0
 				for ; i < len(batches); i++ {
 					if batches[i].op == op {
@@ -388,6 +389,7 @@ func (c *Client) claimPageIn(os *ownedSeg, kind uint8, ci int) (*ownedPage, bool
 	if kind == layout.PageKindNormal {
 		op.unit = c.geo.Classes[ci].BlockWords
 	}
+	op.recip = recipOf(op.unit)
 	// Initialize the page meta before publishing it via the next-page
 	// counter; the segment is exclusively ours so this is owner-local.
 	c.h.Store(op.meta+pmInfo, op.info)
@@ -473,8 +475,8 @@ func (c *Client) tryClaimSegment(i int) (*ownedSeg, bool) {
 // The slot comes from the pending tier first (a slot this client freed but
 // never re-published: zero device accesses), then the published free list
 // (one load + one head store), then the bump region (one store). The page
-// Used counter joins the next publication burst in every case.
-func (c *Client) takeRootRefSlot() (layout.Addr, error) {
+// Used counter joins the next publication burst. The page comes back too.
+func (c *Client) takeRootRefSlot() (*ownedPage, layout.Addr, error) {
 	for {
 		for len(c.rootPages) > 0 {
 			op := c.rootPages[len(c.rootPages)-1]
@@ -484,14 +486,14 @@ func (c *Client) takeRootRefSlot() (layout.Addr, error) {
 				c.pendCount--
 				c.noteUsedDelta(op, 1)
 				c.inflightRoot = slot
-				return slot, nil
+				return op, slot, nil
 			}
 			if head := op.free; head != 0 {
 				op.free = c.h.Load(head + layout.RootRefPptrOff)
 				c.h.Store(op.meta+pmFree, op.free)
 				c.noteUsedDelta(op, 1)
 				c.inflightRoot = head
-				return head, nil
+				return op, head, nil
 			}
 			end := op.base + layout.Addr(c.geo.PageWords)
 			if op.scan+layout.RootRefWords <= end {
@@ -500,14 +502,14 @@ func (c *Client) takeRootRefSlot() (layout.Addr, error) {
 				c.h.Store(op.meta+pmScan, op.scan)
 				c.noteUsedDelta(op, 1)
 				c.inflightRoot = slot
-				return slot, nil
+				return op, slot, nil
 			}
 			op.onClassList = false
 			c.rootPages = c.rootPages[:len(c.rootPages)-1]
 		}
 		op, err := c.claimPage(layout.PageKindRootRef, 0)
 		if err != nil {
-			return 0, err
+			return nil, 0, err
 		}
 		op.onClassList = true
 		c.rootPages = append(c.rootPages, op)
@@ -520,7 +522,7 @@ func (c *Client) takeRootRefSlot() (layout.Addr, error) {
 // queue receive, the huge-object branch. Malloc's small path instead takes
 // the slot unclaimed and defers the in_use store past the link.
 func (c *Client) allocRootRef() (layout.Addr, error) {
-	slot, err := c.takeRootRefSlot()
+	op, slot, err := c.takeRootRefSlot()
 	if err != nil {
 		return 0, err
 	}
@@ -529,28 +531,28 @@ func (c *Client) allocRootRef() (layout.Addr, error) {
 	c.h.Store(slot+layout.RootRefPptrOff, 0)
 	c.h.Store(slot, layout.PackRootRef(true, 1))
 	c.inflightRoot = 0
-	c.noteRoot(slot, 1, 0)
+	c.noteRoot(op, slot, 1, 0)
 	return slot, nil
 }
 
 // abortRootRef returns a just-claimed, never-linked RootRef slot (block
 // allocation failed after the claim).
 func (c *Client) abortRootRef(slot layout.Addr) {
-	c.freeRootRefSlot(slot)
+	op, rs := c.rootOf(slot)
+	c.freeRootRefSlot(op, rs, slot)
 }
 
 // freeRootRefSlot clears a RootRef and parks it on its page's pending list
-// (owner-local; RootRefs always live in their creator's pages). Ownership is
-// decided by the shadow index — no device load — and the single device store
-// (word0 ← 0) puts the slot in exactly the lost-slot state the segment scan
-// counts free if this client dies before its next publication burst.
-func (c *Client) freeRootRefSlot(slot layout.Addr) {
+// (owner-local; RootRefs always live in their creator's pages); op and rs are
+// what rootOf resolved for it. Ownership is decided by that shadow index — no
+// device load — and the one device store (word0 ← 0) leaves the slot in the
+// lost-slot state the scan counts free should this client die before publishing.
+func (c *Client) freeRootRefSlot(op *ownedPage, rs *rootShadow, slot layout.Addr) {
 	if slot == c.inflightRoot {
 		c.inflightRoot = 0
 	}
-	c.dropRoot(slot)
+	rs.drop()
 	c.h.Store(slot, 0)
-	op := c.ownedPageOf(c.geo.SegmentIndexOf(slot), slot)
 	if op == nil {
 		// Not ours (recovery executor freeing a dead client's RootRef): the
 		// slot is in an abandoned page, just leave it cleared — the segment

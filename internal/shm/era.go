@@ -108,7 +108,8 @@ func (c *Client) releaseRetire(ref, refed layout.Addr) (newCnt uint16, pendingRe
 
 // releaseTxnMode is the release transaction in all its modes. A caller that
 // has read refed's header word passes it as hdrW, the first CAS guess; goneW
-// is as for reclaimRaw. Zero means not read.
+// is as for reclaimRaw. Zero means not read. elideModify marks ref as the pptr
+// of a RootRef slot the caller frees next, shadow included (ReleaseRoot).
 func (c *Client) releaseTxnMode(ref, refed layout.Addr, deferReclaim, elideModify bool, hdrW, goneW uint64) (newCnt uint16, pendingReclaim bool, err error) {
 	if c.h.Fenced() {
 		return 0, false, ErrFenced
@@ -149,7 +150,9 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, deferReclaim, elideModif
 	}
 	if newCnt != 0 {
 		c.h.Store(ref, 0) // ModifyRef
-		c.noteRootTarget(ref, 0)
+		if !elideModify {
+			c.noteRootTarget(ref, 0)
+		}
 		c.bumpEra() // closes the transaction; the redo entry is now stale by era
 		return newCnt, false, nil
 	}
@@ -165,7 +168,9 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, deferReclaim, elideModif
 	elide := elideModify && !deferReclaim && m.EmbedCnt == 0 && m.Flags&layout.MetaHuge == 0 && op != nil
 	if !elide {
 		c.h.Store(ref, 0) // ModifyRef
-		c.noteRootTarget(ref, 0)
+		if !elideModify {
+			c.noteRootTarget(ref, 0)
+		}
 	}
 	switch {
 	case deferReclaim:
@@ -341,7 +346,7 @@ func (c *Client) CloneRoot(root layout.Addr) {
 // owner-local), falling back to device loads for slots inherited from a
 // previous incarnation.
 func (c *Client) ReleaseRoot(root layout.Addr) (objectFreed bool, err error) {
-	rs := c.rootRef(root)
+	op, rs := c.rootOf(root)
 	var cnt uint32
 	var target layout.Addr
 	if rs != nil {
@@ -377,7 +382,7 @@ func (c *Client) ReleaseRoot(root layout.Addr) (objectFreed bool, err error) {
 		}
 		objectFreed = newCnt == 0
 	}
-	c.freeRootRefSlot(root)
+	c.freeRootRefSlot(op, rs, root)
 	return objectFreed, nil
 }
 

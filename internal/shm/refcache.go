@@ -2,6 +2,7 @@ package shm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/layout"
 )
@@ -46,6 +47,20 @@ import (
 // i.e. while the client lives: 16 B of host memory per slot of a touched
 // page. Anything that is not a live entry of an owned page misses, and a
 // miss means a device load. Only this file knows the tables.
+//
+// The index costs no division: the page stores recip = ⌈2⁶⁴/unit⌉ (set when
+// it is claimed); for an offset n < 2³², far above PageWords, the high word of
+// n·recip is n / unit, and the low word is below recip exactly when unit
+// divides n (Lemire, Kaser and Kurz, "Faster Remainder by Direct Computation").
+
+// recipOf returns ⌈2⁶⁴/unit⌉ for a slot size unit ≥ 2.
+func recipOf(unit layout.Addr) uint64 { return ^uint64(0)/uint64(unit) + 1 }
+
+// slotOf returns the index of op's slot holding addr and whether addr starts it.
+func (op *ownedPage) slotOf(addr layout.Addr) (int, bool) {
+	hi, lo := bits.Mul64(op.recip, uint64(addr-op.base))
+	return int(hi), lo < op.recip
+}
 
 type rootShadow struct {
 	cnt    uint32 // thread-local count; 0 = empty entry (a claimed slot counts ≥ 1)
@@ -60,20 +75,30 @@ type blockShadow struct {
 // refSlot locates addr in its page's table: the page and the entry index, or
 // a nil page unless addr is the first word of a slot of an owned page.
 func (c *Client) refSlot(addr layout.Addr) (*ownedPage, int) {
-	op := c.ownedPageOf(c.geo.SegmentIndexOf(addr), addr)
-	if op == nil || (addr-op.base)%op.unit != 0 {
-		return nil, 0
+	if op := c.ownedPageOf(c.geo.SegmentIndexOf(addr), addr); op != nil {
+		if i, ok := op.slotOf(addr); ok {
+			return op, i
+		}
 	}
-	return op, int((addr - op.base) / op.unit)
+	return nil, 0
 }
 
-// rootRef returns the live shadow of a RootRef slot, or nil. A normal page
-// has no roots table, so a block misses here, and a slot in blockRef.
-func (c *Client) rootRef(root layout.Addr) *rootShadow {
-	if op, i := c.refSlot(root); op != nil && i < len(op.roots) && op.roots[i].cnt != 0 {
-		return &op.roots[i]
+// rootOf resolves a RootRef slot once for everything a transaction asks
+// about it: its owned page (nil for a slot of another client's page) and its
+// live shadow (nil when there is none). A normal page has no roots table, so
+// a block misses here, and a slot in blockOf.
+func (c *Client) rootOf(root layout.Addr) (*ownedPage, *rootShadow) {
+	op, i := c.refSlot(root)
+	if op != nil && i < len(op.roots) && op.roots[i].cnt != 0 {
+		return op, &op.roots[i]
 	}
-	return nil
+	return op, nil
+}
+
+// rootRef returns the live shadow of a RootRef slot, or nil.
+func (c *Client) rootRef(root layout.Addr) *rootShadow {
+	_, rs := c.rootOf(root)
+	return rs
 }
 
 // blockOf resolves block once for everything a transaction asks about it:
@@ -93,13 +118,13 @@ func (c *Client) blockRef(block layout.Addr) *blockShadow {
 	return bs
 }
 
-// noteRoot records (or resets) the shadow of a just-claimed RootRef slot
-// (from takeRootRefSlot, so in a page of ours).
-func (c *Client) noteRoot(root layout.Addr, cnt uint32, target layout.Addr) {
-	op, i := c.refSlot(root)
+// noteRoot records (or resets) the shadow of a just-claimed RootRef slot of
+// page op (the page takeRootRefSlot took it from).
+func (c *Client) noteRoot(op *ownedPage, root layout.Addr, cnt uint32, target layout.Addr) {
 	if op.roots == nil {
 		op.roots = make([]rootShadow, c.geo.RootRefsPerPage())
 	}
+	i, _ := op.slotOf(root)
 	op.roots[i] = rootShadow{cnt: cnt, target: target}
 }
 
@@ -117,8 +142,8 @@ func (c *Client) noteRootTarget(ref, target layout.Addr) {
 	}
 }
 
-func (c *Client) dropRoot(root layout.Addr) {
-	if rs := c.rootRef(root); rs != nil {
+func (rs *rootShadow) drop() {
+	if rs != nil {
 		*rs = rootShadow{}
 	}
 }
@@ -128,7 +153,8 @@ func (c *Client) noteBlock(op *ownedPage, block layout.Addr, header, meta uint64
 	if op.blocks == nil {
 		op.blocks = make([]blockShadow, c.geo.PageWords/op.unit)
 	}
-	op.blocks[(block-op.base)/op.unit] = blockShadow{header: header, meta: meta}
+	i, _ := op.slotOf(block)
+	op.blocks[i] = blockShadow{header: header, meta: meta}
 }
 
 // noteHeader updates the cached header after this client published a new

@@ -84,7 +84,7 @@ func TestRefShadowMisses(t *testing.T) {
 			// a miss: no panic, the device fallback where it has one, and
 			// the live neighbours untouched.
 			c.noteRootTarget(a+layout.RootRefPptrOff, 0xdead)
-			c.dropRoot(a)
+			c.rootRef(a).drop()
 			c.blockRef(a).noteHeader(0xdead)
 			c.blockRef(a).drop()
 			if op, bs := c.blockOf(a); bs != nil || (op != nil && !tc.wantPage) {
@@ -177,6 +177,28 @@ func TestHandOffDropsHeaderGuess(t *testing.T) {
 		}
 		if err := c.CheckShadow(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestSlotIndexReciprocal checks the multiply that replaced the slot-index
+// division against / and % for every offset of a page, for every block size
+// and the RootRef slot size, at every page size the repository configures.
+func TestSlotIndexReciprocal(t *testing.T) {
+	for pw := uint64(1 << 9); pw <= 1<<12; pw <<= 1 {
+		units := []layout.Addr{layout.RootRefWords}
+		for _, c := range layout.BuildSizeClasses(pw) {
+			units = append(units, layout.Addr(c.BlockWords))
+		}
+		for _, unit := range units {
+			op := &ownedPage{base: 1 << 20, unit: unit, recip: recipOf(unit)}
+			for off := layout.Addr(0); off < layout.Addr(pw); off++ {
+				i, ok := op.slotOf(op.base + off)
+				if i != int(off/unit) || ok != (off%unit == 0) {
+					t.Fatalf("PageWords %d, unit %d, offset %d: slotOf = (%d, %v), want (%d, %v)",
+						pw, unit, off, i, ok, off/unit, off%unit == 0)
+				}
+			}
 		}
 	}
 }

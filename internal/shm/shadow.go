@@ -40,8 +40,10 @@ import (
 type ownedPage struct {
 	meta layout.Addr // device address of the page's meta area
 	// Slot i (RootRef, or block of the page's class) sits at base + i*unit;
-	// roots or blocks shadows them, allocated on first use (refcache.go).
+	// roots or blocks shadows them, allocated on first use. recip is
+	// ⌈2⁶⁴/unit⌉, which turns the slot index into a multiply (refcache.go).
 	base, unit layout.Addr
+	recip      uint64
 	roots      []rootShadow
 	blocks     []blockShadow
 	info       uint64 // shadow of meta+pmInfo (packed PageMeta)
