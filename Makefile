@@ -7,7 +7,7 @@ GO ?= go
 
 .PHONY: all build test vet race verify bench bench-smoke test-mmap sweep \
 	corrupt fsck-smoke top-smoke ci serving-smoke benchmark-check dep-guard \
-	inline-check
+	inline-check fmt-check
 
 all: verify
 
@@ -67,7 +67,7 @@ corrupt:
 # re-check of the same file.
 fsck-smoke:
 	rm -f .ci-fsck.cxl
-	$(GO) run ./cmd/cxlsnap -create .ci-fsck.cxl -mmap -keys 100
+	$(GO) run ./cmd/cxlsnap -create .ci-fsck.cxl -keys 100
 	$(GO) run ./cmd/cxlsnap -fsck .ci-fsck.cxl
 	$(GO) run ./cmd/cxlsnap -fsck .ci-fsck.cxl -flip 2:4 -repair
 	$(GO) run ./cmd/cxlsnap -fsck .ci-fsck.cxl
@@ -79,7 +79,7 @@ fsck-smoke:
 # the crash-surviving telemetry (the dead client's final counters).
 top-smoke:
 	rm -f .ci-top.cxl
-	$(GO) run ./cmd/cxlsnap -create .ci-top.cxl -mmap -keys 100
+	$(GO) run ./cmd/cxlsnap -create .ci-top.cxl -keys 100
 	$(GO) run ./cmd/cxltop -once -json .ci-top.cxl > /dev/null
 	$(GO) run ./cmd/cxltop -once -prom .ci-top.cxl > /dev/null
 	$(GO) run ./cmd/cxlsnap -open .ci-top.cxl
@@ -108,6 +108,10 @@ inline-check:
 		printf '%s\n' "$$names" | grep -qxF "$$f" || { echo "inline-check: $$f is no longer inlined"; exit 1; }; \
 	done
 
+# fmt-check fails when any Go file in the tree is not gofmt-formatted.
+fmt-check:
+	@files=$$(gofmt -l .); test -z "$$files" || { echo "fmt-check: gofmt -l names:"; echo "$$files"; exit 1; }
+
 # dep-guard keeps the crash harness out of the product: nothing the library,
 # the serving tier or the recovery service links may import
 # internal/faultinject (crashes are injected from outside, through
@@ -117,22 +121,23 @@ dep-guard:
 		./internal/netrpc ./internal/recovery | grep -q 'internal/faultinject'; then \
 		echo "dep-guard: product code depends on internal/faultinject"; exit 1; fi
 
-# ci is the continuous-integration gate (.github/workflows/ci.yml): vet,
-# tier-1 build+test, the benchmark module's own vet+test, the
+# ci is the continuous-integration gate (.github/workflows/ci.yml): gofmt,
+# vet, tier-1 build+test, the benchmark module's own vet+test, the
 # faultinject dependency guard, the fast path's inline guard, a race pass
 # over the fast-path device-access
 # budgets, the client-scaling curve's budgets and the queue tests on both
 # backends, the device-access budgets of the recovery pass, the
 # tick after it and the idle tick over a dead loader's segments on both
 # backends, the telemetry delta-publication pin under the race detector on both
-# backends, the zero-allocation fast-path pin on both backends,
+# backends, the zero-allocation fast-path pin on both backends, the kv
+# read-during-delete contract (race detector on heap, once on mmap),
 # three race passes over the in-process serving chaos, ten seconds of fuzzing
 # each on the two byte parsers a peer can reach (netrpc frames, serving
 # requests), the mmap-backend suite, the exhaustive
 # crash sweep (plus bounded legs with telemetry collection enabled and at
 # 64-client geometry), the cxltop/cxlsnap observer smoke, and the
 # serving-tier chaos smoke on both worker backends.
-ci: vet build test benchmark-check dep-guard inline-check
+ci: fmt-check vet build test benchmark-check dep-guard inline-check
 	$(GO) test -race -run 'TestDeviceAccessBudget|TestClientScaling|TestQueue' ./internal/shm
 	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestDeviceAccessBudget|TestClientScaling|TestQueue' ./internal/shm
 	$(GO) test -run 'TestRecoveryPassAccessBudget|TestIdleTickAfterLoaderDeath' ./internal/recovery
@@ -143,6 +148,8 @@ ci: vet build test benchmark-check dep-guard inline-check
 	CXLSHM_BACKEND=mmap $(GO) test -race -run TestSlotChurn ./internal/shm
 	$(GO) test -run TestFastPathZeroAllocs ./internal/shm
 	CXLSHM_BACKEND=mmap $(GO) test -run TestFastPathZeroAllocs ./internal/shm
+	$(GO) test -race -run TestConcurrentReadDuringDelete ./internal/kv
+	CXLSHM_BACKEND=mmap $(GO) test -run TestConcurrentReadDuringDelete ./internal/kv
 	$(GO) test -race -count=3 -run TestChaosInProcess ./internal/serving
 	$(GO) test -run xxx -fuzz FuzzServeFrame -fuzztime 10s ./internal/netrpc
 	$(GO) test -run xxx -fuzz FuzzDispatch -fuzztime 10s ./internal/serving

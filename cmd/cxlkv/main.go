@@ -1,7 +1,6 @@
 // Command cxlkv is the shared-everything key-value store (§6.4) as a real
 // serving system.
 //
-//	cxlkv demo   [flags]   — the original single-process walkthrough
 //	cxlkv serve  [flags]   — one worker process: attach a pool file, serve
 //	                         GET/PUT/SCAN over a Unix-domain socket
 //	cxlkv chaos  [flags]   — orchestrate N workers (in-process or child OS
@@ -9,9 +8,9 @@
 //	                         traffic, kill one mid-stream, measure recovery
 //	cxlkv drive  [flags]   — standalone load driver against running workers
 //
-// Running cxlkv with no subcommand (or with old-style flags) is the demo,
-// unchanged. The chaos orchestrator is what `make serving-smoke` runs on
-// both worker backends; it exits non-zero when an invariant is violated.
+// The chaos orchestrator is what `make serving-smoke` runs on both worker
+// backends; it exits non-zero when an invariant is violated. With -pool FILE
+// on the proc backend, `cxltop FILE` watches the run live.
 package main
 
 import (
@@ -22,30 +21,30 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
-	"repro/internal/check"
-	"repro/internal/kv"
-	"repro/internal/layout"
 	"repro/internal/netrpc"
-	"repro/internal/recovery"
 	"repro/internal/serving"
 	"repro/internal/shm"
-	"repro/internal/workload"
 )
 
+const usage = `usage: cxlkv <command> [flags]
+
+commands:
+  serve   one worker process: attach a pool file, serve GET/PUT/SCAN
+  chaos   orchestrate workers, drive traffic, kill one, verify recovery
+  drive   standalone load driver against running workers
+`
+
 func main() {
-	args := os.Args[1:]
-	cmd := "demo"
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		cmd, args = args[0], args[1:]
+	if len(os.Args) < 2 || strings.HasPrefix(os.Args[1], "-") {
+		fmt.Fprint(os.Stderr, usage)
+		os.Exit(2)
 	}
+	cmd, args := os.Args[1], os.Args[2:]
 	var err error
 	switch cmd {
-	case "demo":
-		err = demoCmd(args)
 	case "serve":
 		err = serveCmd(args)
 	case "chaos":
@@ -53,7 +52,7 @@ func main() {
 	case "drive":
 		err = driveCmd(args)
 	default:
-		err = fmt.Errorf("unknown subcommand %q (want demo, serve, chaos, or drive)", cmd)
+		err = fmt.Errorf("unknown subcommand %q (want serve, chaos, or drive)", cmd)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cxlkv:", err)
@@ -299,227 +298,5 @@ func driveCmd(args []string) error {
 	if rep.SurvivorErrors+rep.VictimErrors+rep.Corruptions > 0 {
 		return fmt.Errorf("drive: %d errors, %d corruptions", rep.SurvivorErrors+rep.VictimErrors, rep.Corruptions)
 	}
-	return nil
-}
-
-// --- demo: the original single-process walkthrough, unchanged ---
-
-func demoCmd(args []string) error {
-	fs := flag.NewFlagSet("demo", flag.ExitOnError)
-	writers := fs.Int("writers", 2, "writer clients")
-	readers := fs.Int("readers", 2, "reader clients")
-	keys := fs.Int("keys", 2000, "key space size")
-	ops := fs.Int("ops", 20000, "operations per client")
-	poolFile := fs.String("pool", "", "back the pool with this mmap'd file (watch it live: cxltop FILE)")
-	fs.Parse(args)
-	return demo(*writers, *readers, *keys, *ops, *poolFile)
-}
-
-func demo(writers, readers, keys, ops int, poolFile string) error {
-	pool, err := shm.NewPool(shm.Config{Geometry: layout.GeometryConfig{
-		MaxClients:   writers + readers + 8,
-		NumSegments:  256,
-		SegmentWords: 1 << 15,
-		PageWords:    1 << 11,
-	}, File: poolFile})
-	if err != nil {
-		return err
-	}
-	if poolFile != "" {
-		fmt.Printf("pool lives in %s — `cxltop %s` in another terminal watches this run\n", poolFile, poolFile)
-	}
-	svc, err := recovery.NewService(pool)
-	if err != nil {
-		return err
-	}
-	creator, err := pool.Connect()
-	if err != nil {
-		return err
-	}
-	const buckets = 4096
-	if _, err := kv.Create(creator, 0, buckets, 64, writers); err != nil {
-		return err
-	}
-	fmt.Printf("created CXL-KV: %d buckets, %d writer partitions, published at named root 0\n",
-		buckets, writers)
-
-	// Preload.
-	loader, err := kv.Open(creator, 0)
-	if err != nil {
-		return err
-	}
-	val := make([]byte, 64)
-	for k := 0; k < keys; k++ {
-		val[0] = byte(k)
-		if err := loader.Put(uint64(k), val); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("preloaded %d keys\n", keys)
-
-	// Writers and readers run concurrently; writer 0 will crash partway.
-	var wg sync.WaitGroup
-	errCh := make(chan error, writers+readers)
-	var crashed *shm.Client
-	var crashedMu sync.Mutex
-
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c, err := pool.Connect()
-			if err != nil {
-				errCh <- err
-				return
-			}
-			s, err := kv.Open(c, 0)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			s.AcquirePartition(w, true)
-			stream, _ := workload.NewKVStream(workload.KVConfig{
-				Keys: keys, WriteRatio: 1, Seed: int64(w),
-			})
-			v := make([]byte, 64)
-			for i := 0; i < ops; i++ {
-				if w == 0 && i == ops/2 {
-					// Simulated process death, mid-operation stream.
-					crashedMu.Lock()
-					crashed = c
-					crashedMu.Unlock()
-					errCh <- nil
-					return
-				}
-				k := stream.Next().Key
-				if kv.Partition(k, buckets, writers) != w {
-					continue // not ours: the single-writer rule
-				}
-				// In-place update through the zero-copy lease (every key is
-				// preloaded); Put only on the insert path.
-				err := s.Update(k, func(val []byte) error {
-					val[0] = byte(k)
-					return nil
-				})
-				if err == kv.ErrNotFound {
-					v[0] = byte(k)
-					err = s.Put(k, v)
-				}
-				if err != nil {
-					errCh <- fmt.Errorf("writer %d: %w", w, err)
-					return
-				}
-				if i%4096 == 4095 {
-					c.Heartbeat() // publishes the counter vector for observers
-				}
-			}
-			c.FlushMetrics()
-			errCh <- nil
-		}(w)
-	}
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			c, err := pool.Connect()
-			if err != nil {
-				errCh <- err
-				return
-			}
-			s, err := kv.Open(c, 0)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			stream, _ := workload.NewKVStream(workload.KVConfig{
-				Keys: keys, WriteRatio: 0, Zipf: 0.9, Seed: int64(100 + r),
-			})
-			// Reads go through the zero-copy view: the payload is consumed
-			// straight from the record's device words, no copy, no per-op
-			// allocation.
-			var sink byte
-			for i := 0; i < ops; i++ {
-				k := stream.Next().Key
-				err := s.View(k, func(val []byte) error {
-					sink ^= val[0]
-					return nil
-				})
-				if err != nil && err != kv.ErrNotFound {
-					errCh <- fmt.Errorf("reader %d: %w", r, err)
-					return
-				}
-				if i%4096 == 4095 {
-					c.Heartbeat()
-				}
-			}
-			c.FlushMetrics()
-			errCh <- nil
-		}(r)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		if err != nil {
-			return err
-		}
-	}
-
-	// Recover the crashed writer: non-blocking for everyone else (they
-	// already finished above; in a live deployment they keep running).
-	crashedMu.Lock()
-	victim := crashed
-	crashedMu.Unlock()
-	if victim != nil {
-		if err := victim.Crash(); err != nil {
-			return err
-		}
-		start := time.Now()
-		rep, err := svc.RecoverClient(victim.ID())
-		if err != nil {
-			return err
-		}
-		fmt.Printf("writer %d died mid-stream; recovered in %v (swept %d refs, freed %d segments)\n",
-			victim.ID(), time.Since(start).Round(time.Microsecond), rep.SweptRoots, rep.SegsFreed)
-		// The pool's own record of the death, readable from any process.
-		if tl, ok := pool.Telemetry().ReadTimeline(victim.ID()); ok && tl.RecoveredNS > 0 {
-			fmt.Printf("telemetry timeline: death #%d reason=%s detect→recovered %v\n",
-				tl.Deaths, tl.ReasonName, time.Duration(tl.DurationNS).Round(time.Microsecond))
-		}
-
-		// Metadata-only takeover of partition 0.
-		taker, err := pool.Connect()
-		if err != nil {
-			return err
-		}
-		s, err := kv.Open(taker, 0)
-		if err != nil {
-			return err
-		}
-		start = time.Now()
-		if !s.AcquirePartition(0, true) {
-			return fmt.Errorf("takeover failed")
-		}
-		fmt.Printf("partition 0 taken over by client %d in %v — no data movement\n",
-			taker.ID(), time.Since(start).Round(time.Microsecond))
-		v := make([]byte, 64)
-		if err := s.Put(0, v); err != nil {
-			return fmt.Errorf("takeover writer cannot write: %w", err)
-		}
-	}
-
-	// Final audit.
-	mon := recovery.NewMonitor(svc, recovery.MonitorConfig{})
-	for i := 0; i < 3; i++ {
-		mon.Tick()
-	}
-	res := check.Validate(pool)
-	fmt.Printf("final audit: %d live objects, %d issues\n", res.AllocatedObjects, len(res.Issues))
-	if !res.Clean() {
-		for _, is := range res.Issues {
-			fmt.Fprintf(os.Stderr, "  %s\n", is)
-		}
-		return fmt.Errorf("pool validation failed")
-	}
-	fmt.Println("OK: no leaks, no double frees, no wild pointers")
 	return nil
 }

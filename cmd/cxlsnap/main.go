@@ -1,31 +1,27 @@
 // Command cxlsnap demonstrates that the pool's contents outlive every
 // client process (the device has its own power supply — paper Figure 1):
-// it builds a shared KV store, simulates total client loss, persists the
-// pool, and in a later invocation (any process) attaches it, recovers the
+// it builds a shared KV store on a pool file, simulates total client loss,
+// and in a later invocation (any process) attaches the file, recovers the
 // stale clients, and reads the data back.
 //
-// Two persistence modes:
+//	cxlsnap -create pool.cxl -keys 500     # the file IS the pool
+//	cxlsnap -open   pool.cxl               # later "boot": attach and verify
+//	cxlsnap -fsck   pool.cxl [-repair]     # audit (and repair) the metadata
+//	cxlsnap -metrics pool.cxl              # read-only telemetry dump
 //
-//	cxlsnap -create pool.img -keys 500     # copy mode: snapshot image file
-//	cxlsnap -create pool.cxl -mmap         # live mode: the file IS the pool
-//	cxlsnap -open  pool.img|pool.cxl       # later "boot": attach and verify
-//
-// In -mmap mode the pool is built directly on an mmap'd cxl.MapDevice file:
-// nothing is copied at save or attach time, and a second OS process opening
-// the same file sees the pool alive and unmoved. -open sniffs the format.
-// Either way the attach validates the pool superblock (magic, geometry,
-// layout version) and refuses incompatible pools with a clear error.
+// The pool is built directly on an mmap'd cxl.MapDevice file: nothing is
+// copied at save or attach time, and a second OS process opening the same
+// file sees the pool alive and unmoved. Every attach validates the pool
+// superblock (magic, geometry, layout version) and refuses incompatible
+// pools with a clear error.
 package main
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
-
 	"time"
 
 	"repro/internal/check"
@@ -37,22 +33,19 @@ import (
 	"repro/internal/shm"
 )
 
-const imageMagic = 0x43584C534E415031 // "CXLSNAP1"
-
 func main() {
-	create := flag.String("create", "", "create a pool, populate it, save it to this file")
-	open := flag.String("open", "", "attach a saved pool (image or mmap file), recover, and verify")
+	create := flag.String("create", "", "create a pool file at this path and populate it")
+	open := flag.String("open", "", "attach a saved pool file, recover, and verify")
 	metrics := flag.String("metrics", "", "pretty-print a saved pool's telemetry region (read-only; no recovery)")
 	fsck := flag.String("fsck", "", "check a saved pool's metadata; with -repair, fix what can be fixed")
 	repair := flag.Bool("repair", false, "with -fsck: run the repairing fsck and write the result back")
 	flip := flag.String("flip", "", `with -fsck: first flip a bit ("addr" or "addr:bit", addr hex ok) — self-test aid`)
-	mmap := flag.Bool("mmap", false, "with -create: back the pool with the file itself (no-copy, cross-process)")
 	keys := flag.Int("keys", 500, "keys to store")
 	flag.Parse()
 
 	switch {
 	case *create != "":
-		if err := doCreate(*create, *keys, *mmap); err != nil {
+		if err := doCreate(*create, *keys); err != nil {
 			fail(err)
 		}
 	case *open != "":
@@ -76,9 +69,9 @@ func main() {
 // doFsck attaches a saved pool and audits its metadata. Without -repair it
 // is a pure detector (nonzero exit on issues); with -repair it runs the
 // repairing fsck, prints the full RepairReport (actions and blast radius),
-// and persists the repaired pool back to the file.
+// and syncs the repaired pool to the file.
 func doFsck(path string, repair bool, flip string) error {
-	pool, err := attach(path)
+	pool, err := shm.OpenFile(path)
 	if err != nil {
 		return err
 	}
@@ -139,29 +132,18 @@ func doFsck(path string, repair bool, flip string) error {
 		return fmt.Errorf("pool still has %d issues after repair", len(rep.Post.Issues))
 	}
 
-	// Persist the repaired state: mmap pools already mutated the file (just
-	// sync); snapshot images get rewritten.
-	if md, ok := cxl.Bottom(pool.Device()).(*cxl.MapDevice); ok {
-		if err := md.Sync(); err != nil {
-			return err
-		}
-	} else {
-		if err := writeImage(path, pool.Snapshot()); err != nil {
-			return err
-		}
+	// The repair already mutated the mapped file; sync it.
+	if err := syncFile(pool); err != nil {
+		return err
 	}
 	fmt.Printf("OK: pool repaired and written back to %s (%d issues fixed)\n", path, len(rep.Pre.Issues))
 	return nil
 }
 
-func doCreate(path string, keys int, mmap bool) error {
-	cfg := shm.Config{Geometry: layout.GeometryConfig{
+func doCreate(path string, keys int) error {
+	pool, err := shm.NewPool(shm.Config{Geometry: layout.GeometryConfig{
 		MaxClients: 8, NumSegments: 64, SegmentWords: 1 << 14, PageWords: 1 << 10,
-	}}
-	if mmap {
-		cfg.File = path
-	}
-	pool, err := shm.NewPool(cfg)
+	}, File: path})
 	if err != nil {
 		return err
 	}
@@ -186,57 +168,29 @@ func doCreate(path string, keys int, mmap bool) error {
 	// happens next (inspect it later with -metrics).
 	c.Heartbeat()
 	fmt.Printf("stored %d keys; client %d now 'loses power' without releasing anything\n", keys, c.ID())
-	// No Close, no Release: the pool captures the mess as-is.
-	if mmap {
-		if md, ok := cxl.Bottom(pool.Device()).(*cxl.MapDevice); ok {
-			if err := md.Sync(); err != nil {
-				return err
-			}
-		}
-		if err := pool.CloseDevice(); err != nil {
-			return err
-		}
-		fmt.Printf("pool lives in %s (mmap'd, nothing copied)\n", path)
-		return nil
-	}
-	img := pool.Snapshot()
-	if err := writeImage(path, img); err != nil {
+	// No Close, no Release: the file keeps the mess as-is.
+	if err := syncFile(pool); err != nil {
 		return err
 	}
-	fmt.Printf("device image (%d KiB) written to %s\n", len(img)*8/1024, path)
+	if err := pool.CloseDevice(); err != nil {
+		return err
+	}
+	fmt.Printf("pool lives in %s (mmap'd, nothing copied)\n", path)
 	return nil
 }
 
-// attach opens path as whichever pool format it holds: a snapshot image
-// (copy restored into a heap device) or a cxl.MapDevice file (mapped alive,
-// no copy). Both paths validate the pool superblock before use.
-func attach(path string) (*shm.Pool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	hdr := make([]byte, 8)
-	_, rerr := io.ReadFull(f, hdr)
-	f.Close()
-	if rerr == nil && binary.LittleEndian.Uint64(hdr) == imageMagic {
-		img, err := readImage(path)
-		if err != nil {
-			return nil, err
-		}
-		return shm.AttachSnapshot(img)
-	}
-	// Not a snapshot image: try the live mmap format (OpenFile reports a
-	// clear error if it is neither).
-	return shm.OpenFile(path)
+// syncFile flushes a file-backed pool's mapping to its file.
+func syncFile(pool *shm.Pool) error {
+	return cxl.Bottom(pool.Device()).(*cxl.MapDevice).Sync()
 }
 
 func doOpen(path string) error {
-	pool, err := attach(path)
+	pool, err := shm.OpenFile(path)
 	if err != nil {
 		return err
 	}
 	stale := pool.StaleClients()
-	fmt.Printf("attached image: %d stale client(s) from the previous incarnation\n", len(stale))
+	fmt.Printf("attached pool: %d stale client(s) from the previous incarnation\n", len(stale))
 	svc, err := recovery.NewService(pool)
 	if err != nil {
 		return err
@@ -280,7 +234,7 @@ func doOpen(path string) error {
 	res := check.Validate(pool)
 	fmt.Printf("pool audit: %d live objects, %d issues\n", res.AllocatedObjects, len(res.Issues))
 	if bad > 0 || !res.Clean() {
-		return fmt.Errorf("image verification failed")
+		return fmt.Errorf("pool verification failed")
 	}
 	fmt.Println("OK: the pool outlived every client process")
 	return nil
@@ -289,10 +243,10 @@ func doOpen(path string) error {
 // doMetrics pretty-prints the pool's crash-surviving telemetry region:
 // every published metric block — dead clients' final counters included,
 // that is the point — each slot's recovery timeline, and the shared
-// recovery-event ring. Live mmap pools are attached PROT_READ, so this is
-// safe to point at a pool other processes are actively using.
+// recovery-event ring. The file is mapped PROT_READ, so this is safe to
+// point at a pool other processes are actively using.
 func doMetrics(path string) error {
-	pool, err := attachObserver(path)
+	pool, err := shm.OpenFileReadOnly(path)
 	if err != nil {
 		return err
 	}
@@ -354,89 +308,6 @@ func doMetrics(path string) error {
 func blockSummary(b *shm.TelemetryBlock) {
 	s := obs.Snapshot{Counters: b.CounterMap(), Histograms: b.HistogramMap()}
 	s.WriteSummary(os.Stdout)
-}
-
-// attachObserver opens path like attach but never writes: mmap pools are
-// mapped read-only, snapshot images are restored into a private heap copy.
-func attachObserver(path string) (*shm.Pool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	hdr := make([]byte, 8)
-	_, rerr := io.ReadFull(f, hdr)
-	f.Close()
-	if rerr == nil && binary.LittleEndian.Uint64(hdr) == imageMagic {
-		img, err := readImage(path)
-		if err != nil {
-			return nil, err
-		}
-		return shm.AttachSnapshot(img)
-	}
-	return shm.OpenFileReadOnly(path)
-}
-
-// writeImage stores the image as little-endian words with a magic header.
-func writeImage(path string, words []uint64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	hdr := make([]byte, 16)
-	binary.LittleEndian.PutUint64(hdr[0:8], imageMagic)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(words)))
-	if _, err := f.Write(hdr); err != nil {
-		return err
-	}
-	buf := make([]byte, 8*4096)
-	for off := 0; off < len(words); off += 4096 {
-		n := len(words) - off
-		if n > 4096 {
-			n = 4096
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], words[off+i])
-		}
-		if _, err := f.Write(buf[:n*8]); err != nil {
-			return err
-		}
-	}
-	return f.Sync()
-}
-
-func readImage(path string) ([]uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	hdr := make([]byte, 16)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint64(hdr[0:8]) != imageMagic {
-		return nil, fmt.Errorf("cxlsnap: %s is not a pool image", path)
-	}
-	n := binary.LittleEndian.Uint64(hdr[8:16])
-	if n > 1<<32 {
-		return nil, fmt.Errorf("cxlsnap: absurd image size %d words", n)
-	}
-	words := make([]uint64, n)
-	buf := make([]byte, 8*4096)
-	for off := uint64(0); off < n; off += 4096 {
-		cnt := n - off
-		if cnt > 4096 {
-			cnt = 4096
-		}
-		if _, err := io.ReadFull(f, buf[:cnt*8]); err != nil {
-			return nil, err
-		}
-		for i := uint64(0); i < cnt; i++ {
-			words[off+i] = binary.LittleEndian.Uint64(buf[i*8:])
-		}
-	}
-	return words, nil
 }
 
 func fail(err error) {

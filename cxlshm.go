@@ -101,11 +101,6 @@ type Config struct {
 	// other process — or a later run — reopens it alive, no copy, with
 	// Attach. Requires a POSIX platform.
 	PoolFile string
-	// Backend selects the device backend: "" or "heap" for process memory,
-	// "mmap" for an unlinked temporary file through the mmap data path
-	// (useful to exercise the cross-process backend in tests; the
-	// CXLSHM_BACKEND environment variable sets the same default globally).
-	Backend string
 }
 
 // Pool is a shared memory pool plus its recovery machinery.
@@ -153,7 +148,6 @@ func NewPool(cfg Config) (*Pool, error) {
 		},
 		Latency: lat,
 		File:    cfg.PoolFile,
-		Backend: cfg.Backend,
 	})
 	if err != nil {
 		return nil, err
@@ -526,35 +520,6 @@ func (c *Client) AttachAddr(block Addr) (*Ref, error) {
 		return nil, err
 	}
 	return &Ref{c: c, root: root, block: block}, nil
-}
-
-// --- hazard-era protected reads (paper §5.4's deferred reclamation) ---
-
-// EnterRead publishes this client's hazard era before traversing a linked
-// structure whose writer uses RetireEmbed/ChangeEmbedRetire; pair with
-// ExitRead. While published, retired nodes the reader may be standing on
-// are not reclaimed.
-func (c *Client) EnterRead() uint64 { return c.c.EnterRead() }
-
-// ExitRead clears the published hazard era.
-func (c *Client) ExitRead() { c.c.ExitRead() }
-
-// ReclaimRetired frees retired nodes no live reader can still hold,
-// returning how many were reclaimed. Writers call this periodically.
-func (c *Client) ReclaimRetired() int { return c.c.ReclaimRetired() }
-
-// RetiredCount reports how many unlinked nodes await safe reclamation.
-func (c *Client) RetiredCount() int { return c.c.RetiredCount() }
-
-// RetireEmbed unlinks embedded reference idx like ClearEmbed but defers the
-// target's reclamation until no reader's hazard era can cover it.
-func (r *Ref) RetireEmbed(idx int) error { return r.c.c.RetireEmbed(r.block, idx) }
-
-// ChangeEmbedRetire re-points embedded reference idx to target like
-// ChangeEmbed but defers reclamation of the old node (safe for concurrent
-// readers).
-func (r *Ref) ChangeEmbedRetire(idx int, target *Ref) error {
-	return r.c.c.ChangeEmbedRetire(r.block, idx, target.block)
 }
 
 // Queue is a shared SPSC reference-transfer queue endpoint.

@@ -218,30 +218,6 @@ func (d *Device) ClientFenced(cid int) bool {
 // Close releases backend resources: nothing, for the heap backend.
 func (d *Device) Close() error { return nil }
 
-// Snapshot copies the entire pool contents — the moral equivalent of the
-// CXL device keeping its memory across compute-node reboots (it has its own
-// PSU, paper §2.1/Figure 1). Use RestoreDevice to bring it back, or prefer
-// MapDevice, which keeps the pool alive in a file with no copy at all.
-func (d *Device) Snapshot() []uint64 {
-	out := make([]uint64, len(d.words))
-	for i := range d.words {
-		out[i] = atomic.LoadUint64(&d.words[i])
-	}
-	return out
-}
-
-// RestoreDevice creates a heap device initialized from a snapshot. The
-// snapshot length fixes the pool size; cfg.Words is ignored.
-func RestoreDevice(cfg Config, snapshot []uint64) (*Device, error) {
-	cfg.Words = len(snapshot)
-	d, err := NewDevice(cfg)
-	if err != nil {
-		return nil, err
-	}
-	copy(d.words, snapshot)
-	return d, nil
-}
-
 // Stats is a snapshot of device access counters.
 type Stats struct {
 	Loads, Stores, CASes, Flushes, Fences uint64

@@ -246,28 +246,6 @@ func TestLatencyModelChargesMisses(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	d := newTestDevice(t, 64)
-	for a := Addr(1); a < 64; a++ {
-		d.Store(a, a*a)
-	}
-	img := d.Snapshot()
-	// Mutating the original must not affect the snapshot.
-	d.Store(5, 999)
-	d2, err := RestoreDevice(Config{MaxClients: 4}, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for a := Addr(1); a < 64; a++ {
-		if got := d2.Load(a); got != a*a {
-			t.Fatalf("word %d: %d, want %d", a, got, a*a)
-		}
-	}
-	if d2.Words() != 64 {
-		t.Fatalf("restored size %d", d2.Words())
-	}
-}
-
 func TestLatencyProfilesOrdering(t *testing.T) {
 	if !(LatencyLocalNUMA.MissNS < LatencyRemoteNUMA.MissNS &&
 		LatencyRemoteNUMA.MissNS < LatencyCXL.MissNS) {

@@ -180,16 +180,3 @@ func TestMapDeviceStats(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 }
-
-func TestMapDeviceSnapshot(t *testing.T) {
-	md := newTestMapDevice(t, 64)
-	md.Store(7, 42)
-	img := md.Snapshot()
-	md.Store(7, 0)
-	if img[7] != 42 {
-		t.Fatal("snapshot must copy, not alias, the mapping")
-	}
-	if len(img) != 64 {
-		t.Fatalf("snapshot length %d", len(img))
-	}
-}

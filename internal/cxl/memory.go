@@ -63,10 +63,6 @@ type Memory interface {
 	// ResetStats zeroes all access counters.
 	ResetStats()
 
-	// Snapshot copies the entire pool contents (snapshot-based tools; the
-	// mmap backend makes most uses of this obsolete).
-	Snapshot() []uint64
-
 	// Close releases backend resources (unmaps files). The heap backend is
 	// garbage-collected memory and Close is a no-op. Accessing a closed
 	// mmap backend faults, exactly like touching powered-off memory.

@@ -69,7 +69,6 @@ func (p *passthrough) ClientFenced(cid int) bool { return p.inner.ClientFenced(c
 func (p *passthrough) Open(cid int) *Handle      { return p.inner.Open(cid) }
 func (p *passthrough) Stats() Stats              { return p.inner.Stats() }
 func (p *passthrough) ResetStats()               { p.inner.ResetStats() }
-func (p *passthrough) Snapshot() []uint64        { return p.inner.Snapshot() }
 func (p *passthrough) Close() error              { return p.inner.Close() }
 func (p *passthrough) Unwrap() Memory            { return p.inner }
 

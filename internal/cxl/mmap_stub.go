@@ -7,8 +7,8 @@ import (
 	"os"
 )
 
-// The mmap backend needs a POSIX mmap; on other platforms the heap backend
-// (and snapshot files) remain available.
+// The mmap backend needs a POSIX mmap; on other platforms only the heap
+// backend is available, and no pool outlives its process.
 var errNoMmap = errors.New("cxl: mmap pool files are not supported on this platform")
 
 func mmapFile(f *os.File, size int) ([]byte, error) { return nil, errNoMmap }

@@ -4,7 +4,7 @@ import "fmt"
 
 // ReadOnlyDevice wraps a Memory whose storage must not be mutated through
 // this mapping (an observer's PROT_READ view of a live pool file). Loads,
-// fence queries, stats and snapshots pass through; every mutating
+// fence queries and stats pass through; every mutating
 // operation panics with a message naming the operation, because a tool
 // that attached read-only and then tries to write is always a bug — and
 // better caught here, by name, than as a SIGSEGV from the MMU.

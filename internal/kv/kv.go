@@ -37,7 +37,7 @@ var (
 //	[buckets+0]                 bucket count
 //	[buckets+1]                 fixed value size in bytes
 //	[buckets+2]                 number of writer partitions
-//	[buckets+3]                 flags (hazard-protected reads)
+//	[buckets+3]                 reserved (0)
 //	[buckets+4 .. +4+writers)   writer lease words (owner client ID)
 //
 // Record object layout:
@@ -59,17 +59,10 @@ type Store struct {
 	buckets int
 	valSize int
 	writers int
-	// hazard enables the §5.4 hazard-era read protocol: readers publish
-	// eras around traversals and deletes retire nodes instead of freeing
-	// them, making concurrent read-during-delete safe.
-	hazard bool
 	// scratch is the reusable copy buffer of Update and of View's fallback
 	// (backends without direct byte access).
 	scratch []byte
 }
-
-// storeFlagHazard marks the index as hazard-protected.
-const storeFlagHazard = 1 << 0
 
 // Create allocates a new index and publishes it at named-root slot rootSlot.
 func Create(c *shm.Client, rootSlot, buckets, valueSize, writers int) (*Store, error) {
@@ -106,31 +99,7 @@ func Open(c *shm.Client, rootSlot int) (*Store, error) {
 	s.buckets = int(m.EmbedCnt)
 	s.valSize = int(c.LoadWord(index, s.buckets+1))
 	s.writers = int(c.LoadWord(index, s.buckets+2))
-	s.hazard = c.LoadWord(index, s.buckets+3)&storeFlagHazard != 0
 	return s, nil
-}
-
-// EnableHazardReads switches the store (all handles that Open it afterwards,
-// plus this one) to the hazard-era protocol: reads publish hazard eras and
-// deletes retire nodes for deferred reclamation, making concurrent
-// read-during-delete safe (§5.4). Call on the creator's handle before
-// sharing the store.
-func (s *Store) EnableHazardReads() {
-	s.hazard = true
-	s.c.StoreWord(s.index, s.buckets+3, storeFlagHazard)
-}
-
-// HazardReads reports whether the store uses the hazard-era protocol.
-func (s *Store) HazardReads() bool { return s.hazard }
-
-// Maintain reclaims retired nodes that no live reader can still hold.
-// Writers on hazard-protected stores should call it periodically; it is a
-// no-op otherwise. Returns how many nodes were reclaimed.
-func (s *Store) Maintain() int {
-	if !s.hazard {
-		return 0
-	}
-	return s.c.ReclaimRetired()
 }
 
 // Close releases this client's reference to the index.
@@ -319,16 +288,11 @@ func (s *Store) find(key uint64, b int) layout.Addr {
 
 // Get copies key's value into buf (which must be at least ValueSize bytes)
 // and returns the number of bytes copied. Readers run from any client with
-// no locks; deleted records are protected by the store's single-writer rule
-// plus the era-based reclamation (a reader racing a delete re-validates the
-// key after the copy, the simplified stand-in for the paper's hazard-era
-// read protocol).
+// no locks. A delete reclaims its record immediately, so a reader racing it
+// validates after the copy — the record is still allocated and still holds
+// key — and retries the walk, up to three times, before ErrChainBroke.
 func (s *Store) Get(key uint64, buf []byte) (int, error) {
 	b := s.bucketOf(key)
-	if s.hazard {
-		s.c.EnterRead()
-		defer s.c.ExitRead()
-	}
 	for attempt := 0; attempt < 3; attempt++ {
 		rec := s.find(key, b)
 		if rec == 0 {
@@ -353,16 +317,11 @@ func (s *Store) Get(key uint64, buf []byte) (int, error) {
 // valid only inside f; f must not retain it, must not write through it,
 // and — like any optimistic lock-free read — may run more than once or
 // observe a value that a concurrent delete then invalidates, in which
-// case its result is discarded and the read retried. On hazard-protected
-// stores the whole view runs under a published hazard era. Backends
-// without direct byte access fall back to a copy into a reused scratch
-// buffer, same contract.
+// case its result is discarded and the read retried. Backends without
+// direct byte access fall back to a copy into a reused scratch buffer, same
+// contract.
 func (s *Store) View(key uint64, f func(val []byte) error) error {
 	b := s.bucketOf(key)
-	if s.hazard {
-		s.c.EnterRead()
-		defer s.c.ExitRead()
-	}
 	for attempt := 0; attempt < 3; attempt++ {
 		rec := s.find(key, b)
 		if rec == 0 {
@@ -424,7 +383,6 @@ func (s *Store) scratchBuf() []byte {
 
 // viewCopy is View's fallback when the backend cannot alias memory: copy
 // into the scratch buffer with Get's validate-after scheme, then call f.
-// The caller already holds the hazard era when one is needed.
 func (s *Store) viewCopy(key uint64, b int, f func(val []byte) error) error {
 	buf := s.scratchBuf()
 	for attempt := 0; attempt < 3; attempt++ {
@@ -472,16 +430,9 @@ func (s *Store) Delete(key uint64) error {
 }
 
 // unlink removes rec, whose predecessor's embedded reference idx points at
-// it. Hazard-protected stores retire the node (deferred reclamation, §5.4);
-// otherwise it is reclaimed immediately.
+// it. The record is reclaimed immediately; readers validate after reading.
 func (s *Store) unlink(holder layout.Addr, idx int, rec layout.Addr) error {
 	next := s.c.LoadWord(rec, recNextIdx)
-	if s.hazard {
-		if next == 0 {
-			return s.done(s.c.RetireEmbed(holder, idx))
-		}
-		return s.done(s.c.ChangeEmbedRetire(holder, idx, next))
-	}
 	if next == 0 {
 		return s.done(s.c.ClearEmbed(holder, idx))
 	}
@@ -490,13 +441,8 @@ func (s *Store) unlink(holder layout.Addr, idx int, rec layout.Addr) error {
 
 // Range calls f for every record (order unspecified) until f returns
 // false. The value slice is reused between calls; copy it to keep it. Like
-// Get, the walk is lock-free; on hazard-protected stores it runs under a
-// published hazard era.
+// Get, the walk is lock-free.
 func (s *Store) Range(f func(key uint64, val []byte) bool) {
-	if s.hazard {
-		s.c.EnterRead()
-		defer s.c.ExitRead()
-	}
 	buf := make([]byte, s.valSize)
 	for b := 0; b < s.buckets; b++ {
 		rec, _ := s.c.LoadEmbed(s.index, b)
@@ -525,10 +471,6 @@ func (s *Store) RangeBuckets(start, count int, f func(key uint64, val []byte) bo
 	}
 	if count > s.buckets {
 		count = s.buckets
-	}
-	if s.hazard {
-		s.c.EnterRead()
-		defer s.c.ExitRead()
 	}
 	seen := 0
 	buf := make([]byte, s.valSize)

@@ -10,7 +10,7 @@ import (
 //	word 0                      nil address (reserved)
 //	word 1                      magic
 //	word 2..6                   geometry summary (for cross-checking)
-//	word 7                      global reclamation era
+//	word 7                      reserved
 //	word 8                      free-segment hint (SegFreeHintWord)
 //	word 9..15                  reserved
 //	SlotMapBase..               free-slot bitmap (1 bit per client slot,
@@ -102,8 +102,7 @@ const (
 	ClientOffStatus    = 0
 	ClientOffHeartbeat = 1
 	ClientOffIdentity  = 2
-	ClientOffReserved  = 3
-	ClientOffRedo      = 4
+	ClientOffRedo      = 4  // word 3 is reserved
 	clientFixedWords   = 12 // status..reserved + redo area (RedoWords=8)
 )
 

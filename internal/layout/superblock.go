@@ -5,10 +5,10 @@ import "fmt"
 // The pool superblock is the self-describing header every attach validates:
 // magic, the five geometry parameters, and the layout version. It lives in
 // the reserved low words of the pool (see Geometry), so it travels with the
-// pool itself — inside a MapDevice file, a snapshot image, or a live heap
-// device — and a process attaching a pool formatted by another process (or
-// another build) can reconstruct the exact geometry or fail loudly instead
-// of silently attaching with mismatched MaxClients/segment dimensions.
+// pool itself — inside a MapDevice file or a live heap device — and a
+// process attaching a pool formatted by another process (or another build)
+// can reconstruct the exact geometry or fail loudly instead of silently
+// attaching with mismatched MaxClients/segment dimensions.
 //
 // Word assignments (word 0 is the reserved nil address):
 //
@@ -18,7 +18,7 @@ import "fmt"
 //	word 4   NumSegments
 //	word 5   MaxClients
 //	word 6   MaxQueues
-//	word 7   global reclamation era (runtime state, not superblock)
+//	word 7   reserved
 //	word 8   free-segment hint (runtime state, not superblock)
 //	word 9   LayoutVersion
 const (
@@ -87,8 +87,7 @@ func ReadSuperblock(m wordLoader) Superblock {
 	}
 }
 
-// SuperblockFromWords decodes the superblock from a raw word image
-// (snapshot files).
+// SuperblockFromWords decodes the superblock from a raw word image.
 func SuperblockFromWords(words []uint64) (Superblock, error) {
 	if len(words) < superblockWords {
 		return Superblock{}, fmt.Errorf("layout: image of %d words cannot hold a pool superblock", len(words))

@@ -193,11 +193,18 @@ func (c *Client) Put(key uint64, val []byte) error {
 	c.begin()
 	defer c.end()
 
-	i := c.s.findBucket(key, true)
-	if i < 0 {
-		return ErrFull
+	var i int
+	for {
+		i = c.s.findBucket(key, true)
+		if i < 0 {
+			return ErrFull
+		}
+		c.lockBucket(i)
+		if bk := &c.s.buckets[i]; !bk.used || bk.key == key {
+			break
+		}
+		c.unlockBucket(i) // a concurrent insert took the free bucket: probe again
 	}
-	c.lockBucket(i)
 	defer c.unlockBucket(i)
 	bk := &c.s.buckets[i]
 

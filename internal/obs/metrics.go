@@ -31,17 +31,17 @@ type Counter int
 // SPSC transfer queues (§5.2), and the reclamation/recovery machinery
 // (§5.3, §3.2).
 const (
-	CtrAlloc      Counter = iota // successful Mallocs
-	CtrAllocFail                 // Mallocs that returned an error
-	CtrAllocHuge                 // successful huge (multi-segment) allocations
-	CtrAllocNanos                // total ns spent in Malloc (timing-enabled clients only)
-	CtrFree                      // blocks reclaimed (refcount hit zero and freed)
-	CtrFreeHuge                  // huge objects returned to the segment pool
-	CtrPublishBatch              // deferred-metadata publication bursts
-	CtrPublishedFrees            // deferred frees published by bursts
-	CtrFlush                     // cache-line flushes on the allocation path
-	CtrFence                     // memory fences on the allocation path
-	CtrSegClaim                  // segments claimed via the global allocation vector CAS
+	CtrAlloc          Counter = iota // successful Mallocs
+	CtrAllocFail                     // Mallocs that returned an error
+	CtrAllocHuge                     // successful huge (multi-segment) allocations
+	CtrAllocNanos                    // total ns spent in Malloc (timing-enabled clients only)
+	CtrFree                          // blocks reclaimed (refcount hit zero and freed)
+	CtrFreeHuge                      // huge objects returned to the segment pool
+	CtrPublishBatch                  // deferred-metadata publication bursts
+	CtrPublishedFrees                // deferred frees published by bursts
+	CtrFlush                         // cache-line flushes on the allocation path
+	CtrFence                         // memory fences on the allocation path
+	CtrSegClaim                      // segments claimed via the global allocation vector CAS
 
 	CtrCASAttempt // header CAS attempts in era transactions
 	CtrCASRetry   // header CAS attempts that lost the race and retried

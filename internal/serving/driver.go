@@ -80,9 +80,9 @@ type Driver struct {
 
 	opsDone atomic.Uint64
 
-	survivorErrs, victimErrs   atomic.Uint64
-	rerouted, stalled, lost    atomic.Uint64
-	corruptions                atomic.Uint64
+	survivorErrs, victimErrs atomic.Uint64
+	rerouted, stalled, lost  atomic.Uint64
+	corruptions              atomic.Uint64
 }
 
 // NewDriver builds a driver over the workers at addrs; worker i initially

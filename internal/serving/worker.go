@@ -33,13 +33,13 @@ type WorkerConfig struct {
 // store shape a driver needs to route partitions without out-of-band
 // configuration.
 type WorkerStats struct {
-	CID        int   `json:"cid"`
+	CID        int    `json:"cid"`
 	Ops        uint64 `json:"ops"`
 	Errors     uint64 `json:"errors"`
-	Partitions []int `json:"partitions"`
-	Buckets    int   `json:"buckets"`
-	Writers    int   `json:"writers"`
-	ValSize    int   `json:"val_size"`
+	Partitions []int  `json:"partitions"`
+	Buckets    int    `json:"buckets"`
+	Writers    int    `json:"writers"`
+	ValSize    int    `json:"val_size"`
 }
 
 // Worker is one serving process's state: a pool attachment, a kv.Store

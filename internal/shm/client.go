@@ -99,11 +99,6 @@ type Client struct {
 	// allocSeq counts Malloc calls for latency sampling.
 	allocSeq uint64
 
-	// retiredList parks unlinked nodes awaiting hazard-era reclamation
-	// (hazard.go). Local state: a crash abandons it, and the segment-local
-	// scan reclaims the parked (refcount-zero, flagged) nodes instead.
-	retiredList []retired
-
 	closed bool
 }
 

@@ -96,21 +96,14 @@ func (c *Client) ReleaseReference(ref, refed layout.Addr) (freed bool, err error
 // the reclaim needs further transactions, so this transaction flags the
 // segment itself before closing and the caller runs the cascade afterwards.
 func (c *Client) releaseTxn(ref, refed layout.Addr) (newCnt uint16, pendingReclaim bool, err error) {
-	return c.releaseTxnMode(ref, refed, false, false, 0, 0)
-}
-
-// releaseRetire is releaseTxn with deferred reclamation: a zero count flags
-// the segment and reports pending, but nothing is freed (hazard.go parks
-// the node instead).
-func (c *Client) releaseRetire(ref, refed layout.Addr) (newCnt uint16, pendingReclaim bool, err error) {
-	return c.releaseTxnMode(ref, refed, true, false, 0, 0)
+	return c.releaseTxnMode(ref, refed, false, 0, 0)
 }
 
 // releaseTxnMode is the release transaction in all its modes. A caller that
 // has read refed's header word passes it as hdrW, the first CAS guess; goneW
 // is as for reclaimRaw. Zero means not read. elideModify marks ref as the pptr
 // of a RootRef slot the caller frees next, shadow included (ReleaseRoot).
-func (c *Client) releaseTxnMode(ref, refed layout.Addr, deferReclaim, elideModify bool, hdrW, goneW uint64) (newCnt uint16, pendingReclaim bool, err error) {
+func (c *Client) releaseTxnMode(ref, refed layout.Addr, elideModify bool, hdrW, goneW uint64) (newCnt uint16, pendingReclaim bool, err error) {
 	if c.h.Fenced() {
 		return 0, false, ErrFenced
 	}
@@ -165,25 +158,19 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, deferReclaim, elideModif
 	// crash before the slot clear leaves an in_use slot over a refcount-zero
 	// block, which SweepRootRefSlot already resolves by clearing the slot,
 	// and recovery's redo replay performs the elided store itself.
-	elide := elideModify && !deferReclaim && m.EmbedCnt == 0 && m.Flags&layout.MetaHuge == 0 && op != nil
+	elide := elideModify && m.EmbedCnt == 0 && m.Flags&layout.MetaHuge == 0 && op != nil
 	if !elide {
 		c.h.Store(ref, 0) // ModifyRef
 		if !elideModify {
 			c.noteRootTarget(ref, 0)
 		}
 	}
-	switch {
-	case deferReclaim:
-		// Hazard-era retire: flag for the scan (covers our death) and
-		// let the caller park the node; nothing is freed yet.
-		c.flagSegmentLeaking(refed)
-		pendingReclaim = true
-	case m.EmbedCnt == 0:
+	if m.EmbedCnt == 0 {
 		// Plain object: reclaim inside the transaction window. A crash
 		// here is covered by the still-valid redo entry (recovery flags
 		// the segment, §5.3).
 		c.reclaimRaw(refed, m, op, bs, goneW)
-	default:
+	} else {
 		// Embed-carrying object: the cascade needs its own transactions,
 		// so flag the segment before this transaction closes; the caller
 		// must run the cascade once we return.
@@ -236,10 +223,6 @@ func (c *Client) moveRef(dst, src, target layout.Addr, closeTxn bool) error {
 // b via CAS, write the reference, bump the era again. The double bump lets
 // recovery tell which of the two non-idempotent CASes committed.
 func (c *Client) ChangeReference(ref, a, b layout.Addr) error {
-	return c.changeTxn(ref, a, b, false)
-}
-
-func (c *Client) changeTxn(ref, a, b layout.Addr, deferReclaim bool) error {
 	if c.h.Fenced() {
 		return ErrFenced
 	}
@@ -312,11 +295,7 @@ func (c *Client) changeTxn(ref, a, b layout.Addr, deferReclaim bool) error {
 		// so by the time a later transaction could overwrite this entry the
 		// flag must already be on the device.
 		c.flagSegmentLeaking(a)
-		if deferReclaim {
-			c.park(a)
-		} else {
-			c.cascadeFree(a)
-		}
+		c.cascadeFree(a)
 	}
 	return nil
 }
@@ -373,7 +352,7 @@ func (c *Client) ReleaseRoot(root layout.Addr) (objectFreed bool, err error) {
 		// The pptr store of the release is elided when the block reclaims
 		// into the pending tier (releaseTxnMode): the slot clear right below
 		// makes the word unreachable before anything can read it.
-		newCnt, pending, rerr := c.releaseTxnMode(root+layout.RootRefPptrOff, target, false, true, 0, 0)
+		newCnt, pending, rerr := c.releaseTxnMode(root+layout.RootRefPptrOff, target, true, 0, 0)
 		if rerr != nil {
 			return false, rerr
 		}

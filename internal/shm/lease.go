@@ -16,9 +16,9 @@ import "repro/internal/layout"
 //
 //   - The caller must keep the block live for the lease's whole lifetime:
 //     hold a counted reference (a RootRef or an embedded reference), or
-//     run under an equivalent protocol — the kv store's readers lease
-//     inside a published hazard era, or validate-after-and-retry like its
-//     Get. The lease itself is NOT a reference: it pins nothing, and a
+//     run under an equivalent protocol — the kv store's View validates
+//     after reading (still allocated, still the same key) and retries,
+//     like its Get. The lease itself is NOT a reference: it pins nothing, and a
 //     concurrent free would hand the bytes to the next allocation. This
 //     mirrors the hardware reality — get_addr hands out a raw pointer and
 //     the reference count is what keeps it meaningful.

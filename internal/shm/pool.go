@@ -38,10 +38,6 @@ type Config struct {
 	// (created, must not exist — see cxl.CreateMapDevice). The pool then
 	// outlives this process: reopen it with OpenFile.
 	File string
-	// Memory, when set, formats the pool onto this pre-built backend
-	// (custom middleware stacks, an already-created MapDevice). Must be
-	// sized for the geometry. Overrides Backend and File.
-	Memory cxl.Memory
 	// Middleware is stacked over the backend (innermost first) before any
 	// client or the recovery service touches it.
 	Middleware []cxl.Middleware
@@ -118,29 +114,13 @@ func NewPool(cfg Config) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	mem := cfg.Memory
-	if mem == nil {
-		mem, err = newBackend(cfg, geo)
-		if err != nil {
-			return nil, err
-		}
-	} else if err := checkBackendFits(mem, geo); err != nil {
+	mem, err := newBackend(cfg, geo)
+	if err != nil {
 		return nil, err
 	}
 	p := newPoolAround(wrap(cfg, mem), geo, true)
 	p.format()
 	return p, nil
-}
-
-// checkBackendFits verifies a caller-supplied backend matches the geometry.
-func checkBackendFits(mem cxl.Memory, geo *layout.Geometry) error {
-	if got, want := mem.Words(), int(geo.TotalWords); got != want {
-		return fmt.Errorf("shm: backend has %d words, geometry needs %d", got, want)
-	}
-	if got, want := mem.MaxClients(), geo.MaxClients+1; got < want {
-		return fmt.Errorf("shm: backend supports %d client IDs, geometry needs %d", got, want)
-	}
-	return nil
 }
 
 // format writes the pool superblock and runtime words. Freshly created
@@ -149,9 +129,6 @@ func checkBackendFits(mem cxl.Memory, geo *layout.Geometry) error {
 // as ClientSlotFree, queue registry as empty.
 func (p *Pool) format() {
 	layout.WriteSuperblock(p.dev, p.geo)
-	// Global reclamation era for hazard-era deferred reclamation: starts at
-	// 1 so a zero hazard word always means "not reading".
-	p.dev.Store(globalEraAddr, 1)
 	// Every client slot starts claimable (generations are zero/even already).
 	for w := 0; w < int(p.geo.SlotMapWords); w++ {
 		n := p.geo.MaxClients - w*64
@@ -164,51 +141,30 @@ func (p *Pool) format() {
 	p.tel.format()
 }
 
-// Snapshot captures the pool contents for later AttachSnapshot — the
-// "everything survives because the device has its own power supply" story
-// of the paper's Figure 1. Take it at a quiescent moment. Prefer a
-// File-backed pool (cxl.MapDevice), which needs no copy at all.
-func (p *Pool) Snapshot() []uint64 { return p.dev.Snapshot() }
-
-// AttachSnapshot reconstructs a Pool around a previously snapshotted device
-// image. Clients recorded as alive in the image are from a previous
-// incarnation (their processes are gone); list them with StaleClients and
-// hand each to the recovery service before resuming normal operation.
-func AttachSnapshot(snapshot []uint64) (*Pool, error) {
-	sb, err := layout.SuperblockFromWords(snapshot)
-	if err != nil {
-		return nil, fmt.Errorf("shm: %w", err)
-	}
-	geo, err := sb.Geometry()
-	if err != nil {
-		return nil, fmt.Errorf("shm: %w", err)
-	}
-	if geo.TotalWords != uint64(len(snapshot)) {
-		return nil, fmt.Errorf("shm: snapshot has %d words, its superblock geometry computes %d (truncated or corrupt image)",
-			len(snapshot), geo.TotalWords)
-	}
-	dev, err := cxl.RestoreDevice(cxl.Config{MaxClients: geo.MaxClients + 1}, snapshot)
-	if err != nil {
-		return nil, err
-	}
-	return newPoolAround(dev, geo, true), nil
-}
-
 // AttachMemory attaches a pool that already lives on mem — typically a
 // cxl.MapDevice reopened by a fresh process. The superblock is validated
 // (magic, layout version, geometry) before anything touches the pool; on
 // mismatch the pool is left untouched and a descriptive error returned.
 // Middleware, if any, is stacked over mem.
 func AttachMemory(mem cxl.Memory, mws ...cxl.Middleware) (*Pool, error) {
-	sb := layout.ReadSuperblock(mem)
-	geo, err := sb.Geometry()
+	return attach(mem, true, mws...)
+}
+
+// attach validates mem's superblock and its size against the geometry the
+// superblock describes, then assembles the pool (see newPoolAround for
+// mirror).
+func attach(mem cxl.Memory, mirror bool, mws ...cxl.Middleware) (*Pool, error) {
+	geo, err := layout.ReadSuperblock(mem).Geometry()
 	if err != nil {
 		return nil, fmt.Errorf("shm: %w", err)
 	}
-	if err := checkBackendFits(mem, geo); err != nil {
-		return nil, err
+	if got, want := mem.Words(), int(geo.TotalWords); got != want {
+		return nil, fmt.Errorf("shm: backend has %d words, geometry needs %d", got, want)
 	}
-	return newPoolAround(cxl.Wrap(mem, mws...), geo, true), nil
+	if got, want := mem.MaxClients(), geo.MaxClients+1; got < want {
+		return nil, fmt.Errorf("shm: backend supports %d client IDs, geometry needs %d", got, want)
+	}
+	return newPoolAround(cxl.Wrap(mem, mws...), geo, mirror), nil
 }
 
 // OpenFile maps the pool file at path (created by a NewPool with
@@ -240,17 +196,12 @@ func OpenFileReadOnly(path string) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	sb := layout.ReadSuperblock(mem)
-	geo, err := sb.Geometry()
+	p, err := attach(mem, false)
 	if err != nil {
-		mem.Close()
-		return nil, fmt.Errorf("shm: %w", err)
-	}
-	if err := checkBackendFits(mem, geo); err != nil {
 		mem.Close()
 		return nil, err
 	}
-	return newPoolAround(mem, geo, false), nil
+	return p, nil
 }
 
 // CloseDevice releases the device backend (unmaps a file-backed pool). For

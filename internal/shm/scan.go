@@ -471,7 +471,7 @@ func (c *Client) SweepRootRefSlot(slot layout.Addr, rs *RootSweep) bool {
 		return true
 	}
 	// A failed release (fenced, stale) leaves the slot as it is, for a rerun.
-	if _, pending, _ := c.releaseTxnMode(slot, pptr, false, false, hdrW, goneW); pending {
+	if _, pending, _ := c.releaseTxnMode(slot, pptr, false, hdrW, goneW); pending {
 		c.cascadeFree(pptr)
 	}
 	return true
