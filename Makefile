@@ -1,7 +1,7 @@
 # Developer entry points. `make verify` is the full pre-merge gate:
 # vet + build + tests, plus the race detector on every package that owns a
 # goroutine or a crash campaign (allocator, recovery, metrics, the serving
-# tier and its transports, the sweep, fsck).
+# tier and its transports, the sweep, fsck, the Lightning baseline).
 
 GO ?= go
 
@@ -23,7 +23,7 @@ test:
 race:
 	$(GO) test -race ./internal/shm ./internal/recovery ./internal/obs . \
 		./internal/serving ./internal/kv ./internal/netrpc ./internal/rpc \
-		./internal/mapreduce ./internal/sweep ./internal/check
+		./internal/mapreduce ./internal/sweep ./internal/check ./internal/lightning
 
 # bench-smoke runs the fast-path micro-benchmarks a handful of iterations
 # under the race detector: not for numbers, but to drive the benchmark paths
@@ -75,15 +75,15 @@ fsck-smoke:
 
 # top-smoke drives the observer tooling end to end across processes: build
 # a pool on an mmap'd file, crash its client, attach cxltop read-only for
-# one JSON and one Prometheus snapshot, recover the pool, and pretty-print
-# the crash-surviving telemetry (the dead client's final counters).
+# one JSON and one Prometheus snapshot, recover the pool, and render the
+# crash-surviving telemetry once more (the dead client's final counters).
 top-smoke:
 	rm -f .ci-top.cxl
 	$(GO) run ./cmd/cxlsnap -create .ci-top.cxl -keys 100
 	$(GO) run ./cmd/cxltop -once -json .ci-top.cxl > /dev/null
 	$(GO) run ./cmd/cxltop -once -prom .ci-top.cxl > /dev/null
 	$(GO) run ./cmd/cxlsnap -open .ci-top.cxl
-	$(GO) run ./cmd/cxlsnap -metrics .ci-top.cxl > /dev/null
+	$(GO) run ./cmd/cxltop -once .ci-top.cxl > /dev/null
 	rm -f .ci-top.cxl
 
 # benchmark-check vets and tests the benchmark module (benchmark/, a Go
@@ -134,8 +134,8 @@ dep-guard:
 # three race passes over the in-process serving chaos, ten seconds of fuzzing
 # each on the two byte parsers a peer can reach (netrpc frames, serving
 # requests), the mmap-backend suite, the exhaustive
-# crash sweep (plus bounded legs with telemetry collection enabled and at
-# 64-client geometry), the cxltop/cxlsnap observer smoke, and the
+# crash sweep (plus a bounded leg at 64-client geometry), the
+# cxltop/cxlsnap observer smoke, and the
 # serving-tier chaos smoke on both worker backends.
 ci: fmt-check vet build test benchmark-check dep-guard inline-check
 	$(GO) test -race -run 'TestDeviceAccessBudget|TestClientScaling|TestQueue' ./internal/shm
@@ -156,7 +156,6 @@ ci: fmt-check vet build test benchmark-check dep-guard inline-check
 	$(MAKE) test-mmap
 	$(MAKE) sweep
 	$(MAKE) corrupt
-	$(GO) run ./cmd/faultsim -sweep -max-writes 8 -metrics
 	$(GO) run ./cmd/faultsim -sweep -max-writes 6 -clients 64
 	$(MAKE) top-smoke
 	$(MAKE) fsck-smoke

@@ -17,15 +17,11 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/layout"
-	"repro/internal/obs"
-	"repro/internal/shm"
 )
 
 func main() {
 	scaleFlag := flag.Float64("scale", 1.0, "iteration-count multiplier")
 	threads := flag.String("threads", "1,2,4,8", "comma-separated thread/client counts")
-	metrics := flag.Bool("metrics", false, "collect pool metrics; write BENCH_<name>_metrics.json per experiment and print a summary")
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() < 1 {
@@ -37,16 +33,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *metrics {
-		obs.EnableGlobal()
-	}
 
 	run := func(name string) {
 		start := time.Now()
-		var before obs.Snapshot
-		if *metrics {
-			before = obs.GlobalSnapshot()
-		}
 		fmt.Printf("== %s ==\n", name)
 		switch name {
 		case "table1":
@@ -129,9 +118,6 @@ func main() {
 		default:
 			fatal(fmt.Errorf("unknown experiment %q", name))
 		}
-		if *metrics {
-			writeMetrics(name, obs.GlobalSnapshot().Sub(before))
-		}
 		fmt.Printf("(%s in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
@@ -152,11 +138,7 @@ func main() {
 func usage() {
 	fmt.Fprint(os.Stderr, `cxlbench — regenerate the CXL-SHM paper's evaluation
 
-usage: cxlbench [-scale F] [-threads 1,2,4,8] [-metrics] <experiment>...
-
--metrics collects pool observability counters during each experiment and
-writes a BENCH_<experiment>_metrics.json snapshot alongside the printed
-tables.
+usage: cxlbench [-scale F] [-threads 1,2,4,8] <experiment>...
 
 experiments:
   table1    memory-type micro-benchmark (paper Table 1)
@@ -196,31 +178,6 @@ func parseInts(s string) ([]int, error) {
 		return nil, fmt.Errorf("empty thread list")
 	}
 	return out, nil
-}
-
-// writeMetrics dumps the experiment's metrics delta next to the experiment's
-// output: a machine-readable JSON snapshot plus a terminal summary. The
-// snapshot carries provenance (backend, layout version, build) so a stray
-// BENCH_*_metrics.json always says what produced it; pool geometry is left
-// out because each experiment sizes its own pools.
-func writeMetrics(name string, snap obs.Snapshot) {
-	fmt.Println("-- metrics --")
-	snap.WriteSummary(os.Stdout)
-	backend := os.Getenv(shm.BackendEnv)
-	if backend == "" {
-		backend = "heap"
-	}
-	prov := obs.CollectProvenance("cxlbench", backend)
-	prov.LayoutVersion = layout.LayoutVersion
-	data, err := obs.MarshalReportJSON(snap, nil, prov)
-	if err != nil {
-		fatal(err)
-	}
-	path := fmt.Sprintf("BENCH_%s_metrics.json", name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("metrics snapshot written to %s\n", path)
 }
 
 func fatal(err error) {

@@ -7,7 +7,10 @@
 //	cxlsnap -create pool.cxl -keys 500     # the file IS the pool
 //	cxlsnap -open   pool.cxl               # later "boot": attach and verify
 //	cxlsnap -fsck   pool.cxl [-repair]     # audit (and repair) the metadata
-//	cxlsnap -metrics pool.cxl              # read-only telemetry dump
+//
+// The pool's crash-surviving telemetry (dead clients' final counters,
+// recovery timelines, the event ring) is cxltop's to render, read-only:
+// `cxltop -once pool.cxl`.
 //
 // The pool is built directly on an mmap'd cxl.MapDevice file: nothing is
 // copied at save or attach time, and a second OS process opening the same
@@ -22,13 +25,11 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/check"
 	"repro/internal/cxl"
 	"repro/internal/kv"
 	"repro/internal/layout"
-	"repro/internal/obs"
 	"repro/internal/recovery"
 	"repro/internal/shm"
 )
@@ -36,7 +37,6 @@ import (
 func main() {
 	create := flag.String("create", "", "create a pool file at this path and populate it")
 	open := flag.String("open", "", "attach a saved pool file, recover, and verify")
-	metrics := flag.String("metrics", "", "pretty-print a saved pool's telemetry region (read-only; no recovery)")
 	fsck := flag.String("fsck", "", "check a saved pool's metadata; with -repair, fix what can be fixed")
 	repair := flag.Bool("repair", false, "with -fsck: run the repairing fsck and write the result back")
 	flip := flag.String("flip", "", `with -fsck: first flip a bit ("addr" or "addr:bit", addr hex ok) — self-test aid`)
@@ -50,10 +50,6 @@ func main() {
 		}
 	case *open != "":
 		if err := doOpen(*open); err != nil {
-			fail(err)
-		}
-	case *metrics != "":
-		if err := doMetrics(*metrics); err != nil {
 			fail(err)
 		}
 	case *fsck != "":
@@ -165,7 +161,7 @@ func doCreate(path string, keys int) error {
 	// A real client heartbeats on a timer; one beat after the workload
 	// stands in for that cadence — it also publishes the client's counter
 	// vector into the pool's telemetry region, where it survives what
-	// happens next (inspect it later with -metrics).
+	// happens next (inspect it later with cxltop -once).
 	c.Heartbeat()
 	fmt.Printf("stored %d keys; client %d now 'loses power' without releasing anything\n", keys, c.ID())
 	// No Close, no Release: the file keeps the mess as-is.
@@ -238,76 +234,6 @@ func doOpen(path string) error {
 	}
 	fmt.Println("OK: the pool outlived every client process")
 	return nil
-}
-
-// doMetrics pretty-prints the pool's crash-surviving telemetry region:
-// every published metric block — dead clients' final counters included,
-// that is the point — each slot's recovery timeline, and the shared
-// recovery-event ring. The file is mapped PROT_READ, so this is safe to
-// point at a pool other processes are actively using.
-func doMetrics(path string) error {
-	pool, err := shm.OpenFileReadOnly(path)
-	if err != nil {
-		return err
-	}
-	defer pool.CloseDevice()
-	tel := pool.Telemetry()
-	if err := tel.Validate(); err != nil {
-		return err
-	}
-	snap := tel.Snapshot()
-	fmt.Printf("telemetry region of %s (layout v%d, %d clients)\n\n",
-		path, layout.LayoutVersion, pool.Geometry().MaxClients)
-
-	fmt.Println("pool block (recovery service, CAS-added):")
-	blockSummary(&snap.Pool)
-	for i := range snap.Clients {
-		b := &snap.Clients[i]
-		status := "alive"
-		wantOdd := true // ALIVE and DEAD slots hold an odd (leased) generation
-		switch pool.ClientStatus(b.Index) {
-		case layout.ClientDead:
-			status = "DEAD — final pre-fence counters below"
-		case layout.ClientRecovered:
-			status = "recovered"
-			wantOdd = false
-		case layout.ClientSlotFree:
-			status = "slot free"
-			wantOdd = false
-		}
-		gen := pool.SlotGeneration(b.Index)
-		stale := ""
-		if (gen&1 == 1) != wantOdd {
-			stale = "  ** STALE LEASE: generation parity disagrees with status — run fsck **"
-		}
-		fmt.Printf("\nclient %d (pid %d, %s, lease gen %d, %d publishes):%s\n",
-			b.Index, b.Identity, status, gen, b.Publishes, stale)
-		blockSummary(b)
-	}
-	for _, tl := range snap.Timelines {
-		fmt.Printf("\ntimeline client %d: death #%d reason=%s", tl.Client, tl.Deaths, tl.ReasonName)
-		if tl.RecoveredNS > 0 {
-			fmt.Printf(" recovered (detect→recovered %v, attempts %d, replays %d, reclaimed %d, roots swept %d)",
-				time.Duration(tl.DurationNS), tl.Attempts, tl.RedoReplays, tl.Reclaimed, tl.SweptRoots)
-		} else {
-			fmt.Printf(" (not yet recovered; attempts %d)", tl.Attempts)
-		}
-		fmt.Println()
-	}
-	if len(snap.Events) > 0 {
-		fmt.Println("\nrecovery-event ring:")
-		for _, e := range snap.Events {
-			fmt.Printf("  %s  %s\n", e.Time.Format("15:04:05.000"), e.String())
-		}
-	}
-	return nil
-}
-
-// blockSummary renders one metric block through the standard snapshot
-// summary (non-zero counters, histogram quantiles).
-func blockSummary(b *shm.TelemetryBlock) {
-	s := obs.Snapshot{Counters: b.CounterMap(), Histograms: b.HistogramMap()}
-	s.WriteSummary(os.Stdout)
 }
 
 func fail(err error) {

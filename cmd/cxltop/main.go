@@ -4,7 +4,8 @@
 // what every process mapping the pool is doing, from the pool words alone:
 //
 //   - per-client operation rates (alloc, free, era bumps, queue traffic)
-//     computed from successive telemetry-block snapshots,
+//     computed from successive telemetry-block snapshots (running totals
+//     with -once), with each slot's lease generation,
 //   - allocation latency p50/p99 per client, straight from the published
 //     histogram vectors,
 //   - live transfer-queue depths,
@@ -97,6 +98,7 @@ type sample struct {
 	queues []shm.QueueDepth
 	usage  shm.Usage
 	status map[int]uint64 // client slot status words
+	gens   map[int]uint64 // client slot lease generations
 	beats  map[int]uint64 // heartbeat counters
 }
 
@@ -107,11 +109,13 @@ func take(p *shm.Pool) *sample {
 		queues: p.Queues(),
 		usage:  p.Usage(),
 		status: make(map[int]uint64),
+		gens:   make(map[int]uint64),
 		beats:  make(map[int]uint64),
 	}
 	geo := p.Geometry()
 	for cid := 1; cid <= geo.MaxClients; cid++ {
 		s.status[cid] = p.ClientStatus(cid)
+		s.gens[cid] = p.SlotGeneration(cid)
 		s.beats[cid] = p.Device().Load(geo.ClientHeartbeatAddr(cid))
 	}
 	return s
@@ -154,8 +158,13 @@ func render(w *os.File, path string, cur, prev *sample, nevents int) {
 	}
 	fmt.Fprintln(w)
 
+	// Without a previous sample the counter columns are running totals.
+	per := "/s"
+	if prev == nil {
+		per = ""
+	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "CLIENT\tSTATE\tPID\tPUB\tAGE\tALLOC/s\tFREE/s\tERA/s\tSEND/s\tRECV/s\tALLOC p50\tp99")
+	fmt.Fprintf(tw, "CLIENT\tSTATE\tGEN\tPID\tPUB\tAGE\tALLOC%[1]s\tFREE%[1]s\tERA%[1]s\tSEND%[1]s\tRECV%[1]s\tALLOC p50\tp99\n", per)
 	for i := range cur.snap.Clients {
 		b := &cur.snap.Clients[i]
 		cid := b.Index
@@ -171,8 +180,8 @@ func render(w *os.File, path string, cur, prev *sample, nevents int) {
 			}
 		}
 		hs := obs.MakeHistogramSnapshot(b.Histos[obs.HistAllocNS])
-		fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n",
-			cid, statusName(cur.status[cid]), b.Identity, b.Publishes,
+		fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%d\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n",
+			cid, statusName(cur.status[cid]), cur.gens[cid], b.Identity, b.Publishes,
 			humanAge(cur.at, b.TimeNS),
 			rate(b, pb, obs.CtrAlloc, dt), rate(b, pb, obs.CtrFree, dt),
 			rate(b, pb, obs.CtrEraBump, dt),

@@ -26,14 +26,11 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/layout"
-	"repro/internal/obs"
 	"repro/internal/sweep"
 )
 
 func main() {
 	seed := flag.Int64("seed", 1, "with -corrupt: base RNG seed")
-	metrics := flag.Bool("metrics", false, "collect pool metrics; write FAULTSIM_metrics.json and print a summary")
 	doSweep := flag.Bool("sweep", false, "run the exhaustive access-granular crash sweep")
 	doCorrupt := flag.Bool("corrupt", false, "run the corruption campaign (bit flips, torn writes, stuck CAS) with repair")
 	region := flag.String("region", "", "with -corrupt: restrict to one region (comma-separated ok; empty = all)")
@@ -44,9 +41,6 @@ func main() {
 	repro := flag.String("repro", "", `reproduce one sweep position: "op=NAME access=N [epoch=T] [recovery-access=R]"`)
 	flag.StringVar(&backend, "backend", "", "device backend: heap (default) or mmap")
 	flag.Parse()
-	if *metrics {
-		obs.EnableGlobal()
-	}
 
 	switch {
 	case *doCorrupt:
@@ -80,40 +74,11 @@ func main() {
 		}
 		fmt.Printf("sweep: %d ops, %d crash positions (+%d recovery positions) — all recovered and validated clean\n",
 			st.Ops, st.Positions, st.RecoveryPositions)
-		if *metrics {
-			writeMetrics()
-		}
 	default:
 		fmt.Fprintln(os.Stderr, "faultsim: pick a mode: -sweep, -corrupt or -repro")
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// writeMetrics dumps the campaign-wide metrics snapshot, stamped with the
-// provenance (backend, layout version, build) that produced it. The sweep
-// builds pools with its own per-op geometry, so no pool shape is recorded.
-func writeMetrics() {
-	snap := obs.GlobalSnapshot()
-	fmt.Println("-- metrics (whole sweep) --")
-	snap.WriteSummary(os.Stdout)
-	prov := obs.CollectProvenance("faultsim", backendName())
-	prov.LayoutVersion = layout.LayoutVersion
-	data, err := obs.MarshalReportJSON(snap, nil, prov)
-	if err != nil {
-		fail(err)
-	}
-	if err := os.WriteFile("FAULTSIM_metrics.json", data, 0o644); err != nil {
-		fail(err)
-	}
-	fmt.Println("metrics snapshot written to FAULTSIM_metrics.json")
-}
-
-func backendName() string {
-	if backend == "" {
-		return "heap"
-	}
-	return backend
 }
 
 // backend selects the device backend (-backend flag).

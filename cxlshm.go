@@ -294,9 +294,11 @@ func (p *Pool) LastRecovery() (recovery.RecoveryRecord, bool) {
 }
 
 // TraceEvents returns the pool's recovery-lifecycle event trace (client
-// fences, leak flags, segment scans, redo replays), oldest first. The trace
-// is a bounded ring; old events are overwritten.
-func (p *Pool) TraceEvents() []obs.Event { return p.p.Obs().Tracer().Events() }
+// fences, leak flags, recovery passes, redo replays, repairs), oldest first.
+// The trace is the pool's crash-surviving event ring: bounded, old events
+// are overwritten, and it holds the events of every process that used the
+// pool, not only this one's.
+func (p *Pool) TraceEvents() []obs.Event { return p.p.Telemetry().Events() }
 
 // Internal exposes the underlying implementation pool for benchmarks,
 // validators, and tools. Applications do not need it.

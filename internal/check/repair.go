@@ -191,7 +191,7 @@ func Repair(p *shm.Pool, cfg RepairConfig) *RepairReport {
 	sh.Add(obs.CtrQuarantine, quar)
 	tel.PoolAdd(obs.CtrQuarantine, quar)
 	if issues > 0 || len(r.rep.Actions) > 0 {
-		p.Obs().Trace(obs.Event{
+		p.Trace(obs.Event{
 			Type: obs.EvRepairApplied,
 			A:    uint64(issues),
 			B:    uint64(len(r.rep.Actions)),

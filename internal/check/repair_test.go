@@ -465,7 +465,7 @@ func TestRepairUpdatesCounters(t *testing.T) {
 			ctr.Get(obs.CtrFsckPass), ctr.Get(obs.CtrFsckIssues), ctr.Get(obs.CtrRepairAction))
 	}
 	var applied bool
-	for _, e := range p.Obs().Tracer().Events() {
+	for _, e := range p.Telemetry().Events() {
 		if e.Type == obs.EvRepairApplied {
 			applied = true
 		}

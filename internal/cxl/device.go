@@ -138,11 +138,6 @@ func (d *Device) Bytes() int { return len(d.words) * WordBytes }
 // MaxClients reports the highest client ID that can be fenced or opened.
 func (d *Device) MaxClients() int { return len(d.fenced) - 1 }
 
-// SetAccessCounting switches load/store/CAS counting on or off. Call before
-// the device is shared (handles snapshot the flag at Open); intended for
-// instrumenting a freshly opened MapDevice.
-func (d *Device) SetAccessCounting(on bool) { d.countAccesses = on }
-
 // check panics on an out-of-range address. A real device would machine-check;
 // in the simulation an out-of-range access is always an implementation bug,
 // never a recoverable condition, so panicking is the correct response.

@@ -115,9 +115,6 @@ func (h *Handle) setHook(hook AccessHook) *Handle {
 	return h.setFast()
 }
 
-// ClientID returns the client ID this handle was opened for.
-func (h *Handle) ClientID() int { return h.cid }
-
 // Fenced reports whether this handle's client has been RAS-fenced.
 func (h *Handle) Fenced() bool { return h.fencedW.Load() != 0 }
 

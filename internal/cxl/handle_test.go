@@ -21,31 +21,28 @@ func TestHandlePathEquivalence(t *testing.T) {
 		// the layer itself observed (nil: the layer counts nothing).
 		wrap func(d *Device) (Memory, func() observed)
 	}
+	// countHook is an access hook that counts what it sees into o and checks
+	// that every access carries the handle's client ID.
+	countHook := func(o *observed) AccessHook {
+		return func(c int, kind AccessKind, _ Addr) {
+			if c != cid {
+				t.Errorf("hook saw client %d, want %d", c, cid)
+			}
+			switch kind {
+			case OpLoad:
+				o.loads++
+			case OpStore:
+				o.stores++
+			case OpCAS:
+				o.cases++
+			}
+		}
+	}
 	stacks := []stack{
 		{"bare", func(d *Device) (Memory, func() observed) { return d, nil }},
-		{"WithCounting", func(d *Device) (Memory, func() observed) {
-			var ctr AccessCounter
-			return Wrap(d, WithCounting(&ctr)), func() observed {
-				s := ctr.Snapshot()
-				return observed{s.Loads, s.Stores, s.CASes}
-			}
-		}},
 		{"WithAccessHook", func(d *Device) (Memory, func() observed) {
 			var o observed
-			hook := func(c int, kind AccessKind, _ Addr) {
-				if c != cid {
-					t.Errorf("hook saw client %d, want %d", c, cid)
-				}
-				switch kind {
-				case OpLoad:
-					o.loads++
-				case OpStore:
-					o.stores++
-				case OpCAS:
-					o.cases++
-				}
-			}
-			return Wrap(d, WithAccessHook(hook)), func() observed { return o }
+			return Wrap(d, WithAccessHook(countHook(&o))), func() observed { return o }
 		}},
 		{"WithLatency", func(d *Device) (Memory, func() observed) {
 			return Wrap(d, WithLatency(Latency{MissNS: 1, CASNS: 1})), nil
@@ -61,6 +58,12 @@ func TestHandlePathEquivalence(t *testing.T) {
 				return v, WriteThrough
 			}
 			return Wrap(d, WithWriteFaults(hook)), func() observed { return o }
+		}},
+		// A hook stacked over a retargeting layer still sees every client
+		// access, under the client's ID.
+		{"WithWriteFaults+WithAccessHook", func(d *Device) (Memory, func() observed) {
+			var o observed
+			return Wrap(d, WithWriteFaults(nil), WithAccessHook(countHook(&o))), func() observed { return o }
 		}},
 	}
 	backends := []struct {

@@ -111,7 +111,7 @@ func OpenMapDevice(path string) (*MapDevice, error) {
 // read-only: loads observe the live pool (other processes' stores included)
 // but any store, CAS, fence or Handle open panics — and even a bug that
 // bypassed the wrapper would take a SIGSEGV from the MMU, not corrupt the
-// pool. This is the attach path for observers (cxltop, cxlsnap -metrics).
+// pool. This is the attach path for observers (cxltop).
 func OpenMapDeviceReadOnly(path string) (Memory, error) {
 	md, err := openMapDevice(path, true)
 	if err != nil {

@@ -11,7 +11,7 @@ package cxl
 //     and header live on disk, so a pool created by one OS process can be
 //     reopened — alive, no copy — by another.
 //   - middleware built with Wrap: stacking interceptors (latency model,
-//     access counting, access hooks for fault campaigns) over any Memory.
+//     access hooks and write faults for fault campaigns) over any Memory.
 //
 // All word accesses are atomic and linearizable, exactly as CXL 3.0 memory
 // sharing promises. Client code must not use a Memory directly: it opens a
@@ -67,61 +67,4 @@ type Memory interface {
 	// garbage-collected memory and Close is a no-op. Accessing a closed
 	// mmap backend faults, exactly like touching powered-off memory.
 	Close() error
-}
-
-// ReadBytesAt copies n bytes starting at byte offset off within the object
-// at word address a into p, using atomic word loads on m. Byte order is
-// little-endian, matching how a real CXL device presents memory to x86
-// hosts. This is the management-plane twin of Handle.ReadBytes (no fencing,
-// no latency model).
-func ReadBytesAt(m Memory, a Addr, off int, p []byte) {
-	i := 0
-	for i < len(p) {
-		byteIdx := off + i
-		wordOff := byteIdx % WordBytes
-		wa := a + Addr(byteIdx/WordBytes)
-		w := m.Load(wa)
-		n := WordBytes - wordOff
-		if n > len(p)-i {
-			n = len(p) - i
-		}
-		for k := 0; k < n; k++ {
-			p[i+k] = byte(w >> (8 * (wordOff + k)))
-		}
-		i += n
-	}
-}
-
-// WriteBytesAt stores p at byte offset off within the object at word
-// address a, the management-plane twin of Handle.WriteBytes. Partial edge
-// words use read-modify-write, non-atomic with respect to concurrent
-// writers of the same word — exactly like real shared memory.
-func WriteBytesAt(m Memory, a Addr, off int, p []byte) {
-	i := 0
-	for i < len(p) {
-		byteIdx := off + i
-		wordOff := byteIdx % WordBytes
-		wa := a + Addr(byteIdx/WordBytes)
-		if wordOff == 0 && len(p)-i >= WordBytes {
-			var w uint64
-			for k := 0; k < WordBytes; k++ {
-				w |= uint64(p[i+k]) << (8 * k)
-			}
-			m.Store(wa, w)
-			i += WordBytes
-			continue
-		}
-		w := m.Load(wa)
-		n := WordBytes - wordOff
-		if n > len(p)-i {
-			n = len(p) - i
-		}
-		for k := 0; k < n; k++ {
-			shift := 8 * (wordOff + k)
-			w &^= uint64(0xff) << shift
-			w |= uint64(p[i+k]) << shift
-		}
-		m.Store(wa, w)
-		i += n
-	}
 }

@@ -1,23 +1,22 @@
 package cxl
 
-import "sync/atomic"
-
 // Middleware is a composable Memory interceptor. Wrap stacks middleware
 // over a backend, re-homing what used to be baked-in device internals —
-// the Table 1 latency model, access counting, crash-point hooks for fault
+// the Table 1 latency model, crash-point hooks and media faults for fault
 // campaigns — as configuration:
 //
 //	mem := cxl.Wrap(dev,
 //	    cxl.WithLatency(cxl.LatencyCXL),
-//	    cxl.WithCounting(&ctr),
+//	    cxl.WithWriteFaults(faults),
 //	    cxl.WithAccessHook(hook))
 //
-// Two kinds of layers exist. Handle-transparent layers (WithLatency)
-// configure the client path at Open time and keep the devirtualized
-// concrete fast path to the bottom device. Intercepting layers
-// (WithCounting, WithAccessHook at the device plane) retarget handles onto
-// the interface path so they observe every access, including the
-// management-plane accesses of recovery and validators.
+// Two kinds of layers exist. Handle-transparent layers (WithLatency, and
+// WithAccessHook for client accesses) configure the client path at Open
+// time and keep the devirtualized concrete path to the bottom device. The
+// intercepting layer (WithWriteFaults) retargets handles onto the interface
+// path so it sees every write, including the management-plane writes of
+// recovery and validators. Access counting is not a layer: the backends
+// count handle-locally (Config.CountAccesses, Memory.Stats).
 type Middleware func(Memory) Memory
 
 // Wrap applies middleware to m innermost-first: the last element of mws
@@ -97,82 +96,6 @@ func (l *latencyMem) Open(cid int) *Handle {
 	return l.inner.Open(cid).setLatency(l.lat)
 }
 
-// LatencyProfile exposes the configured profile (tests, tools).
-func (l *latencyMem) LatencyProfile() Latency { return l.lat }
-
-// --- counting middleware ---
-
-// AccessCounter aggregates every access flowing through a WithCounting
-// layer. Unlike the backend's built-in handle-local counting, one counter
-// observes the whole stack — client and management plane alike — at the
-// cost of shared atomics; use it for campaigns and tools, not for
-// fast-path benchmarks.
-type AccessCounter struct {
-	Loads, Stores, CASes, Flushes, Fences atomic.Uint64
-}
-
-// Snapshot returns the counter values as a Stats.
-func (c *AccessCounter) Snapshot() Stats {
-	return Stats{
-		Loads:   c.Loads.Load(),
-		Stores:  c.Stores.Load(),
-		CASes:   c.CASes.Load(),
-		Flushes: c.Flushes.Load(),
-		Fences:  c.Fences.Load(),
-	}
-}
-
-// Reset zeroes the counter.
-func (c *AccessCounter) Reset() {
-	c.Loads.Store(0)
-	c.Stores.Store(0)
-	c.CASes.Store(0)
-	c.Flushes.Store(0)
-	c.Fences.Store(0)
-}
-
-type countingMem struct {
-	passthrough
-	ctr *AccessCounter
-}
-
-// WithCounting counts every access through the layer into ctr. Handles are
-// retargeted onto the interface path so client accesses are observed too.
-func WithCounting(ctr *AccessCounter) Middleware {
-	return func(m Memory) Memory {
-		return &countingMem{passthrough{m}, ctr}
-	}
-}
-
-func (c *countingMem) Load(a Addr) uint64 {
-	c.ctr.Loads.Add(1)
-	return c.inner.Load(a)
-}
-
-func (c *countingMem) Store(a Addr, v uint64) {
-	c.ctr.Stores.Add(1)
-	c.inner.Store(a, v)
-}
-
-func (c *countingMem) CAS(a Addr, old, new uint64) bool {
-	c.ctr.CASes.Add(1)
-	return c.inner.CAS(a, old, new)
-}
-
-func (c *countingMem) Fence() {
-	c.ctr.Fences.Add(1)
-	c.inner.Fence()
-}
-
-func (c *countingMem) Flush(a Addr) {
-	c.ctr.Flushes.Add(1)
-	c.inner.Flush(a)
-}
-
-func (c *countingMem) Open(cid int) *Handle {
-	return c.inner.Open(cid).retarget(c)
-}
-
 // --- access-hook middleware ---
 
 // AccessKind distinguishes the operations an AccessHook observes.
@@ -218,7 +141,7 @@ type hookMem struct {
 // WithAccessHook invokes hook before every access through the layer:
 // client accesses carry the issuing client's ID (hooked on the Handle),
 // management-plane accesses carry cid 0. Stack it outside retargeting
-// layers (WithCounting) to keep client IDs — a hook layer below one still
+// layers (WithWriteFaults) to keep client IDs — a hook layer below one still
 // observes every access, but at the device plane, as cid 0.
 func WithAccessHook(hook AccessHook) Middleware {
 	return func(m Memory) Memory {

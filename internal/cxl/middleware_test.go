@@ -7,11 +7,10 @@ import (
 
 func TestWrapOrderAndBottom(t *testing.T) {
 	d := newTestDevice(t, 64)
-	var ctr AccessCounter
-	m := Wrap(d, WithLatency(Latency{MissNS: 1}), WithCounting(&ctr))
+	m := Wrap(d, WithLatency(Latency{MissNS: 1}), WithWriteFaults(nil))
 	// Last middleware is outermost.
-	if _, ok := m.(*countingMem); !ok {
-		t.Fatalf("outermost layer is %T, want *countingMem", m)
+	if _, ok := m.(*writeFaultMem); !ok {
+		t.Fatalf("outermost layer is %T, want *writeFaultMem", m)
 	}
 	if Bottom(m) != Memory(d) {
 		t.Fatal("Bottom must unwrap to the backing device")
@@ -24,55 +23,15 @@ func TestWrapOrderAndBottom(t *testing.T) {
 	}
 }
 
-func TestWithCountingObservesEverything(t *testing.T) {
+// A write-fault layer retargets handles onto the interface path; the RAS
+// fence must still drop a fenced client's writes there, before the hook.
+func TestWithWriteFaultsPreservesFencing(t *testing.T) {
 	d := newTestDevice(t, 64)
-	var ctr AccessCounter
-	m := Wrap(d, WithCounting(&ctr))
-
-	// Management-plane accesses.
-	m.Store(1, 7)
-	if m.Load(1) != 7 {
-		t.Fatal("load through counting layer")
-	}
-	m.CAS(1, 7, 9)
-	m.Flush(1)
-	m.Fence()
-
-	// Client accesses: handles are retargeted onto the interface path.
-	h := m.Open(1)
-	h.Store(2, 1)
-	h.Load(2)
-	h.CAS(2, 1, 2)
-
-	s := ctr.Snapshot()
-	if s.Loads != 2 || s.Stores != 2 || s.CASes != 2 || s.Flushes != 1 || s.Fences != 1 {
-		t.Fatalf("counter = %+v, want 2/2/2/1/1", s)
-	}
-	ctr.Reset()
-	if s := ctr.Snapshot(); s != (Stats{}) {
-		t.Fatalf("after reset = %+v", s)
-	}
-}
-
-func TestWithCountingDoesNotDoubleCount(t *testing.T) {
-	// The device's built-in counting counts interface-path calls itself;
-	// a retargeted handle must not add its own handle-local count on top.
-	d := newTestDevice(t, 64) // CountAccesses: true
-	var ctr AccessCounter
-	h := Wrap(d, WithCounting(&ctr)).Open(1)
-	d.ResetStats()
-	h.Store(3, 1)
-	h.Load(3)
-	s := d.Stats()
-	if s.Stores != 1 || s.Loads != 1 {
-		t.Fatalf("device stats = %+v, want exactly one store and one load", s)
-	}
-}
-
-func TestWithCountingPreservesFencing(t *testing.T) {
-	d := newTestDevice(t, 64)
-	var ctr AccessCounter
-	m := Wrap(d, WithCounting(&ctr))
+	hooked := 0
+	m := Wrap(d, WithWriteFaults(func(_ AccessKind, _ Addr, v uint64) (uint64, WriteFault) {
+		hooked++
+		return v, WriteThrough
+	}))
 	h := m.Open(3)
 	h.Store(4, 42)
 	m.FenceClient(3)
@@ -88,6 +47,9 @@ func TestWithCountingPreservesFencing(t *testing.T) {
 	}
 	if h.DroppedWrites() != 2 {
 		t.Fatalf("dropped = %d, want 2", h.DroppedWrites())
+	}
+	if hooked != 1 {
+		t.Fatalf("write-fault hook saw %d writes, want only the one before the fence", hooked)
 	}
 }
 
@@ -183,17 +145,19 @@ func TestWithAccessHookCanCrash(t *testing.T) {
 
 func TestStackedMiddleware(t *testing.T) {
 	d := newTestDevice(t, 1<<10)
-	var ctr AccessCounter
-	hooks := 0
+	hooks, faults := 0, 0
 	m := Wrap(d,
 		WithAccessHook(func(int, AccessKind, Addr) { hooks++ }),
-		WithCounting(&ctr),
+		WithWriteFaults(func(_ AccessKind, _ Addr, v uint64) (uint64, WriteFault) {
+			faults++
+			return v, WriteThrough
+		}),
 	)
 	h := m.Open(2)
 	h.Store(5, 1)
 	h.Load(5)
-	if ctr.Snapshot().Stores != 1 || ctr.Snapshot().Loads != 1 {
-		t.Fatalf("counting layer missed accesses: %+v", ctr.Snapshot())
+	if faults != 1 || d.Load(5) != 1 {
+		t.Fatalf("write-fault layer saw %d writes (word %d), want the one store", faults, d.Load(5))
 	}
 	if hooks != 2 {
 		t.Fatalf("hook fired %d times, want 2", hooks)

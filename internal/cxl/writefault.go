@@ -17,8 +17,7 @@ package cxl
 //	                           (the "stuck" word stays stale)
 //	       WriteFailCAS        report failure without attempting
 //
-// Like WithCounting, the layer is intercepting: handles are retargeted onto
-// the interface path so client traffic and management-plane traffic alike
+// The layer is intercepting: handles are retargeted onto the interface path so client traffic and management-plane traffic alike
 // flow through the decision point. A nil/disarmed hook must make the layer
 // behave exactly like the bare device — campaigns assert that with the
 // fast-path access budgets.

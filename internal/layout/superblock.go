@@ -71,9 +71,6 @@ type wordLoader interface{ Load(Addr) uint64 }
 // wordStorer writes pool words; cxl.Memory satisfies it.
 type wordStorer interface{ Store(Addr, uint64) }
 
-// superblockWords is the minimum pool size that can hold a superblock.
-const superblockWords = 16
-
 // ReadSuperblock decodes the superblock from a live memory backend.
 func ReadSuperblock(m wordLoader) Superblock {
 	return Superblock{
@@ -85,22 +82,6 @@ func ReadSuperblock(m wordLoader) Superblock {
 		MaxQueues:    int(m.Load(SuperOffMaxQueues)),
 		Version:      m.Load(SuperOffVersion),
 	}
-}
-
-// SuperblockFromWords decodes the superblock from a raw word image.
-func SuperblockFromWords(words []uint64) (Superblock, error) {
-	if len(words) < superblockWords {
-		return Superblock{}, fmt.Errorf("layout: image of %d words cannot hold a pool superblock", len(words))
-	}
-	return Superblock{
-		Magic:        words[SuperOffMagic],
-		SegmentWords: words[SuperOffSegWords],
-		PageWords:    words[SuperOffPageWords],
-		NumSegments:  int(words[SuperOffNumSegs]),
-		MaxClients:   int(words[SuperOffMaxClients]),
-		MaxQueues:    int(words[SuperOffMaxQueues]),
-		Version:      words[SuperOffVersion],
-	}, nil
 }
 
 // WriteSuperblock encodes g's superblock into m (pool formatting).

@@ -40,15 +40,6 @@ func TestSuperblockRoundTrip(t *testing.T) {
 		got.PageWords != geo.PageWords || got.MaxQueues != geo.MaxQueues {
 		t.Fatalf("reconstructed geometry differs: got %+v, want %+v", got, geo)
 	}
-
-	// The words form is identical.
-	sb2, err := SuperblockFromWords(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sb2 != sb {
-		t.Fatalf("SuperblockFromWords = %+v, ReadSuperblock = %+v", sb2, sb)
-	}
 }
 
 func TestSuperblockRejectsBadMagic(t *testing.T) {
@@ -81,11 +72,5 @@ func TestSuperblockRejectsBadGeometry(t *testing.T) {
 	m[SuperOffSegWords] = 3 // not a power of two
 	if _, err := ReadSuperblock(m).Geometry(); err == nil {
 		t.Fatal("invalid geometry must be rejected")
-	}
-}
-
-func TestSuperblockFromShortImage(t *testing.T) {
-	if _, err := SuperblockFromWords(make([]uint64, 4)); err == nil {
-		t.Fatal("short image must be rejected")
 	}
 }

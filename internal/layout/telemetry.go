@@ -68,8 +68,8 @@ import "repro/internal/obs"
 //	word 11                     roots swept by the last recovery
 //	word 12..15                 reserved
 //
-// Each ring record (TelRecordWords) is one mirrored recovery-lifecycle
-// event, claimed by CAS fetch-add on the ring-sequence header word:
+// Each ring record (TelRecordWords) is one recovery-lifecycle event (the
+// only record of it: shm.Pool.Trace writes here directly), claimed by CAS fetch-add on the ring-sequence header word:
 //
 //	word 0                      commit: sequence+1, written last (0=empty)
 //	word 1                      event time (unix ns)

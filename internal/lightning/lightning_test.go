@@ -89,6 +89,41 @@ func TestPutGetDelete(t *testing.T) {
 	}
 }
 
+// TestPutPastDeletedBucket: two keys share a home bucket, so B lands one past
+// A. Once A is deleted, re-putting B must overwrite B where it is, not claim
+// A's hole — else B sits in the directory twice, and deleting the new copy
+// resurrects the old one.
+func TestPutPastDeletedBucket(t *testing.T) {
+	s := newStore(t)
+	c := s.Connect()
+	a, b := uint64(1), uint64(2)
+	for hash(b)&s.mask != hash(a)&s.mask {
+		b++
+	}
+	for _, step := range []func() error{
+		func() error { return c.Put(a, []byte("a")) },
+		func() error { return c.Put(b, []byte("b-old")) },
+		func() error { return c.Delete(a) },
+		func() error { return c.Put(b, []byte("b-new")) },
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := c.Get(b); err != nil || string(got) != "b-new" {
+		t.Fatalf("Get(b) after overwrite = %q, %v; want b-new", got, err)
+	}
+	if err := c.Delete(b); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Get(b); err != ErrNotFound {
+		t.Fatalf("Get(b) after delete = %q, %v; want ErrNotFound", got, err)
+	}
+	if n := s.Len(); n != 0 {
+		t.Fatalf("store holds %d objects after deleting both keys", n)
+	}
+}
+
 func TestManyKeysSurviveChurn(t *testing.T) {
 	s := newStore(t)
 	c := s.Connect()

@@ -50,17 +50,41 @@ type bucket struct {
 	// lock holds the owning client ID (0 = unlocked). A crashed client
 	// leaves it set, blocking everyone who hashes there until recovery.
 	lock atomic.Int32
-	bucketData
+	// key and state are read by the lock-free probe. Every write holds the
+	// bucket lock (or stops the world), and so does every read of off/size.
+	key   atomic.Uint64
+	state atomic.Uint32
+	off   uint32
+	size  int32
 }
 
-// bucketData is the copyable directory payload (separated from the lock so
-// the undo log can snapshot it).
+// bucketData is a bucket's directory payload, as the undo log snapshots it.
 type bucketData struct {
-	key  uint64
-	off  uint32
-	size int32
-	used bool
+	key   uint64
+	state uint32
+	off   uint32
+	size  int32
 }
+
+func (bk *bucket) data() bucketData {
+	return bucketData{key: bk.key.Load(), state: bk.state.Load(), off: bk.off, size: bk.size}
+}
+
+// set publishes d, state last: a probe that sees the new state sees the key.
+func (bk *bucket) set(d bucketData) {
+	bk.off, bk.size = d.off, d.size
+	bk.key.Store(d.key)
+	bk.state.Store(d.state)
+}
+
+// Bucket states. A deleted bucket stays in its probe chains — keys inserted
+// past it while it was occupied are only found by probing through it — and
+// only a never-used bucket ends a chain.
+const (
+	bucketEmpty uint32 = iota
+	bucketUsed
+	bucketDeleted
+)
 
 // Errors.
 var (
@@ -167,22 +191,39 @@ func (c *Client) unlockBucket(i int) {
 	c.s.buckets[i].lock.CompareAndSwap(c.id, 0)
 }
 
-// findBucket locates the bucket for key (linear probing), or a free one for
-// insertion. Caller holds no locks; the probe is optimistic and re-checked
-// under the bucket lock.
+// findBucket locates the bucket holding key (linear probing). With
+// forInsert it returns, when key is absent, the first free bucket of key's
+// chain — a hole is claimed only after the probe has passed every bucket
+// that could hold key, the never-used one that ends the chain. -1 means
+// not found (or, for an insert, a full directory). Caller holds no locks;
+// the probe is optimistic and re-checked under the bucket lock.
 func (s *Store) findBucket(key uint64, forInsert bool) int {
 	start := hash(key) & s.mask
+	hole := -1
 	for d := uint64(0); d <= s.mask; d++ {
 		i := int((start + d) & s.mask)
 		bk := &s.buckets[i]
-		if bk.used && bk.key == key {
-			return i
+		switch bk.state.Load() {
+		case bucketUsed:
+			if bk.key.Load() == key {
+				return i
+			}
+			continue
+		case bucketDeleted:
+			if hole < 0 {
+				hole = i
+			}
+			continue
 		}
-		if !bk.used && forInsert {
-			return i
+		if forInsert && hole < 0 {
+			hole = i
 		}
+		break
 	}
-	return -1
+	if !forInsert {
+		return -1
+	}
+	return hole
 }
 
 // Put stores val under key (insert or overwrite).
@@ -200,10 +241,12 @@ func (c *Client) Put(key uint64, val []byte) error {
 			return ErrFull
 		}
 		c.lockBucket(i)
-		if bk := &c.s.buckets[i]; !bk.used || bk.key == key {
+		// Under the lock bucket i cannot change; a repeated probe that
+		// still picks it proves key is there, or absent with i its hole.
+		if c.s.findBucket(key, true) == i {
 			break
 		}
-		c.unlockBucket(i) // a concurrent insert took the free bucket: probe again
+		c.unlockBucket(i) // a concurrent insert or delete moved the chain: probe again
 	}
 	defer c.unlockBucket(i)
 	bk := &c.s.buckets[i]
@@ -213,11 +256,11 @@ func (c *Client) Put(key uint64, val []byte) error {
 		return err
 	}
 	// Log the in-flight operation before mutating the directory.
-	c.undo = undoEntry{valid: true, bucket: i, prev: bk.bucketData, newOff: off, newUsed: true}
+	c.undo = undoEntry{valid: true, bucket: i, prev: bk.data(), newOff: off, newUsed: true}
 
 	c.h.WriteBytes(devAddr(off), 0, val)
-	oldUsed, oldOff := bk.used, bk.off
-	bk.key, bk.off, bk.size, bk.used = key, off, int32(len(val)), true
+	oldUsed, oldOff := bk.state.Load() == bucketUsed, bk.off
+	bk.set(bucketData{key: key, state: bucketUsed, off: off, size: int32(len(val))})
 	if oldUsed {
 		if err := c.s.b.freeBlock(oldOff); err != nil {
 			return err
@@ -241,7 +284,7 @@ func (c *Client) Get(key uint64) ([]byte, error) {
 	c.lockBucket(i)
 	defer c.unlockBucket(i)
 	bk := &c.s.buckets[i]
-	if !bk.used || bk.key != key {
+	if bk.state.Load() != bucketUsed || bk.key.Load() != key {
 		return nil, ErrNotFound
 	}
 	out := make([]byte, bk.size)
@@ -263,12 +306,12 @@ func (c *Client) Delete(key uint64) error {
 	c.lockBucket(i)
 	defer c.unlockBucket(i)
 	bk := &c.s.buckets[i]
-	if !bk.used || bk.key != key {
+	if bk.state.Load() != bucketUsed || bk.key.Load() != key {
 		return ErrNotFound
 	}
-	c.undo = undoEntry{valid: true, bucket: i, prev: bk.bucketData, newOff: noAlloc}
+	c.undo = undoEntry{valid: true, bucket: i, prev: bk.data(), newOff: noAlloc}
 	off := bk.off
-	bk.used = false
+	bk.state.Store(bucketDeleted)
 	if err := c.s.b.freeBlock(off); err != nil {
 		return err
 	}
@@ -291,7 +334,7 @@ func (c *Client) CrashHoldingLock(key uint64) error {
 		return ErrFull
 	}
 	c.lockBucket(i)
-	c.undo = undoEntry{valid: true, bucket: i, prev: c.s.buckets[i].bucketData, newOff: noAlloc}
+	c.undo = undoEntry{valid: true, bucket: i, prev: c.s.buckets[i].data(), newOff: noAlloc}
 	c.crashed.Store(true)
 	c.end() // the goroutine is gone; the held bucket lock models the stuck state
 	return nil
@@ -321,8 +364,14 @@ func (s *Store) Recover() time.Duration {
 			continue
 		}
 		if c.undo.valid {
+			prev := c.undo.prev
+			if prev.state == bucketEmpty {
+				// Inserts that probed while the dead client held the
+				// bucket went past it: it must not end their chains.
+				prev.state = bucketDeleted
+			}
 			bk := &s.buckets[c.undo.bucket]
-			bk.bucketData = c.undo.prev
+			bk.set(prev)
 			bk.lock.Store(0)
 			if c.undo.newOff != noAlloc {
 				// Allocation that never became visible: roll it back.
@@ -342,7 +391,7 @@ func (s *Store) Recover() time.Duration {
 func (s *Store) Len() int {
 	n := 0
 	for i := range s.buckets {
-		if s.buckets[i].used {
+		if s.buckets[i].state.Load() == bucketUsed {
 			n++
 		}
 	}

@@ -1,7 +1,7 @@
-// Package obs is the pool-wide observability layer: a zero-allocation,
+// Package obs is the pool-wide observability vocabulary: a zero-allocation,
 // per-client-sharded metrics core (padded atomic counters plus log-scaled
-// latency histograms, aggregated on read) and a bounded ring-buffer tracer
-// for recovery lifecycle events.
+// latency histograms, aggregated on read) and the recovery lifecycle events
+// the pool's crash-surviving event ring records (shm.Pool.Trace).
 //
 // Design constraints, in order:
 //
@@ -12,9 +12,10 @@
 //     periodically (what shm.Client does).
 //   - Reading is done by aggregation: Snapshot sums every shard, so the hot
 //     paths pay nothing for the existence of readers.
-//   - Recovery lifecycle events (fences, POTENTIAL_LEAKING flags, scans,
-//     redo replays) are rare; they go through a mutex-guarded ring buffer
-//     that keeps the most recent events and never grows.
+//   - Recovery lifecycle events (fences, POTENTIAL_LEAKING flags, recovery
+//     passes, redo replays, repairs) are rare; obs only defines them. They
+//     are recorded once, in the pool's device-resident event ring, where
+//     they outlive the process that produced them.
 package obs
 
 import (
@@ -278,14 +279,6 @@ func (r *Registry) Shard(i int) *Shard {
 		i = 0
 	}
 	return &r.shards[i]
-}
-
-// NumShards reports how many shards the registry holds.
-func (r *Registry) NumShards() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.shards)
 }
 
 // Counters sums every shard into one counter vector.

@@ -12,7 +12,7 @@ import (
 
 func TestCountersConcurrent(t *testing.T) {
 	const shards, perShard = 4, 10000
-	m := obs.New(shards, 8)
+	m := obs.NewRegistry(shards)
 	var wg sync.WaitGroup
 	for i := 0; i < shards; i++ {
 		wg.Add(1)
@@ -49,7 +49,7 @@ func TestCountersConcurrent(t *testing.T) {
 // Snapshots taken while writers are running must be internally consistent:
 // every counter monotonically non-decreasing across successive snapshots.
 func TestSnapshotWhileWriting(t *testing.T) {
-	m := obs.New(2, 8)
+	m := obs.NewRegistry(2)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -93,70 +93,17 @@ func TestNilShardSafe(t *testing.T) {
 	if sh.Get(obs.CtrAlloc) != 0 {
 		t.Fatal("nil shard should read 0")
 	}
-	var m *obs.Metrics
-	m.Trace(obs.Event{Type: obs.EvScanStarted})
-	if m.Shard(0) != nil {
-		t.Fatal("nil metrics should hand out nil shards")
+	var r *obs.Registry
+	if r.Shard(0) != nil {
+		t.Fatal("nil registry should hand out nil shards")
 	}
-	if s := m.Snapshot(); len(s.Counters) != 0 {
-		t.Fatal("nil metrics snapshot should be empty")
-	}
-}
-
-func TestTracerRingWraparound(t *testing.T) {
-	tr := obs.NewTracer(4)
-	for i := 1; i <= 10; i++ {
-		tr.Record(obs.Event{Type: obs.EvScanStarted, Segment: i})
-	}
-	if tr.Total() != 10 {
-		t.Fatalf("total = %d, want 10", tr.Total())
-	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained = %d, want ring capacity 4", len(evs))
-	}
-	for i, e := range evs {
-		if want := 7 + i; e.Segment != want {
-			t.Fatalf("event %d: segment %d, want %d (oldest-first order)", i, e.Segment, want)
-		}
-		if i > 0 && evs[i].Seq != evs[i-1].Seq+1 {
-			t.Fatalf("sequence numbers not consecutive: %d after %d", evs[i].Seq, evs[i-1].Seq)
-		}
-		if e.Time.IsZero() {
-			t.Fatalf("event %d: zero timestamp not stamped", i)
-		}
-	}
-}
-
-func TestTracerConcurrent(t *testing.T) {
-	tr := obs.NewTracer(64)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				tr.Record(obs.Event{Type: obs.EvRedoReplayed})
-			}
-		}()
-	}
-	wg.Wait()
-	if tr.Total() != 4000 {
-		t.Fatalf("total = %d, want 4000", tr.Total())
-	}
-	evs := tr.Events()
-	if len(evs) != 64 {
-		t.Fatalf("retained = %d, want 64", len(evs))
-	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Seq != evs[i-1].Seq+1 {
-			t.Fatalf("retained window not contiguous at %d", i)
-		}
+	if s := r.Snapshot(); len(s.Counters) != 0 {
+		t.Fatal("nil registry snapshot should be empty")
 	}
 }
 
 func TestSnapshotSub(t *testing.T) {
-	m := obs.New(1, 8)
+	m := obs.NewRegistry(1)
 	sh := m.Shard(0)
 	sh.Add(obs.CtrAlloc, 10)
 	sh.Observe(obs.HistAllocNS, 50)

@@ -8,11 +8,11 @@ import (
 	"time"
 )
 
-// Provenance stamps an exported metrics file with where its numbers came
-// from: the tool and build that produced them, the device backend, and the
-// pool geometry they were measured on. Geometry fields are filled by the
-// caller (obs cannot import layout); zero values are omitted for tools
-// that run many geometries in one process.
+// Provenance stamps an exported telemetry snapshot (cxltop -once -json) with
+// where its numbers came from: the tool and build that produced them, the
+// device backend, and the pool geometry they were measured on. Geometry
+// fields are filled by the caller (obs cannot import layout; see
+// shm.Pool.Provenance).
 type Provenance struct {
 	Tool string `json:"tool"`
 	Time string `json:"time"`
@@ -22,7 +22,6 @@ type Provenance struct {
 	Arch string `json:"arch"`
 	// NumCPU and GOMAXPROCS say how many CPUs the numbers were measured on
 	// (a scaling curve taken on one vCPU is time-slicing, not contention).
-	// Baselines written before the fields existed read back as zero.
 	NumCPU     int    `json:"num_cpu,omitempty"`
 	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
 	Backend    string `json:"backend,omitempty"`

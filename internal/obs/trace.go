@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -11,19 +10,21 @@ type EventType uint8
 
 // Recovery lifecycle events (paper §3.2, §5.3): the runtime record of the
 // correctness story — who was fenced and why, which segments were marked
-// POTENTIAL_LEAKING, what the segment-local scans found, and which
-// interrupted transactions recovery replayed via Conditions 1/2.
+// POTENTIAL_LEAKING, and which interrupted transactions recovery replayed via
+// Conditions 1/2. The pool's event ring stores the numbers, so a value, once
+// given, is never reused. Segment-local scans are counted (CtrScanPass,
+// CtrScanReclaimed, CtrScanRelinked, HistScanNS), not traced.
 const (
 	EvClientFenced     EventType = iota + 1 // client RAS-fenced; A = FenceReason
 	EvRecoveryStarted                       // RecoverClient began for Client
 	EvRecoveryFinished                      // RecoverClient done; A = blocks reclaimed, B = roots swept
 	EvSegmentFlagged                        // Segment newly marked POTENTIAL_LEAKING
-	EvScanStarted                           // segment-local scan of Segment began
-	EvScanFinished                          // scan done; A = reclaimed, B = relinked
-	EvRedoReplayed                          // interrupted txn replayed; A = redo op, B = deciding condition (1/2)
-	EvRecoveryFailed                        // RecoverClient errored; A = failed attempts so far for Client
-	EvRepairApplied                         // fsck repaired the pool; A = issues found, B = actions applied
-	EvRepairFailed                          // fsck/maintenance failed; A = failed attempts, Segment set for scan duty
+	_                                       // 5, 6: retired segment-scan events
+	_
+	EvRedoReplayed   // interrupted txn replayed; A = redo op, B = deciding condition (1/2)
+	EvRecoveryFailed // RecoverClient errored; A = failed attempts so far for Client
+	EvRepairApplied  // fsck repaired the pool; A = issues found, B = actions applied
+	EvRepairFailed   // a maintenance scan failed; A = failed attempts, Segment = the segment
 )
 
 var eventNames = map[EventType]string{
@@ -31,8 +32,6 @@ var eventNames = map[EventType]string{
 	EvRecoveryStarted:  "recovery_started",
 	EvRecoveryFinished: "recovery_finished",
 	EvSegmentFlagged:   "segment_flagged_leaking",
-	EvScanStarted:      "scan_started",
-	EvScanFinished:     "scan_finished",
 	EvRedoReplayed:     "redo_replayed",
 	EvRecoveryFailed:   "recovery_failed",
 	EvRepairApplied:    "repair_applied",
@@ -95,83 +94,10 @@ func (e Event) String() string {
 		return fmt.Sprintf("#%d %s client=%d reason=%s", e.Seq, e.Type, e.Client, FenceReason(e.A))
 	case EvRecoveryFinished:
 		return fmt.Sprintf("#%d %s client=%d reclaimed=%d roots_swept=%d", e.Seq, e.Type, e.Client, e.A, e.B)
-	case EvScanFinished:
-		return fmt.Sprintf("#%d %s seg=%d reclaimed=%d relinked=%d", e.Seq, e.Type, e.Segment, e.A, e.B)
 	case EvRedoReplayed:
 		return fmt.Sprintf("#%d %s client=%d op=%d condition=%d", e.Seq, e.Type, e.Client, e.A, e.B)
-	case EvSegmentFlagged, EvScanStarted:
+	case EvSegmentFlagged:
 		return fmt.Sprintf("#%d %s seg=%d client=%d", e.Seq, e.Type, e.Segment, e.Client)
 	}
 	return fmt.Sprintf("#%d %s client=%d seg=%d", e.Seq, e.Type, e.Client, e.Segment)
-}
-
-// Tracer is a bounded ring buffer of Events. Recording never allocates and
-// never grows the buffer; old events are overwritten. All methods are
-// nil-safe and goroutine-safe (events are rare — a mutex is cheaper than
-// cleverness here).
-type Tracer struct {
-	mu   sync.Mutex
-	buf  []Event
-	seq  uint64 // next sequence number == total events ever recorded
-	next int    // next write position
-}
-
-// NewTracer creates a tracer keeping the most recent capacity events.
-func NewTracer(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{buf: make([]Event, 0, capacity)}
-}
-
-// Record appends an event, stamping its sequence number and (if unset) its
-// time.
-func (t *Tracer) Record(e Event) {
-	if t == nil {
-		return
-	}
-	if e.Time.IsZero() {
-		e.Time = time.Now()
-	}
-	t.mu.Lock()
-	e.Seq = t.seq
-	t.seq++
-	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, e)
-	} else {
-		t.buf[t.next] = e
-	}
-	t.next++
-	if t.next == cap(t.buf) {
-		t.next = 0
-	}
-	t.mu.Unlock()
-}
-
-// Events returns a copy of the retained events, oldest first.
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, 0, len(t.buf))
-	if len(t.buf) < cap(t.buf) {
-		out = append(out, t.buf...)
-		return out
-	}
-	out = append(out, t.buf[t.next:]...)
-	out = append(out, t.buf[:t.next]...)
-	return out
-}
-
-// Total reports how many events have ever been recorded (including
-// overwritten ones).
-func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seq
 }

@@ -304,14 +304,3 @@ func (h *Heap) Recover() RecoveryStats {
 	st.Duration = time.Since(start)
 	return st
 }
-
-// HeapBytes reports the arena size.
-func (h *Heap) HeapBytes() int { return len(h.words) * 8 }
-
-// UsedWords reports the bump frontier (how much of the heap has ever been
-// carved).
-func (h *Heap) UsedWords() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.frontier
-}

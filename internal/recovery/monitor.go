@@ -26,9 +26,9 @@ import (
 // them all (it may be a restarted service's); one it meets later was scanned
 // by the pass that abandoned it, and its clock starts there.
 //
-// Heartbeat scanning is sharded: the device reads (status + beat per slot)
-// run lock-free, split across goroutines for pools past 64 slots, and only
-// the bookkeeping runs under the monitor lock. Recovery dispatch follows
+// Heartbeat scanning reads the device (status + beat per slot) once per tick
+// outside the monitor lock, through the management plane, and only the
+// bookkeeping runs under the lock. Recovery dispatch follows
 // the service's executor pool: with one executor (the default) recoveries
 // run inline on the monitor goroutine, exactly like the original shared
 // goroutine; with more, each dead client is handed to its own goroutine
@@ -45,8 +45,8 @@ type Monitor struct {
 	// scanning (idle pooled executors do not beat).
 	execIDs map[int]bool
 
-	// tickMu serializes Ticks, which own beats, the heartbeat gather's
-	// buffer, for their whole duration.
+	// tickMu serializes Ticks, which own beats, the heartbeat scan's buffer,
+	// for their whole duration.
 	tickMu sync.Mutex
 	beats  []beatObs
 
@@ -84,11 +84,8 @@ type Monitor struct {
 	// client is never recovered by two workers at once and ticks arriving
 	// mid-recovery don't pile up duplicate dispatches.
 	inflight map[int]bool
-	// wg tracks dispatched recovery goroutines; Stop and Quiesce wait on it.
+	// wg tracks dispatched recovery goroutines; Stop waits on it.
 	wg sync.WaitGroup
-
-	fsckEvery int
-	fsckFn    func() (bool, error)
 
 	// recoverFn performs one recovery attempt; defaults to the service's
 	// RecoverClient. Tests override it to inject persistent failures.
@@ -98,11 +95,11 @@ type Monitor struct {
 	done chan struct{}
 }
 
-// RecoveryFailure records one failed monitor duty — a recovery attempt, a
-// maintenance scan, or an fsck pass; the monitor retries with exponential
-// backoff and keeps every error here rather than swallowing it.
+// RecoveryFailure records one failed monitor duty — a recovery attempt or a
+// maintenance scan; the monitor retries with exponential backoff and keeps
+// every error here rather than swallowing it.
 type RecoveryFailure struct {
-	// Op names the duty that failed: "recovery", "scan", or "fsck".
+	// Op names the duty that failed: "recovery" or "scan".
 	Op     string `json:"op"`
 	Client int    `json:"client,omitempty"`
 	// Segment is the scanned segment for Op=="scan" (-1 otherwise).
@@ -138,15 +135,6 @@ type MonitorConfig struct {
 	// Threshold is how many consecutive unchanged heartbeats declare a
 	// client dead (default 3).
 	Threshold int
-	// FsckEvery, when positive, runs a repairing fsck every FsckEvery ticks
-	// as a monitor duty (default 0: disabled — fsck stays an operator
-	// action via cxlsnap/faultsim, and write counts stay deterministic).
-	FsckEvery int
-	// Fsck performs one fsck pass; required when FsckEvery > 0. It returns
-	// whether the pool ended clean. Injected as a function so the recovery
-	// package doesn't hard-depend on the checker (callers pass a closure
-	// over check.Repair).
-	Fsck func() (clean bool, err error)
 }
 
 // NewMonitor creates a monitor driving the given recovery service.
@@ -174,8 +162,6 @@ func NewMonitor(svc *Service, cfg MonitorConfig) *Monitor {
 		beats:       make([]beatObs, svc.pool.Geometry().MaxClients+1),
 		inflight:    make(map[int]bool),
 		execIDs:     make(map[int]bool),
-		fsckEvery:   cfg.FsckEvery,
-		fsckFn:      cfg.Fsck,
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
@@ -198,11 +184,6 @@ func (m *Monitor) Stop() {
 	<-m.done
 	m.wg.Wait()
 }
-
-// Quiesce waits for every dispatched recovery worker to finish and record
-// its result. Tests driving Tick directly use it to observe a stable
-// Recoveries()/Failures() state without stopping the monitor.
-func (m *Monitor) Quiesce() { m.wg.Wait() }
 
 // Reports returns the recoveries performed so far.
 func (m *Monitor) Reports() []Report {
@@ -278,7 +259,7 @@ func (m *Monitor) run() {
 	}
 }
 
-// beatObs is one slot's sharded-scan observation: status word, plus the
+// beatObs is one slot's heartbeat-scan observation: status word, plus the
 // heartbeat counter for live slots. cid 0 marks a skipped (executor) slot.
 type beatObs struct {
 	cid    int
@@ -290,40 +271,15 @@ type beatObs struct {
 // rescan: ≈ 1.3 s at the default interval (§5.3: "not more than once per second").
 const abandonedRescan = 128
 
-// beatShard is the slot-range size one gather goroutine covers. Pools at
-// or under one shard scan inline (no goroutines — keeps small-pool ticks
-// deterministic and allocation-free); larger pools fan out.
-const beatShard = 64
-
 // gatherBeats reads every slot's status (and heartbeat, for live slots) into
-// m.beats without holding the monitor lock, sharded across goroutines for
-// pools past beatShard slots. Device words are read once per tick; processing
-// happens later under the lock against this stable snapshot.
+// m.beats without holding the monitor lock; an executor slot reads as cid 0.
+// Device words are read once per tick; processing happens later under the
+// lock against this stable snapshot.
 func (m *Monitor) gatherBeats() []beatObs {
-	n := m.svc.pool.Geometry().MaxClients
-	if n <= beatShard {
-		m.scanBeats(1, n)
-		return m.beats
-	}
-	var wg sync.WaitGroup
-	for lo := 1; lo <= n; lo += beatShard {
-		hi := min(lo+beatShard-1, n)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m.scanBeats(lo, hi)
-		}()
-	}
-	wg.Wait()
-	return m.beats
-}
-
-// scanBeats fills m.beats[lo..hi]; an executor slot reads as cid 0.
-func (m *Monitor) scanBeats(lo, hi int) {
 	p := m.svc.pool
 	geo := p.Geometry()
 	dev := p.Device()
-	for cid := lo; cid <= hi; cid++ {
+	for cid := 1; cid <= geo.MaxClients; cid++ {
 		o := beatObs{}
 		if !m.execIDs[cid] {
 			o = beatObs{cid: cid, status: p.ClientStatus(cid)}
@@ -333,6 +289,7 @@ func (m *Monitor) scanBeats(lo, hi int) {
 		}
 		m.beats[cid] = o
 	}
+	return m.beats
 }
 
 // Tick performs one round of failure detection and background maintenance.
@@ -445,9 +402,6 @@ func (m *Monitor) Tick() {
 	// few ticks after any crash the bitmap is exact again.
 	p.ReconcileSlotMap()
 	p.SweepQueueRegistry()
-	if m.fsckEvery > 0 && m.fsckFn != nil && m.ticks%uint64(m.fsckEvery) == 0 {
-		m.fsckLocked()
-	}
 	// Heartbeat one executor so observers see the recovery plane alive;
 	// borrowed, so an in-flight recovery worker never shares the client.
 	exec := m.svc.borrowExec()
@@ -473,7 +427,7 @@ func (m *Monitor) scanLocked(seg int) {
 			Op: "scan", Segment: seg, Time: time.Now(),
 			Error: fmt.Sprintf("scan of segment %d panicked: %v", seg, pan),
 		})
-		m.svc.pool.Obs().Trace(obs.Event{
+		m.svc.pool.Trace(obs.Event{
 			Type: obs.EvRepairFailed, Segment: seg, A: uint64(m.scanBackoff[seg]/2 + 1),
 		})
 		b := m.scanBackoff[seg] * 2
@@ -487,31 +441,6 @@ func (m *Monitor) scanLocked(seg int) {
 		m.scanNextTry[seg] = m.ticks + uint64(b)
 	}()
 	m.svc.scanSegment(exec, seg)
-}
-
-// fsckLocked runs the configured fsck duty, recording a panic or a dirty
-// result as a typed failure.
-func (m *Monitor) fsckLocked() {
-	var clean bool
-	var err error
-	pan := func() (pan any) {
-		defer func() { pan = recover() }()
-		clean, err = m.fsckFn()
-		return nil
-	}()
-	switch {
-	case pan != nil:
-		err = fmt.Errorf("fsck panicked: %v", pan)
-	case err == nil && !clean:
-		err = fmt.Errorf("fsck left the pool dirty")
-	}
-	if err == nil {
-		return
-	}
-	m.failures = append(m.failures, RecoveryFailure{
-		Op: "fsck", Segment: -1, Time: time.Now(), Err: err, Error: err.Error(),
-	})
-	m.svc.pool.Obs().Trace(obs.Event{Type: obs.EvRepairFailed, A: 1})
 }
 
 // recoverLocked runs (or dispatches) one recovery attempt. With a single
@@ -555,7 +484,7 @@ func (m *Monitor) recordLocked(cid int, r Report, err error) {
 				n++
 			}
 		}
-		m.svc.pool.Obs().Trace(obs.Event{
+		m.svc.pool.Trace(obs.Event{
 			Type: obs.EvRecoveryFailed, Client: cid, A: uint64(n),
 		})
 		b := m.backoff[cid] * 2

@@ -233,51 +233,6 @@ func TestMonitorScanPanicBacksOff(t *testing.T) {
 	}
 }
 
-// The optional fsck duty reports a dirty or panicking pass through
-// Failures() with Op=="fsck", without killing the monitor.
-func TestMonitorFsckDutySurfacesFailures(t *testing.T) {
-	p := newMonitorPool(t)
-	if _, err := p.Connect(); err != nil {
-		t.Fatal(err)
-	}
-	svc, err := NewService(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	m := NewMonitor(svc, MonitorConfig{
-		FsckEvery: 2,
-		Fsck: func() (bool, error) {
-			calls++
-			if calls == 2 {
-				panic("injected fsck panic")
-			}
-			return false, nil
-		},
-	})
-	for i := 0; i < 4; i++ {
-		m.Tick()
-	}
-	if calls != 2 {
-		t.Fatalf("fsck calls in 4 ticks with FsckEvery=2: %d, want 2", calls)
-	}
-	var dirty, panicked int
-	for _, f := range m.Failures() {
-		if f.Op != "fsck" {
-			continue
-		}
-		switch {
-		case f.Error == "fsck left the pool dirty":
-			dirty++
-		default:
-			panicked++
-		}
-	}
-	if dirty != 1 || panicked != 1 {
-		t.Fatalf("fsck failures: dirty=%d panicked=%d, want 1 and 1 (%+v)", dirty, panicked, m.Failures())
-	}
-}
-
 // Two passes over independent dead clients run on the service's two
 // executors while the monitor's maintenance scans borrow whichever is free.
 // The scan's scratch (membership bitset, re-link candidates, cascade stack)

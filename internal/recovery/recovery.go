@@ -157,7 +157,7 @@ func (s *Service) recoverWith(exec *shm.Client, cid int) (Report, error) {
 	}
 	p.Device().FenceClient(cid)
 	t0 := time.Now()
-	p.Obs().Trace(obs.Event{Type: obs.EvRecoveryStarted, Client: cid})
+	p.Trace(obs.Event{Type: obs.EvRecoveryStarted, Client: cid})
 	p.Telemetry().StampRecoveryStart(cid, t0.UnixNano())
 
 	mx := exec.Metrics()
@@ -253,7 +253,7 @@ func (s *Service) recoverWith(exec *shm.Client, cid int) (Report, error) {
 		sh.Observe(obs.HistDetectRecoverNS, dur)
 		tel.PoolObserve(obs.HistDetectRecoverNS, dur)
 	}
-	p.Obs().Trace(obs.Event{
+	p.Trace(obs.Event{
 		Type: obs.EvRecoveryFinished, Client: cid,
 		A: uint64(r.Reclaimed), B: uint64(r.SweptRoots),
 	})
@@ -338,12 +338,11 @@ func (s *Service) replayRedo(exec *shm.Client, cid int) bool {
 // traceReplay records one decided replay: counter plus a trace event noting
 // which of the paper's two commit-evidence conditions justified it.
 func (s *Service) traceReplay(cid int, op shm.Op, cond uint8) {
-	o := s.pool.Obs()
-	o.Shard(0).Inc(obs.CtrRedoReplay)
+	s.pool.Obs().Shard(0).Inc(obs.CtrRedoReplay)
 	tel := s.pool.Telemetry()
 	tel.PoolAdd(obs.CtrRedoReplay, 1)
 	tel.StampRedoReplay(cid)
-	o.Trace(obs.Event{Type: obs.EvRedoReplayed, Client: cid, A: uint64(op), B: uint64(cond)})
+	s.pool.Trace(obs.Event{Type: obs.EvRedoReplayed, Client: cid, A: uint64(op), B: uint64(cond)})
 }
 
 // replayChange completes an interrupted two-phase change (§5.4): the era was

@@ -119,7 +119,7 @@ func TestRecoverClientHoldingObjects(t *testing.T) {
 		obs.EvRecoveryFinished: false,
 	}
 	var finished obs.Event
-	for _, e := range p.Obs().Tracer().Events() {
+	for _, e := range p.Telemetry().Events() {
 		if _, ok := want[e.Type]; ok && e.Client == c.ID() {
 			want[e.Type] = true
 			if e.Type == obs.EvRecoveryFinished {

@@ -35,7 +35,7 @@ func (c *Client) flagSegmentLeaking(addr layout.Addr) {
 	}
 	if c.pool.flagLeaking(c.pool.dev, seg, 0) {
 		c.loc[obs.CtrLeakFlag]++
-		c.pool.obs.Trace(obs.Event{Type: obs.EvSegmentFlagged, Segment: seg})
+		c.pool.Trace(obs.Event{Type: obs.EvSegmentFlagged, Segment: seg})
 	}
 }
 
@@ -44,7 +44,7 @@ func (c *Client) flagSegmentLeaking(addr layout.Addr) {
 func (p *Pool) FlagSegmentLeaking(seg int) {
 	if p.flagLeaking(p.dev, seg, 0) {
 		p.obs.Shard(0).Inc(obs.CtrLeakFlag)
-		p.obs.Trace(obs.Event{Type: obs.EvSegmentFlagged, Segment: seg})
+		p.Trace(obs.Event{Type: obs.EvSegmentFlagged, Segment: seg})
 	}
 }
 

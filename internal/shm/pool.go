@@ -49,31 +49,15 @@ type Config struct {
 type Pool struct {
 	dev cxl.Memory
 	geo *layout.Geometry
-	obs *obs.Metrics
+	obs *obs.Registry
 	tel *Telemetry
 }
 
-// newPoolAround assembles a Pool over an already-built (wrapped) device.
-// mirror installs the event sink that copies recovery-lifecycle trace
-// events into the pool's crash-surviving telemetry ring; read-only
-// attaches leave it off (they never trace, and must never write).
-func newPoolAround(dev cxl.Memory, geo *layout.Geometry, mirror bool) *Pool {
-	p := &Pool{dev: dev, geo: geo, obs: newMetrics(geo), tel: NewTelemetry(dev, geo)}
-	if mirror {
-		p.obs.SetEventSink(p.tel.mirrorEvent)
-	}
-	return p
-}
-
-// traceRingCap bounds the recovery-event ring buffer per pool.
-const traceRingCap = 512
-
-// newMetrics builds the pool's observability core: shard 0 for pool-level
-// and recovery-service accounting, shards 1..MaxClients per client ID.
-func newMetrics(geo *layout.Geometry) *obs.Metrics {
-	m := obs.New(geo.MaxClients+1, traceRingCap)
-	obs.Register(m)
-	return m
+// newPoolAround assembles a Pool over an already-built (wrapped) device. The
+// metrics registry has shard 0 for pool-level and recovery-service
+// accounting and shards 1..MaxClients per client ID.
+func newPoolAround(dev cxl.Memory, geo *layout.Geometry) *Pool {
+	return &Pool{dev: dev, geo: geo, obs: obs.NewRegistry(geo.MaxClients + 1), tel: NewTelemetry(dev, geo)}
 }
 
 // newBackend builds the device backend cfg selects for geo.
@@ -118,7 +102,7 @@ func NewPool(cfg Config) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := newPoolAround(wrap(cfg, mem), geo, true)
+	p := newPoolAround(wrap(cfg, mem), geo)
 	p.format()
 	return p, nil
 }
@@ -147,13 +131,6 @@ func (p *Pool) format() {
 // mismatch the pool is left untouched and a descriptive error returned.
 // Middleware, if any, is stacked over mem.
 func AttachMemory(mem cxl.Memory, mws ...cxl.Middleware) (*Pool, error) {
-	return attach(mem, true, mws...)
-}
-
-// attach validates mem's superblock and its size against the geometry the
-// superblock describes, then assembles the pool (see newPoolAround for
-// mirror).
-func attach(mem cxl.Memory, mirror bool, mws ...cxl.Middleware) (*Pool, error) {
 	geo, err := layout.ReadSuperblock(mem).Geometry()
 	if err != nil {
 		return nil, fmt.Errorf("shm: %w", err)
@@ -164,7 +141,7 @@ func attach(mem cxl.Memory, mirror bool, mws ...cxl.Middleware) (*Pool, error) {
 	if got, want := mem.MaxClients(), geo.MaxClients+1; got < want {
 		return nil, fmt.Errorf("shm: backend supports %d client IDs, geometry needs %d", got, want)
 	}
-	return newPoolAround(cxl.Wrap(mem, mws...), geo, mirror), nil
+	return newPoolAround(cxl.Wrap(mem, mws...), geo), nil
 }
 
 // OpenFile maps the pool file at path (created by a NewPool with
@@ -185,18 +162,18 @@ func OpenFile(path string, mws ...cxl.Middleware) (*Pool, error) {
 }
 
 // OpenFileReadOnly maps the pool file at path PROT_READ and attaches it
-// as an observer: superblock validated, no event sink installed, and any
-// write through the device panics with a clear message instead of
-// corrupting the pool (the mapping itself is hardware-read-only). This is
-// what cxltop and cxlsnap -metrics attach with: they can watch a live
-// pool — other processes' heartbeats, counters, recoveries — while being
-// physically unable to interfere.
+// as an observer: superblock validated, and any write through the device
+// panics with a clear message instead of corrupting the pool (the mapping
+// itself is hardware-read-only), so an observer must never Trace. This is
+// what cxltop attaches with: it can watch a live pool — other processes'
+// heartbeats, counters, recoveries — while being physically unable to
+// interfere.
 func OpenFileReadOnly(path string) (*Pool, error) {
 	mem, err := cxl.OpenMapDeviceReadOnly(path)
 	if err != nil {
 		return nil, err
 	}
-	p, err := attach(mem, false)
+	p, err := AttachMemory(mem)
 	if err != nil {
 		mem.Close()
 		return nil, err
@@ -236,8 +213,13 @@ func (p *Pool) DataWindow(a layout.Addr, nbytes int) []byte {
 	return cxl.DataWindow(p.dev, a, nbytes)
 }
 
-// Obs exposes the pool's observability core (metrics + recovery tracer).
-func (p *Pool) Obs() *obs.Metrics { return p.obs }
+// Obs exposes the pool's in-process metrics registry.
+func (p *Pool) Obs() *obs.Registry { return p.obs }
+
+// Trace records one recovery-lifecycle event in the pool's crash-surviving
+// event ring (Telemetry.Events reads it back). It is the one record of such
+// events: it outlives the process that traced it.
+func (p *Pool) Trace(e obs.Event) { p.tel.AppendEvent(e) }
 
 // Telemetry exposes the pool's crash-surviving telemetry region.
 func (p *Pool) Telemetry() *Telemetry { return p.tel }
@@ -298,7 +280,7 @@ func (p *Pool) MarkClientDeadDetected(cid int, reason obs.FenceReason, firstMiss
 	p.tel.StampFence(cid, reason, firstMissNS, time.Now().UnixNano())
 	p.tel.PoolAdd(obs.CtrClientFenced, 1)
 	p.obs.Shard(0).Inc(obs.CtrClientFenced)
-	p.obs.Trace(obs.Event{Type: obs.EvClientFenced, Client: cid, A: uint64(reason)})
+	p.Trace(obs.Event{Type: obs.EvClientFenced, Client: cid, A: uint64(reason)})
 	return nil
 }
 

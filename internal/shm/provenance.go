@@ -7,8 +7,8 @@ import (
 )
 
 // Provenance stamps an obs.Provenance with this pool's backend and
-// geometry, so every exported metrics file says exactly what pool shape
-// and data path produced its numbers.
+// geometry, so an exported snapshot says exactly what pool shape and data
+// path produced its numbers.
 func (p *Pool) Provenance(tool string) *obs.Provenance {
 	prov := obs.CollectProvenance(tool, BackendName(p.dev))
 	prov.LayoutVersion = layout.LayoutVersion

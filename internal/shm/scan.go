@@ -68,17 +68,12 @@ type ScanReport struct {
 // that did reclaim drops its verdict and the next one starts afresh.
 func (c *Client) ScanSegment(seg int, ownerDead bool) ScanReport {
 	t0 := time.Now()
-	c.pool.obs.Trace(obs.Event{Type: obs.EvScanStarted, Client: c.cid, Segment: seg})
 	total := c.scanSegment(seg, ownerDead)
 	c.loc[obs.CtrScanPass]++
 	c.loc[obs.CtrScanReclaimed] += uint64(total.Reclaimed)
 	c.loc[obs.CtrScanRelinked] += uint64(total.Relinked)
 	c.mx.Observe(obs.HistScanNS, time.Since(t0).Nanoseconds())
 	c.publishMetrics()
-	c.pool.obs.Trace(obs.Event{
-		Type: obs.EvScanFinished, Client: c.cid, Segment: seg,
-		A: uint64(total.Reclaimed), B: uint64(total.Relinked),
-	})
 	return total
 }
 

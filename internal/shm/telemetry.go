@@ -257,20 +257,6 @@ func (t *Telemetry) StampRecovered(cid, reclaimed, swept int, now int64) int64 {
 
 // --- shared event ring ---
 
-// mirrorEvent is the obs.EventSink the pool installs: recovery-lifecycle
-// events are appended to the shared ring so the forensic record survives
-// the process that produced it. Scan events are excluded — they are
-// client-context and frequent enough to flush real history out of the
-// bounded ring.
-func (t *Telemetry) mirrorEvent(e obs.Event) {
-	switch e.Type {
-	case obs.EvClientFenced, obs.EvRecoveryStarted, obs.EvRecoveryFinished,
-		obs.EvRedoReplayed, obs.EvRecoveryFailed, obs.EvSegmentFlagged,
-		obs.EvRepairApplied, obs.EvRepairFailed:
-		t.AppendEvent(e)
-	}
-}
-
 // AppendEvent claims the next ring record (CAS fetch-add on the sequence
 // header word) and publishes e into it, commit word last. A writer that
 // dies mid-record leaves it invalid (commit 0 or stale), which readers
@@ -475,8 +461,8 @@ func (t *Telemetry) Events() []obs.Event {
 	return out
 }
 
-// TelemetrySnapshot is the whole region, decoded: what cxltop renders,
-// cxlsnap -metrics prints, and the JSON/Prometheus exporters serialize.
+// TelemetrySnapshot is the whole region, decoded: what cxltop renders and
+// its JSON/Prometheus exporters serialize.
 type TelemetrySnapshot struct {
 	TimeNS    int64               `json:"time_ns"`
 	Pool      TelemetryBlock      `json:"pool"`

@@ -183,6 +183,83 @@ func TestTelemetrySeqlockNoTornReads(t *testing.T) {
 	wg.Wait()
 }
 
+// TestEventRingWraparound: the pool's event ring is the one record of
+// recovery-lifecycle events. More appends than it holds keep exactly the
+// newest TelRingRecords, returned in Seq order with their payloads intact.
+func TestEventRingWraparound(t *testing.T) {
+	p := newTestPool(t)
+	tel := p.Telemetry()
+	base := uint64(len(tel.Events())) // a fresh pool's ring is empty, but count what is there
+	const n = layout.TelRingRecords + 44
+	for i := 1; i <= n; i++ {
+		p.Trace(obs.Event{Type: obs.EvSegmentFlagged, Segment: i})
+	}
+	evs := tel.Events()
+	if len(evs) != layout.TelRingRecords {
+		t.Fatalf("ring returned %d events after %d appends, want %d", len(evs), n, layout.TelRingRecords)
+	}
+	for k, e := range evs {
+		if k > 0 && e.Seq != evs[k-1].Seq+1 {
+			t.Fatalf("event %d: seq %d after %d, want consecutive", k, e.Seq, evs[k-1].Seq)
+		}
+		if want := n - layout.TelRingRecords + 1 + k; e.Segment != want || e.Type != obs.EvSegmentFlagged {
+			t.Fatalf("event %d = %+v, want segment %d (newest %d, oldest first)", k, e, want, layout.TelRingRecords)
+		}
+		if e.Time.IsZero() {
+			t.Fatalf("event %d carries no timestamp", k)
+		}
+	}
+	if last := evs[len(evs)-1].Seq; last != base+n-1 {
+		t.Fatalf("newest seq = %d, want %d", last, base+n-1)
+	}
+}
+
+// TestEventRingConcurrentAppends: two appenders race through the ring while
+// a reader decodes it. Every appended record ties its client and payload
+// words to its segment, so a record mixing two appends is a torn read.
+func TestEventRingConcurrentAppends(t *testing.T) {
+	p := newTestPool(t)
+	tel := p.Telemetry()
+	const perWriter, segBase = 2 * layout.TelRingRecords, 1 << 20
+	var wg sync.WaitGroup
+	for w := 1; w <= 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= perWriter; i++ {
+				seg := w*segBase + i
+				p.Trace(obs.Event{Type: obs.EvRedoReplayed, Client: w, Segment: seg, A: uint64(seg) * 3, B: uint64(seg) * 7})
+			}
+		}()
+	}
+	check := func(evs []obs.Event) {
+		for k, e := range evs {
+			if e.Type != obs.EvRedoReplayed || e.Segment/segBase != e.Client ||
+				e.A != uint64(e.Segment)*3 || e.B != uint64(e.Segment)*7 {
+				t.Fatalf("torn record: %+v", e)
+			}
+			if k > 0 && e.Seq <= evs[k-1].Seq {
+				t.Fatalf("events out of order: seq %d after %d", e.Seq, evs[k-1].Seq)
+			}
+		}
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+			check(tel.Events())
+		}
+	}
+	evs := tel.Events()
+	check(evs)
+	if len(evs) != layout.TelRingRecords || evs[len(evs)-1].Seq != 2*perWriter-1 {
+		t.Fatalf("after %d appends the ring holds %d events ending at seq %d", 2*perWriter, len(evs), evs[len(evs)-1].Seq)
+	}
+}
+
 func TestQueueDepths(t *testing.T) {
 	p := newTestPool(t)
 	a := connect(t, p)

@@ -1,6 +1,7 @@
 package cxlshm_test
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -101,9 +102,12 @@ func TestStatsAfterCrashAndRecover(t *testing.T) {
 			a.ID(), len(events))
 	}
 
-	// Stats must marshal (the exporter path) and snapshots must be disjoint
-	// per pool: a fresh pool starts from zero.
-	if _, err := obs.MarshalIndentJSON(obs.Snapshot{Counters: st.Counters, Histograms: st.Histograms}, events); err != nil {
+	// Stats and the trace must marshal, and snapshots must be disjoint per
+	// pool: a fresh pool starts from zero.
+	if _, err := json.MarshalIndent(struct {
+		Stats  any
+		Events []obs.Event
+	}{st, events}, "", "  "); err != nil {
 		t.Fatal(err)
 	}
 	fresh := newPool(t)
