@@ -7,7 +7,7 @@ GO ?= go
 
 .PHONY: all build test vet race verify bench bench-smoke test-mmap sweep \
 	corrupt fsck-smoke top-smoke ci serving-smoke benchmark-check dep-guard \
-	inline-check fmt-check
+	inline-check fmt-check gates
 
 all: verify
 
@@ -35,7 +35,7 @@ bench-smoke:
 verify: vet build test race bench-smoke
 
 # test-mmap re-runs the core packages with every pool on the mmap'd-file
-# backend (cxl.MapDevice over an unlinked temp file), the recovery crash
+# backend (cxl.NewAnonMapDevice: an unlinked temp file), the recovery crash
 # matrix (every device write of the scenario) included. The crash campaign
 # on mmap is `make sweep`.
 test-mmap:
@@ -108,6 +108,22 @@ inline-check:
 		printf '%s\n' "$$names" | grep -qxF "$$f" || { echo "inline-check: $$f is no longer inlined"; exit 1; }; \
 	done
 
+# gates prints the device-access gate lines the budget tests log — the
+# fast-path budgets, the client-scaling curve, the recovery pass and the tick
+# after it, the idle tick over a dead loader's segments — on heap and mmap,
+# with file:line prefixes and durations stripped so that two runs (say, a
+# parent commit and a change) diff cleanly. It fails if any of the tests does.
+GATE_TESTS = 'TestDeviceAccessBudget|TestClientScalingAccessBudget|TestRecoveryPassAccessBudget|TestIdleTickAfterLoaderDeath'
+
+gates:
+	@for be in heap mmap; do \
+		echo "== $$be"; \
+		out=$$(CXLSHM_BACKEND=$$be $(GO) test -p 1 -count=1 -v -run $(GATE_TESTS) ./internal/shm ./internal/recovery) || \
+			{ printf '%s\n' "$$out"; exit 1; }; \
+		printf '%s\n' "$$out" | sed -n -e 's/^=== RUN *//p' \
+			-e 's/ Duration:[^ }]*//' -e 's/^ *[A-Za-z0-9_]*\.go:[0-9]*: /  /p'; \
+	done
+
 # fmt-check fails when any Go file in the tree is not gofmt-formatted.
 fmt-check:
 	@files=$$(gofmt -l .); test -z "$$files" || { echo "fmt-check: gofmt -l names:"; echo "$$files"; exit 1; }
@@ -115,7 +131,7 @@ fmt-check:
 # dep-guard keeps the crash harness out of the product: nothing the library,
 # the serving tier or the recovery service links may import
 # internal/faultinject (crashes are injected from outside, through
-# shm.Config.Middleware).
+# shm.Config.Intercept).
 dep-guard:
 	@if $(GO) list -deps . ./internal/shm ./internal/kv ./internal/serving \
 		./internal/netrpc ./internal/recovery | grep -q 'internal/faultinject'; then \

@@ -12,9 +12,9 @@
 // recovery timelines, the event ring) is cxltop's to render, read-only:
 // `cxltop -once pool.cxl`.
 //
-// The pool is built directly on an mmap'd cxl.MapDevice file: nothing is
-// copied at save or attach time, and a second OS process opening the same
-// file sees the pool alive and unmoved. Every attach validates the pool
+// The pool is built directly on an mmap'd pool file (cxl.CreateMapDevice):
+// nothing is copied at save or attach time, and a second OS process opening
+// the same file sees the pool alive and unmoved. Every attach validates the pool
 // superblock (magic, geometry, layout version) and refuses incompatible
 // pools with a clear error.
 package main
@@ -27,7 +27,6 @@ import (
 	"strings"
 
 	"repro/internal/check"
-	"repro/internal/cxl"
 	"repro/internal/kv"
 	"repro/internal/layout"
 	"repro/internal/recovery"
@@ -129,7 +128,7 @@ func doFsck(path string, repair bool, flip string) error {
 	}
 
 	// The repair already mutated the mapped file; sync it.
-	if err := syncFile(pool); err != nil {
+	if err := pool.Device().Sync(); err != nil {
 		return err
 	}
 	fmt.Printf("OK: pool repaired and written back to %s (%d issues fixed)\n", path, len(rep.Pre.Issues))
@@ -165,7 +164,7 @@ func doCreate(path string, keys int) error {
 	c.Heartbeat()
 	fmt.Printf("stored %d keys; client %d now 'loses power' without releasing anything\n", keys, c.ID())
 	// No Close, no Release: the file keeps the mess as-is.
-	if err := syncFile(pool); err != nil {
+	if err := pool.Device().Sync(); err != nil {
 		return err
 	}
 	if err := pool.CloseDevice(); err != nil {
@@ -173,11 +172,6 @@ func doCreate(path string, keys int) error {
 	}
 	fmt.Printf("pool lives in %s (mmap'd, nothing copied)\n", path)
 	return nil
-}
-
-// syncFile flushes a file-backed pool's mapping to its file.
-func syncFile(pool *shm.Pool) error {
-	return cxl.Bottom(pool.Device()).(*cxl.MapDevice).Sync()
 }
 
 func doOpen(path string) error {

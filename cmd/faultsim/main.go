@@ -15,8 +15,8 @@
 // minimal -repro invocation and exit nonzero. -corrupt is the media-fault
 // campaign (bit flips, torn writes, stuck CAS) with the repairing fsck.
 //
-// -backend mmap runs on an mmap'd-file device (cxl.MapDevice), exercising
-// crash recovery over the cross-process backend's data path.
+// -backend mmap runs on an mmap'd-file device (cxl.NewAnonMapDevice),
+// exercising crash recovery over the cross-process backend's data path.
 package main
 
 import (

@@ -146,8 +146,8 @@ func NewPool(cfg Config) (*Pool, error) {
 			PageWords:    uint64(cfg.PageBytes / layout.WordBytes),
 			MaxQueues:    cfg.MaxQueues,
 		},
-		Latency: lat,
-		File:    cfg.PoolFile,
+		Intercept: cxl.Intercept{Latency: lat},
+		File:      cfg.PoolFile,
 	})
 	if err != nil {
 		return nil, err

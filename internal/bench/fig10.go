@@ -60,7 +60,7 @@ func kvPoolLatency(clients int, lat cxl.Latency) (*shm.Pool, error) {
 			SegmentWords: 1 << 15,
 			PageWords:    1 << 11,
 		},
-		Latency: lat,
+		Intercept: cxl.Intercept{Latency: lat},
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/alloc"
+	"repro/internal/cxl"
 	"repro/internal/layout"
 	"repro/internal/nativealloc"
 	"repro/internal/pmem"
@@ -114,8 +115,8 @@ func Fig7(scale Scale, threadCounts []int, flushNS, fenceNS int) ([]Fig7Row, err
 	var rows []Fig7Row
 	run := func(workload string, threads int) error {
 		pool, err := shm.NewPool(shm.Config{
-			Geometry: allocPoolConfig(threads),
-			Latency:  cxlLatency(flushNS, fenceNS),
+			Geometry:  allocPoolConfig(threads),
+			Intercept: cxl.Intercept{Latency: cxlLatency(flushNS, fenceNS)},
 		})
 		if err != nil {
 			return err

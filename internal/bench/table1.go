@@ -40,7 +40,8 @@ func Table1(scale Scale) ([]Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		h := cxl.Wrap(dev, cxl.WithLatency(p.lat)).Open(1)
+		dev.SetIntercept(cxl.Intercept{Latency: p.lat})
+		h := dev.Open(1)
 		rng := rand.New(rand.NewSource(7))
 
 		// Every measurement takes the best of three runs: on a shared box the

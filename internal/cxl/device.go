@@ -3,13 +3,15 @@
 // The paper's hardware platform maps one external CXL memory device into the
 // physical address space of multiple compute nodes, forming a single cache
 // coherency domain that supports plain loads/stores plus atomic
-// compare-and-swap. This package models that device behind the Memory
-// interface as a word-addressable pool. Every access goes through
-// sync/atomic, so all clients (goroutines standing in for threads/processes/
-// machines) observe a linearizable shared memory exactly as CXL 3.0 memory
-// sharing promises. Two backends implement Memory — the heap-backed Device
-// here and the mmap'd-file MapDevice — plus arbitrary middleware stacks
-// built with Wrap.
+// compare-and-swap. This package models that device as one concrete type,
+// Device: a word-addressable pool. Every access goes through sync/atomic, so
+// all clients (goroutines standing in for threads/processes/machines)
+// observe a linearizable shared memory exactly as CXL 3.0 memory sharing
+// promises. The words live on the Go heap (NewDevice) or in an mmap'd file
+// (CreateMapDevice, OpenMapDevice); either way the data path is the same
+// code. What a campaign or a model adds to that path — the Table 1 latency
+// model, an access hook, write faults — is one Intercept value set on the
+// device (SetIntercept).
 //
 // Addresses are 64-bit word offsets from the beginning of the pool
 // (machine-independent pointers, like PMDK-style offsets). Address 0 is
@@ -17,7 +19,7 @@
 //
 // The device also models two failure-related hardware features:
 //
-//   - RAS fencing: once a client ID is fenced (Memory.FenceClient), stores
+//   - RAS fencing: once a client ID is fenced (Device.FenceClient), stores
 //     and CAS issued through that client's Handle are silently dropped,
 //     modelling "the failed client cannot modify the shared memory pool
 //     after its recovery has started" (paper §3.2).
@@ -59,23 +61,41 @@ func (c *counters) reset() {
 	c.fences.Store(0)
 }
 
-// Device is the heap-backed simulated CXL shared memory pool. MapDevice
-// embeds it to reuse the entire data path over an mmap'd file.
+// Device is the simulated CXL shared memory pool. Its words and fence flags
+// live on the Go heap (NewDevice) or in an mmap'd file (CreateMapDevice,
+// OpenMapDevice, NewAnonMapDevice); the data path is the same either way.
+//
+// Direct Device calls (Load, Store, CAS) are the management plane — pool
+// formatting, the recovery service, validators — which the paper's model
+// exempts from client fencing. Client code opens a Handle (Open), the only
+// path on which RAS fencing, the latency model and per-client access
+// accounting apply.
 //
 // All word accesses are atomic. Concurrent use by any number of Handles is
-// safe; the zero value is not usable, construct with NewDevice.
+// safe; the zero value is not usable, construct with NewDevice or one of the
+// file constructors.
 type Device struct {
 	words []uint64
 	// fenced[cid] is nonzero once client cid has been RAS-fenced. For a
-	// MapDevice this slice views the shared file, so a recovery service in
-	// another process can fence this process's clients.
+	// file-backed device this slice views the shared file, so a recovery
+	// service in another process can fence this process's clients.
 	fenced []atomic.Uint32
+
+	// data is the file mapping words and fenced view (nil on the heap), and
+	// path the file's name. readOnly marks a PROT_READ observer mapping:
+	// every mutating call panics by name (see deny).
+	data     []byte
+	path     string
+	readOnly bool
+
+	// icpt is what observes, prices or corrupts accesses (SetIntercept).
+	icpt Intercept
 
 	// countAccesses enables the per-access load/store/CAS counters. Off by
 	// default; when on, counting is handle-local (see counters).
 	countAccesses bool
 
-	// devCtr counts management-plane accesses (direct Memory calls: pool
+	// devCtr counts management-plane accesses (direct Device calls: pool
 	// formatting, recovery, validators).
 	devCtr counters
 	// hctr[cid] is the counter block Handles opened for cid use. Handle
@@ -83,9 +103,6 @@ type Device struct {
 	// monotonic across slot reuse.
 	hctr []counters
 }
-
-// Device implements Memory.
-var _ Memory = (*Device)(nil)
 
 // Config configures a Device.
 type Config struct {
@@ -121,7 +138,7 @@ func (cfg Config) validate() error {
 }
 
 // init wires the device core around the given storage. words and fenced may
-// live on the Go heap (NewDevice) or inside an mmap'd file (MapDevice).
+// live on the Go heap (NewDevice) or inside an mmap'd file (newMapDevice).
 func (d *Device) init(words []uint64, fenced []atomic.Uint32, countAccesses bool) {
 	d.words = words
 	d.fenced = fenced
@@ -147,9 +164,20 @@ func (d *Device) check(a Addr) {
 	}
 }
 
-// Load atomically reads the word at a.
+// deny panics for a mutating call on a read-only mapping: a tool that
+// attached read-only and then tries to write is always a bug, better caught
+// here, by name, than as a SIGSEGV from the MMU.
+func (d *Device) deny(op string) {
+	panic(fmt.Sprintf("cxl: %s on a read-only pool mapping (attached with OpenMapDeviceReadOnly; reopen read-write to mutate)", op))
+}
+
+// Load atomically reads the word at a. The intercept's Access hook sees it
+// as cid 0.
 func (d *Device) Load(a Addr) uint64 {
 	d.check(a)
+	if d.icpt.Access != nil {
+		d.icpt.Access(0, OpLoad, a)
+	}
 	if d.countAccesses {
 		d.devCtr.loads.Add(1)
 	}
@@ -158,35 +186,56 @@ func (d *Device) Load(a Addr) uint64 {
 
 // Store atomically writes v to the word at a, ignoring fencing. It is used
 // by the recovery service and by pool initialization. Client code must go
-// through a Handle so RAS fencing applies.
+// through a Handle so RAS fencing applies. The intercept's Access hook sees
+// it as cid 0, then its Write hook decides its fate.
 func (d *Device) Store(a Addr, v uint64) {
+	if d.readOnly {
+		d.deny(fmt.Sprintf("Store(%#x)", a))
+	}
 	d.check(a)
+	if d.icpt.Access != nil {
+		d.icpt.Access(0, OpStore, a)
+	}
+	if d.icpt.Write != nil {
+		var ok bool
+		if v, ok = d.icpt.faultStore(a, v); !ok {
+			return
+		}
+	}
 	if d.countAccesses {
 		d.devCtr.stores.Add(1)
 	}
 	atomic.StoreUint64(&d.words[a], v)
 }
 
-// CAS atomically compares-and-swaps the word at a, ignoring fencing.
+// CAS atomically compares-and-swaps the word at a, ignoring fencing. The
+// intercept applies as for Store.
 func (d *Device) CAS(a Addr, old, new uint64) bool {
+	if d.readOnly {
+		d.deny(fmt.Sprintf("CAS(%#x)", a))
+	}
 	d.check(a)
+	if d.icpt.Access != nil {
+		d.icpt.Access(0, OpCAS, a)
+	}
+	if d.icpt.Write != nil {
+		var ok, res bool
+		if new, ok, res = d.icpt.faultCAS(a, new); !ok {
+			return res
+		}
+	}
 	if d.countAccesses {
 		d.devCtr.cases.Add(1)
 	}
 	return atomic.CompareAndSwapUint64(&d.words[a], old, new)
 }
 
-// Fence is a management-plane ordering point. Go atomics are sequentially
-// consistent, so nothing to do; Handle.SFence carries the accounting.
-func (d *Device) Fence() {}
-
-// Flush is a management-plane CLWB point; Handle.Flush carries the
-// accounting and latency.
-func (d *Device) Flush(a Addr) {}
-
 // FenceClient RAS-fences client cid: all subsequent stores and CAS issued
 // through a Handle opened for cid are dropped. Idempotent.
 func (d *Device) FenceClient(cid int) {
+	if d.readOnly {
+		d.deny("FenceClient")
+	}
 	if cid <= 0 || cid >= len(d.fenced) {
 		return
 	}
@@ -196,6 +245,9 @@ func (d *Device) FenceClient(cid int) {
 // UnfenceClient lifts the RAS fence for cid (used when a recovered client
 // slot is handed to a fresh client).
 func (d *Device) UnfenceClient(cid int) {
+	if d.readOnly {
+		d.deny("UnfenceClient")
+	}
 	if cid <= 0 || cid >= len(d.fenced) {
 		return
 	}
@@ -209,9 +261,6 @@ func (d *Device) ClientFenced(cid int) bool {
 	}
 	return d.fenced[cid].Load() != 0
 }
-
-// Close releases backend resources: nothing, for the heap backend.
-func (d *Device) Close() error { return nil }
 
 // Stats is a snapshot of device access counters.
 type Stats struct {

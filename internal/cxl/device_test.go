@@ -221,7 +221,8 @@ func TestLatencyModelChargesMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := Wrap(d, WithLatency(Latency{MissNS: 2000})).Open(1)
+	d.SetIntercept(Intercept{Latency: Latency{MissNS: 2000}})
+	h := d.Open(1)
 	// Repeated access to one line: first is a miss, the rest hit.
 	t0 := time.Now()
 	h.Load(8)

@@ -7,22 +7,12 @@ import "unsafe"
 // only the control plane). A byte window aliases the device's backing words
 // with no copy, which is exactly what get_addr hands out on real hardware.
 //
-// Windows bypass the Handle path: no RAS fencing, no latency model, no
-// access counters. That is the hardware-faithful semantics — a fenced
+// Windows bypass the Handle path: no RAS fencing, no intercept, no access
+// counters. That is the hardware-faithful semantics — a fenced
 // client's cached mappings stay readable, and data-plane traffic does not
 // go through the allocator — but it means windows must only ever cover DATA
 // words of blocks the caller holds a reference to, never allocator
 // metadata. The shm layer enforces that discipline (lease.go).
-
-// DirectWords is implemented by backends whose word array lives in
-// addressable memory (the heap Device and, via embedding, the mmap'd
-// MapDevice). Middleware does not implement it; resolve through Bottom.
-type DirectWords interface {
-	DirectWords() []uint64
-}
-
-// DirectWords exposes the device's backing word array.
-func (d *Device) DirectWords() []uint64 { return d.words }
 
 // hostLittleEndian reports whether this machine lays out uint64s
 // little-endian — the byte order ReadBytes/WriteBytes define for the
@@ -36,26 +26,20 @@ var hostLittleEndian = func() bool {
 }()
 
 // DataWindow returns a []byte aliasing words [a, a+ceil(nbytes/8)) of the
-// memory backing m, resolved through any middleware stack, or nil when no
-// zero-copy view is possible (non-direct backend, big-endian host, or an
-// out-of-range request). The window stays valid until the backing device is
-// closed; writes through it are plain (non-atomic) byte stores, like real
-// shared memory.
-func DataWindow(m Memory, a Addr, nbytes int) []byte {
+// device, or nil when no zero-copy view is possible (big-endian host, or an
+// out-of-range request). The window stays valid until the device is closed;
+// writes through it are plain (non-atomic) byte stores, like real shared
+// memory.
+func (d *Device) DataWindow(a Addr, nbytes int) []byte {
 	if !hostLittleEndian || nbytes < 0 {
 		return nil
 	}
-	dw, ok := Bottom(m).(DirectWords)
-	if !ok {
-		return nil
-	}
-	words := dw.DirectWords()
 	nwords := (nbytes + WordBytes - 1) / WordBytes
-	if a == 0 || int64(a)+int64(nwords) > int64(len(words)) {
+	if a == 0 || int64(a)+int64(nwords) > int64(len(d.words)) {
 		return nil
 	}
 	if nbytes == 0 {
 		return []byte{}
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&words[a])), nbytes)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&d.words[a])), nbytes)
 }

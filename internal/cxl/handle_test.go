@@ -6,20 +6,20 @@ import (
 	"testing"
 )
 
-// TestHandlePathEquivalence runs one access script through a handle on every
-// stack that prices or observes accesses, over both backends, and demands
-// what the bare fast path gives: the same values, the same wild-access panic
-// text, the same RAS-fence behaviour (fence raised after Open) — plus proof
-// that each observer saw every access, i.e. that the fast-path condition is
-// false whenever anything is watching.
+// TestHandlePathEquivalence runs one access script through a handle under
+// every intercept that prices or observes accesses, over both backends, and
+// demands what the bare fast path gives: the same values, the same
+// wild-access panic text, the same RAS-fence behaviour (fence raised after
+// Open) — plus proof that each hook saw every access, i.e. that the
+// fast-path condition is false whenever anything is watching.
 func TestHandlePathEquivalence(t *testing.T) {
 	const words, cid = 64, 3
 	type observed struct{ loads, stores, cases uint64 }
-	type stack struct {
+	type config struct {
 		name string
-		// wrap stacks the middleware over the bottom device and returns what
-		// the layer itself observed (nil: the layer counts nothing).
-		wrap func(d *Device) (Memory, func() observed)
+		// intercept returns the intercept to set on the device and what its
+		// hooks observed (nil: the intercept counts nothing).
+		intercept func() (Intercept, func() observed)
 	}
 	// countHook is an access hook that counts what it sees into o and checks
 	// that every access carries the handle's client ID.
@@ -38,32 +38,35 @@ func TestHandlePathEquivalence(t *testing.T) {
 			}
 		}
 	}
-	stacks := []stack{
-		{"bare", func(d *Device) (Memory, func() observed) { return d, nil }},
-		{"WithAccessHook", func(d *Device) (Memory, func() observed) {
-			var o observed
-			return Wrap(d, WithAccessHook(countHook(&o))), func() observed { return o }
-		}},
-		{"WithLatency", func(d *Device) (Memory, func() observed) {
-			return Wrap(d, WithLatency(Latency{MissNS: 1, CASNS: 1})), nil
-		}},
-		{"WithWriteFaults", func(d *Device) (Memory, func() observed) {
-			var o observed
-			hook := func(kind AccessKind, _ Addr, v uint64) (uint64, WriteFault) {
-				if kind == OpStore {
-					o.stores++
-				} else {
-					o.cases++
-				}
-				return v, WriteThrough
+	// countWrites is a pass-through write-fault hook counting into o.
+	countWrites := func(o *observed) WriteFaultHook {
+		return func(kind AccessKind, _ Addr, v uint64) (uint64, WriteFault) {
+			if kind == OpStore {
+				o.stores++
+			} else {
+				o.cases++
 			}
-			return Wrap(d, WithWriteFaults(hook)), func() observed { return o }
-		}},
-		// A hook stacked over a retargeting layer still sees every client
-		// access, under the client's ID.
-		{"WithWriteFaults+WithAccessHook", func(d *Device) (Memory, func() observed) {
+			return v, WriteThrough
+		}
+	}
+	configs := []config{
+		{"bare", func() (Intercept, func() observed) { return Intercept{}, nil }},
+		{"WithAccessHook", func() (Intercept, func() observed) {
 			var o observed
-			return Wrap(d, WithWriteFaults(nil), WithAccessHook(countHook(&o))), func() observed { return o }
+			return Intercept{Access: countHook(&o)}, func() observed { return o }
+		}},
+		{"WithLatency", func() (Intercept, func() observed) {
+			return Intercept{Latency: Latency{MissNS: 1, CASNS: 1}}, nil
+		}},
+		{"WithWriteFaults", func() (Intercept, func() observed) {
+			var o observed
+			return Intercept{Write: countWrites(&o)}, func() observed { return o }
+		}},
+		// With a write hook set too, the access hook still sees every client
+		// access, under the client's ID.
+		{"WithWriteFaults+WithAccessHook", func() (Intercept, func() observed) {
+			var o, w observed
+			return Intercept{Access: countHook(&o), Write: countWrites(&w)}, func() observed { return o }
 		}},
 	}
 	backends := []struct {
@@ -78,12 +81,12 @@ func TestHandlePathEquivalence(t *testing.T) {
 			return d
 		}},
 		{"mmap", func(t *testing.T, count bool) *Device {
-			md, err := NewAnonMapDevice(Config{Words: words, MaxClients: 8, CountAccesses: count})
+			d, err := NewAnonMapDevice(Config{Words: words, MaxClients: 8, CountAccesses: count})
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { md.Close() })
-			return &md.Device
+			t.Cleanup(func() { d.Close() })
+			return d
 		}},
 	}
 
@@ -99,9 +102,9 @@ func TestHandlePathEquivalence(t *testing.T) {
 	}
 	// The script, in three parts; each appends what a caller can see to the
 	// trace. Observers are compared around the first and the last part: what
-	// a layer counts of an access that then panics is its own business.
+	// a hook counts of an access that then panics is its own business.
 	type run struct {
-		m     Memory
+		d     *Device
 		h     *Handle
 		trace []string
 	}
@@ -129,7 +132,7 @@ func TestHandlePathEquivalence(t *testing.T) {
 	// Fence raised after Open: writes drop and are counted, reads go on and
 	// find memory unchanged.
 	fenced := func(r *run) observed {
-		r.m.FenceClient(cid)
+		r.d.FenceClient(cid)
 		r.h.Store(2, 999)
 		say(r, "fenced cas %v", r.h.CAS(3, 7, 999))
 		say(r, "fenced %v dropped %d", r.h.Fenced(), r.h.DroppedWrites())
@@ -140,12 +143,13 @@ func TestHandlePathEquivalence(t *testing.T) {
 	var want []string // the bare, uncounted heap handle: the fast path itself
 	for _, be := range backends {
 		for _, count := range []bool{false, true} {
-			for _, st := range stacks {
+			for _, st := range configs {
 				name := fmt.Sprintf("%s/CountAccesses=%v/%s", be.name, count, st.name)
 				t.Run(name, func(t *testing.T) {
 					d := be.open(t, count)
-					m, layerSaw := st.wrap(d)
-					r := &run{m: m, h: m.Open(cid)}
+					ic, hooksSaw := st.intercept()
+					d.SetIntercept(ic)
+					r := &run{d: d, h: d.Open(cid)}
 					if fast, want := r.h.words != nil, st.name == "bare" && !count; fast != want {
 						t.Fatalf("fast path taken: %v, want %v", fast, want)
 					}
@@ -154,22 +158,22 @@ func TestHandlePathEquivalence(t *testing.T) {
 						return observed{s.Loads, s.Stores, s.CASes}
 					}
 					// check runs one part and compares what it issued with what
-					// the layer and the device's own counters saw of it.
+					// the hooks and the device's own counters saw of it.
 					check := func(part string, f func(*run) observed) {
 						var l0 observed
-						if layerSaw != nil {
-							l0 = layerSaw()
+						if hooksSaw != nil {
+							l0 = hooksSaw()
 						}
 						d0 := deviceSaw()
 						issued := f(r)
-						if layerSaw != nil {
-							l1 := layerSaw()
+						if hooksSaw != nil {
+							l1 := hooksSaw()
 							got := observed{l1.loads - l0.loads, l1.stores - l0.stores, l1.cases - l0.cases}
 							if st.name == "WithWriteFaults" {
-								got.loads = issued.loads // the layer has no load hook
+								got.loads = issued.loads // a write hook sees no loads
 							}
 							if got != issued {
-								t.Errorf("%s: layer observed %+v, handle issued %+v", part, got, issued)
+								t.Errorf("%s: intercept observed %+v, handle issued %+v", part, got, issued)
 							}
 						}
 						d1 := deviceSaw()

@@ -9,18 +9,18 @@ import (
 	"unsafe"
 )
 
-// MapDevice is a shared memory pool whose word array, RAS fence flags and
-// header live in an mmap'd file. This is the realistic software stand-in
-// for CXL shared memory today (Xu et al.: mmap-based shared files are
-// "barely distributed and almost persistent"): a pool created by one OS
-// process can be reopened — alive, no copy — by another, because the
-// device's failure domain is the file, not any process that maps it.
+// A file-backed Device keeps its word array, RAS fence flags and header in
+// an mmap'd file. This is the realistic software stand-in for CXL shared
+// memory today (Xu et al.: mmap-based shared files are "barely distributed
+// and almost persistent"): a pool created by one OS process can be reopened
+// — alive, no copy — by another, because the device's failure domain is the
+// file, not any process that maps it.
 //
-// MapDevice embeds Device, so the entire data path (atomic word access,
-// RAS fencing, Handle fast path, access counting) is byte-for-byte the same
-// code as the heap backend; only the storage the slices view differs. Two
-// processes mapping the same file share one cache-coherent word array and
-// one set of fence flags, so a recovery service in a fresh process can
+// It is the same Device as the heap backend, so the entire data path
+// (atomic word access, RAS fencing, Handle fast path, access counting) is
+// byte-for-byte the same code; only the storage the slices view differs.
+// Two processes mapping the same file share one cache-coherent word array
+// and one set of fence flags, so a recovery service in a fresh process can
 // fence and recover the clients of a dead one.
 //
 // File layout (little-endian):
@@ -33,14 +33,6 @@ import (
 //	byte 64   RAS fence flags: (MaxClients+1) uint32 words
 //	...       (header padded to a page multiple)
 //	byte hdr  word array: words × 8 bytes
-type MapDevice struct {
-	Device
-	data []byte
-	path string
-}
-
-// MapDevice implements Memory.
-var _ Memory = (*MapDevice)(nil)
 
 const (
 	mapMagic         = 0x3150414d4d4c5843 // "CXLMMAP1" little-endian
@@ -67,7 +59,7 @@ func mapHeaderBytes(maxClients int) int {
 // all-zero pool of cfg.Words words. It fails if the file already exists:
 // clobbering a live pool is never recoverable, so callers must remove an
 // old pool explicitly.
-func CreateMapDevice(path string, cfg Config) (*MapDevice, error) {
+func CreateMapDevice(path string, cfg Config) (*Device, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -103,24 +95,20 @@ func CreateMapDevice(path string, cfg Config) (*MapDevice, error) {
 // the last process left it — including fence flags and any clients that
 // died holding references; attach it with shm.AttachMemory and run
 // recovery on the stale clients.
-func OpenMapDevice(path string) (*MapDevice, error) {
+func OpenMapDevice(path string) (*Device, error) {
 	return openMapDevice(path, false)
 }
 
-// OpenMapDeviceReadOnly maps an existing pool file PROT_READ and wraps it
-// read-only: loads observe the live pool (other processes' stores included)
-// but any store, CAS, fence or Handle open panics — and even a bug that
-// bypassed the wrapper would take a SIGSEGV from the MMU, not corrupt the
-// pool. This is the attach path for observers (cxltop).
-func OpenMapDeviceReadOnly(path string) (Memory, error) {
-	md, err := openMapDevice(path, true)
-	if err != nil {
-		return nil, err
-	}
-	return &ReadOnlyDevice{md}, nil
+// OpenMapDeviceReadOnly maps an existing pool file PROT_READ as a read-only
+// device: loads observe the live pool (other processes' stores included)
+// but any Store, CAS, FenceClient, UnfenceClient or Open panics — and even
+// a bug that got past those checks would take a SIGSEGV from the MMU, not
+// corrupt the pool. This is the attach path for observers (cxltop).
+func OpenMapDeviceReadOnly(path string) (*Device, error) {
+	return openMapDevice(path, true)
 }
 
-func openMapDevice(path string, readOnly bool) (*MapDevice, error) {
+func openMapDevice(path string, readOnly bool) (*Device, error) {
 	flag := os.O_RDWR
 	if readOnly {
 		flag = os.O_RDONLY
@@ -176,14 +164,16 @@ func openMapDevice(path string, readOnly bool) (*MapDevice, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newMapDevice(path, data, int(words), int(maxClients), int(hdr), false), nil
+	d := newMapDevice(path, data, int(words), int(maxClients), int(hdr), false)
+	d.readOnly = readOnly
+	return d, nil
 }
 
-// NewAnonMapDevice creates a MapDevice backed by an unlinked temporary
+// NewAnonMapDevice creates a Device backed by an unlinked temporary
 // file: it behaves exactly like a named pool file (same mapping, same data
 // path) but leaves nothing on disk once closed. Used to run the whole
 // stack's test suite and fault campaigns over the mmap backend.
-func NewAnonMapDevice(cfg Config) (*MapDevice, error) {
+func NewAnonMapDevice(cfg Config) (*Device, error) {
 	dir := os.TempDir()
 	f, err := os.CreateTemp(dir, "cxlshm-*.pool")
 	if err != nil {
@@ -202,33 +192,40 @@ func NewAnonMapDevice(cfg Config) (*MapDevice, error) {
 }
 
 // newMapDevice builds the device views over the mapping.
-func newMapDevice(path string, data []byte, words, maxClients, hdr int, count bool) *MapDevice {
-	md := &MapDevice{data: data, path: path}
+func newMapDevice(path string, data []byte, words, maxClients, hdr int, count bool) *Device {
+	d := &Device{data: data, path: path}
 	w := unsafe.Slice((*uint64)(unsafe.Pointer(&data[hdr])), words)
 	fenced := unsafe.Slice((*atomic.Uint32)(unsafe.Pointer(&data[mapFencedOff])), maxClients+1)
-	md.init(w, fenced, count)
-	return md
+	d.init(w, fenced, count)
+	return d
 }
 
-// Path returns the backing file's path.
-func (m *MapDevice) Path() string { return m.path }
+// Path returns the backing file's path, or "" for a heap device.
+func (d *Device) Path() string { return d.path }
 
-// Sync flushes dirty pages to the backing file (msync MS_SYNC). The OS
-// writes dirty pages back eventually anyway; Sync is for tools that want a
-// durability point before, say, copying the file.
-func (m *MapDevice) Sync() error { return msync(m.data) }
-
-// Close unmaps the pool. The pool itself lives on in the file — that is
-// the point — but this mapping becomes invalid: any later access through
-// this device faults, exactly like touching powered-off memory. Handles
-// opened from it must not be used afterwards.
-func (m *MapDevice) Close() error {
-	if m.data == nil {
+// Sync flushes a file-backed device's dirty pages to the file (msync
+// MS_SYNC); on a heap device it does nothing. The OS writes dirty pages
+// back eventually anyway; Sync is for tools that want a durability point
+// before, say, copying the file.
+func (d *Device) Sync() error {
+	if d.data == nil {
 		return nil
 	}
-	err := munmap(m.data)
-	m.data = nil
-	m.words = nil
-	m.fenced = nil
+	return msync(d.data)
+}
+
+// Close unmaps a file-backed device; on a heap device it does nothing. The
+// pool itself lives on in the file — that is the point — but this mapping
+// becomes invalid: any later access through this device faults, exactly
+// like touching powered-off memory. Handles opened from it must not be used
+// afterwards.
+func (d *Device) Close() error {
+	if d.data == nil {
+		return nil
+	}
+	err := munmap(d.data)
+	d.data = nil
+	d.words = nil
+	d.fenced = nil
 	return err
 }

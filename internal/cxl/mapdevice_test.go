@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-func newTestMapDevice(t *testing.T, words int) *MapDevice {
+func newTestMapDevice(t *testing.T, words int) *Device {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "pool.cxl")
 	md, err := CreateMapDevice(path, Config{Words: words, MaxClients: 8, CountAccesses: true})

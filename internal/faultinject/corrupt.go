@@ -121,7 +121,7 @@ func (f InjectedFault) String() string {
 	}
 }
 
-// wordMem is the slice of cxl.Memory the at-rest injectors need.
+// wordMem is the slice of cxl.Device the at-rest injectors need.
 type wordMem interface {
 	Load(cxl.Addr) uint64
 	Store(cxl.Addr, uint64)
@@ -133,8 +133,8 @@ type wordMem interface {
 // usable; construct with NewCorruptor.
 //
 // At-rest classes (bit-flip, torn) write the fault directly. Stuck CAS is
-// live: Arm it over the region's words and install Hook via
-// cxl.WithWriteFaults; if no CAS reaches the region before the trial ends,
+// live: Arm it over the region's words and install Hook as the device's
+// cxl.Intercept.Write; if no CAS reaches the region before the trial ends,
 // FallbackAtRest emulates the staleness after the fact so every trial
 // injects something.
 type Corruptor struct {
@@ -237,8 +237,8 @@ func (c *Corruptor) Tear(m wordMem, record []cxl.Addr) []InjectedFault {
 
 // Arm prepares live stuck-CAS injection over the given words: the next CAS
 // any client issues against one of them misbehaves. The flavor — success-lie
-// or spin-fail — is drawn from the seed. Install Hook via
-// cxl.WithWriteFaults for the arming to take effect.
+// or spin-fail — is drawn from the seed. Install Hook as the device's
+// cxl.Intercept.Write for the arming to take effect.
 func (c *Corruptor) Arm(targets []cxl.Addr) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -131,18 +131,18 @@ func TestCorruptorStuckCASLie(t *testing.T) {
 	if lier == nil {
 		t.Fatal("no seed in [0,32) draws the success-lie flavor")
 	}
-	mem := cxl.Wrap(dev, cxl.WithWriteFaults(lier.Hook))
-	if !mem.CAS(target, 5, 6) {
+	dev.SetIntercept(cxl.Intercept{Write: lier.Hook})
+	if !dev.CAS(target, 5, 6) {
 		t.Fatal("lying CAS reported failure; want success-lie")
 	}
-	if got := mem.Load(target); got != 5 {
+	if got := dev.Load(target); got != 5 {
 		t.Fatalf("word moved to %d under a success-lie; want stale 5", got)
 	}
 	if !lier.Fired() {
 		t.Fatal("live fault not recorded")
 	}
 	// The lie is one-shot: the next CAS is honest.
-	if !mem.CAS(target, 5, 6) || mem.Load(target) != 6 {
+	if !dev.CAS(target, 5, 6) || dev.Load(target) != 6 {
 		t.Fatal("hook did not return to honesty after the one-shot lie")
 	}
 }
@@ -166,11 +166,11 @@ func TestCorruptorStuckCASSpin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := cxl.Wrap(dev, cxl.WithWriteFaults(spinner.Hook))
-	mem.Store(9, 1)
+	dev.SetIntercept(cxl.Intercept{Write: spinner.Hook})
+	dev.Store(9, 1)
 	crash := Run(func() {
 		for i := 0; i < spinFailures+2; i++ {
-			if mem.CAS(9, 1, 2) {
+			if dev.CAS(9, 1, 2) {
 				t.Fatal("spinning CAS reported success")
 			}
 		}
@@ -178,7 +178,7 @@ func TestCorruptorStuckCASSpin(t *testing.T) {
 	if crash == nil || crash.Point != stuckCASSpin {
 		t.Fatalf("spin did not wedge the caller: crash=%v", crash)
 	}
-	if got := mem.Load(9); got != 1 {
+	if got := dev.Load(9); got != 1 {
 		t.Fatalf("word moved to %d under spin-fail; want stale 1", got)
 	}
 }

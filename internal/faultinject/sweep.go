@@ -13,8 +13,8 @@ import (
 // that access executes (the hook fires pre-access, so "crash at write n"
 // means writes 1..n-1 landed and write n did not).
 //
-// The sweeper's Hook method is a cxl.AccessHook; install it with
-// cxl.WithAccessHook. Sweeps are single-goroutine by construction (one
+// The sweeper's Hook method is a cxl.AccessHook; install it as the pool
+// device's cxl.Intercept.Access. Sweeps are single-goroutine by construction (one
 // scripted operation at a time), so the state is plain fields.
 type AccessSweeper struct {
 	victim int // client ID whose writes are counted; -1 matches every ID

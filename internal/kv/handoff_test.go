@@ -19,7 +19,7 @@ func newHookedPool(t *testing.T, hook func(cid int, kind cxl.AccessKind, addr cx
 		Geometry: layout.GeometryConfig{
 			MaxClients: 8, NumSegments: 32, SegmentWords: 1 << 13, PageWords: 1 << 9,
 		},
-		Middleware: []cxl.Middleware{cxl.WithAccessHook(hook)},
+		Intercept: cxl.Intercept{Access: hook},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,7 @@ import "fmt"
 // The pool superblock is the self-describing header every attach validates:
 // magic, the five geometry parameters, and the layout version. It lives in
 // the reserved low words of the pool (see Geometry), so it travels with the
-// pool itself — inside a MapDevice file or a live heap device — and a
+// pool itself — inside a pool file or a live heap device — and a
 // process attaching a pool formatted by another process (or another build)
 // can reconstruct the exact geometry or fail loudly instead of silently
 // attaching with mismatched MaxClients/segment dimensions.
@@ -65,10 +65,10 @@ type Superblock struct {
 	Version      uint64
 }
 
-// wordLoader reads pool words; cxl.Memory satisfies it.
+// wordLoader reads pool words; cxl.Device satisfies it.
 type wordLoader interface{ Load(Addr) uint64 }
 
-// wordStorer writes pool words; cxl.Memory satisfies it.
+// wordStorer writes pool words; cxl.Device satisfies it.
 type wordStorer interface{ Store(Addr, uint64) }
 
 // ReadSuperblock decodes the superblock from a live memory backend.

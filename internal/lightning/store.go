@@ -33,7 +33,7 @@ type Store struct {
 	// dev holds the object payloads: like the real Lightning, values live
 	// in shared memory (simulated device), so data accesses pay the same
 	// per-word costs as CXL-SHM's.
-	dev cxl.Memory
+	dev *cxl.Device
 
 	clients   []*Client
 	clientsMu sync.Mutex

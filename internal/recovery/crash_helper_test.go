@@ -2,8 +2,8 @@ package recovery_test
 
 // The package's one crash helper: every injected crash in these tests is
 // "the victim dies before its Nth device write", delivered from outside the
-// product by a faultinject.AccessSweeper hooked into the pool's middleware
-// stack (one sweeper per victim; hooks chain).
+// product by a faultinject.AccessSweeper installed as the pool device's
+// access hook (one sweeper per victim; chain composes them).
 
 import (
 	"fmt"
@@ -26,8 +26,21 @@ func newFault(n int) *fault {
 	return &fault{sw: faultinject.NewAccessSweeper(), n: n}
 }
 
-// hook is the middleware to build the story's pool with.
-func (f *fault) hook() cxl.Middleware { return cxl.WithAccessHook(f.sw.Hook) }
+// hook is the access hook to build the story's pool with.
+func (f *fault) hook() cxl.AccessHook { return f.sw.Hook }
+
+// chain composes access hooks into one that runs them in order; nil when
+// there are none.
+func chain(hooks ...cxl.AccessHook) cxl.AccessHook {
+	if len(hooks) == 0 {
+		return nil
+	}
+	return func(cid int, kind cxl.AccessKind, a cxl.Addr) {
+		for _, h := range hooks {
+			h(cid, kind, a)
+		}
+	}
+}
 
 // arm starts the window in which victim's writes count (victim -1: every
 // client and the management plane). The story wraps each victim action in

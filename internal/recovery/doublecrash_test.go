@@ -178,7 +178,7 @@ func runDoubleCrashTrial(t *testing.T, seed int64, fs [2]*fault) []*randomActor 
 		Geometry: layout.GeometryConfig{
 			MaxClients: 8, NumSegments: 32, SegmentWords: 1 << 13, PageWords: 1 << 9, MaxQueues: 8,
 		},
-		Middleware: []cxl.Middleware{fs[0].hook(), fs[1].hook()},
+		Intercept: cxl.Intercept{Access: chain(fs[0].hook(), fs[1].hook())},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -296,11 +296,11 @@ func TestRedoReplayOwnsTheEmbedWordItDiedIn(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var word layout.Addr // the embed word a dies before storing to
 			var victim int
-			p := newTestPool(t, cxl.WithAccessHook(func(cid int, kind cxl.AccessKind, addr cxl.Addr) {
+			p := newTestPool(t, func(cid int, kind cxl.AccessKind, addr cxl.Addr) {
 				if word != 0 && cid == victim && kind == cxl.OpStore && addr == word {
 					panic(faultinject.Crash{Point: "attach/before-modify-ref"})
 				}
-			}))
+			})
 			defer p.CloseDevice()
 			svc, err := recovery.NewService(p)
 			if err != nil {

@@ -12,7 +12,9 @@ import (
 	"repro/internal/shm"
 )
 
-func newTestPool(t *testing.T, mws ...cxl.Middleware) *shm.Pool {
+// newTestPool builds the package's standard pool, hooks (chained) observing
+// every device access.
+func newTestPool(t *testing.T, hooks ...cxl.AccessHook) *shm.Pool {
 	t.Helper()
 	p, err := shm.NewPool(shm.Config{
 		Geometry: layout.GeometryConfig{
@@ -22,7 +24,7 @@ func newTestPool(t *testing.T, mws ...cxl.Middleware) *shm.Pool {
 			PageWords:    1 << 9,
 			MaxQueues:    8,
 		},
-		Middleware: mws,
+		Intercept: cxl.Intercept{Access: chain(hooks...)},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -118,7 +118,7 @@ func hugeRecycleStory(t *testing.T, f *fault) {
 		Geometry: layout.GeometryConfig{
 			MaxClients: 4, NumSegments: 5, SegmentWords: 1 << 13, PageWords: 1 << 9, MaxQueues: 2,
 		},
-		Middleware: []cxl.Middleware{f.hook()},
+		Intercept: cxl.Intercept{Access: f.hook()},
 	})
 	if err != nil {
 		t.Fatal(err)

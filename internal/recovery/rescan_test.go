@@ -34,11 +34,11 @@ type abandoned struct {
 func newAbandoned(t *testing.T) *abandoned {
 	t.Helper()
 	f := &abandoned{}
-	f.p = newTestPool(t, cxl.WithAccessHook(func(cid int, kind cxl.AccessKind, a cxl.Addr) {
+	f.p = newTestPool(t, func(cid int, kind cxl.AccessKind, a cxl.Addr) {
 		if f.hook != nil {
 			f.hook(cid, kind, a)
 		}
-	}))
+	})
 	t.Cleanup(func() { f.p.CloseDevice() })
 	var err error
 	if f.svc, err = recovery.NewService(f.p); err != nil {

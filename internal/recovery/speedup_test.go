@@ -18,7 +18,7 @@ const speedupVictims = 8
 // timedRecovery builds a pool with speedupVictims crashed clients, each
 // owning objs objects in its own segments, and times recovering all of them
 // concurrently through a service with the given executor count. The latency
-// middleware charges a large sleep-based cost per modelled cache miss, which
+// model charges a large sleep-based cost per modelled cache miss, which
 // makes recovery latency-bound the way it is on real far memory: the sleeps
 // overlap across executors even on a single-core host, so the measured
 // speedup reflects the service's concurrency structure, not the CPU count.
@@ -32,7 +32,7 @@ func timedRecovery(t *testing.T, objs, workers int) time.Duration {
 			PageWords:    1 << 9,
 			MaxQueues:    8,
 		},
-		Middleware: []cxl.Middleware{cxl.WithLatency(cxl.Latency{MissNS: 40_000, Sleep: true})},
+		Intercept: cxl.Intercept{Latency: cxl.Latency{MissNS: 40_000, Sleep: true}},
 	})
 	if err != nil {
 		t.Fatal(err)

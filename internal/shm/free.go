@@ -49,7 +49,7 @@ func (p *Pool) FlagSegmentLeaking(seg int) {
 }
 
 // flagWriter is the write plane a flag goes through: a client's RAS-fenceable
-// Handle, or the management plane (cxl.Memory), as for telWriter.
+// Handle, or the management plane (cxl.Device), as for telWriter.
 type flagWriter interface {
 	Load(layout.Addr) uint64
 	CAS(a layout.Addr, old, new uint64) bool

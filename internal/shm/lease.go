@@ -39,7 +39,7 @@ import "repro/internal/layout"
 //
 // Acquire costs zero device accesses in the steady state: bounds come
 // from the block-meta shadow (refcache.go) and the byte window is an
-// unsafe view of the backing array (cxl.DataWindow). Wrappers are
+// unsafe view of the backing array (cxl.Device.DataWindow). Wrappers are
 // recycled through a freelist so acquire/release allocates nothing after
 // warm-up — the property the kv store's zero-alloc read path pins.
 

@@ -162,7 +162,7 @@ func TestMapPoolQueueAcrossMappings(t *testing.T) {
 func TestOpenFileRejectsForeignPools(t *testing.T) {
 	dir := t.TempDir()
 
-	// A raw MapDevice that was never formatted as a pool.
+	// A raw pool file that was never formatted as a pool.
 	blank := filepath.Join(dir, "blank.cxl")
 	md, err := cxl.CreateMapDevice(blank, cxl.Config{Words: 1 << 12, MaxClients: 4})
 	if err != nil {
@@ -432,8 +432,8 @@ func TestBackendSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cxl.Bottom(p.Device()).(*cxl.MapDevice); !ok {
-		t.Fatalf("Backend mmap built %T", cxl.Bottom(p.Device()))
+	if got := shm.BackendName(p.Device()); got != "mmap" {
+		t.Fatalf("Backend mmap built a %s device", got)
 	}
 	c := connect(t, p)
 	r, _, err := c.Malloc(64, 0)

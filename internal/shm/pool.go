@@ -20,9 +20,6 @@ const BackendEnv = "CXLSHM_BACKEND"
 type Config struct {
 	// Geometry selects pool dimensions; zero fields take defaults.
 	Geometry layout.GeometryConfig
-	// Latency optionally enables the device latency model (stacked as
-	// cxl.WithLatency middleware over the backend).
-	Latency cxl.Latency
 	// CountAccesses enables the device's per-access statistics (loads,
 	// stores, CAS). Counting is handle-local and merged on read, so it no
 	// longer serializes concurrent clients; still, keep it off for pure
@@ -31,37 +28,37 @@ type Config struct {
 
 	// Backend selects the device backend: "heap" (default) keeps the pool
 	// in process memory; "mmap" backs it with an unlinked temporary file
-	// through cxl.MapDevice (same data path as File, nothing left on
-	// disk). Empty consults BackendEnv, then defaults to "heap".
+	// through cxl.NewAnonMapDevice (same data path as File, nothing left
+	// on disk). Empty consults BackendEnv, then defaults to "heap".
 	Backend string
 	// File, when set, backs the pool with the mmap'd file at this path
 	// (created, must not exist — see cxl.CreateMapDevice). The pool then
 	// outlives this process: reopen it with OpenFile.
 	File string
-	// Middleware is stacked over the backend (innermost first) before any
-	// client or the recovery service touches it.
-	Middleware []cxl.Middleware
+	// Intercept is set on the device before any client or the recovery
+	// service touches it: the latency model, an access hook, write faults.
+	Intercept cxl.Intercept
 }
 
 // Pool is a formatted CXL-SHM shared memory pool: a device backend plus its
 // geometry. Clients Connect to a Pool; the recovery service operates on it
 // directly.
 type Pool struct {
-	dev cxl.Memory
+	dev *cxl.Device
 	geo *layout.Geometry
 	obs *obs.Registry
 	tel *Telemetry
 }
 
-// newPoolAround assembles a Pool over an already-built (wrapped) device. The
+// newPoolAround assembles a Pool over an already-built device. The
 // metrics registry has shard 0 for pool-level and recovery-service
 // accounting and shards 1..MaxClients per client ID.
-func newPoolAround(dev cxl.Memory, geo *layout.Geometry) *Pool {
+func newPoolAround(dev *cxl.Device, geo *layout.Geometry) *Pool {
 	return &Pool{dev: dev, geo: geo, obs: obs.NewRegistry(geo.MaxClients + 1), tel: NewTelemetry(dev, geo)}
 }
 
 // newBackend builds the device backend cfg selects for geo.
-func newBackend(cfg Config, geo *layout.Geometry) (cxl.Memory, error) {
+func newBackend(cfg Config, geo *layout.Geometry) (*cxl.Device, error) {
 	devCfg := cxl.Config{
 		Words:         int(geo.TotalWords),
 		MaxClients:    geo.MaxClients + 1, // +1: the recovery service connects as a client too
@@ -84,25 +81,18 @@ func newBackend(cfg Config, geo *layout.Geometry) (cxl.Memory, error) {
 	}
 }
 
-// wrap stacks the configured middleware (and latency profile) over mem.
-func wrap(cfg Config, mem cxl.Memory) cxl.Memory {
-	if cfg.Latency != (cxl.Latency{}) {
-		mem = cxl.Wrap(mem, cxl.WithLatency(cfg.Latency))
-	}
-	return cxl.Wrap(mem, cfg.Middleware...)
-}
-
 // NewPool creates and formats a shared pool on the configured backend.
 func NewPool(cfg Config) (*Pool, error) {
 	geo, err := layout.NewGeometry(cfg.Geometry)
 	if err != nil {
 		return nil, err
 	}
-	mem, err := newBackend(cfg, geo)
+	dev, err := newBackend(cfg, geo)
 	if err != nil {
 		return nil, err
 	}
-	p := newPoolAround(wrap(cfg, mem), geo)
+	dev.SetIntercept(cfg.Intercept)
+	p := newPoolAround(dev, geo)
 	p.format()
 	return p, nil
 }
@@ -126,11 +116,11 @@ func (p *Pool) format() {
 }
 
 // AttachMemory attaches a pool that already lives on mem — typically a
-// cxl.MapDevice reopened by a fresh process. The superblock is validated
-// (magic, layout version, geometry) before anything touches the pool; on
-// mismatch the pool is left untouched and a descriptive error returned.
-// Middleware, if any, is stacked over mem.
-func AttachMemory(mem cxl.Memory, mws ...cxl.Middleware) (*Pool, error) {
+// pool file reopened by a fresh process (cxl.OpenMapDevice). The superblock
+// is validated (magic, layout version, geometry) before anything touches the
+// pool; on mismatch the pool is left untouched and a descriptive error
+// returned.
+func AttachMemory(mem *cxl.Device) (*Pool, error) {
 	geo, err := layout.ReadSuperblock(mem).Geometry()
 	if err != nil {
 		return nil, fmt.Errorf("shm: %w", err)
@@ -141,19 +131,19 @@ func AttachMemory(mem cxl.Memory, mws ...cxl.Middleware) (*Pool, error) {
 	if got, want := mem.MaxClients(), geo.MaxClients+1; got < want {
 		return nil, fmt.Errorf("shm: backend supports %d client IDs, geometry needs %d", got, want)
 	}
-	return newPoolAround(cxl.Wrap(mem, mws...), geo), nil
+	return newPoolAround(mem, geo), nil
 }
 
 // OpenFile maps the pool file at path (created by a NewPool with
 // Config.File, possibly by another OS process) and attaches it — alive, no
 // copy. The previous owner's clients come back exactly as they were;
 // recover the stale ones before connecting new clients.
-func OpenFile(path string, mws ...cxl.Middleware) (*Pool, error) {
+func OpenFile(path string) (*Pool, error) {
 	md, err := cxl.OpenMapDevice(path)
 	if err != nil {
 		return nil, err
 	}
-	p, err := AttachMemory(md, mws...)
+	p, err := AttachMemory(md)
 	if err != nil {
 		md.Close()
 		return nil, err
@@ -201,16 +191,16 @@ func (p *Pool) StaleClients() []int {
 	return out
 }
 
-// Device exposes the underlying device backend (recovery, validation,
-// benchmarks).
-func (p *Pool) Device() cxl.Memory { return p.dev }
+// Device exposes the underlying device (recovery, validation, benchmarks).
+func (p *Pool) Device() *cxl.Device { return p.dev }
 
 // DataWindow returns a zero-copy byte view of nbytes starting at word a,
-// or nil when the backend cannot alias its memory (see cxl.DataWindow).
+// or nil when the device cannot alias its memory (see
+// cxl.Device.DataWindow).
 // The shm-level discipline — data words of referenced blocks only — is
 // enforced by the lease layer (lease.go), the only intended caller.
 func (p *Pool) DataWindow(a layout.Addr, nbytes int) []byte {
-	return cxl.DataWindow(p.dev, a, nbytes)
+	return p.dev.DataWindow(a, nbytes)
 }
 
 // Obs exposes the pool's in-process metrics registry.

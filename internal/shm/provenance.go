@@ -20,15 +20,11 @@ func (p *Pool) Provenance(tool string) *obs.Provenance {
 	return prov
 }
 
-// BackendName identifies the device backend at the bottom of a (possibly
-// middleware-wrapped) memory stack.
-func BackendName(dev cxl.Memory) string {
-	switch cxl.Bottom(dev).(type) {
-	case *cxl.MapDevice:
+// BackendName identifies the device backend: "mmap" for a file-backed
+// device, "heap" otherwise.
+func BackendName(dev *cxl.Device) string {
+	if dev.Path() != "" {
 		return "mmap"
-	case *cxl.Device:
-		return "heap"
-	default:
-		return "custom"
 	}
+	return "heap"
 }

@@ -319,12 +319,12 @@ func TestScanSegmentAllocatesNothing(t *testing.T) {
 
 // peerHeldBlock builds the set-up of the live-freeer tests: a block in owner's
 // segment on which peer holds the last reference (through root), and an idle
-// executor x.
-func peerHeldBlock(t *testing.T, mws ...cxl.Middleware) (p *shm.Pool, owner, peer, x *shm.Client, root, block layout.Addr) {
+// executor x. hook, if not nil, observes every device access.
+func peerHeldBlock(t *testing.T, hook cxl.AccessHook) (p *shm.Pool, owner, peer, x *shm.Client, root, block layout.Addr) {
 	t.Helper()
 	p, err := shm.NewPool(shm.Config{
-		Geometry:   layout.GeometryConfig{MaxClients: 8, NumSegments: 16, SegmentWords: 1 << 13, PageWords: 1 << 9, MaxQueues: 8},
-		Middleware: mws,
+		Geometry:  layout.GeometryConfig{MaxClients: 8, NumSegments: 16, SegmentWords: 1 << 13, PageWords: 1 << 9, MaxQueues: 8},
+		Intercept: cxl.Intercept{Access: hook},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -355,12 +355,12 @@ func TestDeadOwnerScanWaitsForLivePush(t *testing.T) {
 	var between func()
 	var freeer int
 	var cf layout.Addr
-	p, owner, peer, x, root, block := peerHeldBlock(t, cxl.WithAccessHook(func(cid int, kind cxl.AccessKind, a cxl.Addr) {
+	p, owner, peer, x, root, block := peerHeldBlock(t, func(cid int, kind cxl.AccessKind, a cxl.Addr) {
 		if f := between; f != nil && cid == freeer && kind == cxl.OpLoad && a == cf {
 			between = nil
 			f()
 		}
-	}))
+	})
 	seg := p.Geometry().SegmentIndexOf(block)
 	freeer, cf = peer.ID(), p.Geometry().SegClientFreeAddr(seg)
 	between = func() {
@@ -397,7 +397,7 @@ func TestDeadOwnerScanWaitsForLivePush(t *testing.T) {
 // page lists too, or the segment would stay pending for as long as the freeer
 // lives.
 func TestDeadOwnerScanFindsCollectedPush(t *testing.T) {
-	p, owner, peer, x, root, block := peerHeldBlock(t)
+	p, owner, peer, x, root, block := peerHeldBlock(t, nil)
 	if freed, err := peer.ReleaseRoot(root); err != nil || !freed {
 		t.Fatalf("ReleaseRoot: freed=%v err=%v", freed, err)
 	}

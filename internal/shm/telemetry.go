@@ -35,19 +35,19 @@ import (
 //   - Ring records are claimed with a CAS fetch-add and made visible by
 //     writing their commit word last.
 type Telemetry struct {
-	dev cxl.Memory
+	dev *cxl.Device
 	geo *layout.Geometry
 }
 
 // NewTelemetry wraps a telemetry view over a device + geometry. Pools
 // construct their own (Pool.Telemetry); tools attaching read-only use
 // this directly.
-func NewTelemetry(dev cxl.Memory, geo *layout.Geometry) *Telemetry {
+func NewTelemetry(dev *cxl.Device, geo *layout.Geometry) *Telemetry {
 	return &Telemetry{dev: dev, geo: geo}
 }
 
 // telWriter is the write plane a publication goes through: a client's
-// RAS-fenceable Handle, or the management plane (cxl.Memory) for stamps
+// RAS-fenceable Handle, or the management plane (cxl.Device) for stamps
 // by the monitor/recovery side.
 type telWriter interface {
 	Load(layout.Addr) uint64

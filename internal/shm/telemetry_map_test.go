@@ -3,7 +3,10 @@
 package shm_test
 
 import (
+	"fmt"
 	"path/filepath"
+	"runtime/debug"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -84,7 +87,7 @@ func TestTelemetryReadOnlyAttach(t *testing.T) {
 	}
 	defer ro.CloseDevice()
 	if got := shm.BackendName(ro.Device()); got != "mmap" {
-		t.Errorf("read-only attach backend = %q, want mmap (wrapper must unwrap)", got)
+		t.Errorf("read-only attach backend = %q, want mmap", got)
 	}
 	if err := ro.Telemetry().Validate(); err != nil {
 		t.Fatal(err)
@@ -98,29 +101,28 @@ func TestTelemetryReadOnlyAttach(t *testing.T) {
 		t.Errorf("read-only snapshot holds %d client blocks, want 1", len(snap.Clients))
 	}
 
-	// Any write path through the read-only mapping must panic, not store.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("store through read-only mapping did not panic")
-			}
+	// Every write path through the read-only mapping must panic by name —
+	// at a valid in-pool address, so that neither the wild-address check nor
+	// the MMU can stand in for the read-only guard. With panic-on-fault, a
+	// missing guard shows as a fault that does not name the mapping.
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	denied := func(what string, f func()) {
+		t.Helper()
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			f()
+			return
 		}()
-		ro.Device().Store(0, 1)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("telemetry write through read-only mapping did not panic")
-			}
-		}()
-		ro.Telemetry().PoolAdd(obs.CtrMonitorTick, 1)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Connect on a read-only pool did not panic")
-			}
-		}()
-		ro.Connect()
-	}()
+		if !strings.Contains(msg, "read-only pool mapping") {
+			t.Errorf("%s through a read-only mapping: panic %q, want one naming the read-only mapping", what, msg)
+		}
+	}
+	dev, a := ro.Device(), ro.Geometry().ClientStatusAddr(cid)
+	denied("Store", func() { dev.Store(a, 1) })
+	denied("CAS", func() { dev.CAS(a, dev.Load(a), 1) })
+	denied("FenceClient", func() { dev.FenceClient(cid) })
+	denied("UnfenceClient", func() { dev.UnfenceClient(cid) })
+	denied("Open", func() { dev.Open(cid) })
+	denied("telemetry write", func() { ro.Telemetry().PoolAdd(obs.CtrMonitorTick, 1) })
+	denied("Connect", func() { ro.Connect() })
 }

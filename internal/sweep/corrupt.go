@@ -228,7 +228,7 @@ func runCorruptTrial(cfg CorruptConfig, region faultinject.Region, class faultin
 	}
 
 	corr := faultinject.NewCorruptor(region, class, seed)
-	e, err := setupWith(cfg.Backend, 0, []cxl.Middleware{cxl.WithWriteFaults(corr.Hook)})
+	e, err := setupWith(cfg.Backend, 0, cxl.Intercept{Write: corr.Hook})
 	if err != nil {
 		return trial, err
 	}

@@ -542,16 +542,16 @@ func positions(w, cap int) []int {
 // Connection order is fixed (x=1, o=2, executor=3) so write counts are
 // reproducible.
 func setup(backend string, clients int, sw *faultinject.AccessSweeper) (*env, error) {
-	return setupWith(backend, clients, []cxl.Middleware{cxl.WithAccessHook(sw.Hook)})
+	return setupWith(backend, clients, cxl.Intercept{Access: sw.Hook})
 }
 
-// setupWith is setup with an arbitrary middleware stack — the corruption
+// setupWith is setup with an arbitrary device intercept — the corruption
 // campaign swaps the access sweeper for the write-fault corruptor.
-func setupWith(backend string, clients int, mws []cxl.Middleware) (*env, error) {
+func setupWith(backend string, clients int, ic cxl.Intercept) (*env, error) {
 	p, err := shm.NewPool(shm.Config{
-		Geometry:   geometry(clients),
-		Backend:    backend,
-		Middleware: mws,
+		Geometry:  geometry(clients),
+		Backend:   backend,
+		Intercept: ic,
 	})
 	if err != nil {
 		return nil, err
