@@ -147,11 +147,15 @@ dep-guard:
 # backends, the telemetry delta-publication pin under the race detector on both
 # backends, the zero-allocation fast-path pin on both backends, the kv
 # read-during-delete contract (race detector on heap, once on mmap),
-# three race passes over the in-process serving chaos, ten seconds of fuzzing
-# each on the two byte parsers a peer can reach (netrpc frames, serving
-# requests), the mmap-backend suite, the exhaustive
-# crash sweep (plus a bounded leg at 64-client geometry), the
-# cxltop/cxlsnap observer smoke, and the
+# three race passes over the in-process serving chaos, a race pass over the
+# wire layer (a goroutine per connection, parsing what a peer sends) and the
+# device package, ten seconds of fuzzing each on the two byte parsers a peer
+# can reach (netrpc frames, serving requests) and on the device's word-at-a-
+# time byte copies against their byte-loop reference (the frame fuzzer's
+# minimization is capped at 2 s: its corpus holds a frame over 4 KiB, and
+# minimizing a new input that size would otherwise eat the whole budget),
+# the mmap-backend suite, the exhaustive crash sweep (plus a bounded leg at
+# 64-client geometry), the cxltop/cxlsnap observer smoke, and the
 # serving-tier chaos smoke on both worker backends.
 ci: fmt-check vet build test benchmark-check dep-guard inline-check
 	$(GO) test -race -run 'TestDeviceAccessBudget|TestClientScaling|TestQueue' ./internal/shm
@@ -167,8 +171,10 @@ ci: fmt-check vet build test benchmark-check dep-guard inline-check
 	$(GO) test -race -run TestConcurrentReadDuringDelete ./internal/kv
 	CXLSHM_BACKEND=mmap $(GO) test -run TestConcurrentReadDuringDelete ./internal/kv
 	$(GO) test -race -count=3 -run TestChaosInProcess ./internal/serving
-	$(GO) test -run xxx -fuzz FuzzServeFrame -fuzztime 10s ./internal/netrpc
+	$(GO) test -race ./internal/netrpc ./internal/cxl
+	$(GO) test -run xxx -fuzz FuzzServeFrame -fuzztime 10s -fuzzminimizetime 2s ./internal/netrpc
 	$(GO) test -run xxx -fuzz FuzzDispatch -fuzztime 10s ./internal/serving
+	$(GO) test -run xxx -fuzz FuzzDeviceBytes -fuzztime 10s ./internal/cxl
 	$(MAKE) test-mmap
 	$(MAKE) sweep
 	$(MAKE) corrupt

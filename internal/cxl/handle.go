@@ -1,6 +1,9 @@
 package cxl
 
-import "sync/atomic"
+import (
+	"encoding/binary"
+	"sync/atomic"
+)
 
 // Handle is one client's view of a Device. It is the only path client code
 // may use to access shared memory: RAS fencing, the device's Intercept and
@@ -216,68 +219,70 @@ func (h *Handle) chargeAccess(a Addr, cas bool) {
 	}
 }
 
-// ReadBytes copies n bytes starting at byte offset off within the object at
-// word address a into p. Word loads are atomic; byte extraction is
+// ReadBytes copies len(p) bytes starting at byte offset off (>= 0) within
+// the object at word address a into p, a word at a time: one atomic load per
+// word the range touches, in address order, each word laid out
 // little-endian, matching how a real CXL device presents memory to x86
-// hosts. Whole interior words are read with a single load.
+// hosts. A whole word goes straight into p; a partial word at either edge
+// contributes only the bytes the range covers.
 func (h *Handle) ReadBytes(a Addr, off int, p []byte) {
-	i := 0
-	for i < len(p) {
-		byteIdx := off + i
-		wordOff := byteIdx % WordBytes
-		wa := a + Addr(byteIdx/WordBytes)
-		w := h.Load(wa)
-		if wordOff == 0 && len(p)-i >= WordBytes {
-			// Full-word fast path.
-			for k := 0; k < WordBytes; k++ {
-				p[i+k] = byte(w >> (8 * k))
-			}
-			i += WordBytes
-			continue
-		}
-		n := WordBytes - wordOff
-		if n > len(p)-i {
-			n = len(p) - i
-		}
-		for k := 0; k < n; k++ {
-			p[i+k] = byte(w >> (8 * (wordOff + k)))
-		}
-		i += n
+	if len(p) == 0 {
+		return
+	}
+	a += Addr(off / WordBytes)
+	if at := off % WordBytes; at != 0 {
+		p = p[h.loadPart(a, at, p):]
+		a++
+	}
+	for len(p) >= WordBytes {
+		binary.LittleEndian.PutUint64(p, h.Load(a))
+		p = p[WordBytes:]
+		a++
+	}
+	if len(p) > 0 {
+		h.loadPart(a, 0, p)
 	}
 }
 
-// WriteBytes stores p at byte offset off within the object at word address
-// a. Whole interior words are written with single stores; partial edge words
-// use read-modify-write (non-atomic with respect to concurrent writers of
-// the same word, exactly like real shared memory).
+// WriteBytes stores p at byte offset off (>= 0) within the object at word
+// address a, a word at a time, in address order: one store per whole word,
+// and a read-modify-write (a load, then a store) for a partial word at
+// either edge. The read-modify-write is not atomic with respect to
+// concurrent writers of the same word, exactly like real shared memory.
 func (h *Handle) WriteBytes(a Addr, off int, p []byte) {
-	i := 0
-	for i < len(p) {
-		byteIdx := off + i
-		wordOff := byteIdx % WordBytes
-		wa := a + Addr(byteIdx/WordBytes)
-		if wordOff == 0 && len(p)-i >= WordBytes {
-			// Full-word fast path.
-			var w uint64
-			for k := 0; k < WordBytes; k++ {
-				w |= uint64(p[i+k]) << (8 * k)
-			}
-			h.Store(wa, w)
-			i += WordBytes
-			continue
-		}
-		// Partial word: read-modify-write.
-		w := h.Load(wa)
-		n := WordBytes - wordOff
-		if n > len(p)-i {
-			n = len(p) - i
-		}
-		for k := 0; k < n; k++ {
-			shift := 8 * (wordOff + k)
-			w &^= uint64(0xff) << shift
-			w |= uint64(p[i+k]) << shift
-		}
-		h.Store(wa, w)
-		i += n
+	if len(p) == 0 {
+		return
 	}
+	a += Addr(off / WordBytes)
+	if at := off % WordBytes; at != 0 {
+		p = p[h.storePart(a, at, p):]
+		a++
+	}
+	for len(p) >= WordBytes {
+		h.Store(a, binary.LittleEndian.Uint64(p))
+		p = p[WordBytes:]
+		a++
+	}
+	if len(p) > 0 {
+		h.storePart(a, 0, p)
+	}
+}
+
+// loadPart copies the bytes of word a from byte at onwards into the head of
+// p, as many as fit, and returns how many it copied.
+func (h *Handle) loadPart(a Addr, at int, p []byte) int {
+	var w [WordBytes]byte
+	binary.LittleEndian.PutUint64(w[:], h.Load(a))
+	return copy(p, w[at:])
+}
+
+// storePart overwrites the bytes of word a from byte at onwards with the
+// head of p, as many as fit, by read-modify-write, and returns how many it
+// stored.
+func (h *Handle) storePart(a Addr, at int, p []byte) int {
+	var w [WordBytes]byte
+	binary.LittleEndian.PutUint64(w[:], h.Load(a))
+	n := copy(w[at:], p)
+	h.Store(a, binary.LittleEndian.Uint64(w[:]))
+	return n
 }

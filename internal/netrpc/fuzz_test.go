@@ -32,6 +32,7 @@ func FuzzServeFrame(f *testing.F) {
 	f.Add(frame(2, 1<<30, []byte("lying length")))
 	f.Add(frame(2, errFlag|8, make([]byte, 8)))
 	f.Add(frame(13, 4, []byte("oops")))
+	f.Add(frame(4, maxPayload, bytes.Repeat([]byte{0x5C}, maxPayload))) // longer than 4 KiB
 	f.Add(get[:7])
 	f.Add(put[:30])
 

@@ -47,6 +47,13 @@ const DefaultMaxPayload = 16 << 20
 // must keep it clear, which also caps legal payloads below 2 GiB.
 const errFlag = 1 << 31
 
+// frameHeader is a frame header's size: function id, then payload length.
+const frameHeader = 12
+
+// clientReadBuf sizes a client's receive buffer: a response of up to 16 KiB
+// (a 64-record SCAN reply is 4.6 KiB) that has arrived is read in one read.
+const clientReadBuf = frameHeader + 16<<10
+
 // maxRetained caps the frame buffer a connection keeps between frames, so
 // one 16 MiB frame does not pin 16 MiB on every idle connection after it.
 const maxRetained = 64 << 10
@@ -167,18 +174,48 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// srvConn is one served connection: its buffered ends and the header and
-// request buffers every frame on it reuses.
-type srvConn struct {
+// end is one side of a connection: its buffered reader and writer, and the
+// header and write vector every frame through it reuses (locals would escape
+// to the heap, through the connection's io.Writer, on every frame).
+type end struct {
 	conn net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
-	hdr  [12]byte
-	buf  []byte
+	hdr  [frameHeader]byte // the frame header in flight, either direction
+	vec  [2][]byte
+	bufs net.Buffers
+}
+
+// writeFrame gives one frame to the connection in one write, so the peer
+// never wakes for half of it. A frame that fits the writer's free space is
+// copied into it and flushed; a larger one goes out as header and payload in
+// one vectored write (a writev on a socket), with no copy.
+func (e *end) writeFrame(fn uint64, n uint32, payload []byte) error {
+	binary.LittleEndian.PutUint64(e.hdr[0:8], fn)
+	binary.LittleEndian.PutUint32(e.hdr[8:12], n)
+	if frameHeader+len(payload) <= e.w.Available() {
+		// Neither write can flush, and an earlier write error sticks in
+		// the writer: Flush reports it.
+		e.w.Write(e.hdr[:])
+		e.w.Write(payload)
+		return e.w.Flush()
+	}
+	e.vec = [2][]byte{e.hdr[:], payload}
+	e.bufs = e.vec[:]
+	_, err := e.bufs.WriteTo(e.conn)
+	e.vec[1] = nil // an unsent tail must not pin the payload
+	return err
+}
+
+// srvConn is one served connection: its end and the request buffer every
+// frame on it reuses.
+type srvConn struct {
+	end
+	buf []byte
 }
 
 func (s *Server) serveConn(conn net.Conn) {
-	sc := &srvConn{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
+	sc := &srvConn{end: end{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}}
 	maxPayload := s.cfg.maxPayload()
 	for {
 		// Waiting for the next request is legitimate idleness, bounded
@@ -243,22 +280,7 @@ func (s *Server) writeResp(sc *srvConn, fn uint64, payload []byte, isErr bool) b
 	if isErr {
 		n |= errFlag
 	}
-	return writeFrame(sc.w, &sc.hdr, fn, n, payload) == nil
-}
-
-// writeFrame writes one frame through w in one piece. hdr is the
-// connection's own header scratch: a local one escapes to the heap, through
-// the writer's io.Writer, on every frame.
-func writeFrame(w *bufio.Writer, hdr *[12]byte, fn uint64, n uint32, payload []byte) error {
-	binary.LittleEndian.PutUint64(hdr[0:8], fn)
-	binary.LittleEndian.PutUint32(hdr[8:12], n)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	return w.Flush()
+	return sc.writeFrame(fn, n, payload) == nil
 }
 
 // Close stops the server and waits for connections to drain.
@@ -282,13 +304,10 @@ func (s *Server) Close() error {
 // serialized internally, so a Client may be shared across goroutines —
 // though each caller then waits its turn on the single in-flight frame.
 type Client struct {
-	mu   sync.Mutex
-	conn net.Conn
-	cfg  Config
-	r    *bufio.Reader
-	w    *bufio.Writer
-	hdr  [12]byte // the frame header in flight, either direction
-	err  error    // first transport error: the stream is out of step for good
+	mu sync.Mutex
+	end
+	cfg Config
+	err error // first transport error: the stream is out of step for good
 }
 
 // Dial connects to a server with the zero Config.
@@ -302,7 +321,13 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, cfg: cfg, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
+	return newClient(conn, cfg), nil
+}
+
+// newClient wraps an established connection. Its reader is sized so that a
+// response of up to 16 KiB that has arrived whole is taken in one read.
+func newClient(conn net.Conn, cfg Config) *Client {
+	return &Client{end: end{conn: conn, r: bufio.NewReaderSize(conn, clientReadBuf), w: bufio.NewWriter(conn)}, cfg: cfg}
 }
 
 // Call sends fn with payload and returns the response payload, a fresh
@@ -325,7 +350,7 @@ func (c *Client) Call(fn uint64, payload []byte) ([]byte, error) {
 	if c.cfg.WriteTimeout > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
 	}
-	if err := writeFrame(c.w, &c.hdr, fn, uint32(len(payload)), payload); err != nil {
+	if err := c.writeFrame(fn, uint32(len(payload)), payload); err != nil {
 		return c.fail(err)
 	}
 	if c.cfg.ReadTimeout > 0 {

@@ -144,9 +144,11 @@ func (p *Pool) Connect() (*Client, error) {
 	prev := uint32(p.dev.Load(geo.EraAddr(cid, cid)))
 	c.era = prev + 1
 	c.h.Store(geo.EraAddr(cid, cid), uint64(c.era))
-	// Continue the shard's published totals too: a reused slot publishes
-	// cumulative counts, so pool-wide counters stay monotonic across client
-	// incarnations.
+	// Continue this Pool's in-heap metrics shard for the cid, which outlives
+	// the Client: a slot re-leased through the same Pool publishes counts
+	// cumulative over its incarnations. A new process, or a new Pool on the
+	// same file, starts from a fresh registry (newPoolAround), so its first
+	// lessee of the slot publishes from zero.
 	for i := range c.loc {
 		c.loc[i] = c.mx.Get(obs.Counter(i))
 	}
