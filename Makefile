@@ -148,8 +148,10 @@ dep-guard:
 # backends, the zero-allocation fast-path pin on both backends, the kv
 # read-during-delete contract (race detector on heap, once on mmap),
 # three race passes over the in-process serving chaos, a race pass over the
-# wire layer (a goroutine per connection, parsing what a peer sends) and the
-# device package, ten seconds of fuzzing each on the two byte parsers a peer
+# monitor (its ticker, per-client recovery dispatch writing the detector rows,
+# and the concurrent passes its maintenance scans overlap), a race pass over
+# the wire layer (a goroutine per connection, parsing what a peer sends) and
+# the device package, ten seconds of fuzzing each on the two byte parsers a peer
 # can reach (netrpc frames, serving requests) and on the device's word-at-a-
 # time byte copies against their byte-loop reference (the frame fuzzer's
 # minimization is capped at 2 s: its corpus holds a frame over 4 KiB, and
@@ -171,6 +173,7 @@ ci: fmt-check vet build test benchmark-check dep-guard inline-check
 	$(GO) test -race -run TestConcurrentReadDuringDelete ./internal/kv
 	CXLSHM_BACKEND=mmap $(GO) test -run TestConcurrentReadDuringDelete ./internal/kv
 	$(GO) test -race -count=3 -run TestChaosInProcess ./internal/serving
+	$(GO) test -race -run 'Monitor|ConcurrentTicks|ConcurrentPasses|AbandonedSegment' ./internal/recovery
 	$(GO) test -race ./internal/netrpc ./internal/cxl
 	$(GO) test -run xxx -fuzz FuzzServeFrame -fuzztime 10s -fuzzminimizetime 2s ./internal/netrpc
 	$(GO) test -run xxx -fuzz FuzzDispatch -fuzztime 10s ./internal/serving

@@ -218,9 +218,8 @@ func printChaos(r *serving.ChaosResult) {
 	}
 	if r.Killed {
 		fmt.Printf("  chaos: worker %d (cid %d) killed mid-traffic\n", r.VictimWorker, r.VictimCID)
-		fmt.Printf("    detect→recovered %v (telemetry %v)  takeover %v  disruption %v\n",
-			fmtNS(r.DetectToRecoveredNS), fmtNS(r.TimelineDetectToRecNS),
-			fmtNS(r.TakeoverNS), fmtNS(r.DisruptionNS))
+		fmt.Printf("    detect→recovered %v  takeover %v  disruption %v\n",
+			fmtNS(r.DetectToRecoveredNS), fmtNS(r.TakeoverNS), fmtNS(r.DisruptionNS))
 		fmt.Printf("    window p99 %v  victim errors %d  stalled writes %d  rerouted %d\n",
 			fmtNS(r.WindowP99NS), r.VictimErrors, r.StalledWrites, r.Rerouted)
 	}

@@ -254,16 +254,19 @@ func (p *Pool) Usage() shm.Usage { return p.p.Usage() }
 
 // Stats is a point-in-time observability snapshot of a pool: occupancy,
 // aggregated hot-path counters and latency histograms (summed over all
-// client shards), and the monitor's fencing and recovery history —
-// including every failed recovery attempt and each completed recovery's
-// detection-to-recovered duration (the recovery-time SLO).
+// client shards), every client slot's recovery timeline, and the monitor's
+// failed duties. The timelines are read from the pool, the only record of
+// fences and recoveries: each shows the slot's latest death (reason,
+// detection-to-recovered duration — the recovery-time SLO) and its death
+// and recovery counts, whoever recovered it — this pool's monitor,
+// Pool.Recover, another process or a restarted monitor. Failures carry the
+// Go errors of this pool's monitor, when one runs.
 type Stats struct {
 	Usage      shm.Usage                        `json:"usage"`
 	Counters   map[string]uint64                `json:"counters"`
 	Histograms map[string]obs.HistogramSnapshot `json:"histograms"`
-	Fences     []recovery.FenceRecord           `json:"fences,omitempty"`
+	Timelines  []shm.TelemetryTimeline          `json:"timelines,omitempty"`
 	Failures   []recovery.RecoveryFailure       `json:"recovery_failures,omitempty"`
-	Recoveries []recovery.RecoveryRecord        `json:"recoveries,omitempty"`
 }
 
 // Stats aggregates the pool's sharded metrics into one snapshot. Safe to call
@@ -274,23 +277,12 @@ func (p *Pool) Stats() Stats {
 		Usage:      p.p.Usage(),
 		Counters:   snap.Counters,
 		Histograms: snap.Histograms,
+		Timelines:  p.p.Telemetry().Snapshot().Timelines,
 	}
 	if p.mon != nil {
-		st.Fences = p.mon.Fences()
 		st.Failures = p.mon.Failures()
-		st.Recoveries = p.mon.Recoveries()
 	}
 	return st
-}
-
-// LastRecovery returns the most recent completed recovery (with its
-// detection-to-recovered duration) and false if the monitor has not
-// completed any, or was never started.
-func (p *Pool) LastRecovery() (recovery.RecoveryRecord, bool) {
-	if p.mon == nil {
-		return recovery.RecoveryRecord{}, false
-	}
-	return p.mon.LastRecovery()
 }
 
 // TraceEvents returns the pool's recovery-lifecycle event trace (client

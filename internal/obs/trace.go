@@ -22,7 +22,7 @@ const (
 	_                                       // 5, 6: retired segment-scan events
 	_
 	EvRedoReplayed   // interrupted txn replayed; A = redo op, B = deciding condition (1/2)
-	EvRecoveryFailed // RecoverClient errored; A = failed attempts so far for Client
+	EvRecoveryFailed // RecoverClient errored; A = failed attempts of Client's current death so far
 	EvRepairApplied  // fsck repaired the pool; A = issues found, B = actions applied
 	EvRepairFailed   // a maintenance scan failed; A = failed attempts, Segment = the segment
 )

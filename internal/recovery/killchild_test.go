@@ -153,9 +153,11 @@ func TestKillChildCrossProcess(t *testing.T) {
 	if tl.SweptRoots == 0 {
 		t.Error("child died holding roots but the timeline records none swept")
 	}
-	recs := mon.Recoveries()
-	if len(recs) != 1 || recs[0].Client != cid || recs[0].Duration <= 0 {
-		t.Errorf("Recoveries() = %+v, want one positive-duration record for client %d", recs, cid)
+	if tl.Deaths != 1 || tl.Completed != 1 {
+		t.Errorf("timeline deaths=%d completed=%d, want 1/1", tl.Deaths, tl.Completed)
+	}
+	if fs := fences(p, cid); len(fs) != 1 || obs.FenceReason(fs[0].A) != obs.FenceHeartbeat {
+		t.Errorf("fence events %+v, want exactly one, heartbeat-timeout", fs)
 	}
 }
 

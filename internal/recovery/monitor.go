@@ -41,49 +41,22 @@ type Monitor struct {
 	interval time.Duration
 	// missed heartbeats (in intervals) before a client is declared dead.
 	threshold int
-	// execIDs marks the service's executor slots: skipped during heartbeat
-	// scanning (idle pooled executors do not beat).
-	execIDs map[int]bool
 
 	// tickMu serializes Ticks, which own beats, the heartbeat scan's buffer,
 	// for their whole duration.
 	tickMu sync.Mutex
 	beats  []beatObs
 
+	// mu guards the detector state: one row per client slot (indexed by
+	// cid) and one per segment, sized from the geometry. The monitor keeps
+	// no history: every fence and recovery is on the pool's per-slot
+	// timeline and in its event ring, where a restarted monitor, Pool.Recover
+	// and other processes see them too.
 	mu       sync.Mutex
-	lastBeat map[int]uint64
-	seen     map[int]bool // cid has had lastBeat seeded this incarnation
-	misses   map[int]int
-	// firstMiss records when cid's heartbeat was first observed stalled
-	// (unix ns) — the detection timepoint the recovery-time SLO is measured
-	// from. Cleared when the beat advances.
-	firstMiss  map[int]int64
-	reports    []Report
-	fences     []FenceRecord
-	failures   []RecoveryFailure
-	recoveries []RecoveryRecord
-	// deadSeen marks dead clients whose fence has already been recorded, so
-	// a client stuck in ClientDead (recovery erroring) yields one FenceRecord,
-	// not one per tick. Cleared when the slot re-enters ClientAlive.
-	deadSeen map[int]bool
-	// backoff/nextTry implement exponential retry backoff (in ticks) for
-	// clients whose recovery keeps failing.
-	backoff map[int]int
-	nextTry map[int]uint64
-	// scanBackoff/scanNextTry do the same per segment for maintenance scans
-	// that panic on damaged metadata: the scan is skipped until its retry
-	// tick instead of panicking the monitor every interval.
-	scanBackoff map[int]int
-	scanNextTry map[int]uint64
-	// lastScan is the tick of each ABANDONED segment's last scan (or first
-	// sighting); 0 while the segment is in any other state.
-	lastScan []uint64
+	slots    []slotRow
+	segs     []segRow
+	failures []RecoveryFailure
 	ticks    uint64
-	// inflight marks clients whose recovery has been dispatched to a worker
-	// goroutine and not yet recorded (concurrent dispatch mode only), so a
-	// client is never recovered by two workers at once and ticks arriving
-	// mid-recovery don't pile up duplicate dispatches.
-	inflight map[int]bool
 	// wg tracks dispatched recovery goroutines; Stop waits on it.
 	wg sync.WaitGroup
 
@@ -93,6 +66,52 @@ type Monitor struct {
 
 	stop chan struct{}
 	done chan struct{}
+}
+
+// slotRow is the monitor's detector state for one client slot. Only exec is
+// read outside mu (by gatherBeats), and only NewMonitor writes it.
+type slotRow struct {
+	// exec marks one of the service's executor slots: not watched (idle
+	// pooled executors do not beat).
+	exec bool
+	// seen is set once lastBeat is seeded for this incarnation.
+	seen bool
+	// inflight marks a recovery dispatched to a worker goroutine and not yet
+	// recorded (concurrent dispatch mode only), so a client is never
+	// recovered by two workers at once and ticks arriving mid-recovery don't
+	// pile up duplicate dispatches.
+	inflight bool
+	lastBeat uint64
+	misses   int
+	// firstMiss is when the heartbeat was first observed stalled (unix ns):
+	// the detection timepoint the recovery-time SLO is measured from. 0
+	// while the beat advances.
+	firstMiss int64
+	// failed counts this death's failed recovery attempts.
+	failed int
+	retry  backoff
+}
+
+// segRow is the monitor's maintenance state for one segment.
+type segRow struct {
+	retry backoff
+	// lastScan is the tick of an ABANDONED segment's last scan (or first
+	// sighting); 0 while the segment is in any other state.
+	lastScan uint64
+}
+
+// backoff is the exponential retry schedule, in ticks, of a monitor duty
+// that keeps failing — a slot's recovery, or a segment's scan that panics on
+// damaged metadata: after each failure the duty waits 2, 4, … up to 64 ticks
+// instead of failing every interval.
+type backoff struct {
+	ticks   int    // the current wait; 0 until the duty fails
+	nextTry uint64 // the first tick the duty may run again
+}
+
+func (b *backoff) fail(now uint64) {
+	b.ticks = min(max(2*b.ticks, 2), 64)
+	b.nextTry = now + uint64(b.ticks)
 }
 
 // RecoveryFailure records one failed monitor duty — a recovery attempt or a
@@ -107,25 +126,6 @@ type RecoveryFailure struct {
 	Time    time.Time `json:"time"`
 	Err     error     `json:"-"`
 	Error   string    `json:"error"`
-}
-
-// FenceRecord describes one fencing decision the monitor acted on: who was
-// fenced, when, why, and — for heartbeat timeouts — how many intervals the
-// client had been silent.
-type FenceRecord struct {
-	Client int       `json:"client"`
-	Time   time.Time `json:"time"`
-	Reason string    `json:"reason"`
-	Misses int       `json:"misses,omitempty"`
-}
-
-// RecoveryRecord describes one completed recovery: who was recovered, when
-// it finished, and the detection-to-recovered duration (the SLO; zero when
-// the death carried no detection stamp to measure from).
-type RecoveryRecord struct {
-	Client   int           `json:"client"`
-	Time     time.Time     `json:"time"`
-	Duration time.Duration `json:"detect_to_recovered_ns"`
 }
 
 // MonitorConfig tunes the monitor.
@@ -145,28 +145,19 @@ func NewMonitor(svc *Service, cfg MonitorConfig) *Monitor {
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = 3
 	}
+	geo := svc.pool.Geometry()
 	m := &Monitor{
-		svc:         svc,
-		interval:    cfg.Interval,
-		threshold:   cfg.Threshold,
-		lastBeat:    make(map[int]uint64),
-		seen:        make(map[int]bool),
-		misses:      make(map[int]int),
-		firstMiss:   make(map[int]int64),
-		deadSeen:    make(map[int]bool),
-		backoff:     make(map[int]int),
-		nextTry:     make(map[int]uint64),
-		scanBackoff: make(map[int]int),
-		scanNextTry: make(map[int]uint64),
-		lastScan:    make([]uint64, svc.pool.Geometry().NumSegments),
-		beats:       make([]beatObs, svc.pool.Geometry().MaxClients+1),
-		inflight:    make(map[int]bool),
-		execIDs:     make(map[int]bool),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
+		svc:       svc,
+		interval:  cfg.Interval,
+		threshold: cfg.Threshold,
+		beats:     make([]beatObs, geo.MaxClients+1),
+		slots:     make([]slotRow, geo.MaxClients+1),
+		segs:      make([]segRow, geo.NumSegments),
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 	}
 	for _, id := range svc.ExecutorIDs() {
-		m.execIDs[id] = true
+		m.slots[id].exec = true
 	}
 	m.recoverFn = func(cid int) (Report, error) { return svc.RecoverClient(cid) }
 	return m
@@ -185,64 +176,15 @@ func (m *Monitor) Stop() {
 	m.wg.Wait()
 }
 
-// Reports returns the recoveries performed so far.
-func (m *Monitor) Reports() []Report {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Report, len(m.reports))
-	copy(out, m.reports)
-	return out
-}
-
-// Fences returns every fencing decision the monitor has acted on, oldest
-// first.
-func (m *Monitor) Fences() []FenceRecord {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]FenceRecord, len(m.fences))
-	copy(out, m.fences)
-	return out
-}
-
-// Failures returns every failed recovery attempt so far, oldest first.
+// Failures returns every failed duty so far, oldest first: the one record
+// the monitor keeps itself, because it is the only one that carries the Go
+// error.
 func (m *Monitor) Failures() []RecoveryFailure {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]RecoveryFailure, len(m.failures))
 	copy(out, m.failures)
 	return out
-}
-
-// Recoveries returns every completed recovery so far, oldest first, each
-// with its detection-to-recovered duration.
-func (m *Monitor) Recoveries() []RecoveryRecord {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]RecoveryRecord, len(m.recoveries))
-	copy(out, m.recoveries)
-	return out
-}
-
-// LastRecovery returns the most recent completed recovery, and false if
-// none has completed yet.
-func (m *Monitor) LastRecovery() (RecoveryRecord, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.recoveries) == 0 {
-		return RecoveryRecord{}, false
-	}
-	return m.recoveries[len(m.recoveries)-1], true
-}
-
-// LastFence returns the most recent fence record, and false if no client has
-// been fenced yet.
-func (m *Monitor) LastFence() (FenceRecord, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.fences) == 0 {
-		return FenceRecord{}, false
-	}
-	return m.fences[len(m.fences)-1], true
 }
 
 func (m *Monitor) run() {
@@ -281,7 +223,7 @@ func (m *Monitor) gatherBeats() []beatObs {
 	dev := p.Device()
 	for cid := 1; cid <= geo.MaxClients; cid++ {
 		o := beatObs{}
-		if !m.execIDs[cid] {
+		if !m.slots[cid].exec {
 			o = beatObs{cid: cid, status: p.ClientStatus(cid)}
 			if o.status == layout.ClientAlive {
 				o.beat = dev.Load(geo.ClientHeartbeatAddr(cid))
@@ -298,7 +240,6 @@ func (m *Monitor) Tick() {
 	m.tickMu.Lock()
 	defer m.tickMu.Unlock()
 	p := m.svc.pool
-	geo := p.Geometry()
 	beats := m.gatherBeats()
 
 	m.mu.Lock()
@@ -312,61 +253,36 @@ func (m *Monitor) Tick() {
 			continue
 		}
 		cid := o.cid
+		r := &m.slots[cid]
 		switch o.status {
 		case layout.ClientAlive:
-			if m.deadSeen[cid] {
-				// The slot was reused by a new incarnation; forget the old
-				// one's fence and backoff bookkeeping.
-				delete(m.deadSeen, cid)
-				delete(m.backoff, cid)
-				delete(m.nextTry, cid)
-			}
-			beat := o.beat
-			if !m.seen[cid] {
+			// Failures and backoff are only ever booked after the monitor saw
+			// the slot DEAD; reading it ALIVE means a new incarnation, which
+			// owes nothing.
+			r.failed, r.retry = 0, backoff{}
+			if !r.seen {
 				// First observation seeds the baseline without counting a
 				// miss: a fresh client whose first beat happens to equal the
-				// map's zero value must not accrue toward a spurious fence.
-				m.seen[cid] = true
-				m.lastBeat[cid] = beat
-				m.misses[cid] = 0
+				// row's zero value must not accrue toward a spurious fence.
+				r.seen, r.lastBeat, r.misses = true, o.beat, 0
 				break
 			}
-			if beat == m.lastBeat[cid] {
-				m.misses[cid]++
-				if m.misses[cid] == 1 {
-					m.firstMiss[cid] = time.Now().UnixNano()
-				}
-				if m.misses[cid] >= m.threshold {
-					if err := p.MarkClientDeadDetected(cid, obs.FenceHeartbeat, m.firstMiss[cid]); err == nil {
-						m.fences = append(m.fences, FenceRecord{
-							Client: cid,
-							Time:   time.Now(),
-							Reason: obs.FenceHeartbeat.String(),
-							Misses: m.misses[cid],
-						})
-						m.deadSeen[cid] = true
-						m.recoverLocked(cid)
-					}
-				}
-			} else {
-				m.lastBeat[cid] = beat
-				m.misses[cid] = 0
-				delete(m.firstMiss, cid)
+			if o.beat != r.lastBeat {
+				r.lastBeat, r.misses, r.firstMiss = o.beat, 0, 0
+				break
+			}
+			r.misses++
+			if r.misses == 1 {
+				r.firstMiss = time.Now().UnixNano()
+			}
+			if r.misses >= m.threshold && p.MarkClientDeadDetected(cid, obs.FenceHeartbeat, r.firstMiss) == nil {
+				m.recoverLocked(cid)
 			}
 		case layout.ClientDead:
-			// Fenced elsewhere (explicit kill or clean close); the monitor
-			// only owes it recovery. Record that it acted on the fence once —
-			// a client stuck dead because recovery keeps failing must not
-			// grow a fence record per tick.
-			if !m.deadSeen[cid] {
-				m.deadSeen[cid] = true
-				m.fences = append(m.fences, FenceRecord{
-					Client: cid,
-					Time:   time.Now(),
-					Reason: "found-dead",
-				})
-			}
-			if m.ticks >= m.nextTry[cid] {
+			// Fenced elsewhere (explicit kill or clean close), or by us with
+			// its recovery failing: the monitor owes it recovery, on the
+			// slot's backoff.
+			if m.ticks >= r.retry.nextTry {
 				m.recoverLocked(cid)
 			}
 		}
@@ -376,24 +292,25 @@ func (m *Monitor) Tick() {
 	// objects, stale queue registrations. Scans are panic-guarded: a scan
 	// walking corrupted metadata surfaces as a RecoveryFailure with
 	// per-segment backoff instead of killing the monitor goroutine.
-	for seg := 0; seg < geo.NumSegments; seg++ {
-		if m.ticks < m.scanNextTry[seg] {
+	for seg := range m.segs {
+		r := &m.segs[seg]
+		if m.ticks < r.retry.nextTry {
 			continue
 		}
 		st := p.SegState(seg)
 		if st.State != layout.SegAbandoned {
-			m.lastScan[seg] = 0
+			r.lastScan = 0
 			if st.State == layout.SegHugeHead && p.ClientDeadOrRecovered(int(st.CID)) {
 				m.scanLocked(seg)
 			}
 			continue
 		}
-		if m.lastScan[seg] == 0 && m.ticks > 1 {
-			m.lastScan[seg] = m.ticks // abandoned, and scanned, by a pass since the last tick
+		if r.lastScan == 0 && m.ticks > 1 {
+			r.lastScan = m.ticks // abandoned, and scanned, by a pass since the last tick
 		}
-		if last := m.lastScan[seg]; last == 0 || st.Flags&layout.SegFlagPotentialLeaking != 0 ||
-			m.ticks-last >= abandonedRescan {
-			m.lastScan[seg] = m.ticks
+		if r.lastScan == 0 || st.Flags&layout.SegFlagPotentialLeaking != 0 ||
+			m.ticks-r.lastScan >= abandonedRescan {
+			r.lastScan = m.ticks
 			m.scanLocked(seg)
 		}
 	}
@@ -417,10 +334,10 @@ func (m *Monitor) scanLocked(seg int) {
 	exec := m.svc.borrowExec()
 	defer m.svc.returnExec(exec)
 	defer func() {
+		r := &m.segs[seg]
 		pan := recover()
 		if pan == nil {
-			delete(m.scanBackoff, seg)
-			delete(m.scanNextTry, seg)
+			r.retry = backoff{}
 			return
 		}
 		m.failures = append(m.failures, RecoveryFailure{
@@ -428,17 +345,9 @@ func (m *Monitor) scanLocked(seg int) {
 			Error: fmt.Sprintf("scan of segment %d panicked: %v", seg, pan),
 		})
 		m.svc.pool.Trace(obs.Event{
-			Type: obs.EvRepairFailed, Segment: seg, A: uint64(m.scanBackoff[seg]/2 + 1),
+			Type: obs.EvRepairFailed, Segment: seg, A: uint64(r.retry.ticks/2 + 1),
 		})
-		b := m.scanBackoff[seg] * 2
-		if b == 0 {
-			b = 2
-		}
-		if b > 64 {
-			b = 64
-		}
-		m.scanBackoff[seg] = b
-		m.scanNextTry[seg] = m.ticks + uint64(b)
+		r.retry.fail(m.ticks)
 	}()
 	m.svc.scanSegment(exec, seg)
 }
@@ -448,64 +357,47 @@ func (m *Monitor) scanLocked(seg int) {
 // original deterministic tick behavior. With a pooled service, the attempt
 // is handed to its own goroutine — bounded by the executor pool inside
 // RecoverClient, deduplicated per client while in flight — and its result
-// is recorded under the monitor lock when it lands, so Recoveries(),
-// Failures(), and the backoff state stay coherent either way.
+// is recorded under the monitor lock when it lands, so the slot's row and
+// Failures() stay coherent either way.
 func (m *Monitor) recoverLocked(cid int) {
 	if m.svc.Workers() > 1 {
-		if m.inflight[cid] {
+		r := &m.slots[cid]
+		if r.inflight {
 			return
 		}
-		m.inflight[cid] = true
+		r.inflight = true
 		m.wg.Add(1)
 		go func() {
 			defer m.wg.Done()
-			r, err := m.recoverFn(cid)
+			_, err := m.recoverFn(cid)
 			m.mu.Lock()
 			defer m.mu.Unlock()
-			delete(m.inflight, cid)
-			m.recordLocked(cid, r, err)
+			r.inflight = false
+			m.recordLocked(cid, err)
 		}()
 		return
 	}
-	r, err := m.recoverFn(cid)
-	m.recordLocked(cid, r, err)
+	_, err := m.recoverFn(cid)
+	m.recordLocked(cid, err)
 }
 
-// recordLocked books one finished recovery attempt; callers hold m.mu.
-func (m *Monitor) recordLocked(cid int, r Report, err error) {
-	if err != nil {
-		m.failures = append(m.failures, RecoveryFailure{
-			Op: "recovery", Client: cid, Segment: -1,
-			Time: time.Now(), Err: err, Error: err.Error(),
-		})
-		n := 0
-		for _, f := range m.failures {
-			if f.Client == cid {
-				n++
-			}
-		}
-		m.svc.pool.Trace(obs.Event{
-			Type: obs.EvRecoveryFailed, Client: cid, A: uint64(n),
-		})
-		b := m.backoff[cid] * 2
-		if b == 0 {
-			b = 2
-		}
-		if b > 64 {
-			b = 64
-		}
-		m.backoff[cid] = b
-		m.nextTry[cid] = m.ticks + uint64(b)
+// recordLocked books one finished recovery attempt in the slot's row;
+// callers hold m.mu. The attempt itself is on the pool's timeline.
+func (m *Monitor) recordLocked(cid int, err error) {
+	r := &m.slots[cid]
+	if err == nil {
+		// The slot's next incarnation starts unseeded, owing nothing. exec
+		// is left alone: gatherBeats reads it without the lock.
+		r.seen, r.misses, r.firstMiss, r.failed, r.retry = false, 0, 0, 0, backoff{}
 		return
 	}
-	m.reports = append(m.reports, r)
-	m.recoveries = append(m.recoveries, RecoveryRecord{
-		Client: cid, Time: time.Now(), Duration: r.Duration,
+	r.failed++
+	m.failures = append(m.failures, RecoveryFailure{
+		Op: "recovery", Client: cid, Segment: -1,
+		Time: time.Now(), Err: err, Error: err.Error(),
 	})
-	delete(m.lastBeat, cid)
-	delete(m.seen, cid)
-	delete(m.misses, cid)
-	delete(m.firstMiss, cid)
-	delete(m.backoff, cid)
-	delete(m.nextTry, cid)
+	m.svc.pool.Trace(obs.Event{
+		Type: obs.EvRecoveryFailed, Client: cid, A: uint64(r.failed),
+	})
+	r.retry.fail(m.ticks)
 }

@@ -3,12 +3,14 @@ package recovery
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/check"
 	"repro/internal/layout"
+	"repro/internal/obs"
 	"repro/internal/shm"
 )
 
@@ -24,9 +26,21 @@ func newMonitorPool(t *testing.T) *shm.Pool {
 	return p
 }
 
-// A client stuck in ClientDead because its recovery keeps failing must yield
-// exactly one found-dead fence record, every error must surface through
-// Failures(), and retries must back off instead of hammering every tick.
+// events returns the pool ring's events of type typ about client cid.
+func events(p *shm.Pool, typ obs.EventType, cid int) []obs.Event {
+	var out []obs.Event
+	for _, e := range p.Telemetry().Events() {
+		if e.Type == typ && e.Client == cid {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// A client stuck in ClientDead because its recovery keeps failing must stay
+// one death with one fence — the monitor never re-fences it — every error
+// must surface through Failures(), and retries must back off instead of
+// hammering every tick.
 func TestMonitorRecordsFoundDeadOnce(t *testing.T) {
 	p := newMonitorPool(t)
 	x, err := p.Connect()
@@ -52,18 +66,17 @@ func TestMonitorRecordsFoundDeadOnce(t *testing.T) {
 		m.Tick()
 	}
 
-	var fences int
-	for _, f := range m.Fences() {
-		if f.Client == x.ID() {
-			fences++
-			if f.Reason != "found-dead" {
-				t.Errorf("fence reason = %q, want found-dead", f.Reason)
-			}
+	oneFence := func(when string) {
+		t.Helper()
+		fences := events(p, obs.EvClientFenced, x.ID())
+		if len(fences) != 1 || obs.FenceReason(fences[0].A) != obs.FenceExplicit {
+			t.Fatalf("%s: fence events %+v, want exactly one, explicit", when, fences)
+		}
+		if tl, _ := p.Telemetry().ReadTimeline(x.ID()); tl.Deaths != 1 {
+			t.Fatalf("%s: timeline deaths = %d, want 1", when, tl.Deaths)
 		}
 	}
-	if fences != 1 {
-		t.Fatalf("found-dead fences = %d, want exactly 1", fences)
-	}
+	oneFence("while recovery fails")
 	// Backoff: attempt at tick 1, next at tick 3 (backoff 2), then not again
 	// until tick 7 (backoff 4) — so 6 ticks give exactly 2 attempts.
 	if attempts != 2 {
@@ -88,13 +101,64 @@ func TestMonitorRecordsFoundDeadOnce(t *testing.T) {
 	if got := p.ClientStatus(x.ID()); got != layout.ClientRecovered {
 		t.Fatalf("client status after backoff expiry = %d, want recovered", got)
 	}
-	if len(m.Reports()) != 1 {
-		t.Fatalf("reports = %d, want 1", len(m.Reports()))
+	if tl, _ := p.Telemetry().ReadTimeline(x.ID()); tl.Completed != 1 {
+		t.Fatalf("timeline completed = %d, want 1", tl.Completed)
 	}
-	for _, f := range m.Fences()[1:] {
-		if f.Client == x.ID() {
-			t.Fatalf("extra fence recorded after recovery: %+v", f)
-		}
+	oneFence("after recovery")
+}
+
+// EvRecoveryFailed counts the failed attempts of the slot's current death:
+// a recovery that succeeds resets it, so the next incarnation's first
+// failure reads 1 however often an earlier death failed.
+func TestRecoveryFailedCountsThisDeath(t *testing.T) {
+	p := newMonitorPool(t)
+	x, err := p.Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewService(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMonitor(svc, MonitorConfig{})
+	injected := errors.New("injected recovery failure")
+	failing := func(cid int) (Report, error) { return Report{}, injected }
+
+	// First death: fails at ticks 1 and 3, recovered at tick 7.
+	if err := p.MarkClientDead(x.ID()); err != nil {
+		t.Fatal(err)
+	}
+	m.recoverFn = failing
+	for i := 0; i < 6; i++ {
+		m.Tick()
+	}
+	m.recoverFn = func(cid int) (Report, error) { return svc.RecoverClient(cid) }
+	m.Tick()
+	if got := p.ClientStatus(x.ID()); got != layout.ClientRecovered {
+		t.Fatalf("first death not recovered (status %d)", got)
+	}
+
+	// Second death of the same slot, first failed attempt.
+	y, err := p.Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if y.ID() != x.ID() {
+		t.Fatalf("reconnect took slot %d, want the recovered slot %d", y.ID(), x.ID())
+	}
+	m.Tick()
+	if err := p.MarkClientDead(y.ID()); err != nil {
+		t.Fatal(err)
+	}
+	m.recoverFn = failing
+	m.Tick()
+
+	var counts []uint64
+	for _, e := range events(p, obs.EvRecoveryFailed, x.ID()) {
+		counts = append(counts, e.A)
+	}
+	if want := []uint64{1, 2, 1}; !slices.Equal(counts, want) {
+		t.Fatalf("EvRecoveryFailed.A over two deaths = %v, want %v", counts, want)
 	}
 }
 
@@ -112,7 +176,7 @@ func TestMonitorHeartbeatBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Force the worst case: the first beat the monitor ever sees is 0, equal
-	// to the untracked map's zero value.
+	// to an unseeded row's zero value.
 	p.Device().Store(p.Geometry().ClientHeartbeatAddr(x.ID()), 0)
 
 	m := NewMonitor(svc, MonitorConfig{Threshold: 3})
@@ -120,17 +184,21 @@ func TestMonitorHeartbeatBootstrap(t *testing.T) {
 		m.Tick()
 	}
 	// Tick 1 seeds, ticks 2-3 accrue misses 1-2: still below threshold.
-	if f, ok := m.LastFence(); ok {
-		t.Fatalf("client fenced after %d misses at tick 3: %+v (bootstrap counted as a miss)", f.Misses, f)
+	if got := p.ClientStatus(x.ID()); got != layout.ClientAlive {
+		t.Fatalf("client status %d at tick 3, want alive (bootstrap counted as a miss)", got)
 	}
 	// The genuinely silent client is still fenced, one tick later.
 	m.Tick()
-	f, ok := m.LastFence()
-	if !ok || f.Client != x.ID() {
-		t.Fatalf("silent client not fenced by tick 4 (fence=%+v ok=%v)", f, ok)
+	if got := p.ClientStatus(x.ID()); got == layout.ClientAlive {
+		t.Fatal("silent client not fenced by tick 4")
 	}
-	if f.Misses != 3 {
-		t.Fatalf("fence misses = %d, want 3", f.Misses)
+	fences := events(p, obs.EvClientFenced, x.ID())
+	if len(fences) != 1 || obs.FenceReason(fences[0].A) != obs.FenceHeartbeat {
+		t.Fatalf("fence events %+v, want exactly one, heartbeat-timeout", fences)
+	}
+	tl, _ := p.Telemetry().ReadTimeline(x.ID())
+	if tl.Deaths != 1 || tl.FirstMissNS <= 0 || tl.FencedNS < tl.FirstMissNS {
+		t.Fatalf("timeline %+v, want one death with a first miss before the fence", tl)
 	}
 }
 

@@ -474,6 +474,17 @@ func TestRecoverEveryCrashPoint(t *testing.T) {
 	})
 }
 
+// fences returns the pool ring's EvClientFenced events for client cid.
+func fences(p *shm.Pool, cid int) []obs.Event {
+	var out []obs.Event
+	for _, e := range p.Telemetry().Events() {
+		if e.Type == obs.EvClientFenced && e.Client == cid {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func TestMonitorDetectsStalledClient(t *testing.T) {
 	p := newTestPool(t)
 	c := connect(t, p)
@@ -489,8 +500,9 @@ func TestMonitorDetectsStalledClient(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		mon.Tick()
 	}
-	if got := len(mon.Reports()); got != 1 {
-		t.Fatalf("monitor performed %d recoveries, want 1", got)
+	tl, ok := p.Telemetry().ReadTimeline(c.ID())
+	if !ok || tl.Deaths != 1 || tl.Completed != 1 {
+		t.Fatalf("timeline %+v (ok %v), want one death, recovered once", tl, ok)
 	}
 	if p.ClientStatus(c.ID()) != layout.ClientRecovered {
 		t.Fatal("stalled client not recovered")
@@ -499,18 +511,14 @@ func TestMonitorDetectsStalledClient(t *testing.T) {
 	if res.AllocatedObjects != 0 {
 		t.Fatal("stalled client's object leaked")
 	}
-	last, ok := mon.LastFence()
-	if !ok {
-		t.Fatal("monitor recorded no fence")
+	if tl.ReasonName != obs.FenceHeartbeat.String() {
+		t.Fatalf("timeline reason %q, want %q", tl.ReasonName, obs.FenceHeartbeat)
 	}
-	if last.Client != c.ID() || last.Reason != obs.FenceHeartbeat.String() {
-		t.Fatalf("fence record %+v, want client %d for %q", last, c.ID(), obs.FenceHeartbeat)
+	if tl.FirstMissNS <= 0 || tl.FencedNS < tl.FirstMissNS {
+		t.Fatalf("timeline missing detection detail: %+v", tl)
 	}
-	if last.Misses < 2 || last.Time.IsZero() {
-		t.Fatalf("fence record missing detail: %+v", last)
-	}
-	if got := len(mon.Fences()); got != 1 {
-		t.Fatalf("monitor recorded %d fences, want 1", got)
+	if fs := fences(p, c.ID()); len(fs) != 1 || obs.FenceReason(fs[0].A) != obs.FenceHeartbeat {
+		t.Fatalf("fence events %+v, want exactly one, %q", fs, obs.FenceHeartbeat)
 	}
 	if snap := p.Obs().Snapshot(); snap.Counters[obs.CtrMonitorTick.Name()] != 5 {
 		t.Fatalf("monitor_ticks = %d, want 5", snap.Counters[obs.CtrMonitorTick.Name()])
@@ -529,8 +537,11 @@ func TestMonitorSparesHealthyClients(t *testing.T) {
 		c.Heartbeat()
 		mon.Tick()
 	}
-	if got := len(mon.Reports()); got != 0 {
-		t.Fatalf("monitor recovered a healthy client (%d reports)", got)
+	if tl, ok := p.Telemetry().ReadTimeline(c.ID()); ok {
+		t.Fatalf("monitor fenced a healthy client: timeline %+v", tl)
+	}
+	if fs := fences(p, c.ID()); len(fs) != 0 {
+		t.Fatalf("monitor fenced a healthy client: %+v", fs)
 	}
 	if p.ClientStatus(c.ID()) != layout.ClientAlive {
 		t.Fatal("healthy client not alive")

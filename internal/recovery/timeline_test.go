@@ -12,8 +12,7 @@ import (
 // TestMonitorRecoveryTimeline drives a heartbeat-loss death through the
 // monitor and asserts the crash-surviving timeline records every stage in
 // order — first miss, fence, recovery attempt, recovered — with a positive
-// detection-to-recovered duration that also lands in the SLO histogram and
-// in the monitor's recovery records.
+// detection-to-recovered duration that also lands in the SLO histogram.
 func TestMonitorRecoveryTimeline(t *testing.T) {
 	p := newTestPool(t)
 	victim := connect(t, p)
@@ -75,18 +74,8 @@ func TestMonitorRecoveryTimeline(t *testing.T) {
 	if tl.SweptRoots == 0 {
 		t.Error("victim died holding 5 roots but timeline records none swept")
 	}
-
-	// The monitor's in-heap record carries the same SLO value.
-	recs := mon.Recoveries()
-	if len(recs) != 1 || recs[0].Client != cid {
-		t.Fatalf("Recoveries() = %+v, want one record for client %d", recs, cid)
-	}
-	if recs[0].Duration != time.Duration(tl.DurationNS) {
-		t.Errorf("monitor duration %v != timeline duration %v", recs[0].Duration, time.Duration(tl.DurationNS))
-	}
-	last, ok := mon.LastRecovery()
-	if !ok || last != recs[0] {
-		t.Errorf("LastRecovery() = %+v/%v, want %+v", last, ok, recs[0])
+	if fs := fences(p, cid); len(fs) != 1 || obs.FenceReason(fs[0].A) != obs.FenceHeartbeat {
+		t.Errorf("fence events %+v, want exactly one, heartbeat-timeout", fs)
 	}
 
 	// The duration lands in the SLO histogram both in-heap and in the
@@ -107,6 +96,44 @@ func TestMonitorRecoveryTimeline(t *testing.T) {
 			pb.Counters[obs.CtrClientFenced], pb.Counters[obs.CtrRecoveryPass])
 	}
 	mustClean(t, p, "after monitored recovery")
+}
+
+// TestTimelineCountsEveryDeath: the pool's timeline, not the monitor, is
+// the record of a slot's deaths. One slot closed and recovered a thousand
+// times reads a thousand deaths, all completed, and the monitor books no
+// failure.
+func TestTimelineCountsEveryDeath(t *testing.T) {
+	p := newTestPool(t)
+	svc, err := recovery.NewService(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := recovery.NewMonitor(svc, recovery.MonitorConfig{})
+	const cycles = 1000
+	cid := 0
+	for i := 0; i < cycles; i++ {
+		c := connect(t, p)
+		if cid == 0 {
+			cid = c.ID()
+		} else if c.ID() != cid {
+			t.Fatalf("cycle %d connected to slot %d, want %d", i, c.ID(), cid)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		mon.Tick()
+	}
+	tl, ok := p.Telemetry().ReadTimeline(cid)
+	if !ok || tl.Deaths != cycles || tl.Completed != cycles {
+		t.Fatalf("timeline deaths=%d completed=%d (ok %v), want %d/%d", tl.Deaths, tl.Completed, ok, cycles, cycles)
+	}
+	if tl.ReasonName != obs.FenceClose.String() {
+		t.Errorf("last death's reason = %q, want %q", tl.ReasonName, obs.FenceClose)
+	}
+	if fails := mon.Failures(); len(fails) != 0 {
+		t.Fatalf("monitor recorded %d failures, first: %+v", len(fails), fails[0])
+	}
+	mustClean(t, p, "after slot churn")
 }
 
 // TestTimelineExplicitFenceHasNoDetectionGap: an explicitly killed client

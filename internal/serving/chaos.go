@@ -285,13 +285,12 @@ type ChaosResult struct {
 	Corruptions    uint64
 	Rerouted       uint64
 
-	Killed                bool
-	VictimWorker          int
-	VictimCID             int
-	DetectToRecoveredNS   int64
-	TimelineDetectToRecNS int64
-	TakeoverNS            int64
-	DisruptionNS          int64
+	Killed              bool
+	VictimWorker        int
+	VictimCID           int
+	DetectToRecoveredNS int64
+	TakeoverNS          int64
+	DisruptionNS        int64
 
 	FsckClean  bool
 	FsckIssues int
@@ -414,6 +413,10 @@ func RunChaos(pool *shm.Pool, spawn Spawner, cfg ChaosConfig) (res *ChaosResult,
 			}
 		}
 		victimCID := procs[victim].CID()
+		// A worker can reuse the loader's slot: the victim's death is the
+		// first one its timeline shows after this read.
+		tel := pool.Telemetry()
+		before, _ := tel.ReadTimeline(victimCID)
 		driver.ExpectDown(victim)
 		driver.SetWindow(true)
 		killAt := time.Now()
@@ -449,30 +452,25 @@ func RunChaos(pool *shm.Pool, spawn Spawner, cfg ChaosConfig) (res *ChaosResult,
 		driver.SetWindow(false)
 		res.DisruptionNS = time.Since(killAt).Nanoseconds()
 
-		// The recovery that let the steal through is recorded by the
-		// monitor once its pass returns.
-		var rec recovery.RecoveryRecord
-		for found := false; !found; {
-			for _, r := range mon.Recoveries() {
-				if r.Client == victimCID {
-					rec, found = r, true
-					break
-				}
+		// The recovery that let the steal through is on the victim's
+		// timeline once its pass returns: a new death, completed.
+		for {
+			tl, _ := tel.ReadTimeline(victimCID)
+			if tl.Deaths > before.Deaths && tl.Completed == tl.Deaths {
+				break
 			}
-			if !found {
-				if time.Since(killAt) > 30*time.Second {
-					return nil, fmt.Errorf("serving: no recovery record for victim cid %d within 30s", victimCID)
-				}
-				time.Sleep(time.Millisecond)
+			if time.Since(killAt) > 30*time.Second {
+				return nil, fmt.Errorf("serving: victim cid %d not recovered within 30s", victimCID)
 			}
+			time.Sleep(time.Millisecond)
 		}
+		// Read once more: the pass stores the duration before it counts
+		// the recovery completed.
+		tl, _ := tel.ReadTimeline(victimCID)
 		res.Killed = true
 		res.VictimWorker = victim
 		res.VictimCID = victimCID
-		res.DetectToRecoveredNS = rec.Duration.Nanoseconds()
-		if tl, ok := pool.Telemetry().ReadTimeline(victimCID); ok {
-			res.TimelineDetectToRecNS = tl.DurationNS
-		}
+		res.DetectToRecoveredNS = tl.DurationNS
 	}
 
 	<-finished

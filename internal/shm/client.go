@@ -269,13 +269,13 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	// Publish deferred frees before the fence: after MarkClientDeadReason
+	// Publish deferred frees before the fence: after MarkClientDeadDetected
 	// the device drops this client's stores, and the pending blocks would
 	// stay off every list (which a dead owner's segment scan tolerates).
 	c.flushPending(EpochDetach)
 	c.publishMetrics()
 	c.publishShared()
-	return c.pool.MarkClientDeadReason(c.cid, obs.FenceClose)
+	return c.pool.MarkClientDeadDetected(c.cid, obs.FenceClose, 0)
 }
 
 // Crash simulates an abrupt client death: identical to Close but named for

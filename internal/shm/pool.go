@@ -232,21 +232,16 @@ func (p *Pool) ClientStatus(cid int) uint64 {
 // also RAS-fences the client so no in-flight write can land after recovery
 // starts (§3.2).
 func (p *Pool) MarkClientDead(cid int) error {
-	return p.MarkClientDeadReason(cid, obs.FenceExplicit)
+	return p.MarkClientDeadDetected(cid, obs.FenceExplicit, 0)
 }
 
-// MarkClientDeadReason is MarkClientDead carrying why the client is being
+// MarkClientDeadDetected is MarkClientDead carrying why the client is being
 // fenced, recorded in the recovery event trace (the monitor passes
-// heartbeat-timeout; Client.Close passes close).
-func (p *Pool) MarkClientDeadReason(cid int, reason obs.FenceReason) error {
-	return p.MarkClientDeadDetected(cid, reason, 0)
-}
-
-// MarkClientDeadDetected is MarkClientDeadReason carrying when the failure
-// was first suspected (the monitor's first missed heartbeat, unix ns; 0
-// when there was no detection phase). The successful fence opens a new
-// death on the client's crash-surviving recovery timeline, stamped with
-// both timepoints — the base the recovery-time SLO is measured from.
+// heartbeat-timeout; Client.Close passes close), and when the failure was
+// first suspected (the monitor's first missed heartbeat, unix ns; 0 when
+// there was no detection phase). The successful fence opens a new death on
+// the client's crash-surviving recovery timeline, stamped with both
+// timepoints — the base the recovery-time SLO is measured from.
 func (p *Pool) MarkClientDeadDetected(cid int, reason obs.FenceReason, firstMissNS int64) error {
 	if cid < 1 || cid > p.geo.MaxClients {
 		return fmt.Errorf("shm: client id %d out of range", cid)

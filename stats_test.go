@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	cxlshm "repro"
 	"repro/internal/obs"
+	"repro/internal/shm"
 )
 
 // TestStatsAfterCrashAndRecover is the observability acceptance check: after
@@ -116,9 +118,19 @@ func TestStatsAfterCrashAndRecover(t *testing.T) {
 	}
 }
 
+// timeline returns cid's entry in Stats().Timelines.
+func timeline(st cxlshm.Stats, cid int) (shm.TelemetryTimeline, bool) {
+	for _, tl := range st.Timelines {
+		if tl.Client == cid {
+			return tl, true
+		}
+	}
+	return shm.TelemetryTimeline{}, false
+}
+
 // TestStatsCarriesMonitorRecoveries: once the monitor recovers a silent
-// client, Pool.Stats() must surface the recovery record — including its
-// detection-to-recovered duration — and LastRecovery must return it.
+// client, Pool.Stats() must surface that client's timeline — fenced for a
+// heartbeat timeout, recovered, with its detection-to-recovered duration.
 func TestStatsCarriesMonitorRecoveries(t *testing.T) {
 	p := newPool(t)
 	defer p.Close()
@@ -133,7 +145,7 @@ func TestStatsCarriesMonitorRecoveries(t *testing.T) {
 	p.StartMonitor(2*time.Millisecond, 2)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, ok := p.LastRecovery(); ok {
+		if tl, ok := timeline(p.Stats(), victim.ID()); ok && tl.Completed > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -142,18 +154,38 @@ func TestStatsCarriesMonitorRecoveries(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	st := p.Stats()
-	if len(st.Recoveries) == 0 {
-		t.Fatal("Stats().Recoveries empty after a monitored recovery")
+	tl, _ := timeline(st, victim.ID())
+	if tl.Deaths != 1 || tl.Completed != 1 || tl.DurationNS <= 0 || tl.FirstMissNS <= 0 {
+		t.Errorf("timeline = %+v, want one detected death, recovered, with positive duration", tl)
 	}
-	r := st.Recoveries[0]
-	if r.Client != victim.ID() || r.Duration <= 0 {
-		t.Errorf("recovery record = %+v, want client %d with positive duration", r, victim.ID())
+	if tl.ReasonName != obs.FenceHeartbeat.String() {
+		t.Errorf("fence reason = %q, want %q", tl.ReasonName, obs.FenceHeartbeat)
 	}
-	if len(st.Fences) == 0 {
-		t.Error("Stats().Fences empty after a monitored recovery")
+	if len(st.Failures) != 0 {
+		t.Errorf("monitor failures: %+v", st.Failures)
 	}
-	last, ok := p.LastRecovery()
-	if !ok || last.Client != r.Client {
-		t.Errorf("LastRecovery = %+v/%v, want %+v", last, ok, r)
+}
+
+// TestStatsCarriesRecoveryWithoutMonitor: the pool, not the monitor, keeps
+// the record, so a recovery run by Pool.Recover with no monitor started
+// shows in Stats() too.
+func TestStatsCarriesRecoveryWithoutMonitor(t *testing.T) {
+	p := newPool(t)
+	victim, err := p.Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := victim.Malloc(64, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Recover(victim.ID()); err != nil {
+		t.Fatal(err)
+	}
+	tl, ok := timeline(p.Stats(), victim.ID())
+	if !ok || tl.Deaths < 1 || tl.Completed < 1 || tl.DurationNS <= 0 {
+		t.Fatalf("Stats timeline = %+v (ok %v), want a completed death with positive duration", tl, ok)
+	}
+	if tl.ReasonName != obs.FenceExplicit.String() {
+		t.Errorf("fence reason = %q, want %q", tl.ReasonName, obs.FenceExplicit)
 	}
 }
