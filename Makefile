@@ -146,7 +146,11 @@ dep-guard:
 # tick after it and the idle tick over a dead loader's segments on both
 # backends, the telemetry delta-publication pin under the race detector on both
 # backends, the zero-allocation fast-path pin on both backends, the kv
-# read-during-delete contract (race detector on heap, once on mmap),
+# read-during-delete contract (race detector on heap, once on mmap), the
+# torn-read tests of the version word — in-place update, same-key
+# delete + re-insert, the serving worker's lock-free GETs beside its PUTs —
+# and the update cut by its writer's death, under the race detector on both
+# backends,
 # three race passes over the in-process serving chaos, a race pass over the
 # monitor (its ticker, per-client recovery dispatch writing the detector rows,
 # and the concurrent passes its maintenance scans overlap), a race pass over
@@ -172,6 +176,10 @@ ci: fmt-check vet build test benchmark-check dep-guard inline-check
 	CXLSHM_BACKEND=mmap $(GO) test -run TestFastPathZeroAllocs ./internal/shm
 	$(GO) test -race -run TestConcurrentReadDuringDelete ./internal/kv
 	CXLSHM_BACKEND=mmap $(GO) test -run TestConcurrentReadDuringDelete ./internal/kv
+	$(GO) test -race -run 'TestTornRead|TestCrashCutUpdate' ./internal/kv
+	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestTornRead|TestCrashCutUpdate' ./internal/kv
+	$(GO) test -race -run 'TestServingTornReads|TestReadsRunOffTheWriterLock' ./internal/serving
+	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestServingTornReads|TestReadsRunOffTheWriterLock' ./internal/serving
 	$(GO) test -race -count=3 -run TestChaosInProcess ./internal/serving
 	$(GO) test -race -run 'Monitor|ConcurrentTicks|ConcurrentPasses|AbandonedSegment' ./internal/recovery
 	$(GO) test -race ./internal/netrpc ./internal/cxl

@@ -227,6 +227,30 @@ func printChaos(r *serving.ChaosResult) {
 		r.SurvivorErrors, r.LostWrites, r.Corruptions, r.FsckClean)
 }
 
+// printLockWaits prints each worker's writer-lock wait: the handler calls
+// that found the lock held (PUT, takeover and stats take it; GET and SCAN
+// do not) and how long they waited, over the worker's lifetime.
+func printLockWaits(addrs []string) error {
+	for _, a := range addrs {
+		conn, err := serving.DialWorker(strings.TrimSpace(a), servingNet())
+		if err != nil {
+			return err
+		}
+		st, err := conn.Stats()
+		conn.Close()
+		if err != nil {
+			return err
+		}
+		mean := time.Duration(0)
+		if st.LockWaits > 0 {
+			mean = time.Duration(st.LockWaitNS / st.LockWaits)
+		}
+		fmt.Printf("worker cid %d: %d ops, %d lock waits (%v total, %v mean)\n",
+			st.CID, st.Ops, st.LockWaits, time.Duration(st.LockWaitNS).Round(time.Microsecond), mean)
+	}
+	return nil
+}
+
 func fmtNS(ns int64) time.Duration {
 	return time.Duration(ns).Round(time.Microsecond)
 }
@@ -293,6 +317,9 @@ func driveCmd(args []string) error {
 	fmt.Printf("write p50 %v  p99 %v\n", fmtNS(rep.Write.Percentile(0.5)), fmtNS(rep.Write.Percentile(0.99)))
 	if rep.Scans > 0 {
 		fmt.Printf("scan  p50 %v  p99 %v\n", fmtNS(rep.Scan.Percentile(0.5)), fmtNS(rep.Scan.Percentile(0.99)))
+	}
+	if err := printLockWaits(addrs); err != nil {
+		return err
 	}
 	if rep.SurvivorErrors+rep.VictimErrors+rep.Corruptions > 0 {
 		return fmt.Errorf("drive: %d errors, %d corruptions", rep.SurvivorErrors+rep.VictimErrors, rep.Corruptions)

@@ -18,6 +18,7 @@ package kv
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"repro/internal/layout"
 	"repro/internal/shm"
@@ -29,6 +30,7 @@ var (
 	ErrValueSize  = errors.New("kv: value exceeds the store's fixed value size")
 	ErrNotOwner   = errors.New("kv: client does not own this key's partition")
 	ErrChainBroke = errors.New("kv: chain traversal aborted (concurrent reclaim)")
+	ErrFormat     = errors.New("kv: index written in another record format")
 )
 
 // Index object data layout (word offsets within the data area):
@@ -37,19 +39,61 @@ var (
 //	[buckets+0]                 bucket count
 //	[buckets+1]                 fixed value size in bytes
 //	[buckets+2]                 number of writer partitions
-//	[buckets+3]                 reserved (0)
+//	[buckets+3]                 record format (recordFormat)
 //	[buckets+4 .. +4+writers)   writer lease words (owner client ID)
 //
 // Record object layout:
 //
 //	embed[0] = next record      (embedded reference)
 //	word 1   = key
-//	word 2.. = value bytes
+//	word 2   = version          (seqlock; see below)
+//	word 3.. = value bytes
 const (
 	recNextIdx   = 0
 	recKeyWord   = 1
-	recValueWord = 2
+	recVerWord   = 2
+	recValueWord = 3
 )
+
+// recordFormat is stamped into index word [buckets+3]. Format 0 (the word's
+// old reserved value) had no version word and its values start at word 2;
+// Open refuses it, and any other format, rather than read keys as versions.
+const recordFormat = 1
+
+// The version word is a seqlock over the record's key and value, like the
+// telemetry block's commit word. Its top 24 bits count completed writes;
+// the rest is zero when the record is settled, and names the writer while a
+// write is in flight:
+//
+//	bits 40..63  seq
+//	bits 17..39  writer's slot generation / 2 (low 23 bits)
+//	bits  1..16  writer's cid
+//	bit   0      1 while the writer is mid-update (the word is "odd")
+//
+// An in-place update loads the word, stores it odd with the writer's tag,
+// writes the value, then stores seq+1 with no tag (1 load, 2 stores). A
+// delete leaves the word odd with its tag (1 load, 1 store), and an insert
+// continues seq from whatever its block last held, storing seq+1 after the
+// key and value (1 load, 1 store): a reader that copied a deleted record's
+// block while the same key came back into it sees the word move. A reader
+// loads the word before and after its copy and keeps the copy only when
+// both loads agree and the word is even — or odd but naming a writer that
+// can no longer write (dead, or its slot leased again): that writer's value
+// is as torn as it left it, until the next write of the key.
+const (
+	verSeqShift = 40
+	verGenBits  = 23
+	verTagMask  = 1<<verSeqShift - 1
+)
+
+// versionTag is the odd low part of the version word naming the writer
+// incarnation (cid, gen).
+func versionTag(cid int, gen uint64) uint64 {
+	return (gen>>1)&(1<<verGenBits-1)<<17 | uint64(cid)<<1 | 1
+}
+
+// nextVersion is the settled word that follows w: seq+1, no writer.
+func nextVersion(w uint64) uint64 { return (w>>verSeqShift + 1) << verSeqShift }
 
 // Store is one client's handle onto a shared CXL-KV index.
 type Store struct {
@@ -59,6 +103,11 @@ type Store struct {
 	buckets int
 	valSize int
 	writers int
+	// tag is this client's odd version-word tag (versionTag).
+	tag uint64
+	// rd reads through the client's own handle: the store and every
+	// NewReader view share one read implementation.
+	rd Reader
 	// scratch is the reusable copy buffer of Update and of View's fallback
 	// (backends without direct byte access).
 	scratch []byte
@@ -78,28 +127,38 @@ func Create(c *shm.Client, rootSlot, buckets, valueSize, writers int) (*Store, e
 	c.StoreWord(index, buckets+0, uint64(buckets))
 	c.StoreWord(index, buckets+1, uint64(valueSize))
 	c.StoreWord(index, buckets+2, uint64(writers))
-	c.StoreWord(index, buckets+3, 0)
+	c.StoreWord(index, buckets+3, recordFormat)
 	if err := c.PublishRoot(rootSlot, index); err != nil {
 		return nil, err
 	}
-	return &Store{c: c, index: index, root: root,
-		buckets: buckets, valSize: valueSize, writers: writers}, nil
+	return newStore(c, index, root, buckets, valueSize, writers), nil
 }
 
-// Open attaches to the index published at named-root slot rootSlot.
+func newStore(c *shm.Client, index, root layout.Addr, buckets, valSize, writers int) *Store {
+	s := &Store{c: c, index: index, root: root,
+		buckets: buckets, valSize: valSize, writers: writers,
+		tag: versionTag(c.ID(), c.Generation())}
+	s.rd = Reader{s: s, r: &c.Reader}
+	return s
+}
+
+// Open attaches to the index published at named-root slot rootSlot. An
+// index of another record format is refused with ErrFormat.
 func Open(c *shm.Client, rootSlot int) (*Store, error) {
 	root, index, err := c.OpenRoot(rootSlot)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{c: c, index: index, root: root}
 	// The bucket count lives right after the embed area, whose size equals
 	// the bucket count — read it from the object's meta instead.
-	m := c.MetaOf(index)
-	s.buckets = int(m.EmbedCnt)
-	s.valSize = int(c.LoadWord(index, s.buckets+1))
-	s.writers = int(c.LoadWord(index, s.buckets+2))
-	return s, nil
+	buckets := int(c.MetaOf(index).EmbedCnt)
+	if f := c.LoadWord(index, buckets+3); f != recordFormat {
+		c.ReleaseRoot(root)
+		return nil, fmt.Errorf("%w: root %d holds record format %d, this build reads %d",
+			ErrFormat, rootSlot, f, recordFormat)
+	}
+	return newStore(c, index, root, buckets,
+		int(c.LoadWord(index, buckets+1)), int(c.LoadWord(index, buckets+2))), nil
 }
 
 // Close releases this client's reference to the index.
@@ -218,10 +277,10 @@ func (s *Store) checkOwner(key uint64) error {
 }
 
 // Put inserts or updates key. Updates are in-place (one of the §6.4
-// enablers); inserts allocate a record and head-link it with one embedded
-// reference change. The caller must be the key's partition writer
-// (single-writer rule); when partition leases are acquired, this is
-// enforced.
+// enablers) under the record's version word; inserts allocate a record and
+// head-link it with one embedded reference change. The caller must be the
+// key's partition writer (single-writer rule); when partition leases are
+// acquired, this is enforced.
 func (s *Store) Put(key uint64, val []byte) error {
 	if len(val) > s.valSize {
 		return ErrValueSize
@@ -231,18 +290,24 @@ func (s *Store) Put(key uint64, val []byte) error {
 	}
 	b := s.bucketOf(key)
 	// Walk the chain for an existing record.
-	if rec := s.find(key, b); rec != 0 {
-		s.c.WriteData(rec, (recValueWord)*layout.WordBytes, val)
+	if rec := s.rd.find(key, b); rec != 0 {
+		s.writeValue(s.c.WriteSpan(rec), val)
 		return s.done(nil)
 	}
-	// Insert at head.
-	recBytes := (recValueWord)*layout.WordBytes + s.valSize
+	// Insert at head. A block that held a deleted record still carries the
+	// odd version word its delete left (retire); the insert settles it only
+	// after the key and value, so a reader still holding the block from the
+	// deleted record waits the writes out or sees the word move.
+	recBytes := recValueWord*layout.WordBytes + s.valSize
 	root, rec, err := s.c.Malloc(recBytes, 1)
 	if err != nil {
 		return err
 	}
-	s.c.StoreWord(rec, recKeyWord, key)
-	s.c.WriteData(rec, recValueWord*layout.WordBytes, val)
+	sp := s.c.WriteSpan(rec)
+	v := sp.Load(recVerWord)
+	sp.Store(recKeyWord, key)
+	sp.Write(recValueWord*layout.WordBytes, val)
+	sp.Store(recVerWord, nextVersion(v))
 	head, err := s.c.LoadEmbed(s.index, b)
 	if err != nil {
 		return err
@@ -260,6 +325,17 @@ func (s *Store) Put(key uint64, val []byte) error {
 	return s.done(err)
 }
 
+// writeValue is the in-place update: the version word odd and naming this
+// writer, the value, then the word even with its write count advanced. A
+// word a dead writer left odd still carries its count, so the new even word
+// differs from every word a reader of the older value could hold.
+func (s *Store) writeValue(sp shm.WriteSpan, val []byte) {
+	v := sp.Load(recVerWord)
+	sp.Store(recVerWord, v&^verTagMask|s.tag)
+	sp.Write(recValueWord*layout.WordBytes, val)
+	sp.Store(recVerWord, nextVersion(v))
+}
+
 // done is a mutation's last step: the device drops a fenced client's stores
 // silently, so a write is done only if the fence was open after its last one.
 func (s *Store) done(err error) error {
@@ -269,80 +345,48 @@ func (s *Store) done(err error) error {
 	return err
 }
 
-// find walks bucket b for key, returning the record address or 0. Reads are
-// raw loads (no reference counting — §5.2's "further reading ... does not
-// need to modify the reference count").
-func (s *Store) find(key uint64, b int) layout.Addr {
-	rec, err := s.c.LoadEmbed(s.index, b)
-	if err != nil {
-		return 0
-	}
-	for hops := 0; rec != 0 && hops <= s.buckets+1024; hops++ {
-		if s.c.LoadWord(rec, recKeyWord) == key {
-			return rec
-		}
-		rec = s.c.LoadWord(rec, recNextIdx)
-	}
-	return 0
-}
-
 // Get copies key's value into buf (which must be at least ValueSize bytes)
-// and returns the number of bytes copied. Readers run from any client with
-// no locks. A delete reclaims its record immediately, so a reader racing it
-// validates after the copy — the record is still allocated and still holds
-// key — and retries the walk, up to three times, before ErrChainBroke.
-func (s *Store) Get(key uint64, buf []byte) (int, error) {
-	b := s.bucketOf(key)
-	for attempt := 0; attempt < 3; attempt++ {
-		rec := s.find(key, b)
-		if rec == 0 {
-			return 0, ErrNotFound
-		}
-		n := s.valSize
-		if n > len(buf) {
-			n = len(buf)
-		}
-		s.c.ReadData(rec, recValueWord*layout.WordBytes, buf[:n])
-		// Validate: record still allocated and still ours.
-		if s.c.MetaOf(rec).Allocated() && s.c.LoadWord(rec, recKeyWord) == key {
-			return n, nil
-		}
-	}
-	return 0, ErrChainBroke
-}
+// and returns the number of bytes copied, lock-free (Reader.Get).
+func (s *Store) Get(key uint64, buf []byte) (int, error) { return s.rd.Get(key, buf) }
 
 // View calls f with a zero-copy read view of key's value bytes — the
 // record's device words aliased directly, no Go-heap copy (paper §3.1:
 // data-plane reads are plain loads on the mapped memory). The view is
 // valid only inside f; f must not retain it, must not write through it,
 // and — like any optimistic lock-free read — may run more than once or
-// observe a value that a concurrent delete then invalidates, in which
-// case its result is discarded and the read retried. Backends without
+// observe a value that a concurrent write or delete then invalidates, in
+// which case its result is discarded and the read retried. Backends without
 // direct byte access fall back to a copy into a reused scratch buffer, same
 // contract.
 func (s *Store) View(key uint64, f func(val []byte) error) error {
 	b := s.bucketOf(key)
-	for attempt := 0; attempt < 3; attempt++ {
-		rec := s.find(key, b)
+	for broke := 0; broke < 3; {
+		rec := s.rd.find(key, b)
 		if rec == 0 {
 			return ErrNotFound
 		}
+		sp := s.c.Span(rec)
+		v1 := sp.Load(recVerWord)
+		k := sp.Load(recKeyWord)
 		l, err := s.c.AcquireLease(rec)
 		switch err {
 		case nil:
 		case shm.ErrNoDirectAccess:
-			return s.viewCopy(key, b, f)
+			return s.viewCopy(key, f)
 		case shm.ErrStaleReference:
-			continue // reclaimed between find and lease; retry the walk
+			broke++ // reclaimed between find and lease; retry the walk
+			continue
 		default:
 			return err // ErrLeaseAliased: nested view of the same record
 		}
 		off := recValueWord * layout.WordBytes
 		ferr := f(l.Bytes()[off : off+s.valSize])
-		// Validate after, exactly like Get: still allocated, still this key.
-		ok := s.c.MetaOf(rec).Allocated() && s.c.LoadWord(rec, recKeyWord) == key
+		alive, stable := s.rd.validate(rec, sp, v1)
 		s.c.ReleaseLease(l)
-		if ok {
+		switch {
+		case !alive || k != key:
+			broke++
+		case stable:
 			return ferr
 		}
 	}
@@ -350,26 +394,28 @@ func (s *Store) View(key uint64, f func(val []byte) error) error {
 }
 
 // Update calls f with key's value bytes in a reused buffer and applies
-// whatever f writes in place — the §6.4 atomic in-place update. The bytes go
-// back through the client's fenceable Handle, as Put's do (a byte lease would
-// write around the RAS fence). The caller must be the key's partition writer
-// (enforced when leases are in use); the single-writer rule is what makes the
-// record stable under f, so no validation or retry is needed. The buffer is
-// valid only inside f.
+// whatever f writes in place — the §6.4 atomic in-place update, under the
+// record's version word as Put's. The bytes go back through the client's
+// fenceable Handle, as Put's do (a byte lease would write around the RAS
+// fence). The caller must be the key's partition writer (enforced when
+// leases are in use); the single-writer rule is what makes the record stable
+// under f, so no validation or retry is needed. The buffer is valid only
+// inside f.
 func (s *Store) Update(key uint64, f func(val []byte) error) error {
 	if err := s.checkOwner(key); err != nil {
 		return err
 	}
-	rec := s.find(key, s.bucketOf(key))
+	rec := s.rd.find(key, s.bucketOf(key))
 	if rec == 0 {
 		return ErrNotFound
 	}
+	sp := s.c.WriteSpan(rec)
 	buf := s.scratchBuf()
-	s.c.ReadData(rec, recValueWord*layout.WordBytes, buf)
+	sp.Read(recValueWord*layout.WordBytes, buf)
 	if err := f(buf); err != nil {
 		return err
 	}
-	s.c.WriteData(rec, recValueWord*layout.WordBytes, buf)
+	s.writeValue(sp, buf)
 	return s.done(nil)
 }
 
@@ -381,21 +427,14 @@ func (s *Store) scratchBuf() []byte {
 	return s.scratch
 }
 
-// viewCopy is View's fallback when the backend cannot alias memory: copy
-// into the scratch buffer with Get's validate-after scheme, then call f.
-func (s *Store) viewCopy(key uint64, b int, f func(val []byte) error) error {
+// viewCopy is View's fallback when the backend cannot alias memory: Get into
+// the scratch buffer, then call f.
+func (s *Store) viewCopy(key uint64, f func(val []byte) error) error {
 	buf := s.scratchBuf()
-	for attempt := 0; attempt < 3; attempt++ {
-		rec := s.find(key, b)
-		if rec == 0 {
-			return ErrNotFound
-		}
-		s.c.ReadData(rec, recValueWord*layout.WordBytes, buf)
-		if s.c.MetaOf(rec).Allocated() && s.c.LoadWord(rec, recKeyWord) == key {
-			return f(buf)
-		}
+	if _, err := s.rd.Get(key, buf); err != nil {
+		return err
 	}
-	return ErrChainBroke
+	return f(buf)
 }
 
 // Delete removes key. Unlinking is one embedded-reference change on the
@@ -431,8 +470,12 @@ func (s *Store) Delete(key uint64) error {
 
 // unlink removes rec, whose predecessor's embedded reference idx points at
 // it. The record is reclaimed immediately; readers validate after reading.
+// Its version word is left odd, naming this writer, for good: the block's
+// next insert is what settles it.
 func (s *Store) unlink(holder layout.Addr, idx int, rec layout.Addr) error {
-	next := s.c.LoadWord(rec, recNextIdx)
+	sp := s.c.WriteSpan(rec)
+	sp.Store(recVerWord, sp.Load(recVerWord)&^verTagMask|s.tag)
+	next := sp.Load(recNextIdx)
 	if next == 0 {
 		return s.done(s.c.ClearEmbed(holder, idx))
 	}
@@ -443,29 +486,130 @@ func (s *Store) unlink(holder layout.Addr, idx int, rec layout.Addr) error {
 // false. The value slice is reused between calls; copy it to keep it. Like
 // Get, the walk is lock-free.
 func (s *Store) Range(f func(key uint64, val []byte) bool) {
-	buf := make([]byte, s.valSize)
-	for b := 0; b < s.buckets; b++ {
-		rec, _ := s.c.LoadEmbed(s.index, b)
-		for hops := 0; rec != 0 && hops <= s.buckets+1024; hops++ {
-			key := s.c.LoadWord(rec, recKeyWord)
-			s.c.ReadData(rec, recValueWord*layout.WordBytes, buf)
-			if s.c.MetaOf(rec).Allocated() { // validate before surfacing
-				if !f(key, buf) {
-					return
-				}
-			}
-			rec = s.c.LoadWord(rec, recNextIdx)
+	s.rd.RangeBuckets(0, s.buckets, f)
+}
+
+// RangeBuckets walks count consecutive buckets lock-free (Reader.RangeBuckets).
+func (s *Store) RangeBuckets(start, count int, f func(key uint64, val []byte) bool) int {
+	return s.rd.RangeBuckets(start, count, f)
+}
+
+// Reader reads a Store lock-free: the one read implementation of Get, View's
+// checks, Range and RangeBuckets. A Store reads through its own client's
+// shm.Reader; NewReader gives another goroutine a Reader over a view of its
+// own, so reads can run beside the store's writes (the serving worker's
+// GET/SCAN beside its PUTs). Like its shm.Reader, a Reader belongs to one
+// goroutine at a time.
+//
+// Reads run no locks, and two protocols keep them from returning what was
+// never written. A delete reclaims its record immediately, so a read
+// validates after its copy that the record is still allocated and still
+// holds the key, and walks again up to three times before ErrChainBroke.
+// A write moves the record's version word, so a read keeps its copy only if
+// the word read the same, settled, before and after it; otherwise it copies
+// again, after yielding while the word names a live writer. No retry count
+// bounds that wait: only the writer's liveness does.
+type Reader struct {
+	s *Store
+	r *shm.Reader
+}
+
+// NewReader returns a Reader of s through r, a view of the pool s lives in.
+func (s *Store) NewReader(r *shm.Reader) *Reader { return &Reader{s: s, r: r} }
+
+// find walks bucket b for key, returning the record address or 0. Reads are
+// raw loads (no reference counting — §5.2's "further reading ... does not
+// need to modify the reference count").
+func (rd *Reader) find(key uint64, b int) layout.Addr {
+	rec, err := rd.r.LoadEmbed(rd.s.index, b)
+	if err != nil {
+		return 0
+	}
+	for hops := 0; rec != 0 && hops <= rd.s.buckets+1024; hops++ {
+		if rd.r.LoadWord(rec, recKeyWord) == key {
+			return rec
+		}
+		rec = rd.r.LoadWord(rec, recNextIdx)
+	}
+	return 0
+}
+
+// Get copies key's value into buf (which must be at least ValueSize bytes)
+// and returns the number of bytes copied.
+func (rd *Reader) Get(key uint64, buf []byte) (int, error) {
+	n := rd.s.valSize
+	if n > len(buf) {
+		n = len(buf)
+	}
+	b := rd.s.bucketOf(key)
+	for broke := 0; broke < 3; broke++ {
+		rec := rd.find(key, b)
+		if rec == 0 {
+			return 0, ErrNotFound
+		}
+		if k, _, ok := rd.readRecord(rec, buf[:n]); ok && k == key {
+			return n, nil
 		}
 	}
+	return 0, ErrChainBroke
+}
+
+// readRecord copies rec's key and value (into buf) once they read stable,
+// and reports whether rec was still allocated after the copy. The span it
+// returns reads rec's next pointer.
+func (rd *Reader) readRecord(rec layout.Addr, buf []byte) (key uint64, sp shm.Span, alive bool) {
+	for {
+		sp = rd.r.Span(rec)
+		v1 := sp.Load(recVerWord)
+		key = sp.Load(recKeyWord)
+		sp.Read(recValueWord*layout.WordBytes, buf)
+		alive, stable := rd.validate(rec, sp, v1)
+		if !alive || stable {
+			return key, sp, alive
+		}
+	}
+}
+
+// validate is the after-copy half of a read of rec whose version word read
+// v1 before the copy: rec must still be allocated (alive) and its version
+// word must still read v1 and be settled (stable). A copy that is unstable
+// only because a live writer is mid-update yields before reporting it, so
+// the caller's next copy comes after the writer has had a chance to finish.
+func (rd *Reader) validate(rec layout.Addr, sp shm.Span, v1 uint64) (alive, stable bool) {
+	if !rd.r.MetaOf(rec).Allocated() {
+		return false, false
+	}
+	if sp.Load(recVerWord) != v1 {
+		return true, false
+	}
+	if v1&1 == 0 || !rd.writerLive(v1) {
+		return true, true
+	}
+	runtime.Gosched()
+	return true, false
+}
+
+// writerLive reports whether the writer an odd version word names can still
+// write: its slot is ALIVE under the generation in the tag. Two loads, only
+// when a read meets an odd word.
+func (rd *Reader) writerLive(w uint64) bool {
+	cid := int(w >> 1 & 0xffff)
+	pool := rd.r.Pool()
+	if cid < 1 || cid > pool.Geometry().MaxClients || pool.ClientStatus(cid) != layout.ClientAlive {
+		return false
+	}
+	return pool.SlotGeneration(cid)>>1&(1<<verGenBits-1) == w>>17&(1<<verGenBits-1)
 }
 
 // RangeBuckets walks the records of count consecutive buckets starting at
 // bucket start (wrapping around the table), calling f until it returns
 // false. It is the batch-scan primitive of the serving tier: a bounded
-// window of the index walked lock-free, with the same validate-before-
-// surfacing rule as Range. The value slice is reused between calls.
-// Returns how many records f accepted.
-func (s *Store) RangeBuckets(start, count int, f func(key uint64, val []byte) bool) int {
+// window of the index walked lock-free. Each record is surfaced only once it
+// reads stable and still allocated; one reclaimed under the walk is skipped.
+// The value slice is reused between calls. Returns how many records f
+// accepted.
+func (rd *Reader) RangeBuckets(start, count int, f func(key uint64, val []byte) bool) int {
+	s := rd.s
 	if s.buckets == 0 || count <= 0 {
 		return 0
 	}
@@ -476,17 +620,16 @@ func (s *Store) RangeBuckets(start, count int, f func(key uint64, val []byte) bo
 	buf := make([]byte, s.valSize)
 	for i := 0; i < count; i++ {
 		b := (start + i) % s.buckets
-		rec, _ := s.c.LoadEmbed(s.index, b)
+		rec, _ := rd.r.LoadEmbed(s.index, b)
 		for hops := 0; rec != 0 && hops <= s.buckets+1024; hops++ {
-			key := s.c.LoadWord(rec, recKeyWord)
-			s.c.ReadData(rec, recValueWord*layout.WordBytes, buf)
-			if s.c.MetaOf(rec).Allocated() {
+			key, sp, alive := rd.readRecord(rec, buf)
+			if alive {
 				if !f(key, buf) {
 					return seen + 1
 				}
 				seen++
 			}
-			rec = s.c.LoadWord(rec, recNextIdx)
+			rec = sp.Load(recNextIdx)
 		}
 	}
 	return seen

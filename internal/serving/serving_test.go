@@ -3,7 +3,10 @@ package serving_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -285,5 +288,93 @@ func TestFencedWorkerRefusesWrites(t *testing.T) {
 	// A fenced worker stops answering altogether: its reads would be stale.
 	if _, _, err := zombie.Get(old); err == nil {
 		t.Fatal("the fenced worker still serves reads")
+	}
+}
+
+// TestServingTornReads: one connection rewrites a key of worker 0's
+// partition in place, alternating two values that differ in every byte,
+// while GETs on the same worker — served off its writer lock, beside its
+// PUTs — and a kv reader on another client read the key. Every read must
+// return one of the two values, never a mix.
+func TestServingTornReads(t *testing.T) {
+	const valSize = 256
+	cfg := serving.ChaosConfig{Workers: 2, Keys: 100, ValSize: valSize}
+	p := newServingPool(t, cfg)
+	w0, _ := startStore(t, p, 100, valSize)
+	var key uint64
+	for kv.Partition(key, 1024, 2) != 0 {
+		key++
+	}
+	a, b := bytes.Repeat([]byte{0xAA}, valSize), bytes.Repeat([]byte{0x55}, valSize)
+	dial := func() *serving.Conn {
+		conn, err := serving.DialWorker(w0.Addr(), netrpc.Config{ReadTimeout: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+	writer := dial()
+	if err := writer.Put(key, a); err != nil {
+		t.Fatal(err)
+	}
+	c, err := p.Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := kv.Open(c, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, 3)
+	reader := func(who string, get func() ([]byte, error)) {
+		defer wg.Done()
+		for !stop.Load() {
+			val, err := get()
+			if err != nil {
+				errs <- fmt.Errorf("%s: %v", who, err)
+				return
+			}
+			if !bytes.Equal(val, a) && !bytes.Equal(val, b) {
+				errs <- fmt.Errorf("%s read a torn value: % x", who, val)
+				return
+			}
+		}
+	}
+	wg.Add(3)
+	for i := 0; i < 2; i++ {
+		conn := dial()
+		go reader("a GET on the writing worker", func() ([]byte, error) {
+			val, found, err := conn.Get(key)
+			if err == nil && !found {
+				err = errors.New("key not found")
+			}
+			return val, err
+		})
+	}
+	buf := make([]byte, valSize)
+	go reader("another client's kv Get", func() ([]byte, error) {
+		_, err := st.Get(key, buf)
+		return buf, err
+	})
+	for i := 0; i < 5000 && len(errs) == 0; i++ {
+		val := a
+		if i%2 == 0 {
+			val = b
+		}
+		if err := writer.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

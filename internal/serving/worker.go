@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,40 +32,61 @@ type WorkerConfig struct {
 
 // WorkerStats is the FnStats response: identity, serving counters, and the
 // store shape a driver needs to route partitions without out-of-band
-// configuration.
+// configuration. LockWaits counts the handler calls that found the writer
+// lock held and LockWaitNS the time they waited for it.
 type WorkerStats struct {
 	CID        int    `json:"cid"`
 	Ops        uint64 `json:"ops"`
 	Errors     uint64 `json:"errors"`
+	LockWaits  uint64 `json:"lock_waits"`
+	LockWaitNS uint64 `json:"lock_wait_ns"`
 	Partitions []int  `json:"partitions"`
 	Buckets    int    `json:"buckets"`
 	Writers    int    `json:"writers"`
 	ValSize    int    `json:"val_size"`
 }
 
+// maxReaders is the capacity of a worker's free list of read views. A view
+// is needed per connection reading at once, and 64 is well beyond the
+// connections the drivers and the benchmark open against one worker.
+const maxReaders = 64
+
 // Worker is one serving process's state: a pool attachment, a kv.Store
 // handle, the partitions it owns, and the RPC server in front of them.
 //
-// Concurrency model: one shm.Client per OS process, and shm.Client is not
-// thread-safe — so the handler serializes on a mutex, mirroring the
-// paper's one-client-per-process model. netrpc spawns a goroutine per
-// connection; they queue on the mutex. The heartbeat ticker shares it.
+// Concurrency model: one shm.Client per OS process — the paper's model —
+// and a shm.Client is single-goroutine, so everything that writes through
+// it (PUT, takeover, stats, the heartbeat ticker) serializes on the writer
+// lock mu. Reads do not: netrpc runs a goroutine per connection, and a
+// GET or SCAN takes a kv.Reader from the readers free list — each over a
+// load-only shm.Reader with its own handle on the worker's cid — and reads
+// lock-free beside the writer, exactly as another process's reader would.
+// The record's version word keeps such a read from returning a value torn
+// by this worker's own in-place PUT. fenced is the one flag both sides
+// check.
 type Worker struct {
 	pool     *shm.Pool
 	ownsPool bool
 	c        *shm.Client
 	store    *kv.Store
 	srv      *netrpc.Server
+	// readers is the free list of views for lock-free GET/SCAN, one per
+	// connection reading at once; a reader beyond its capacity is made for
+	// the call and dropped. A channel, not a sync.Pool: a GC empties a
+	// sync.Pool, and the views would be allocated again on the read path.
+	readers chan *kv.Reader
 
-	mu    sync.Mutex // serializes all use of the single shm.Client
+	mu    sync.Mutex // the writer lock: serializes all use of the shm.Client
 	parts map[int]bool
 	// fenced latches the first shm.ErrFenced a mutation reports: the worker
 	// answers nothing from then on (its reads would be stale) and wants to quit.
-	fenced bool
+	fenced atomic.Bool
 
-	ops, errs atomic.Uint64
-	quit      chan struct{}
-	quitOnce  sync.Once
+	ops, errs             atomic.Uint64
+	lockWaits, lockWaitNS atomic.Uint64
+
+	quit     chan struct{}
+	quitOnce sync.Once
 
 	hbStop   chan struct{}
 	hbDone   chan struct{}
@@ -108,10 +130,15 @@ func startWorker(pool *shm.Pool, owns bool, cfg WorkerConfig) (*Worker, error) {
 	}
 	w := &Worker{
 		pool: pool, ownsPool: owns, c: c, store: store,
-		parts:  make(map[int]bool),
-		quit:   make(chan struct{}),
-		hbStop: make(chan struct{}),
-		hbDone: make(chan struct{}),
+		parts:   make(map[int]bool),
+		quit:    make(chan struct{}),
+		hbStop:  make(chan struct{}),
+		hbDone:  make(chan struct{}),
+		readers: make(chan *kv.Reader, maxReaders),
+	}
+	// A view per CPU up front, so that reads allocate none.
+	for i := 0; i < min(runtime.GOMAXPROCS(0), maxReaders); i++ {
+		w.readers <- store.NewReader(c.NewReader())
 	}
 	for _, p := range cfg.Partitions {
 		if !w.store.AcquirePartition(p, cfg.Steal) {
@@ -157,25 +184,53 @@ func (w *Worker) heartbeatLoop(every time.Duration) {
 	}
 }
 
-func (w *Worker) handle(fn uint64, payload []byte) ([]byte, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+func (w *Worker) handle(fn uint64, payload []byte) (resp []byte, err error) {
 	w.ops.Add(1)
-	if w.fenced {
+	if w.fenced.Load() {
 		return nil, shm.ErrFenced
 	}
-	resp, err := w.dispatch(fn, payload)
+	if fn == FnGet || fn == FnScan {
+		var rd *kv.Reader
+		select {
+		case rd = <-w.readers:
+		default:
+			rd = w.store.NewReader(w.c.NewReader())
+		}
+		resp, err = w.dispatch(rd, fn, payload)
+		select {
+		case w.readers <- rd:
+		default:
+		}
+	} else {
+		w.lock()
+		resp, err = w.dispatch(nil, fn, payload)
+		w.mu.Unlock()
+	}
 	if err != nil {
 		w.errs.Add(1)
 		if errors.Is(err, shm.ErrFenced) {
-			w.fenced = true
+			w.fenced.Store(true)
 			w.quitOnce.Do(func() { close(w.quit) })
 		}
 	}
 	return resp, err
 }
 
-func (w *Worker) dispatch(fn uint64, payload []byte) ([]byte, error) {
+// lock takes the writer lock for a handler call, counting the calls that
+// find it held and their wait. The uncontended path reads no clock.
+func (w *Worker) lock() {
+	if w.mu.TryLock() {
+		return
+	}
+	t0 := time.Now()
+	w.mu.Lock()
+	w.lockWaits.Add(1)
+	w.lockWaitNS.Add(uint64(time.Since(t0)))
+}
+
+// dispatch serves one call. FnGet and FnScan read through rd, off the
+// writer lock; every other function runs under it (rd is nil).
+func (w *Worker) dispatch(rd *kv.Reader, fn uint64, payload []byte) ([]byte, error) {
 	switch fn {
 	case FnPing:
 		resp := make([]byte, 8)
@@ -188,7 +243,7 @@ func (w *Worker) dispatch(fn uint64, payload []byte) ([]byte, error) {
 		}
 		key := u64(payload)
 		resp := make([]byte, 1+w.store.ValueSize())
-		n, err := w.store.Get(key, resp[1:])
+		n, err := rd.Get(key, resp[1:])
 		if errors.Is(err, kv.ErrNotFound) {
 			return resp[:1], nil
 		}
@@ -221,7 +276,7 @@ func (w *Worker) dispatch(fn uint64, payload []byte) ([]byte, error) {
 		// One scan covers a window of buckets sized so a sparse table
 		// still yields records without walking the whole index.
 		window := w.store.Buckets()
-		w.store.RangeBuckets(start, window, func(key uint64, val []byte) bool {
+		rd.RangeBuckets(start, window, func(key uint64, val []byte) bool {
 			var kb [8]byte
 			putU64(kb[:], key)
 			resp = append(resp, kb[:]...)
@@ -248,12 +303,14 @@ func (w *Worker) dispatch(fn uint64, payload []byte) ([]byte, error) {
 
 	case FnStats:
 		st := WorkerStats{
-			CID:     w.c.ID(),
-			Ops:     w.ops.Load(),
-			Errors:  w.errs.Load(),
-			Buckets: w.store.Buckets(),
-			Writers: w.store.Writers(),
-			ValSize: w.store.ValueSize(),
+			CID:        w.c.ID(),
+			Ops:        w.ops.Load(),
+			Errors:     w.errs.Load(),
+			LockWaits:  w.lockWaits.Load(),
+			LockWaitNS: w.lockWaitNS.Load(),
+			Buckets:    w.store.Buckets(),
+			Writers:    w.store.Writers(),
+			ValSize:    w.store.ValueSize(),
 		}
 		for p := range w.parts {
 			st.Partitions = append(st.Partitions, p)

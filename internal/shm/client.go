@@ -4,7 +4,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/cxl"
 	"repro/internal/layout"
 	"repro/internal/obs"
 )
@@ -14,10 +13,12 @@ import (
 // one client per thread; CXLRef is explicitly not thread-safe, §3.1); the
 // Pool underneath is fully concurrent.
 type Client struct {
-	pool *Pool
-	geo  *layout.Geometry
-	h    *cxl.Handle
-	cid  int
+	// Reader holds the client's pool and its handle h, the one path every
+	// device access takes, and carries the load-side data accessors
+	// (data.go).
+	Reader
+	geo *layout.Geometry
+	cid int
 
 	// gen is the slot lease generation stamped on this incarnation at
 	// Connect (odd while leased; see slotlease.go).
@@ -120,9 +121,8 @@ func (p *Pool) Connect() (*Client, error) {
 	gen := p.stampLeaseGen(cid)
 	p.dev.UnfenceClient(cid)
 	c := &Client{
-		pool:       p,
+		Reader:     Reader{pool: p, h: p.dev.Open(cid)},
 		geo:        geo,
-		h:          p.dev.Open(cid),
 		cid:        cid,
 		gen:        gen,
 		eraRow:     make([]uint32, geo.MaxClients+1),
@@ -177,9 +177,6 @@ func (c *Client) Generation() uint64 { return c.gen }
 
 // ID returns the client's ID (1-based).
 func (c *Client) ID() int { return c.cid }
-
-// Pool returns the pool this client is connected to.
-func (c *Client) Pool() *Pool { return c.pool }
 
 // Era returns the client's current era (Era[cid][cid]).
 func (c *Client) Era() uint32 { return c.era }

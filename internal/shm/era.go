@@ -392,8 +392,8 @@ func (c *Client) RootTarget(root layout.Addr) layout.Addr {
 // --- embedded references (§5.4) ---
 
 // embedAddr returns the address of embedded reference idx of block.
-func (c *Client) embedAddr(block layout.Addr, idx int) (layout.Addr, error) {
-	m := layout.UnpackMeta(c.h.Load(block + layout.MetaOff))
+func (r *Reader) embedAddr(block layout.Addr, idx int) (layout.Addr, error) {
+	m := layout.UnpackMeta(r.h.Load(block + layout.MetaOff))
 	if idx < 0 || idx >= int(m.EmbedCnt) {
 		return 0, ErrBadEmbedIndex
 	}
@@ -401,12 +401,12 @@ func (c *Client) embedAddr(block layout.Addr, idx int) (layout.Addr, error) {
 }
 
 // LoadEmbed reads embedded reference idx of block (0 if unset).
-func (c *Client) LoadEmbed(block layout.Addr, idx int) (layout.Addr, error) {
-	ea, err := c.embedAddr(block, idx)
+func (r *Reader) LoadEmbed(block layout.Addr, idx int) (layout.Addr, error) {
+	ea, err := r.embedAddr(block, idx)
 	if err != nil {
 		return 0, err
 	}
-	return c.h.Load(ea), nil
+	return r.h.Load(ea), nil
 }
 
 // SetEmbed links embedded reference idx of block to target (must currently
