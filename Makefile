@@ -45,7 +45,7 @@ test-mmap:
 # every scripted operation crashed before every one of its device writes,
 # each followed by recovery and a full-pool fsck, plus a phase-B pass that
 # crashes the recovery executor before every one of its own writes (35 ops,
-# 1854 + 6402 positions, about 5 s per backend). Violations print a minimal
+# 1856 + 6402 positions, about 5 s per backend). Violations print a minimal
 # `faultsim -repro` line and fail the target.
 sweep:
 	$(GO) run ./cmd/faultsim -sweep -recovery-sweep
@@ -150,7 +150,7 @@ dep-guard:
 # torn-read tests of the version word — in-place update, same-key
 # delete + re-insert, the serving worker's lock-free GETs beside its PUTs —
 # and the update cut by its writer's death, under the race detector on both
-# backends,
+# backends, and the torn-read tests again on one P (-cpu 1),
 # three race passes over the in-process serving chaos, a race pass over the
 # monitor (its ticker, per-client recovery dispatch writing the detector rows,
 # and the concurrent passes its maintenance scans overlap), a race pass over
@@ -180,6 +180,7 @@ ci: fmt-check vet build test benchmark-check dep-guard inline-check
 	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestTornRead|TestCrashCutUpdate' ./internal/kv
 	$(GO) test -race -run 'TestServingTornReads|TestReadsRunOffTheWriterLock' ./internal/serving
 	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestServingTornReads|TestReadsRunOffTheWriterLock' ./internal/serving
+	$(GO) test -cpu 1 -count=5 -run 'TestTornRead|TestServingTornReads' ./internal/kv ./internal/serving
 	$(GO) test -race -count=3 -run TestChaosInProcess ./internal/serving
 	$(GO) test -race -run 'Monitor|ConcurrentTicks|ConcurrentPasses|AbandonedSegment' ./internal/recovery
 	$(GO) test -race ./internal/netrpc ./internal/cxl

@@ -62,8 +62,6 @@ var (
 	ErrTooLarge         = shm.ErrTooLarge
 	ErrQueueFull        = shm.ErrQueueFull
 	ErrQueueEmpty       = shm.ErrQueueEmpty
-	ErrLeaseAliased     = shm.ErrLeaseAliased
-	ErrNoDirectAccess   = shm.ErrNoDirectAccess
 	ErrReleased         = errors.New("cxlshm: use of released reference")
 )
 
@@ -425,58 +423,16 @@ func (r *Ref) StoreWord(i int, v uint64) { r.c.c.StoreWord(r.block, i, v) }
 // CASWord atomically compares-and-swaps data word i.
 func (r *Ref) CASWord(i int, old, new uint64) bool { return r.c.c.CASWord(r.block, i, old, new) }
 
-// Lease returns a zero-copy []byte view aliasing the object's data area on
-// the device (the paper's §3.1 data plane: get_addr plus plain loads and
-// stores). No bytes are staged through the Go heap, and the acquire/release
-// cycle costs zero device metadata accesses. The Ref must stay un-Released
-// for the lease's lifetime, at most one lease per object may be live per
-// client (ErrLeaseAliased), and backends that cannot alias device memory
-// return ErrNoDirectAccess — fall back to Read/Write there.
-func (r *Ref) Lease() (*Lease, error) {
-	if r.root == 0 {
-		return nil, ErrReleased
-	}
-	l, err := r.c.c.AcquireLease(r.block)
-	if err != nil {
-		return nil, err
-	}
-	return &Lease{c: r.c, l: l}, nil
-}
-
-// Lease is a zero-copy byte window over one shared object's data area.
-type Lease struct {
-	c *Client
-	l *shm.Lease
-}
-
-// Bytes returns the aliasing window. It must not be used after Release.
-func (l *Lease) Bytes() []byte { return l.l.Bytes() }
-
-// Release invalidates the window and recycles the lease. Releasing twice is
-// a harmless no-op.
-func (l *Lease) Release() { l.c.c.ReleaseLease(l.l) }
-
 // SetEmbed links embedded reference idx to target's object (single-writer;
 // see paper §4.3 and §5.4).
 func (r *Ref) SetEmbed(idx int, target *Ref) error {
 	return r.c.c.SetEmbed(r.block, idx, target.block)
 }
 
-// SetEmbedAddr links embedded reference idx to an object by address (for
-// data structures that traverse raw embedded pointers).
-func (r *Ref) SetEmbedAddr(idx int, target Addr) error {
-	return r.c.c.SetEmbed(r.block, idx, target)
-}
-
 // ChangeEmbed atomically re-points embedded reference idx to target,
 // releasing the previous target (the §5.4 change function).
 func (r *Ref) ChangeEmbed(idx int, target *Ref) error {
 	return r.c.c.ChangeEmbed(r.block, idx, target.block)
-}
-
-// ChangeEmbedAddr is ChangeEmbed by address.
-func (r *Ref) ChangeEmbedAddr(idx int, target Addr) error {
-	return r.c.c.ChangeEmbed(r.block, idx, target)
 }
 
 // ClearEmbed unlinks embedded reference idx, releasing its target.

@@ -407,53 +407,3 @@ func TestPoolExhaustionSurfacesError(t *testing.T) {
 		t.Fatalf("allocation after drain: %v", err)
 	}
 }
-
-func TestLeaseThroughPublicAPI(t *testing.T) {
-	p := newPool(t)
-	c, err := p.Connect()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ref, err := c.Malloc(256, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := ref.Lease()
-	if err != nil {
-		if errors.Is(err, cxlshm.ErrNoDirectAccess) {
-			t.Skip("backend has no direct byte access")
-		}
-		t.Fatal(err)
-	}
-	if len(l.Bytes()) < 256 {
-		t.Fatalf("lease window %d bytes, want >= 256", len(l.Bytes()))
-	}
-	copy(l.Bytes(), "through the lease")
-
-	// The lease aliases the device: Read must observe the write.
-	got := make([]byte, 17)
-	ref.Read(0, got)
-	if string(got) != "through the lease" {
-		t.Fatalf("Read after lease write = %q", got)
-	}
-
-	// One live lease per object.
-	if _, err := ref.Lease(); !errors.Is(err, cxlshm.ErrLeaseAliased) {
-		t.Fatalf("second lease: want ErrLeaseAliased, got %v", err)
-	}
-	l.Release()
-	l.Release() // double release is a no-op
-
-	l2, err := ref.Lease()
-	if err != nil {
-		t.Fatalf("re-lease after release: %v", err)
-	}
-	l2.Release()
-
-	ref.Release()
-	if _, err := ref.Lease(); !errors.Is(err, cxlshm.ErrReleased) {
-		t.Fatalf("lease of released ref: want ErrReleased, got %v", err)
-	}
-	validateClean(t, p, 0)
-}

@@ -108,8 +108,7 @@ type Store struct {
 	// rd reads through the client's own handle: the store and every
 	// NewReader view share one read implementation.
 	rd Reader
-	// scratch is the reusable copy buffer of Update and of View's fallback
-	// (backends without direct byte access).
+	// scratch is the reusable copy buffer of View and Update.
 	scratch []byte
 }
 
@@ -137,7 +136,7 @@ func Create(c *shm.Client, rootSlot, buckets, valueSize, writers int) (*Store, e
 func newStore(c *shm.Client, index, root layout.Addr, buckets, valSize, writers int) *Store {
 	s := &Store{c: c, index: index, root: root,
 		buckets: buckets, valSize: valSize, writers: writers,
-		tag: versionTag(c.ID(), c.Generation())}
+		tag: versionTag(c.ID(), c.Generation()), scratch: make([]byte, valSize)}
 	s.rd = Reader{s: s, r: &c.Reader}
 	return s
 }
@@ -349,58 +348,24 @@ func (s *Store) done(err error) error {
 // and returns the number of bytes copied, lock-free (Reader.Get).
 func (s *Store) Get(key uint64, buf []byte) (int, error) { return s.rd.Get(key, buf) }
 
-// View calls f with a zero-copy read view of key's value bytes — the
-// record's device words aliased directly, no Go-heap copy (paper §3.1:
-// data-plane reads are plain loads on the mapped memory). The view is
-// valid only inside f; f must not retain it, must not write through it,
-// and — like any optimistic lock-free read — may run more than once or
-// observe a value that a concurrent write or delete then invalidates, in
-// which case its result is discarded and the read retried. Backends without
-// direct byte access fall back to a copy into a reused scratch buffer, same
-// contract.
+// View calls f once with key's value, copied lock-free as Get copies it
+// (stable under the record's version word) into a buffer the store owns.
+// The buffer is valid only inside f and is the one Update uses, so f must
+// not call View or Update on the same store.
 func (s *Store) View(key uint64, f func(val []byte) error) error {
-	b := s.bucketOf(key)
-	for broke := 0; broke < 3; {
-		rec := s.rd.find(key, b)
-		if rec == 0 {
-			return ErrNotFound
-		}
-		sp := s.c.Span(rec)
-		v1 := sp.Load(recVerWord)
-		k := sp.Load(recKeyWord)
-		l, err := s.c.AcquireLease(rec)
-		switch err {
-		case nil:
-		case shm.ErrNoDirectAccess:
-			return s.viewCopy(key, f)
-		case shm.ErrStaleReference:
-			broke++ // reclaimed between find and lease; retry the walk
-			continue
-		default:
-			return err // ErrLeaseAliased: nested view of the same record
-		}
-		off := recValueWord * layout.WordBytes
-		ferr := f(l.Bytes()[off : off+s.valSize])
-		alive, stable := s.rd.validate(rec, sp, v1)
-		s.c.ReleaseLease(l)
-		switch {
-		case !alive || k != key:
-			broke++
-		case stable:
-			return ferr
-		}
+	if _, err := s.rd.Get(key, s.scratch); err != nil {
+		return err
 	}
-	return ErrChainBroke
+	return f(s.scratch)
 }
 
 // Update calls f with key's value bytes in a reused buffer and applies
 // whatever f writes in place — the §6.4 atomic in-place update, under the
 // record's version word as Put's. The bytes go back through the client's
-// fenceable Handle, as Put's do (a byte lease would write around the RAS
-// fence). The caller must be the key's partition writer (enforced when
-// leases are in use); the single-writer rule is what makes the record stable
-// under f, so no validation or retry is needed. The buffer is valid only
-// inside f.
+// fenceable Handle, as Put's do. The caller must be the key's partition
+// writer (enforced when leases are in use); the single-writer rule is what
+// makes the record stable under f, so no validation or retry is needed. The
+// buffer is valid only inside f.
 func (s *Store) Update(key uint64, f func(val []byte) error) error {
 	if err := s.checkOwner(key); err != nil {
 		return err
@@ -410,31 +375,12 @@ func (s *Store) Update(key uint64, f func(val []byte) error) error {
 		return ErrNotFound
 	}
 	sp := s.c.WriteSpan(rec)
-	buf := s.scratchBuf()
-	sp.Read(recValueWord*layout.WordBytes, buf)
-	if err := f(buf); err != nil {
+	sp.Read(recValueWord*layout.WordBytes, s.scratch)
+	if err := f(s.scratch); err != nil {
 		return err
 	}
-	s.writeValue(sp, buf)
+	s.writeValue(sp, s.scratch)
 	return s.done(nil)
-}
-
-// scratchBuf returns the store's reusable fallback copy buffer.
-func (s *Store) scratchBuf() []byte {
-	if s.scratch == nil {
-		s.scratch = make([]byte, s.valSize)
-	}
-	return s.scratch
-}
-
-// viewCopy is View's fallback when the backend cannot alias memory: Get into
-// the scratch buffer, then call f.
-func (s *Store) viewCopy(key uint64, f func(val []byte) error) error {
-	buf := s.scratchBuf()
-	if _, err := s.rd.Get(key, buf); err != nil {
-		return err
-	}
-	return f(buf)
 }
 
 // Delete removes key. Unlinking is one embedded-reference change on the
@@ -494,8 +440,8 @@ func (s *Store) RangeBuckets(start, count int, f func(key uint64, val []byte) bo
 	return s.rd.RangeBuckets(start, count, f)
 }
 
-// Reader reads a Store lock-free: the one read implementation of Get, View's
-// checks, Range and RangeBuckets. A Store reads through its own client's
+// Reader reads a Store lock-free: the one read implementation of Get (and so
+// of View), Range and RangeBuckets. A Store reads through its own client's
 // shm.Reader; NewReader gives another goroutine a Reader over a view of its
 // own, so reads can run beside the store's writes (the serving worker's
 // GET/SCAN beside its PUTs). Like its shm.Reader, a Reader belongs to one

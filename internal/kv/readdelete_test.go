@@ -17,7 +17,9 @@ import (
 // key, and no key is ever inserted twice, so a block holds a given key for
 // one contiguous lifetime. Readers rely on validate-after-read alone (Get
 // checks that the record is still allocated and still holds the key after
-// copying), so a reader must never return another key's value.
+// copying), so a reader must never return another key's value. Two readers
+// Get; a third reads through View, whose f must never see another key's
+// value either.
 func TestConcurrentReadDuringDelete(t *testing.T) {
 	p := newPool(t)
 	w := connect(t, p)
@@ -39,8 +41,8 @@ func TestConcurrentReadDuringDelete(t *testing.T) {
 	var oldest atomic.Uint64 // the lowest key still live
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	errs := make(chan error, 2)
-	for g := 0; g < 2; g++ {
+	errs := make(chan error, 3)
+	for g := 0; g < 3; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -55,9 +57,21 @@ func TestConcurrentReadDuringDelete(t *testing.T) {
 				return
 			}
 			buf := make([]byte, 8)
+			read := func(k uint64) error {
+				_, err := rs.Get(k, buf)
+				return err
+			}
+			if g == 2 {
+				read = func(k uint64) error {
+					return rs.View(k, func(val []byte) error {
+						copy(buf, val)
+						return nil
+					})
+				}
+			}
 			for i := uint64(0); !stop.Load(); i++ {
 				k := oldest.Load() + (i*7+uint64(g))%window
-				_, err := rs.Get(k, buf)
+				err := read(k)
 				if err == kv.ErrNotFound || err == kv.ErrChainBroke {
 					continue
 				}

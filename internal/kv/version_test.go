@@ -58,75 +58,111 @@ func twoValues(n int) (a, b []byte) {
 	return bytes.Repeat([]byte{0xAA}, n), bytes.Repeat([]byte{0x55}, n)
 }
 
-// hammerKey runs write(i) for i in [0, rounds) on s's writer while three
-// lock-free readers read key: another client through its own Store (Get, and
-// RangeBuckets over the key's bucket), and a NewReader view on the writer's
-// own client, from another goroutine. Every value a reader returns must be
-// a or b; a miss (ErrNotFound, ErrChainBroke) is allowed.
+// hammerKey runs write(i) on s's writer while four lock-free readers read
+// key: two other clients through Stores of their own (Get and RangeBuckets
+// over the key's bucket on one, View on the other), and a NewReader view on
+// the writer's own client, from another goroutine. Every value a reader
+// returns must be a or b; a miss (ErrNotFound, ErrChainBroke) is allowed.
+// The writer runs at least rounds writes and goes on until every reader has
+// returned a value — with one P the readers may not run before the writer's
+// rounds are done — for at most half a minute.
 func hammerKey(t *testing.T, p *shm.Pool, w *shm.Client, s *kv.Store, key uint64, a, b []byte,
 	rounds int, write func(i int) error) {
 	t.Helper()
-	var stop atomic.Bool
-	var reads atomic.Int64
-	var wg sync.WaitGroup
-	errs := make(chan error, 3)
-	check := func(who string, val []byte) error {
-		reads.Add(1)
-		if !bytes.Equal(val, a) && !bytes.Equal(val, b) {
-			return fmt.Errorf("%s read a torn value: % x", who, val)
+	stores := make([]*kv.Store, 2)
+	for i := range stores {
+		rc, err := p.Connect()
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}
-	// reader runs read until the writer is done or a read fails.
-	reader := func(read func(buf []byte) error) {
-		defer wg.Done()
-		buf := make([]byte, len(a))
-		for !stop.Load() {
-			err := read(buf)
-			if err == kv.ErrNotFound || err == kv.ErrChainBroke {
-				continue
-			}
-			if err != nil {
-				errs <- err
-				return
-			}
+		defer rc.Close()
+		if stores[i], err = kv.Open(rc, 0); err != nil {
+			t.Fatal(err)
 		}
+		defer stores[i].Close()
 	}
-	rc, err := p.Connect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := kv.Open(rc, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs, vs := stores[0], stores[1]
 	bucket := kv.Partition(key, rs.Buckets(), rs.Buckets())
 	view := s.NewReader(w.NewReader())
-	wg.Add(3)
-	go reader(func(buf []byte) error {
-		if _, err := rs.Get(key, buf); err != nil {
-			return err
-		}
-		return check("another client's Get", buf)
-	})
-	go reader(func([]byte) error {
-		var err error
-		rs.RangeBuckets(bucket, 1, func(k uint64, val []byte) bool {
-			if k == key {
-				err = check("another client's RangeBuckets", val)
+	untorn := func(v []byte) bool { return bytes.Equal(v, a) || bytes.Equal(v, b) }
+	// Each reader copies the value it read into buf and returns it, or nil
+	// when the key was not there. View's reader checks every value f is
+	// called with: f runs once per View, on a stable value.
+	readers := []struct {
+		who  string
+		read func(buf []byte) ([]byte, error)
+	}{
+		{"another client's Get", func(buf []byte) ([]byte, error) {
+			_, err := rs.Get(key, buf)
+			return buf, err
+		}},
+		{"another client's RangeBuckets", func(buf []byte) ([]byte, error) {
+			var got []byte
+			rs.RangeBuckets(bucket, 1, func(k uint64, val []byte) bool {
+				if k == key {
+					got = append(buf[:0], val...)
+				}
+				return got == nil
+			})
+			return got, nil
+		}},
+		{"another client's View", func(buf []byte) ([]byte, error) {
+			var torn error
+			err := vs.View(key, func(val []byte) error {
+				if copy(buf, val); !untorn(buf) {
+					torn = fmt.Errorf("f was called with a torn value: % x", buf)
+				}
+				return nil
+			})
+			if torn != nil {
+				return nil, torn
 			}
-			return err == nil
-		})
-		return err
-	})
-	go reader(func(buf []byte) error {
-		if _, err := view.Get(key, buf); err != nil {
-			return err
+			return buf, err
+		}},
+		{"a view of the writer's client", func(buf []byte) ([]byte, error) {
+			_, err := view.Get(key, buf)
+			return buf, err
+		}},
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	reads := make([]atomic.Int64, len(readers))
+	errs := make(chan error, len(readers))
+	for r := range readers {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			buf := make([]byte, len(a))
+			for !stop.Load() {
+				val, err := readers[r].read(buf)
+				switch {
+				case err == kv.ErrNotFound || err == kv.ErrChainBroke || err == nil && val == nil:
+				case err != nil:
+					errs <- fmt.Errorf("%s: %v", readers[r].who, err)
+					return
+				case !untorn(val):
+					errs <- fmt.Errorf("%s read a torn value: % x", readers[r].who, val)
+					return
+				default:
+					reads[r].Add(1)
+				}
+			}
+		}(r)
+	}
+	allRead := func() bool {
+		for r := range reads {
+			if reads[r].Load() == 0 {
+				return false
+			}
 		}
-		return check("a view of the writer's client", buf)
-	})
+		return true
+	}
+	deadline := time.Now().Add(30 * time.Second)
 	var werr error
-	for i := 0; i < rounds && werr == nil && len(errs) == 0; i++ {
+	for i := 0; werr == nil && len(errs) == 0; i++ {
+		if i >= rounds && (allRead() || time.Now().After(deadline)) {
+			break
+		}
 		werr = write(i)
 	}
 	stop.Store(true)
@@ -138,11 +174,11 @@ func hammerKey(t *testing.T, p *shm.Pool, w *shm.Client, s *kv.Store, key uint64
 	for err := range errs {
 		t.Error(err)
 	}
-	if reads.Load() == 0 {
-		t.Fatal("the readers returned no value")
+	for r := range readers {
+		if reads[r].Load() == 0 {
+			t.Errorf("%s returned no value", readers[r].who)
+		}
 	}
-	rs.Close()
-	rc.Close()
 }
 
 // TestTornReadUnderUpdate: the single writer rewrites one key in place,

@@ -295,7 +295,11 @@ func TestFencedWorkerRefusesWrites(t *testing.T) {
 // partition in place, alternating two values that differ in every byte,
 // while GETs on the same worker — served off its writer lock, beside its
 // PUTs — and a kv reader on another client read the key. Every read must
-// return one of the two values, never a mix.
+// return one of the two values, never a mix. The writer goes on past its
+// 5000 PUTs until every reader has read, for at most half a minute, and the
+// in-process reader sleeps every 64th read: with one P, a goroutine that
+// never blocks leaves the network poller to the runtime's 10 ms monitor, and
+// every hop of a PUT would wait for it.
 func TestServingTornReads(t *testing.T) {
 	const valSize = 256
 	cfg := serving.ChaosConfig{Workers: 2, Keys: 100, ValSize: valSize}
@@ -331,10 +335,11 @@ func TestServingTornReads(t *testing.T) {
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
+	var reads [3]atomic.Int64
 	errs := make(chan error, 3)
-	reader := func(who string, get func() ([]byte, error)) {
+	reader := func(r int, who string, get func() ([]byte, error)) {
 		defer wg.Done()
-		for !stop.Load() {
+		for ; !stop.Load(); reads[r].Add(1) {
 			val, err := get()
 			if err != nil {
 				errs <- fmt.Errorf("%s: %v", who, err)
@@ -349,7 +354,7 @@ func TestServingTornReads(t *testing.T) {
 	wg.Add(3)
 	for i := 0; i < 2; i++ {
 		conn := dial()
-		go reader("a GET on the writing worker", func() ([]byte, error) {
+		go reader(i, "a GET on the writing worker", func() ([]byte, error) {
 			val, found, err := conn.Get(key)
 			if err == nil && !found {
 				err = errors.New("key not found")
@@ -358,11 +363,21 @@ func TestServingTornReads(t *testing.T) {
 		})
 	}
 	buf := make([]byte, valSize)
-	go reader("another client's kv Get", func() ([]byte, error) {
+	go reader(2, "another client's kv Get", func() ([]byte, error) {
+		if reads[2].Load()%64 == 63 {
+			time.Sleep(time.Microsecond)
+		}
 		_, err := st.Get(key, buf)
 		return buf, err
 	})
-	for i := 0; i < 5000 && len(errs) == 0; i++ {
+	allRead := func() bool {
+		return reads[0].Load() > 0 && reads[1].Load() > 0 && reads[2].Load() > 0
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for i := 0; len(errs) == 0; i++ {
+		if i >= 5000 && (allRead() || time.Now().After(deadline)) {
+			break
+		}
 		val := a
 		if i%2 == 0 {
 			val = b
@@ -376,5 +391,8 @@ func TestServingTornReads(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	if !allRead() {
+		t.Errorf("a reader returned no value: %d, %d and %d reads", reads[0].Load(), reads[1].Load(), reads[2].Load())
 	}
 }

@@ -66,12 +66,6 @@ type Client struct {
 	// cascade (scan.go).
 	scr scanScratch
 
-	// leases tracks this client's live byte leases by block, enforcing the
-	// no-aliasing rule; leasePool recycles Lease wrappers so the steady-state
-	// acquire/release cycle allocates nothing (lease.go).
-	leases    map[layout.Addr]*Lease
-	leasePool []*Lease
-
 	// epochTrigger/epochSeq record the most recent publication epoch
 	// (shadow.go): what fired it and how many have run. Diagnostics only —
 	// the crash sweep names the trigger in its repro lines.
@@ -130,7 +124,6 @@ func (p *Pool) Connect() (*Client, error) {
 		classPages: make([][]*ownedPage, len(geo.Classes)),
 		ownedBySeg: make([]*ownedSeg, geo.NumSegments),
 		queues:     make(map[layout.Addr]*queueShadow),
-		leases:     make(map[layout.Addr]*Lease),
 		mx:         p.obs.Shard(cid),
 	}
 	// Stripe claim-scan start positions by client ID so concurrent claimers

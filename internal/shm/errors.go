@@ -40,12 +40,4 @@ var (
 	// ErrBadEmbedIndex is returned for embedded-reference operations with an
 	// index outside the object's declared embedded-reference area.
 	ErrBadEmbedIndex = errors.New("shm: embedded reference index out of range")
-	// ErrLeaseAliased is returned by AcquireLease when this client already
-	// holds a live lease over the block: two mutable byte views of the same
-	// object would alias each other with no ordering between their writes.
-	ErrLeaseAliased = errors.New("shm: block already leased")
-	// ErrNoDirectAccess is returned by AcquireLease when the backing memory
-	// cannot hand out zero-copy byte windows (non-addressable backend or a
-	// big-endian host); callers fall back to ReadData/WriteData.
-	ErrNoDirectAccess = errors.New("shm: backend does not support direct byte access")
 )

@@ -194,15 +194,6 @@ func (p *Pool) StaleClients() []int {
 // Device exposes the underlying device (recovery, validation, benchmarks).
 func (p *Pool) Device() *cxl.Device { return p.dev }
 
-// DataWindow returns a zero-copy byte view of nbytes starting at word a,
-// or nil when the device cannot alias its memory (see
-// cxl.Device.DataWindow).
-// The shm-level discipline — data words of referenced blocks only — is
-// enforced by the lease layer (lease.go), the only intended caller.
-func (p *Pool) DataWindow(a layout.Addr, nbytes int) []byte {
-	return p.dev.DataWindow(a, nbytes)
-}
-
 // Obs exposes the pool's in-process metrics registry.
 func (p *Pool) Obs() *obs.Registry { return p.obs }
 

@@ -713,9 +713,10 @@ func TestStaleReferenceDetected(t *testing.T) {
 
 func TestFencedClientOperationsFail(t *testing.T) {
 	p := newTestPool(t)
-	c := connect(t, p)
+	c, o := connect(t, p), connect(t, p)
 	root, block, _ := c.Malloc(32, 0)
-	_ = block
+	want := []byte("thirty-two bytes before a fence.")
+	c.WriteData(block, 0, want)
 	if err := p.MarkClientDead(c.ID()); err != nil {
 		t.Fatal(err)
 	}
@@ -727,6 +728,18 @@ func TestFencedClientOperationsFail(t *testing.T) {
 	}
 	if _, err := c.ReleaseRoot(root); err != shm.ErrFenced {
 		t.Fatalf("fenced release: %v", err)
+	}
+	// The data area's one path is the client's fenced handle: none of the
+	// fenced client's writes reach the pool, as another client reads it.
+	c.WriteData(block, 0, []byte("written after the fence"))
+	c.StoreWord(block, 2, 0xdead)
+	if w3 := o.LoadWord(block, 3); c.CASWord(block, 3, w3, w3+1) {
+		t.Fatal("fenced CASWord reported success")
+	}
+	got := make([]byte, len(want))
+	o.ReadData(block, 0, got)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("another client reads %q after the fenced client's writes, want %q", got, want)
 	}
 }
 

@@ -474,19 +474,12 @@ func script() []op {
 			}
 			return nil
 		}},
-		// Byte-lease leg: a lease is client-local state over data words, so
-		// a crash while one is live must leave recovery nothing to do. The
-		// lease's own writes are data-plane (they bypass the device hook);
-		// the StoreWord between acquire and release provides the counted
-		// crash position inside the hold window.
-		{"lease-hold", actorX, func(e *env) error {
-			l, err := e.x.AcquireLease(e.b1)
-			if err != nil {
-				return err
-			}
-			copy(l.Bytes(), "leased bytes")
+		// Data-area writes: bytes and a word into a live object's data area
+		// are plain counted device stores, and a crash between any two must
+		// leave recovery nothing to do.
+		{"write-data", actorX, func(e *env) error {
+			e.x.WriteData(e.b1, 0, []byte("leased bytes"))
 			e.x.StoreWord(e.b1, 2, 0xbeef)
-			e.x.ReleaseLease(l)
 			return nil
 		}},
 		{"scan", actorX, func(e *env) error {
