@@ -44,8 +44,8 @@ test-mmap:
 # sweep runs the exhaustive access-granular crash sweep on both backends:
 # every scripted operation crashed before every one of its device writes,
 # each followed by recovery and a full-pool fsck, plus a phase-B pass that
-# crashes the recovery executor before every one of its own writes (35 ops,
-# 1856 + 6402 positions, about 5 s per backend). Violations print a minimal
+# crashes the recovery executor before every one of its own writes (36 ops,
+# 1883 + 6448 positions, about 5 s per backend). Violations print a minimal
 # `faultsim -repro` line and fail the target.
 sweep:
 	$(GO) run ./cmd/faultsim -sweep -recovery-sweep

@@ -19,10 +19,10 @@
 //
 // The device also models two failure-related hardware features:
 //
-//   - RAS fencing: once a client ID is fenced (Device.FenceClient), stores
-//     and CAS issued through that client's Handle are silently dropped,
-//     modelling "the failed client cannot modify the shared memory pool
-//     after its recovery has started" (paper §3.2).
+//   - RAS fencing: a fence (Device.FenceClient) silently drops, for good,
+//     every later store and CAS through the client's Handles opened before
+//     it, modelling "the failed client cannot modify the shared memory pool
+//     after its recovery has started" (paper §3.2); one opened after writes.
 //   - Flush/fence accounting: Handle.Flush and Handle.SFence count
 //     invocations and optionally burn a configurable latency, so the
 //     Figure 7 cost breakdown can be reproduced.
@@ -61,7 +61,7 @@ func (c *counters) reset() {
 	c.fences.Store(0)
 }
 
-// Device is the simulated CXL shared memory pool. Its words and fence flags
+// Device is the simulated CXL shared memory pool. Its words and fence epochs
 // live on the Go heap (NewDevice) or in an mmap'd file (CreateMapDevice,
 // OpenMapDevice, NewAnonMapDevice); the data path is the same either way.
 //
@@ -76,12 +76,13 @@ func (c *counters) reset() {
 // file constructors.
 type Device struct {
 	words []uint64
-	// fenced[cid] is nonzero once client cid has been RAS-fenced. For a
-	// file-backed device this slice views the shared file, so a recovery
-	// service in another process can fence this process's clients.
-	fenced []atomic.Uint32
+	// fence[cid] counts client cid's RAS fences: a Handle writes only while
+	// it holds the count it captured at Open. For a file-backed device this
+	// slice views the shared file, so a recovery service in another process
+	// can fence this process's clients.
+	fence []atomic.Uint64
 
-	// data is the file mapping words and fenced view (nil on the heap), and
+	// data is the file mapping words and fence view (nil on the heap), and
 	// path the file's name. readOnly marks a PROT_READ observer mapping:
 	// every mutating call panics by name (see deny).
 	data     []byte
@@ -123,7 +124,7 @@ func NewDevice(cfg Config) (*Device, error) {
 		return nil, err
 	}
 	d := &Device{}
-	d.init(make([]uint64, cfg.Words), make([]atomic.Uint32, cfg.MaxClients+1), cfg.CountAccesses)
+	d.init(make([]uint64, cfg.Words), make([]atomic.Uint64, cfg.MaxClients+1), cfg.CountAccesses)
 	return d, nil
 }
 
@@ -137,13 +138,13 @@ func (cfg Config) validate() error {
 	return nil
 }
 
-// init wires the device core around the given storage. words and fenced may
+// init wires the device core around the given storage. words and fence may
 // live on the Go heap (NewDevice) or inside an mmap'd file (newMapDevice).
-func (d *Device) init(words []uint64, fenced []atomic.Uint32, countAccesses bool) {
+func (d *Device) init(words []uint64, fence []atomic.Uint64, countAccesses bool) {
 	d.words = words
-	d.fenced = fenced
+	d.fence = fence
 	d.countAccesses = countAccesses
-	d.hctr = make([]counters, len(fenced))
+	d.hctr = make([]counters, len(fence))
 }
 
 // Words reports the size of the pool in words.
@@ -153,7 +154,7 @@ func (d *Device) Words() int { return len(d.words) }
 func (d *Device) Bytes() int { return len(d.words) * WordBytes }
 
 // MaxClients reports the highest client ID that can be fenced or opened.
-func (d *Device) MaxClients() int { return len(d.fenced) - 1 }
+func (d *Device) MaxClients() int { return len(d.fence) - 1 }
 
 // check panics on an out-of-range address. A real device would machine-check;
 // in the simulation an out-of-range access is always an implementation bug,
@@ -230,36 +231,16 @@ func (d *Device) CAS(a Addr, old, new uint64) bool {
 	return atomic.CompareAndSwapUint64(&d.words[a], old, new)
 }
 
-// FenceClient RAS-fences client cid: all subsequent stores and CAS issued
-// through a Handle opened for cid are dropped. Idempotent.
+// FenceClient RAS-fences client cid for good: every Handle opened for cid so
+// far drops its stores and CAS from now on; a Handle opened later writes.
 func (d *Device) FenceClient(cid int) {
 	if d.readOnly {
 		d.deny("FenceClient")
 	}
-	if cid <= 0 || cid >= len(d.fenced) {
+	if cid <= 0 || cid >= len(d.fence) {
 		return
 	}
-	d.fenced[cid].Store(1)
-}
-
-// UnfenceClient lifts the RAS fence for cid (used when a recovered client
-// slot is handed to a fresh client).
-func (d *Device) UnfenceClient(cid int) {
-	if d.readOnly {
-		d.deny("UnfenceClient")
-	}
-	if cid <= 0 || cid >= len(d.fenced) {
-		return
-	}
-	d.fenced[cid].Store(0)
-}
-
-// ClientFenced reports whether cid is currently fenced.
-func (d *Device) ClientFenced(cid int) bool {
-	if cid <= 0 || cid >= len(d.fenced) {
-		return false
-	}
-	return d.fenced[cid].Load() != 0
+	d.fence[cid].Add(1)
 }
 
 // Stats is a snapshot of device access counters.

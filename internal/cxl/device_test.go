@@ -87,29 +87,56 @@ func TestRASFencingDropsWrites(t *testing.T) {
 	if got := h.Load(4); got != 99 {
 		t.Fatalf("fenced store leaked: got %d, want 99", got)
 	}
-	if h.DroppedWrites() != 2 {
-		t.Fatalf("dropped writes = %d, want 2", h.DroppedWrites())
-	}
 	// Another client is unaffected.
 	h2 := d.Open(4)
 	h2.Store(4, 55)
 	if got := h.Load(4); got != 55 {
 		t.Fatalf("unfenced client's store lost: got %d", got)
 	}
-	d.UnfenceClient(3)
-	h.Store(4, 77)
-	if got := h.Load(4); got != 77 {
-		t.Fatalf("unfence did not restore writes: got %d", got)
+	// The fence ends the incarnation, not the client ID: a handle opened
+	// after it (the slot's next lessee) writes, and the pre-fence handle
+	// stays fenced beside it, also across a second fence and the handle
+	// opened after that.
+	next := d.Open(3)
+	if next.Fenced() {
+		t.Fatal("a handle opened after the fence starts fenced")
+	}
+	next.Store(4, 77)
+	h.Store(4, 78)
+	if h.CAS(4, 77, 79) {
+		t.Fatal("the pre-fence handle's CAS landed beside the new incarnation")
+	}
+	if got := h.Load(4); got != 77 || !h.Fenced() {
+		t.Fatalf("word %d, pre-fence handle fenced %v: want 77 written by the new handle, and fenced", got, h.Fenced())
+	}
+	d.FenceClient(3)
+	third := d.Open(3)
+	third.Store(4, 80)
+	h.Store(4, 81)
+	next.Store(4, 82)
+	if got := h.Load(4); got != 80 || !next.Fenced() || third.Fenced() {
+		t.Fatalf("after a second fence: word %d, fenced %v/%v/%v; want 80 and only the newest handle unfenced",
+			got, h.Fenced(), next.Fenced(), third.Fenced())
 	}
 }
 
 func TestFenceUnknownClientIsNoop(t *testing.T) {
 	d := newTestDevice(t, 16)
+	hs := make([]*Handle, d.MaxClients()+1)
+	for cid := 1; cid <= d.MaxClients(); cid++ {
+		hs[cid] = d.Open(cid)
+	}
 	d.FenceClient(-1)
 	d.FenceClient(0)
 	d.FenceClient(1 << 20)
-	if d.ClientFenced(0) || d.ClientFenced(-1) || d.ClientFenced(1<<20) {
-		t.Fatal("out-of-range fence must not register")
+	for cid := 1; cid <= d.MaxClients(); cid++ {
+		if hs[cid].Fenced() {
+			t.Fatalf("an out-of-range fence fenced client %d", cid)
+		}
+		hs[cid].Store(1, uint64(cid))
+		if got := hs[cid].Load(1); got != uint64(cid) {
+			t.Fatalf("client %d's store lost after out-of-range fences: word %d", cid, got)
+		}
 	}
 }
 

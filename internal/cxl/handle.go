@@ -7,8 +7,9 @@ import (
 
 // Handle is one client's view of a Device. It is the only path client code
 // may use to access shared memory: RAS fencing, the device's Intercept and
-// per-client access counting are applied here. A Handle is owned by a single
-// goroutine and is not goroutine-safe (matching the paper's
+// per-client access counting are applied here; a fence drops a Handle's
+// writes for good, and only a Handle opened after it writes. A Handle is
+// owned by a single goroutine and is not goroutine-safe (matching the paper's
 // one-client-per-thread model); the Device underneath is fully concurrent.
 //
 // Dispatch hangs on one precomputed condition, held in words: the device's
@@ -16,7 +17,7 @@ import (
 // (a zero Intercept, not counting), nil otherwise. Under it Load/Store/CAS
 // are a bounds test against words, the fence-word load (Store/CAS) and one
 // sync/atomic op; any other access — words nil, a wild address, a fenced
-// client — runs the *Slow twin: wild-access panic, dropped writes, the
+// handle — runs the *Slow twin: wild-access panic, dropped writes, the
 // intercept, counters. Open computes it once.
 type Handle struct {
 	dev *Device
@@ -24,9 +25,10 @@ type Handle struct {
 	words []uint64
 	cid   int
 
-	// fencedW points at this client's RAS fence word in the device (heap or
-	// mmap'd file).
-	fencedW *atomic.Uint32
+	// fence points at this client's RAS fence epoch in the device (heap or
+	// mmap'd file); the handle writes only while it still equals epoch.
+	fence *atomic.Uint64
+	epoch uint64
 	// ctr is this client's counter block in the device, merged into Stats
 	// on read. count gates all counting on it.
 	ctr   *counters
@@ -37,9 +39,6 @@ type Handle struct {
 	// recently touched line addresses, consulted only when lat is set.
 	lat   *Latency
 	cache lineCache
-
-	// droppedWrites counts stores/CAS swallowed by the RAS fence.
-	droppedWrites uint64
 }
 
 // Open creates a Handle for client cid. cid must be in [1, MaxClients].
@@ -47,15 +46,16 @@ func (d *Device) Open(cid int) *Handle {
 	if d.readOnly {
 		d.deny("Open")
 	}
-	if cid <= 0 || cid >= len(d.fenced) {
+	if cid <= 0 || cid >= len(d.fence) {
 		panic("cxl: Open with out-of-range client id")
 	}
 	h := &Handle{
-		dev:     d,
-		cid:     cid,
-		fencedW: &d.fenced[cid],
-		ctr:     &d.hctr[cid],
-		count:   d.countAccesses,
+		dev:   d,
+		cid:   cid,
+		fence: &d.fence[cid],
+		epoch: d.fence[cid].Load(),
+		ctr:   &d.hctr[cid],
+		count: d.countAccesses,
 	}
 	if d.icpt.Latency != (Latency{}) {
 		h.lat = &d.icpt.Latency
@@ -66,11 +66,8 @@ func (d *Device) Open(cid int) *Handle {
 	return h
 }
 
-// Fenced reports whether this handle's client has been RAS-fenced.
-func (h *Handle) Fenced() bool { return h.fencedW.Load() != 0 }
-
-// DroppedWrites reports how many stores/CAS were swallowed by the fence.
-func (h *Handle) DroppedWrites() uint64 { return h.droppedWrites }
+// Fenced reports whether this handle has been RAS-fenced. Once true, it stays.
+func (h *Handle) Fenced() bool { return h.fence.Load() != h.epoch }
 
 // Load atomically reads the word at a.
 func (h *Handle) Load(a Addr) uint64 {
@@ -95,11 +92,11 @@ func (h *Handle) loadSlow(a Addr) uint64 {
 	return atomic.LoadUint64(&d.words[a])
 }
 
-// Store atomically writes v at a. If the client is fenced the write is
+// Store atomically writes v at a. If the handle is fenced the write is
 // silently dropped, exactly as a RAS-isolated node's writes never reach the
 // device.
 func (h *Handle) Store(a Addr, v uint64) {
-	if a != 0 && a < uint64(len(h.words)) && h.fencedW.Load() == 0 {
+	if a != 0 && a < uint64(len(h.words)) && h.fence.Load() == h.epoch {
 		atomic.StoreUint64(&h.words[a], v)
 		return
 	}
@@ -110,7 +107,6 @@ func (h *Handle) storeSlow(a Addr, v uint64) {
 	d := h.dev
 	d.check(a)
 	if h.Fenced() {
-		h.droppedWrites++
 		return
 	}
 	if d.icpt.Access != nil {
@@ -132,9 +128,9 @@ func (h *Handle) storeSlow(a Addr, v uint64) {
 }
 
 // CAS atomically compares-and-swaps the word at a. Returns false without
-// touching memory if the client is fenced.
+// touching memory if the handle is fenced.
 func (h *Handle) CAS(a Addr, old, new uint64) bool {
-	if a != 0 && a < uint64(len(h.words)) && h.fencedW.Load() == 0 {
+	if a != 0 && a < uint64(len(h.words)) && h.fence.Load() == h.epoch {
 		return atomic.CompareAndSwapUint64(&h.words[a], old, new)
 	}
 	return h.casSlow(a, old, new)
@@ -144,7 +140,6 @@ func (h *Handle) casSlow(a Addr, old, new uint64) bool {
 	d := h.dev
 	d.check(a)
 	if h.Fenced() {
-		h.droppedWrites++
 		return false
 	}
 	if d.icpt.Access != nil {

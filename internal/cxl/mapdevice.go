@@ -9,7 +9,7 @@ import (
 	"unsafe"
 )
 
-// A file-backed Device keeps its word array, RAS fence flags and header in
+// A file-backed Device keeps its word array, RAS fence epochs and header in
 // an mmap'd file. This is the realistic software stand-in for CXL shared
 // memory today (Xu et al.: mmap-based shared files are "barely distributed
 // and almost persistent"): a pool created by one OS process can be reopened
@@ -20,7 +20,7 @@ import (
 // (atomic word access, RAS fencing, Handle fast path, access counting) is
 // byte-for-byte the same code; only the storage the slices view differs.
 // Two processes mapping the same file share one cache-coherent word array
-// and one set of fence flags, so a recovery service in a fresh process can
+// and one set of fence epochs, so a recovery service in a fresh process can
 // fence and recover the clients of a dead one.
 //
 // File layout (little-endian):
@@ -30,28 +30,30 @@ import (
 //	byte 16   pool size in words
 //	byte 24   device MaxClients
 //	byte 32   header size in bytes
-//	byte 64   RAS fence flags: (MaxClients+1) uint32 words
+//	byte 64   RAS fence epochs: (MaxClients+1) uint64 words
 //	...       (header padded to a page multiple)
 //	byte hdr  word array: words × 8 bytes
 
 const (
-	mapMagic         = 0x3150414d4d4c5843 // "CXLMMAP1" little-endian
-	mapFormatVersion = 1
-	// mapFencedOff is the byte offset of the fence-flag array.
-	mapFencedOff = 64
+	mapMagic = 0x3150414d4d4c5843 // "CXLMMAP1" little-endian
+	// The version changes whenever the file's words change meaning: since
+	// version 2 the fence words are 64-bit epochs.
+	mapFormatVersion = 2
+	// mapFenceOff is the byte offset of the fence-epoch array.
+	mapFenceOff = 64
 	// mapPage is the header alignment; mmap offsets are page-granular.
 	mapPage = 4096
 )
 
 // Compile-time guarantees that the unsafe file views below are sound.
 var (
-	_ = [1]struct{}{}[unsafe.Sizeof(atomic.Uint32{})-4]
-	_ = [1]struct{}{}[unsafe.Alignof(atomic.Uint32{})-4]
+	_ = [1]struct{}{}[unsafe.Sizeof(atomic.Uint64{})-8]
+	_ = [1]struct{}{}[mapFenceOff%unsafe.Alignof(atomic.Uint64{})]
 )
 
 // mapHeaderBytes computes the (page-aligned) header size for a client count.
 func mapHeaderBytes(maxClients int) int {
-	n := mapFencedOff + 4*(maxClients+1)
+	n := mapFenceOff + 8*(maxClients+1)
 	return (n + mapPage - 1) &^ (mapPage - 1)
 }
 
@@ -92,7 +94,7 @@ func CreateMapDevice(path string, cfg Config) (*Device, error) {
 }
 
 // OpenMapDevice maps an existing pool file. The pool comes back exactly as
-// the last process left it — including fence flags and any clients that
+// the last process left it — including fence epochs and any clients that
 // died holding references; attach it with shm.AttachMemory and run
 // recovery on the stale clients.
 func OpenMapDevice(path string) (*Device, error) {
@@ -101,9 +103,9 @@ func OpenMapDevice(path string) (*Device, error) {
 
 // OpenMapDeviceReadOnly maps an existing pool file PROT_READ as a read-only
 // device: loads observe the live pool (other processes' stores included)
-// but any Store, CAS, FenceClient, UnfenceClient or Open panics — and even
-// a bug that got past those checks would take a SIGSEGV from the MMU, not
-// corrupt the pool. This is the attach path for observers (cxltop).
+// but any Store, CAS, FenceClient or Open panics — and even a bug that got
+// past those checks would take a SIGSEGV from the MMU, not corrupt the pool.
+// This is the attach path for observers (cxltop).
 func OpenMapDeviceReadOnly(path string) (*Device, error) {
 	return openMapDevice(path, true)
 }
@@ -195,8 +197,8 @@ func NewAnonMapDevice(cfg Config) (*Device, error) {
 func newMapDevice(path string, data []byte, words, maxClients, hdr int, count bool) *Device {
 	d := &Device{data: data, path: path}
 	w := unsafe.Slice((*uint64)(unsafe.Pointer(&data[hdr])), words)
-	fenced := unsafe.Slice((*atomic.Uint32)(unsafe.Pointer(&data[mapFencedOff])), maxClients+1)
-	d.init(w, fenced, count)
+	fence := unsafe.Slice((*atomic.Uint64)(unsafe.Pointer(&data[mapFenceOff])), maxClients+1)
+	d.init(w, fence, count)
 	return d
 }
 
@@ -226,6 +228,6 @@ func (d *Device) Close() error {
 	err := munmap(d.data)
 	d.data = nil
 	d.words = nil
-	d.fenced = nil
+	d.fence = nil
 	return err
 }

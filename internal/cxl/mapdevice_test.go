@@ -3,8 +3,10 @@
 package cxl
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -42,9 +44,24 @@ func TestMapDeviceReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	md.Store(5, 12345)
-	md.FenceClient(2)
-	if err := md.Sync(); err != nil {
+	// Another mapping of the file (a recovery service in another process)
+	// fences client 2 and persists it: the handle opened before the fence
+	// stays fenced.
+	h := md.Open(2)
+	other, err := OpenMapDevice(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.FenceClient(2)
+	if err := other.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
+	}
+	if err := other.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h.Store(5, 999)
+	if !h.Fenced() || md.Load(5) != 12345 {
+		t.Fatalf("pre-fence handle: fenced %v, word 5 = %d; want fenced and 12345", h.Fenced(), md.Load(5))
 	}
 	if err := md.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -61,10 +78,14 @@ func TestMapDeviceReopen(t *testing.T) {
 	if got := md2.Load(5); got != 12345 {
 		t.Fatalf("word 5 after reopen: %d", got)
 	}
-	// RAS fence state lives in the file too: a fence set by the previous
-	// owner survives into the next process.
-	if !md2.ClientFenced(2) {
-		t.Fatal("fence flag lost across reopen")
+	// RAS fence state lives in the file too: the fence epoch a previous
+	// process advanced survives into the next one, whose handles start from
+	// it.
+	if got := md2.fence[2].Load(); got != 1 {
+		t.Fatalf("fence epoch after reopen: %d, want 1", got)
+	}
+	if h2 := md2.Open(2); h2.Fenced() {
+		t.Fatal("a handle opened after the reopen starts fenced")
 	}
 }
 
@@ -104,8 +125,12 @@ func TestMapDeviceSharedMapping(t *testing.T) {
 	if got := hb.Load(10); got != 88 {
 		t.Fatalf("fenced cross-mapping store leaked: %d", got)
 	}
-	if ha.DroppedWrites() != 1 {
-		t.Fatalf("dropped = %d, want 1", ha.DroppedWrites())
+	// Client 1's next incarnation, opened through mapping A after the
+	// fence, writes; the old handle stays fenced.
+	a.Open(1).Store(10, 2000)
+	ha.Store(10, 3000)
+	if got := hb.Load(10); got != 2000 || !ha.Fenced() {
+		t.Fatalf("after re-open: word %d, old handle fenced %v; want 2000 and fenced", got, ha.Fenced())
 	}
 }
 
@@ -141,6 +166,18 @@ func TestMapDeviceOpenErrors(t *testing.T) {
 	}
 	if _, err := OpenMapDevice(path); err == nil {
 		t.Fatal("open of truncated file must fail")
+	}
+
+	// A version 1 file (32-bit fence flags) is refused, not misread.
+	v1 := filepath.Join(dir, "v1.cxl")
+	md, err = CreateMapDevice(v1, Config{Words: 64, MaxClients: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(md.data[8:], 1)
+	md.Close()
+	if _, err := OpenMapDevice(v1); err == nil || !strings.Contains(err.Error(), "format version 1") {
+		t.Fatalf("open of a version 1 file: err=%v, want a format version error", err)
 	}
 
 	// Creating over an existing file must fail (no silent clobber).

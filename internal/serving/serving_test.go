@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -217,13 +218,28 @@ func TestServingBackToBackPuts(t *testing.T) {
 // worker fenced while it keeps serving (a paused process the monitor gave up
 // on, resumed) has every store swallowed by the device. A PUT through the
 // zombie must come back as an error — update and insert alike — and the
-// survivor that takes its partition over must still read the old value.
+// survivor that takes its partition over must still read the old value. In
+// the slot-reuse case the zombie tries nothing until it has been recovered
+// and a new client leases its slot: the fence must outlive the lease.
 func TestFencedWorkerRefusesWrites(t *testing.T) {
+	for _, reuse := range []bool{false, true} {
+		for _, backend := range []string{"heap", "mmap"} {
+			name := "fenced/" + backend
+			if reuse {
+				name = "slot-reuse/" + backend
+			}
+			t.Run(name, func(t *testing.T) { fencedWorkerStory(t, backend, reuse) })
+		}
+	}
+}
+
+func fencedWorkerStory(t *testing.T, backend string, reuse bool) {
 	cfg := serving.ChaosConfig{Workers: 2, Keys: 100, ValSize: 32}
-	p, err := shm.NewPool(shm.Config{
-		Geometry: serving.SizeGeometry(cfg),
-		File:     filepath.Join(t.TempDir(), "pool.cxl"),
-	})
+	pcfg := shm.Config{Geometry: serving.SizeGeometry(cfg), Backend: backend}
+	if backend == "mmap" {
+		pcfg.File = filepath.Join(t.TempDir(), "pool.cxl")
+	}
+	p, err := shm.NewPool(pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,15 +271,24 @@ func TestFencedWorkerRefusesWrites(t *testing.T) {
 
 	// Fenced but still the partition's recorded writer: the ownership check
 	// passes, only the fence can refuse the write.
+	fenced := func(what string, err error) {
+		t.Helper()
+		var se *netrpc.ServerError
+		if !errors.As(err, &se) || !strings.Contains(se.Msg, shm.ErrFenced.Error()) {
+			t.Fatalf("%s through the fenced worker: err=%v, want %q", what, err, shm.ErrFenced)
+		}
+	}
+	val := bytes.Repeat([]byte{0xAB}, 32)
+	puts := func() {
+		for _, k := range []uint64{old, fresh} {
+			fenced(fmt.Sprintf("put %d", k), zombie.Put(k, val))
+		}
+	}
 	if err := p.MarkClientDead(w0.CID()); err != nil {
 		t.Fatal(err)
 	}
-	val := bytes.Repeat([]byte{0xAB}, 32)
-	for _, k := range []uint64{old, fresh} {
-		var se *netrpc.ServerError
-		if err := zombie.Put(k, val); !errors.As(err, &se) {
-			t.Fatalf("put %d through the fenced worker: err=%v, want a *netrpc.ServerError", k, err)
-		}
+	if !reuse {
+		puts()
 	}
 	// The fenced writer's partition moves only after its recovery.
 	if err := survivor.Takeover(0); !errors.Is(err, serving.ErrTakeoverPending) {
@@ -276,6 +301,16 @@ func TestFencedWorkerRefusesWrites(t *testing.T) {
 	if _, err := svc.RecoverClient(w0.CID()); err != nil {
 		t.Fatal(err)
 	}
+	if reuse {
+		c, err := p.Connect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.ID() != w0.CID() {
+			t.Fatalf("the new lessee took slot %d, want the fenced worker's %d", c.ID(), w0.CID())
+		}
+		puts()
+	}
 	if err := survivor.Takeover(0); err != nil {
 		t.Fatalf("takeover: %v", err)
 	}
@@ -286,8 +321,12 @@ func TestFencedWorkerRefusesWrites(t *testing.T) {
 		t.Fatalf("survivor reads key %d: found=%v err=%v, want not found", fresh, found, err)
 	}
 	// A fenced worker stops answering altogether: its reads would be stale.
-	if _, _, err := zombie.Get(old); err == nil {
-		t.Fatal("the fenced worker still serves reads")
+	_, _, err = zombie.Get(old)
+	fenced("get", err)
+	select {
+	case <-w0.QuitRequested():
+	default:
+		t.Fatal("the fenced worker does not ask to quit")
 	}
 }
 

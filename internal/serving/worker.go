@@ -62,8 +62,8 @@ const maxReaders = 64
 // load-only shm.Reader with its own handle on the worker's cid — and reads
 // lock-free beside the writer, exactly as another process's reader would.
 // The record's version word keeps such a read from returning a value torn
-// by this worker's own in-place PUT. fenced is the one flag both sides
-// check.
+// by this worker's own in-place PUT. handle checks the client's fence before
+// either side runs; once raised, it stays up for this incarnation.
 type Worker struct {
 	pool     *shm.Pool
 	ownsPool bool
@@ -78,9 +78,6 @@ type Worker struct {
 
 	mu    sync.Mutex // the writer lock: serializes all use of the shm.Client
 	parts map[int]bool
-	// fenced latches the first shm.ErrFenced a mutation reports: the worker
-	// answers nothing from then on (its reads would be stale) and wants to quit.
-	fenced atomic.Bool
 
 	ops, errs             atomic.Uint64
 	lockWaits, lockWaitNS atomic.Uint64
@@ -186,10 +183,10 @@ func (w *Worker) heartbeatLoop(every time.Duration) {
 
 func (w *Worker) handle(fn uint64, payload []byte) (resp []byte, err error) {
 	w.ops.Add(1)
-	if w.fenced.Load() {
-		return nil, shm.ErrFenced
-	}
-	if fn == FnGet || fn == FnScan {
+	switch {
+	case w.c.Fenced():
+		err = shm.ErrFenced // a fenced worker answers nothing: its reads would be stale
+	case fn == FnGet || fn == FnScan:
 		var rd *kv.Reader
 		select {
 		case rd = <-w.readers:
@@ -201,7 +198,7 @@ func (w *Worker) handle(fn uint64, payload []byte) (resp []byte, err error) {
 		case w.readers <- rd:
 		default:
 		}
-	} else {
+	default:
 		w.lock()
 		resp, err = w.dispatch(nil, fn, payload)
 		w.mu.Unlock()
@@ -209,7 +206,6 @@ func (w *Worker) handle(fn uint64, payload []byte) (resp []byte, err error) {
 	if err != nil {
 		w.errs.Add(1)
 		if errors.Is(err, shm.ErrFenced) {
-			w.fenced.Store(true)
 			w.quitOnce.Do(func() { close(w.quit) })
 		}
 	}

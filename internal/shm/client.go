@@ -113,7 +113,6 @@ func (p *Pool) Connect() (*Client, error) {
 		return nil, &SlotExhaustedError{Capacity: geo.MaxClients, Alive: alive, Dead: dead}
 	}
 	gen := p.stampLeaseGen(cid)
-	p.dev.UnfenceClient(cid)
 	c := &Client{
 		Reader:     Reader{pool: p, h: p.dev.Open(cid)},
 		geo:        geo,
@@ -259,6 +258,11 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
+	// A fenced incarnation is already dead, and its slot may be leased again:
+	// marking the slot dead now would kill the new lessee.
+	if c.h.Fenced() {
+		return nil
+	}
 	// Publish deferred frees before the fence: after MarkClientDeadDetected
 	// the device drops this client's stores, and the pending blocks would
 	// stay off every list (which a dead owner's segment scan tolerates).

@@ -121,7 +121,6 @@ func TestTelemetryReadOnlyAttach(t *testing.T) {
 	denied("Store", func() { dev.Store(a, 1) })
 	denied("CAS", func() { dev.CAS(a, dev.Load(a), 1) })
 	denied("FenceClient", func() { dev.FenceClient(cid) })
-	denied("UnfenceClient", func() { dev.UnfenceClient(cid) })
 	denied("Open", func() { dev.Open(cid) })
 	denied("telemetry write", func() { ro.Telemetry().PoolAdd(obs.CtrMonitorTick, 1) })
 	denied("Connect", func() { ro.Connect() })

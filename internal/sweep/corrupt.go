@@ -264,7 +264,7 @@ func runCorruptTrial(cfg CorruptConfig, region faultinject.Region, class faultin
 	for i := corruptInjectAt; i < len(ops); i++ {
 		o := ops[i]
 		actor := o.actor(e)
-		if crashed[actor.ID()] {
+		if actor == nil || crashed[actor.ID()] {
 			continue
 		}
 		if pan := guarded(func() { _ = o.run(e) }); pan != nil {

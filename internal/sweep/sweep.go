@@ -15,6 +15,7 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -125,10 +126,11 @@ type env struct {
 	// extra is the slot-recycle leg's fourth client: attached, crashed,
 	// reclaimed, and re-attached over the same slot. extraCID/extraGen
 	// remember the first lease so the re-attach can assert slot identity and
-	// generation monotonicity.
+	// generation monotonicity; zombie keeps the reclaimed first incarnation.
 	extra    *shm.Client
 	extraCID int
 	extraGen uint64
+	zombie   *shm.Client
 
 	r1, b1       layout.Addr   // long-lived small object, published as named root 0
 	rp, parent   layout.Addr   // embed-carrying parent
@@ -434,7 +436,7 @@ func script() []op {
 		}},
 		{"reclaim-extra", actorX, func(e *env) error {
 			cid := e.extra.ID()
-			e.extra = nil
+			e.zombie, e.extra = e.extra, nil
 			if err := e.p.MarkClientDead(cid); err != nil {
 				return err
 			}
@@ -455,6 +457,23 @@ func script() []op {
 			}
 			e.extra = c
 			return nil
+		}},
+		// The reclaimed incarnation wakes beside its slot's new lessee (whose
+		// writes are the crash positions): its malloc must fail fenced and
+		// its store into the lessee's block must not land.
+		{"zombie-after-recycle", actorExtra, func(e *env) error {
+			r, b, err := e.extra.Malloc(64, 0)
+			if err != nil {
+				return err
+			}
+			e.extra.StoreWord(b, 0, 0xec1)
+			e.zombie.StoreWord(b, 0, 0xdead)
+			_, _, zerr := e.zombie.Malloc(64, 0)
+			if w := e.extra.LoadWord(b, 0); !errors.Is(zerr, shm.ErrFenced) || w != 0xec1 {
+				return fmt.Errorf("zombie after recycle: malloc err=%v, lessee's word %#x; want ErrFenced, 0xec1", zerr, w)
+			}
+			_, err = e.extra.ReleaseRoot(r)
+			return err
 		}},
 		{"release-remote-last", actorX, func(e *env) error {
 			_, err := e.x.ReleaseRoot(e.rro)
