@@ -44,9 +44,9 @@ test-mmap:
 # sweep runs the exhaustive access-granular crash sweep on both backends:
 # every scripted operation crashed before every one of its device writes,
 # each followed by recovery and a full-pool fsck, plus a phase-B pass that
-# crashes the recovery executor before every one of its own writes (36 ops,
-# 1883 + 6448 positions, about 5 s per backend). Violations print a minimal
-# `faultsim -repro` line and fail the target.
+# crashes the recovery executor before every one of its own writes (about 5 s
+# per backend; EXPERIMENTS.md's sweep table has the counts it prints).
+# Violations print a minimal `faultsim -repro` line and fail the target.
 sweep:
 	$(GO) run ./cmd/faultsim -sweep -recovery-sweep
 	$(GO) run ./cmd/faultsim -sweep -recovery-sweep -backend mmap
@@ -144,7 +144,9 @@ dep-guard:
 # budgets, the client-scaling curve's budgets and the queue tests on both
 # backends, the device-access budgets of the recovery pass, the
 # tick after it and the idle tick over a dead loader's segments on both
-# backends, the telemetry delta-publication pin under the race detector on both
+# backends, the recovery pass's last-reference drop cut at every write and the
+# witness of the header pair every recovery free erases, under the race
+# detector on both backends, the telemetry delta-publication pin under the race detector on both
 # backends, the zero-allocation fast-path pin on both backends, the kv
 # read-during-delete contract (race detector on heap, once on mmap), the
 # torn-read tests of the version word — in-place update, same-key
@@ -168,6 +170,8 @@ ci: fmt-check vet build test benchmark-check dep-guard inline-check
 	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestDeviceAccessBudget|TestClientScaling|TestQueue' ./internal/shm
 	$(GO) test -run 'TestRecoveryPassAccessBudget|TestIdleTickAfterLoaderDeath' ./internal/recovery
 	CXLSHM_BACKEND=mmap $(GO) test -run 'TestRecoveryPassAccessBudget|TestIdleTickAfterLoaderDeath' ./internal/recovery
+	$(GO) test -race -run 'TestRootDrop|TestFreeWitnesses' ./internal/recovery
+	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestRootDrop|TestFreeWitnesses' ./internal/recovery
 	$(GO) test -race -run TestTelemetryDeltaPublication ./internal/shm
 	CXLSHM_BACKEND=mmap $(GO) test -race -run TestTelemetryDeltaPublication ./internal/shm
 	$(GO) test -race -run TestSlotChurn ./internal/shm

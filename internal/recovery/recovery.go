@@ -109,7 +109,10 @@ type Report struct {
 	SegsFreed  int  // segments returned to the free pool
 	SegsOrphan int  // segments left ABANDONED (still referenced by others)
 	HugeFreed  int  // huge objects reclaimed
-	Reclaimed  int  // leaked blocks reclaimed by the post-sweep scan
+	// Reclaimed counts the blocks the post-sweep scan reclaimed: leaked ones,
+	// and those whose last reference the sweep dropped (476 per victim of
+	// the benchmark's crash-recover workload).
+	Reclaimed int
 	// Duration is the detection-to-recovered SLO for this death: first
 	// missed heartbeat (or the fence, when there was no detection phase) to
 	// RECOVERED published. Zero when the timeline carried no detection stamp.
@@ -122,7 +125,10 @@ type Report struct {
 //  2. decide and replay the interrupted transaction's ModifyRef using the
 //     era matrix (Conditions 1 and 2),
 //  3. sweep the dead client's RootRef pages — the content in and only in
-//     those pages identifies every reference it possessed (§5.1),
+//     those pages identifies every reference it possessed (§5.1): a last
+//     reference to a block in the client's own ACTIVE segment is dropped
+//     (header ← 0, slot ← 0) for step 4's scan to free, every other one is
+//     released by era transaction,
 //  4. scan and either free or abandon its segments,
 //  5. release the slot lease: clear the redo entry, scrub the era row,
 //     move the generation even, and mark the slot recovered.
@@ -130,7 +136,9 @@ type Report struct {
 // Everything here is idempotent or guarded, so a recovery that itself
 // crashes can simply be re-run. Concurrent calls for independent clients
 // proceed in parallel (bounded by the executor pool); calls for the same
-// client serialize.
+// client serialize within one Service only. Two Services recovering the same
+// client at once (a monitor and cxlsnap -recover, say) are not excluded, and
+// can free live objects: ROADMAP.md [recovery-claim].
 func (s *Service) RecoverClient(cid int) (Report, error) {
 	if cid < 1 || cid > s.pool.Geometry().MaxClients {
 		return Report{Client: cid}, fmt.Errorf("recovery: client id %d out of range", cid)
@@ -181,7 +189,7 @@ func (s *Service) recoverWith(exec *shm.Client, cid int) (Report, error) {
 		func() {
 			s.segMu[seg].Lock()
 			defer s.segMu[seg].Unlock()
-			r.SweptRoots += s.sweepRootRefPages(exec, seg)
+			r.SweptRoots += s.sweepRootRefPages(exec, cid, seg)
 		}()
 	}
 
@@ -447,15 +455,16 @@ func (s *Service) ownedSegments(cid int) []int {
 	return owned
 }
 
-// sweepRootRefPages releases every reference recorded in the dead client's
+// sweepRootRefPages releases every reference recorded in dead client cid's
 // RootRef pages within segment seg (paper §5.1: "use the content in and only
-// in these pages").
-func (s *Service) sweepRootRefPages(exec *shm.Client, seg int) int {
+// in these pages"), dropping the last references into cid's own ACTIVE
+// segments (shm.RootSweep.Victim).
+func (s *Service) sweepRootRefPages(exec *shm.Client, cid, seg int) int {
 	p := s.pool
 	geo := p.Geometry()
 	dev := p.Device()
 	swept := 0
-	var rs shm.RootSweep
+	rs := shm.RootSweep{Victim: cid}
 	numPages := int(dev.Load(geo.SegNextPageAddr(seg)))
 	if numPages > geo.PagesPerSegment {
 		numPages = geo.PagesPerSegment

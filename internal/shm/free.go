@@ -167,12 +167,14 @@ func (c *Client) reclaimRaw(block layout.Addr, m layout.Meta, op *ownedPage, bs 
 			freeer = 0
 		}
 	}
-	c.loc[obs.CtrFree]++
 	bs.drop()
 	c.h.Store(block+layout.HeaderOff, 0)
 	c.h.Store(block+layout.MetaOff, layout.PackMeta(layout.Meta{
 		Flags: 0, EmbedCnt: freeer, BlockWords: m.BlockWords,
 	}))
+	// Counted once marked: a free cut short before the mark is redone, and
+	// counted, by the segment scan.
+	c.loc[obs.CtrFree]++
 
 	if op != nil {
 		// Owner-local free: two device stores total. The list/counter
@@ -213,12 +215,13 @@ func (c *Client) freeHuge(block layout.Addr, m layout.Meta) {
 	if headSt.State != layout.SegHugeHead {
 		return // already freed (idempotent re-run)
 	}
-	c.loc[obs.CtrFreeHuge]++
 	owner := headSt.CID
 	k := int((m.BlockWords + c.geo.SegmentWords - 1) / c.geo.SegmentWords)
-	// Erase the object identity before releasing memory.
+	// Erase the object identity before releasing memory. Counted once erased:
+	// a rerun meets a head without meta and releases it uncounted (scan.go).
 	c.h.Store(block+layout.HeaderOff, 0)
 	c.h.Store(block+layout.MetaOff, 0)
+	c.loc[obs.CtrFreeHuge]++
 	for j := k - 1; j >= 1; j-- {
 		a := c.geo.SegStateAddr(head + j)
 		st := layout.UnpackSegState(c.h.Load(a))

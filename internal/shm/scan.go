@@ -61,11 +61,13 @@ type ScanReport struct {
 // segments, or active segments being recovered); it enables the RootRef
 // sweep and segment reclamation.
 //
-// The scan runs in rounds: reclaiming a leaked block cascades frees that
-// may land in this segment behind the walk or after the membership snapshot,
-// so a round only records the lost free blocks it meets and re-links them
-// itself when it reclaimed nothing (its snapshot is then still fresh); a round
-// that did reclaim drops its verdict and the next one starts afresh.
+// The scan runs in rounds: reclaiming a leaked block through the cascade, or
+// sweeping a root, frees blocks that may land in this segment behind the walk
+// or after the membership snapshot, so a round only records the lost free
+// blocks it meets and re-links them itself when it did neither (its snapshot
+// is then still fresh); a round that did drops its verdict and the next one
+// starts afresh. A dead owner's leaked plain block is freed in place, by two
+// stores to the block alone, so a round that freed only such blocks is final.
 func (c *Client) ScanSegment(seg int, ownerDead bool) ScanReport {
 	t0 := time.Now()
 	total := c.scanSegment(seg, ownerDead)
@@ -87,10 +89,10 @@ func (c *Client) scanSegment(seg int, ownerDead bool) ScanReport {
 			// again. Every round: a round's own reclaims park more of them.
 			c.flushPending(EpochScan)
 		}
-		r := c.scanSegmentOnce(seg, ownerDead)
+		r, settled := c.scanSegmentOnce(seg, ownerDead)
 		reclaimed += r.Reclaimed
 		swept += r.SweptRoots
-		if r.Freed || (r.Reclaimed == 0 && r.SweptRoots == 0) {
+		if settled {
 			r.Reclaimed, r.SweptRoots = reclaimed, swept
 			return r
 		}
@@ -193,13 +195,21 @@ type scanScratch struct {
 // by the very root being swept. (If another executor abandons the segment
 // meanwhile, a free this walk then makes into it goes unflagged, for the
 // monitor's backstop to find.)
+//
+// Victim is the dead client whose recovery pass runs the walk, 0 for none (a
+// segment scan's own sweep). A last reference into Victim's own ACTIVE
+// segment is dropped rather than released: that segment's scan is still
+// ahead in the same pass, and it frees the block.
 type RootSweep struct {
-	seg   int
-	goneW uint64
+	Victim int
+	seg    int
+	goneW  uint64
 }
 
-func (c *Client) scanSegmentOnce(seg int, ownerDead bool) ScanReport {
-	var r ScanReport
+// scanSegmentOnce runs one round of the scan. settled reports that its
+// verdict is final: it released the segment, or it neither cascaded a
+// reclaim nor swept a root, so nothing it did can have landed behind the walk.
+func (c *Client) scanSegmentOnce(seg int, ownerDead bool) (r ScanReport, settled bool) {
 	a := c.geo.SegStateAddr(seg)
 	w := c.h.Load(a)
 	st := layout.UnpackSegState(w)
@@ -210,13 +220,14 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) ScanReport {
 			// Quarantined by the repairing fsck: never reclaimed, never
 			// released — counting it live pins the whole run in place.
 			r.Live++
-			return r
+			return r, true
 		}
 		hdr := layout.UnpackHeader(c.h.Load(c.geo.SegmentBase(seg) + layout.HeaderOff))
 		if hdr.RefCnt > 0 {
 			r.Live++
-			return r
+			return r, true
 		}
+		c.observeEra(hdr.LCID, hdr.LEra) // as for a paged block, below
 		// Zero refcount: either a completed-then-interrupted free or an
 		// interrupted allocation. Safe to reclaim when the owner is dead
 		// (nobody can be mid-operation) — the scan's caller guarantees that
@@ -230,12 +241,12 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) ScanReport {
 		}
 		r.Reclaimed++
 		r.Quiet, r.Freed = true, true
-		return r
+		return r, true
 	case layout.SegActive, layout.SegAbandoned:
 		// fall through to the page walk
 	default:
 		r.Quiet = true
-		return r
+		return r, true
 	}
 
 	numPages := int(c.h.Load(c.geo.SegNextPageAddr(seg)))
@@ -251,7 +262,7 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) ScanReport {
 		c.markFreeLists(seg, numPages)
 	}
 
-	lost := c.scr.lost[:0]
+	lost, cascaded := c.scr.lost[:0], false
 	for p := 0; p < numPages; p++ {
 		metaA := c.geo.PageMetaAddr(seg, p)
 		info := layout.UnpackPageMeta(c.h.Load(metaA + pmInfo))
@@ -322,12 +333,28 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) ScanReport {
 					// Zero refcount, still allocated: leaked if the last
 					// toucher is dead; otherwise a live client is between
 					// its commit CAS and the end of its reclaim.
-					if c.pool.ClientDeadOrRecovered(int(hdr.LCID)) {
-						c.cascadeFree(b)
-						r.Reclaimed++
-					} else {
+					if !c.pool.ClientDeadOrRecovered(int(hdr.LCID)) {
 						r.Pending++
+						continue
 					}
+					// The free erases the header's (lcid, lera): perhaps a dead
+					// client's only evidence of a commit whose ModifyRef its
+					// recovery has yet to replay. Witness it (Condition 2).
+					c.observeEra(hdr.LCID, hdr.LEra)
+					r.Reclaimed++
+					if ownerDead && m.EmbedCnt == 0 && m.Flags&layout.MetaHuge == 0 {
+						// A dead owner's plain block — most often one a
+						// recovery pass dropped (SweepRootRefSlot) — is freed
+						// from the words in hand: reclaimRaw's owner-gone free
+						// without its state load, and with no rescan request,
+						// since this round's verdict already counts it free.
+						c.h.Store(b+layout.HeaderOff, 0)
+						c.h.Store(b+layout.MetaOff, layout.PackMeta(layout.Meta{BlockWords: m.BlockWords}))
+						c.loc[obs.CtrFree]++
+						continue
+					}
+					c.cascadeFree(b)
+					cascaded = true
 				} else if freeer := int(m.EmbedCnt); ownerDead {
 					// Free, listed or not — unless its freeer lives and is not
 					// the owner (whose frees never push): it chose to push
@@ -358,10 +385,10 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) ScanReport {
 	c.scr.lost = lost[:0]
 
 	r.Quiet = r.Live == 0 && r.Pending == 0
-	if r.Reclaimed > 0 || r.SweptRoots > 0 {
-		// The reclaims' cascaded frees may have landed on this segment's
+	if cascaded || r.SweptRoots > 0 {
+		// The cascades' and sweeps' frees may have landed on this segment's
 		// lists since the snapshot: the candidates are stale.
-		return r
+		return r, false
 	}
 	for _, l := range lost {
 		c.h.Store(l.addr+l.nextOff, c.h.Load(l.meta+pmFree))
@@ -376,7 +403,7 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) ScanReport {
 		c.h.Store(c.geo.SegNextPageAddr(seg), 0)
 		c.releaseSegment(seg)
 		r.Freed = true
-		return r
+		return r, true
 	}
 	if r.Pending > 0 {
 		// A live client's push or reclaim is still to land here and will not
@@ -391,7 +418,7 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) ScanReport {
 		st.Flags &^= layout.SegFlagPotentialLeaking
 		c.h.CAS(a, w, layout.PackSegState(st))
 	}
-	return r
+	return r, true
 }
 
 // scanFlaggedOwned runs the owner's periodic duty (§5.3): a segment-local
@@ -418,6 +445,10 @@ func (c *Client) scanFlaggedOwned() {
 //     block is still free, so only the slot is cleared.
 //   - target header refcount == 0: the allocation never initialized the
 //     count; the block is reclaimed by the segment scan, clear the slot.
+//   - refcount == 1 in an ACTIVE segment of rs.Victim: the last-reference
+//     drop — header ← 0 by CAS, then the slot clear; no redo entry, no era
+//     bump, no free. The pass's scan of that segment, still ahead, finds an
+//     allocated block with count 0 and lcid 0 and frees it (DESIGN.md §4c).
 //   - otherwise: a normal era-based release, the slot's word 0 being the
 //     reference word: the ModifyRef (or its redo replay) clears the slot.
 //
@@ -459,11 +490,26 @@ func (c *Client) SweepRootRefSlot(slot layout.Addr, rs *RootSweep) bool {
 		}
 	}
 	hdrW := c.h.Load(pptr + layout.HeaderOff)
-	if layout.UnpackHeader(hdrW).RefCnt == 0 {
+	hdr := layout.UnpackHeader(hdrW)
+	if hdr.RefCnt == 0 {
 		// Initialization never completed (or the object is already being
 		// reclaimed); the segment scan finishes the block.
 		c.h.Store(slot, 0)
 		return true
+	}
+	if st := layout.UnpackSegState(goneW); hdr.RefCnt == 1 && rs.Victim != 0 &&
+		st.State == layout.SegActive && int(st.CID) == rs.Victim {
+		// The header's (lcid, lera) pair is witnessed first, as a release
+		// would: the CAS erases it, and a client whose commit it records
+		// may still need Condition 2 (§4.3).
+		c.observeEra(hdr.LCID, hdr.LEra)
+		c.loc[obs.CtrCASAttempt]++
+		if c.h.CAS(pptr+layout.HeaderOff, hdrW, 0) {
+			c.h.Store(slot, 0)
+			return true
+		}
+		c.loc[obs.CtrCASRetry]++
+		hdrW = 0 // the count moved under the drop: the release reloads it
 	}
 	// A failed release (fenced, stale) leaves the slot as it is, for a rerun.
 	if _, pending, _ := c.releaseTxnMode(slot, pptr, false, hdrW, goneW); pending {
