@@ -110,15 +110,16 @@ inline-check:
 
 # gates prints the device-access gate lines the budget tests log — the
 # fast-path budgets, the client-scaling curve, the recovery pass and the tick
-# after it, the idle tick over a dead loader's segments — on heap and mmap,
-# with file:line prefixes and durations stripped so that two runs (say, a
-# parent commit and a change) diff cleanly. It fails if any of the tests does.
-GATE_TESTS = 'TestDeviceAccessBudget|TestClientScalingAccessBudget|TestRecoveryPassAccessBudget|TestIdleTickAfterLoaderDeath'
+# after it, the idle tick over a dead loader's segments, the kv insert — on
+# heap and mmap, with file:line prefixes and durations stripped so that two
+# runs (say, a parent commit and a change) diff cleanly. It fails if any of
+# the tests does.
+GATE_TESTS = 'TestDeviceAccessBudget|TestClientScalingAccessBudget|TestRecoveryPassAccessBudget|TestIdleTickAfterLoaderDeath|TestInsertAccessBudget'
 
 gates:
 	@for be in heap mmap; do \
 		echo "== $$be"; \
-		out=$$(CXLSHM_BACKEND=$$be $(GO) test -p 1 -count=1 -v -run $(GATE_TESTS) ./internal/shm ./internal/recovery) || \
+		out=$$(CXLSHM_BACKEND=$$be $(GO) test -p 1 -count=1 -v -run $(GATE_TESTS) ./internal/shm ./internal/recovery ./internal/kv) || \
 			{ printf '%s\n' "$$out"; exit 1; }; \
 		printf '%s\n' "$$out" | sed -n -e 's/^=== RUN *//p' \
 			-e 's/ Duration:[^ }]*//' -e 's/^ *[A-Za-z0-9_]*\.go:[0-9]*: /  /p'; \
@@ -151,8 +152,8 @@ dep-guard:
 # read-during-delete contract (race detector on heap, once on mmap), the
 # torn-read tests of the version word — in-place update, same-key
 # delete + re-insert, the serving worker's lock-free GETs beside its PUTs —
-# and the update cut by its writer's death, under the race detector on both
-# backends, and the torn-read tests again on one P (-cpu 1),
+# and the update and the insert cut by their writer's death, under the race
+# detector on both backends, and the torn-read tests again on one P (-cpu 1),
 # three race passes over the in-process serving chaos, a race pass over the
 # monitor (its ticker, per-client recovery dispatch writing the detector rows,
 # and the concurrent passes its maintenance scans overlap), a race pass over
@@ -180,8 +181,8 @@ ci: fmt-check vet build test benchmark-check dep-guard inline-check
 	CXLSHM_BACKEND=mmap $(GO) test -run TestFastPathZeroAllocs ./internal/shm
 	$(GO) test -race -run TestConcurrentReadDuringDelete ./internal/kv
 	CXLSHM_BACKEND=mmap $(GO) test -run TestConcurrentReadDuringDelete ./internal/kv
-	$(GO) test -race -run 'TestTornRead|TestCrashCutUpdate' ./internal/kv
-	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestTornRead|TestCrashCutUpdate' ./internal/kv
+	$(GO) test -race -run 'TestTornRead|TestCrashCutUpdate|TestCrashCutInsert' ./internal/kv
+	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestTornRead|TestCrashCutUpdate|TestCrashCutInsert' ./internal/kv
 	$(GO) test -race -run 'TestServingTornReads|TestReadsRunOffTheWriterLock' ./internal/serving
 	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestServingTornReads|TestReadsRunOffTheWriterLock' ./internal/serving
 	$(GO) test -cpu 1 -count=5 -run 'TestTornRead|TestServingTornReads' ./internal/kv ./internal/serving

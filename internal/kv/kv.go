@@ -137,7 +137,7 @@ func newStore(c *shm.Client, index, root layout.Addr, buckets, valSize, writers 
 	s := &Store{c: c, index: index, root: root,
 		buckets: buckets, valSize: valSize, writers: writers,
 		tag: versionTag(c.ID(), c.Generation()), scratch: make([]byte, valSize)}
-	s.rd = Reader{s: s, r: &c.Reader}
+	s.rd = Reader{s: s, r: &c.Reader, idx: c.Span(index)}
 	return s
 }
 
@@ -224,7 +224,7 @@ func (s *Store) AcquirePartition(p int, steal bool) bool {
 	// rewriting index words) between the load and the CAS is a reload, not
 	// a refusal.
 	for attempt := 0; attempt < 8; attempt++ {
-		cur := s.c.LoadWord(s.index, leaseIdx)
+		cur := s.rd.idx.Load(leaseIdx)
 		if cur != 0 && cur != mine && (!steal || !s.stealable(cur)) {
 			return false
 		}
@@ -259,7 +259,7 @@ func (s *Store) PartitionOwner(p int) int {
 	if p < 0 || p >= s.writers {
 		return 0 // no such partition (p can come off the wire): nobody owns it
 	}
-	cid, _ := unpackLease(s.c.LoadWord(s.index, s.buckets+4+p))
+	cid, _ := unpackLease(s.rd.idx.Load(s.buckets + 4 + p))
 	return cid
 }
 
@@ -277,7 +277,8 @@ func (s *Store) checkOwner(key uint64) error {
 
 // Put inserts or updates key. Updates are in-place (one of the §6.4
 // enablers) under the record's version word; inserts allocate a record and
-// head-link it with one embedded reference change. The caller must be the
+// push it at the bucket's head with one move transaction (shm.PushEmbed): no
+// reference count changes, so no CAS. The caller must be the
 // key's partition writer (single-writer rule); when partition leases are
 // acquired, this is enforced.
 func (s *Store) Put(key uint64, val []byte) error {
@@ -307,21 +308,11 @@ func (s *Store) Put(key uint64, val []byte) error {
 	sp.Store(recKeyWord, key)
 	sp.Write(recValueWord*layout.WordBytes, val)
 	sp.Store(recVerWord, nextVersion(v))
-	head, err := s.c.LoadEmbed(s.index, b)
-	if err != nil {
-		return err
-	}
-	if head != 0 {
-		if err := s.c.SetEmbed(rec, recNextIdx, head); err != nil {
-			return err
-		}
-	}
-	if err := s.c.ChangeEmbed(s.index, b, rec); err != nil {
-		return err
-	}
-	// The bucket now holds the counted reference; drop ours.
-	_, err = s.c.ReleaseRoot(root)
-	return s.done(err)
+	// One move transaction publishes it: the record's next takes the bucket's
+	// head before the bucket takes the record, so neither a lock-free reader
+	// nor a recovery replay finds the record without its chain, and the
+	// Malloc's counted reference moves into the bucket.
+	return s.done(s.c.PushEmbed(s.index, b, root))
 }
 
 // writeValue is the in-place update: the version word odd and naming this
@@ -392,24 +383,15 @@ func (s *Store) Delete(key uint64) error {
 		return err
 	}
 	b := s.bucketOf(key)
-	rec, err := s.c.LoadEmbed(s.index, b)
-	if err != nil {
-		return err
-	}
-	if rec == 0 {
-		return ErrNotFound
-	}
-	if s.c.LoadWord(rec, recKeyWord) == key {
-		return s.unlink(s.index, b, rec)
-	}
-	prev := rec
-	rec = s.c.LoadWord(rec, recNextIdx)
+	rec := s.rd.idx.Load(b)
+	holder, idx := s.index, b
 	for hops := 0; rec != 0 && hops <= s.buckets+1024; hops++ {
-		if s.c.LoadWord(rec, recKeyWord) == key {
-			return s.unlink(prev, recNextIdx, rec)
+		sp := s.c.Span(rec)
+		if sp.Load(recKeyWord) == key {
+			return s.unlink(holder, idx, rec)
 		}
-		prev = rec
-		rec = s.c.LoadWord(rec, recNextIdx)
+		holder, idx = rec, recNextIdx
+		rec = sp.Load(recNextIdx)
 	}
 	return ErrNotFound
 }
@@ -458,24 +440,29 @@ func (s *Store) RangeBuckets(start, count int, f func(key uint64, val []byte) bo
 type Reader struct {
 	s *Store
 	r *shm.Reader
+	// idx is the index's data area, its bounds read once: the index lives as
+	// long as the store's reference, and its buckets (its embedded
+	// references) and lease words are loaded through it with no meta load.
+	idx shm.Span
 }
 
 // NewReader returns a Reader of s through r, a view of the pool s lives in.
-func (s *Store) NewReader(r *shm.Reader) *Reader { return &Reader{s: s, r: r} }
+func (s *Store) NewReader(r *shm.Reader) *Reader {
+	return &Reader{s: s, r: r, idx: r.Span(s.index)}
+}
 
 // find walks bucket b for key, returning the record address or 0. Reads are
 // raw loads (no reference counting — §5.2's "further reading ... does not
-// need to modify the reference count").
+// need to modify the reference count"), through one span, so one meta load,
+// per record examined.
 func (rd *Reader) find(key uint64, b int) layout.Addr {
-	rec, err := rd.r.LoadEmbed(rd.s.index, b)
-	if err != nil {
-		return 0
-	}
+	rec := rd.idx.Load(b)
 	for hops := 0; rec != 0 && hops <= rd.s.buckets+1024; hops++ {
-		if rd.r.LoadWord(rec, recKeyWord) == key {
+		sp := rd.r.Span(rec)
+		if sp.Load(recKeyWord) == key {
 			return rec
 		}
-		rec = rd.r.LoadWord(rec, recNextIdx)
+		rec = sp.Load(recNextIdx)
 	}
 	return 0
 }
@@ -566,7 +553,7 @@ func (rd *Reader) RangeBuckets(start, count int, f func(key uint64, val []byte) 
 	buf := make([]byte, s.valSize)
 	for i := 0; i < count; i++ {
 		b := (start + i) % s.buckets
-		rec, _ := rd.r.LoadEmbed(s.index, b)
+		rec := rd.idx.Load(b)
 		for hops := 0; rec != 0 && hops <= s.buckets+1024; hops++ {
 			key, sp, alive := rd.readRecord(rec, buf)
 			if alive {
@@ -589,7 +576,7 @@ func (s *Store) Buckets() int { return s.buckets }
 func (s *Store) Len() int {
 	n := 0
 	for b := 0; b < s.buckets; b++ {
-		rec, _ := s.c.LoadEmbed(s.index, b)
+		rec := s.rd.idx.Load(b)
 		for rec != 0 {
 			n++
 			rec = s.c.LoadWord(rec, recNextIdx)

@@ -335,6 +335,15 @@ func (s *Service) replayRedo(exec *shm.Client, cid int) bool {
 		if dev.Load(entry.Refed2) != entry.Refed {
 			return false
 		}
+		// A linking move (PushEmbed) stores the displaced target into the
+		// object's embed 0 before the destination. While the destination
+		// does not name the object yet, it still holds that target, so the
+		// copy is redone whole; once it does, embed 0 is already set.
+		if entry.SavedCnt&shm.MoveLink != 0 {
+			if cur := dev.Load(entry.Ref); cur != entry.Refed {
+				dev.Store(entry.Refed+layout.DataOff, cur)
+			}
+		}
 		dev.Store(entry.Ref, entry.Refed)
 		dev.Store(entry.Refed2, 0)
 		s.traceReplay(cid, entry.Op, 0)

@@ -190,6 +190,12 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, elideModify bool, hdrW, 
 // so recovery simply re-executes the whole move from the redo entry while
 // the era gate holds (Era[cid][cid] still at the logged era).
 //
+// With link (PushEmbed), the reference dst held moves too, into target's
+// embed 0, stored before dst so that target is never reachable without its
+// successor: the two references change words, and neither count changes.
+// Recovery replays that store only while dst does not yet name target (after
+// that, dst no longer holds the displaced reference to copy).
+//
 // Liveness of target needs no header check: the caller owns the reference at
 // src, and a word-owned reference keeps the count above zero until its owner
 // clears it — exactly what this transaction does last.
@@ -198,17 +204,21 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, elideModify bool, hdrW, 
 // consume era uniqueness: a caller batching moves may run several under one
 // era and bump once at the end (closeTxn=false). The redo area then holds
 // only the latest move, which is the only one that can be mid-flight — each
-// earlier move completed both stores before the next was logged.
-//
-// The fault points keep the queue-sweep names: AfterReceiveAttach is the
-// window where dst and src both reference target (count 1, two words — the
-// replay re-executing both stores collapses it), AfterReceiveRelease where
-// the move is done but not closed.
-func (c *Client) moveRef(dst, src, target layout.Addr, closeTxn bool) error {
+// earlier move completed its stores before the next was logged.
+func (c *Client) moveRef(dst, src, target layout.Addr, link, closeTxn bool) error {
 	if c.h.Fenced() {
 		return ErrFenced
 	}
-	c.logRedo(RedoEntry{Op: OpMove, Era: c.era, Ref: dst, Refed: target, Refed2: src})
+	e := RedoEntry{Op: OpMove, Era: c.era, Ref: dst, Refed: target, Refed2: src}
+	var displaced layout.Addr
+	if link {
+		e.SavedCnt = MoveLink
+		displaced = c.h.Load(dst)
+	}
+	c.logRedo(e)
+	if displaced != 0 {
+		c.h.Store(target+layout.DataOff, displaced) // ModifyRef (target's embed 0)
+	}
 	c.h.Store(dst, target) // ModifyRef (destination)
 	c.noteRootTarget(dst, target)
 	c.h.Store(src, 0) // ModifyRef (source)
@@ -452,4 +462,46 @@ func (c *Client) ChangeEmbed(block layout.Addr, idx int, target layout.Addr) err
 		return nil
 	}
 	return c.ChangeReference(ea, cur, target)
+}
+
+// PushEmbed publishes the object root holds at the head of the list whose
+// head is embedded reference idx of holder (the kv insert of §6.4): the
+// displaced head goes into the object's embed 0, the holder's word takes the
+// object, and root's counted reference moves into that word — one move
+// transaction (moveRef with link), no header access, no count changed — then
+// root's slot is freed. root must be the object's only RootRef clone (local
+// count 1), and the object's embed 0 must be unset, as a fresh Malloc with an
+// embedded reference leaves it. Single-writer: only this client may write
+// holder's embedded reference idx.
+func (c *Client) PushEmbed(holder layout.Addr, idx int, root layout.Addr) error {
+	ea, err := c.embedAddr(holder, idx)
+	if err != nil {
+		return err
+	}
+	op, rs := c.rootOf(root)
+	var cnt uint32
+	var obj layout.Addr
+	if rs != nil {
+		cnt, obj = rs.cnt, rs.target
+	} else {
+		inUse, dcnt := layout.UnpackRootRef(c.h.Load(root))
+		if !inUse {
+			return ErrStaleReference
+		}
+		cnt, obj = dcnt, c.h.Load(root+layout.RootRefPptrOff)
+	}
+	if cnt == 0 || obj == 0 {
+		return ErrStaleReference
+	}
+	if cnt != 1 {
+		return ErrRootCloned
+	}
+	if c.metaOf(c.blockRef(obj), obj).EmbedCnt == 0 || c.h.Load(obj+layout.DataOff) != 0 {
+		return ErrBadEmbedIndex
+	}
+	if err := c.moveRef(ea, root+layout.RootRefPptrOff, obj, true, true); err != nil {
+		return err
+	}
+	c.freeRootRefSlot(op, rs, root)
+	return nil
 }

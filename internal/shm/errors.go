@@ -37,6 +37,9 @@ var (
 	ErrQueueEmpty = errors.New("shm: transfer queue empty")
 	// ErrNoQueueSlot is returned when the queue registry is full.
 	ErrNoQueueSlot = errors.New("shm: queue registry full")
+	// ErrRootCloned is returned by PushEmbed for a RootRef with clones: its
+	// one counted reference cannot move while other clones share it.
+	ErrRootCloned = errors.New("shm: RootRef is cloned; only a sole clone can hand its reference on")
 	// ErrBadEmbedIndex is returned for embedded-reference operations with an
 	// index outside the object's declared embedded-reference area.
 	ErrBadEmbedIndex = errors.New("shm: embedded reference index out of range")

@@ -6,7 +6,7 @@ import "repro/internal/layout"
 // ClientLocalState holding at most one in-flight era transaction:
 //
 //	word 0: valid bit (63) | op (62:56) | era at log time (55:24)
-//	        | saved reference count of refed (15:0)
+//	        | saved reference count of refed (15:0; a move's MoveLink flag)
 //	word 1: ref   — address of the reference word (ModifyRef target)
 //	word 2: refed — address of the object whose count is modified
 //	                (for change: object A, the one being decremented)
@@ -16,9 +16,9 @@ import "repro/internal/layout"
 //
 // The entry is (re)written before every CAS attempt. Packing the op, the
 // era, and the saved count into the commit word keeps an attach/release log
-// at three stores, a move at four, and a change log at five, and — because
-// the commit word is written last — a torn entry is never observed as valid
-// with a mismatched era.
+// at three stores, a move (linking or not) at four, and a change log at
+// five, and — because the commit word is written last — a torn entry is
+// never observed as valid with a mismatched era.
 //
 // Entries are NOT cleared when the transaction closes: the closing era bump
 // makes Era[cid][cid] move past the logged era, so recovery can tell a
@@ -40,13 +40,20 @@ const (
 	OpRelease Op = 2
 	OpChange  Op = 3
 	// OpMove transfers a counted reference between two reference words owned
-	// by this client (queue receive: slot → fresh RootRef pptr) without
-	// touching the object's count — no ModifyRefCnt phase, only two
-	// idempotent ModifyRef stores, re-executed wholesale by recovery while
-	// the era gate holds. Ref is the destination word, Refed the object,
-	// Refed2 the source word being cleared.
+	// by this client (queue receive: slot → fresh RootRef pptr; kv insert:
+	// RootRef pptr → bucket) without touching the object's count — no
+	// ModifyRefCnt phase, only idempotent ModifyRef stores, re-executed
+	// wholesale by recovery while the era gate holds. Ref is the destination
+	// word, Refed the object, Refed2 the source word being cleared. With
+	// MoveLink in the saved-count field, the move first links the target it
+	// displaces from Ref into the object's embedded reference 0.
 	OpMove Op = 4
 )
+
+// MoveLink is the saved-count field of an OpMove entry that links the
+// displaced destination target into the moved object's embed 0 (PushEmbed).
+// A move saves no count, so the field is free to carry the flag.
+const MoveLink uint16 = 1
 
 const (
 	redoValidBit = uint64(1) << 63

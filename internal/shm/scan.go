@@ -325,7 +325,8 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) (r ScanReport, settled
 					continue
 				}
 				if m.Allocated() {
-					hdr := layout.UnpackHeader(c.h.Load(b + layout.HeaderOff))
+					hw := c.h.Load(b + layout.HeaderOff)
+					hdr := layout.UnpackHeader(hw)
 					if hdr.RefCnt > 0 {
 						r.Live++
 						continue
@@ -348,7 +349,12 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) (r ScanReport, settled
 						// from the words in hand: reclaimRaw's owner-gone free
 						// without its state load, and with no rescan request,
 						// since this round's verdict already counts it free.
-						c.h.Store(b+layout.HeaderOff, 0)
+						// A dropped block's header already reads 0 (the drop's
+						// CAS wrote it, and no writer CASes a count-0 header),
+						// so only another header needs erasing.
+						if hw != 0 {
+							c.h.Store(b+layout.HeaderOff, 0)
+						}
 						c.h.Store(b+layout.MetaOff, layout.PackMeta(layout.Meta{BlockWords: m.BlockWords}))
 						c.loc[obs.CtrFree]++
 						continue

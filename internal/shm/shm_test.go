@@ -377,6 +377,71 @@ func TestChangeEmbedFreesOldTarget(t *testing.T) {
 	mustValidate(t, p)
 }
 
+// TestPushEmbedLinksWithoutCounting: PushEmbed moves a fresh object's one
+// reference from its RootRef into a holder's embedded reference, linking the
+// object the holder named into the new object's embed 0 — every count stays
+// 1 — and refuses a cloned RootRef, an object whose embed 0 is set or absent,
+// and a fenced client.
+func TestPushEmbedLinksWithoutCounting(t *testing.T) {
+	p := newTestPool(t)
+	c := connect(t, p)
+	_, holder, _ := c.Malloc(64, 2)
+	rootA, a, _ := c.Malloc(32, 1)
+	rootB, b, _ := c.Malloc(32, 1)
+	if err := c.PushEmbed(holder, 2, rootA); err != shm.ErrBadEmbedIndex {
+		t.Fatalf("push into embed 2 of a 2-embed holder: %v, want ErrBadEmbedIndex", err)
+	}
+	c.CloneRoot(rootA)
+	if err := c.PushEmbed(holder, 1, rootA); err != shm.ErrRootCloned {
+		t.Fatalf("push of a cloned root: %v, want ErrRootCloned", err)
+	}
+	if _, err := c.ReleaseRoot(rootA); err != nil {
+		t.Fatal(err)
+	}
+	rootP, _, _ := c.Malloc(32, 0)
+	if err := c.PushEmbed(holder, 1, rootP); err != shm.ErrBadEmbedIndex {
+		t.Fatalf("push of an object without embeds: %v, want ErrBadEmbedIndex", err)
+	}
+	if _, err := c.ReleaseRoot(rootP); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := c.PushEmbed(holder, 1, rootA); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PushEmbed(holder, 1, rootB); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := c.LoadEmbed(holder, 1); got != b {
+		t.Fatalf("holder's embed 1 = %#x, want b=%#x", got, b)
+	}
+	if got, _ := c.LoadEmbed(b, 0); got != a {
+		t.Fatalf("b's embed 0 = %#x, want a=%#x", got, a)
+	}
+	for _, x := range []layout.Addr{a, b} {
+		if hdr := c.HeaderOf(x); hdr.RefCnt != 1 {
+			t.Fatalf("ref_cnt of %#x = %d after the pushes, want 1", x, hdr.RefCnt)
+		}
+	}
+	if n := findRootsPointingAt(t, p, a) + findRootsPointingAt(t, p, b); n != 0 {
+		t.Fatalf("%d RootRefs still name the pushed objects", n)
+	}
+	mustValidate(t, p)
+
+	rootD, d, _ := c.Malloc(32, 1)
+	c.StoreWord(d, 0, a) // a raw store: d's embed 0 now reads set
+	if err := c.PushEmbed(holder, 0, rootD); err != shm.ErrBadEmbedIndex {
+		t.Fatalf("push of an object whose embed 0 is set: %v, want ErrBadEmbedIndex", err)
+	}
+	c.StoreWord(d, 0, 0)
+	if err := p.MarkClientDead(c.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PushEmbed(holder, 0, rootD); err != shm.ErrFenced {
+		t.Fatalf("push by a fenced client: %v, want ErrFenced", err)
+	}
+}
+
 func TestQueueTransferMovesOwnership(t *testing.T) {
 	p := newTestPool(t)
 	a := connect(t, p)

@@ -28,7 +28,7 @@ import (
 // pool holds a published named root, a live queue with three in-flight
 // payloads, recycled huge segments, and settled free lists — every region
 // has meaningful state to damage.
-const corruptInjectAt = 18
+const corruptInjectAt = 20
 
 // CorruptConfig tunes a corruption campaign.
 type CorruptConfig struct {

@@ -186,6 +186,16 @@ func sendFrom(e *env, c *shm.Client) error {
 
 func sendOne(e *env) error { return sendFrom(e, e.x) }
 
+// pushOnParent allocates an object with one embedded reference and pushes it
+// at the head of the list in the embed-carrying parent's embed 1.
+func pushOnParent(e *env) error {
+	r, _, err := e.x.Malloc(32, 1)
+	if err != nil {
+		return err
+	}
+	return e.x.PushEmbed(e.parent, 1, r)
+}
+
 // recordReceipt notes one delivery and releases the receiver's root.
 func recordReceipt(e *env, c *shm.Client, root, target layout.Addr) error {
 	e.receipts[c.LoadWord(target, 0)]++
@@ -250,6 +260,12 @@ func script() []op {
 		{"clear-embed", actorX, func(e *env) error {
 			return e.x.ClearEmbed(e.parent, 0)
 		}},
+		// The kv insert's move transaction (PushEmbed): a fresh object takes
+		// the parent's free embed 1 — an empty list — and then a second one
+		// goes on top of it, linking the first into its embed 0. free-embed
+		// then frees the chain by cascade.
+		{"push-embed", actorX, pushOnParent},
+		{"push-embed-chain", actorX, pushOnParent},
 		{"free-embed", actorX, func(e *env) error {
 			_, err := e.x.ReleaseRoot(e.rp)
 			return err
