@@ -152,8 +152,11 @@ dep-guard:
 # read-during-delete contract (race detector on heap, once on mmap), the
 # torn-read tests of the version word — in-place update, same-key
 # delete + re-insert, the serving worker's lock-free GETs beside its PUTs —
-# and the update and the insert cut by their writer's death, under the race
-# detector on both backends, and the torn-read tests again on one P (-cpu 1),
+# the update and the insert (into an empty bucket, at a chain's head and
+# mid-chain) cut by their writer's death, the kv chains' descending key order
+# and the readers that must never miss a key while inserts land anywhere in
+# its chain, under the race detector on both backends, and the torn-read
+# tests again on one P (-cpu 1),
 # three race passes over the in-process serving chaos, a race pass over the
 # monitor (its ticker, per-client recovery dispatch writing the detector rows,
 # and the concurrent passes its maintenance scans overlap), a race pass over
@@ -181,8 +184,8 @@ ci: fmt-check vet build test benchmark-check dep-guard inline-check
 	CXLSHM_BACKEND=mmap $(GO) test -run TestFastPathZeroAllocs ./internal/shm
 	$(GO) test -race -run TestConcurrentReadDuringDelete ./internal/kv
 	CXLSHM_BACKEND=mmap $(GO) test -run TestConcurrentReadDuringDelete ./internal/kv
-	$(GO) test -race -run 'TestTornRead|TestCrashCutUpdate|TestCrashCutInsert' ./internal/kv
-	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestTornRead|TestCrashCutUpdate|TestCrashCutInsert' ./internal/kv
+	$(GO) test -race -run 'TestTornRead|TestCrashCutUpdate|TestCrashCutInsert|TestChainOrder|TestReadersNeverMiss' ./internal/kv
+	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestTornRead|TestCrashCutUpdate|TestCrashCutInsert|TestChainOrder|TestReadersNeverMiss' ./internal/kv
 	$(GO) test -race -run 'TestServingTornReads|TestReadsRunOffTheWriterLock' ./internal/serving
 	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestServingTornReads|TestReadsRunOffTheWriterLock' ./internal/serving
 	$(GO) test -cpu 1 -count=5 -run 'TestTornRead|TestServingTornReads' ./internal/kv ./internal/serving

@@ -11,26 +11,26 @@ import (
 )
 
 // TestCrashCutInsert kills the writer before each device write of an insert
-// (the access sweeper, as in the crash sweep), into an empty bucket and onto
-// a chain of two records. Once the writer is recovered the key reads whole
-// or not at all, every other key of the bucket still reads, the pool
-// validates clean, a survivor's takeover can write the key, and after the
-// store is dropped and its clients close and are recovered no object is
-// left.
+// (the access sweeper, as in the crash sweep): into an empty bucket, onto a
+// chain of two records (the key is the largest, so the bucket is the
+// predecessor word), and into the middle of that chain (a record's next is).
+// Once the writer is recovered the key reads whole or not at all, every
+// other key of the bucket still reads, the pool validates clean, a
+// survivor's takeover can write the key, and after the store is dropped and
+// its clients close and are recovered no object is left.
 func TestCrashCutInsert(t *testing.T) {
 	const buckets, valSize = 16, 32
 	bucket := kv.Partition(1, buckets, buckets)
-	var keys []uint64 // three keys of one bucket; the last is inserted
+	var keys []uint64 // three keys of one bucket, ascending
 	for k := uint64(1); len(keys) < 3; k++ {
 		if kv.Partition(k, buckets, buckets) == bucket {
 			keys = append(keys, k)
 		}
 	}
-	key := keys[2]
 	valOf := func(k uint64) []byte { return bytes.Repeat([]byte{byte(k)}, valSize) }
 	after := bytes.Repeat([]byte{0x33}, valSize)
 
-	story := func(t *testing.T, others []uint64, n int) (writes int) {
+	story := func(t *testing.T, others []uint64, key uint64, n int) (writes int) {
 		sw := faultinject.NewAccessSweeper()
 		p := newHookedPool(t, sw.Hook)
 		svc, err := recovery.NewService(p)
@@ -121,14 +121,19 @@ func TestCrashCutInsert(t *testing.T) {
 	for _, leg := range []struct {
 		name   string
 		others []uint64
-	}{{"empty-bucket", nil}, {"chain", keys[:2]}} {
+		key    uint64
+	}{
+		{"empty-bucket", nil, keys[2]},
+		{"chain", keys[:2], keys[2]},
+		{"mid-chain", []uint64{keys[0], keys[2]}, keys[1]},
+	} {
 		t.Run(leg.name, func(t *testing.T) {
-			writes := story(t, leg.others, 0)
+			writes := story(t, leg.others, leg.key, 0)
 			if writes < 8 {
 				t.Fatalf("an insert issued %d device writes, want at least the record's and the move's", writes)
 			}
 			for n := 1; n <= writes; n++ {
-				t.Run(fmt.Sprintf("write=%d", n), func(t *testing.T) { story(t, leg.others, n) })
+				t.Run(fmt.Sprintf("write=%d", n), func(t *testing.T) { story(t, leg.others, leg.key, n) })
 			}
 		})
 	}

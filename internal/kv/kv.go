@@ -44,7 +44,7 @@ var (
 //
 // Record object layout:
 //
-//	embed[0] = next record      (embedded reference)
+//	embed[0] = next record      (embedded reference; its key is smaller)
 //	word 1   = key
 //	word 2   = version          (seqlock; see below)
 //	word 3.. = value bytes
@@ -56,9 +56,11 @@ const (
 )
 
 // recordFormat is stamped into index word [buckets+3]. Format 0 (the word's
-// old reserved value) had no version word and its values start at word 2;
-// Open refuses it, and any other format, rather than read keys as versions.
-const recordFormat = 1
+// old reserved value) had no version word and its values start at word 2.
+// Format 1 chained records in insertion order, so a walk that stops at the
+// first smaller key could miss keys in it. Open refuses both, and any other
+// format, rather than misread the index.
+const recordFormat = 2
 
 // The version word is a seqlock over the record's key and value, like the
 // telemetry block's commit word. Its top 24 bits count completed writes;
@@ -277,10 +279,10 @@ func (s *Store) checkOwner(key uint64) error {
 
 // Put inserts or updates key. Updates are in-place (one of the §6.4
 // enablers) under the record's version word; inserts allocate a record and
-// push it at the bucket's head with one move transaction (shm.PushEmbed): no
-// reference count changes, so no CAS. The caller must be the
-// key's partition writer (single-writer rule); when partition leases are
-// acquired, this is enforced.
+// link it at its key's place in the bucket's descending chain with one move
+// transaction (shm.PushEmbed): no reference count changes, so no CAS. The
+// caller must be the key's partition writer (single-writer rule); when
+// partition leases are acquired, this is enforced.
 func (s *Store) Put(key uint64, val []byte) error {
 	if len(val) > s.valSize {
 		return ErrValueSize
@@ -288,16 +290,16 @@ func (s *Store) Put(key uint64, val []byte) error {
 	if err := s.checkOwner(key); err != nil {
 		return err
 	}
-	b := s.bucketOf(key)
-	// Walk the chain for an existing record.
-	if rec := s.rd.find(key, b); rec != 0 {
-		s.writeValue(s.c.WriteSpan(rec), val)
+	holder, idx, at, found := s.rd.seek(key, s.bucketOf(key))
+	if found {
+		s.writeValue(s.c.WriteSpan(at), val)
 		return s.done(nil)
 	}
-	// Insert at head. A block that held a deleted record still carries the
-	// odd version word its delete left (retire); the insert settles it only
-	// after the key and value, so a reader still holding the block from the
-	// deleted record waits the writes out or sees the word move.
+	// Insert before at, the first record with a smaller key. A block that
+	// held a deleted record still carries the odd version word its delete
+	// left (retire); the insert settles it only after the key and value, so a
+	// reader still holding the block from the deleted record waits the writes
+	// out or sees the word move.
 	recBytes := recValueWord*layout.WordBytes + s.valSize
 	root, rec, err := s.c.Malloc(recBytes, 1)
 	if err != nil {
@@ -308,11 +310,11 @@ func (s *Store) Put(key uint64, val []byte) error {
 	sp.Store(recKeyWord, key)
 	sp.Write(recValueWord*layout.WordBytes, val)
 	sp.Store(recVerWord, nextVersion(v))
-	// One move transaction publishes it: the record's next takes the bucket's
-	// head before the bucket takes the record, so neither a lock-free reader
-	// nor a recovery replay finds the record without its chain, and the
-	// Malloc's counted reference moves into the bucket.
-	return s.done(s.c.PushEmbed(s.index, b, root))
+	// One move transaction publishes it: the record's next takes at before
+	// the predecessor word takes the record, so neither a lock-free reader nor
+	// a recovery replay finds the record without the rest of its chain, and
+	// the Malloc's counted reference moves into that word.
+	return s.done(s.c.PushEmbed(holder, idx, at, root))
 }
 
 // writeValue is the in-place update: the version word odd and naming this
@@ -382,18 +384,11 @@ func (s *Store) Delete(key uint64) error {
 	if err := s.checkOwner(key); err != nil {
 		return err
 	}
-	b := s.bucketOf(key)
-	rec := s.rd.idx.Load(b)
-	holder, idx := s.index, b
-	for hops := 0; rec != 0 && hops <= s.buckets+1024; hops++ {
-		sp := s.c.Span(rec)
-		if sp.Load(recKeyWord) == key {
-			return s.unlink(holder, idx, rec)
-		}
-		holder, idx = rec, recNextIdx
-		rec = sp.Load(recNextIdx)
+	holder, idx, rec, found := s.rd.seek(key, s.bucketOf(key))
+	if !found {
+		return ErrNotFound
 	}
-	return ErrNotFound
+	return s.unlink(holder.Block(), idx, rec)
 }
 
 // unlink removes rec, whose predecessor's embedded reference idx points at
@@ -451,18 +446,32 @@ func (s *Store) NewReader(r *shm.Reader) *Reader {
 	return &Reader{s: s, r: r, idx: r.Span(s.index)}
 }
 
-// find walks bucket b for key, returning the record address or 0. Reads are
-// raw loads (no reference counting — §5.2's "further reading ... does not
-// need to modify the reference count"), through one span, so one meta load,
-// per record examined.
-func (rd *Reader) find(key uint64, b int) layout.Addr {
-	rec := rd.idx.Load(b)
-	for hops := 0; rec != 0 && hops <= rd.s.buckets+1024; hops++ {
-		sp := rd.r.Span(rec)
-		if sp.Load(recKeyWord) == key {
-			return rec
+// seek walks bucket b, whose chain runs in strictly descending key order,
+// to key's place in it: the record holding key, or the first record whose
+// key is smaller. It returns the reference word that names that place —
+// embedded reference idx of holder, the bucket itself or a predecessor's
+// next — the record the word names (0 past the chain's end), and whether
+// that record holds key. Reads are raw loads (no reference counting — §5.2's
+// "further reading ... does not need to modify the reference count"),
+// through one span, so one meta load, per record examined.
+func (rd *Reader) seek(key uint64, b int) (holder shm.Span, idx int, at layout.Addr, found bool) {
+	holder, idx = rd.idx, b
+	at = rd.idx.Load(b)
+	for hops := 0; at != 0 && hops <= rd.s.buckets+1024; hops++ {
+		sp := rd.r.Span(at)
+		if k := sp.Load(recKeyWord); k <= key {
+			return holder, idx, at, k == key
 		}
-		rec = sp.Load(recNextIdx)
+		holder, idx = sp, recNextIdx
+		at = sp.Load(recNextIdx)
+	}
+	return holder, idx, at, false
+}
+
+// find returns the address of key's record in bucket b, or 0.
+func (rd *Reader) find(key uint64, b int) layout.Addr {
+	if _, _, at, found := rd.seek(key, b); found {
+		return at
 	}
 	return 0
 }

@@ -17,8 +17,10 @@ import (
 
 // TestOpenRefusesOtherRecordFormat: index word [buckets+3] names the record
 // layout. An index whose word reads anything else — 0 from a build before
-// records carried a version word, or a later format — is refused, not
-// misread, and the refused Open drops the root reference it took.
+// records carried a version word, 1 from a build that chained records in
+// insertion order rather than descending key order, or a later format — is
+// refused, not misread, and the refused Open drops the root reference it
+// took.
 func TestOpenRefusesOtherRecordFormat(t *testing.T) {
 	const buckets = 16
 	p := newPool(t)
@@ -32,7 +34,10 @@ func TestOpenRefusesOtherRecordFormat(t *testing.T) {
 	}
 	idx := s.IndexAddr()
 	format := c.LoadWord(idx, buckets+3)
-	for _, other := range []uint64{0, format + 1} {
+	if format != 2 {
+		t.Fatalf("the index carries record format %d, want 2", format)
+	}
+	for _, other := range []uint64{0, 1, format + 1} {
 		c.StoreWord(idx, buckets+3, other)
 		if _, err := kv.Open(c, 0); !errors.Is(err, kv.ErrFormat) {
 			t.Fatalf("Open of a format-%d index: %v, want ErrFormat", other, err)

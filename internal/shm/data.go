@@ -84,19 +84,28 @@ func (r *Reader) MetaOf(block layout.Addr) layout.Meta {
 // version word, a key and a value — pays one meta load instead of one per
 // access. The bound is the object's size class, which a block keeps while
 // it is free and reused, so a span stays in bounds for whoever reads it;
-// what it reads is the caller's to validate, as for any lock-free read.
+// what it reads is the caller's to validate, as for any lock-free read. The
+// span keeps the object's embedded-reference count too, read from the same
+// meta word, which bounds PushEmbed's holder while the object is allocated.
 type Span struct {
-	h     *cxl.Handle
-	data  layout.Addr
-	limit int // data-area bytes
+	h      *cxl.Handle
+	data   layout.Addr
+	limit  int // data-area bytes
+	embeds int // embedded references at the start of the data area
 }
 
 // Span reads block's meta word and returns the span of its data area.
 func (r *Reader) Span(block layout.Addr) Span {
-	m := layout.UnpackMeta(r.h.Load(block + layout.MetaOff))
-	return Span{h: r.h, data: block + layout.DataOff,
-		limit: int(m.BlockWords-layout.BlockHeaderWords) * layout.WordBytes}
+	return spanOf(r.h, block, layout.UnpackMeta(r.h.Load(block+layout.MetaOff)))
 }
+
+func spanOf(h *cxl.Handle, block layout.Addr, m layout.Meta) Span {
+	return Span{h: h, data: block + layout.DataOff,
+		limit: int(m.BlockWords-layout.BlockHeaderWords) * layout.WordBytes, embeds: int(m.EmbedCnt)}
+}
+
+// Block returns the address of the block whose data area s spans.
+func (s Span) Block() layout.Addr { return s.data - layout.DataOff }
 
 // check panics on an access past the object's data area. Writing past an
 // object would clobber the neighbouring block's header — precisely the
@@ -125,9 +134,12 @@ func (s Span) Read(off int, p []byte) {
 // stores through the client's fenceable handle.
 type WriteSpan struct{ Span }
 
-// WriteSpan reads block's meta word and returns the writable span of its
-// data area.
-func (c *Client) WriteSpan(block layout.Addr) WriteSpan { return WriteSpan{c.Span(block)} }
+// WriteSpan returns the writable span of block's data area, from the
+// client's block shadow when it holds the block's meta word (a block this
+// client allocated) and from the device otherwise.
+func (c *Client) WriteSpan(block layout.Addr) WriteSpan {
+	return WriteSpan{spanOf(c.h, block, c.metaOf(c.blockRef(block), block))}
+}
 
 // Store atomically writes data word i.
 func (s WriteSpan) Store(i int, v uint64) {

@@ -190,11 +190,13 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, elideModify bool, hdrW, 
 // so recovery simply re-executes the whole move from the redo entry while
 // the era gate holds (Era[cid][cid] still at the logged era).
 //
-// With link (PushEmbed), the reference dst held moves too, into target's
-// embed 0, stored before dst so that target is never reachable without its
-// successor: the two references change words, and neither count changes.
-// Recovery replays that store only while dst does not yet name target (after
-// that, dst no longer holds the displaced reference to copy).
+// With a displaced target (PushEmbed: the reference dst holds, which the
+// caller, dst's only writer, has read), that reference moves too, into
+// target's embed 0, stored before dst so that target is never reachable
+// without its successor: the two references change words, and neither count
+// changes. The entry then carries MoveLink, and recovery replays that store
+// only while dst does not yet name target (after that, dst no longer holds
+// the displaced reference to copy).
 //
 // Liveness of target needs no header check: the caller owns the reference at
 // src, and a word-owned reference keeps the count above zero until its owner
@@ -205,15 +207,13 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, elideModify bool, hdrW, 
 // era and bump once at the end (closeTxn=false). The redo area then holds
 // only the latest move, which is the only one that can be mid-flight — each
 // earlier move completed its stores before the next was logged.
-func (c *Client) moveRef(dst, src, target layout.Addr, link, closeTxn bool) error {
+func (c *Client) moveRef(dst, src, target, displaced layout.Addr, closeTxn bool) error {
 	if c.h.Fenced() {
 		return ErrFenced
 	}
 	e := RedoEntry{Op: OpMove, Era: c.era, Ref: dst, Refed: target, Refed2: src}
-	var displaced layout.Addr
-	if link {
+	if displaced != 0 {
 		e.SavedCnt = MoveLink
-		displaced = c.h.Load(dst)
 	}
 	c.logRedo(e)
 	if displaced != 0 {
@@ -464,19 +464,21 @@ func (c *Client) ChangeEmbed(block layout.Addr, idx int, target layout.Addr) err
 	return c.ChangeReference(ea, cur, target)
 }
 
-// PushEmbed publishes the object root holds at the head of the list whose
-// head is embedded reference idx of holder (the kv insert of §6.4): the
-// displaced head goes into the object's embed 0, the holder's word takes the
-// object, and root's counted reference moves into that word — one move
-// transaction (moveRef with link), no header access, no count changed — then
-// root's slot is freed. root must be the object's only RootRef clone (local
-// count 1), and the object's embed 0 must be unset, as a fresh Malloc with an
-// embedded reference leaves it. Single-writer: only this client may write
-// holder's embedded reference idx.
-func (c *Client) PushEmbed(holder layout.Addr, idx int, root layout.Addr) error {
-	ea, err := c.embedAddr(holder, idx)
-	if err != nil {
-		return err
+// PushEmbed links the object root holds into a list at embedded reference
+// idx of the block holder spans — a list's head word or any element's next;
+// the kv insert of §6.4 links a record at its key's place in a chain. head,
+// the reference that word holds now, goes into the object's embed 0, the
+// word takes the object, and root's counted reference moves into that word
+// — one move transaction (moveRef, head displaced), no header access, no
+// count changed — then root's slot is freed. The holder's embed count comes
+// from the span and head from the caller, so neither is loaded again. root
+// must be the object's only RootRef clone (local count 1), and the object's
+// embed 0 must be unset, as a fresh Malloc with an embedded reference leaves
+// it. Single-writer: only this client may write holder's embedded reference
+// idx, and head must be what it last read there.
+func (c *Client) PushEmbed(holder Span, idx int, head, root layout.Addr) error {
+	if idx < 0 || idx >= holder.embeds {
+		return ErrBadEmbedIndex
 	}
 	op, rs := c.rootOf(root)
 	var cnt uint32
@@ -499,7 +501,7 @@ func (c *Client) PushEmbed(holder layout.Addr, idx int, root layout.Addr) error 
 	if c.metaOf(c.blockRef(obj), obj).EmbedCnt == 0 || c.h.Load(obj+layout.DataOff) != 0 {
 		return ErrBadEmbedIndex
 	}
-	if err := c.moveRef(ea, root+layout.RootRefPptrOff, obj, true, true); err != nil {
+	if err := c.moveRef(holder.data+layout.Addr(idx), root+layout.RootRefPptrOff, obj, head, true); err != nil {
 		return err
 	}
 	c.freeRootRefSlot(op, rs, root)

@@ -336,7 +336,7 @@ func (c *Client) Receive(block layout.Addr) (root, target layout.Addr, err error
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := c.moveRef(root+layout.RootRefPptrOff, slot, target, false, true); err != nil {
+	if err := c.moveRef(root+layout.RootRefPptrOff, slot, target, 0, true); err != nil {
 		c.abortRootRef(root)
 		return 0, 0, err
 	}
@@ -395,7 +395,7 @@ func (c *Client) ReceiveBatch(block layout.Addr, max int) (roots, targets []layo
 			publish()
 			return roots, targets, rerr
 		}
-		if merr := c.moveRef(root+layout.RootRefPptrOff, slot, t, false, false); merr != nil {
+		if merr := c.moveRef(root+layout.RootRefPptrOff, slot, t, 0, false); merr != nil {
 			c.abortRootRef(root)
 			publish()
 			return roots, targets, merr

@@ -51,7 +51,8 @@ const (
 )
 
 // MoveLink is the saved-count field of an OpMove entry that links the
-// displaced destination target into the moved object's embed 0 (PushEmbed).
+// displaced destination target into the moved object's embed 0 (PushEmbed
+// into a word that names an object; into an empty one it is a plain move).
 // A move saves no count, so the field is free to carry the flag.
 const MoveLink uint16 = 1
 

@@ -388,28 +388,29 @@ func TestPushEmbedLinksWithoutCounting(t *testing.T) {
 	_, holder, _ := c.Malloc(64, 2)
 	rootA, a, _ := c.Malloc(32, 1)
 	rootB, b, _ := c.Malloc(32, 1)
-	if err := c.PushEmbed(holder, 2, rootA); err != shm.ErrBadEmbedIndex {
+	hs := c.Span(holder)
+	if err := c.PushEmbed(hs, 2, 0, rootA); err != shm.ErrBadEmbedIndex {
 		t.Fatalf("push into embed 2 of a 2-embed holder: %v, want ErrBadEmbedIndex", err)
 	}
 	c.CloneRoot(rootA)
-	if err := c.PushEmbed(holder, 1, rootA); err != shm.ErrRootCloned {
+	if err := c.PushEmbed(hs, 1, 0, rootA); err != shm.ErrRootCloned {
 		t.Fatalf("push of a cloned root: %v, want ErrRootCloned", err)
 	}
 	if _, err := c.ReleaseRoot(rootA); err != nil {
 		t.Fatal(err)
 	}
 	rootP, _, _ := c.Malloc(32, 0)
-	if err := c.PushEmbed(holder, 1, rootP); err != shm.ErrBadEmbedIndex {
+	if err := c.PushEmbed(hs, 1, 0, rootP); err != shm.ErrBadEmbedIndex {
 		t.Fatalf("push of an object without embeds: %v, want ErrBadEmbedIndex", err)
 	}
 	if _, err := c.ReleaseRoot(rootP); err != nil {
 		t.Fatal(err)
 	}
 
-	if err := c.PushEmbed(holder, 1, rootA); err != nil {
+	if err := c.PushEmbed(hs, 1, 0, rootA); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PushEmbed(holder, 1, rootB); err != nil {
+	if err := c.PushEmbed(hs, 1, a, rootB); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := c.LoadEmbed(holder, 1); got != b {
@@ -430,14 +431,14 @@ func TestPushEmbedLinksWithoutCounting(t *testing.T) {
 
 	rootD, d, _ := c.Malloc(32, 1)
 	c.StoreWord(d, 0, a) // a raw store: d's embed 0 now reads set
-	if err := c.PushEmbed(holder, 0, rootD); err != shm.ErrBadEmbedIndex {
+	if err := c.PushEmbed(hs, 0, 0, rootD); err != shm.ErrBadEmbedIndex {
 		t.Fatalf("push of an object whose embed 0 is set: %v, want ErrBadEmbedIndex", err)
 	}
 	c.StoreWord(d, 0, 0)
 	if err := p.MarkClientDead(c.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PushEmbed(holder, 0, rootD); err != shm.ErrFenced {
+	if err := c.PushEmbed(hs, 0, 0, rootD); err != shm.ErrFenced {
 		t.Fatalf("push by a fenced client: %v, want ErrFenced", err)
 	}
 }

@@ -193,7 +193,7 @@ func pushOnParent(e *env) error {
 	if err != nil {
 		return err
 	}
-	return e.x.PushEmbed(e.parent, 1, r)
+	return e.x.PushEmbed(e.x.Span(e.parent), 1, e.x.LoadWord(e.parent, 1), r)
 }
 
 // recordReceipt notes one delivery and releases the receiver's root.
