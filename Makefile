@@ -161,8 +161,12 @@ dep-guard:
 # monitor (its ticker, per-client recovery dispatch writing the detector rows,
 # and the concurrent passes its maintenance scans overlap), a race pass over
 # the wire layer (a goroutine per connection, parsing what a peer sends) and
-# the device package, ten seconds of fuzzing each on the two byte parsers a peer
-# can reach (netrpc frames, serving requests) and on the device's word-at-a-
+# the device package, the device store's message-passing litmus test without
+# the race detector (whose instrumentation would slow the race it looks for),
+# an arm64 build of the tree and vet of the device package (off amd64 the
+# store primitive is its Go fallback, which nothing else here compiles), ten
+# seconds of fuzzing each on the two byte parsers a peer can reach (netrpc
+# frames, serving requests) and on the device's word-at-a-
 # time byte copies against their byte-loop reference (the frame fuzzer's
 # minimization is capped at 2 s: its corpus holds a frame over 4 KiB, and
 # minimizing a new input that size would otherwise eat the whole budget),
@@ -192,6 +196,9 @@ ci: fmt-check vet build test benchmark-check dep-guard inline-check
 	$(GO) test -race -count=3 -run TestChaosInProcess ./internal/serving
 	$(GO) test -race -run 'Monitor|ConcurrentTicks|ConcurrentPasses|AbandonedSegment' ./internal/recovery
 	$(GO) test -race ./internal/netrpc ./internal/cxl
+	$(GO) test -count=1 -run TestStoreOrderMessagePassing ./internal/cxl
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/cxl
 	$(GO) test -run xxx -fuzz FuzzServeFrame -fuzztime 10s -fuzzminimizetime 2s ./internal/netrpc
 	$(GO) test -run xxx -fuzz FuzzDispatch -fuzztime 10s ./internal/serving
 	$(GO) test -run xxx -fuzz FuzzDeviceBytes -fuzztime 10s ./internal/cxl

@@ -4,14 +4,15 @@
 // physical address space of multiple compute nodes, forming a single cache
 // coherency domain that supports plain loads/stores plus atomic
 // compare-and-swap. This package models that device as one concrete type,
-// Device: a word-addressable pool. Every access goes through sync/atomic, so
-// all clients (goroutines standing in for threads/processes/machines)
-// observe a linearizable shared memory exactly as CXL 3.0 memory sharing
-// promises. The words live on the Go heap (NewDevice) or in an mmap'd file
-// (CreateMapDevice, OpenMapDevice); either way the data path is the same
-// code. What a campaign or a model adds to that path — the Table 1 latency
-// model, an access hook, write faults — is one Intercept value set on the
-// device (SetIntercept).
+// Device: a word-addressable pool. A load is an atomic load, a CAS a locked
+// compare-and-swap and a store one plain x86 store (storeWord), so all
+// clients (goroutines standing in for threads/processes/machines) share one
+// coherent memory under x86-TSO, the model a host's own loads and stores see
+// of CXL 3.0 shared memory. The words live on the Go heap (NewDevice) or in
+// an mmap'd file (CreateMapDevice, OpenMapDevice); either way the data path
+// is the same code. What a campaign or a model adds to that path — the
+// Table 1 latency model, an access hook, write faults — is one Intercept
+// value set on the device (SetIntercept).
 //
 // Addresses are 64-bit word offsets from the beginning of the pool
 // (machine-independent pointers, like PMDK-style offsets). Address 0 is
@@ -185,7 +186,7 @@ func (d *Device) Load(a Addr) uint64 {
 	return atomic.LoadUint64(&d.words[a])
 }
 
-// Store atomically writes v to the word at a, ignoring fencing. It is used
+// Store writes v to the word at a with storeWord, ignoring fencing. It is used
 // by the recovery service and by pool initialization. Client code must go
 // through a Handle so RAS fencing applies. The intercept's Access hook sees
 // it as cid 0, then its Write hook decides its fate.
@@ -206,7 +207,7 @@ func (d *Device) Store(a Addr, v uint64) {
 	if d.countAccesses {
 		d.devCtr.stores.Add(1)
 	}
-	atomic.StoreUint64(&d.words[a], v)
+	storeWord(&d.words[a], v)
 }
 
 // CAS atomically compares-and-swaps the word at a, ignoring fencing. The

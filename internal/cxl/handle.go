@@ -16,9 +16,9 @@ import (
 // word array exactly when nothing observes or prices this handle's accesses
 // (a zero Intercept, not counting), nil otherwise. Under it Load/Store/CAS
 // are a bounds test against words, the fence-word load (Store/CAS) and one
-// sync/atomic op; any other access — words nil, a wild address, a fenced
-// handle — runs the *Slow twin: wild-access panic, dropped writes, the
-// intercept, counters. Open computes it once.
+// access: an atomic load, storeWord or an atomic CAS. Anything else (words
+// nil, a wild address, a fenced handle) runs the *Slow twin: wild-access
+// panic, dropped writes, the intercept, counters. Open computes it once.
 type Handle struct {
 	dev *Device
 	// words is dev's word array while the fast-path condition holds.
@@ -92,12 +92,12 @@ func (h *Handle) loadSlow(a Addr) uint64 {
 	return atomic.LoadUint64(&d.words[a])
 }
 
-// Store atomically writes v at a. If the handle is fenced the write is
-// silently dropped, exactly as a RAS-isolated node's writes never reach the
-// device.
+// Store writes v at a with storeWord: one plain store on amd64. If the
+// handle is fenced the write is silently dropped, exactly as a RAS-isolated
+// node's writes never reach the device.
 func (h *Handle) Store(a Addr, v uint64) {
 	if a != 0 && a < uint64(len(h.words)) && h.fence.Load() == h.epoch {
-		atomic.StoreUint64(&h.words[a], v)
+		storeWord(&h.words[a], v)
 		return
 	}
 	h.storeSlow(a, v)
@@ -124,7 +124,7 @@ func (h *Handle) storeSlow(a Addr, v uint64) {
 	if h.count {
 		h.ctr.stores.Add(1)
 	}
-	atomic.StoreUint64(&d.words[a], v)
+	storeWord(&d.words[a], v)
 }
 
 // CAS atomically compares-and-swaps the word at a. Returns false without
@@ -161,10 +161,10 @@ func (h *Handle) casSlow(a Addr, old, new uint64) bool {
 }
 
 // SFence orders the client's preceding stores before its subsequent ones,
-// modelling the sfence the paper inserts in the allocation fast path. With
-// Go atomics every access is already sequentially consistent, so the fence
-// only needs to be accounted (and optionally charged) for the Figure 7
-// breakdown.
+// modelling the sfence the paper inserts in the allocation fast path. Under
+// x86-TSO one client's stores already become visible in program order (and
+// Store off amd64 is sequentially consistent), so the fence only needs to be
+// accounted (and optionally charged) for the Figure 7 breakdown.
 func (h *Handle) SFence() {
 	if hook := h.dev.icpt.Access; hook != nil {
 		hook(h.cid, OpFence, 0)

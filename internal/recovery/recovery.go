@@ -430,8 +430,9 @@ func (s *Service) committed(lo layout.Addr, cid int, txnEra, eraII uint32) (bool
 	if int(hdr.LCID) == cid && hdr.LEra == txnEra {
 		return true, 1 // Condition 1
 	}
-	// The device is sequentially consistent, which subsumes the memory
-	// fence the paper requires between the two condition checks.
+	// The paper fences between the two checks. x86-TSO orders a load before
+	// later loads, and a witness is stored before the (locked) header CAS
+	// that overwrote (cid, txnEra), so the loads below see it.
 	var maxSeen uint32
 	for j := 1; j <= geo.MaxClients; j++ {
 		if j == cid {

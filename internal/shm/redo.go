@@ -82,8 +82,9 @@ func packRedoCommit(op Op, era uint32, savedCnt uint16) uint64 {
 
 // logRedo records the in-flight transaction (line 8 of Figure 4(c)). The
 // address stores precede the commit-word store, so the valid bit, the op,
-// the era, and the saved count become visible atomically and last; all
-// device accesses are sequentially consistent.
+// the era, and the saved count become visible atomically and last: x86-TSO
+// makes one client's stores visible in program order, so a reader that
+// loads a valid commit word, then the address words, reads this entry's.
 //
 // Words 3 and 4 (refed2/saved2) carry the second object of a change
 // transaction (for move: the source reference word) and are consumed by
