@@ -145,8 +145,10 @@ dep-guard:
 # budgets, the client-scaling curve's budgets and the queue tests on both
 # backends, the device-access budgets of the recovery pass, the
 # tick after it and the idle tick over a dead loader's segments on both
-# backends, the recovery pass's last-reference drop cut at every write and the
-# witness of the header pair every recovery free erases, under the race
+# backends, the recovery pass's last-reference drop cut at every write, the
+# witness of the header pair every recovery free erases, two services
+# recovering one client at once, the recovery claim outliving the RECOVERED
+# store and monitor ticks racing a pass over huge heads, under the race
 # detector on both backends, the telemetry delta-publication pin under the race detector on both
 # backends, the zero-allocation fast-path pin on both backends, the kv
 # read-during-delete contract (race detector on heap, once on mmap), the
@@ -178,8 +180,8 @@ ci: fmt-check vet build test benchmark-check dep-guard inline-check
 	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestDeviceAccessBudget|TestClientScaling|TestQueue' ./internal/shm
 	$(GO) test -run 'TestRecoveryPassAccessBudget|TestIdleTickAfterLoaderDeath' ./internal/recovery
 	CXLSHM_BACKEND=mmap $(GO) test -run 'TestRecoveryPassAccessBudget|TestIdleTickAfterLoaderDeath' ./internal/recovery
-	$(GO) test -race -run 'TestRootDrop|TestFreeWitnesses' ./internal/recovery
-	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestRootDrop|TestFreeWitnesses' ./internal/recovery
+	$(GO) test -race -run 'TestRootDrop|TestFreeWitnesses|TestConcurrentRecoverersOneClaim|TestClaimReleasedAfterRecoveredStore|TestMonitorTickDuringPassOverHugeHeads' ./internal/recovery
+	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestRootDrop|TestFreeWitnesses|TestConcurrentRecoverersOneClaim|TestClaimReleasedAfterRecoveredStore|TestMonitorTickDuringPassOverHugeHeads' ./internal/recovery
 	$(GO) test -race -run TestTelemetryDeltaPublication ./internal/shm
 	CXLSHM_BACKEND=mmap $(GO) test -race -run TestTelemetryDeltaPublication ./internal/shm
 	$(GO) test -race -run TestSlotChurn ./internal/shm

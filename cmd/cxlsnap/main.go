@@ -189,12 +189,18 @@ func doOpen(path string) error {
 		if err := pool.MarkClientDead(cid); err != nil {
 			return err
 		}
+	}
+	// A stale recovery executor may hold a lower cid's recovery claim: the
+	// rounds recover it before the client it claimed.
+	if err := pool.RecoverDeadSlots(func(cid int) error {
 		rep, err := svc.RecoverClient(cid)
-		if err != nil {
-			return err
+		if err == nil {
+			fmt.Printf("  recovered client %d (swept %d refs, freed %d segments)\n",
+				cid, rep.SweptRoots, rep.SegsFreed)
 		}
-		fmt.Printf("  recovered client %d (swept %d refs, freed %d segments)\n",
-			cid, rep.SweptRoots, rep.SegsFreed)
+		return err
+	}); err != nil {
+		return err
 	}
 	mon := recovery.NewMonitor(svc, recovery.MonitorConfig{})
 	for i := 0; i < 4; i++ {

@@ -167,6 +167,7 @@ type hints struct {
 	eraRaise   map[int]uint64 // client -> highest era observed of it (on violation)
 	staleRedo  []int          // settled clients with valid redo entries
 	badStatus  []int          // clients with unknown status words
+	badClaim   []int          // clients whose recovery claim names no client slot
 	staleLease []int          // clients whose lease generation parity disagrees with status
 	slotMap    bool           // free-slot bitmap disagrees with the status words
 }
@@ -660,11 +661,19 @@ func (v *validator) checkEraMatrix() {
 }
 
 // checkClientSlots verifies client-slot hygiene: the status word holds a
-// known state, and no recovered or free slot still carries a valid redo
-// entry — recovery must invalidate the redo before announcing RECOVERED, or
-// the slot's next incarnation inherits a transaction it never ran.
+// known state, a held recovery claim names a client slot as its holder, and
+// no recovered or free slot still carries a valid redo entry — recovery must
+// invalidate the redo before announcing RECOVERED, or the slot's next
+// incarnation inherits a transaction it never ran.
 func (v *validator) checkClientSlots() {
 	for cid := 1; cid <= v.geo.MaxClients; cid++ {
+		if w := v.load(v.geo.ClientClaimAddr(cid)); w != 0 {
+			if holder, _ := layout.UnpackLease(w); holder < 1 || holder > v.geo.MaxClients {
+				v.res.add(BadStructure, v.geo.ClientClaimAddr(cid),
+					"client %d recovery claim %#x names holder %d, not a client slot", cid, w, holder)
+				v.hints.badClaim = append(v.hints.badClaim, cid)
+			}
+		}
 		a := v.geo.ClientStatusAddr(cid)
 		status := v.load(a)
 		switch status {

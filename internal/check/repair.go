@@ -130,6 +130,9 @@ func Repair(p *shm.Pool, cfg RepairConfig) *RepairReport {
 		for _, c := range v.hints.badStatus {
 			clients[c] = true
 		}
+		for _, c := range v.hints.badClaim {
+			clients[c] = true
+		}
 		for _, c := range v.hints.staleLease {
 			clients[c] = true
 		}
@@ -151,17 +154,17 @@ func Repair(p *shm.Pool, cfg RepairConfig) *RepairReport {
 	// recovery panicked or the monitor gave up mid-corruption) pin their
 	// segments forever otherwise.
 	if cfg.Recover != nil {
-		for cid := 1; cid <= p.Geometry().MaxClients; cid++ {
-			if p.ClientStatus(cid) != layout.ClientDead {
-				continue
-			}
+		err := p.RecoverDeadSlots(func(cid int) error {
 			clients[cid] = true
-			if err := cfg.Recover(cid); err != nil {
-				r.logf("fsck: post-repair recovery of client %d: %v", cid, err)
-				continue
+			err := cfg.Recover(cid)
+			if err == nil {
+				r.act("client-recover", r.geo.ClientStatusAddr(cid),
+					"client %d recovery completed post-repair", cid)
 			}
-			r.act("client-recover", r.geo.ClientStatusAddr(cid),
-				"client %d recovery completed post-repair", cid)
+			return err
+		})
+		if err != nil {
+			r.logf("fsck: post-repair recovery: %v", err)
 		}
 	}
 	// Segments reconstructed to ABANDONED+POTENTIAL_LEAKING during the
@@ -338,6 +341,11 @@ func (r *repairer) applyHints(v *validator) int {
 	for _, cid := range h.staleRedo {
 		r.p.ClearRedo(cid)
 		r.act("redo-clear", r.geo.ClientRedoBase(cid), "client %d stale redo entry invalidated", cid)
+	}
+	for _, cid := range h.badClaim {
+		r.store(r.geo.ClientClaimAddr(cid), 0)
+		r.act("claim-clear", r.geo.ClientClaimAddr(cid),
+			"client %d recovery claim named no client slot: cleared", cid)
 	}
 	for _, cid := range h.badStatus {
 		r.store(r.geo.ClientStatusAddr(cid), layout.ClientDead)

@@ -428,6 +428,45 @@ func TestRepairBadClientStatus(t *testing.T) {
 	}
 }
 
+// A recovery claim naming no client slot is reported and cleared, and the
+// dead client it sat on is then recovered post-repair.
+func TestRepairBadRecoveryClaim(t *testing.T) {
+	p := newPool(t)
+	geo := p.Geometry()
+	c, _ := p.Connect()
+	if _, _, err := c.Malloc(64, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.MarkClientDead(c.ID()); err != nil {
+		t.Fatal(err)
+	}
+	claim := geo.ClientClaimAddr(c.ID())
+	p.Device().Store(claim, layout.PackLease(geo.MaxClients+1, 3))
+	found := false
+	for _, is := range check.Validate(p).Issues {
+		found = found || is.Kind == check.BadStructure && is.Addr == claim
+	}
+	if !found {
+		t.Fatal("validator missed a recovery claim naming no client slot")
+	}
+	svc, err := recovery.NewService(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := check.Repair(p, check.RepairConfig{
+		Recover: func(cid int) error { _, err := svc.RecoverClient(cid); return err },
+	})
+	if !rep.Repaired {
+		t.Fatalf("not repaired: %v", rep.Post.Issues)
+	}
+	if w := p.Device().Load(claim); w != 0 {
+		t.Fatalf("claim word %#x survived repair", w)
+	}
+	if s := p.ClientStatus(c.ID()); s != layout.ClientRecovered {
+		t.Fatalf("client %d status %d after repair, want RECOVERED", c.ID(), s)
+	}
+}
+
 func TestRepairReapsLeakingSegments(t *testing.T) {
 	p := newPool(t)
 	c, _ := p.Connect()

@@ -205,13 +205,6 @@ func (s *Store) PartitionOf(key uint64) int {
 	return Partition(key, s.buckets, s.writers)
 }
 
-// A lease word records its writer's cid in the low 16 bits and the writer's
-// slot-lease generation above them: a steal can then tell the writer that
-// took the lease from a later lessee of the same slot.
-func packLease(cid int, gen uint64) uint64 { return gen<<16 | uint64(cid) }
-
-func unpackLease(w uint64) (cid int, gen uint64) { return int(w & 0xffff), w >> 16 }
-
 // AcquirePartition records this client as partition p's writer (lease word).
 // Returns false if another writer holds it; pass steal to take over a dead
 // writer's partition — the §6.4 metadata-only repartitioning. A steal, too,
@@ -221,7 +214,7 @@ func (s *Store) AcquirePartition(p int, steal bool) bool {
 		return false
 	}
 	leaseIdx := s.buckets + 4 + p
-	mine := packLease(s.c.ID(), s.c.Generation())
+	mine := layout.PackLease(s.c.ID(), s.c.Generation())
 	// Bounded load+CAS retry: a concurrent acquirer (or a recovery pass
 	// rewriting index words) between the load and the CAS is a reload, not
 	// a refusal.
@@ -244,7 +237,7 @@ func (s *Store) AcquirePartition(p int, steal bool) bool {
 // resolves it (a replay after the steal would overwrite the new writer's
 // link). One or two loads, once per failover.
 func (s *Store) stealable(w uint64) bool {
-	cid, gen := unpackLease(w)
+	cid, gen := layout.UnpackLease(w)
 	pool := s.c.Pool()
 	if cid < 1 || cid > pool.Geometry().MaxClients {
 		return true
@@ -261,7 +254,7 @@ func (s *Store) PartitionOwner(p int) int {
 	if p < 0 || p >= s.writers {
 		return 0 // no such partition (p can come off the wire): nobody owns it
 	}
-	cid, _ := unpackLease(s.rd.idx.Load(s.buckets + 4 + p))
+	cid, _ := layout.UnpackLease(s.rd.idx.Load(s.buckets + 4 + p))
 	return cid
 }
 

@@ -42,7 +42,8 @@ import (
 //	word 0                      status (ClientSlotFree/Alive/Dead/Recovered)
 //	word 1                      heartbeat counter
 //	word 2                      machine/process identity tag
-//	word 3                      reserved
+//	word 3                      recovery claim: 0, or the recovering
+//	                            executor's lease word (PackLease)
 //	word 4..4+RedoWords         redo log area (one era-transaction entry)
 //	word 12..12+MaxClients      era row: Era[cid][1..MaxClients]
 type Geometry struct {
@@ -102,8 +103,9 @@ const (
 	ClientOffStatus    = 0
 	ClientOffHeartbeat = 1
 	ClientOffIdentity  = 2
-	ClientOffRedo      = 4  // word 3 is reserved
-	clientFixedWords   = 12 // status..reserved + redo area (RedoWords=8)
+	ClientOffClaim     = 3
+	ClientOffRedo      = 4
+	clientFixedWords   = 12 // status..claim + redo area (RedoWords=8)
 )
 
 // DefaultRedoWords is the size of the per-client redo log area. One era
@@ -262,6 +264,22 @@ func (g *Geometry) ClientStatusAddr(cid int) Addr {
 func (g *Geometry) ClientHeartbeatAddr(cid int) Addr {
 	return g.ClientStateBase(cid) + ClientOffHeartbeat
 }
+
+// ClientClaimAddr returns the address of cid's recovery claim: the one word
+// a recoverer CASes before it runs cid's recovery pass (internal/shm's
+// slotlease.go).
+func (g *Geometry) ClientClaimAddr(cid int) Addr {
+	return g.ClientStateBase(cid) + ClientOffClaim
+}
+
+// PackLease packs a lease word — a kv partition's writer, a client's
+// recovery claim: the holder's cid in the low 16 bits and its slot-lease
+// generation above them, so a steal can tell the incarnation that took the
+// lease from a later lessee of the same slot.
+func PackLease(cid int, gen uint64) uint64 { return gen<<16 | uint64(cid) }
+
+// UnpackLease splits a lease word.
+func UnpackLease(w uint64) (cid int, gen uint64) { return int(w & 0xffff), w >> 16 }
 
 // ClientRedoBase returns the base of cid's redo log area.
 func (g *Geometry) ClientRedoBase(cid int) Addr {

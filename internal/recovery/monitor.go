@@ -33,8 +33,11 @@ import (
 // run inline on the monitor goroutine, exactly like the original shared
 // goroutine; with more, each dead client is handed to its own goroutine
 // (deduplicated while in flight) and up to Service.Workers() independent
-// recoveries proceed concurrently. Dead-owner segment scans stay race-free
-// either way — every one goes through the service's per-segment mutex (see
+// recoveries proceed concurrently. A recovery the monitor dispatches runs
+// under the victim's recovery claim like any other; one that finds the claim
+// held (shm.ErrRecoveryInProgress) is a failed attempt, retried on the
+// slot's backoff. The maintenance scans touch only ABANDONED segments and
+// the huge heads of unleased slots, never what a running pass works on (see
 // internal/shm/scan.go's concurrency contract).
 type Monitor struct {
 	svc      *Service
@@ -300,7 +303,8 @@ func (m *Monitor) Tick() {
 		st := p.SegState(seg)
 		if st.State != layout.SegAbandoned {
 			r.lastScan = 0
-			if st.State == layout.SegHugeHead && p.ClientDeadOrRecovered(int(st.CID)) {
+			// A DEAD owner's heads are its recovery pass's to scan.
+			if st.State == layout.SegHugeHead && p.SlotUnleased(int(st.CID)) {
 				m.scanLocked(seg)
 			}
 			continue
@@ -328,8 +332,7 @@ func (m *Monitor) Tick() {
 
 // scanLocked runs one maintenance scan, converting a panic into a typed
 // failure with exponential per-segment backoff and an EvRepairFailed trace.
-// The scan borrows an executor (never sharing one with a recovery worker)
-// and goes through the service's per-segment mutex.
+// The scan borrows an executor (never sharing one with a recovery worker).
 func (m *Monitor) scanLocked(seg int) {
 	exec := m.svc.borrowExec()
 	defer m.svc.returnExec(exec)
@@ -349,7 +352,7 @@ func (m *Monitor) scanLocked(seg int) {
 		})
 		r.retry.fail(m.ticks)
 	}()
-	m.svc.scanSegment(exec, seg)
+	exec.ScanSegment(seg, true)
 }
 
 // recoverLocked runs (or dispatches) one recovery attempt. With a single

@@ -10,7 +10,6 @@ package recovery
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/layout"
@@ -24,21 +23,15 @@ import (
 // executor (NewService) it behaves like the original single-goroutine
 // service; with more (NewServiceWorkers), recoveries of independent dead
 // clients run concurrently — each pass borrows an executor from the pool
-// for its duration, passes over the same client serialize on a per-client
-// mutex, and all segment-granular work (scans, root sweeps, frees) goes
-// through per-segment mutexes shared with the monitor's maintenance scans.
+// for its duration. A pass runs under its victim's recovery claim, a word in
+// the pool (shm.Client.ClaimRecovery), so two passes over one client never
+// overlap, whichever services or processes run them; segment work needs no
+// lock beyond that (internal/shm/scan.go's concurrency contract).
 type Service struct {
 	pool *shm.Pool
 	// execs is the bounded executor pool: cap(execs) == worker count.
 	execs    chan *shm.Client
 	execList []*shm.Client
-	// cidMu serializes recovery passes over the same dead client; a second
-	// caller simply waits, then finds the slot RECOVERED and reports "not
-	// dead", exactly like a re-run against the sequential service.
-	cidMu []sync.Mutex
-	// segMu serializes segment-granular work between concurrent passes and
-	// the monitor's maintenance scans (scan.go's concurrency contract).
-	segMu []sync.Mutex
 }
 
 // NewService connects a single-executor recovery service to the pool.
@@ -53,13 +46,7 @@ func NewServiceWorkers(pool *shm.Pool, workers int) (*Service, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	geo := pool.Geometry()
-	s := &Service{
-		pool:  pool,
-		execs: make(chan *shm.Client, workers),
-		cidMu: make([]sync.Mutex, geo.MaxClients+1),
-		segMu: make([]sync.Mutex, geo.NumSegments),
-	}
+	s := &Service{pool: pool, execs: make(chan *shm.Client, workers)}
 	for i := 0; i < workers; i++ {
 		exec, err := pool.Connect()
 		if err != nil {
@@ -92,15 +79,6 @@ func (s *Service) ExecutorIDs() []int {
 func (s *Service) borrowExec() *shm.Client  { return <-s.execs }
 func (s *Service) returnExec(e *shm.Client) { s.execs <- e }
 
-// scanSegment runs one dead-owner segment scan under the segment's mutex.
-// Both recovery passes and the monitor's maintenance duties use it, so a
-// segment is never scanned by two goroutines at once.
-func (s *Service) scanSegment(exec *shm.Client, seg int) shm.ScanReport {
-	s.segMu[seg].Lock()
-	defer s.segMu[seg].Unlock()
-	return exec.ScanSegment(seg, true)
-}
-
 // Report summarizes one client recovery.
 type Report struct {
 	Client     int
@@ -121,7 +99,8 @@ type Report struct {
 
 // RecoverClient recovers failed client cid:
 //
-//  1. fence the client (RAS) and publish its death,
+//  1. take the client's recovery claim, fence the client (RAS) and publish
+//     its death,
 //  2. decide and replay the interrupted transaction's ModifyRef using the
 //     era matrix (Conditions 1 and 2),
 //  3. sweep the dead client's RootRef pages — the content in and only in
@@ -131,27 +110,26 @@ type Report struct {
 //     released by era transaction,
 //  4. scan and either free or abandon its segments,
 //  5. release the slot lease: clear the redo entry, scrub the era row,
-//     move the generation even, and mark the slot recovered.
+//     move the generation even, mark the slot recovered, and let the claim
+//     go.
 //
 // Everything here is idempotent or guarded, so a recovery that itself
 // crashes can simply be re-run. Concurrent calls for independent clients
-// proceed in parallel (bounded by the executor pool); calls for the same
-// client serialize within one Service only. Two Services recovering the same
-// client at once (a monitor and cxlsnap -recover, say) are not excluded, and
-// can free live objects: ROADMAP.md [recovery-claim].
+// proceed in parallel (bounded by the executor pool). A call for a client
+// whose claim another executor holds — a pass running in this service or
+// another, or one whose executor died and is not yet recovered itself —
+// returns shm.ErrRecoveryInProgress and writes nothing.
 func (s *Service) RecoverClient(cid int) (Report, error) {
 	if cid < 1 || cid > s.pool.Geometry().MaxClients {
 		return Report{Client: cid}, fmt.Errorf("recovery: client id %d out of range", cid)
 	}
-	s.cidMu[cid].Lock()
-	defer s.cidMu[cid].Unlock()
 	exec := s.borrowExec()
 	defer s.returnExec(exec)
 	return s.recoverWith(exec, cid)
 }
 
-// recoverWith runs one recovery pass on the given executor. Callers hold
-// cidMu[cid] and own exec for the duration.
+// recoverWith runs one recovery pass on the given executor, which the caller
+// owns for the duration.
 func (s *Service) recoverWith(exec *shm.Client, cid int) (Report, error) {
 	r := Report{Client: cid}
 	p := s.pool
@@ -160,8 +138,8 @@ func (s *Service) recoverWith(exec *shm.Client, cid int) (Report, error) {
 	// ALIVE slot here would let a stale recover request kill an innocent
 	// client, because with slot recycling the cid may have been re-leased
 	// to a new incarnation since the request was formed.
-	if status := p.ClientStatus(cid); status != layout.ClientDead {
-		return r, fmt.Errorf("recovery: client %d not dead (status %d)", cid, status)
+	if err := exec.ClaimRecovery(cid); err != nil {
+		return r, err
 	}
 	p.Device().FenceClient(cid)
 	t0 := time.Now()
@@ -179,18 +157,9 @@ func (s *Service) recoverWith(exec *shm.Client, cid int) (Report, error) {
 	// segments) so that segment scans see the final reference counts.
 	owned := s.ownedSegments(cid)
 	for _, seg := range owned {
-		st := p.SegState(seg)
-		if st.State != layout.SegActive {
-			continue
-		}
-		// Deferred unlock: the executor's stores can panic under fault
-		// injection, and a mutex leaked on that unwind would deadlock every
-		// later pass (and the monitor) touching this segment.
-		func() {
-			s.segMu[seg].Lock()
-			defer s.segMu[seg].Unlock()
+		if p.SegState(seg).State == layout.SegActive {
 			r.SweptRoots += s.sweepRootRefPages(exec, cid, seg)
-		}()
+		}
 	}
 
 	// Huge objects: free heads whose count is zero (interrupted allocation
@@ -202,7 +171,7 @@ func (s *Service) recoverWith(exec *shm.Client, cid int) (Report, error) {
 		st := p.SegState(seg)
 		switch st.State {
 		case layout.SegActive:
-			rep := s.scanSegment(exec, seg)
+			rep := exec.ScanSegment(seg, true)
 			r.Reclaimed += rep.Reclaimed
 			r.SweptRoots += rep.SweptRoots
 			if rep.Freed {
@@ -216,11 +185,7 @@ func (s *Service) recoverWith(exec *shm.Client, cid int) (Report, error) {
 			// (mid-claim crash): sweepHugeOwned left it untouched only if no
 			// matching live head covers it.
 			if !s.coveredByLiveHead(cid, seg) {
-				func() {
-					s.segMu[seg].Lock()
-					defer s.segMu[seg].Unlock()
-					s.freeSegment(seg)
-				}()
+				s.freeSegment(seg)
 				r.SegsFreed++
 			}
 		}
@@ -237,10 +202,15 @@ func (s *Service) recoverWith(exec *shm.Client, cid int) (Report, error) {
 	// generation even *before* storing RECOVERED — a crash between the two
 	// leaves DEAD+even, which the monitor simply recovers again, whereas
 	// the opposite order could publish a claimable slot whose generation
-	// still says "leased". Every intermediate state is re-runnable.
+	// still says "leased". The claim goes last: a recoverer that takes it
+	// then reads RECOVERED (or a later incarnation's status), never the DEAD
+	// of this death. Every intermediate state is re-runnable, and a crash
+	// before the release leaves a claim that stays stealable once this
+	// executor is recovered.
 	p.ClearRedo(cid)
 	p.ScrubEraRow(cid)
 	p.FinishSlotLease(cid)
+	exec.ReleaseRecovery(cid)
 
 	// Publish the executor's scan/sweep counts before announcing the pass,
 	// so a snapshot taken after the recovery sees exact totals.
@@ -504,7 +474,7 @@ func (s *Service) sweepRootRefPages(exec *shm.Client, cid, seg int) int {
 func (s *Service) sweepHugeOwned(exec *shm.Client, owned []int) {
 	for _, seg := range owned {
 		if s.pool.SegState(seg).State == layout.SegHugeHead {
-			s.scanSegment(exec, seg)
+			exec.ScanSegment(seg, true)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package recovery_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -117,6 +118,16 @@ func TestRecoveryExecutorCrashesMidRecovery(t *testing.T) {
 			svc2, err := recovery.NewService(p)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if f.n > 1 && p.ClientStatus(victim.ID()) == layout.ClientDead {
+				// The claim CAS is the pass's first write: the dead executor
+				// holds the victim's claim, so the victim waits for the
+				// executor's recovery, and the refusal writes nothing.
+				f.sw.StartCounting()
+				_, err := svc2.RecoverClient(victim.ID())
+				if w := f.sw.StopCounting(); !errors.Is(err, shm.ErrRecoveryInProgress) || w != 0 {
+					t.Fatalf("seed %d: victim recovery before its dead executor's: %v after %d writes", seed, err, w)
+				}
 			}
 			if _, err := svc2.RecoverClient(svc1.Executor().ID()); err != nil {
 				t.Fatalf("seed %d: recover executor: %v", seed, err)

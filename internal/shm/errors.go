@@ -40,6 +40,10 @@ var (
 	// ErrRootCloned is returned by PushEmbed for a RootRef with clones: its
 	// one counted reference cannot move while other clones share it.
 	ErrRootCloned = errors.New("shm: RootRef is cloned; only a sole clone can hand its reference on")
+	// ErrRecoveryInProgress is returned by ClaimRecovery (and so by a
+	// recovery pass) while another executor's pass over the client runs, or
+	// while that executor is dead and not yet recovered itself.
+	ErrRecoveryInProgress = errors.New("shm: another executor holds the client's recovery claim")
 	// ErrBadEmbedIndex is returned for embedded-reference operations with an
 	// index outside the object's declared embedded-reference area.
 	ErrBadEmbedIndex = errors.New("shm: embedded reference index out of range")

@@ -29,13 +29,22 @@ import (
 //     freeer flags it POTENTIAL_LEAKING (flagLeaking), as does a scan that
 //     leaves a block pending, and the monitor rescans on the flag.
 //
-// Concurrency contract: a segment is scanned either by its live owner (its
-// own slow path) or — for segments whose owner is dead — by the recovery
-// service. Those sets are disjoint; and because the recovery service may
-// now run passes for independent dead clients concurrently (plus the
-// monitor's maintenance scans), every dead-owner scan goes through the
-// service's per-segment mutex (recovery.Service.scanSegment), so scans of
-// one segment still never race.
+// Concurrency contract: one scanner at a time per segment, and the segment's
+// state word, with its owner's slot status, says which — no lock is taken:
+//
+//   - ACTIVE under a live owner: the owner, from its own slow path;
+//   - ACTIVE, huge head or huge body under a DEAD owner: that owner's
+//     recovery pass, which runs under the owner's recovery claim
+//     (slotlease.go), so there is one pass per dead client whichever
+//     process runs it;
+//   - ABANDONED, or a huge head whose owner's slot is unleased (FREE or
+//     RECOVERED): the monitor's maintenance scans, one at a time per monitor.
+//
+// A pass makes a segment ABANDONED only after its own scan of it, and stores
+// RECOVERED — handing the victim's surviving huge heads to the monitor — only
+// after its last scan, so a segment changes hands without overlap. Two
+// monitors on one pool would each scan the same ABANDONED segment; a pool has
+// one monitor.
 
 // ScanReport summarizes one segment-local scan.
 type ScanReport struct {

@@ -26,8 +26,12 @@ package shm
 //     again. A slot can therefore never get stuck with a parity its status
 //     disallows; internal/check flags any such disagreement as a
 //     stale-lease issue.
+//   - One recoverer at a time: a recovery pass runs under the DEAD slot's
+//     recovery claim (ClaimRecovery), a word in the pool, so the exclusion
+//     holds between recovery services in different processes.
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -138,6 +142,119 @@ func (p *Pool) FinishSlotLease(cid int) {
 	}
 	p.dev.Store(p.geo.ClientStatusAddr(cid), layout.ClientRecovered)
 	p.publishSlotBit(cid)
+}
+
+// ClaimRecovery takes DEAD client cid's recovery claim for c, the executor
+// about to run cid's recovery pass; ReleaseRecovery lets it go once the pass
+// has stored RECOVERED, so whoever takes it next reads the slot settled,
+// never DEAD from the death just recovered. The claim is client-state word 3:
+// 0 when free, else the holder's lease word (layout.PackLease).
+//
+// The word is read first, so a refusal writes nothing. The claim is taken
+// from 0; kept if c holds it already (a pass of c's was cut short by a panic;
+// an executor runs one pass at a time); or stolen from a holder whose
+// incarnation has been recovered since (its lease generation moved). A holder
+// that is merely DEAD is not enough: its interrupted era transaction must be
+// replayed before anyone sweeps the victim's roots again, so a dead executor
+// is recovered before the clients it claimed. Any other holder is running a
+// pass: ErrRecoveryInProgress. With the claim held, cid must still be DEAD;
+// if a pass finished meanwhile, the claim is let go and "not dead" returned.
+func (c *Client) ClaimRecovery(cid int) error {
+	p := c.pool
+	if err := p.checkDead(cid); err != nil {
+		return err
+	}
+	a := p.geo.ClientClaimAddr(cid)
+	own := c.claimWord()
+	for {
+		cur := c.h.Load(a)
+		if cur == own {
+			break
+		}
+		if cur != 0 && !p.claimStale(cur) {
+			return ErrRecoveryInProgress
+		}
+		if c.h.CAS(a, cur, own) {
+			break
+		}
+		if c.h.Fenced() {
+			return ErrFenced
+		}
+	}
+	if err := p.checkDead(cid); err != nil {
+		c.ReleaseRecovery(cid)
+		return err
+	}
+	return nil
+}
+
+// ReleaseRecovery lets go of cid's recovery claim if c holds it.
+func (c *Client) ReleaseRecovery(cid int) {
+	c.h.CAS(c.pool.geo.ClientClaimAddr(cid), c.claimWord(), 0)
+}
+
+func (c *Client) claimWord() uint64 { return layout.PackLease(c.cid, c.gen) }
+
+// claimStale reports whether claim word w names a holder that can no longer
+// be running a pass: its incarnation has been recovered (the slot's lease
+// generation moved), or the cid is not a slot at all.
+func (p *Pool) claimStale(w uint64) bool {
+	holder, gen := layout.UnpackLease(w)
+	return holder < 1 || holder > p.geo.MaxClients || p.SlotGeneration(holder) != gen
+}
+
+func (p *Pool) checkDead(cid int) error {
+	if s := p.ClientStatus(cid); s != layout.ClientDead {
+		return fmt.Errorf("shm: client %d not dead (status %d)", cid, s)
+	}
+	return nil
+}
+
+// RecoverDeadSlots runs recoverFn on every DEAD slot, in rounds. A slot whose
+// claim a dead executor holds answers ErrRecoveryInProgress until that
+// executor is recovered, which may come later in cid order, so those slots
+// are tried again while a round recovers anything. It returns the errors of
+// the slots it could not recover, each naming its cid.
+func (p *Pool) RecoverDeadSlots(recoverFn func(cid int) error) error {
+	var retry []int
+	for cid := 1; cid <= p.geo.MaxClients; cid++ {
+		if p.ClientStatus(cid) == layout.ClientDead {
+			retry = append(retry, cid)
+		}
+	}
+	var errs []error
+	for len(retry) > 0 {
+		round, recovered := retry, false
+		retry = nil
+		for _, cid := range round {
+			switch err := recoverFn(cid); {
+			case err == nil:
+				recovered = true
+			case errors.Is(err, ErrRecoveryInProgress):
+				retry = append(retry, cid)
+			default:
+				errs = append(errs, fmt.Errorf("client %d: %w", cid, err))
+			}
+		}
+		if !recovered {
+			for _, cid := range retry {
+				errs = append(errs, fmt.Errorf("client %d: %w", cid, ErrRecoveryInProgress))
+			}
+			break
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// SlotUnleased reports whether cid's slot is FREE or RECOVERED: no
+// incarnation holds it, so no recovery pass is working on the segments
+// still marked with its cid. cid 0 (a never-initialized header) counts too.
+func (p *Pool) SlotUnleased(cid int) bool {
+	if cid < 1 || cid > p.geo.MaxClients {
+		return true
+	}
+	s := p.ClientStatus(cid)
+	return s == layout.ClientRecovered || s == layout.ClientSlotFree
 }
 
 // publishSlotBit sets cid's free-slot bitmap bit. Losing a CAS race to a

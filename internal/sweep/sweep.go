@@ -902,7 +902,8 @@ func runPosition(cfg Config, ops []op, k, j int) ([]Violation, error) {
 		// The crash hit the management plane or a half-born client — the
 		// attaching/recovering process died. Its recovery executor cannot be
 		// trusted mid-transaction, so it is declared dead too; a fresh
-		// service recovers it and every slot the crash stranded at DEAD.
+		// service recovers it and every slot the crash stranded at DEAD, in
+		// rounds that put it before any client whose recovery claim it holds.
 		// Half-claimed ALIVE slots (no heartbeat will ever come) are fenced
 		// by the epilogue monitor.
 		execID := e.svc.Executor().ID()
@@ -915,17 +916,12 @@ func runPosition(cfg Config, ops []op, k, j int) ([]Violation, error) {
 			v.Detail = fmt.Sprintf("second service: %v", err)
 			return []Violation{v}, nil
 		}
-		if _, err := svc2.RecoverClient(execID); err != nil {
-			v.Detail = fmt.Sprintf("recover executor: %v", err)
+		if err := e.p.RecoverDeadSlots(func(cid int) error {
+			_, err := svc2.RecoverClient(cid)
+			return err
+		}); err != nil {
+			v.Detail = fmt.Sprintf("recover stranded clients: %v", err)
 			return []Violation{v}, nil
-		}
-		for cid := 1; cid <= e.p.Geometry().MaxClients; cid++ {
-			if e.p.ClientStatus(cid) == layout.ClientDead {
-				if _, err := svc2.RecoverClient(cid); err != nil {
-					v.Detail = fmt.Sprintf("recover stranded client %d: %v", cid, err)
-					return []Violation{v}, nil
-				}
-			}
 		}
 		return finish(e, svc2, v), nil
 	}
@@ -991,8 +987,9 @@ func sweepRecovery(cfg Config, ops []op, k int, logf func(string, ...any)) ([]Vi
 
 // runRecoveryPosition is one phase-B story: the victim crashes at its first
 // write of op k, then the recovery pass crashes at its r-th write. A second
-// service recovers the executor first (replaying its interrupted
-// transactions), then the victim, then the usual epilogue and fsck.
+// service finds the victim's recovery claim held by the dead executor, so it
+// recovers the executor first (replaying its interrupted transactions), then
+// the victim, then the usual epilogue and fsck.
 func runRecoveryPosition(cfg Config, ops []op, k, r int) ([]Violation, error) {
 	v := Violation{Op: ops[k].name, Access: 1, RecoveryAccess: r, Backend: cfg.Backend}
 	sw := faultinject.NewAccessSweeper()
@@ -1032,6 +1029,17 @@ func runRecoveryPosition(cfg Config, ops []op, k, r int) ([]Violation, error) {
 		if err != nil {
 			v.Detail = fmt.Sprintf("second service: %v", err)
 			return []Violation{v}, nil
+		}
+		if r > 1 && e.p.ClientStatus(victim.ID()) == layout.ClientDead {
+			// The claim CAS is the pass's first write, so the dead executor
+			// holds the victim's claim: the victim is not recoverable before
+			// its executor, and the refusal writes nothing.
+			sw.StartCounting()
+			_, err := svc2.RecoverClient(victim.ID())
+			if w := sw.StopCounting(); !errors.Is(err, shm.ErrRecoveryInProgress) || w != 0 {
+				v.Detail = fmt.Sprintf("victim recovery before its dead executor's: %v after %d writes", err, w)
+				return []Violation{v}, nil
+			}
 		}
 		if _, err := svc2.RecoverClient(execID); err != nil {
 			v.Detail = fmt.Sprintf("recover executor: %v", err)
