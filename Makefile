@@ -110,10 +110,10 @@ inline-check:
 
 # gates prints the device-access gate lines the budget tests log — the
 # fast-path budgets, the client-scaling curve, the recovery pass and the tick
-# after it, the idle tick over a dead loader's segments, the kv insert — on
-# heap and mmap, with file:line prefixes and durations stripped so that two
-# runs (say, a parent commit and a change) diff cleanly. It fails if any of
-# the tests does.
+# after it, the idle tick over a dead loader's segments, the kv insert, Get
+# hit, Get miss and delete — on heap and mmap, with file:line prefixes and
+# durations stripped so that two runs (say, a parent commit and a change)
+# diff cleanly. It fails if any of the tests does.
 GATE_TESTS = 'TestDeviceAccessBudget|TestClientScalingAccessBudget|TestRecoveryPassAccessBudget|TestIdleTickAfterLoaderDeath|TestInsertAccessBudget'
 
 gates:
@@ -154,11 +154,12 @@ dep-guard:
 # read-during-delete contract (race detector on heap, once on mmap), the
 # torn-read tests of the version word — in-place update, same-key
 # delete + re-insert, the serving worker's lock-free GETs beside its PUTs —
-# the update and the insert (into an empty bucket, at a chain's head and
-# mid-chain) cut by their writer's death, the kv chains' descending key order
-# and the readers that must never miss a key while inserts land anywhere in
-# its chain, under the race detector on both backends, and the torn-read
-# tests again on one P (-cpu 1),
+# the update, the insert (into an empty bucket, at a chain's head and
+# mid-chain) and the delete (at a chain's head and mid-chain) cut by their
+# writer's death, the kv chains' descending key order, and the Gets and
+# RangeBuckets walks that must never miss a key while inserts land anywhere
+# in its chain and deletes reclaim records under them, under the race
+# detector on both backends, and the torn-read tests again on one P (-cpu 1),
 # three race passes over the in-process serving chaos, a race pass over the
 # monitor (its ticker, per-client recovery dispatch writing the detector rows,
 # and the concurrent passes its maintenance scans overlap), a race pass over
@@ -190,8 +191,8 @@ ci: fmt-check vet build test benchmark-check dep-guard inline-check
 	CXLSHM_BACKEND=mmap $(GO) test -run TestFastPathZeroAllocs ./internal/shm
 	$(GO) test -race -run TestConcurrentReadDuringDelete ./internal/kv
 	CXLSHM_BACKEND=mmap $(GO) test -run TestConcurrentReadDuringDelete ./internal/kv
-	$(GO) test -race -run 'TestTornRead|TestCrashCutUpdate|TestCrashCutInsert|TestChainOrder|TestReadersNeverMiss' ./internal/kv
-	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestTornRead|TestCrashCutUpdate|TestCrashCutInsert|TestChainOrder|TestReadersNeverMiss' ./internal/kv
+	$(GO) test -race -run 'TestTornRead|TestCrashCutUpdate|TestCrashCutInsert|TestCrashCutDelete|TestChainOrder|TestReadersNeverMiss|TestRangeNeverSkips' ./internal/kv
+	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestTornRead|TestCrashCutUpdate|TestCrashCutInsert|TestCrashCutDelete|TestChainOrder|TestReadersNeverMiss|TestRangeNeverSkips' ./internal/kv
 	$(GO) test -race -run 'TestServingTornReads|TestReadsRunOffTheWriterLock' ./internal/serving
 	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestServingTornReads|TestReadsRunOffTheWriterLock' ./internal/serving
 	$(GO) test -cpu 1 -count=5 -run 'TestTornRead|TestServingTornReads' ./internal/kv ./internal/serving

@@ -22,3 +22,6 @@ func ChainKeys(s *Store, b int) []uint64 {
 	}
 	return keys
 }
+
+// UnlinkWord returns bucket b's unlink word.
+func UnlinkWord(s *Store, b int) uint64 { return s.rd.idx.Load(s.unlinkIdx(b)) }

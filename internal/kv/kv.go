@@ -18,6 +18,7 @@ package kv
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 
 	"repro/internal/layout"
@@ -41,6 +42,7 @@ var (
 //	[buckets+2]                 number of writer partitions
 //	[buckets+3]                 record format (recordFormat)
 //	[buckets+4 .. +4+writers)   writer lease words (owner client ID)
+//	[buckets+4+writers+b]       bucket b's unlink word (seqlock; see unlink)
 //
 // Record object layout:
 //
@@ -58,14 +60,15 @@ const (
 // recordFormat is stamped into index word [buckets+3]. Format 0 (the word's
 // old reserved value) had no version word and its values start at word 2.
 // Format 1 chained records in insertion order, so a walk that stops at the
-// first smaller key could miss keys in it. Open refuses both, and any other
-// format, rather than misread the index.
-const recordFormat = 2
+// first smaller key could miss keys in it. Format 2 had no unlink words, so
+// a walk that passed a record reclaimed under it went unnoticed. Open
+// refuses them, and any other format, rather than misread the index.
+const recordFormat = 3
 
-// The version word is a seqlock over the record's key and value, like the
-// telemetry block's commit word. Its top 24 bits count completed writes;
-// the rest is zero when the record is settled, and names the writer while a
-// write is in flight:
+// The version word is a seqlock over the record's value, like the telemetry
+// block's commit word. Its top 24 bits count completed writes; the rest is
+// zero when the record is settled, and names the writer while a write is in
+// flight:
 //
 //	bits 40..63  seq
 //	bits 17..39  writer's slot generation / 2 (low 23 bits)
@@ -73,15 +76,13 @@ const recordFormat = 2
 //	bit   0      1 while the writer is mid-update (the word is "odd")
 //
 // An in-place update loads the word, stores it odd with the writer's tag,
-// writes the value, then stores seq+1 with no tag (1 load, 2 stores). A
-// delete leaves the word odd with its tag (1 load, 1 store), and an insert
-// continues seq from whatever its block last held, storing seq+1 after the
-// key and value (1 load, 1 store): a reader that copied a deleted record's
-// block while the same key came back into it sees the word move. A reader
-// loads the word before and after its copy and keeps the copy only when
-// both loads agree and the word is even — or odd but naming a writer that
-// can no longer write (dead, or its slot leased again): that writer's value
-// is as torn as it left it, until the next write of the key.
+// writes the value, then stores seq+1 with no tag (1 load, 2 stores); an
+// insert stores 0 before it links the record. A reader loads the word
+// before and after its copy and keeps the copy only when both loads agree
+// and the word is even — or odd but naming a writer that can no longer
+// write (dead, or its slot leased again): that writer's value is as torn as
+// it left it, until the next write of the key. A bucket's unlink word is the
+// same seqlock over the bucket's chain.
 const (
 	verSeqShift = 40
 	verGenBits  = 23
@@ -105,6 +106,8 @@ type Store struct {
 	buckets int
 	valSize int
 	writers int
+	// idx is the index's data area, which Create and unlink store to.
+	idx shm.WriteSpan
 	// tag is this client's odd version-word tag (versionTag).
 	tag uint64
 	// rd reads through the client's own handle: the store and every
@@ -120,26 +123,30 @@ func Create(c *shm.Client, rootSlot, buckets, valueSize, writers int) (*Store, e
 		return nil, fmt.Errorf("kv: bad parameters buckets=%d valueSize=%d writers=%d",
 			buckets, valueSize, writers)
 	}
-	dataBytes := (buckets + 4 + writers) * layout.WordBytes
+	dataBytes := (2*buckets + 4 + writers) * layout.WordBytes
 	root, index, err := c.Malloc(dataBytes, buckets)
 	if err != nil {
 		return nil, err
 	}
-	c.StoreWord(index, buckets+0, uint64(buckets))
-	c.StoreWord(index, buckets+1, uint64(valueSize))
-	c.StoreWord(index, buckets+2, uint64(writers))
-	c.StoreWord(index, buckets+3, recordFormat)
+	s := newStore(c, index, root, buckets, valueSize, writers)
+	s.idx.Store(buckets+0, uint64(buckets))
+	s.idx.Store(buckets+1, uint64(valueSize))
+	s.idx.Store(buckets+2, uint64(writers))
+	s.idx.Store(buckets+3, recordFormat)
+	for b := 0; b < buckets; b++ {
+		s.idx.Store(s.unlinkIdx(b), 0)
+	}
 	if err := c.PublishRoot(rootSlot, index); err != nil {
 		return nil, err
 	}
-	return newStore(c, index, root, buckets, valueSize, writers), nil
+	return s, nil
 }
 
 func newStore(c *shm.Client, index, root layout.Addr, buckets, valSize, writers int) *Store {
 	s := &Store{c: c, index: index, root: root,
-		buckets: buckets, valSize: valSize, writers: writers,
+		buckets: buckets, valSize: valSize, writers: writers, idx: c.WriteSpan(index),
 		tag: versionTag(c.ID(), c.Generation()), scratch: make([]byte, valSize)}
-	s.rd = Reader{s: s, r: &c.Reader, idx: c.Span(index)}
+	s.rd = Reader{s: s, r: &c.Reader, idx: s.idx.Span}
 	return s
 }
 
@@ -192,6 +199,9 @@ func hash64(k uint64) uint64 {
 
 func (s *Store) bucketOf(key uint64) int { return int(hash64(key) % uint64(s.buckets)) }
 
+// unlinkIdx is the index word of bucket b's unlink word.
+func (s *Store) unlinkIdx(b int) int { return s.buckets + 4 + s.writers + b }
+
 // Partition computes the writer partition for key given the store shape.
 // Partitioning is by bucket so an entire collision chain — including the
 // bucket head's embedded reference — has exactly one writer (the
@@ -238,15 +248,32 @@ func (s *Store) AcquirePartition(p int, steal bool) bool {
 // link). One or two loads, once per failover.
 func (s *Store) stealable(w uint64) bool {
 	cid, gen := layout.UnpackLease(w)
-	pool := s.c.Pool()
+	g, ok := slotGen(s.c.Pool(), cid, true)
+	return !ok || g != gen
+}
+
+// slotGen returns client cid's slot generation while its slot is ALIVE — or,
+// with dead, DEAD, its recovery not finished — and ok false otherwise: the
+// one liveness test of lease words and of version and unlink word tags. One
+// load, two when the status passes.
+func slotGen(pool *shm.Pool, cid int, dead bool) (gen uint64, ok bool) {
 	if cid < 1 || cid > pool.Geometry().MaxClients {
-		return true
+		return 0, false
 	}
-	switch pool.ClientStatus(cid) {
-	case layout.ClientSlotFree, layout.ClientRecovered:
-		return true
+	if st := pool.ClientStatus(cid); st != layout.ClientAlive && (!dead || st != layout.ClientDead) {
+		return 0, false
 	}
-	return pool.SlotGeneration(cid) != gen
+	return pool.SlotGeneration(cid), true
+}
+
+// tagLive reports whether the writer that the odd word w names is the
+// incarnation holding its slot while the slot is ALIVE or, with dead, DEAD:
+// one that can still write a version word, or whose unlink recovery may yet
+// roll forward.
+func tagLive(pool *shm.Pool, w uint64, dead bool) bool {
+	cid := int(w >> 1 & 0xffff)
+	gen, ok := slotGen(pool, cid, dead)
+	return ok && versionTag(cid, gen) == w&verTagMask
 }
 
 // PartitionOwner returns the cid recorded in partition p's lease word.
@@ -283,26 +310,23 @@ func (s *Store) Put(key uint64, val []byte) error {
 	if err := s.checkOwner(key); err != nil {
 		return err
 	}
-	holder, idx, at, found := s.rd.seek(key, s.bucketOf(key))
+	holder, idx, at, _, found := s.rd.seek(key, s.bucketOf(key))
 	if found {
 		s.writeValue(s.c.WriteSpan(at), val)
 		return s.done(nil)
 	}
-	// Insert before at, the first record with a smaller key. A block that
-	// held a deleted record still carries the odd version word its delete
-	// left (retire); the insert settles it only after the key and value, so a
-	// reader still holding the block from the deleted record waits the writes
-	// out or sees the word move.
+	// Insert before at, the first record with a smaller key. A reader still
+	// holding the block from an earlier life walks again on its bucket's
+	// unlink word, so the record's version word just starts settled.
 	recBytes := recValueWord*layout.WordBytes + s.valSize
 	root, rec, err := s.c.Malloc(recBytes, 1)
 	if err != nil {
 		return err
 	}
 	sp := s.c.WriteSpan(rec)
-	v := sp.Load(recVerWord)
+	sp.Store(recVerWord, 0)
 	sp.Store(recKeyWord, key)
 	sp.Write(recValueWord*layout.WordBytes, val)
-	sp.Store(recVerWord, nextVersion(v))
 	// One move transaction publishes it: the record's next takes at before
 	// the predecessor word takes the record, so neither a lock-free reader nor
 	// a recovery replay finds the record without the rest of its chain, and
@@ -377,25 +401,32 @@ func (s *Store) Delete(key uint64) error {
 	if err := s.checkOwner(key); err != nil {
 		return err
 	}
-	holder, idx, rec, found := s.rd.seek(key, s.bucketOf(key))
+	b := s.bucketOf(key)
+	holder, idx, _, rec, found := s.rd.seek(key, b)
 	if !found {
 		return ErrNotFound
 	}
-	return s.unlink(holder.Block(), idx, rec)
+	return s.unlink(b, holder.Block(), idx, rec)
 }
 
-// unlink removes rec, whose predecessor's embedded reference idx points at
-// it. The record is reclaimed immediately; readers validate after reading.
-// Its version word is left odd, naming this writer, for good: the block's
-// next insert is what settles it.
-func (s *Store) unlink(holder layout.Addr, idx int, rec layout.Addr) error {
-	sp := s.c.WriteSpan(rec)
-	sp.Store(recVerWord, sp.Load(recVerWord)&^verTagMask|s.tag)
-	next := sp.Load(recNextIdx)
-	if next == 0 {
-		return s.done(s.c.ClearEmbed(holder, idx))
+// unlink removes the record rec spans, in bucket b, whose predecessor's
+// embedded reference idx points at it. The record is reclaimed at once,
+// inside b's unlink word: the word odd with this writer's tag before the
+// unlink transaction, seq+1 after it, as an in-place update brackets its
+// value (1 load, 2 stores). A word a dead writer left odd still carries its
+// count, so the next unlink's even word differs from any a reader held.
+func (s *Store) unlink(b int, holder layout.Addr, idx int, rec shm.Span) error {
+	ui := s.unlinkIdx(b)
+	u := s.idx.Load(ui)
+	s.idx.Store(ui, u&^verTagMask|s.tag)
+	var err error
+	if next := rec.Load(recNextIdx); next == 0 {
+		err = s.c.ClearEmbed(holder, idx)
+	} else {
+		err = s.c.ChangeEmbed(holder, idx, next)
 	}
-	return s.done(s.c.ChangeEmbed(holder, idx, next))
+	s.idx.Store(ui, nextVersion(u))
+	return s.done(err)
 }
 
 // Range calls f for every record (order unspecified) until f returns
@@ -417,20 +448,22 @@ func (s *Store) RangeBuckets(start, count int, f func(key uint64, val []byte) bo
 // GET/SCAN beside its PUTs). Like its shm.Reader, a Reader belongs to one
 // goroutine at a time.
 //
-// Reads run no locks, and two protocols keep them from returning what was
-// never written. A delete reclaims its record immediately, so a read
-// validates after its copy that the record is still allocated and still
-// holds the key, and walks again up to three times before ErrChainBroke.
-// A write moves the record's version word, so a read keeps its copy only if
-// the word read the same, settled, before and after it; otherwise it copies
-// again, after yielding while the word names a live writer. No retry count
-// bounds that wait: only the writer's liveness does.
+// Reads run no locks, and two seqlocks keep them from returning what was
+// never there. A delete reclaims its record at once, inside its bucket's
+// unlink word (unlink), so a walk — the copy it ends in, or the miss — stands
+// only if that word read the same, settled, before and after it; otherwise
+// the read walks again. An in-place write moves the record's version word,
+// so a copy stands only if that word read the same, settled, before and
+// after it; otherwise the read copies again. A read yields while a word
+// names a writer that can still write it: no retry count bounds that wait,
+// only the writer's liveness does.
 type Reader struct {
 	s *Store
 	r *shm.Reader
 	// idx is the index's data area, its bounds read once: the index lives as
 	// long as the store's reference, and its buckets (its embedded
-	// references) and lease words are loaded through it with no meta load.
+	// references), lease words and unlink words are loaded through it with
+	// no meta load.
 	idx shm.Span
 }
 
@@ -443,106 +476,103 @@ func (s *Store) NewReader(r *shm.Reader) *Reader {
 // to key's place in it: the record holding key, or the first record whose
 // key is smaller. It returns the reference word that names that place —
 // embedded reference idx of holder, the bucket itself or a predecessor's
-// next — the record the word names (0 past the chain's end), and whether
-// that record holds key. Reads are raw loads (no reference counting — §5.2's
-// "further reading ... does not need to modify the reference count"),
-// through one span, so one meta load, per record examined.
-func (rd *Reader) seek(key uint64, b int) (holder shm.Span, idx int, at layout.Addr, found bool) {
+// next — the record the word names (0 past the chain's end) with its span,
+// and whether that record holds key. Reads are raw loads (no reference
+// counting — §5.2's "further reading ... does not need to modify the
+// reference count"), through one span, so one meta load, per record
+// examined.
+func (rd *Reader) seek(key uint64, b int) (holder shm.Span, idx int, at layout.Addr, sp shm.Span, found bool) {
 	holder, idx = rd.idx, b
 	at = rd.idx.Load(b)
 	for hops := 0; at != 0 && hops <= rd.s.buckets+1024; hops++ {
-		sp := rd.r.Span(at)
+		sp = rd.r.Span(at)
 		if k := sp.Load(recKeyWord); k <= key {
-			return holder, idx, at, k == key
+			return holder, idx, at, sp, k == key
 		}
 		holder, idx = sp, recNextIdx
 		at = sp.Load(recNextIdx)
 	}
-	return holder, idx, at, false
+	return holder, idx, at, sp, false
 }
 
 // find returns the address of key's record in bucket b, or 0.
 func (rd *Reader) find(key uint64, b int) layout.Addr {
-	if _, _, at, found := rd.seek(key, b); found {
+	if _, _, at, _, found := rd.seek(key, b); found {
 		return at
 	}
 	return 0
 }
 
+// maxWalks bounds a Get's walks: each one past the first follows a delete
+// that landed in the key's bucket during the walk before it.
+const maxWalks = 64
+
 // Get copies key's value into buf (which must be at least ValueSize bytes)
-// and returns the number of bytes copied.
+// and returns the number of bytes copied. A hit and a miss alike stand only
+// if the bucket's unlink word read the same, settled, before the walk and
+// after it; otherwise Get walks again, up to maxWalks times, then returns
+// ErrChainBroke.
 func (rd *Reader) Get(key uint64, buf []byte) (int, error) {
-	n := rd.s.valSize
-	if n > len(buf) {
-		n = len(buf)
-	}
+	n := min(rd.s.valSize, len(buf))
 	b := rd.s.bucketOf(key)
-	for broke := 0; broke < 3; broke++ {
-		rec := rd.find(key, b)
-		if rec == 0 {
-			return 0, ErrNotFound
+	ui := rd.s.unlinkIdx(b)
+	for walk := 0; walk < maxWalks; walk++ {
+		u := rd.settled(ui)
+		_, _, _, sp, found := rd.seek(key, b)
+		if found {
+			rd.readRecord(sp, buf[:n])
 		}
-		if k, _, ok := rd.readRecord(rec, buf[:n]); ok && k == key {
+		switch {
+		case rd.idx.Load(ui) != u:
+		case found:
 			return n, nil
+		default:
+			return 0, ErrNotFound
 		}
 	}
 	return 0, ErrChainBroke
 }
 
-// readRecord copies rec's key and value (into buf) once they read stable,
-// and reports whether rec was still allocated after the copy. The span it
-// returns reads rec's next pointer.
-func (rd *Reader) readRecord(rec layout.Addr, buf []byte) (key uint64, sp shm.Span, alive bool) {
+// settled loads unlink word ui, yielding while it names a writer that can
+// still unlink: ALIVE, or DEAD with its recovery, which may yet roll the
+// unlink forward, not finished.
+func (rd *Reader) settled(ui int) uint64 {
 	for {
-		sp = rd.r.Span(rec)
-		v1 := sp.Load(recVerWord)
-		key = sp.Load(recKeyWord)
+		u := rd.idx.Load(ui)
+		if u&1 == 0 || !tagLive(rd.r.Pool(), u, true) {
+			return u
+		}
+		runtime.Gosched()
+	}
+}
+
+// readRecord copies the value of the record sp spans into buf once it reads
+// stable: the version word read the same before and after the copy, and
+// settled. While the word names a live writer mid-update, it yields before
+// it copies again, so that the writer can finish.
+func (rd *Reader) readRecord(sp shm.Span, buf []byte) {
+	for {
+		v := sp.Load(recVerWord)
 		sp.Read(recValueWord*layout.WordBytes, buf)
-		alive, stable := rd.validate(rec, sp, v1)
-		if !alive || stable {
-			return key, sp, alive
+		switch {
+		case sp.Load(recVerWord) != v:
+		case v&1 == 0 || !tagLive(rd.r.Pool(), v, false):
+			return
+		default:
+			runtime.Gosched()
 		}
 	}
-}
-
-// validate is the after-copy half of a read of rec whose version word read
-// v1 before the copy: rec must still be allocated (alive) and its version
-// word must still read v1 and be settled (stable). A copy that is unstable
-// only because a live writer is mid-update yields before reporting it, so
-// the caller's next copy comes after the writer has had a chance to finish.
-func (rd *Reader) validate(rec layout.Addr, sp shm.Span, v1 uint64) (alive, stable bool) {
-	if !rd.r.MetaOf(rec).Allocated() {
-		return false, false
-	}
-	if sp.Load(recVerWord) != v1 {
-		return true, false
-	}
-	if v1&1 == 0 || !rd.writerLive(v1) {
-		return true, true
-	}
-	runtime.Gosched()
-	return true, false
-}
-
-// writerLive reports whether the writer an odd version word names can still
-// write: its slot is ALIVE under the generation in the tag. Two loads, only
-// when a read meets an odd word.
-func (rd *Reader) writerLive(w uint64) bool {
-	cid := int(w >> 1 & 0xffff)
-	pool := rd.r.Pool()
-	if cid < 1 || cid > pool.Geometry().MaxClients || pool.ClientStatus(cid) != layout.ClientAlive {
-		return false
-	}
-	return pool.SlotGeneration(cid)>>1&(1<<verGenBits-1) == w>>17&(1<<verGenBits-1)
 }
 
 // RangeBuckets walks the records of count consecutive buckets starting at
 // bucket start (wrapping around the table), calling f until it returns
 // false. It is the batch-scan primitive of the serving tier: a bounded
-// window of the index walked lock-free. Each record is surfaced only once it
-// reads stable and still allocated; one reclaimed under the walk is skipped.
-// The value slice is reused between calls. Returns how many records f
-// accepted.
+// window of the index walked lock-free. A record is surfaced only once its
+// copy and its next pointer read under an unchanged, settled unlink word of
+// its bucket; when the word moves, the walk goes again from the bucket's
+// head to the first key below the last one surfaced, so each record present
+// throughout is surfaced once, in descending key order. The value slice is
+// reused between calls. Returns how many records f accepted.
 func (rd *Reader) RangeBuckets(start, count int, f func(key uint64, val []byte) bool) int {
 	s := rd.s
 	if s.buckets == 0 || count <= 0 {
@@ -555,19 +585,41 @@ func (rd *Reader) RangeBuckets(start, count int, f func(key uint64, val []byte) 
 	buf := make([]byte, s.valSize)
 	for i := 0; i < count; i++ {
 		b := (start + i) % s.buckets
+		ui := s.unlinkIdx(b)
+		u := rd.settled(ui)
 		rec := rd.idx.Load(b)
-		for hops := 0; rec != 0 && hops <= s.buckets+1024; hops++ {
-			key, sp, alive := rd.readRecord(rec, buf)
-			if alive {
-				if !f(key, buf) {
-					return seen + 1
-				}
-				seen++
+		below := uint64(math.MaxUint64) // every key above it is surfaced
+		for hops := 0; rec != 0 && hops <= s.buckets+1024; {
+			sp := rd.r.Span(rec)
+			key := sp.Load(recKeyWord)
+			rd.readRecord(sp, buf)
+			next := sp.Load(recNextIdx)
+			if rd.idx.Load(ui) != u {
+				rec, u = rd.rewalk(ui, b, below)
+				continue
 			}
-			rec = sp.Load(recNextIdx)
+			if !f(key, buf) {
+				return seen + 1
+			}
+			seen++
+			hops++
+			below, rec = key-1, next
 		}
 	}
 	return seen
+}
+
+// rewalk walks bucket b again to the first record whose key is at most
+// below, and returns it with the settled load u of b's unlink word ui taken
+// before the walk. A chain's end found there stands only once the word
+// confirms it; a record is validated as it is surfaced.
+func (rd *Reader) rewalk(ui, b int, below uint64) (at layout.Addr, u uint64) {
+	for {
+		u = rd.settled(ui)
+		if _, _, at, _, _ = rd.seek(below, b); at != 0 || rd.idx.Load(ui) == u {
+			return at, u
+		}
+	}
 }
 
 // Buckets returns the index's bucket count (serving needs it to size scan

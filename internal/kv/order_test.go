@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,7 +15,6 @@ import (
 
 	"repro/internal/cxl"
 	"repro/internal/kv"
-	"repro/internal/layout"
 )
 
 // mustDescend fails unless every bucket's chain runs in strictly descending
@@ -109,47 +109,127 @@ func TestChainOrder(t *testing.T) {
 
 // TestReadersNeverMissDuringOrderedInsert: lock-free readers on three other
 // clients Get keys that stay present for the whole test, while the writer
-// inserts, deletes and re-inserts keys that sort before, between and after
-// them in the same two buckets, and now and then rewrites a present key in
-// place. An insert links its record at any position of a chain, its next
-// stored before its predecessor word, so no read may miss a present key or
-// return a value it was never given.
-//
-// Each of the writer's device stores is held for four microseconds (an access
-// hook), so that readers on other Ps can land between any two of them.
-//
-// The writer pins each record it deletes with a root of its own until the
-// readers stop. A reader that follows a record reclaimed under it may stop
-// early (DESIGN.md §4b), which is a property of reclamation, not of the
-// insert this test is about; pinned, a deleted record keeps its key and its
-// next, so a reader on it walks on into the live chain.
+// inserts, deletes and re-inserts keys around them (churnAroundStable). An
+// insert links its record at any position of a chain, its next stored before
+// its predecessor word, and a delete reclaims its record at once, inside its
+// bucket's unlink word, so no read may miss a present key or return a value
+// it was never given. A reader that walks onto a record reclaimed under it
+// stops early, on the cleared next of a free block or on the key of whatever
+// reuses it; only the unlink word tells it to walk again.
 func TestReadersNeverMissDuringOrderedInsert(t *testing.T) {
-	const buckets, valSize, keySpace = 2, 32, 400
+	churnAroundStable(t, func(r int, rs *kv.Store, i int) error {
+		k := churnStable[i%len(churnStable)]
+		buf := make([]byte, churnValSize)
+		if _, err := rs.Get(k, buf); err != nil {
+			return fmt.Errorf("Get(%d): %v", k, err)
+		}
+		if !churnUntorn(k, buf) {
+			return fmt.Errorf("key %d read a torn value % x", k, buf)
+		}
+		return nil
+	})
+}
+
+// TestRangeNeverSkipsDuringChurn is TestReadersNeverMissDuringOrderedInsert
+// with RangeBuckets walks for reads: each reader walks the buckets one at a
+// time, and every walk must surface every stable key of its bucket exactly
+// once, no key twice, no key of another bucket, and no torn value. A walk
+// that loads the next of a record reclaimed under it ends its bucket early
+// or wanders into another chain; the unlink word sends it back to the first
+// key below the last one it surfaced.
+func TestRangeNeverSkipsDuringChurn(t *testing.T) {
+	churnAroundStable(t, func(r int, rs *kv.Store, i int) error {
+		for b := 0; b < churnBuckets; b++ {
+			var seen []uint64
+			var err error
+			rs.RangeBuckets(b, 1, func(k uint64, val []byte) bool {
+				switch {
+				case kv.Partition(k, churnBuckets, churnBuckets) != b:
+					err = fmt.Errorf("the walk of bucket %d surfaced key %d of another bucket", b, k)
+				case slices.Contains(seen, k):
+					err = fmt.Errorf("the walk of bucket %d surfaced key %d twice: %v", b, k, seen)
+				case !churnUntorn(k, val):
+					err = fmt.Errorf("key %d surfaced a torn value % x", k, val)
+				}
+				seen = append(seen, k)
+				return err == nil
+			})
+			if err != nil {
+				return err
+			}
+			for _, k := range churnStable {
+				if kv.Partition(k, churnBuckets, churnBuckets) == b && !slices.Contains(seen, k) {
+					return fmt.Errorf("the walk of bucket %d skipped stable key %d: %v", b, k, seen)
+				}
+			}
+		}
+		return nil
+	})
+}
+
+// The store churnAroundStable drives: two buckets, and stable keys that
+// other keys of [0, churnKeys) sort before, between and after.
+const churnBuckets, churnValSize, churnKeys = 2, 32, 400
+
+var churnStable = []uint64{60, 130, 200, 270, 340}
+
+// churnVal is key k's value: every byte k's low byte, inverted when alt.
+func churnVal(k uint64, alt bool) []byte {
+	b := byte(k)
+	if alt {
+		b = ^b
+	}
+	return bytes.Repeat([]byte{b}, churnValSize)
+}
+
+// churnUntorn reports whether val is one of key k's two values.
+func churnUntorn(k uint64, val []byte) bool {
+	return bytes.Equal(val, churnVal(k, false)) || bytes.Equal(val, churnVal(k, true))
+}
+
+// churnAroundStable puts the stable keys into a store that a writer and
+// three reader clients share, then runs read(r, rs, i) on reader r's own
+// Store for i = r, r+1, … while the writer inserts, deletes and re-inserts
+// random keys of the same two buckets and now and then rewrites a stable key
+// in place with its other value. It fails the test with the first error a
+// read returns. The writer runs at least 2000 operations and goes on until
+// every reader has read 100 times; the store must then be in descending key
+// order and agree with the writer's model.
+//
+// An access hook holds each of the writer's device stores for four
+// microseconds, so that readers on other Ps can land between any two of
+// them, and one in 128 of the readers' loads for fifty: longer than a
+// delete takes from its link to its reclaim, and shorter than the gap
+// between two deletes of one bucket, so that a reader stopped on a record
+// as it is unlinked goes on after the reclaim while the bucket's unlink word
+// has moved only once.
+func churnAroundStable(t *testing.T, read func(r int, rs *kv.Store, i int) error) {
+	t.Helper()
 	var writer atomic.Int64
+	var readers, loads atomic.Uint64 // a bit per reader's cid; their loads
 	p := newHookedPool(t, func(cid int, kind cxl.AccessKind, _ cxl.Addr) {
-		if kind == cxl.OpStore && int64(cid) == writer.Load() {
-			for t0 := time.Now(); time.Since(t0) < 4*time.Microsecond; {
+		var hold time.Duration
+		switch {
+		case kind == cxl.OpStore && int64(cid) == writer.Load():
+			hold = 4 * time.Microsecond
+		case kind == cxl.OpLoad && readers.Load()>>cid&1 == 1 && loads.Add(1)*0x9E3779B97F4A7C15>>57 == 0:
+			hold = 50 * time.Microsecond
+		}
+		if hold > 0 {
+			for t0 := time.Now(); time.Since(t0) < hold; {
 			}
 		}
 	})
 	w := connect(t, p)
 	writer.Store(int64(w.ID()))
-	s, err := kv.Create(w, 0, buckets, valSize, 1)
+	s, err := kv.Create(w, 0, churnBuckets, churnValSize, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	valOf := func(k uint64, alt bool) []byte {
-		b := byte(k)
-		if alt {
-			b = ^b
-		}
-		return bytes.Repeat([]byte{b}, valSize)
-	}
-	stable := []uint64{60, 130, 200, 270, 340}
 	isStable := map[uint64]bool{}
-	for _, k := range stable {
+	for _, k := range churnStable {
 		isStable[k] = true
-		if err := s.Put(k, valOf(k, false)); err != nil {
+		if err := s.Put(k, churnVal(k, false)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,6 +241,7 @@ func TestReadersNeverMissDuringOrderedInsert(t *testing.T) {
 	errs := make(chan error, nReaders)
 	for r := 0; r < nReaders; r++ {
 		rc := connect(t, p)
+		readers.Store(readers.Load() | 1<<rc.ID())
 		defer rc.Close()
 		rs, err := kv.Open(rc, 0)
 		if err != nil {
@@ -170,15 +251,9 @@ func TestReadersNeverMissDuringOrderedInsert(t *testing.T) {
 		wg.Add(1)
 		go func(r int, rs *kv.Store) {
 			defer wg.Done()
-			buf := make([]byte, valSize)
 			for i := r; !stop.Load(); i++ {
-				k := stable[i%len(stable)]
-				if _, err := rs.Get(k, buf); err != nil {
-					errs <- fmt.Errorf("reader %d: Get(%d): %v", r, k, err)
-					return
-				}
-				if !bytes.Equal(buf, valOf(k, false)) && !bytes.Equal(buf, valOf(k, true)) {
-					errs <- fmt.Errorf("reader %d: key %d read a torn value % x", r, k, buf)
+				if err := read(r, rs, i); err != nil {
+					errs <- fmt.Errorf("reader %d: %v", r, err)
 					return
 				}
 				reads[r].Add(1)
@@ -188,7 +263,6 @@ func TestReadersNeverMissDuringOrderedInsert(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(39))
 	present := map[uint64]bool{}
-	var pins []layout.Addr
 	allRead := func() bool {
 		for r := range reads {
 			if reads[r].Load() < 100 {
@@ -201,24 +275,19 @@ func TestReadersNeverMissDuringOrderedInsert(t *testing.T) {
 		if i%64 == 0 {
 			runtime.Gosched() // on one P, too, the readers run between writes
 		}
-		k := uint64(rng.Intn(keySpace))
+		k := uint64(rng.Intn(churnKeys))
 		switch {
 		case isStable[k]:
-			if err := s.Put(k, valOf(k, i%2 == 1)); err != nil {
+			if err := s.Put(k, churnVal(k, i%2 == 1)); err != nil {
 				t.Fatal(err)
 			}
 		case present[k]:
-			root, err := w.AttachRoot(kv.RecordOf(s, k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			pins = append(pins, root)
 			if err := s.Delete(k); err != nil {
 				t.Fatal(err)
 			}
 			present[k] = false
 		default:
-			if err := s.Put(k, valOf(k, false)); err != nil {
+			if err := s.Put(k, churnVal(k, false)); err != nil {
 				t.Fatal(err)
 			}
 			present[k] = true
@@ -235,14 +304,9 @@ func TestReadersNeverMissDuringOrderedInsert(t *testing.T) {
 			t.Errorf("reader %d read nothing", r)
 		}
 	}
-	for _, root := range pins {
-		if _, err := w.ReleaseRoot(root); err != nil {
-			t.Fatal(err)
-		}
-	}
 	mustDescend(t, s)
 	for k, in := range present {
-		if _, err := s.Get(k, make([]byte, valSize)); in != (err == nil) || !in && !errors.Is(err, kv.ErrNotFound) {
+		if _, err := s.Get(k, make([]byte, churnValSize)); in != (err == nil) || !in && !errors.Is(err, kv.ErrNotFound) {
 			t.Fatalf("Get(%d) after the run: %v, want present=%v", k, err, in)
 		}
 	}

@@ -15,9 +15,12 @@ import (
 // the oldest key and inserts a fresh one, so a deleted record's block is
 // reclaimed at once and reused for a different key. Every value is its own
 // key, and no key is ever inserted twice, so a block holds a given key for
-// one contiguous lifetime. Readers rely on validate-after-read alone (Get
-// checks that the record is still allocated and still holds the key after
-// copying), so a reader must never return another key's value. Two readers
+// one contiguous lifetime. Readers rely on validation alone: a read stands
+// only if its bucket's unlink word, which every delete moves, read the same
+// before and after it. So a reader must never return another key's value,
+// nor report absent a key that was present for the whole read: a key above
+// the oldest live key read after the Get, and below the newest one the
+// writer had surely inserted when the oldest was read before it. Two readers
 // Get; a third reads through View, whose f must never see another key's
 // value either.
 func TestConcurrentReadDuringDelete(t *testing.T) {
@@ -70,10 +73,17 @@ func TestConcurrentReadDuringDelete(t *testing.T) {
 				}
 			}
 			for i := uint64(0); !stop.Load(); i++ {
-				k := oldest.Load() + (i*7+uint64(g))%window
+				o1 := oldest.Load()
+				k := o1 + (i*7+uint64(g))%window
 				err := read(k)
-				if err == kv.ErrNotFound || err == kv.ErrChainBroke {
-					continue
+				if err == kv.ErrNotFound {
+					// Up to o2, k may be deleted before o2 was read; from
+					// o1+window-1, it may not be inserted when o1 was read.
+					if o2 := oldest.Load(); k <= o2 || k >= o1+window-1 {
+						continue
+					}
+					errs <- fmt.Errorf("reader %d: key %d, present throughout the read, read as absent", g, k)
+					return
 				}
 				if err != nil {
 					errs <- err

@@ -18,9 +18,9 @@ import (
 // TestOpenRefusesOtherRecordFormat: index word [buckets+3] names the record
 // layout. An index whose word reads anything else — 0 from a build before
 // records carried a version word, 1 from a build that chained records in
-// insertion order rather than descending key order, or a later format — is
-// refused, not misread, and the refused Open drops the root reference it
-// took.
+// insertion order rather than descending key order, 2 from a build before
+// buckets had unlink words, or a later format — is refused, not misread, and
+// the refused Open drops the root reference it took.
 func TestOpenRefusesOtherRecordFormat(t *testing.T) {
 	const buckets = 16
 	p := newPool(t)
@@ -34,10 +34,10 @@ func TestOpenRefusesOtherRecordFormat(t *testing.T) {
 	}
 	idx := s.IndexAddr()
 	format := c.LoadWord(idx, buckets+3)
-	if format != 2 {
-		t.Fatalf("the index carries record format %d, want 2", format)
+	if format != 3 {
+		t.Fatalf("the index carries record format %d, want 3", format)
 	}
-	for _, other := range []uint64{0, 1, format + 1} {
+	for _, other := range []uint64{0, 1, 2, format + 1} {
 		c.StoreWord(idx, buckets+3, other)
 		if _, err := kv.Open(c, 0); !errors.Is(err, kv.ErrFormat) {
 			t.Fatalf("Open of a format-%d index: %v, want ErrFormat", other, err)
@@ -67,7 +67,7 @@ func twoValues(n int) (a, b []byte) {
 // key: two other clients through Stores of their own (Get and RangeBuckets
 // over the key's bucket on one, View on the other), and a NewReader view on
 // the writer's own client, from another goroutine. Every value a reader
-// returns must be a or b; a miss (ErrNotFound, ErrChainBroke) is allowed.
+// returns must be a or b; a miss (ErrNotFound) is allowed.
 // The writer runs at least rounds writes and goes on until every reader has
 // returned a value — with one P the readers may not run before the writer's
 // rounds are done — for at most half a minute.
@@ -141,7 +141,7 @@ func hammerKey(t *testing.T, p *shm.Pool, w *shm.Client, s *kv.Store, key uint64
 			for !stop.Load() {
 				val, err := readers[r].read(buf)
 				switch {
-				case err == kv.ErrNotFound || err == kv.ErrChainBroke || err == nil && val == nil:
+				case err == kv.ErrNotFound || err == nil && val == nil:
 				case err != nil:
 					errs <- fmt.Errorf("%s: %v", readers[r].who, err)
 					return
@@ -216,8 +216,8 @@ func TestTornReadUnderUpdate(t *testing.T) {
 // TestTornReadUnderReinsert: the writer deletes the key and inserts it again
 // with the other value, so the freed record's block comes straight back
 // under the same key — allocated, same key, new value: validating
-// (allocated, key) alone passes a read torn across the two. The insert
-// continues the block's version word, so the read sees it move.
+// (allocated, key) alone would pass a read torn across the two. The delete
+// moves the bucket's unlink word, so the read walks again.
 func TestTornReadUnderReinsert(t *testing.T) {
 	p := newPool(t)
 	w := connect(t, p)
