@@ -96,9 +96,9 @@ benchmark-check:
 # inline-check guards the host side of the shm fast path, which no device-
 # access budget can see: the shift-based address → segment → page mapping,
 # the size-class table lookup, the owned-segment lookup and the device
-# Handle's Load must each stay inlinable. It fails naming the first one the
+# Handle's Load and Store must each stay inlinable. It fails naming the first one the
 # compiler no longer inlines.
-INLINE_FUNCS = '(*Handle).Load' '(*Geometry).SegmentIndexOf' '(*Geometry).PageIndexOf' \
+INLINE_FUNCS = '(*Handle).Load' '(*Handle).Store' '(*Geometry).SegmentIndexOf' '(*Geometry).PageIndexOf' \
 	'(*Geometry).SegmentBase' '(*Geometry).PageBase' '(*Geometry).ClassIndexFor' '(*Client).ownedSegOf'
 
 inline-check:
@@ -145,8 +145,8 @@ dep-guard:
 # budgets, the client-scaling curve's budgets and the queue tests on both
 # backends, the device-access budgets of the recovery pass, the
 # tick after it and the idle tick over a dead loader's segments on both
-# backends, the recovery pass's last-reference drop cut at every write, the
-# witness of the header pair every recovery free erases, two services
+# backends, the recovery pass's and the owner's last-reference drops cut at
+# every write, the witness of the header pair every such free erases, two services
 # recovering one client at once, the recovery claim outliving the RECOVERED
 # store and monitor ticks racing a pass over huge heads, under the race
 # detector on both backends, the telemetry delta-publication pin under the race detector on both
@@ -181,8 +181,8 @@ ci: fmt-check vet build test benchmark-check dep-guard inline-check
 	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestDeviceAccessBudget|TestClientScaling|TestQueue' ./internal/shm
 	$(GO) test -run 'TestRecoveryPassAccessBudget|TestIdleTickAfterLoaderDeath' ./internal/recovery
 	CXLSHM_BACKEND=mmap $(GO) test -run 'TestRecoveryPassAccessBudget|TestIdleTickAfterLoaderDeath' ./internal/recovery
-	$(GO) test -race -run 'TestRootDrop|TestFreeWitnesses|TestConcurrentRecoverersOneClaim|TestClaimReleasedAfterRecoveredStore|TestMonitorTickDuringPassOverHugeHeads' ./internal/recovery
-	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestRootDrop|TestFreeWitnesses|TestConcurrentRecoverersOneClaim|TestClaimReleasedAfterRecoveredStore|TestMonitorTickDuringPassOverHugeHeads' ./internal/recovery
+	$(GO) test -race -run 'TestRootDrop|TestOwnerDrop|TestFreeWitnesses|TestConcurrentRecoverersOneClaim|TestClaimReleasedAfterRecoveredStore|TestMonitorTickDuringPassOverHugeHeads' ./internal/recovery
+	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestRootDrop|TestOwnerDrop|TestFreeWitnesses|TestConcurrentRecoverersOneClaim|TestClaimReleasedAfterRecoveredStore|TestMonitorTickDuringPassOverHugeHeads' ./internal/recovery
 	$(GO) test -race -run TestTelemetryDeltaPublication ./internal/shm
 	CXLSHM_BACKEND=mmap $(GO) test -race -run TestTelemetryDeltaPublication ./internal/shm
 	$(GO) test -race -run TestSlotChurn ./internal/shm

@@ -33,50 +33,65 @@ func Table1(scale Scale) ([]Table1Row, error) {
 		{"CXL", cxl.LatencyCXL},
 	}
 	const words = 1 << 16
-	ops := scale.N(400_000)
-	var rows []Table1Row
-	for _, p := range profiles {
-		dev, err := cxl.NewDevice(cxl.Config{Words: words + 16, MaxClients: 2})
+	// Every measurement is cut into rounds, timed interleaved with the
+	// measurements it is compared with, and keeps its fastest round: on a
+	// shared box a burst of scheduler noise slows the rounds it lands on, of
+	// every measurement alike, and leaves each some rounds it did not touch.
+	const rounds = 100
+	ops := max(scale.N(400_000)/rounds, 1)
+	casOps := max(ops/8, 1)
+	hops := scale.N(100_000)
+	if hops < 20_000 {
+		// The latency measurement needs enough hops to average out
+		// scheduler noise regardless of the requested scale.
+		hops = 20_000
+	}
+	hops /= rounds
+	rows := make([]Table1Row, len(profiles))
+	chases := make([]func(), len(profiles))
+	for pi, p := range profiles {
+		dev, err := cxl.NewDevice(cxl.Config{Words: words + 16, MaxClients: 4})
 		if err != nil {
 			return nil, err
 		}
 		dev.SetIntercept(cxl.Intercept{Latency: p.lat})
-		h := dev.Open(1)
+		// One handle per measurement, so that each one's modelled cache holds
+		// only the lines it touched itself: interleaved with the random loads,
+		// a CAS's load would otherwise hit the lines they just cached.
+		hSeq, hRand, hCAS, hChase := dev.Open(1), dev.Open(2), dev.Open(3), dev.Open(4)
 		rng := rand.New(rand.NewSource(7))
 
-		// Every measurement takes the best of three runs: on a shared box the
-		// minimum is the least scheduler-disturbed sample.
-
-		// Sequential loads.
-		seq := bestMOPS(3, ops, func() {
-			for i := 0; i < ops; i++ {
-				h.Load(cxl.Addr(1 + i%words))
-			}
-		})
-
-		// Random loads (precomputed indices so RNG cost stays out).
+		// Sequential loads; random loads and random CAS (precomputed indices
+		// so RNG cost stays out). Each round continues where the last ended.
 		idx := make([]cxl.Addr, 4096)
 		for i := range idx {
 			idx[i] = cxl.Addr(1 + rng.Intn(words))
 		}
-		rnd := bestMOPS(3, ops, func() {
-			for i := 0; i < ops; i++ {
-				h.Load(idx[i&4095])
+		var seqAt, rndAt, casAt int
+		best := fastest(rounds, func() {
+			for end := seqAt + ops; seqAt < end; seqAt++ {
+				hSeq.Load(cxl.Addr(1 + seqAt%words))
+			}
+		}, func() {
+			for end := rndAt + ops; rndAt < end; rndAt++ {
+				hRand.Load(idx[rndAt&4095])
+			}
+		}, func() {
+			for end := casAt + casOps; casAt < end; casAt++ {
+				a := idx[casAt&4095]
+				hCAS.CAS(a, hCAS.Load(a), uint64(casAt))
 			}
 		})
-
-		// Random CAS.
-		casOps := ops / 8
-		cas := bestMOPS(3, casOps, func() {
-			for i := 0; i < casOps; i++ {
-				a := idx[i&4095]
-				h.CAS(a, h.Load(a), uint64(i))
-			}
-		})
+		rows[pi] = Table1Row{
+			Type:     p.name,
+			SeqMOPS:  mops(ops, best[0]),
+			RandMOPS: mops(ops, best[1]),
+			CASMOPS:  mops(casOps, best[2]),
+		}
 
 		// Dependent-load latency: pointer chase through a random cycle whose
 		// nodes are spread over far more cache lines than the modelled cache
-		// holds, so every hop is a miss.
+		// holds, so every hop is a miss. Timed below, across profiles.
 		const nodes, stride = 4096, 16
 		perm := rng.Perm(nodes)
 		addrOf := func(i int) cxl.Addr { return cxl.Addr(1 + i*stride) }
@@ -84,28 +99,14 @@ func Table1(scale Scale) ([]Table1Row, error) {
 			dev.Store(addrOf(perm[i]), uint64(addrOf(perm[(i+1)%nodes])))
 		}
 		cur := addrOf(perm[0])
-		n := scale.N(100_000)
-		if n < 20_000 {
-			// The latency measurement needs enough hops to average out
-			// scheduler noise regardless of the requested scale.
-			n = 20_000
-		}
-		lat := 0.0
-		for rep := 0; rep < 3; rep++ {
-			start := time.Now()
-			for i := 0; i < n; i++ {
-				cur = cxl.Addr(h.Load(cur))
-			}
-			l := float64(time.Since(start).Nanoseconds()) / float64(n)
-			if rep == 0 || l < lat {
-				lat = l
+		chases[pi] = func() {
+			for i := 0; i < hops; i++ {
+				cur = cxl.Addr(hChase.Load(cur))
 			}
 		}
-		_ = cur
-
-		rows = append(rows, Table1Row{
-			Type: p.name, SeqMOPS: seq, RandMOPS: rnd, CASMOPS: cas, LatencyNS: lat,
-		})
+	}
+	for pi, d := range fastest(rounds, chases...) {
+		rows[pi].LatencyNS = float64(d.Nanoseconds()) / float64(hops)
 	}
 	return rows, nil
 }
@@ -126,14 +127,17 @@ func mops(ops int, d time.Duration) float64 {
 	return float64(ops) / d.Seconds() / 1e6
 }
 
-// bestMOPS runs f reps times and returns the highest throughput observed.
-func bestMOPS(reps, ops int, f func()) float64 {
-	best := 0.0
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		f()
-		if m := mops(ops, time.Since(start)); m > best {
-			best = m
+// fastest runs every f of fs once per round, in turn, for rounds rounds and
+// returns each one's shortest round.
+func fastest(rounds int, fs ...func()) []time.Duration {
+	best := make([]time.Duration, len(fs))
+	for r := 0; r < rounds; r++ {
+		for i, f := range fs {
+			start := time.Now()
+			f()
+			if d := time.Since(start); r == 0 || d < best[i] {
+				best[i] = d
+			}
 		}
 	}
 	return best

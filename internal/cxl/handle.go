@@ -16,7 +16,8 @@ import (
 // word array exactly when nothing observes or prices this handle's accesses
 // (a zero Intercept, not counting), nil otherwise. Under it Load/Store/CAS
 // are a bounds test against words, the fence-word load (Store/CAS) and one
-// access: an atomic load, storeWord or an atomic CAS. Anything else (words
+// access: an atomic load, a plain store (storeFast: on amd64 the tests and the
+// store are one assembly routine) or an atomic CAS. Anything else (words
 // nil, a wild address, a fenced handle) runs the *Slow twin: wild-access
 // panic, dropped writes, the intercept, counters. Open computes it once.
 type Handle struct {
@@ -92,16 +93,11 @@ func (h *Handle) loadSlow(a Addr) uint64 {
 	return atomic.LoadUint64(&d.words[a])
 }
 
-// Store writes v at a with storeWord: one plain store on amd64. If the
-// handle is fenced the write is silently dropped, exactly as a RAS-isolated
-// node's writes never reach the device.
-func (h *Handle) Store(a Addr, v uint64) {
-	if a != 0 && a < uint64(len(h.words)) && h.fence.Load() == h.epoch {
-		storeWord(&h.words[a], v)
-		return
-	}
-	h.storeSlow(a, v)
-}
+// Store writes v at a with storeFast: on amd64 one assembly call that runs
+// the fast-path tests and one plain store. If the handle is fenced the write
+// is silently dropped, exactly as a RAS-isolated node's writes never reach
+// the device.
+func (h *Handle) Store(a Addr, v uint64) { storeFast(h, a, v) }
 
 func (h *Handle) storeSlow(a Addr, v uint64) {
 	d := h.dev

@@ -7,3 +7,15 @@ package cxl
 //
 //go:noescape
 func storeWord(p *uint64, v uint64)
+
+// storeFast is Handle.Store in one assembly routine: when a is neither 0 nor
+// past h.words and h's fence word still reads h.epoch, it stores v to
+// h.words[a] with one MOVQ, as storeWord does; otherwise it tail-jumps to
+// storeSlowPath. Being one call with no Go body, it keeps Store inlinable.
+//
+//go:noescape
+func storeFast(h *Handle, a Addr, v uint64)
+
+// storeSlowPath is storeFast's way out: a null, wild or fenced store, or a
+// handle off the fast path.
+func storeSlowPath(h *Handle, a Addr, v uint64) { h.storeSlow(a, v) }

@@ -287,8 +287,8 @@ func TestInFlightReferenceSurvivesSenderDeath(t *testing.T) {
 // scenario runs a deterministic workload in which `x` (the injected crasher)
 // exercises every protocol path: allocation (small, embedded, huge), clone and
 // release, embedded-reference change, cascading frees, queue send and
-// receive, and cross-client frees. Roots held by `o` (the survivor) are
-// returned for cleanup.
+// receive, cross-client frees, and the owner's drop of its last reference.
+// Roots held by `o` (the survivor) are returned for cleanup.
 func scenario(t *testing.T, x, o *shm.Client) (oRoots []layout.Addr) {
 	t.Helper()
 	must := func(err error) {
@@ -418,6 +418,26 @@ func scenario(t *testing.T, x, o *shm.Client) (oRoots []layout.Addr) {
 	_, err = o.ReleaseRoot(ro4)
 	must(err)
 	_, err = x.ReleaseRoot(xr4) // frees into o's segment: client_free path
+	must(err)
+
+	// x releases its last reference to a block of its own page twice more.
+	// o attached the first and holds it: x's header guess is stale, so the
+	// owner's drop loses its CAS and the release logs. o attached and
+	// released the second: the owner's drop witnesses o's pair.
+	r5, b5, err := x.Malloc(64, 0)
+	must(err)
+	or5, err := o.AttachRoot(b5)
+	must(err)
+	oRoots = append(oRoots, or5)
+	_, err = x.ReleaseRoot(r5)
+	must(err)
+	r6, b6, err := x.Malloc(64, 0)
+	must(err)
+	or6, err := o.AttachRoot(b6)
+	must(err)
+	_, err = o.ReleaseRoot(or6)
+	must(err)
+	_, err = x.ReleaseRoot(r6)
 	must(err)
 
 	return oRoots

@@ -127,14 +127,21 @@ func TestRootDropCrashAtEveryRecoveryWrite(t *testing.T) {
 // the commit it must find is witnessed by Condition 2 alone, the executor
 // having observed the pair before erasing it; without that, the replay is
 // skipped and the peer's root sweep releases the third client's new block.
+//
+// The owner-drop leg is the live owner's twin of root-drop: the peer's cut
+// release leaves the owner the last reference, the owner drops it
+// (ReleaseRoot's owner's drop: witness, header CAS to 0, free) and reuses the
+// block, and only then is the peer recovered.
 func TestFreeWitnessesTheHeaderItErases(t *testing.T) {
 	for _, tc := range []struct {
-		name        string
-		victimKeeps bool
-	}{{"root-drop", true}, {"scan-free", false}} {
-		t.Run(tc.name, func(t *testing.T) {
-			eachWrite(t, func(t *testing.T, f *fault) { witnessStory(t, f, tc.victimKeeps) })
-		})
+		name  string
+		story func(t *testing.T, f *fault)
+	}{
+		{"root-drop", func(t *testing.T, f *fault) { witnessStory(t, f, true) }},
+		{"scan-free", func(t *testing.T, f *fault) { witnessStory(t, f, false) }},
+		{"owner-drop", ownerDropWitnessStory},
+	} {
+		t.Run(tc.name, func(t *testing.T) { eachWrite(t, tc.story) })
 	}
 }
 
@@ -187,5 +194,164 @@ func witnessStory(t *testing.T, f *fault, victimKeeps bool) {
 	}
 	if res := mustClean(t, p, "witnessed"); res.AllocatedObjects != 0 {
 		t.Fatalf("%d objects left allocated", res.AllocatedObjects)
+	}
+}
+
+func ownerDropWitnessStory(t *testing.T, f *fault) {
+	p := newTestPool(t, f.hook())
+	defer p.CloseDevice()
+	owner, peer := connect(t, p), connect(t, p)
+	svc, err := recovery.NewService(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ownerRoot, block, err := owner.Malloc(64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peerRoot, err := peer.AttachRoot(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.crash(peer.ID(), func() { _, _ = peer.ReleaseRoot(peerRoot) })
+	if err := p.MarkClientDead(peer.ID()); err != nil {
+		t.Fatal(err)
+	}
+	// The owner's release drops the block when the peer's CAS took, and
+	// is an era release that leaves it to the peer's root otherwise.
+	if _, err := owner.ReleaseRoot(ownerRoot); err != nil {
+		t.Fatalf("owner's ReleaseRoot: %v", err)
+	}
+	var roots []layout.Addr
+	for reused := false; !reused && len(roots) < 64; {
+		r, b, err := owner.Malloc(64, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		roots, reused = append(roots, r), b == block
+	}
+	if _, err := svc.RecoverClient(peer.ID()); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range roots {
+		if objFreed, err := owner.ReleaseRoot(r); err != nil || !objFreed {
+			t.Fatalf("owner's ReleaseRoot of a reused block: freed=%v err=%v", objFreed, err)
+		}
+	}
+	if res := mustClean(t, p, "owner drop witnessed"); res.AllocatedObjects != 0 {
+		t.Fatalf("%d objects left allocated", res.AllocatedObjects)
+	}
+}
+
+// The owner's drop (ReleaseRoot of the last reference to a block in one of
+// the releaser's own pages) writes no redo entry and bumps no era: the header
+// CAS to 0, the free, the slot clear. The owner dies before each of its
+// writes, and its recovery must free every block it held exactly once. Every
+// cut leaves a state the recovery pass's own root drop produces: before the
+// CAS, the root sweep drops the block; after it, the sweep clears the slot
+// over a count-0 block (lcid 0 reads as dead) and the segment scan frees it.
+// The legs: a plain block; a parent whose embed holds a private child (the
+// drop cascades, with the child's release logged); and a block first sent
+// to, received by and released by a peer, whose (lcid, lera) the drop
+// witnesses.
+func TestOwnerDropCrashAtEveryWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		objects int
+		// setup gives the owner the root whose release is cut.
+		setup func(t *testing.T, owner, peer *shm.Client) layout.Addr
+	}{
+		{"plain", 1, func(t *testing.T, owner, _ *shm.Client) layout.Addr {
+			root, _, err := owner.Malloc(64, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return root
+		}},
+		{"embed", 2, func(t *testing.T, owner, _ *shm.Client) layout.Addr {
+			childRoot, child, err := owner.Malloc(48, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root, parent, err := owner.Malloc(64, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := owner.SetEmbed(parent, 0, child); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := owner.ReleaseRoot(childRoot); err != nil {
+				t.Fatal(err)
+			}
+			return root
+		}},
+		{"sent", 1, func(t *testing.T, owner, peer *shm.Client) layout.Addr {
+			root, block, err := owner.Malloc(64, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qRoot, q, err := owner.CreateQueue(peer.ID(), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			peerQ, err := peer.OpenQueue(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := owner.Send(q, block); err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := peer.Receive(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The peer's release of the block comes last, so that the pair
+			// it leaves in the header is one the owner has yet to witness.
+			for _, r := range []struct {
+				c    *shm.Client
+				root layout.Addr
+			}{{peer, peerQ}, {owner, qRoot}, {peer, got}} {
+				if _, err := r.c.ReleaseRoot(r.root); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return root
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eachWrite(t, func(t *testing.T, f *fault) {
+				p := newTestPool(t, f.hook())
+				defer p.CloseDevice()
+				owner, peer := connect(t, p), connect(t, p)
+				svc, err := recovery.NewService(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				root := tc.setup(t, owner, peer)
+				survivors := func() uint64 { return frees(peer) + frees(svc.Executor()) }
+				before := frees(owner) + survivors()
+				f.crash(owner.ID(), func() { _, _ = owner.ReleaseRoot(root) })
+				// Read before the owner is fenced: a fenced client publishes
+				// no counters.
+				cut := frees(owner)
+				if err := p.MarkClientDead(owner.ID()); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := svc.RecoverClient(owner.ID()); err != nil {
+					t.Fatalf("recover the owner: %v", err)
+				}
+				mon := recovery.NewMonitor(svc, recovery.MonitorConfig{Threshold: math.MaxInt32})
+				for i := 0; i < 4; i++ {
+					mon.Tick()
+				}
+				res := mustClean(t, p, "owner drop")
+				if res.AllocatedObjects != 0 {
+					t.Fatalf("%d objects left allocated", res.AllocatedObjects)
+				}
+				if freed := cut + survivors() - before; freed != uint64(tc.objects) {
+					t.Fatalf("%d frees of the owner's %d objects, want each freed exactly once", freed, tc.objects)
+				}
+			})
+		})
 	}
 }

@@ -25,6 +25,12 @@ import (
 // transaction closes: the closing bump advances Era[cid][cid] past the
 // entry's logged era, and recovery treats an entry whose era the client has
 // moved past as closed (redo.go) — saving one device store per transaction.
+//
+// One release is no transaction: the owner's drop of its last reference to a
+// block of its own pages (releaseTxnMode) CASes the header to 0 and frees,
+// logging nothing, publishing no pair and bumping no era. The owner's
+// recovery sweeps every root and scans every ACTIVE segment it owns, and so
+// finishes whatever a crash cuts short (DESIGN.md §4c).
 
 // AttachReference attaches the reference at ref to the object at refed:
 // refed.ref_cnt++ then *ref = refed (Figure 4(c) verbatim). ref must be a
@@ -81,7 +87,7 @@ func (c *Client) ReleaseReference(ref, refed layout.Addr) (freed bool, err error
 		return false, err
 	}
 	if pending {
-		c.cascadeFree(refed)
+		c.cascadeFree(refed, false)
 	}
 	return newCnt == 0, nil
 }
@@ -103,12 +109,19 @@ func (c *Client) releaseTxn(ref, refed layout.Addr) (newCnt uint16, pendingRecla
 // has read refed's header word passes it as hdrW, the first CAS guess; goneW
 // is as for reclaimRaw. Zero means not read. elideModify marks ref as the pptr
 // of a RootRef slot the caller frees next, shadow included (ReleaseRoot).
+//
+// Such a release of the last reference to a block in one of this client's own
+// pages is the owner's drop (dropLastRef): the header CAS to 0 and the free,
+// with no redo entry and no era bump. Once an attempt has logged (it saw a
+// count above 1 and lost its CAS), the call stays on the logged path.
 func (c *Client) releaseTxnMode(ref, refed layout.Addr, elideModify bool, hdrW, goneW uint64) (newCnt uint16, pendingReclaim bool, err error) {
 	if c.h.Fenced() {
 		return 0, false, ErrFenced
 	}
 	// Resolved once, for the CAS guess (see AttachReference) down to the reclaim.
+	// A block in an owned page is never huge: a huge object owns whole segments.
 	op, bs := c.blockOf(refed)
+	drop := elideModify && op != nil
 	savedW, guessed := hdrW, true
 	if hdrW == 0 {
 		savedW, guessed = c.guessHeader(bs, refed)
@@ -122,20 +135,32 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, elideModify bool, hdrW, 
 			}
 			return 0, false, ErrStaleReference
 		}
-		c.observeEra(saved.LCID, saved.LEra)
-		c.logRedo(RedoEntry{
-			Op: OpRelease, Era: c.era, Ref: ref, Refed: refed, SavedCnt: saved.RefCnt,
-		})
-		newCnt = saved.RefCnt - 1
-		newW := layout.PackHeader(layout.Header{
-			LCID: uint16(c.cid), LEra: c.era, RefCnt: newCnt,
-		})
-		c.loc[obs.CtrCASAttempt]++
-		if c.h.CAS(refed+layout.HeaderOff, savedW, newW) {
-			bs.noteHeader(newW)
-			break
+		if drop && saved.RefCnt == 1 {
+			if c.dropLastRef(refed, savedW) {
+				if m := c.metaOf(bs, refed); m.EmbedCnt == 0 {
+					c.reclaimRaw(refed, m, op, bs, 0, true)
+				} else {
+					c.cascadeFree(refed, true)
+				}
+				return 0, false, nil
+			}
+		} else {
+			drop = false
+			c.observeEra(saved.LCID, saved.LEra)
+			c.logRedo(RedoEntry{
+				Op: OpRelease, Era: c.era, Ref: ref, Refed: refed, SavedCnt: saved.RefCnt,
+			})
+			newCnt = saved.RefCnt - 1
+			newW := layout.PackHeader(layout.Header{
+				LCID: uint16(c.cid), LEra: c.era, RefCnt: newCnt,
+			})
+			c.loc[obs.CtrCASAttempt]++
+			if c.h.CAS(refed+layout.HeaderOff, savedW, newW) {
+				bs.noteHeader(newW)
+				break
+			}
+			c.loc[obs.CtrCASRetry]++
 		}
-		c.loc[obs.CtrCASRetry]++
 		if c.h.Fenced() {
 			return 0, false, ErrFenced
 		}
@@ -158,7 +183,7 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, elideModify bool, hdrW, 
 	// crash before the slot clear leaves an in_use slot over a refcount-zero
 	// block, which SweepRootRefSlot already resolves by clearing the slot,
 	// and recovery's redo replay performs the elided store itself.
-	elide := elideModify && m.EmbedCnt == 0 && m.Flags&layout.MetaHuge == 0 && op != nil
+	elide := elideModify && m.EmbedCnt == 0 && op != nil
 	if !elide {
 		c.h.Store(ref, 0) // ModifyRef
 		if !elideModify {
@@ -169,7 +194,7 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, elideModify bool, hdrW, 
 		// Plain object: reclaim inside the transaction window. A crash
 		// here is covered by the still-valid redo entry (recovery flags
 		// the segment, §5.3).
-		c.reclaimRaw(refed, m, op, bs, goneW)
+		c.reclaimRaw(refed, m, op, bs, goneW, false)
 	} else {
 		// Embed-carrying object: the cascade needs its own transactions,
 		// so flag the segment before this transaction closes; the caller
@@ -179,6 +204,28 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, elideModify bool, hdrW, 
 	}
 	c.bumpEra() // closes the transaction; the redo entry is now stale by era
 	return newCnt, pendingReclaim, nil
+}
+
+// dropLastRef erases block's header word hdrW by CAS to 0, for a caller that
+// holds the block's last reference and whose free follows with no era
+// transaction: the owner's drop (releaseTxnMode) and a recovery pass's drop
+// of its victim's last references (SweepRootRefSlot). The header's
+// (lcid, lera) pair is witnessed first, as a release would: the CAS erases
+// it, and a client whose commit it records may still need Condition 2
+// (§4.3). Nothing is published, so era uniqueness is untouched. A crash after
+// the CAS leaves an allocated block at count 0 under lcid 0, which reads as
+// dead: the block's owner's recovery (or, for a recovery pass, the same pass)
+// scans its ACTIVE segment and frees it (DESIGN.md §4c). Reports whether the
+// CAS took; a lost one means the count moved.
+func (c *Client) dropLastRef(block layout.Addr, hdrW uint64) bool {
+	hdr := layout.UnpackHeader(hdrW)
+	c.observeEra(hdr.LCID, hdr.LEra)
+	c.loc[obs.CtrCASAttempt]++
+	if c.h.CAS(block+layout.HeaderOff, hdrW, 0) {
+		return true
+	}
+	c.loc[obs.CtrCASRetry]++
+	return false
 }
 
 // moveRef transfers the counted reference held by the reference word at src
@@ -305,7 +352,7 @@ func (c *Client) ChangeReference(ref, a, b layout.Addr) error {
 		// so by the time a later transaction could overwrite this entry the
 		// flag must already be on the device.
 		c.flagSegmentLeaking(a)
-		c.cascadeFree(a)
+		c.cascadeFree(a, false)
 	}
 	return nil
 }
@@ -328,12 +375,13 @@ func (c *Client) CloneRoot(root layout.Addr) {
 }
 
 // ReleaseRoot decrements a RootRef's thread-local count; when it reaches
-// zero the RootRef's counted reference on the object is released via the
-// era transaction and the slot is freed. Reports whether the underlying
-// object was freed. The count and target come from the root shadow when
-// this client claimed the slot (the common case — RootRefs are
-// owner-local), falling back to device loads for slots inherited from a
-// previous incarnation.
+// zero the RootRef's counted reference on the object is released — by the
+// owner's drop when it is the last reference to a block of this client's
+// pages, else via the era transaction — and the slot is freed. Reports
+// whether the underlying object was freed. The count and target come from
+// the root shadow when this client claimed the slot (the common case —
+// RootRefs are owner-local), falling back to device loads for slots
+// inherited from a previous incarnation.
 func (c *Client) ReleaseRoot(root layout.Addr) (objectFreed bool, err error) {
 	op, rs := c.rootOf(root)
 	var cnt uint32
@@ -360,14 +408,15 @@ func (c *Client) ReleaseRoot(root layout.Addr) (objectFreed bool, err error) {
 	}
 	if target != 0 {
 		// The pptr store of the release is elided when the block reclaims
-		// into the pending tier (releaseTxnMode): the slot clear right below
-		// makes the word unreachable before anything can read it.
+		// into the pending tier (releaseTxnMode, the owner's drop included):
+		// the slot clear right below makes the word unreachable before
+		// anything can read it.
 		newCnt, pending, rerr := c.releaseTxnMode(root+layout.RootRefPptrOff, target, true, 0, 0)
 		if rerr != nil {
 			return false, rerr
 		}
 		if pending {
-			c.cascadeFree(target)
+			c.cascadeFree(target, false)
 		}
 		objectFreed = newCnt == 0
 	}

@@ -24,6 +24,11 @@ import (
 //     is flagged POTENTIAL_LEAKING; a crash anywhere in the cascade leaves a
 //     refcount-zero block in a flagged segment for the scan to finish
 //     (recovery's DFS of embedded references, §5.4, runs there).
+//
+//   - An owner's drop of its last reference to a block of its own pages
+//     (releaseTxnMode) has no transaction window and flags nothing: a crash
+//     leaves an allocated block at count 0 under lcid 0 in one of the dead
+//     owner's ACTIVE segments, and its recovery scans all of those.
 
 // flagSegmentLeaking sets the sticky POTENTIAL_LEAKING flag on the segment
 // containing addr. Reclaiming a segment (re-claim CAS) clears it by packing
@@ -94,11 +99,13 @@ func (p *Pool) flagLeaking(m flagWriter, seg int, w uint64) bool {
 }
 
 // cascadeFree frees a refcount-zero object whose transaction already closed
-// (embed-carrying or change-path objects; the segment is already flagged): it
-// releases all embedded references reachable from start (iteratively —
-// recovery must handle arbitrarily deep structures without growing the Go
-// stack) and frees every object whose count reaches zero.
-func (c *Client) cascadeFree(start layout.Addr) {
+// (embed-carrying or change-path objects; the segment is already flagged, or
+// is an ACTIVE one of the owner's, which its recovery scans): it releases all
+// embedded references reachable from start (iteratively — recovery must
+// handle arbitrarily deep structures without growing the Go stack) and frees
+// every object whose count reaches zero. erased reports that start's header
+// already reads 0 (the owner's drop CASed it there).
+func (c *Client) cascadeFree(start layout.Addr, erased bool) {
 	stack := append(c.scr.stack[:0], start)
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
@@ -122,7 +129,7 @@ func (c *Client) cascadeFree(start layout.Addr) {
 				stack = append(stack, t)
 			}
 		}
-		c.reclaimRaw(b, m, op, bs, 0)
+		c.reclaimRaw(b, m, op, bs, 0, erased && b == start)
 	}
 	c.scr.stack = stack
 }
@@ -149,8 +156,9 @@ func (c *Client) cascadeFree(start layout.Addr) {
 // its own late publication can never land.
 // The caller passes what its transaction already resolved: the block's
 // unpacked meta, its owned page and its live shadow (blockOf), and goneW, the
-// segment's state word if it has seen the owner gone (SegGoneWord; 0 = ask).
-func (c *Client) reclaimRaw(block layout.Addr, m layout.Meta, op *ownedPage, bs *blockShadow, goneW uint64) {
+// segment's state word if it has seen the owner gone (SegGoneWord; 0 = ask),
+// and erased when the header already reads 0, which skips its store.
+func (c *Client) reclaimRaw(block layout.Addr, m layout.Meta, op *ownedPage, bs *blockShadow, goneW uint64, erased bool) {
 	if m.Flags&layout.MetaHuge != 0 {
 		c.freeHuge(block, m)
 		return
@@ -168,7 +176,9 @@ func (c *Client) reclaimRaw(block layout.Addr, m layout.Meta, op *ownedPage, bs 
 		}
 	}
 	bs.drop()
-	c.h.Store(block+layout.HeaderOff, 0)
+	if !erased {
+		c.h.Store(block+layout.HeaderOff, 0)
+	}
 	c.h.Store(block+layout.MetaOff, layout.PackMeta(layout.Meta{
 		Flags: 0, EmbedCnt: freeer, BlockWords: m.BlockWords,
 	}))

@@ -100,12 +100,12 @@ func TestClientScalingAccessBudget(t *testing.T) {
 		clients     int
 		alloc, free float64
 	}{
-		{1, 7.60, 10.57},
-		{4, 7.56, 10.57},
-		{16, 7.60, 10.55},
-		{64, 7.84, 8.40},
-		{128, 8.34, 8.40},
-		{256, 9.32, 8.40},
+		{1, 7.60, 5.33},
+		{4, 7.56, 5.33},
+		{16, 7.60, 5.31},
+		{64, 7.84, 3.15},
+		{128, 8.34, 3.15},
+		{256, 9.32, 3.15},
 	} {
 		pt := measureScalePoint(t, b.clients)
 		t.Logf("%3d clients: connect %.2f CAS / %.2f accesses, last connect %.0f / %.0f, alloc %.3f, free %.3f",

@@ -246,7 +246,7 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) (r ScanReport, settled
 			// head and let orphan bodies be swept by the caller.
 			c.releaseSegment(seg)
 		} else {
-			c.cascadeFree(c.geo.SegmentBase(seg))
+			c.cascadeFree(c.geo.SegmentBase(seg), false)
 		}
 		r.Reclaimed++
 		r.Quiet, r.Freed = true, true
@@ -354,7 +354,8 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) (r ScanReport, settled
 					r.Reclaimed++
 					if ownerDead && m.EmbedCnt == 0 && m.Flags&layout.MetaHuge == 0 {
 						// A dead owner's plain block — most often one a
-						// recovery pass dropped (SweepRootRefSlot) — is freed
+						// recovery pass dropped (SweepRootRefSlot), or the owner
+						// itself before it died (the owner's drop) — is freed
 						// from the words in hand: reclaimRaw's owner-gone free
 						// without its state load, and with no rescan request,
 						// since this round's verdict already counts it free.
@@ -368,7 +369,7 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) (r ScanReport, settled
 						c.loc[obs.CtrFree]++
 						continue
 					}
-					c.cascadeFree(b)
+					c.cascadeFree(b, false)
 					cascaded = true
 				} else if freeer := int(m.EmbedCnt); ownerDead {
 					// Free, listed or not — unless its freeer lives and is not
@@ -461,8 +462,8 @@ func (c *Client) scanFlaggedOwned() {
 //   - target header refcount == 0: the allocation never initialized the
 //     count; the block is reclaimed by the segment scan, clear the slot.
 //   - refcount == 1 in an ACTIVE segment of rs.Victim: the last-reference
-//     drop — header ← 0 by CAS, then the slot clear; no redo entry, no era
-//     bump, no free. The pass's scan of that segment, still ahead, finds an
+//     drop (dropLastRef, shared with the owner's drop) — header ← 0 by CAS,
+//     then the slot clear; no redo entry, no era bump, no free. The pass's scan of that segment, still ahead, finds an
 //     allocated block with count 0 and lcid 0 and frees it (DESIGN.md §4c).
 //   - otherwise: a normal era-based release, the slot's word 0 being the
 //     reference word: the ModifyRef (or its redo replay) clears the slot.
@@ -514,21 +515,15 @@ func (c *Client) SweepRootRefSlot(slot layout.Addr, rs *RootSweep) bool {
 	}
 	if st := layout.UnpackSegState(goneW); hdr.RefCnt == 1 && rs.Victim != 0 &&
 		st.State == layout.SegActive && int(st.CID) == rs.Victim {
-		// The header's (lcid, lera) pair is witnessed first, as a release
-		// would: the CAS erases it, and a client whose commit it records
-		// may still need Condition 2 (§4.3).
-		c.observeEra(hdr.LCID, hdr.LEra)
-		c.loc[obs.CtrCASAttempt]++
-		if c.h.CAS(pptr+layout.HeaderOff, hdrW, 0) {
+		if c.dropLastRef(pptr, hdrW) {
 			c.h.Store(slot, 0)
 			return true
 		}
-		c.loc[obs.CtrCASRetry]++
 		hdrW = 0 // the count moved under the drop: the release reloads it
 	}
 	// A failed release (fenced, stale) leaves the slot as it is, for a rerun.
 	if _, pending, _ := c.releaseTxnMode(slot, pptr, false, hdrW, goneW); pending {
-		c.cascadeFree(pptr)
+		c.cascadeFree(pptr, false)
 	}
 	return true
 }

@@ -742,24 +742,52 @@ func TestRefCountOverflowRejected(t *testing.T) {
 	}
 }
 
+// TestEraAdvancesPerCommit: every commit that publishes a (cid, era) pair
+// bumps the era — Malloc's header init and a logged release (here of a block
+// a peer also holds) — while the owner's drop of its last reference to a
+// block of its own page publishes nothing: the era stays, and the header
+// word is left 0.
 func TestEraAdvancesPerCommit(t *testing.T) {
 	p := newTestPool(t)
-	c := connect(t, p)
+	c, peer := connect(t, p), connect(t, p)
 	e0 := c.Era()
-	root, _, err := c.Malloc(16, 0)
+	root, block, err := c.Malloc(16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Era() <= e0 {
 		t.Fatalf("era %d not bumped by allocation (was %d)", c.Era(), e0)
 	}
+	peerRoot, err := peer.AttachRoot(block)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e1 := c.Era()
 	if _, err := c.ReleaseRoot(root); err != nil {
 		t.Fatal(err)
 	}
 	if c.Era() <= e1 {
-		t.Fatalf("era %d not bumped by release (was %d)", c.Era(), e1)
+		t.Fatalf("era %d not bumped by a logged release (was %d)", c.Era(), e1)
 	}
+	if _, err := peer.ReleaseRoot(peerRoot); err != nil {
+		t.Fatal(err)
+	}
+
+	root, block, err = c.Malloc(16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2 := c.Era()
+	if freed, err := c.ReleaseRoot(root); err != nil || !freed {
+		t.Fatalf("owner's ReleaseRoot: freed=%v err=%v", freed, err)
+	}
+	if c.Era() != e2 {
+		t.Fatalf("era %d after the owner's drop, want it unchanged at %d", c.Era(), e2)
+	}
+	if w := p.Device().Load(block + layout.HeaderOff); w != 0 {
+		t.Fatalf("header word %#x after the owner's drop, want 0", w)
+	}
+	mustValidate(t, p)
 }
 
 func TestStaleReferenceDetected(t *testing.T) {

@@ -46,8 +46,12 @@ func TestSweepBounded(t *testing.T) {
 	// writes gained 2, and zombie-after-recycle adds the new lessee's 27.
 	// 1928: push-embed and push-embed-chain add 14 + 15, and free-embed's
 	// cascade through the two objects they link adds 16.
-	if st.Ops != 38 || st.Positions < 1928 {
-		t.Fatalf("sweep coverage shrank: %d ops, %d positions (want 38 ops, >= 1928 positions)",
+	// 1786: an owner's drop of its last reference writes no redo entry and
+	// bumps no era — release-root 8 → 3, free-embed 25 → 19, free-burst
+	// 192 → 72, churn-extra 27 → 22, zombie-after-recycle 27 → 22,
+	// release-queue 11 → 8.
+	if st.Ops != 38 || st.Positions < 1786 {
+		t.Fatalf("sweep coverage shrank: %d ops, %d positions (want 38 ops, >= 1786 positions)",
 			st.Ops, st.Positions)
 	}
 	for _, v := range vs {
