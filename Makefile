@@ -7,7 +7,7 @@ GO ?= go
 
 .PHONY: all build test vet race verify bench bench-smoke test-mmap sweep \
 	corrupt fsck-smoke top-smoke ci serving-smoke benchmark-check dep-guard \
-	inline-check fmt-check gates
+	inline-check fmt-check gates lines
 
 all: verify
 
@@ -27,10 +27,10 @@ race:
 
 # bench-smoke runs the fast-path micro-benchmarks a handful of iterations
 # under the race detector: not for numbers, but to drive the benchmark paths
-# (shadow caches, batched transfer, and the segment scan and recovery pass
+# (shadow caches, the queue hand-off, and the segment scan and recovery pass
 # with their per-client scan scratch) through the race checker cheaply.
 bench-smoke:
-	$(GO) test -race -run xxx -bench 'BenchmarkAlloc$$|BenchmarkMallocFree|BenchmarkQueueTransfer|BenchmarkQueueBatch|BenchmarkSegmentScan|BenchmarkRecoveryCXLSHM' -benchtime 10x -benchmem .
+	$(GO) test -race -run xxx -bench 'BenchmarkAlloc$$|BenchmarkMallocFree|BenchmarkQueueTransfer|BenchmarkSegmentScan|BenchmarkRecoveryCXLSHM' -benchtime 10x -benchmem .
 
 verify: vet build test race bench-smoke
 
@@ -124,6 +124,13 @@ gates:
 		printf '%s\n' "$$out" | sed -n -e 's/^=== RUN *//p' \
 			-e 's/ Duration:[^ }]*//' -e 's/^ *[A-Za-z0-9_]*\.go:[0-9]*: /  /p'; \
 	done
+
+# lines prints the three line counts of ROADMAP's Lines ledger: non-test Go
+# outside benchmark/, the _test.go files outside it, and all of benchmark/.
+lines:
+	@printf 'non-test %s\n' $$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -exec cat {} + | wc -l)
+	@printf 'tests %s\n' $$(find . -name '*_test.go' -not -path './benchmark/*' -exec cat {} + | wc -l)
+	@printf 'benchmark %s\n' $$(find benchmark -name '*.go' -exec cat {} + | wc -l)
 
 # fmt-check fails when any Go file in the tree is not gofmt-formatted.
 fmt-check:

@@ -165,47 +165,6 @@ func BenchmarkQueueTransfer(b *testing.B) {
 	}
 }
 
-// BenchmarkQueueBatch transfers references in batches of 32; ns/op is per
-// reference, comparable to BenchmarkQueueTransfer's per-item cost.
-func BenchmarkQueueBatch(b *testing.B) {
-	const batch = 32
-	p := benchPool(b)
-	s, _ := p.Connect()
-	r, _ := p.Connect()
-	_, q, err := s.CreateQueue(r.ID(), batch)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := r.OpenQueue(q); err != nil {
-		b.Fatal(err)
-	}
-	_, obj, err := s.Malloc(64, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	targets := make([]layout.Addr, batch)
-	for i := range targets {
-		targets[i] = obj
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += batch {
-		sent, err := s.SendBatch(q, targets)
-		if err != nil || sent != batch {
-			b.Fatalf("sent %d: %v", sent, err)
-		}
-		roots, _, err := r.ReceiveBatch(q, batch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, root := range roots {
-			if _, err := r.ReleaseRoot(root); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // --- Table 1 ---
 
 func BenchmarkTable1(b *testing.B) {

@@ -294,14 +294,9 @@ func (s *Service) replayRedo(exec *shm.Client, cid int) bool {
 		}
 		// A move has no ModifyRefCnt phase, so there is no commit evidence to
 		// weigh: both of its stores are idempotent ModifyRefs, re-executed
-		// wholesale. But batched moves share one era (moveRef), so the era
-		// gate alone cannot reject an entry torn mid-logRedo: the stale commit
-		// word of the previous move in the batch is byte-identical to the new
-		// one, making a mix of old and new address words look valid. The
-		// device state disambiguates — a move with work left always has its
-		// source word still referencing the object (the source is cleared
-		// last), while any torn mix names a source the previous move already
-		// cleared, and a fully-executed move needs nothing replayed.
+		// wholesale. A move with work left still has its source word naming
+		// the object (the source is cleared last); a fully executed one needs
+		// nothing replayed, so the source word gates the replay too.
 		if dev.Load(entry.Refed2) != entry.Refed {
 			return false
 		}

@@ -358,36 +358,21 @@ func scenario(t *testing.T, x, o *shm.Client) (oRoots []layout.Addr) {
 	must(err)
 	oRoots = append(oRoots, rb)
 
-	// Batched send/receive on the same queue: slots attach once per element
-	// but head/tail publish only once per batch, so a crash mid-batch strands
-	// a different prefix than the single-shot paths.
-	var batch, batchRoots []layout.Addr
+	// Three more sends, each publishing its own tail, then three receives,
+	// each closing its own era and publishing its own head: o2 is still
+	// queued ahead of them, so one of the three stays in flight for recovery
+	// to deal with.
 	for i := 0; i < 3; i++ {
 		r, b, err := x.Malloc(64, 0)
 		must(err)
-		batch = append(batch, b)
-		batchRoots = append(batchRoots, r)
-	}
-	n, err := x.SendBatch(q, batch)
-	must(err)
-	if n != len(batch) {
-		t.Fatalf("scenario: short batch send %d of %d", n, len(batch))
-	}
-	for _, r := range batchRoots { // slots own the references now
-		_, err = x.ReleaseRoot(r)
+		must(x.Send(q, b))
+		_, err = x.ReleaseRoot(r) // the slot owns the reference now
 		must(err)
 	}
-	// o2 is still queued ahead of the batch; take three in batches (the
-	// cached-tail shadow may serve a short first batch) so one batched
-	// message stays in flight for recovery to deal with.
-	for got := 0; got < 3; {
-		broots, _, err := o.ReceiveBatch(q, 3-got)
+	for i := 0; i < 3; i++ {
+		r, _, err := o.Receive(q)
 		must(err)
-		if len(broots) == 0 {
-			t.Fatal("scenario: batch receive made no progress")
-		}
-		got += len(broots)
-		oRoots = append(oRoots, broots...)
+		oRoots = append(oRoots, r)
 	}
 	_, err = x.ReleaseRoot(qr) // x drops the queue; o2 still in flight
 	must(err)

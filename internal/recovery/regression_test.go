@@ -74,17 +74,15 @@ func orphanSlotStory(t *testing.T, f *fault) {
 		}
 	}
 	for {
-		roots, _, err := o.ReceiveBatch(q, 4)
+		r, _, err := o.Receive(q)
 		if err == shm.ErrQueueEmpty {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range roots {
-			if _, err := o.ReleaseRoot(r); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := o.ReleaseRoot(r); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if _, err := o.ReleaseRoot(oq); err != nil {

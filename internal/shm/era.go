@@ -82,7 +82,7 @@ func (c *Client) AttachReference(ref, refed layout.Addr) error {
 // refed.ref_cnt-- then *ref = NULL, reclaiming the object if the count
 // reached zero (§5.3). Reports whether this release freed the object.
 func (c *Client) ReleaseReference(ref, refed layout.Addr) (freed bool, err error) {
-	newCnt, pending, err := c.releaseTxn(ref, refed)
+	newCnt, pending, err := c.releaseTxnMode(ref, refed, false, 0, 0)
 	if err != nil {
 		return false, err
 	}
@@ -92,7 +92,7 @@ func (c *Client) ReleaseReference(ref, refed layout.Addr) (freed bool, err error
 	return newCnt == 0, nil
 }
 
-// releaseTxn runs the decrement transaction and returns the new count.
+// releaseTxnMode runs the decrement transaction and returns the new count.
 //
 // When the count reaches zero and the object is plain (no embedded
 // references), it is reclaimed inline before the transaction closes: a crash
@@ -101,14 +101,11 @@ func (c *Client) ReleaseReference(ref, refed layout.Addr) (freed bool, err error
 // non-idempotent free (§5.3). When the object carries embedded references,
 // the reclaim needs further transactions, so this transaction flags the
 // segment itself before closing and the caller runs the cascade afterwards.
-func (c *Client) releaseTxn(ref, refed layout.Addr) (newCnt uint16, pendingReclaim bool, err error) {
-	return c.releaseTxnMode(ref, refed, false, 0, 0)
-}
-
-// releaseTxnMode is the release transaction in all its modes. A caller that
-// has read refed's header word passes it as hdrW, the first CAS guess; goneW
-// is as for reclaimRaw. Zero means not read. elideModify marks ref as the pptr
-// of a RootRef slot the caller frees next, shadow included (ReleaseRoot).
+//
+// A caller that has read refed's header word passes it as hdrW, the first CAS
+// guess; goneW is as for reclaimRaw. Zero means not read. elideModify marks
+// ref as the pptr of a RootRef slot the caller frees next, shadow included
+// (ReleaseRoot).
 //
 // Such a release of the last reference to a block in one of this client's own
 // pages is the owner's drop (dropLastRef): the header CAS to 0 and the free,
@@ -248,13 +245,7 @@ func (c *Client) dropLastRef(block layout.Addr, hdrW uint64) bool {
 // Liveness of target needs no header check: the caller owns the reference at
 // src, and a word-owned reference keeps the count above zero until its owner
 // clears it — exactly what this transaction does last.
-//
-// Because a move never publishes (cid, era) into any header, it does not
-// consume era uniqueness: a caller batching moves may run several under one
-// era and bump once at the end (closeTxn=false). The redo area then holds
-// only the latest move, which is the only one that can be mid-flight — each
-// earlier move completed its stores before the next was logged.
-func (c *Client) moveRef(dst, src, target, displaced layout.Addr, closeTxn bool) error {
+func (c *Client) moveRef(dst, src, target, displaced layout.Addr) error {
 	if c.h.Fenced() {
 		return ErrFenced
 	}
@@ -269,9 +260,7 @@ func (c *Client) moveRef(dst, src, target, displaced layout.Addr, closeTxn bool)
 	c.h.Store(dst, target) // ModifyRef (destination)
 	c.noteRootTarget(dst, target)
 	c.h.Store(src, 0) // ModifyRef (source)
-	if closeTxn {
-		c.bumpEra()
-	}
+	c.bumpEra()
 	return nil
 }
 
@@ -374,27 +363,29 @@ func (c *Client) CloneRoot(root layout.Addr) {
 	c.h.Store(root, layout.PackRootRef(true, cnt+1))
 }
 
+// resolveRoot returns a RootRef's page, shadow, local count and target: from
+// the root shadow when this client claimed the slot (the common case —
+// RootRefs are owner-local), else from the device, for a slot inherited from
+// a previous incarnation. A count of 0 means the slot is free.
+func (c *Client) resolveRoot(root layout.Addr) (op *ownedPage, rs *rootShadow, cnt uint32, target layout.Addr) {
+	op, rs = c.rootOf(root)
+	if rs != nil {
+		return op, rs, rs.cnt, rs.target
+	}
+	inUse, cnt := layout.UnpackRootRef(c.h.Load(root))
+	if !inUse || cnt == 0 {
+		return op, nil, 0, 0
+	}
+	return op, nil, cnt, c.h.Load(root + layout.RootRefPptrOff)
+}
+
 // ReleaseRoot decrements a RootRef's thread-local count; when it reaches
 // zero the RootRef's counted reference on the object is released — by the
 // owner's drop when it is the last reference to a block of this client's
 // pages, else via the era transaction — and the slot is freed. Reports
-// whether the underlying object was freed. The count and target come from
-// the root shadow when this client claimed the slot (the common case —
-// RootRefs are owner-local), falling back to device loads for slots
-// inherited from a previous incarnation.
+// whether the underlying object was freed.
 func (c *Client) ReleaseRoot(root layout.Addr) (objectFreed bool, err error) {
-	op, rs := c.rootOf(root)
-	var cnt uint32
-	var target layout.Addr
-	if rs != nil {
-		cnt, target = rs.cnt, rs.target
-	} else {
-		inUse, dcnt := layout.UnpackRootRef(c.h.Load(root))
-		if !inUse {
-			return false, ErrStaleReference
-		}
-		cnt, target = dcnt, c.h.Load(root+layout.RootRefPptrOff)
-	}
+	op, rs, cnt, target := c.resolveRoot(root)
 	if cnt == 0 {
 		return false, ErrStaleReference
 	}
@@ -529,18 +520,7 @@ func (c *Client) PushEmbed(holder Span, idx int, head, root layout.Addr) error {
 	if idx < 0 || idx >= holder.embeds {
 		return ErrBadEmbedIndex
 	}
-	op, rs := c.rootOf(root)
-	var cnt uint32
-	var obj layout.Addr
-	if rs != nil {
-		cnt, obj = rs.cnt, rs.target
-	} else {
-		inUse, dcnt := layout.UnpackRootRef(c.h.Load(root))
-		if !inUse {
-			return ErrStaleReference
-		}
-		cnt, obj = dcnt, c.h.Load(root+layout.RootRefPptrOff)
-	}
+	op, rs, cnt, obj := c.resolveRoot(root)
 	if cnt == 0 || obj == 0 {
 		return ErrStaleReference
 	}
@@ -550,7 +530,7 @@ func (c *Client) PushEmbed(holder Span, idx int, head, root layout.Addr) error {
 	if c.metaOf(c.blockRef(obj), obj).EmbedCnt == 0 || c.h.Load(obj+layout.DataOff) != 0 {
 		return ErrBadEmbedIndex
 	}
-	if err := c.moveRef(holder.data+layout.Addr(idx), root+layout.RootRefPptrOff, obj, head, true); err != nil {
+	if err := c.moveRef(holder.data+layout.Addr(idx), root+layout.RootRefPptrOff, obj, head); err != nil {
 		return err
 	}
 	c.freeRootRefSlot(op, rs, root)

@@ -5,16 +5,15 @@ import (
 	"testing"
 
 	"repro/internal/layout"
-	"repro/internal/obs"
 	"repro/internal/shm"
 )
 
 // Access-budget regression tests: the fast paths' cost is counted in device
 // words touched per operation, the cost that carries over to real CXL
 // hardware, so it is pinned here as budgets about 5 % over the measured steady
-// state (malloc 7.17, free 5.03, send+receive+release 30.02, batched trio
-// 23.21 on both backends), so a regression that reintroduces per-op metadata
-// traffic trips them immediately. `go test -v -run TestDeviceAccessBudget`
+// state (malloc 7.17, free 5.03, send+receive+release 30.02 on both
+// backends), so a regression that reintroduces per-op metadata traffic trips
+// them immediately. `go test -v -run TestDeviceAccessBudget`
 // prints the measured counts.
 
 func newCountingPool(t *testing.T) *shm.Pool {
@@ -119,35 +118,6 @@ func TestDeviceAccessBudget(t *testing.T) {
 	t.Logf("send+receive+release %.3f device accesses/op", trioCost)
 	if trioCost > 31.5 {
 		t.Errorf("send+receive+release touches %.2f device words, budget 31.5", trioCost)
-	}
-
-	// Batched trio: SendBatch and ReceiveBatch amortize the tail/head stores
-	// across the batch, and the batch's receive moves all close under one era
-	// bump.
-	const batch = 40 // queue capacity is 64
-	targets := make([]layout.Addr, batch)
-	for i := range targets {
-		targets[i] = obj
-	}
-	batchCost := perOp(func() {
-		for i := 0; i < n/batch; i++ {
-			if sent, err := snd.SendBatch(q, targets); err != nil || sent != batch {
-				t.Fatalf("SendBatch: sent %d, err %v", sent, err)
-			}
-			broots, _, err := rcv.ReceiveBatch(q, batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range broots {
-				if _, err := rcv.ReleaseRoot(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}) * float64(n) / float64(n/batch*batch) // perOp divides by n; renormalize to items
-	t.Logf("batched trio (%d/batch) %.3f device accesses/item", batch, batchCost)
-	if batchCost > 24.4 {
-		t.Errorf("batched trio touches %.2f device words/item, budget 24.4", batchCost)
 	}
 }
 
@@ -320,95 +290,4 @@ func TestFastPathZeroAllocs(t *testing.T) {
 			t.Errorf("%s allocates %.2f objects/op, want 0", tc.name, n)
 		}
 	}
-}
-
-func TestQueueBatchRoundTrip(t *testing.T) {
-	p := newTestPool(t)
-	s := connect(t, p)
-	r := connect(t, p)
-	_, q, err := s.CreateQueue(r.ID(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.OpenQueue(q); err != nil {
-		t.Fatal(err)
-	}
-
-	var targets []layout.Addr
-	var sroots []layout.Addr
-	for i := 0; i < 12; i++ {
-		root, block, err := s.Malloc(64, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		targets = append(targets, block)
-		sroots = append(sroots, root)
-	}
-
-	// Capacity 8: a 12-target batch must send exactly 8, no error.
-	sent, err := s.SendBatch(q, targets)
-	if err != nil {
-		t.Fatalf("SendBatch: %v", err)
-	}
-	if sent != 8 {
-		t.Fatalf("sent %d, want 8 (capacity-limited)", sent)
-	}
-	if _, err := s.SendBatch(q, targets[sent:]); err != shm.ErrQueueFull {
-		t.Fatalf("SendBatch on full queue: %v, want ErrQueueFull", err)
-	}
-
-	roots, got, err := r.ReceiveBatch(q, 16)
-	if err != nil {
-		t.Fatalf("ReceiveBatch: %v", err)
-	}
-	if len(got) != 8 {
-		t.Fatalf("received %d, want 8", len(got))
-	}
-	for i, g := range got {
-		if g != targets[i] {
-			t.Fatalf("slot %d: got %#x, want %#x (FIFO order)", i, g, targets[i])
-		}
-	}
-	if _, _, err := r.ReceiveBatch(q, 4); err != shm.ErrQueueEmpty {
-		t.Fatalf("ReceiveBatch on empty queue: %v, want ErrQueueEmpty", err)
-	}
-	if n := r.Metrics().Get(obs.CtrQueueStaleSlot); n != 0 {
-		t.Fatalf("clean run counted %d stale slots", n)
-	}
-
-	// The drained remainder goes through in a second batch.
-	if sent, err = s.SendBatch(q, targets[8:]); err != nil || sent != 4 {
-		t.Fatalf("second SendBatch: sent %d, err %v", sent, err)
-	}
-	roots2, got2, err := r.ReceiveBatch(q, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got2) != 4 || got2[0] != targets[8] {
-		t.Fatalf("second batch: %d items, first %#x", len(got2), got2[0])
-	}
-
-	// Release receiver-side then sender-side roots; everything must come back.
-	for _, root := range roots {
-		if _, err := r.ReleaseRoot(root); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, root := range roots2 {
-		if _, err := r.ReleaseRoot(root); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, root := range sroots {
-		if _, err := s.ReleaseRoot(root); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.CheckShadow(); err != nil {
-		t.Errorf("sender shadow: %v", err)
-	}
-	if err := r.CheckShadow(); err != nil {
-		t.Errorf("receiver shadow: %v", err)
-	}
-	mustValidate(t, p)
 }

@@ -118,14 +118,14 @@ func (c *Client) cascadeFree(start layout.Addr, erased bool) {
 			if t == 0 {
 				continue
 			}
-			_, pending, err := c.releaseTxn(ea, t)
+			_, pending, err := c.releaseTxnMode(ea, t, false, 0, 0)
 			if err != nil {
 				continue // stale/fenced: leave for the scan
 			}
 			if pending {
-				// Embed-carrying child hit zero: releaseTxn flagged its
+				// Embed-carrying child hit zero: releaseTxnMode flagged its
 				// segment; finish its cascade from the explicit stack. Plain
-				// children were inline-reclaimed by releaseTxn itself.
+				// children were inline-reclaimed by releaseTxnMode itself.
 				stack = append(stack, t)
 			}
 		}

@@ -12,6 +12,8 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/layout"
+	"repro/internal/obs"
+	"repro/internal/shm"
 )
 
 // refModel tracks what the reference counts ought to be.
@@ -206,7 +208,8 @@ func TestOwnerSlowPathClearsLeakFlag(t *testing.T) {
 }
 
 // TestQueueWraparound cycles a small queue many times past its capacity to
-// exercise the absolute head/tail counters and slot reuse.
+// exercise the absolute head/tail counters and slot reuse: references come
+// out in FIFO order, and a run without crashes meets no stale slot.
 func TestQueueWraparound(t *testing.T) {
 	p := newTestPool(t)
 	s := connect(t, p)
@@ -250,6 +253,11 @@ func TestQueueWraparound(t *testing.T) {
 			if _, err := s.ReleaseRoot(root); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+	for _, c := range []*shm.Client{s, r} {
+		if n := c.Metrics().Get(obs.CtrQueueStaleSlot); n != 0 {
+			t.Fatalf("client %d counted %d stale slots in a clean run", c.ID(), n)
 		}
 	}
 	if _, err := s.ReleaseRoot(sRoot); err != nil {

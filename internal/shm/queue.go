@@ -254,55 +254,6 @@ func (c *Client) reclaimOrphanSlot(qs *queueShadow, slot layout.Addr) error {
 	return nil
 }
 
-// SendBatch transfers up to len(targets) references, publishing the tail
-// once for the whole batch instead of once per reference. It returns how
-// many were sent: short counts mean the queue filled up (no error), so
-// callers retry the remainder later. Crash semantics match single Send: a
-// reference attached to a slot before the tail store is owned by the queue
-// object and reclaimed through its embedded-reference cascade.
-func (c *Client) SendBatch(block layout.Addr, targets []layout.Addr) (int, error) {
-	if len(targets) == 0 {
-		return 0, nil
-	}
-	qs := c.queueShadowOf(block)
-	free := uint64(qs.capacity) - (qs.tail - qs.head)
-	if free < uint64(len(targets)) {
-		qs.head = c.h.Load(qs.headA)
-		free = uint64(qs.capacity) - (qs.tail - qs.head)
-	}
-	n := len(targets)
-	if uint64(n) > free {
-		n = int(free)
-	}
-	if n == 0 {
-		c.loc[obs.CtrQueueFull]++
-		return 0, ErrQueueFull
-	}
-	publish := func(sent int) {
-		if sent > 0 {
-			qs.tail += uint64(sent)
-			c.h.Store(qs.tailA, qs.tail)
-			c.loc[obs.CtrQueueSend] += uint64(sent)
-			for _, t := range targets[:sent] {
-				c.blockRef(t).noteHeader(0) // as in Send, once the batch's own attaches are done
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		slot := queueSlot(block, qs.capacity, qs.tail+uint64(i))
-		if err := c.reclaimOrphanSlot(qs, slot); err != nil {
-			publish(i)
-			return i, err
-		}
-		if err := c.AttachReference(slot, targets[i]); err != nil {
-			publish(i)
-			return i, err
-		}
-	}
-	publish(n)
-	return n, nil
-}
-
 // Receive takes the next reference from the queue (paper cxl_receive_from):
 // move the slot's counted reference onto a fresh RootRef (one CAS-free era
 // transaction — the object's count never changes, so the paper's
@@ -336,7 +287,7 @@ func (c *Client) Receive(block layout.Addr) (root, target layout.Addr, err error
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := c.moveRef(root+layout.RootRefPptrOff, slot, target, 0, true); err != nil {
+	if err := c.moveRef(root+layout.RootRefPptrOff, slot, target, 0); err != nil {
 		c.abortRootRef(root)
 		return 0, 0, err
 	}
@@ -344,73 +295,6 @@ func (c *Client) Receive(block layout.Addr) (root, target layout.Addr, err error
 	c.h.Store(qs.headA, qs.head)
 	c.loc[obs.CtrQueueReceive]++
 	return root, target, nil
-}
-
-// ReceiveBatch takes up to max references from the queue, publishing the
-// head once for the whole batch and closing all the per-slot move
-// transactions under a single era bump (sound because a move never publishes
-// (cid, era) into a header — see moveRef). A crash mid-batch leaves up to a
-// batch of moved-but-unadvanced slots, which the next incarnation steps past
-// exactly like single Receive's stale-slot case. Returns parallel
-// roots/targets slices; ErrQueueEmpty only when nothing (real or stale)
-// could be consumed.
-func (c *Client) ReceiveBatch(block layout.Addr, max int) (roots, targets []layout.Addr, err error) {
-	if max <= 0 {
-		return nil, nil, nil
-	}
-	qs := c.queueShadowOf(block)
-	avail := qs.tail - qs.head
-	if avail == 0 {
-		qs.tail = c.h.Load(qs.tailA)
-		avail = qs.tail - qs.head
-		if avail == 0 {
-			c.loc[obs.CtrQueueEmpty]++
-			return nil, nil, ErrQueueEmpty
-		}
-	}
-	n := int(avail)
-	if n > max {
-		n = max
-	}
-	consumed, moved := 0, 0
-	publish := func() {
-		if moved > 0 {
-			c.bumpEra() // closes the whole batch of moves
-		}
-		if consumed > 0 {
-			qs.head += uint64(consumed)
-			c.h.Store(qs.headA, qs.head)
-		}
-	}
-	for consumed < n {
-		slot := queueSlot(block, qs.capacity, qs.head+uint64(consumed))
-		t := c.h.Load(slot)
-		if t == 0 {
-			consumed++
-			c.loc[obs.CtrQueueStaleSlot]++
-			continue
-		}
-		root, rerr := c.allocRootRef()
-		if rerr != nil {
-			publish()
-			return roots, targets, rerr
-		}
-		if merr := c.moveRef(root+layout.RootRefPptrOff, slot, t, 0, false); merr != nil {
-			c.abortRootRef(root)
-			publish()
-			return roots, targets, merr
-		}
-		consumed++
-		moved++
-		roots = append(roots, root)
-		targets = append(targets, t)
-		c.loc[obs.CtrQueueReceive]++
-	}
-	publish()
-	if len(roots) == 0 {
-		return nil, nil, ErrQueueEmpty
-	}
-	return roots, targets, nil
 }
 
 // QueueLen reports how many references are in flight in the queue.

@@ -146,12 +146,7 @@ func TestHandOffDropsHeaderGuess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i%2 == 0 {
-			err = snd.Send(q, block)
-		} else {
-			_, err = snd.SendBatch(q, []layout.Addr{block})
-		}
-		if err != nil {
+		if err := snd.Send(q, block); err != nil {
 			t.Fatal(err)
 		}
 		if w, guessed := snd.guessHeader(snd.blockRef(block), block); guessed {

@@ -369,7 +369,7 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) (r ScanReport, settled
 						c.loc[obs.CtrFree]++
 						continue
 					}
-					c.cascadeFree(b, false)
+					c.cascadeFree(b, hw == 0) // a dropped block's header is 0 already
 					cascaded = true
 				} else if freeer := int(m.EmbedCnt); ownerDead {
 					// Free, listed or not — unless its freeer lives and is not

@@ -746,7 +746,9 @@ func TestRefCountOverflowRejected(t *testing.T) {
 // bumps the era — Malloc's header init and a logged release (here of a block
 // a peer also holds) — while the owner's drop of its last reference to a
 // block of its own page publishes nothing: the era stays, and the header
-// word is left 0.
+// word is left 0. A move publishes no pair either, but it logs a redo entry,
+// so each one — a queue Receive, a PushEmbed — closes its own era: exactly
+// one bump.
 func TestEraAdvancesPerCommit(t *testing.T) {
 	p := newTestPool(t)
 	c, peer := connect(t, p), connect(t, p)
@@ -786,6 +788,54 @@ func TestEraAdvancesPerCommit(t *testing.T) {
 	}
 	if w := p.Device().Load(block + layout.HeaderOff); w != 0 {
 		t.Fatalf("header word %#x after the owner's drop, want 0", w)
+	}
+
+	_, q, err := peer.CreateQueue(c.ID(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.OpenQueue(q); err != nil {
+		t.Fatal(err)
+	}
+	sent, msg, err := peer.Malloc(16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.Send(q, msg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := peer.ReleaseRoot(sent); err != nil {
+		t.Fatal(err)
+	}
+	e3 := c.Era()
+	got, _, err := c.Receive(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Era() != e3+1 {
+		t.Fatalf("era %d after a Receive, want exactly one bump from %d", c.Era(), e3)
+	}
+	if _, err := c.ReleaseRoot(got); err != nil {
+		t.Fatal(err)
+	}
+
+	holderRoot, holder, err := c.Malloc(16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objRoot, _, err := c.Malloc(16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e4 := c.Era()
+	if err := c.PushEmbed(c.Span(holder), 0, 0, objRoot); err != nil {
+		t.Fatal(err)
+	}
+	if c.Era() != e4+1 {
+		t.Fatalf("era %d after a PushEmbed, want exactly one bump from %d", c.Era(), e4)
+	}
+	if _, err := c.ReleaseRoot(holderRoot); err != nil {
+		t.Fatal(err)
 	}
 	mustValidate(t, p)
 }

@@ -24,7 +24,7 @@ import (
 	"repro/internal/shm"
 )
 
-// corruptInjectAt is the script index faults land at: after send-batch the
+// corruptInjectAt is the script index faults land at: after send-three the
 // pool holds a published named root, a live queue with three in-flight
 // payloads, recycled huge segments, and settled free lists — every region
 // has meaningful state to damage.

@@ -196,10 +196,15 @@ func pushOnParent(e *env) error {
 	return e.x.PushEmbed(e.x.Span(e.parent), 1, e.x.LoadWord(e.parent, 1), r)
 }
 
-// recordReceipt notes one delivery and releases the receiver's root.
-func recordReceipt(e *env, c *shm.Client, root, target layout.Addr) error {
+// receiveFrom takes the queue's next payload through c, notes its delivery
+// and releases c's root.
+func receiveFrom(e *env, c *shm.Client) error {
+	root, target, err := c.Receive(e.q)
+	if err != nil {
+		return err
+	}
 	e.receipts[c.LoadWord(target, 0)]++
-	_, err := c.ReleaseRoot(root)
+	_, err = c.ReleaseRoot(root)
 	return err
 }
 
@@ -322,48 +327,18 @@ func script() []op {
 			return err
 		}},
 		{"send", actorX, sendOne},
-		{"receive", actorO, func(e *env) error {
-			root, target, err := e.o.Receive(e.q)
-			if err != nil {
-				return err
-			}
-			return recordReceipt(e, e.o, root, target)
-		}},
-		{"send-batch", actorX, func(e *env) error {
-			var targets []layout.Addr
-			var roots []layout.Addr
+		{"receive", actorO, func(e *env) error { return receiveFrom(e, e.o) }},
+		{"send-three", actorX, func(e *env) error {
 			for i := 0; i < 3; i++ {
-				id := e.nextPayload + 1
-				r, b, err := e.x.Malloc(64, 0)
-				if err != nil {
-					return err
-				}
-				e.nextPayload = id
-				e.x.StoreWord(b, 0, id)
-				roots = append(roots, r)
-				targets = append(targets, b)
-			}
-			n, err := e.x.SendBatch(e.q, targets)
-			if err != nil {
-				return err
-			}
-			if n != len(targets) {
-				return fmt.Errorf("send-batch sent %d of %d", n, len(targets))
-			}
-			for _, r := range roots {
-				if _, err := e.x.ReleaseRoot(r); err != nil {
+				if err := sendOne(e); err != nil {
 					return err
 				}
 			}
 			return nil
 		}},
-		{"receive-batch", actorO, func(e *env) error {
-			roots, targets, err := e.o.ReceiveBatch(e.q, 4)
-			if err != nil {
-				return err
-			}
-			for i := range roots {
-				if err := recordReceipt(e, e.o, roots[i], targets[i]); err != nil {
+		{"receive-three", actorO, func(e *env) error {
+			for i := 0; i < 3; i++ {
+				if err := receiveFrom(e, e.o); err != nil {
 					return err
 				}
 			}
@@ -655,18 +630,13 @@ func finish(e *env, svc *recovery.Service, v Violation) []Violation {
 	}
 	drain := func() {
 		for queueLive(e) && drainer.QueueLen(e.q) > 0 {
-			roots, targets, err := drainer.ReceiveBatch(e.q, 4)
+			err := receiveFrom(e, drainer)
 			if err == shm.ErrQueueEmpty {
-				continue // stale slots consumed; QueueLen re-checks progress
+				continue // a stale slot consumed; QueueLen re-checks progress
 			}
 			if err != nil {
 				bad("drain: %v", err)
 				return
-			}
-			for i := range roots {
-				if rerr := recordReceipt(e, drainer, roots[i], targets[i]); rerr != nil {
-					bad("drain release: %v", rerr)
-				}
 			}
 		}
 	}

@@ -50,8 +50,13 @@ func TestSweepBounded(t *testing.T) {
 	// bumps no era — release-root 8 → 3, free-embed 25 → 19, free-burst
 	// 192 → 72, churn-extra 27 → 22, zombie-after-recycle 27 → 22,
 	// release-queue 11 → 8.
-	if st.Ops != 38 || st.Positions < 1786 {
-		t.Fatalf("sweep coverage shrank: %d ops, %d positions (want 38 ops, >= 1786 positions)",
+	// 1788: send-batch and receive-batch became send-three 63 and
+	// receive-three 66 (62 and 64): each hand-off publishes its own tail or
+	// head and each receive closes its own era, while the interleaved RootRef
+	// frees and claims reuse slots from the pending tier; malloc-burst
+	// 212 → 211.
+	if st.Ops != 38 || st.Positions < 1788 {
+		t.Fatalf("sweep coverage shrank: %d ops, %d positions (want 38 ops, >= 1788 positions)",
 			st.Ops, st.Positions)
 	}
 	for _, v := range vs {
