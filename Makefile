@@ -45,11 +45,15 @@ test-mmap:
 # every scripted operation crashed before every one of its device writes,
 # each followed by recovery and a full-pool fsck, plus a phase-B pass that
 # crashes the recovery executor before every one of its own writes (about 5 s
-# per backend; EXPERIMENTS.md's sweep table has the counts it prints).
+# per backend; EXPERIMENTS.md's sweep table has the counts it prints). The
+# wrap leg (-wrap) runs it all again with every client's era started just
+# below 2³², so the script crosses the line where a header's era field wraps.
 # Violations print a minimal `faultsim -repro` line and fail the target.
 sweep:
 	$(GO) run ./cmd/faultsim -sweep -recovery-sweep
 	$(GO) run ./cmd/faultsim -sweep -recovery-sweep -backend mmap
+	$(GO) run ./cmd/faultsim -sweep -recovery-sweep -wrap
+	$(GO) run ./cmd/faultsim -sweep -recovery-sweep -wrap -backend mmap
 
 # corrupt runs the bounded corruption campaign on both backends: every
 # fault class (bit flip, torn write, stuck CAS) against every targetable
@@ -156,7 +160,9 @@ dep-guard:
 # every write, the witness of the header pair every such free erases, two services
 # recovering one client at once, the recovery claim outliving the RECOVERED
 # store and monitor ticks racing a pass over huge heads, under the race
-# detector on both backends, the telemetry delta-publication pin under the race detector on both
+# detector on both backends, an attach cut at every write after its client's
+# era crossed 2³² on both backends, Connect over any free-slot bitmap under
+# the race detector on both backends, the telemetry delta-publication pin under the race detector on both
 # backends, the zero-allocation fast-path pin on both backends, the kv
 # read-during-delete contract (race detector on heap, once on mmap), the
 # torn-read tests of the version word — in-place update, same-key
@@ -190,6 +196,10 @@ ci: fmt-check vet build test benchmark-check dep-guard inline-check
 	CXLSHM_BACKEND=mmap $(GO) test -run 'TestRecoveryPassAccessBudget|TestIdleTickAfterLoaderDeath' ./internal/recovery
 	$(GO) test -race -run 'TestRootDrop|TestOwnerDrop|TestFreeWitnesses|TestConcurrentRecoverersOneClaim|TestClaimReleasedAfterRecoveredStore|TestMonitorTickDuringPassOverHugeHeads' ./internal/recovery
 	CXLSHM_BACKEND=mmap $(GO) test -race -run 'TestRootDrop|TestOwnerDrop|TestFreeWitnesses|TestConcurrentRecoverersOneClaim|TestClaimReleasedAfterRecoveredStore|TestMonitorTickDuringPassOverHugeHeads' ./internal/recovery
+	$(GO) test -run TestEraWrapDoesNotCommitUncommitted ./internal/recovery
+	CXLSHM_BACKEND=mmap $(GO) test -run TestEraWrapDoesNotCommitUncommitted ./internal/recovery
+	$(GO) test -race -run TestConnectOverAnyBitmap ./internal/shm
+	CXLSHM_BACKEND=mmap $(GO) test -race -run TestConnectOverAnyBitmap ./internal/shm
 	$(GO) test -race -run TestTelemetryDeltaPublication ./internal/shm
 	CXLSHM_BACKEND=mmap $(GO) test -race -run TestTelemetryDeltaPublication ./internal/shm
 	$(GO) test -race -run TestSlotChurn ./internal/shm

@@ -4,15 +4,17 @@
 //
 // Usage:
 //
-//	faultsim -sweep [-max-writes N] [-recovery-sweep] [-clients N] [-backend heap|mmap]
-//	faultsim -repro "op=NAME access=N [epoch=T] [recovery-access=R]" [-backend heap|mmap]
+//	faultsim -sweep [-max-writes N] [-recovery-sweep] [-clients N] [-wrap] [-backend heap|mmap]
+//	faultsim -repro "op=NAME access=N [epoch=T] [recovery-access=R]" [-wrap] [-backend heap|mmap]
 //	faultsim -corrupt [-region R] [-class C] [-seed S] [-backend heap|mmap]
 //
 // -sweep is the exhaustive access-granular campaign (internal/sweep): every
 // device write of every scripted operation is a crash position, each
 // followed by recovery and a full-pool fsck; -recovery-sweep also crashes
-// the recovery executor at each of its own writes. Violations print a
-// minimal -repro invocation and exit nonzero. -corrupt is the media-fault
+// the recovery executor at each of its own writes; -wrap starts every
+// client's era 64 below 2³², so the script runs across the line where a
+// header's 32-bit era field wraps. Violations print a minimal -repro
+// invocation and exit nonzero. -corrupt is the media-fault
 // campaign (bit flips, torn writes, stuck CAS) with the repairing fsck.
 //
 // -backend mmap runs on an mmap'd-file device (cxl.NewAnonMapDevice),
@@ -38,6 +40,7 @@ func main() {
 	maxWrites := flag.Int("max-writes", 0, "with -sweep: bound crash positions per operation (0 = every write)")
 	recoverySweep := flag.Bool("recovery-sweep", false, "with -sweep: also crash the recovery pass at each of its own writes")
 	clients := flag.Int("clients", 0, "with -sweep: size of the client-slot table (0 = default 8)")
+	wrap := flag.Bool("wrap", false, "with -sweep or -repro: start every client's era just below 2^32")
 	repro := flag.String("repro", "", `reproduce one sweep position: "op=NAME access=N [epoch=T] [recovery-access=R]"`)
 	flag.StringVar(&backend, "backend", "", "device backend: heap (default) or mmap")
 	flag.Parse()
@@ -53,6 +56,7 @@ func main() {
 			MaxWrites:     *maxWrites,
 			RecoverySweep: *recoverySweep,
 			Clients:       *clients,
+			WrapEras:      *wrap,
 			Log: func(format string, args ...any) {
 				fmt.Printf("  "+format+"\n", args...)
 			},

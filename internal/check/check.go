@@ -44,7 +44,7 @@ const (
 	QueueCorrupt  IssueKind = "queue-corrupt"  // queue indices/registry inconsistent
 	EraMatrix     IssueKind = "era-matrix"     // observed era exceeds the owner's own era
 	StaleRedo     IssueKind = "stale-redo"     // valid redo entry on a recovered/free client slot
-	StaleLease    IssueKind = "stale-lease"    // slot-lease generation or bitmap disagrees with the status word
+	StaleLease    IssueKind = "stale-lease"    // slot-lease generation parity disagrees with the status word
 	BadSuperblock IssueKind = "bad-superblock" // superblock word disagrees with the attached geometry
 )
 
@@ -169,7 +169,6 @@ type hints struct {
 	badStatus  []int          // clients with unknown status words
 	badClaim   []int          // clients whose recovery claim names no client slot
 	staleLease []int          // clients whose lease generation parity disagrees with status
-	slotMap    bool           // free-slot bitmap disagrees with the status words
 }
 
 type pageHint struct{ seg, pg int }
@@ -693,15 +692,13 @@ func (v *validator) checkClientSlots() {
 	}
 }
 
-// checkSlotLeases verifies the slot-lease invariants (internal/shm's
+// checkSlotLeases verifies the slot-lease invariant (internal/shm's
 // slotlease.go): the per-slot generation word's parity matches the status
 // word — ALIVE/DEAD carry an odd (leased) generation, FREE/RECOVERED an even
-// (released) one — and the free-slot bitmap only advertises claimable slots.
-// A stale lease is harmless to correctness on its own (the status word is
-// authoritative) but it either hides a claimable slot from the O(1) claim
-// path or sends claimers into guaranteed-failing CASes, so fsck surfaces
-// and repairs it. Only valid against a quiescent pool: a Connect or a
-// recovery in flight legitimately holds the intermediate states.
+// (released) one. The free-slot bitmap is not checked: it is an accelerator
+// that Connect heals, and the status word alone decides a lease. Only valid
+// against a quiescent pool: a Connect or a recovery in flight legitimately
+// holds the intermediate states.
 func (v *validator) checkSlotLeases() {
 	for cid := 1; cid <= v.geo.MaxClients; cid++ {
 		status := v.load(v.geo.ClientStatusAddr(cid))
@@ -719,15 +716,6 @@ func (v *validator) checkSlotLeases() {
 				"client %d lease generation %d (parity %d) disagrees with status %d",
 				cid, gen, gen&1, status)
 			v.hints.staleLease = append(v.hints.staleLease, cid)
-		}
-		bitAddr, bit := v.geo.SlotMapBit(cid)
-		set := v.load(bitAddr)&bit != 0
-		claimable := status == layout.ClientSlotFree || status == layout.ClientRecovered
-		if set != claimable {
-			v.res.add(StaleLease, bitAddr,
-				"client %d free-slot bitmap bit is %v but status %d makes the slot claimable=%v",
-				cid, set, status, claimable)
-			v.hints.slotMap = true
 		}
 	}
 }

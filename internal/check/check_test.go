@@ -333,20 +333,6 @@ func TestDetectsStaleLeaseGenParity(t *testing.T) {
 	}
 }
 
-func TestDetectsStaleLeaseBitmap(t *testing.T) {
-	p := newPool(t)
-	c, _ := p.Connect()
-	// Corrupt: re-set the claimed client's free-slot bitmap bit, advertising a
-	// leased slot as claimable.
-	geo := p.Geometry()
-	a, bit := geo.SlotMapBit(c.ID())
-	p.Device().Store(a, p.Device().Load(a)|bit)
-	res := check.Validate(p)
-	if !hasIssue(res, check.StaleLease) {
-		t.Fatalf("bitmap bit set on ALIVE slot not reported: %v", res.Issues)
-	}
-}
-
 func TestDetectsFreeListEscape(t *testing.T) {
 	p := newPool(t)
 	c, _ := p.Connect()

@@ -360,33 +360,13 @@ func (r *repairer) applyHints(v *validator) int {
 	}
 	// Lease repairs run after the status repairs above so they read final
 	// status words. The status word is authoritative, so the fix direction
-	// is always gen/bitmap toward status — and the generation only ever
+	// is always generation toward status — and the generation only ever
 	// moves forward (+1 flips parity without rewinding the lease history).
 	for _, cid := range h.staleLease {
 		gen := r.p.Device().Load(r.geo.SlotGenAddr(cid))
 		r.store(r.geo.SlotGenAddr(cid), gen+1)
 		r.act("lease-gen-fix", r.geo.SlotGenAddr(cid),
 			"client %d lease generation bumped %d -> %d to match status", cid, gen, gen+1)
-	}
-	if h.slotMap {
-		for w := 0; w < int(r.geo.SlotMapWords); w++ {
-			var want uint64
-			for b := 0; b < 64; b++ {
-				cid := w*64 + b + 1
-				if cid > r.geo.MaxClients {
-					break
-				}
-				s := r.p.ClientStatus(cid)
-				if s == layout.ClientSlotFree || s == layout.ClientRecovered {
-					want |= 1 << uint(b)
-				}
-			}
-			if r.p.Device().Load(r.geo.SlotMapAddr(w)) != want {
-				r.store(r.geo.SlotMapAddr(w), want)
-			}
-		}
-		r.act("slot-map-rebuild", r.geo.SlotMapBase,
-			"free-slot bitmap rebuilt from the status words")
 	}
 	return len(r.rep.Actions) - before
 }

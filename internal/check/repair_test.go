@@ -560,15 +560,3 @@ func TestRepairStaleLeaseGen(t *testing.T) {
 		t.Fatal("stale lease repair not attributed to a client")
 	}
 }
-
-func TestRepairStaleLeaseBitmap(t *testing.T) {
-	p := newPool(t)
-	c, _ := p.Connect()
-	geo := p.Geometry()
-	a, bit := geo.SlotMapBit(c.ID())
-	p.Device().Store(a, p.Device().Load(a)|bit)
-	repairClean(t, p)
-	if p.Device().Load(a)&bit != 0 {
-		t.Fatal("leased slot still advertised in the free-slot bitmap after repair")
-	}
-}

@@ -94,8 +94,8 @@ func TestInsertAccessBudget(t *testing.T) {
 		t                           tally
 		maxLoads, maxStores, maxCAS float64
 	}{
-		{"insert into an empty bucket", empty, 3.19, 26.29, 0.01},
-		{"insert onto a chain", chain, 5.32, 27.34, 0.01},
+		{"insert into an empty bucket", empty, 2.14, 26.29, 0.01},
+		{"insert onto a chain", chain, 4.27, 27.34, 0.01},
 		{"get hit", hit, 22.08, 0, 0},
 		{"get miss", miss, 5.21, 0, 0},
 		{"delete", del, 17.88, 10.53, 1.05},

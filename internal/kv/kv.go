@@ -319,19 +319,18 @@ func (s *Store) Put(key uint64, val []byte) error {
 	// holding the block from an earlier life walks again on its bucket's
 	// unlink word, so the record's version word just starts settled.
 	recBytes := recValueWord*layout.WordBytes + s.valSize
-	root, rec, err := s.c.Malloc(recBytes, 1)
+	rec, err := s.c.MallocFresh(recBytes, 1)
 	if err != nil {
 		return err
 	}
-	sp := s.c.WriteSpan(rec)
-	sp.Store(recVerWord, 0)
-	sp.Store(recKeyWord, key)
-	sp.Write(recValueWord*layout.WordBytes, val)
+	rec.Store(recVerWord, 0)
+	rec.Store(recKeyWord, key)
+	rec.Write(recValueWord*layout.WordBytes, val)
 	// One move transaction publishes it: the record's next takes at before
 	// the predecessor word takes the record, so neither a lock-free reader nor
 	// a recovery replay finds the record without the rest of its chain, and
 	// the Malloc's counted reference moves into that word.
-	return s.done(s.c.PushEmbed(holder, idx, at, root))
+	return s.done(s.c.PushEmbed(holder, idx, at, rec))
 }
 
 // writeValue is the in-place update: the version word odd and naming this

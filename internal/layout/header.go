@@ -20,14 +20,28 @@ const WordBytes = cxl.WordBytes
 //
 // The paper packs these fields into one cache line so a single CAS covers
 // all three; packing them in one word gives the same commit-point semantics
-// with CompareAndSwapUint64. Eras are therefore 32-bit (wrapping after 4G
-// transactions per client, the same practical caveat as the paper's packed
-// header) and an object supports at most 65535 concurrent references.
+// with CompareAndSwapUint64, and an object supports at most 65535
+// concurrent references. An era itself is 64-bit and never wraps: the era
+// matrix and a client's own era hold whole eras, and a header's lera holds
+// the low 32 bits of one, which WidenEra turns back into the whole era.
 const (
 	MaxRefCount = 1<<16 - 1
-	MaxEra      = 1<<32 - 1
+	MaxEra      = 1<<32 - 1 // the largest lera; eras run past it
 	MaxLCID     = 1<<16 - 1
 )
+
+// WidenEra returns the largest era at most cur whose low 32 bits are low:
+// the whole era that a 32-bit era field names, given cur, an era of the same
+// client read after the field. The field was written at an era at most cur,
+// so the answer is exact unless the field is 2³² or more eras older than
+// cur. ok is false when no era at most cur has those low bits.
+func WidenEra(low uint32, cur uint64) (era uint64, ok bool) {
+	d := uint64(uint32(cur) - low)
+	if d > cur {
+		return 0, false
+	}
+	return cur - d, true
+}
 
 // Header is the unpacked form of an object header word.
 type Header struct {

@@ -52,7 +52,10 @@ const (
 //	6  slot-lease area (free-slot bitmap + per-slot lease-generation
 //	   words) inserted between the pool header and the Global Segment
 //	   Allocation Vec; every region after word 16 moved
-const LayoutVersion = 6
+//	7  64-bit eras: a client's own era and every era-matrix word hold a
+//	   whole era that never wraps; a header's lera and the redo commit
+//	   word keep its low 32 bits
+const LayoutVersion = 7
 
 // Superblock is the decoded pool header.
 type Superblock struct {

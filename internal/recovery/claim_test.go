@@ -200,9 +200,6 @@ func TestClaimReleasedAfterRecoveredStore(t *testing.T) {
 	if w := p.Device().Load(p.Geometry().ClientClaimAddr(victim.ID())); w != 0 {
 		t.Fatalf("claim word %#x left behind by a finished pass", w)
 	}
-	// The pass published the slot's free bit after the lessee took the slot:
-	// a stale accelerator bit, which the monitor's reconcile heals.
-	p.ReconcileSlotMap()
 	res := mustClean(t, p, "after the first pass")
 	if want := len(shared) + len(lesseeBlocks); res.AllocatedObjects != want {
 		t.Fatalf("%d objects allocated, want the survivor's %d and the lessee's %d",
@@ -293,9 +290,6 @@ func TestMonitorTickDuringPassOverHugeHeads(t *testing.T) {
 		if s := p.ClientStatus(victim.ID()); s != layout.ClientRecovered {
 			t.Fatalf("[%s] victim status %d, want RECOVERED", context, s)
 		}
-		// A tick's bitmap reconcile may have raced the pass's free-bit
-		// publication; the next reconcile heals it.
-		p.ReconcileSlotMap()
 		if res := mustClean(t, p, context); res.AllocatedObjects != len(shared) {
 			t.Fatalf("[%s] %d objects allocated, want the survivor's %d", context, res.AllocatedObjects, len(shared))
 		}

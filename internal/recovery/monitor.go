@@ -318,10 +318,6 @@ func (m *Monitor) Tick() {
 			m.scanLocked(seg)
 		}
 	}
-	// Reconcile the free-slot bitmap with the authoritative status words:
-	// heals the crash windows of half-finished claims and releases, so a
-	// few ticks after any crash the bitmap is exact again.
-	p.ReconcileSlotMap()
 	p.SweepQueueRegistry()
 	// Heartbeat one executor so observers see the recovery plane alive;
 	// borrowed, so an in-flight recovery worker never shares the client.

@@ -109,9 +109,8 @@ type Report struct {
 //     (header ← 0, slot ← 0) for step 4's scan to free, every other one is
 //     released by era transaction,
 //  4. scan and either free or abandon its segments,
-//  5. release the slot lease: clear the redo entry, scrub the era row,
-//     move the generation even, mark the slot recovered, and let the claim
-//     go.
+//  5. release the slot lease: clear the redo entry, move the generation
+//     even, mark the slot recovered, and let the claim go.
 //
 // Everything here is idempotent or guarded, so a recovery that itself
 // crashes can simply be re-run. Concurrent calls for independent clients
@@ -149,17 +148,26 @@ func (s *Service) recoverWith(exec *shm.Client, cid int) (Report, error) {
 	mx := exec.Metrics()
 	hugeFreed := mx.Get(obs.CtrFreeHuge)
 
-	// Step 2: redo decision and replay.
-	r.RedoNeeded = s.replayRedo(exec, cid)
+	// Step 2: redo decision and replay. The victim is fenced, so its era
+	// word holds from here on.
+	era := p.Device().Load(p.Geometry().EraAddr(cid, cid))
+	r.RedoNeeded = s.replayRedo(exec, cid, era)
 
 	// Step 3+4: walk the Global Segment Allocation Vec for segments owned by
 	// the dead client. RootRef pages are swept first (across all owned
-	// segments) so that segment scans see the final reference counts.
-	owned := s.ownedSegments(cid)
-	for _, seg := range owned {
-		if p.SegState(seg).State == layout.SegActive {
-			r.SweptRoots += s.sweepRootRefPages(exec, cid, seg)
+	// segments) so that segment scans see the final reference counts; one
+	// walk covers them all, seeded with the ACTIVE segments' state words.
+	owned, words := s.ownedSegments(cid)
+	var active []int
+	var activeW []uint64
+	for i, seg := range owned {
+		if layout.UnpackSegState(words[i]).State == layout.SegActive {
+			active, activeW = append(active, seg), append(activeW, words[i])
 		}
+	}
+	rs := p.NewRootSweep(cid, era, active, activeW)
+	for _, seg := range active {
+		r.SweptRoots += s.sweepRootRefPages(exec, rs, seg)
 	}
 
 	// Huge objects: free heads whose count is zero (interrupted allocation
@@ -196,19 +204,18 @@ func (s *Service) recoverWith(exec *shm.Client, cid int) (Report, error) {
 	// in the other order, a recovery pass that itself crashes between the
 	// two stores leaves a RECOVERED slot carrying a valid redo entry, which
 	// a later incarnation reusing the slot would inherit. The era row is
-	// scrubbed of stale witnesses next (only entries provably useless to
-	// any in-flight recovery — see Pool.ScrubEraRow), so the next lessee
-	// inherits a near-empty row. FinishSlotLease then moves the lease
-	// generation even *before* storing RECOVERED — a crash between the two
-	// leaves DEAD+even, which the monitor simply recovers again, whereas
-	// the opposite order could publish a claimable slot whose generation
-	// still says "leased". The claim goes last: a recoverer that takes it
-	// then reads RECOVERED (or a later incarnation's status), never the DEAD
-	// of this death. Every intermediate state is re-runnable, and a crash
-	// before the release leaves a claim that stays stealable once this
-	// executor is recovered.
+	// left as it is: each witness in it records a header that some
+	// incarnation of the slot read, which is true commit evidence whoever
+	// holds the slot next (DESIGN.md §4d). FinishSlotLease then moves the
+	// lease generation even *before* storing RECOVERED — a crash between
+	// the two leaves DEAD+even, which the monitor simply recovers again,
+	// whereas the opposite order could publish a claimable slot whose
+	// generation still says "leased". The claim goes last: a recoverer that
+	// takes it then reads RECOVERED (or a later incarnation's status), never
+	// the DEAD of this death. Every intermediate state is re-runnable, and a
+	// crash before the release leaves a claim that stays stealable once
+	// this executor is recovered.
 	p.ClearRedo(cid)
-	p.ScrubEraRow(cid)
 	p.FinishSlotLease(cid)
 	exec.ReleaseRecovery(cid)
 
@@ -238,8 +245,9 @@ func (s *Service) recoverWith(exec *shm.Client, cid int) (Report, error) {
 	return r, nil
 }
 
-// replayRedo implements the §4.3 recovery decision. Returns whether a
-// ModifyRef replay (or change-completion) was needed.
+// replayRedo implements the §4.3 recovery decision, given eraII, the fenced
+// client's era word. Returns whether a ModifyRef replay (or
+// change-completion) was needed.
 //
 // Redo entries are not cleared when their transaction closes (redo.go), so
 // the decision is era-gated first: every commit CAS is followed by an era
@@ -248,8 +256,10 @@ func (s *Service) recoverWith(exec *shm.Client, cid int) (Report, error) {
 // synchronous flag store) can need work only within two bumps of it. Acting
 // on an entry the client's era has moved past would replay a long-closed
 // transaction into possibly recycled words — the gate is what makes the
-// deferred invalidation safe.
-func (s *Service) replayRedo(exec *shm.Client, cid int) bool {
+// deferred invalidation safe. The entry logs the era's low half; its whole
+// era is the latest one at most Era[cid][cid] with that low half, and lag is
+// how many bumps it lies behind.
+func (s *Service) replayRedo(exec *shm.Client, cid int, eraII uint64) bool {
 	p := s.pool
 	geo := p.Geometry()
 	dev := p.Device()
@@ -257,20 +267,24 @@ func (s *Service) replayRedo(exec *shm.Client, cid int) bool {
 	if !ok {
 		return false
 	}
-	eraII := uint32(dev.Load(geo.EraAddr(cid, cid)))
+	txnEra, ok := layout.WidenEra(entry.Era, eraII)
+	if !ok {
+		return false // logged at no era this client has reached: not in flight
+	}
+	lag := eraII - txnEra
 
 	switch entry.Op {
 	case shm.OpAttach:
-		if eraII != entry.Era {
+		if lag != 0 {
 			return false // transaction closed; entry is stale
 		}
-		if ok, cond := s.committed(entry.Refed, cid, entry.Era, eraII); ok {
+		if ok, cond := s.committed(entry.Refed, cid, txnEra, entry.SavedCnt+1); ok {
 			dev.Store(entry.Ref, entry.Refed) // replay ModifyRef (idempotent)
 			s.traceReplay(cid, entry.Op, cond)
 			return true
 		}
 	case shm.OpRelease:
-		if eraII != entry.Era {
+		if lag != 0 {
 			return false // closed: the inline reclaim (if any) completed too
 		}
 		// A release that hit zero may have been cut short anywhere in its
@@ -281,15 +295,15 @@ func (s *Service) replayRedo(exec *shm.Client, cid int) bool {
 				p.FlagSegmentLeaking(seg)
 			}
 		}
-		if ok, cond := s.committed(entry.Refed, cid, entry.Era, eraII); ok {
+		if ok, cond := s.committed(entry.Refed, cid, txnEra, entry.SavedCnt-1); ok {
 			dev.Store(entry.Ref, 0) // replay ModifyRef (idempotent)
 			s.traceReplay(cid, entry.Op, cond)
 			return true
 		}
 	case shm.OpChange:
-		return s.replayChange(exec, cid, entry, eraII)
+		return s.replayChange(exec, cid, entry, txnEra, lag)
 	case shm.OpMove:
-		if eraII != entry.Era {
+		if lag != 0 {
 			return false
 		}
 		// A move has no ModifyRefCnt phase, so there is no commit evidence to
@@ -327,9 +341,10 @@ func (s *Service) traceReplay(cid int, op shm.Op, cond uint8) {
 	s.pool.Trace(obs.Event{Type: obs.EvRedoReplayed, Client: cid, A: uint64(op), B: uint64(cond)})
 }
 
-// replayChange completes an interrupted two-phase change (§5.4): the era was
-// bumped after each of the two CASes, so eraII tells which phase crashed.
-func (s *Service) replayChange(exec *shm.Client, cid int, e shm.RedoEntry, eraII uint32) bool {
+// replayChange completes an interrupted two-phase change (§5.4) logged at
+// txnEra: the era was bumped after each of the two CASes, so lag, the bumps
+// Era[cid][cid] has made since, tells which phase crashed.
+func (s *Service) replayChange(exec *shm.Client, cid int, e shm.RedoEntry, txnEra, lag uint64) bool {
 	p := s.pool
 	geo := p.Geometry()
 	dev := p.Device()
@@ -337,7 +352,7 @@ func (s *Service) replayChange(exec *shm.Client, cid int, e shm.RedoEntry, eraII
 	// a zero-count A was already stored by the client (synchronously after
 	// the second bump, before any later transaction could overwrite the
 	// entry) — the entry is stale debris; touch nothing.
-	if eraII > e.Era+2 {
+	if lag > 2 {
 		return false
 	}
 	// Phase 1's decrement may have dropped A to zero in any phase.
@@ -346,13 +361,13 @@ func (s *Service) replayChange(exec *shm.Client, cid int, e shm.RedoEntry, eraII
 			p.FlagSegmentLeaking(seg)
 		}
 	}
-	switch eraII {
-	case e.Era:
+	switch lag {
+	case 0:
 		// Crashed in phase 1. If the decrement of A committed, the client
 		// was headed for "ref points at B": complete with a fresh attach
 		// transaction (B was certainly not incremented yet — that CAS only
 		// runs after the first era bump).
-		if ok, cond := s.committed(e.Refed, cid, e.Era, eraII); ok {
+		if ok, cond := s.committed(e.Refed, cid, txnEra, e.SavedCnt-1); ok {
 			if err := exec.AttachReference(e.Ref, e.Refed2); err == nil {
 				s.traceReplay(cid, e.Op, cond)
 				return true
@@ -360,11 +375,11 @@ func (s *Service) replayChange(exec *shm.Client, cid int, e shm.RedoEntry, eraII
 		}
 		// Decrement never committed: the change never happened; ref still
 		// points at A. Nothing to do.
-	case e.Era + 1:
+	case 1:
 		// Crashed in phase 2: A's decrement definitely committed. If B's
 		// increment committed too, only the ModifyRef needs replaying;
 		// otherwise run the attach for the client.
-		if ok, cond := s.committed(e.Refed2, cid, e.Era+1, eraII); ok {
+		if ok, cond := s.committed(e.Refed2, cid, txnEra+1, e.SavedCnt2+1); ok {
 			dev.Store(e.Ref, e.Refed2)
 			s.traceReplay(cid, e.Op, cond)
 		} else if err := exec.AttachReference(e.Ref, e.Refed2); err != nil {
@@ -380,30 +395,33 @@ func (s *Service) replayChange(exec *shm.Client, cid int, e shm.RedoEntry, eraII
 	return false
 }
 
-// committed decides whether the dead client's CAS at era txnEra on object lo
-// took effect: Condition 1 (the header still carries it) checked strictly
-// before Condition 2 (some other client has seen that era). Published
-// (cid, era) pairs are unique to one commit, so there are no false
-// positives; the paper proves the two conditions sufficient. The second
+// committed decides whether the dead client's CAS at era txnEra on object lo,
+// which would have left the count wrote, took effect: Condition 1 (the header
+// still carries it) checked strictly before Condition 2 (some other client
+// has seen that era). Published (cid, era) pairs are unique to one commit, so
+// there are no false positives; the paper proves the two conditions
+// sufficient. A header keeps only the era's low half, which also names the
+// eras k·2³² before txnEra; the count the CAS wrote tells those apart, as an
+// older commit of cid's left whatever count the logged CAS read. The second
 // return value names the deciding condition (1 or 2; 0 when not committed),
 // recorded in the recovery trace.
-func (s *Service) committed(lo layout.Addr, cid int, txnEra, eraII uint32) (bool, uint8) {
+func (s *Service) committed(lo layout.Addr, cid int, txnEra uint64, wrote uint16) (bool, uint8) {
 	p := s.pool
 	geo := p.Geometry()
 	dev := p.Device()
 	hdr := layout.UnpackHeader(dev.Load(lo + layout.HeaderOff))
-	if int(hdr.LCID) == cid && hdr.LEra == txnEra {
+	if int(hdr.LCID) == cid && hdr.LEra == uint32(txnEra) && hdr.RefCnt == wrote {
 		return true, 1 // Condition 1
 	}
 	// The paper fences between the two checks. x86-TSO orders a load before
 	// later loads, and a witness is stored before the (locked) header CAS
 	// that overwrote (cid, txnEra), so the loads below see it.
-	var maxSeen uint32
+	var maxSeen uint64
 	for j := 1; j <= geo.MaxClients; j++ {
 		if j == cid {
 			continue
 		}
-		if e := uint32(dev.Load(geo.EraAddr(j, cid))); e > maxSeen {
+		if e := dev.Load(geo.EraAddr(j, cid)); e > maxSeen {
 			maxSeen = e
 		}
 	}
@@ -413,33 +431,34 @@ func (s *Service) committed(lo layout.Addr, cid int, txnEra, eraII uint32) (bool
 	return false, 0
 }
 
-// ownedSegments lists segments whose state word carries the dead client's ID.
-func (s *Service) ownedSegments(cid int) []int {
+// ownedSegments lists segments whose state word carries the dead client's
+// ID, with those words.
+func (s *Service) ownedSegments(cid int) (owned []int, words []uint64) {
 	p := s.pool
-	var owned []int
+	dev := p.Device()
 	for i := 0; i < p.Geometry().NumSegments; i++ {
-		st := p.SegState(i)
+		w := dev.Load(p.Geometry().SegStateAddr(i))
+		st := layout.UnpackSegState(w)
 		if int(st.CID) != cid {
 			continue
 		}
 		switch st.State {
 		case layout.SegActive, layout.SegHugeHead, layout.SegHugeBody:
-			owned = append(owned, i)
+			owned, words = append(owned, i), append(words, w)
 		}
 	}
-	return owned
+	return owned, words
 }
 
-// sweepRootRefPages releases every reference recorded in dead client cid's
+// sweepRootRefPages releases every reference recorded in the dead client's
 // RootRef pages within segment seg (paper §5.1: "use the content in and only
-// in these pages"), dropping the last references into cid's own ACTIVE
-// segments (shm.RootSweep.Victim).
-func (s *Service) sweepRootRefPages(exec *shm.Client, cid, seg int) int {
+// in these pages"), on the pass's walk rs, which drops the last references
+// into the client's own ACTIVE segments.
+func (s *Service) sweepRootRefPages(exec *shm.Client, rs *shm.RootSweep, seg int) int {
 	p := s.pool
 	geo := p.Geometry()
 	dev := p.Device()
 	swept := 0
-	rs := shm.RootSweep{Victim: cid}
 	numPages := int(dev.Load(geo.SegNextPageAddr(seg)))
 	if numPages > geo.PagesPerSegment {
 		numPages = geo.PagesPerSegment
@@ -456,7 +475,7 @@ func (s *Service) sweepRootRefPages(exec *shm.Client, cid, seg int) int {
 		base := geo.PageBase(seg, pg)
 		scanPos := min(max(dev.Load(geo.PageMetaAddr(seg, pg)+shm.PageMetaScanOff), base), base+layout.Addr(geo.PageWords))
 		for n := (scanPos - base) / layout.RootRefWords; n > 0; n-- {
-			if exec.SweepRootRefSlot(base+(n-1)*layout.RootRefWords, &rs) {
+			if exec.SweepRootRefSlot(base+(n-1)*layout.RootRefWords, rs) {
 				swept++
 			}
 		}

@@ -170,7 +170,7 @@ func (c *Client) malloc(dataBytes, embedRefs int) (layout.Addr, layout.Addr, err
 	c.h.Store(slot.addr+layout.MetaOff, metaW)
 	headerW := layout.PackHeader(layout.Header{
 		LCID:   uint16(c.cid),
-		LEra:   c.era,
+		LEra:   uint32(c.era),
 		RefCnt: 1,
 	})
 	c.h.Store(slot.addr+layout.HeaderOff, headerW)
@@ -596,7 +596,7 @@ func (c *Client) allocHuge(root layout.Addr, dataBytes, embedRefs int) (layout.A
 		BlockWords: totalWords,
 	}))
 	c.h.Store(block+layout.HeaderOff, layout.PackHeader(layout.Header{
-		LCID: uint16(c.cid), LEra: c.era, RefCnt: 1,
+		LCID: uint16(c.cid), LEra: uint32(c.era), RefCnt: 1,
 	}))
 	c.bumpEra()
 	c.loc[obs.CtrAllocHuge]++

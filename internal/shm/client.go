@@ -25,14 +25,18 @@ type Client struct {
 	gen uint64
 
 	// era is the cached value of Era[cid][cid] (the device word is the
-	// authoritative copy, written through on every bump).
-	era uint32
+	// authoritative copy, written through on every bump): a whole 64-bit
+	// era, of which headers and the redo commit word carry the low half.
+	era uint64
+	// logEra is the era of the last logged redo entry; bumpEra clears the
+	// entry once the era has run 2³¹ past it (redo.go).
+	logEra uint64
 	// eraRow caches Era[cid][j] for j != cid, avoiding a device load per
 	// observation; also written through. Populated lazily: eraKnown[j]
 	// says whether entry j was seeded from the device yet, so Connect
 	// costs O(1) device loads instead of M and a client only ever touches
 	// the columns of peers it actually interacts with.
-	eraRow   []uint32
+	eraRow   []uint64
 	eraKnown []bool
 
 	// classPages[c] lists this client's pages of size class c that may have
@@ -118,7 +122,7 @@ func (p *Pool) Connect() (*Client, error) {
 		geo:        geo,
 		cid:        cid,
 		gen:        gen,
-		eraRow:     make([]uint32, geo.MaxClients+1),
+		eraRow:     make([]uint64, geo.MaxClients+1),
 		eraKnown:   make([]bool, geo.MaxClients+1),
 		classPages: make([][]*ownedPage, len(geo.Classes)),
 		ownedBySeg: make([]*ownedSeg, geo.NumSegments),
@@ -131,11 +135,11 @@ func (p *Pool) Connect() (*Client, error) {
 	c.segCursor = ((cid - 1) * geo.NumSegments) / geo.MaxClients
 	c.hugeCursor = c.segCursor
 	// Continue the era sequence of the previous incarnation; start at 1 on a
-	// fresh slot (era 0 never appears in a committed header, so the all-zero
-	// matrix can't satisfy recovery's Condition 2 spuriously).
-	prev := uint32(p.dev.Load(geo.EraAddr(cid, cid)))
-	c.era = prev + 1
-	c.h.Store(geo.EraAddr(cid, cid), uint64(c.era))
+	// fresh slot (era 0 is never committed, so the all-zero matrix can't
+	// satisfy recovery's Condition 2 spuriously).
+	c.era = p.dev.Load(geo.EraAddr(cid, cid)) + 1
+	c.logEra = c.era
+	c.h.Store(geo.EraAddr(cid, cid), c.era)
 	// Continue this Pool's in-heap metrics shard for the cid, which outlives
 	// the Client: a slot re-leased through the same Pool publishes counts
 	// cumulative over its incarnations. A new process, or a new Pool on the
@@ -171,7 +175,7 @@ func (c *Client) Generation() uint64 { return c.gen }
 func (c *Client) ID() int { return c.cid }
 
 // Era returns the client's current era (Era[cid][cid]).
-func (c *Client) Era() uint32 { return c.era }
+func (c *Client) Era() uint64 { return c.era }
 
 // SetBreakdown binds a Figure 7 cost view to this client's metrics and
 // enables full Malloc wall-time accounting.
@@ -279,9 +283,16 @@ func (c *Client) Crash() error { return c.Close() }
 // --- era matrix bookkeeping ---
 
 // observeEra implements lines 4–6 of Figure 4(c): record the largest era of
-// lcid this client has seen. Write-through with a local cache; row cid is
-// single-writer (this client), so the cache is exact.
-func (c *Client) observeEra(lcid uint16, lera uint32) {
+// lcid this client has seen, given lera, the low half of it that a header
+// word carries (read before this call). Write-through with a local cache;
+// row cid is single-writer (this client), so the cache is exact.
+//
+// The whole era is lera widened against cur, lcid's own era word read after
+// the header (a header's era is at most its writer's current one): loaded
+// here when the caller passes 0. The load is skipped when lera repeats the
+// witness's low half, which is a header already witnessed (or one exactly
+// k·2³² eras later, DESIGN.md §4).
+func (c *Client) observeEra(lcid uint16, lera uint32, cur uint64) {
 	j := int(lcid)
 	if j <= 0 || j > c.geo.MaxClients || j == c.cid {
 		return
@@ -290,12 +301,18 @@ func (c *Client) observeEra(lcid uint16, lera uint32) {
 		// Lazy first touch: the row survives slot reuse and may hold the
 		// previous incarnation's witness entries, which must never travel
 		// backwards — seed the cache from the device before comparing.
-		c.eraRow[j] = uint32(c.h.Load(c.geo.EraAddr(c.cid, j)))
+		c.eraRow[j] = c.h.Load(c.geo.EraAddr(c.cid, j))
 		c.eraKnown[j] = true
 	}
-	if c.eraRow[j] < lera {
-		c.eraRow[j] = lera
-		c.h.Store(c.geo.EraAddr(c.cid, j), uint64(lera))
+	if uint32(c.eraRow[j]) == lera {
+		return
+	}
+	if cur == 0 {
+		cur = c.h.Load(c.geo.EraAddr(j, j))
+	}
+	if e, ok := layout.WidenEra(lera, cur); ok && e > c.eraRow[j] {
+		c.eraRow[j] = e
+		c.h.Store(c.geo.EraAddr(c.cid, j), e)
 	}
 }
 
@@ -305,7 +322,10 @@ func (c *Client) observeEra(lcid uint16, lera uint32) {
 // 1 and 2 rely on that uniqueness).
 func (c *Client) bumpEra() {
 	c.era++
-	c.h.Store(c.geo.EraAddr(c.cid, c.cid), uint64(c.era))
+	c.h.Store(c.geo.EraAddr(c.cid, c.cid), c.era)
+	if c.era-c.logEra == 1<<31 {
+		c.clearRedo() // see redo.go: the entry's era field is about to alias
+	}
 	c.loc[obs.CtrEraBump]++
 	if c.pubTick++; c.pubTick >= pubEvery {
 		c.publishMetrics()

@@ -54,12 +54,12 @@ func (c *Client) AttachReference(ref, refed layout.Addr) error {
 			}
 			return ErrRefCountOverflow
 		}
-		c.observeEra(saved.LCID, saved.LEra) // lines 4-6
+		c.observeEra(saved.LCID, saved.LEra, 0) // lines 4-6
 		c.logRedo(RedoEntry{
-			Op: OpAttach, Era: c.era, Ref: ref, Refed: refed, SavedCnt: saved.RefCnt,
+			Op: OpAttach, Era: uint32(c.era), Ref: ref, Refed: refed, SavedCnt: saved.RefCnt,
 		})
 		newW := layout.PackHeader(layout.Header{
-			LCID: uint16(c.cid), LEra: c.era, RefCnt: saved.RefCnt + 1,
+			LCID: uint16(c.cid), LEra: uint32(c.era), RefCnt: saved.RefCnt + 1,
 		})
 		c.loc[obs.CtrCASAttempt]++
 		if c.h.CAS(refed+layout.HeaderOff, savedW, newW) {
@@ -133,7 +133,7 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, elideModify bool, hdrW, 
 			return 0, false, ErrStaleReference
 		}
 		if drop && saved.RefCnt == 1 {
-			if c.dropLastRef(refed, savedW) {
+			if c.dropLastRef(refed, savedW, 0) {
 				if m := c.metaOf(bs, refed); m.EmbedCnt == 0 {
 					c.reclaimRaw(refed, m, op, bs, 0, true)
 				} else {
@@ -143,13 +143,13 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, elideModify bool, hdrW, 
 			}
 		} else {
 			drop = false
-			c.observeEra(saved.LCID, saved.LEra)
+			c.observeEra(saved.LCID, saved.LEra, 0)
 			c.logRedo(RedoEntry{
-				Op: OpRelease, Era: c.era, Ref: ref, Refed: refed, SavedCnt: saved.RefCnt,
+				Op: OpRelease, Era: uint32(c.era), Ref: ref, Refed: refed, SavedCnt: saved.RefCnt,
 			})
 			newCnt = saved.RefCnt - 1
 			newW := layout.PackHeader(layout.Header{
-				LCID: uint16(c.cid), LEra: c.era, RefCnt: newCnt,
+				LCID: uint16(c.cid), LEra: uint32(c.era), RefCnt: newCnt,
 			})
 			c.loc[obs.CtrCASAttempt]++
 			if c.h.CAS(refed+layout.HeaderOff, savedW, newW) {
@@ -212,11 +212,11 @@ func (c *Client) releaseTxnMode(ref, refed layout.Addr, elideModify bool, hdrW, 
 // (§4.3). Nothing is published, so era uniqueness is untouched. A crash after
 // the CAS leaves an allocated block at count 0 under lcid 0, which reads as
 // dead: the block's owner's recovery (or, for a recovery pass, the same pass)
-// scans its ACTIVE segment and frees it (DESIGN.md §4c). Reports whether the
-// CAS took; a lost one means the count moved.
-func (c *Client) dropLastRef(block layout.Addr, hdrW uint64) bool {
+// scans its ACTIVE segment and frees it (DESIGN.md §4c). cur is as for
+// observeEra. Reports whether the CAS took; a lost one means the count moved.
+func (c *Client) dropLastRef(block layout.Addr, hdrW, cur uint64) bool {
 	hdr := layout.UnpackHeader(hdrW)
-	c.observeEra(hdr.LCID, hdr.LEra)
+	c.observeEra(hdr.LCID, hdr.LEra, cur)
 	c.loc[obs.CtrCASAttempt]++
 	if c.h.CAS(block+layout.HeaderOff, hdrW, 0) {
 		return true
@@ -249,7 +249,7 @@ func (c *Client) moveRef(dst, src, target, displaced layout.Addr) error {
 	if c.h.Fenced() {
 		return ErrFenced
 	}
-	e := RedoEntry{Op: OpMove, Era: c.era, Ref: dst, Refed: target, Refed2: src}
+	e := RedoEntry{Op: OpMove, Era: uint32(c.era), Ref: dst, Refed: target, Refed2: src}
 	if displaced != 0 {
 		e.SavedCnt = MoveLink
 	}
@@ -287,13 +287,13 @@ func (c *Client) ChangeReference(ref, a, b layout.Addr) error {
 		if saved.RefCnt == 0 {
 			return ErrStaleReference
 		}
-		c.observeEra(saved.LCID, saved.LEra)
+		c.observeEra(saved.LCID, saved.LEra, 0)
 		c.logRedo(RedoEntry{
-			Op: OpChange, Era: c.era, Ref: ref, Refed: a, SavedCnt: saved.RefCnt, Refed2: b,
+			Op: OpChange, Era: uint32(c.era), Ref: ref, Refed: a, SavedCnt: saved.RefCnt, Refed2: b,
 		})
 		newCntA = saved.RefCnt - 1
 		newW := layout.PackHeader(layout.Header{
-			LCID: uint16(c.cid), LEra: c.era, RefCnt: newCntA,
+			LCID: uint16(c.cid), LEra: uint32(c.era), RefCnt: newCntA,
 		})
 		c.loc[obs.CtrCASAttempt]++
 		if c.h.CAS(a+layout.HeaderOff, savedW, newW) {
@@ -317,10 +317,10 @@ func (c *Client) ChangeReference(ref, a, b layout.Addr) error {
 		if saved.RefCnt == layout.MaxRefCount {
 			return ErrRefCountOverflow
 		}
-		c.observeEra(saved.LCID, saved.LEra)
+		c.observeEra(saved.LCID, saved.LEra, 0)
 		c.relogSavedCnt2(saved.RefCnt)
 		newW := layout.PackHeader(layout.Header{
-			LCID: uint16(c.cid), LEra: c.era, RefCnt: saved.RefCnt + 1,
+			LCID: uint16(c.cid), LEra: uint32(c.era), RefCnt: saved.RefCnt + 1,
 		})
 		c.loc[obs.CtrCASAttempt]++
 		if c.h.CAS(b+layout.HeaderOff, savedW, newW) {
@@ -504,35 +504,51 @@ func (c *Client) ChangeEmbed(block layout.Addr, idx int, target layout.Addr) err
 	return c.ChangeReference(ea, cur, target)
 }
 
-// PushEmbed links the object root holds into a list at embedded reference
-// idx of the block holder spans — a list's head word or any element's next;
-// the kv insert of §6.4 links a record at its key's place in a chain. head,
-// the reference that word holds now, goes into the object's embed 0, the
-// word takes the object, and root's counted reference moves into that word
-// — one move transaction (moveRef, head displaced), no header access, no
-// count changed — then root's slot is freed. The holder's embed count comes
-// from the span and head from the caller, so neither is loaded again. root
-// must be the object's only RootRef clone (local count 1), and the object's
-// embed 0 must be unset, as a fresh Malloc with an embedded reference leaves
-// it. Single-writer: only this client may write holder's embedded reference
-// idx, and head must be what it last read there.
-func (c *Client) PushEmbed(holder Span, idx int, head, root layout.Addr) error {
-	if idx < 0 || idx >= holder.embeds {
+// Fresh is an object as MallocFresh leaves it: its one RootRef, Root, and
+// the writable span of its data area, whose embedded references no
+// transaction has set yet. PushEmbed takes only a Fresh, which is how it
+// knows the object's embed 0 is unset without loading it.
+type Fresh struct {
+	WriteSpan
+	Root layout.Addr
+}
+
+// MallocFresh is Malloc for an object that PushEmbed will link: the same
+// allocation, returned as a Fresh.
+func (c *Client) MallocFresh(dataBytes, embedRefs int) (Fresh, error) {
+	root, block, err := c.Malloc(dataBytes, embedRefs)
+	if err != nil {
+		return Fresh{}, err
+	}
+	return Fresh{c.WriteSpan(block), root}, nil
+}
+
+// PushEmbed links obj into a list at embedded reference idx of the block
+// holder spans — a list's head word or any element's next; the kv insert of
+// §6.4 links a record at its key's place in a chain. head, the reference that
+// word holds now, goes into obj's embed 0, the word takes obj, and the
+// counted reference of obj's RootRef moves into that word — one move
+// transaction (moveRef, head displaced), no header access, no count changed
+// — then the RootRef's slot is freed. The embed counts come from the spans
+// and head from the caller, so nothing is loaded again. obj must have an
+// embedded reference and its RootRef must be unshared (local count 1); its
+// embed 0 is unset by construction, as MallocFresh left it. Single-writer:
+// only this client may write holder's embedded reference idx, and head must
+// be what it last read there.
+func (c *Client) PushEmbed(holder Span, idx int, head layout.Addr, obj Fresh) error {
+	if idx < 0 || idx >= holder.embeds || obj.embeds == 0 {
 		return ErrBadEmbedIndex
 	}
-	op, rs, cnt, obj := c.resolveRoot(root)
-	if cnt == 0 || obj == 0 {
+	op, rs, cnt, target := c.resolveRoot(obj.Root)
+	if cnt == 0 || target != obj.Block() {
 		return ErrStaleReference
 	}
 	if cnt != 1 {
 		return ErrRootCloned
 	}
-	if c.metaOf(c.blockRef(obj), obj).EmbedCnt == 0 || c.h.Load(obj+layout.DataOff) != 0 {
-		return ErrBadEmbedIndex
-	}
-	if err := c.moveRef(holder.data+layout.Addr(idx), root+layout.RootRefPptrOff, obj, head); err != nil {
+	if err := c.moveRef(holder.data+layout.Addr(idx), obj.Root+layout.RootRefPptrOff, target, head); err != nil {
 		return err
 	}
-	c.freeRootRefSlot(op, rs, root)
+	c.freeRootRefSlot(op, rs, obj.Root)
 	return nil
 }

@@ -11,7 +11,7 @@ import (
 // Access-budget regression tests: the fast paths' cost is counted in device
 // words touched per operation, the cost that carries over to real CXL
 // hardware, so it is pinned here as budgets about 5 % over the measured steady
-// state (malloc 7.17, free 5.03, send+receive+release 30.02 on both
+// state (malloc 7.17, free 5.03, send+receive+release 32.02 on both
 // backends), so a regression that reintroduces per-op metadata traffic trips
 // them immediately. `go test -v -run TestDeviceAccessBudget`
 // prints the measured counts.
@@ -116,8 +116,8 @@ func TestDeviceAccessBudget(t *testing.T) {
 		}
 	})
 	t.Logf("send+receive+release %.3f device accesses/op", trioCost)
-	if trioCost > 31.5 {
-		t.Errorf("send+receive+release touches %.2f device words, budget 31.5", trioCost)
+	if trioCost > 33.6 {
+		t.Errorf("send+receive+release touches %.2f device words, budget 33.6", trioCost)
 	}
 }
 

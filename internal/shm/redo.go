@@ -5,7 +5,8 @@ import "repro/internal/layout"
 // Redo log (paper §3.3, §4.3). Each client owns a fixed redo area in its
 // ClientLocalState holding at most one in-flight era transaction:
 //
-//	word 0: valid bit (63) | op (62:56) | era at log time (55:24)
+//	word 0: valid bit (63) | op (62:56) | low 32 bits of the era at log
+//	        time (55:24)
 //	        | saved reference count of refed (15:0; a move's MoveLink flag)
 //	word 1: ref   — address of the reference word (ModifyRef target)
 //	word 2: refed — address of the object whose count is modified
@@ -26,7 +27,15 @@ import "repro/internal/layout"
 // live one (eraII still at the logged era, or within the bump distance of a
 // change) without the extra invalidation store per transaction. Recovery
 // still clears the entry before publishing RECOVERED, and Connect clears
-// defensively, so an entry can never leak across incarnations. Only the
+// defensively, so an entry can never leak across incarnations.
+//
+// The entry keeps the era's low 32 bits; recovery widens them against
+// Era[cid][cid] (layout.WidenEra), exact for any entry within 2³² eras of
+// it. A client whose eras run on with no logged transaction (a malloc bumps,
+// an owner's drop logs nothing) would carry an old entry to exactly 2³² eras
+// later, where it reads as in flight again, so bumpEra clears an entry once
+// the era is 2³¹ past it: no transaction is in flight then (one spans at
+// most two bumps), and one store per 2³¹ eras costs nothing. Only the
 // owning client writes the area; the recovery service reads it only after
 // the owner is RAS-fenced.
 
@@ -64,7 +73,8 @@ const (
 	redoCntMask  = uint64(0xffff)
 )
 
-// RedoEntry is the decoded form of a client's redo area.
+// RedoEntry is the decoded form of a client's redo area. Era is the low half
+// of the era at log time (see the file comment).
 type RedoEntry struct {
 	Op        Op
 	Era       uint32
@@ -102,6 +112,7 @@ func (c *Client) logRedo(e RedoEntry) {
 		c.h.Store(base+4, uint64(e.SavedCnt2))
 	}
 	c.h.Store(base, packRedoCommit(e.Op, e.Era, e.SavedCnt))
+	c.logEra = c.era
 }
 
 // relogSavedCnt2 refreshes the phase-2 saved count of a change transaction
@@ -112,8 +123,7 @@ func (c *Client) relogSavedCnt2(cnt uint16) {
 
 // clearRedo invalidates the entry. Not part of any transaction close (the
 // era distance does that job, see the file comment); called defensively by
-// Connect and before publishing a page-burst-visible state change that the
-// stale entry could be misread against.
+// Connect, and by bumpEra 2³¹ eras after the entry was logged.
 func (c *Client) clearRedo() {
 	c.h.Store(c.geo.ClientRedoBase(c.cid), 0)
 }

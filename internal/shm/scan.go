@@ -197,22 +197,52 @@ type scanScratch struct {
 }
 
 // RootSweep is what one walk of SweepRootRefSlot calls over a dead client's
-// RootRef slots remembers from root to root; the zero value starts a walk. It
-// is the last target segment seen ACTIVE under a dead owner and its state
+// RootRef slots remembers from root to root; the zero value starts a walk
+// (a segment scan's own sweep), NewRootSweep a recovery pass's. seg and goneW
+// are the last target segment seen ACTIVE under a dead owner and its state
 // word. That verdict holds for the rest of the walk: the segment's only way
-// out is → ABANDONED → FREE, and every later target there is pinned allocated
-// by the very root being swept. (If another executor abandons the segment
-// meanwhile, a free this walk then makes into it goes unflagged, for the
-// monitor's backstop to find.)
+// out is → ABANDONED → FREE, and every later target there is pinned
+// allocated by the very root being swept. (If another executor abandons the
+// segment meanwhile, a free this walk then makes into it goes unflagged, for
+// the monitor's backstop to find.)
 //
-// Victim is the dead client whose recovery pass runs the walk, 0 for none (a
-// segment scan's own sweep). A last reference into Victim's own ACTIVE
-// segment is dropped rather than released: that segment's scan is still
-// ahead in the same pass, and it frees the block.
+// A recovery pass's walk knows its victim, the dead client whose pass runs
+// it. A last reference into the victim's own ACTIVE segment is dropped rather
+// than released: that segment's scan is still ahead in the same pass, and it
+// frees the block. The victim is fenced and its pass holds the claim, so what
+// the pass read after the fence holds for the whole walk: the victim's era
+// word and the state words of the segments it owns ACTIVE. No one but the
+// pass writes those segments' page metas either, so a page's free and bump
+// pointers are read once, when a target first lies in the page.
 type RootSweep struct {
-	Victim int
+	victim int
+	era    uint64 // the victim's era word
 	seg    int
 	goneW  uint64
+	active []sweepSeg // by segment: the victim's ACTIVE ones, else zero
+}
+
+// sweepSeg is a victim's ACTIVE segment's state word and its pages' free and
+// bump pointers, each page's read once.
+type sweepSeg struct {
+	w     uint64
+	pages []sweepPage
+}
+
+type sweepPage struct {
+	free, scan layout.Addr
+	read       bool
+}
+
+// NewRootSweep begins a recovery pass's walk over victim's RootRef slots
+// (RootSweep): era is victim's era word, active the segments it owns ACTIVE
+// and words their state words, all read by the pass after the fence.
+func (p *Pool) NewRootSweep(victim int, era uint64, active []int, words []uint64) *RootSweep {
+	rs := &RootSweep{victim: victim, era: era, active: make([]sweepSeg, p.geo.NumSegments)}
+	for k, seg := range active {
+		rs.active[seg] = sweepSeg{words[k], make([]sweepPage, p.geo.PagesPerSegment)}
+	}
+	return rs
 }
 
 // scanSegmentOnce runs one round of the scan. settled reports that its
@@ -236,7 +266,7 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) (r ScanReport, settled
 			r.Live++
 			return r, true
 		}
-		c.observeEra(hdr.LCID, hdr.LEra) // as for a paged block, below
+		c.observeEra(hdr.LCID, hdr.LEra, 0) // as for a paged block, below
 		// Zero refcount: either a completed-then-interrupted free or an
 		// interrupted allocation. Safe to reclaim when the owner is dead
 		// (nobody can be mid-operation) — the scan's caller guarantees that
@@ -350,7 +380,7 @@ func (c *Client) scanSegmentOnce(seg int, ownerDead bool) (r ScanReport, settled
 					// The free erases the header's (lcid, lera): perhaps a dead
 					// client's only evidence of a commit whose ModifyRef its
 					// recovery has yet to replay. Witness it (Condition 2).
-					c.observeEra(hdr.LCID, hdr.LEra)
+					c.observeEra(hdr.LCID, hdr.LEra, 0)
 					r.Reclaimed++
 					if ownerDead && m.EmbedCnt == 0 && m.Flags&layout.MetaHuge == 0 {
 						// A dead owner's plain block — most often one a
@@ -461,7 +491,7 @@ func (c *Client) scanFlaggedOwned() {
 //     block is still free, so only the slot is cleared.
 //   - target header refcount == 0: the allocation never initialized the
 //     count; the block is reclaimed by the segment scan, clear the slot.
-//   - refcount == 1 in an ACTIVE segment of rs.Victim: the last-reference
+//   - refcount == 1 in an ACTIVE segment of the walk's victim: the last-reference
 //     drop (dropLastRef, shared with the owner's drop) — header ← 0 by CAS,
 //     then the slot clear; no redo entry, no era bump, no free. The pass's scan of that segment, still ahead, finds an
 //     allocated block with count 0 and lcid 0 and frees it (DESIGN.md §4c).
@@ -488,7 +518,11 @@ func (c *Client) SweepRootRefSlot(slot layout.Addr, rs *RootSweep) bool {
 	}
 	var goneW uint64
 	if tseg := c.geo.SegmentIndexOf(pptr); tseg >= 0 {
-		if goneW = rs.goneW; goneW == 0 || rs.seg != tseg {
+		var as *sweepSeg
+		if rs.active != nil && rs.active[tseg].w != 0 {
+			as = &rs.active[tseg]
+			goneW = as.w
+		} else if goneW = rs.goneW; goneW == 0 || rs.seg != tseg {
 			goneW = c.pool.SegGoneWord(tseg)
 			rs.seg, rs.goneW = tseg, 0
 			if layout.UnpackSegState(goneW).State == layout.SegActive {
@@ -497,7 +531,17 @@ func (c *Client) SweepRootRefSlot(slot layout.Addr, rs *RootSweep) bool {
 		}
 		if tp := c.geo.PageIndexOf(tseg, pptr); tp >= 0 && goneW != 0 {
 			tmeta := c.geo.PageMetaAddr(tseg, tp)
-			if c.h.Load(tmeta+pmFree) == pptr || c.h.Load(tmeta+pmScan) == pptr {
+			inFlight := false
+			if as != nil {
+				pg := &as.pages[tp]
+				if !pg.read {
+					pg.free, pg.scan, pg.read = c.h.Load(tmeta+pmFree), c.h.Load(tmeta+pmScan), true
+				}
+				inFlight = pg.free == pptr || pg.scan == pptr
+			} else {
+				inFlight = c.h.Load(tmeta+pmFree) == pptr || c.h.Load(tmeta+pmScan) == pptr
+			}
+			if inFlight {
 				// In-flight allocation: the block never left the free
 				// pointer, so releasing would double-free (§5.1).
 				c.h.Store(slot, 0)
@@ -513,9 +557,13 @@ func (c *Client) SweepRootRefSlot(slot layout.Addr, rs *RootSweep) bool {
 		c.h.Store(slot, 0)
 		return true
 	}
-	if st := layout.UnpackSegState(goneW); hdr.RefCnt == 1 && rs.Victim != 0 &&
-		st.State == layout.SegActive && int(st.CID) == rs.Victim {
-		if c.dropLastRef(pptr, hdrW) {
+	if st := layout.UnpackSegState(goneW); hdr.RefCnt == 1 && rs.victim != 0 &&
+		st.State == layout.SegActive && int(st.CID) == rs.victim {
+		var cur uint64 // the header's writer's era word, when the walk holds it
+		if int(hdr.LCID) == rs.victim {
+			cur = rs.era
+		}
+		if c.dropLastRef(pptr, hdrW, cur) {
 			c.h.Store(slot, 0)
 			return true
 		}

@@ -380,37 +380,42 @@ func TestChangeEmbedFreesOldTarget(t *testing.T) {
 // TestPushEmbedLinksWithoutCounting: PushEmbed moves a fresh object's one
 // reference from its RootRef into a holder's embedded reference, linking the
 // object the holder named into the new object's embed 0 — every count stays
-// 1 — and refuses a cloned RootRef, an object whose embed 0 is set or absent,
-// and a fenced client.
+// 1 — and refuses a cloned RootRef, an object without an embedded reference,
+// an object pushed already, and a fenced client. (An object whose embed 0 is
+// set cannot reach it: PushEmbed takes only MallocFresh's objects.)
 func TestPushEmbedLinksWithoutCounting(t *testing.T) {
 	p := newTestPool(t)
 	c := connect(t, p)
 	_, holder, _ := c.Malloc(64, 2)
-	rootA, a, _ := c.Malloc(32, 1)
-	rootB, b, _ := c.Malloc(32, 1)
+	objA, _ := c.MallocFresh(32, 1)
+	objB, _ := c.MallocFresh(32, 1)
+	a, b := objA.Block(), objB.Block()
 	hs := c.Span(holder)
-	if err := c.PushEmbed(hs, 2, 0, rootA); err != shm.ErrBadEmbedIndex {
+	if err := c.PushEmbed(hs, 2, 0, objA); err != shm.ErrBadEmbedIndex {
 		t.Fatalf("push into embed 2 of a 2-embed holder: %v, want ErrBadEmbedIndex", err)
 	}
-	c.CloneRoot(rootA)
-	if err := c.PushEmbed(hs, 1, 0, rootA); err != shm.ErrRootCloned {
+	c.CloneRoot(objA.Root)
+	if err := c.PushEmbed(hs, 1, 0, objA); err != shm.ErrRootCloned {
 		t.Fatalf("push of a cloned root: %v, want ErrRootCloned", err)
 	}
-	if _, err := c.ReleaseRoot(rootA); err != nil {
+	if _, err := c.ReleaseRoot(objA.Root); err != nil {
 		t.Fatal(err)
 	}
-	rootP, _, _ := c.Malloc(32, 0)
-	if err := c.PushEmbed(hs, 1, 0, rootP); err != shm.ErrBadEmbedIndex {
+	objP, _ := c.MallocFresh(32, 0)
+	if err := c.PushEmbed(hs, 1, 0, objP); err != shm.ErrBadEmbedIndex {
 		t.Fatalf("push of an object without embeds: %v, want ErrBadEmbedIndex", err)
 	}
-	if _, err := c.ReleaseRoot(rootP); err != nil {
+	if _, err := c.ReleaseRoot(objP.Root); err != nil {
 		t.Fatal(err)
 	}
 
-	if err := c.PushEmbed(hs, 1, 0, rootA); err != nil {
+	if err := c.PushEmbed(hs, 1, 0, objA); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PushEmbed(hs, 1, a, rootB); err != nil {
+	if err := c.PushEmbed(hs, 1, a, objA); err != shm.ErrStaleReference {
+		t.Fatalf("second push of one object: %v, want ErrStaleReference", err)
+	}
+	if err := c.PushEmbed(hs, 1, a, objB); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := c.LoadEmbed(holder, 1); got != b {
@@ -429,16 +434,11 @@ func TestPushEmbedLinksWithoutCounting(t *testing.T) {
 	}
 	mustValidate(t, p)
 
-	rootD, d, _ := c.Malloc(32, 1)
-	c.StoreWord(d, 0, a) // a raw store: d's embed 0 now reads set
-	if err := c.PushEmbed(hs, 0, 0, rootD); err != shm.ErrBadEmbedIndex {
-		t.Fatalf("push of an object whose embed 0 is set: %v, want ErrBadEmbedIndex", err)
-	}
-	c.StoreWord(d, 0, 0)
+	objD, _ := c.MallocFresh(32, 1)
 	if err := p.MarkClientDead(c.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PushEmbed(hs, 0, 0, rootD); err != shm.ErrFenced {
+	if err := c.PushEmbed(hs, 0, 0, objD); err != shm.ErrFenced {
 		t.Fatalf("push by a fenced client: %v, want ErrFenced", err)
 	}
 }
@@ -823,12 +823,12 @@ func TestEraAdvancesPerCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	objRoot, _, err := c.Malloc(16, 1)
+	obj, err := c.MallocFresh(16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e4 := c.Era()
-	if err := c.PushEmbed(c.Span(holder), 0, 0, objRoot); err != nil {
+	if err := c.PushEmbed(c.Span(holder), 0, 0, obj); err != nil {
 		t.Fatal(err)
 	}
 	if c.Era() != e4+1 {
@@ -948,4 +948,44 @@ func releaseAllRootsPointingAt(t *testing.T, p *shm.Pool, c *shm.Client, target 
 			}
 		}
 	}
+}
+
+// TestWitnessCarriesWholeEra: a header keeps only the low half of its
+// writer's era, and a client that reads it witnesses the whole era. x starts
+// just below 2³² and allocates past the line; o witnesses each allocation
+// by attaching to it, and its era-matrix word for x must read the 64-bit era
+// the header was written at, above 2³² once x has crossed.
+func TestWitnessCarriesWholeEra(t *testing.T) {
+	p := newTestPool(t)
+	geo := p.Geometry()
+	const cid = 1 // a fresh pool's first Connect takes slot 1
+	p.Device().Store(geo.EraAddr(cid, cid), layout.MaxEra-2)
+	x, o := connect(t, p), connect(t, p)
+	if x.ID() != cid {
+		t.Fatalf("first Connect took slot %d, want %d", x.ID(), cid)
+	}
+	for i := 0; i < 6; i++ {
+		era := x.Era()
+		r, b, err := x.Malloc(32, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		or, err := o.AttachRoot(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Device().Load(geo.EraAddr(o.ID(), cid)); got != era {
+			t.Fatalf("allocation %d: o's witness of x reads %d, want the header's era %d", i, got, era)
+		}
+		if _, err := o.ReleaseRoot(or); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.ReleaseRoot(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if x.Era() <= layout.MaxEra {
+		t.Fatalf("x's era %d never crossed 2³²", x.Era())
+	}
+	mustValidate(t, p)
 }

@@ -152,7 +152,6 @@ func runSlotChurn(t *testing.T, backend string) {
 
 	// Settle and validate: every slot was released through recovery, so the
 	// pool must be claimable end to end and fsck-clean with zero objects.
-	p.ReconcileSlotMap()
 	res := check.Validate(p)
 	if !res.Clean() {
 		t.Fatalf("pool not clean after churn: %v", res.Issues)

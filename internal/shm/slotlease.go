@@ -4,14 +4,20 @@ package shm
 // from MaxClients. A client slot is leased, not merely claimed: the
 // free-slot bitmap (layout.SlotMapBase) lets Connect find a candidate in
 // O(1) device reads instead of an O(M) status scan, and the per-slot
-// generation word (layout.SlotGenBase) stamps each lease so stale handles,
-// stale bitmap bits, and half-finished transitions are all detectable.
+// generation word (layout.SlotGenBase) stamps each lease so stale handles
+// and half-finished transitions are detectable.
 //
 // Protocol invariants:
 //
-//   - The status word stays authoritative. The bitmap is an accelerator:
-//     a set bit means "probably claimable"; the claim commit point is the
-//     status CAS (FREE/RECOVERED → ALIVE), never the bitmap.
+//   - The status word is the only authority on a lease. The bitmap is an
+//     accelerator that may be wrong either way: a set bit means "probably
+//     claimable", and the claim commit point is the status CAS
+//     (FREE/RECOVERED → ALIVE), never the bitmap. A set bit over a leased
+//     slot costs its next claimer one failed CAS, which clears it. A clear
+//     bit over a claimable slot hides the slot until a Connect finds the
+//     bitmap empty and falls back to the status scan, which sets the bit of
+//     every claimable slot it passes. Nothing else keeps the bitmap, and
+//     fsck does not check it.
 //   - Generation parity tracks the lease: odd while leased (ALIVE or DEAD),
 //     even while claimable (FREE or RECOVERED). Claim bumps even→odd after
 //     the status CAS; recovery bumps odd→even before publishing RECOVERED.
@@ -65,8 +71,30 @@ func (p *Pool) SlotGeneration(cid int) uint64 {
 // claimSlot finds and claims a claimable slot, returning its cid or 0 when
 // the pool is exhausted. The bitmap walk costs O(M/64) loads and — when the
 // bitmap is fresh — exactly one status CAS, independent of how many slots
-// are occupied; each stale bit costs one extra CAS to self-heal.
+// are occupied; each stale bit costs one extra CAS to clear. A walk that
+// finds nothing falls back to the status words, which are authoritative:
+// one O(M) scan sets the bit of every claimable slot (a bit lost to a crash
+// or a race comes back here), and a second walk claims one of them.
 func (p *Pool) claimSlot() int {
+	if cid := p.claimFromMap(); cid != 0 {
+		return cid
+	}
+	found := false
+	for cid := 1; cid <= p.geo.MaxClients; cid++ {
+		if s := p.ClientStatus(cid); s == layout.ClientSlotFree || s == layout.ClientRecovered {
+			p.publishSlotBit(cid)
+			found = true
+		}
+	}
+	if !found {
+		return 0
+	}
+	return p.claimFromMap()
+}
+
+// claimFromMap claims the first slot whose bitmap bit is set and whose
+// status CAS takes, clearing the bit of every slot it passes or takes.
+func (p *Pool) claimFromMap() int {
 	geo := p.geo
 	for w := 0; w < int(geo.SlotMapWords); w++ {
 		a := geo.SlotMapAddr(w)
@@ -77,24 +105,14 @@ func (p *Pool) claimSlot() int {
 			}
 			bit := bm & (^bm + 1) // lowest set bit
 			cid := w*64 + bits.TrailingZeros64(bm) + 1
-			if cid <= geo.MaxClients && p.tryClaimSlot(cid) {
-				// Retire the bit (best effort: the monitor's reconcile duty
-				// heals a lost race, and a stale set bit only costs the next
-				// claimer one failed CAS).
-				p.dev.CAS(a, bm, bm&^bit)
+			claimed := cid <= geo.MaxClients && p.tryClaimSlot(cid)
+			// Retire the bit, taken or stale (a lost race, or a bit beyond
+			// MaxClients). Best effort: losing this CAS leaves a stale set
+			// bit, which only costs the next claimer one failed CAS.
+			p.dev.CAS(a, bm, bm&^bit)
+			if claimed {
 				return cid
 			}
-			// Stale bit — the slot is not claimable (lost race, or a bit
-			// beyond MaxClients). Clear it so the next candidate surfaces.
-			p.dev.CAS(a, bm, bm&^bit)
-		}
-	}
-	// Fallback: crash windows can transiently hide a claimable slot from the
-	// bitmap (claimer died before recovery republished the bit). The status
-	// words are authoritative, so one O(M) scan settles exhaustion for real.
-	for cid := 1; cid <= geo.MaxClients; cid++ {
-		if p.tryClaimSlot(cid) {
-			return cid
 		}
 	}
 	return 0
@@ -134,7 +152,9 @@ func (p *Pool) stampLeaseGen(cid int) uint64 {
 // DEAD slot with an even generation, which the monitor simply recovers
 // again — the bump back is a no-op), then the status word to RECOVERED
 // (the commit point that makes the slot claimable), then the bitmap bit
-// (accelerator only). Called by the recovery service as its final step.
+// (accelerator only: a Connect that takes the slot in between leaves a
+// stale set bit, which costs the next claimer one failed CAS). Called by
+// the recovery service as its final step.
 func (p *Pool) FinishSlotLease(cid int) {
 	ga := p.geo.SlotGenAddr(cid)
 	if g := p.dev.Load(ga); g%2 == 1 {
@@ -257,69 +277,15 @@ func (p *Pool) SlotUnleased(cid int) bool {
 	return s == layout.ClientRecovered || s == layout.ClientSlotFree
 }
 
-// publishSlotBit sets cid's free-slot bitmap bit. Losing a CAS race to a
-// concurrent claimer or reconciler is fine — the bit is an accelerator.
+// publishSlotBit sets cid's free-slot bitmap bit. It only ever sets bits,
+// so it never hides a slot; a bit it sets on a slot claimed meanwhile costs
+// that slot's next claimer one failed CAS.
 func (p *Pool) publishSlotBit(cid int) {
 	a, bit := p.geo.SlotMapBit(cid)
 	for {
 		bm := p.dev.Load(a)
 		if bm&bit != 0 || p.dev.CAS(a, bm, bm|bit) {
 			return
-		}
-	}
-}
-
-// ReconcileSlotMap repairs the free-slot bitmap against the authoritative
-// status words: claimable slots (FREE/RECOVERED) get their bit set, leased
-// slots (ALIVE/DEAD) get it cleared. The monitor runs this every tick to
-// heal the crash windows between a claim's status CAS and its bitmap
-// update. Races with concurrent claims can re-stale a bit; the next
-// reconcile (or the claimer's own self-heal) fixes it.
-func (p *Pool) ReconcileSlotMap() {
-	geo := p.geo
-	for w := 0; w < int(geo.SlotMapWords); w++ {
-		var want uint64
-		for b := 0; b < 64; b++ {
-			cid := w*64 + b + 1
-			if cid > geo.MaxClients {
-				break
-			}
-			switch p.ClientStatus(cid) {
-			case layout.ClientSlotFree, layout.ClientRecovered:
-				want |= 1 << uint(b)
-			}
-		}
-		a := geo.SlotMapAddr(w)
-		if cur := p.dev.Load(a); cur != want {
-			p.dev.CAS(a, cur, want)
-		}
-	}
-}
-
-// ScrubEraRow zeroes the stale-evidence entries of dead client cid's era
-// row so the slot's next lessee inherits a near-empty row instead of the
-// previous incarnation's full witness history. An entry Era[cid][j] = e is
-// a recovery witness only for transactions of j with era ≤ e, and the only
-// redo entry of j that can still replay carries j's *current* era (older
-// entries are era-gated stale, redo.go); so once e is at least two eras
-// behind Era[j][j] — one era of margin for the bump-after-commit window —
-// the entry can never again be the deciding witness and is safe to drop.
-// Entries at or near j's current era are kept: they may be live evidence
-// for a concurrent recovery of j. Called with cid fenced (no new writes to
-// the row can race the scrub).
-func (p *Pool) ScrubEraRow(cid int) {
-	geo := p.geo
-	for j := 1; j <= geo.MaxClients; j++ {
-		if j == cid {
-			continue
-		}
-		a := geo.EraAddr(cid, j)
-		v := p.dev.Load(a)
-		if v == 0 {
-			continue
-		}
-		if v+2 < p.dev.Load(geo.EraAddr(j, j)) {
-			p.dev.Store(a, 0)
 		}
 	}
 }

@@ -30,6 +30,11 @@ import (
 // has meaningful state to damage.
 const corruptInjectAt = 20
 
+// eraMatrixBase is where the era-matrix trials start every slot's era: past
+// 2³², so each era word and witness a fault can land on is a whole era with
+// its high half set, and a flip or tear in either half changes a live era.
+const eraMatrixBase = 1 << 32
+
 // CorruptConfig tunes a corruption campaign.
 type CorruptConfig struct {
 	// Backend is the device backend: "heap" (default) or "mmap".
@@ -228,7 +233,11 @@ func runCorruptTrial(cfg CorruptConfig, region faultinject.Region, class faultin
 	}
 
 	corr := faultinject.NewCorruptor(region, class, seed)
-	e, err := setupWith(cfg.Backend, 0, cxl.Intercept{Write: corr.Hook})
+	setup := Config{Backend: cfg.Backend}
+	if region == faultinject.RegionEraMatrix {
+		setup.eraBase = eraMatrixBase
+	}
+	e, err := setupWith(setup, cxl.Intercept{Write: corr.Hook})
 	if err != nil {
 		return trial, err
 	}

@@ -49,9 +49,18 @@ type Config struct {
 	RecoveryAccess int
 	// Clients sizes the pool's client-slot table (0 = the default 8). The
 	// workload still drives the same scripted actors; a larger table checks
-	// that slot claims, heartbeat scans, and era-row scrubs stay correct —
+	// that slot claims, heartbeat scans and the era matrix stay correct —
 	// and crash positions reproducible — at attachment-scale geometry.
 	Clients int
+	// WrapEras is the wrap leg: every slot's era word starts wrapLead below
+	// 2³² (stored by the harness before anyone connects), so the script's
+	// transactions run across the line where a header's 32-bit lera wraps
+	// while the eras themselves go on.
+	WrapEras bool
+	// eraBase, when set, is what the harness stores in every slot's era word
+	// before anyone connects (WrapEras sets it; the corruption campaign's
+	// era-matrix trials set their own).
+	eraBase uint64
 	// Log, when set, receives progress lines.
 	Log func(format string, args ...any)
 }
@@ -63,6 +72,7 @@ type Violation struct {
 	Access         int
 	RecoveryAccess int // 0 for phase-A violations
 	Backend        string
+	WrapEras       bool
 	// Epoch names the deferred-publication epoch trigger (refill,
 	// heartbeat, scan, detach, ...) when one ran inside the crashed
 	// operation — the crash then landed before, during, or after a
@@ -85,7 +95,11 @@ func (v Violation) Repro() string {
 	if b == "" {
 		b = "heap"
 	}
-	return s + fmt.Sprintf("\" -backend %s", b)
+	s += fmt.Sprintf("\" -backend %s", b)
+	if v.WrapEras {
+		s += " -wrap"
+	}
+	return s
 }
 
 func (v Violation) String() string {
@@ -98,6 +112,13 @@ type Stats struct {
 	Positions         int // phase-A crash positions executed
 	RecoveryPositions int // phase-B crash positions executed
 }
+
+// wrapLead is how far below 2³² the wrap leg starts every slot's era. x then
+// crosses the line inside share-remote, just after o witnessed its attach
+// there, so x's releases in the ops after it run at eras whose low half is
+// below that witness's: a Condition 2 that compared low halves would call
+// them committed.
+const wrapLead = 64
 
 // hugeBytes spans 8 of the 16 sweep segments, so the second huge allocation
 // must recycle the first one's segments (the remaining free run is too
@@ -189,11 +210,11 @@ func sendOne(e *env) error { return sendFrom(e, e.x) }
 // pushOnParent allocates an object with one embedded reference and pushes it
 // at the head of the list in the embed-carrying parent's embed 1.
 func pushOnParent(e *env) error {
-	r, _, err := e.x.Malloc(32, 1)
+	obj, err := e.x.MallocFresh(32, 1)
 	if err != nil {
 		return err
 	}
-	return e.x.PushEmbed(e.x.Span(e.parent), 1, e.x.LoadWord(e.parent, 1), r)
+	return e.x.PushEmbed(e.x.Span(e.parent), 1, e.x.LoadWord(e.parent, 1), obj)
 }
 
 // receiveFrom takes the queue's next payload through c, notes its delivery
@@ -544,20 +565,29 @@ func positions(w, cap int) []int {
 // scripted clients and the recovery service, and returns the run env.
 // Connection order is fixed (x=1, o=2, executor=3) so write counts are
 // reproducible.
-func setup(backend string, clients int, sw *faultinject.AccessSweeper) (*env, error) {
-	return setupWith(backend, clients, cxl.Intercept{Access: sw.Hook})
+func setup(cfg Config, sw *faultinject.AccessSweeper) (*env, error) {
+	return setupWith(cfg, cxl.Intercept{Access: sw.Hook})
 }
 
 // setupWith is setup with an arbitrary device intercept — the corruption
 // campaign swaps the access sweeper for the write-fault corruptor.
-func setupWith(backend string, clients int, ic cxl.Intercept) (*env, error) {
+func setupWith(cfg Config, ic cxl.Intercept) (*env, error) {
 	p, err := shm.NewPool(shm.Config{
-		Geometry:  geometry(clients),
-		Backend:   backend,
+		Geometry:  geometry(cfg.Clients),
+		Backend:   cfg.Backend,
 		Intercept: ic,
 	})
 	if err != nil {
 		return nil, err
+	}
+	if cfg.WrapEras {
+		cfg.eraBase = 1<<32 - wrapLead
+	}
+	if cfg.eraBase != 0 {
+		geo := p.Geometry()
+		for cid := 1; cid <= geo.MaxClients; cid++ {
+			p.Device().Store(geo.EraAddr(cid, cid), cfg.eraBase)
+		}
 	}
 	e := &env{p: p, receipts: make(map[uint64]int)}
 	if e.x, err = p.Connect(); err != nil {
@@ -743,14 +773,14 @@ func Run(cfg Config) ([]Violation, Stats, error) {
 	// position's verdict is meaningless.
 	if cfg.Op == "" {
 		sw := faultinject.NewAccessSweeper()
-		e, err := setup(cfg.Backend, cfg.Clients, sw)
+		e, err := setup(cfg, sw)
 		if err != nil {
 			return nil, st, err
 		}
 		berr := replay(e, ops, len(ops))
-		v := Violation{Op: "baseline", Backend: cfg.Backend}
+		v := Violation{Op: "baseline", Backend: cfg.Backend, WrapEras: cfg.WrapEras}
 		if berr != nil {
-			vs = append(vs, Violation{Op: "baseline", Backend: cfg.Backend, Detail: berr.Error()})
+			vs = append(vs, Violation{Op: "baseline", Backend: cfg.Backend, WrapEras: cfg.WrapEras, Detail: berr.Error()})
 		} else {
 			vs = append(vs, finish(e, e.svc, v)...)
 		}
@@ -769,7 +799,7 @@ func Run(cfg Config) ([]Violation, Stats, error) {
 		// Counting pass: how many device writes does this op issue for its
 		// actor?
 		sw := faultinject.NewAccessSweeper()
-		e, err := setup(cfg.Backend, cfg.Clients, sw)
+		e, err := setup(cfg, sw)
 		if err != nil {
 			return vs, st, err
 		}
@@ -832,9 +862,9 @@ func Run(cfg Config) ([]Violation, Stats, error) {
 // runPosition is one phase-A story: replay to op k, crash its actor at write
 // j, recover, epilogue, fsck.
 func runPosition(cfg Config, ops []op, k, j int) ([]Violation, error) {
-	v := Violation{Op: ops[k].name, Access: j, Backend: cfg.Backend}
+	v := Violation{Op: ops[k].name, Access: j, Backend: cfg.Backend, WrapEras: cfg.WrapEras}
 	sw := faultinject.NewAccessSweeper()
-	e, err := setup(cfg.Backend, cfg.Clients, sw)
+	e, err := setup(cfg, sw)
 	if err != nil {
 		return nil, err
 	}
@@ -911,7 +941,7 @@ func runPosition(cfg Config, ops []op, k, j int) ([]Violation, error) {
 func sweepRecovery(cfg Config, ops []op, k int, logf func(string, ...any)) ([]Violation, int, error) {
 	// Counting pass for the recovery writes.
 	sw := faultinject.NewAccessSweeper()
-	e, err := setup(cfg.Backend, cfg.Clients, sw)
+	e, err := setup(cfg, sw)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -961,9 +991,9 @@ func sweepRecovery(cfg Config, ops []op, k int, logf func(string, ...any)) ([]Vi
 // recovers the executor first (replaying its interrupted transactions), then
 // the victim, then the usual epilogue and fsck.
 func runRecoveryPosition(cfg Config, ops []op, k, r int) ([]Violation, error) {
-	v := Violation{Op: ops[k].name, Access: 1, RecoveryAccess: r, Backend: cfg.Backend}
+	v := Violation{Op: ops[k].name, Access: 1, RecoveryAccess: r, Backend: cfg.Backend, WrapEras: cfg.WrapEras}
 	sw := faultinject.NewAccessSweeper()
-	e, err := setup(cfg.Backend, cfg.Clients, sw)
+	e, err := setup(cfg, sw)
 	if err != nil {
 		return nil, err
 	}
