@@ -639,7 +639,8 @@ func (v *validator) checkQueues() {
 // checkEraMatrix verifies the §4.3 observation invariant: no client can have
 // seen an era of client i beyond the era client i itself has published
 // (Era[j][i] <= Era[i][i]) — a violation would let recovery's Condition 2
-// "prove" commits that never happened.
+// "prove" commits that never happened. Every matrix word holds a whole 64-bit
+// era, which never wraps, so the words compare as they are.
 func (v *validator) checkEraMatrix() {
 	for i := 1; i <= v.geo.MaxClients; i++ {
 		own := v.load(v.geo.EraAddr(i, i))

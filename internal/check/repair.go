@@ -333,6 +333,9 @@ func (r *repairer) applyHints(v *validator) int {
 		}
 		r.relinkLostBlock(hint)
 	}
+	// An era is a whole 64-bit word that only grows: raising a client's own
+	// era to the highest witness of it restores Era[j][i] <= Era[i][i], and
+	// the client's next incarnation continues from there.
 	for cid, era := range h.eraRaise {
 		r.store(r.geo.EraAddr(cid, cid), era)
 		r.act("era-raise", r.geo.EraAddr(cid, cid),

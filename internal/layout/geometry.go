@@ -63,8 +63,9 @@ type Geometry struct {
 	// client slot (bit for cid at word (cid-1)/64, bit (cid-1)%64). A set
 	// bit means "probably claimable" — Connect uses it to find a candidate
 	// in O(1) device reads instead of an O(M) status scan. The status word
-	// is authoritative; stale bits are self-healed by claimers and the
-	// monitor's reconcile duty.
+	// is authoritative; a stale set bit is cleared by the claimer it
+	// misleads, and a lost one is set again by the status scan a Connect
+	// falls back to when the bitmap offers nothing.
 	SlotMapBase  Addr
 	SlotMapWords uint64
 	// SlotGenBase holds one lease-generation word per client slot. The

@@ -12,8 +12,7 @@ import (
 // Monitor is the standalone failure detector (paper §3.2): it watches every
 // client's heartbeat counter and, when one stalls, fences the client and
 // runs recovery asynchronously — other clients never block on this. It also
-// rescans abandoned segments, reconciles the free-slot bitmap, and sweeps the
-// queue registry.
+// rescans abandoned segments and sweeps the queue registry.
 //
 // An ABANDONED segment is rescanned because something happened to it, not
 // because a tick passed: nobody allocates there, so it changes only when a

@@ -79,15 +79,10 @@ func (p *Pool) claimSlot() int {
 	if cid := p.claimFromMap(); cid != 0 {
 		return cid
 	}
-	found := false
 	for cid := 1; cid <= p.geo.MaxClients; cid++ {
 		if s := p.ClientStatus(cid); s == layout.ClientSlotFree || s == layout.ClientRecovered {
 			p.publishSlotBit(cid)
-			found = true
 		}
-	}
-	if !found {
-		return 0
 	}
 	return p.claimFromMap()
 }

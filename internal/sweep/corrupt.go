@@ -233,11 +233,11 @@ func runCorruptTrial(cfg CorruptConfig, region faultinject.Region, class faultin
 	}
 
 	corr := faultinject.NewCorruptor(region, class, seed)
-	setup := Config{Backend: cfg.Backend}
+	var eraBase uint64
 	if region == faultinject.RegionEraMatrix {
-		setup.eraBase = eraMatrixBase
+		eraBase = eraMatrixBase
 	}
-	e, err := setupWith(setup, cxl.Intercept{Write: corr.Hook})
+	e, err := setupWith(cfg.Backend, 0, eraBase, cxl.Intercept{Write: corr.Hook})
 	if err != nil {
 		return trial, err
 	}

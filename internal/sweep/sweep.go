@@ -57,10 +57,6 @@ type Config struct {
 	// transactions run across the line where a header's 32-bit lera wraps
 	// while the eras themselves go on.
 	WrapEras bool
-	// eraBase, when set, is what the harness stores in every slot's era word
-	// before anyone connects (WrapEras sets it; the corruption campaign's
-	// era-matrix trials set their own).
-	eraBase uint64
 	// Log, when set, receives progress lines.
 	Log func(format string, args ...any)
 }
@@ -566,27 +562,30 @@ func positions(w, cap int) []int {
 // Connection order is fixed (x=1, o=2, executor=3) so write counts are
 // reproducible.
 func setup(cfg Config, sw *faultinject.AccessSweeper) (*env, error) {
-	return setupWith(cfg, cxl.Intercept{Access: sw.Hook})
+	var eraBase uint64
+	if cfg.WrapEras {
+		eraBase = 1<<32 - wrapLead
+	}
+	return setupWith(cfg.Backend, cfg.Clients, eraBase, cxl.Intercept{Access: sw.Hook})
 }
 
 // setupWith is setup with an arbitrary device intercept — the corruption
-// campaign swaps the access sweeper for the write-fault corruptor.
-func setupWith(cfg Config, ic cxl.Intercept) (*env, error) {
+// campaign swaps the access sweeper for the write-fault corruptor — and
+// eraBase, when not 0, stored in every slot's era word before anyone
+// connects.
+func setupWith(backend string, clients int, eraBase uint64, ic cxl.Intercept) (*env, error) {
 	p, err := shm.NewPool(shm.Config{
-		Geometry:  geometry(cfg.Clients),
-		Backend:   cfg.Backend,
+		Geometry:  geometry(clients),
+		Backend:   backend,
 		Intercept: ic,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if cfg.WrapEras {
-		cfg.eraBase = 1<<32 - wrapLead
-	}
-	if cfg.eraBase != 0 {
+	if eraBase != 0 {
 		geo := p.Geometry()
 		for cid := 1; cid <= geo.MaxClients; cid++ {
-			p.Device().Store(geo.EraAddr(cid, cid), cfg.eraBase)
+			p.Device().Store(geo.EraAddr(cid, cid), eraBase)
 		}
 	}
 	e := &env{p: p, receipts: make(map[uint64]int)}
