@@ -40,7 +40,7 @@ func TestEraWrapDoesNotCommitUncommitted(t *testing.T) {
 		}
 		o := connect(t, p)
 
-		rootA, a, err := x.Malloc(64, 0)
+		_, a, err := x.Malloc(64, 0) // x's root on A goes with x's recovery
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,6 @@ func TestEraWrapDoesNotCommitUncommitted(t *testing.T) {
 		if _, err := svc.RecoverClient(cid); err != nil {
 			t.Fatalf("recover x: %v", err)
 		}
-		_ = rootA // swept with x's other roots
 		if _, err := o.ReleaseRoot(oRoot); err != nil {
 			t.Fatalf("o's release of A: %v", err)
 		}
