@@ -43,9 +43,10 @@ test-mmap:
 
 # sweep runs the exhaustive access-granular crash sweep on both backends:
 # every scripted operation crashed before every one of its device writes,
-# each followed by recovery and a full-pool fsck, plus a phase-B pass that
-# crashes the recovery executor before every one of its own writes (about 5 s
-# per backend; EXPERIMENTS.md's sweep table has the counts it prints). The
+# each followed by recovery, a read-through of every survivor's roots and a
+# full-pool fsck, plus a phase-B pass that crashes the recovery executor
+# before every one of its own writes (about 5 s per backend; EXPERIMENTS.md's
+# sweep table has the counts it prints). The
 # wrap leg (-wrap) runs it all again with every client's era started just
 # below 2³², so the script crosses the line where a header's era field wraps.
 # Violations print a minimal `faultsim -repro` line and fail the target.
@@ -177,8 +178,11 @@ dep-guard:
 # monitor (its ticker, per-client recovery dispatch writing the detector rows,
 # and the concurrent passes its maintenance scans overlap), a race pass over
 # the wire layer (a goroutine per connection, parsing what a peer sends) and
-# the device package, the device store's message-passing litmus test without
-# the race detector (whose instrumentation would slow the race it looks for),
+# the device package, a race pass over the two §6.3 applications (CXL-RPC's
+# caller and server goroutines, CXL-MapReduce's goroutine per executor, and
+# the tests that fail either side of a job or a call), the device store's
+# message-passing litmus test without the race detector (whose
+# instrumentation would slow the race it looks for),
 # an arm64 build of the tree and vet of the device package (off amd64 the
 # store primitive is its Go fallback, which nothing else here compiles), ten
 # seconds of fuzzing each on the two byte parsers a peer can reach (netrpc
@@ -216,6 +220,7 @@ ci: fmt-check vet build test benchmark-check dep-guard inline-check
 	$(GO) test -race -count=3 -run TestChaosInProcess ./internal/serving
 	$(GO) test -race -run 'Monitor|ConcurrentTicks|ConcurrentPasses|AbandonedSegment' ./internal/recovery
 	$(GO) test -race ./internal/netrpc ./internal/cxl
+	$(GO) test -race ./internal/rpc ./internal/mapreduce
 	$(GO) test -count=1 -run TestStoreOrderMessagePassing ./internal/cxl
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/cxl

@@ -45,12 +45,9 @@ func main() {
 
 	// Handlers read arguments and write results in place.
 	server.Register(fnWordCount, func(c *shm.Client, args []layout.Addr, out layout.Addr) error {
-		n := c.DataBytesOf(args[0])
-		buf := make([]byte, n)
-		c.ReadData(args[0], 0, buf)
 		words, inWord := uint64(0), false
-		for _, b := range buf {
-			sp := b == ' ' || b == '\n' || b == 0
+		for _, b := range readText(c, args[0]) {
+			sp := b == ' ' || b == '\n'
 			if !sp && !inWord {
 				words++
 			}
@@ -60,9 +57,7 @@ func main() {
 		return nil
 	})
 	server.Register(fnReverse, func(c *shm.Client, args []layout.Addr, out layout.Addr) error {
-		n := c.DataBytesOf(args[0])
-		buf := make([]byte, n)
-		c.ReadData(args[0], 0, buf)
+		buf := readText(c, args[0])
 		for i, j := 0, len(buf)-1; i < j; i, j = i+1, j-1 {
 			buf[i], buf[j] = buf[j], buf[i]
 		}
@@ -77,7 +72,7 @@ func main() {
 	// Call 1: word count. The argument is written once into shared memory;
 	// the server reads it in place.
 	text := "references move data stays put"
-	argRoot, arg, err := caller.Arg([]byte(text))
+	argRoot, arg, err := textArg(callerClient, text)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,4 +105,25 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("done — two RPCs, zero serialization")
+}
+
+// textArg stores s as an argument object: word 0 holds the byte count, then
+// the bytes. The count travels with the data because a block's capacity
+// (DataBytesOf) is rounded up to whole words, so it overstates the length of
+// any text that is not a multiple of 8 bytes long.
+func textArg(c *shm.Client, s string) (root, block layout.Addr, err error) {
+	root, block, err = c.Malloc(layout.WordBytes+len(s), 0)
+	if err != nil {
+		return 0, 0, err
+	}
+	c.StoreWord(block, 0, uint64(len(s)))
+	c.WriteData(block, layout.WordBytes, []byte(s))
+	return root, block, nil
+}
+
+// readText reads a textArg object in place.
+func readText(c *shm.Client, block layout.Addr) []byte {
+	buf := make([]byte, c.LoadWord(block, 0))
+	c.ReadData(block, layout.WordBytes, buf)
+	return buf
 }

@@ -3,246 +3,106 @@ package mapreduce
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/layout"
 	"repro/internal/shm"
 )
 
 // KMeansCXL runs iters Lloyd iterations over the shared pool: each
-// executor's point range is stored in shared memory once and read in place
-// every iteration; only the (tiny) centers object and partial-sum object
-// references move per iteration. This is the pass-by-reference advantage
-// Figure 9 quantifies — the value baseline re-copies the ranges every
-// iteration.
+// executor's point range is stored in shared memory once and attached once
+// by its executor, which loads it once; only the (tiny) centers object and
+// partial-sum object references move per iteration. This is the
+// pass-by-reference advantage Figure 9 quantifies — the value baseline
+// re-copies the ranges every iteration.
 func KMeansCXL(p *shm.Pool, points []float64, dim, k, iters, executors int) ([]float64, error) {
-	n := len(points) / dim
-	coord, err := p.Connect()
+	j, err := newJob(p)
 	if err != nil {
 		return nil, err
 	}
-	defer coord.Close()
-
 	// Store each executor's range as a shared object: word 0 = point count,
 	// then count*dim float64 bit patterns.
+	c := j.coord.c
+	n := len(points) / dim
 	per := (n + executors - 1) / executors
-	type exec struct {
-		c         *shm.Client
-		rangeRoot layout.Addr
-		rangeObj  layout.Addr
-		workRoot  layout.Addr
-		workQ     layout.Addr
-		resRoot   layout.Addr
-		resQ      layout.Addr
+	ranges := make([]layout.Addr, executors)
+	for e := range ranges {
+		lo, hi := min(e*per, n), min((e+1)*per, n)
+		if ranges[e], err = j.coord.hold(c.Malloc((1+(hi-lo)*dim)*layout.WordBytes, 0)); err != nil {
+			return nil, j.close(fmt.Errorf("mapreduce: range %d: %w", e, err))
+		}
+		c.StoreWord(ranges[e], 0, uint64(hi-lo))
+		for i, v := range points[lo*dim : hi*dim] {
+			c.StoreWord(ranges[e], 1+i, math.Float64bits(v))
+		}
 	}
-	execs := make([]*exec, executors)
-	for e := 0; e < executors; e++ {
-		lo, hi := e*per, (e+1)*per
-		if hi > n {
-			hi = n
-		}
-		if lo > hi {
-			lo = hi
-		}
-		cnt := hi - lo
-		root, obj, err := coord.Malloc((1+cnt*dim)*layout.WordBytes, 0)
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce: range %d: %w", e, err)
-		}
-		coord.StoreWord(obj, 0, uint64(cnt))
-		for i := 0; i < cnt*dim; i++ {
-			coord.StoreWord(obj, 1+i, math.Float64bits(points[lo*dim+i]))
-		}
-		ec, err := p.Connect()
+	if err := j.start(p, executors, func(e int, x *executor) (mapper, error) {
+		ec := x.c
+		rr, err := ec.AttachRoot(ranges[e])
 		if err != nil {
 			return nil, err
 		}
-		workRoot, workQ, err := coord.CreateQueue(ec.ID(), 4)
-		if err != nil {
-			return nil, err
+		x.roots = append(x.roots, rr)
+		pts := make([]float64, int(ec.LoadWord(ranges[e], 0))*dim)
+		for i := range pts {
+			pts[i] = math.Float64frombits(ec.LoadWord(ranges[e], 1+i))
 		}
-		resRoot, resQ, err := coord.CreateQueueBetween(ec.ID(), coord.ID(), 4)
-		if err != nil {
-			return nil, err
-		}
-		execs[e] = &exec{c: ec, rangeRoot: root, rangeObj: obj,
-			workRoot: workRoot, workQ: workQ, resRoot: resRoot, resQ: resQ}
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, executors)
-	for e := range execs {
-		ex := execs[e]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := ex.c
-			defer c.Close()
-			qRoot, err := c.OpenQueue(ex.workQ)
-			if err != nil {
-				errs <- err
-				return
+		centers := make([]float64, k*dim)
+		sums := make([]float64, k*dim)
+		counts := make([]int64, k)
+		return func(centersObj layout.Addr) (root, part layout.Addr, err error) {
+			for i := range centers {
+				centers[i] = math.Float64frombits(ec.LoadWord(centersObj, i))
 			}
-			resRoot, err := c.OpenQueue(ex.resQ)
-			if err != nil {
-				errs <- err
-				return
+			clear(sums)
+			clear(counts)
+			assignRange(pts, centers, dim, k, sums, counts)
+			// Partial object: k*dim sums then k counts.
+			if root, part, err = ec.Malloc((k*dim+k)*layout.WordBytes, 0); err != nil {
+				return 0, 0, err
 			}
-			resQ := ex.resQ
-			// Attach the range once; read it in place every iteration.
-			rr, err := c.AttachRoot(ex.rangeObj)
-			if err != nil {
-				errs <- err
-				return
+			for i, s := range sums {
+				ec.StoreWord(part, i, math.Float64bits(s))
 			}
-			cnt := int(c.LoadWord(ex.rangeObj, 0))
-			pts := make([]float64, cnt*dim)
-			for i := range pts {
-				pts[i] = math.Float64frombits(c.LoadWord(ex.rangeObj, 1+i))
+			for i, cn := range counts {
+				ec.StoreWord(part, k*dim+i, uint64(cn))
 			}
-			centers := make([]float64, k*dim)
-			sums := make([]float64, k*dim)
-			counts := make([]int64, k)
-			for {
-				root, centersObj, err := c.Receive(ex.workQ)
-				if err == shm.ErrQueueEmpty {
-					runtime.Gosched()
-					continue
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
-				if c.LoadWord(centersObj, 0) == ^uint64(0) { // poison
-					c.ReleaseRoot(root)
-					break
-				}
-				for i := range centers {
-					centers[i] = math.Float64frombits(c.LoadWord(centersObj, 1+i))
-				}
-				c.ReleaseRoot(root)
-				for i := range sums {
-					sums[i] = 0
-				}
-				for i := range counts {
-					counts[i] = 0
-				}
-				assignRange(pts, centers, dim, k, sums, counts)
-				// Partial object: k*dim sums then k counts.
-				proot, pobj, err := c.Malloc((k*dim+k)*layout.WordBytes, 0)
-				if err != nil {
-					errs <- err
-					return
-				}
-				for i, s := range sums {
-					c.StoreWord(pobj, i, math.Float64bits(s))
-				}
-				for i, cn := range counts {
-					c.StoreWord(pobj, k*dim+i, uint64(cn))
-				}
-				if err := c.Send(resQ, pobj); err != nil {
-					errs <- err
-					return
-				}
-				c.ReleaseRoot(proot)
-			}
-			c.ReleaseRoot(rr)
-			c.ReleaseRoot(qRoot)
-			c.ReleaseRoot(resRoot)
-			errs <- nil
-		}()
+			return root, part, nil
+		}, nil
+	}); err != nil {
+		return nil, j.close(err)
 	}
 
 	centers := initialCenters(points, dim, k)
 	for it := 0; it < iters; it++ {
-		// Broadcast centers: one shared object per executor round (word 0 =
-		// marker, then k*dim floats).
-		for _, ex := range execs {
-			root, obj, err := coord.Malloc((1+k*dim)*layout.WordBytes, 0)
+		// Broadcast the centers: one shared object per executor.
+		for _, x := range j.execs {
+			root, obj, err := c.Malloc(k*dim*layout.WordBytes, 0)
+			if err == nil {
+				for i, cv := range centers {
+					c.StoreWord(obj, i, math.Float64bits(cv))
+				}
+				err = j.send(c, x.work, root, obj)
+			}
 			if err != nil {
-				return nil, err
+				return nil, j.close(err)
 			}
-			coord.StoreWord(obj, 0, uint64(it+1))
-			for i, cv := range centers {
-				coord.StoreWord(obj, 1+i, math.Float64bits(cv))
-			}
-			if err := sendWait(coord, ex.workQ, obj); err != nil {
-				return nil, err
-			}
-			coord.ReleaseRoot(root)
 		}
-		// Gather partials.
 		sums := make([]float64, k*dim)
 		counts := make([]int64, k)
-		got := 0
-		for got < executors {
-			progressed := false
-			for e := range execs {
-				root, pobj, err := coord.Receive(execs[e].resQ)
-				if err == shm.ErrQueueEmpty {
-					continue
-				}
-				if err != nil {
-					return nil, err
-				}
-				progressed = true
-				got++
-				for i := range sums {
-					sums[i] += math.Float64frombits(coord.LoadWord(pobj, i))
-				}
-				for i := range counts {
-					counts[i] += int64(coord.LoadWord(pobj, k*dim+i))
-				}
-				coord.ReleaseRoot(root)
+		if err := j.gather(executors, func(part layout.Addr) {
+			for i := range sums {
+				sums[i] += math.Float64frombits(c.LoadWord(part, i))
 			}
-			if !progressed {
-				runtime.Gosched()
+			for i := range counts {
+				counts[i] += int64(c.LoadWord(part, k*dim+i))
 			}
+		}); err != nil {
+			return nil, j.close(err)
 		}
 		centers = newCenters(sums, counts, centers, dim, k)
 	}
-
-	// Poison executors.
-	for _, ex := range execs {
-		root, obj, err := coord.Malloc(layout.WordBytes, 0)
-		if err != nil {
-			return nil, err
-		}
-		coord.StoreWord(obj, 0, ^uint64(0))
-		if err := sendWait(coord, ex.workQ, obj); err != nil {
-			return nil, err
-		}
-		coord.ReleaseRoot(root)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, ex := range execs {
-		if _, err := coord.ReleaseRoot(ex.rangeRoot); err != nil {
-			return nil, err
-		}
-		if _, err := coord.ReleaseRoot(ex.workRoot); err != nil {
-			return nil, err
-		}
-		if _, err := coord.ReleaseRoot(ex.resRoot); err != nil {
-			return nil, err
-		}
+	if err := j.close(nil); err != nil {
+		return nil, err
 	}
 	return centers, nil
-}
-
-// sendWait retries a queue send until it is accepted.
-func sendWait(c *shm.Client, q, block layout.Addr) error {
-	for {
-		err := c.Send(q, block)
-		if err != shm.ErrQueueFull {
-			return err
-		}
-		runtime.Gosched()
-	}
 }

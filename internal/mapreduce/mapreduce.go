@@ -13,9 +13,7 @@
 package mapreduce
 
 import (
-	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"repro/internal/layout"
@@ -153,195 +151,40 @@ func wcResultMergeInPlace(c *shm.Client, block layout.Addr, dst map[uint64]int64
 // WordCountCXL runs word count over the shared pool: the coordinator stores
 // splits as shared objects and passes references to executor clients; each
 // executor reads its split in place and returns its count table as a shared
-// object reference.
+// object reference, which the coordinator folds in place.
 func WordCountCXL(p *shm.Pool, text string, executors int) (map[uint64]int64, error) {
-	coord, err := p.Connect()
+	j, err := newJob(p)
 	if err != nil {
 		return nil, err
 	}
-	defer coord.Close()
+	if err := j.start(p, executors, func(_ int, x *executor) (mapper, error) {
+		c := x.c
+		return func(split layout.Addr) (root, res layout.Addr, err error) {
+			buf := make([]byte, c.LoadWord(split, 0))
+			c.ReadData(split, layout.WordBytes, buf)
+			return wcResultEncode(c, countWords(string(buf)))
+		}, nil
+	}); err != nil {
+		return nil, j.close(err)
+	}
+	// Hand the splits out round-robin: word 0 = byte count, then the bytes.
+	c := j.coord.c
 	chunks := splitText(text, executors*4)
-
-	// The coordinator creates and owns every queue (both directions), so no
-	// endpoint's exit can reclaim a queue while the other side still uses it.
-	type exec struct {
-		c        *shm.Client
-		workQ    layout.Addr // coordinator -> executor (splits)
-		workRoot layout.Addr
-		resQ     layout.Addr // executor -> coordinator (results)
-		resRoot  layout.Addr
-	}
-	execs := make([]*exec, executors)
-	var wg sync.WaitGroup
-	errs := make(chan error, executors)
-
-	for e := range execs {
-		ec, err := p.Connect()
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce: executor %d: %w", e, err)
-		}
-		workRoot, workQ, err := coord.CreateQueue(ec.ID(), 8)
-		if err != nil {
-			return nil, err
-		}
-		resRoot, resQ, err := coord.CreateQueueBetween(ec.ID(), coord.ID(), 8)
-		if err != nil {
-			return nil, err
-		}
-		execs[e] = &exec{c: ec, workQ: workQ, workRoot: workRoot, resQ: resQ, resRoot: resRoot}
-	}
-	for e := range execs {
-		ex := execs[e]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := ex.c
-			defer c.Close()
-			qRoot, err := c.OpenQueue(ex.workQ)
-			if err != nil {
-				errs <- err
-				return
-			}
-			resRoot, err := c.OpenQueue(ex.resQ)
-			if err != nil {
-				errs <- err
-				return
-			}
-			resQ := ex.resQ
-			for {
-				root, split, err := c.Receive(ex.workQ)
-				if err == shm.ErrQueueEmpty {
-					runtime.Gosched()
-					continue
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
-				nBytes := int(c.LoadWord(split, 0))
-				if nBytes == 0 { // poison: done
-					c.ReleaseRoot(root)
-					break
-				}
-				// Map: read the split in place.
-				buf := make([]byte, nBytes)
-				c.ReadData(split, layout.WordBytes, buf)
-				local := countWords(string(buf))
-				c.ReleaseRoot(root)
-				// Emit the intermediate result as a shared object.
-				rroot, rblock, err := wcResultEncode(c, local)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if err := c.Send(resQ, rblock); err != nil {
-					errs <- err
-					return
-				}
-				c.ReleaseRoot(rroot)
-			}
-			// Signal completion with a poison result.
-			proot, pblock, err := c.Malloc(layout.WordBytes, 0)
-			if err != nil {
-				errs <- err
-				return
-			}
-			c.StoreWord(pblock, 0, ^uint64(0))
-			if err := c.Send(resQ, pblock); err != nil {
-				errs <- err
-				return
-			}
-			c.ReleaseRoot(proot)
-			c.ReleaseRoot(qRoot)
-			c.ReleaseRoot(resRoot)
-			errs <- nil
-		}()
-	}
-
-	// Distribute splits round-robin as shared objects.
 	for i, chunk := range chunks {
-		ex := execs[i%executors]
-		root, block, err := coord.Malloc(layout.WordBytes+len(chunk), 0)
-		if err != nil {
-			return nil, err
-		}
-		coord.StoreWord(block, 0, uint64(len(chunk)))
-		coord.WriteData(block, layout.WordBytes, []byte(chunk))
-		for {
-			err = coord.Send(ex.workQ, block)
-			if err != shm.ErrQueueFull {
-				break
-			}
-			runtime.Gosched()
+		root, split, err := c.Malloc(layout.WordBytes+len(chunk), 0)
+		if err == nil {
+			c.StoreWord(split, 0, uint64(len(chunk)))
+			c.WriteData(split, layout.WordBytes, []byte(chunk))
+			err = j.send(c, j.execs[i%executors].work, root, split)
 		}
 		if err != nil {
-			return nil, err
-		}
-		if _, err := coord.ReleaseRoot(root); err != nil {
-			return nil, err
+			return nil, j.close(err)
 		}
 	}
-	// Poison each executor.
-	for _, ex := range execs {
-		root, block, err := coord.Malloc(layout.WordBytes, 0)
-		if err != nil {
-			return nil, err
-		}
-		coord.StoreWord(block, 0, 0)
-		for {
-			err = coord.Send(ex.workQ, block)
-			if err != shm.ErrQueueFull {
-				break
-			}
-			runtime.Gosched()
-		}
-		if err != nil {
-			return nil, err
-		}
-		coord.ReleaseRoot(root)
-	}
-
-	// Reduce: merge result objects in place until every executor poisoned.
 	total := make(map[uint64]int64)
-	donePoisons := 0
-	for donePoisons < executors {
-		progressed := false
-		for e := 0; e < executors; e++ {
-			q := execs[e].resQ
-			root, block, err := coord.Receive(q)
-			if err == shm.ErrQueueEmpty {
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			progressed = true
-			if coord.LoadWord(block, 0) == ^uint64(0) {
-				donePoisons++
-			} else {
-				wcResultMergeInPlace(coord, block, total)
-			}
-			coord.ReleaseRoot(root)
-		}
-		if !progressed {
-			runtime.Gosched()
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Release coordinator's queue endpoints.
-	for _, ex := range execs {
-		if _, err := coord.ReleaseRoot(ex.workRoot); err != nil {
-			return nil, err
-		}
-		if _, err := coord.ReleaseRoot(ex.resRoot); err != nil {
-			return nil, err
-		}
+	err = j.gather(len(chunks), func(res layout.Addr) { wcResultMergeInPlace(c, res, total) })
+	if err := j.close(err); err != nil {
+		return nil, err
 	}
 	return total, nil
 }

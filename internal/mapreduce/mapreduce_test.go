@@ -1,8 +1,13 @@
 package mapreduce
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/check"
 	"repro/internal/layout"
@@ -10,10 +15,12 @@ import (
 	"repro/internal/workload"
 )
 
-func newPool(t *testing.T) *shm.Pool {
+func newPool(t *testing.T) *shm.Pool { return newPoolSegments(t, 64) }
+
+func newPoolSegments(t *testing.T, segments int) *shm.Pool {
 	t.Helper()
 	p, err := shm.NewPool(shm.Config{Geometry: layout.GeometryConfig{
-		MaxClients: 16, NumSegments: 64, SegmentWords: 1 << 14, PageWords: 1 << 10,
+		MaxClients: 16, NumSegments: segments, SegmentWords: 1 << 14, PageWords: 1 << 10,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -91,6 +98,56 @@ func TestWordCountCXLMatchesReference(t *testing.T) {
 			t.Logf("validate: %s", is)
 		}
 		t.Fatalf("wordcount leaked %d objects", res.AllocatedObjects)
+	}
+}
+
+// TestJobStopsWhenEitherSideFails runs word count on pools too small for it,
+// in 128 KiB segments, where every split is a huge object. With 2 executors
+// and 8 segments the coordinator cannot store its second 512 KiB split (5
+// segments each). With 1 executor and 6 segments the coordinator's segment,
+// its 4 splits of 30 000 distinct words (1 segment each) and the executor's
+// segment all fit, but a split's count table (4 segments) never does. Either
+// way WordCountCXL must return the allocation failure within seconds, name
+// the side that failed, and leave no goroutine behind.
+func TestJobStopsWhenEitherSideFails(t *testing.T) {
+	const digits = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+	distinct := make([]byte, 0, 4*120000)
+	for i := 0; i < 120000; i++ {
+		distinct = append(distinct, digits[i/62/62], digits[i/62%62], digits[i%62], ' ')
+	}
+	for _, tc := range []struct {
+		side                string
+		executors, segments int
+		text                string
+	}{
+		{"coordinator", 2, 8, workload.Text(4<<20, 200, 3)},
+		{"executor", 1, 6, string(distinct)},
+	} {
+		t.Run(fmt.Sprintf("%s-%dseg", tc.side, tc.segments), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			p := newPoolSegments(t, tc.segments)
+			done := make(chan error, 1)
+			go func() {
+				_, err := WordCountCXL(p, tc.text, tc.executors)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, shm.ErrOutOfMemory) {
+					t.Fatalf("WordCountCXL: %v, want %v", err, shm.ErrOutOfMemory)
+				}
+				if got := strings.Contains(err.Error(), "executor"); got != (tc.side == "executor") {
+					t.Fatalf("error %q: want the %s side's failure", err, tc.side)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("WordCountCXL did not return within 5 s")
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines still running after the job, %d before", runtime.NumGoroutine(), base)
+				}
+			}
+		})
 	}
 }
 

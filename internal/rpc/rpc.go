@@ -170,63 +170,11 @@ func (cl *Caller) Arg(data []byte) (root, block layout.Addr, err error) {
 // and returns the output object's address along with the caller's counted
 // reference to it; release the returned root when done with the output.
 func (cl *Caller) Call(fn uint64, args []layout.Addr, outBytes int) (outRoot, out layout.Addr, err error) {
-	if cl.closed {
-		return 0, 0, ErrClosed
-	}
-	argc := len(args)
-	// 1. allocate the message with argc+1 embedded references.
-	msgBytes := (argc + 3) * layout.WordBytes
-	msgRoot, msg, err := cl.c.Malloc(msgBytes, argc+1)
+	p, err := cl.start(fn, args, outBytes)
 	if err != nil {
 		return 0, 0, err
 	}
-	// 2. link the inputs.
-	for i, a := range args {
-		if err := cl.c.SetEmbed(msg, i, a); err != nil {
-			return 0, 0, err
-		}
-	}
-	// 3. allocate and link the output.
-	outRoot, out, err = cl.c.Malloc(outBytes, 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := cl.c.SetEmbed(msg, argc, out); err != nil {
-		return 0, 0, err
-	}
-	cl.c.StoreWord(msg, argc+1, fn)
-	cl.c.StoreWord(msg, argc+2, msgStatusPending)
-	// 4. send the message reference.
-	for {
-		err = cl.c.Send(cl.q, msg)
-		if err != shm.ErrQueueFull {
-			break
-		}
-		runtime.Gosched()
-	}
-	if err != nil {
-		return 0, 0, err
-	}
-	// Completion: poll the status word in shared memory.
-	var status uint64
-	for {
-		status = cl.c.LoadWord(msg, argc+2)
-		if status != msgStatusPending {
-			break
-		}
-		runtime.Gosched()
-	}
-	if _, err := cl.c.ReleaseRoot(msgRoot); err != nil {
-		return 0, 0, err
-	}
-	if status == msgStatusFailed {
-		// The caller still owns the (undefined) output object; release it.
-		if _, err := cl.c.ReleaseRoot(outRoot); err != nil {
-			return 0, 0, err
-		}
-		return 0, 0, ErrRemote
-	}
-	return outRoot, out, nil
+	return p.Wait()
 }
 
 // Pending is an in-flight asynchronous call (see CallStart).
@@ -243,40 +191,49 @@ type Pending struct {
 // pipelining: several calls can be in flight up to the queue capacity.
 // Complete each with Pending.Wait (in any order).
 func (cl *Caller) CallStart(fn uint64, args []layout.Addr, outBytes int) (*Pending, error) {
+	p, err := cl.start(fn, args, outBytes)
+	if err != nil {
+		return nil, err
+	}
+	return &p, nil
+}
+
+// start builds the message — argc+1 embedded references (the inputs, then a
+// fresh output object of outBytes), the function ID and the status word —
+// and sends its reference. On any error it releases what it allocated.
+func (cl *Caller) start(fn uint64, args []layout.Addr, outBytes int) (p Pending, err error) {
 	if cl.closed {
-		return nil, ErrClosed
+		return p, ErrClosed
 	}
 	argc := len(args)
-	msgBytes := (argc + 3) * layout.WordBytes
-	msgRoot, msg, err := cl.c.Malloc(msgBytes, argc+1)
-	if err != nil {
-		return nil, err
+	p = Pending{cl: cl, argc: argc}
+	if p.msgRoot, p.msg, err = cl.c.Malloc((argc+3)*layout.WordBytes, argc+1); err != nil {
+		return p, err
 	}
-	for i, a := range args {
-		if err := cl.c.SetEmbed(msg, i, a); err != nil {
-			return nil, err
+	for i := 0; i < argc && err == nil; i++ {
+		err = cl.c.SetEmbed(p.msg, i, args[i])
+	}
+	if err == nil {
+		p.outRoot, p.out, err = cl.c.Malloc(outBytes, 0)
+	}
+	if err == nil {
+		err = cl.c.SetEmbed(p.msg, argc, p.out)
+	}
+	if err == nil {
+		cl.c.StoreWord(p.msg, argc+1, fn)
+		cl.c.StoreWord(p.msg, argc+2, msgStatusPending)
+		for err = cl.c.Send(cl.q, p.msg); err == shm.ErrQueueFull; err = cl.c.Send(cl.q, p.msg) {
+			runtime.Gosched()
 		}
 	}
-	outRoot, out, err := cl.c.Malloc(outBytes, 0)
 	if err != nil {
-		return nil, err
-	}
-	if err := cl.c.SetEmbed(msg, argc, out); err != nil {
-		return nil, err
-	}
-	cl.c.StoreWord(msg, argc+1, fn)
-	cl.c.StoreWord(msg, argc+2, msgStatusPending)
-	for {
-		err = cl.c.Send(cl.q, msg)
-		if err != shm.ErrQueueFull {
-			break
+		for _, r := range []layout.Addr{p.outRoot, p.msgRoot} {
+			if r != 0 {
+				cl.c.ReleaseRoot(r)
+			}
 		}
-		runtime.Gosched()
 	}
-	if err != nil {
-		return nil, err
-	}
-	return &Pending{cl: cl, msgRoot: msgRoot, msg: msg, outRoot: outRoot, out: out, argc: argc}, nil
+	return p, err
 }
 
 // Done reports (without blocking) whether the call has completed.

@@ -2,6 +2,7 @@ package rpc_test
 
 import (
 	"bytes"
+	"errors"
 	"sync/atomic"
 	"testing"
 
@@ -268,6 +269,37 @@ func TestPipelinedCalls(t *testing.T) {
 			t.Logf("%s", is)
 		}
 		t.Fatalf("pipelined RPC leaked %d objects", res.AllocatedObjects)
+	}
+}
+
+// TestFailedCallReleasesItsMessage calls with an argument that was already
+// freed: Call and CallStart must both fail with ErrStaleReference and release
+// the message and output objects they allocated.
+func TestFailedCallReleasesItsMessage(t *testing.T) {
+	p := newPool(t)
+	cc, _ := p.Connect()
+	sc, _ := p.Connect()
+	caller, err := rpc.NewCaller(cc, sc.ID(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 1 KiB: a size class of its own, so no message can reuse the block.
+	argRoot, arg, err := caller.Arg(make([]byte, 1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cc.ReleaseRoot(argRoot); err != nil {
+		t.Fatal(err)
+	}
+	before := check.Validate(p).AllocatedObjects
+	if _, _, err := caller.Call(1, []layout.Addr{arg}, 8); !errors.Is(err, shm.ErrStaleReference) {
+		t.Fatalf("Call: %v, want %v", err, shm.ErrStaleReference)
+	}
+	if _, err := caller.CallStart(1, []layout.Addr{arg}, 8); !errors.Is(err, shm.ErrStaleReference) {
+		t.Fatalf("CallStart: %v, want %v", err, shm.ErrStaleReference)
+	}
+	if after := check.Validate(p).AllocatedObjects; after != before {
+		t.Fatalf("allocated objects %d before the failed calls, %d after", before, after)
 	}
 }
 

@@ -3,7 +3,8 @@
 // operation's device writes (stores and CAS attempts), then re-runs the
 // script once per write index, crashing the acting client exactly before
 // that access. After every crash it runs recovery, drains and releases
-// everything a survivor can reach, and fscks the whole pool — so each
+// everything a survivor can reach, reads through every survivor's roots, and
+// fscks the whole pool — so each
 // (operation, write index) pair is a complete crash-recover-validate story.
 //
 // This is the repository's one crash model: a CPU can die between any two
@@ -696,11 +697,17 @@ func finish(e *env, svc *recovery.Service, v Violation) []Violation {
 		}
 	}
 
-	// Survivors' caches must still agree with the device before they go.
+	// Before they go, survivors' caches must still agree with the device, and
+	// their roots must still name live objects: a recovery that freed an
+	// object a survivor holds leaves a dangling root, which the survivor's
+	// own close and recovery would clear unseen.
 	for _, c := range []*shm.Client{e.x, e.o, e.extra} {
 		if alive(e, c) {
 			if err := c.CheckShadow(); err != nil {
 				bad("shadow incoherent on client %d: %v", c.ID(), err)
+			}
+			if err := rootsLive(e.p, c.ID()); err != nil {
+				bad("client %d: %v", c.ID(), err)
 			}
 		}
 	}
@@ -744,6 +751,40 @@ func finish(e *env, svc *recovery.Service, v Violation) []Violation {
 		}
 	}
 	return out
+}
+
+// rootsLive reads through every in-use RootRef of client cid — in the RootRef
+// pages of the segments it owns — and reports the first whose block is not
+// allocated with a count of at least 1.
+func rootsLive(p *shm.Pool, cid int) error {
+	geo, dev := p.Geometry(), p.Device()
+	for seg := 0; seg < geo.NumSegments; seg++ {
+		if st := p.SegState(seg); int(st.CID) != cid || st.State != layout.SegActive {
+			continue
+		}
+		pages := min(int(dev.Load(geo.SegNextPageAddr(seg))), geo.PagesPerSegment)
+		for pg := 0; pg < pages; pg++ {
+			meta := geo.PageMetaAddr(seg, pg)
+			if layout.UnpackPageMeta(dev.Load(meta)).Kind != layout.PageKindRootRef {
+				continue
+			}
+			base := geo.PageBase(seg, pg)
+			end := min(dev.Load(meta+shm.PageMetaScanOff), base+layout.Addr(geo.PageWords))
+			for slot := base; slot+layout.RootRefWords <= end; slot += layout.RootRefWords {
+				inUse, _ := layout.UnpackRootRef(dev.Load(slot))
+				block := dev.Load(slot + layout.RootRefPptrOff)
+				if !inUse || block == 0 {
+					continue
+				}
+				m := layout.UnpackMeta(dev.Load(block + layout.MetaOff))
+				if hdr := layout.UnpackHeader(dev.Load(block + layout.HeaderOff)); !m.Allocated() || hdr.RefCnt < 1 {
+					return fmt.Errorf("root %#x names block %#x (allocated %v, count %d)",
+						slot, block, m.Allocated(), hdr.RefCnt)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Run executes the sweep and returns every violation found.

@@ -1,6 +1,11 @@
 package sweep
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/cxl"
+	"repro/internal/layout"
+)
 
 func TestPositions(t *testing.T) {
 	cases := []struct {
@@ -78,5 +83,35 @@ func TestSweepRecoveryBounded(t *testing.T) {
 		for _, v := range vs {
 			t.Errorf("%s", v)
 		}
+	}
+}
+
+// TestRootsLiveFindsDanglingRoot zeroes the count of an object a client
+// holds (what a recovery that wrongly frees it leaves behind): the epilogue's
+// read-through must name the root, and must pass the same roots beforehand.
+func TestRootsLiveFindsDanglingRoot(t *testing.T) {
+	e, err := setupWith("heap", 0, 0, cxl.Intercept{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.p.CloseDevice()
+	if _, _, err := e.x.Malloc(64, 0); err != nil {
+		t.Fatal(err)
+	}
+	_, b, err := e.x.Malloc(64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rootsLive(e.p, e.x.ID()); err != nil {
+		t.Fatalf("live roots reported: %v", err)
+	}
+	hdr := layout.UnpackHeader(e.p.Device().Load(b + layout.HeaderOff))
+	hdr.RefCnt = 0
+	e.p.Device().Store(b+layout.HeaderOff, layout.PackHeader(hdr))
+	if err := rootsLive(e.p, e.x.ID()); err == nil {
+		t.Fatal("a root on a count-0 block went unreported")
+	}
+	if err := rootsLive(e.p, e.o.ID()); err != nil {
+		t.Fatalf("another client's roots reported: %v", err)
 	}
 }
