@@ -164,7 +164,10 @@ dep-guard:
 # detector on both backends, an attach cut at every write after its client's
 # era crossed 2³² on both backends, Connect over any free-slot bitmap under
 # the race detector on both backends, the telemetry delta-publication pin under the race detector on both
-# backends, the zero-allocation fast-path pin on both backends, the kv
+# backends, the one-store tests (Pool.Obs equal to the telemetry region's sum
+# on both backends, and fences, recovery passes and monitor ticks read back
+# by a new Pool over an mmap pool file after the first one closed it), the
+# zero-allocation fast-path pin on both backends, the kv
 # read-during-delete contract (race detector on heap, once on mmap), the
 # torn-read tests of the version word — in-place update, same-key
 # delete + re-insert, the serving worker's lock-free GETs beside its PUTs —
@@ -206,6 +209,7 @@ ci: fmt-check vet build test benchmark-check dep-guard inline-check
 	CXLSHM_BACKEND=mmap $(GO) test -race -run TestConnectOverAnyBitmap ./internal/shm
 	$(GO) test -race -run TestTelemetryDeltaPublication ./internal/shm
 	CXLSHM_BACKEND=mmap $(GO) test -race -run TestTelemetryDeltaPublication ./internal/shm
+	$(GO) test -run 'TestObsIsTheRegionSum|TestCountersSurvivePoolReopen' ./internal/recovery
 	$(GO) test -race -run TestSlotChurn ./internal/shm
 	CXLSHM_BACKEND=mmap $(GO) test -race -run TestSlotChurn ./internal/shm
 	$(GO) test -run TestFastPathZeroAllocs ./internal/shm

@@ -238,7 +238,7 @@ func rate(cur, prev *shm.TelemetryBlock, c obs.Counter, dt float64) string {
 		return humanCount(cur.Counters[c])
 	}
 	d := cur.Counters[c] - prev.Counters[c]
-	if d > cur.Counters[c] { // new incarnation reset the shard
+	if d > cur.Counters[c] { // new incarnation reset the block
 		d = cur.Counters[c]
 	}
 	return humanCount(uint64(float64(d)/dt)) + "/s"

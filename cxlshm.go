@@ -251,14 +251,15 @@ func (p *Pool) Close() {
 func (p *Pool) Usage() shm.Usage { return p.p.Usage() }
 
 // Stats is a point-in-time observability snapshot of a pool: occupancy,
-// aggregated hot-path counters and latency histograms (summed over all
-// client shards), every client slot's recovery timeline, and the monitor's
-// failed duties. The timelines are read from the pool, the only record of
-// fences and recoveries: each shows the slot's latest death (reason,
-// detection-to-recovered duration — the recovery-time SLO) and its death
-// and recovery counts, whoever recovered it — this pool's monitor,
-// Pool.Recover, another process or a restarted monitor. Failures carry the
-// Go errors of this pool's monitor, when one runs.
+// counters and latency histograms (the pool block plus every client's
+// last published block in the pool's telemetry region), every client slot's
+// recovery timeline, and the monitor's failed duties. Counters, histograms
+// and timelines are all read from the pool, so they are the same whichever
+// process reads them: a fence or recovery run by this pool's monitor,
+// Pool.Recover, another process or a restarted monitor shows alike. Each
+// timeline shows the slot's latest death (reason, detection-to-recovered
+// duration — the recovery-time SLO) and its death and recovery counts.
+// Failures carry the Go errors of this pool's monitor, when one runs.
 type Stats struct {
 	Usage      shm.Usage                        `json:"usage"`
 	Counters   map[string]uint64                `json:"counters"`
@@ -267,15 +268,17 @@ type Stats struct {
 	Failures   []recovery.RecoveryFailure       `json:"recovery_failures,omitempty"`
 }
 
-// Stats aggregates the pool's sharded metrics into one snapshot. Safe to call
-// concurrently with running clients; counters are read atomically per shard.
+// Stats reads the pool's telemetry region once into one snapshot. Safe to
+// call concurrently with running clients: a client block is read under its
+// seqlock, and a live client's counts since its last heartbeat are not in it.
 func (p *Pool) Stats() Stats {
-	snap := p.p.Obs().Snapshot()
+	ts := p.p.Telemetry().Snapshot()
+	snap := ts.Totals()
 	st := Stats{
 		Usage:      p.p.Usage(),
 		Counters:   snap.Counters,
 		Histograms: snap.Histograms,
-		Timelines:  p.p.Telemetry().Snapshot().Timelines,
+		Timelines:  ts.Timelines,
 	}
 	if p.mon != nil {
 		st.Failures = p.mon.Failures()
@@ -405,7 +408,10 @@ func (r *Ref) Release() (bool, error) {
 	return freed, err
 }
 
-// Size returns the object's usable data size in bytes.
+// Size returns the object's usable data size in bytes: the word-rounded
+// capacity of its size class, not the length passed to Malloc (the pool
+// records only a block's size in words). A caller that needs the exact
+// length carries it itself, as examples/rpc and the MapReduce splits do.
 func (r *Ref) Size() int { return r.c.c.DataBytesOf(r.block) }
 
 // Read copies len(p) bytes from the object at byte offset off.

@@ -76,7 +76,7 @@ func PrintFig9(w io.Writer, rows []Fig9Row) {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
 		out[i] = []string{r.Workload, fmt.Sprint(r.Executors), r.System,
-			r.Elapsed.Round(time.Millisecond).String()}
+			r.Elapsed.Round(time.Microsecond).String()}
 	}
 	PrintTable(w, []string{"Workload", "Executors", "System", "Time"}, out)
 }

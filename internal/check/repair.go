@@ -182,17 +182,11 @@ func Repair(p *shm.Pool, cfg RepairConfig) *RepairReport {
 	if r.rep.Pre != nil {
 		issues = len(r.rep.Pre.Issues)
 	}
-	sh := p.Obs().Shard(0)
 	tel := p.Telemetry()
-	sh.Add(obs.CtrFsckPass, uint64(r.rep.Rounds+1))
 	tel.PoolAdd(obs.CtrFsckPass, uint64(r.rep.Rounds+1))
-	sh.Add(obs.CtrFsckIssues, uint64(issues))
 	tel.PoolAdd(obs.CtrFsckIssues, uint64(issues))
-	sh.Add(obs.CtrRepairAction, uint64(len(r.rep.Actions)))
 	tel.PoolAdd(obs.CtrRepairAction, uint64(len(r.rep.Actions)))
-	quar := uint64(r.rep.Blast.ObjectsQuarantined + r.rep.Blast.PagesQuarantined)
-	sh.Add(obs.CtrQuarantine, quar)
-	tel.PoolAdd(obs.CtrQuarantine, quar)
+	tel.PoolAdd(obs.CtrQuarantine, uint64(r.rep.Blast.ObjectsQuarantined+r.rep.Blast.PagesQuarantined))
 	if issues > 0 || len(r.rep.Actions) > 0 {
 		p.Trace(obs.Event{
 			Type: obs.EvRepairApplied,

@@ -497,11 +497,11 @@ func TestRepairUpdatesCounters(t *testing.T) {
 	hdr.RefCnt += 1
 	p.Device().Store(block+layout.HeaderOff, layout.PackHeader(hdr))
 	repairClean(t, p)
-	ctr := p.Obs().Shard(0)
-	if ctr.Get(obs.CtrFsckPass) == 0 || ctr.Get(obs.CtrFsckIssues) == 0 ||
-		ctr.Get(obs.CtrRepairAction) == 0 {
+	ctr := p.Obs().Snapshot().Counters
+	if ctr[obs.CtrFsckPass.Name()] == 0 || ctr[obs.CtrFsckIssues.Name()] == 0 ||
+		ctr[obs.CtrRepairAction.Name()] == 0 {
 		t.Fatalf("fsck counters not advanced: pass=%d issues=%d actions=%d",
-			ctr.Get(obs.CtrFsckPass), ctr.Get(obs.CtrFsckIssues), ctr.Get(obs.CtrRepairAction))
+			ctr[obs.CtrFsckPass.Name()], ctr[obs.CtrFsckIssues.Name()], ctr[obs.CtrRepairAction.Name()])
 	}
 	var applied bool
 	for _, e := range p.Telemetry().Events() {

@@ -1,13 +1,5 @@
 package obs
 
-// Snapshot aggregates the registry into an exportable snapshot.
-func (r *Registry) Snapshot() Snapshot {
-	if r == nil {
-		return Snapshot{}
-	}
-	return snapshotOf(r)
-}
-
 // HistogramSnapshot is one aggregated histogram. Buckets[i] counts
 // observations below BucketUpper(i) and at or above BucketUpper(i-1);
 // quantile bounds are bucket upper bounds (so they overestimate by at most
@@ -45,29 +37,25 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-func snapshotOf(r *Registry) Snapshot {
+// SnapshotOf renders a counter vector and histogram bucket vectors (one
+// telemetry block, or the sum of several) under their stable export names.
+func SnapshotOf(ctrs *[NumCounters]uint64, histos *[NumHistos][HistBuckets]uint64) Snapshot {
 	s := Snapshot{
 		Counters:   make(map[string]uint64, NumCounters),
 		Histograms: make(map[string]HistogramSnapshot, NumHistos),
 	}
-	ctrs := r.Counters()
 	for c := Counter(0); c < NumCounters; c++ {
 		s.Counters[c.Name()] = ctrs[c]
 	}
 	for h := Histo(0); h < NumHistos; h++ {
-		s.Histograms[h.Name()] = finishHistogram(r.Histogram(h))
+		s.Histograms[h.Name()] = MakeHistogramSnapshot(histos[h])
 	}
 	return s
 }
 
 // MakeHistogramSnapshot finishes a raw bucket vector into an exportable
-// histogram (count, quantiles) — for readers that obtain bucket vectors
-// from outside a Registry, e.g. the shared telemetry region.
+// histogram (count, quantiles).
 func MakeHistogramSnapshot(buckets [HistBuckets]uint64) HistogramSnapshot {
-	return finishHistogram(buckets)
-}
-
-func finishHistogram(buckets [HistBuckets]uint64) HistogramSnapshot {
 	var hs HistogramSnapshot
 	for i, c := range buckets {
 		hs.Count += c
@@ -100,7 +88,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	}
 	for k, h := range s.Histograms {
 		p := prev.Histograms[k]
-		var dh HistogramSnapshot
 		var buckets [HistBuckets]uint64
 		for i := range h.Buckets {
 			v := h.Buckets[i]
@@ -115,8 +102,7 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 				buckets[i] = v
 			}
 		}
-		dh = finishHistogram(buckets)
-		out.Histograms[k] = dh
+		out.Histograms[k] = MakeHistogramSnapshot(buckets)
 	}
 	return out
 }

@@ -1,30 +1,23 @@
-// Package obs is the pool-wide observability vocabulary: a zero-allocation,
-// per-client-sharded metrics core (padded atomic counters plus log-scaled
-// latency histograms, aggregated on read) and the recovery lifecycle events
-// the pool's crash-surviving event ring records (shm.Pool.Trace).
+// Package obs is the pool-wide observability vocabulary: the counter and
+// histogram enums with their stable export names, the log2 bucket maths, the
+// exportable Snapshot, and the recovery lifecycle events the pool's
+// crash-surviving event ring records (shm.Pool.Trace).
 //
-// Design constraints, in order:
-//
-//   - The allocator / queue / refcount fast paths may only ever touch their
-//     own client's shard, so shards never share cache lines. A single-writer
-//     shard owner can go further and skip atomics entirely: accumulate in
-//     plain local memory and publish running totals with SetCounters
-//     periodically (what shm.Client does).
-//   - Reading is done by aggregation: Snapshot sums every shard, so the hot
-//     paths pay nothing for the existence of readers.
-//   - Recovery lifecycle events (fences, POTENTIAL_LEAKING flags, recovery
-//     passes, redo replays, repairs) are rare; obs only defines them. They
-//     are recorded once, in the pool's device-resident event ring, where
-//     they outlive the process that produced them.
+// obs stores nothing. Every counter and histogram lives in one place, the
+// pool's telemetry region (shm.Telemetry): a client accumulates its counts
+// and buckets in plain owner-only memory and publishes them into its own
+// metric block on heartbeat, flush and close; pool-wide facts (fences,
+// recovery passes, leak flags, monitor ticks, fsck passes) are CAS-added
+// into the pool block once, where they happen. Readers (shm.Pool.Obs,
+// cxlshm.Pool.Stats, cxltop) sum the blocks, so the totals outlive every
+// process that wrote them and read the same from any process that maps the
+// pool.
 package obs
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
-// Counter identifies one pool-wide counter. Counters are accumulated in
-// per-client shards and summed on read.
+// Counter identifies one pool-wide counter. Each telemetry metric block
+// carries one word per counter; the pool's total is their sum.
 type Counter int
 
 // Counters. The groups mirror the subsystems they observe: the allocation
@@ -158,8 +151,8 @@ func (h Histo) Name() string {
 // the last bucket absorbs everything larger (≥ ~1s in nanoseconds).
 const HistBuckets = 31
 
-// bucketOf maps a non-negative observation to its bucket index.
-func bucketOf(v int64) int {
+// BucketOf maps a non-negative observation to its bucket index.
+func BucketOf(v int64) int {
 	if v < 0 {
 		v = 0
 	}
@@ -177,136 +170,4 @@ func BucketUpper(i int) uint64 {
 		return ^uint64(0)
 	}
 	return uint64(1) << uint(i)
-}
-
-// Shard is one client's private slice of the metrics core. All writes to a
-// shard come from a single client (or, for the pool shard, through atomics
-// only), and the trailing pad keeps adjacent shards off each other's cache
-// lines.
-type Shard struct {
-	counters [NumCounters]atomic.Uint64
-	histos   [NumHistos][HistBuckets]atomic.Uint64
-	_        [64]byte
-}
-
-// Inc adds one to counter c. Safe for concurrent use; nil-safe so detached
-// code paths (tests constructing bare clients) cost one predictable branch.
-func (s *Shard) Inc(c Counter) {
-	if s == nil {
-		return
-	}
-	s.counters[c].Add(1)
-}
-
-// Add adds v to counter c.
-func (s *Shard) Add(c Counter, v uint64) {
-	if s == nil || v == 0 {
-		return
-	}
-	s.counters[c].Add(v)
-}
-
-// Get reads counter c.
-func (s *Shard) Get(c Counter) uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.counters[c].Load()
-}
-
-// SetCounters publishes a full counter vector into the shard with atomic
-// stores. It is the fast-path escape hatch for single-writer shards: the
-// owner accumulates counts in plain local memory and publishes the running
-// totals periodically, so the hot path pays plain increments instead of one
-// atomic RMW per event. Only the shard's single writer may call it (it
-// overwrites, not adds). It stores only the counters that changed: with one
-// writer, readers see exactly what storing them all would leave.
-func (s *Shard) SetCounters(v *[NumCounters]uint64) {
-	if s == nil {
-		return
-	}
-	for i := range v {
-		if s.counters[i].Load() != v[i] {
-			s.counters[i].Store(v[i])
-		}
-	}
-}
-
-// Observe records one latency observation (in ns) into histogram h.
-func (s *Shard) Observe(h Histo, ns int64) {
-	if s == nil {
-		return
-	}
-	s.histos[h][bucketOf(ns)].Add(1)
-}
-
-// Bucket reads one histogram bucket (telemetry publication reads the
-// shard's vectors word by word).
-func (s *Shard) Bucket(h Histo, i int) uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.histos[h][i].Load()
-}
-
-// BucketOf exposes the bucket index for an observation, for writers that
-// maintain histogram vectors outside a Shard (the shared pool block's
-// CAS-added buckets).
-func BucketOf(v int64) int { return bucketOf(v) }
-
-// Registry is the sharded counter/histogram core for one pool: shard 0 is
-// the pool/recovery-service shard, shards 1..n are per-client (indexed by
-// client ID).
-type Registry struct {
-	shards []Shard
-}
-
-// NewRegistry creates a registry with nshards shards (minimum 1).
-func NewRegistry(nshards int) *Registry {
-	if nshards < 1 {
-		nshards = 1
-	}
-	return &Registry{shards: make([]Shard, nshards)}
-}
-
-// Shard returns shard i, clamping out-of-range indices to the pool shard so
-// callers never need bounds checks.
-func (r *Registry) Shard(i int) *Shard {
-	if r == nil {
-		return nil
-	}
-	if i < 0 || i >= len(r.shards) {
-		i = 0
-	}
-	return &r.shards[i]
-}
-
-// Counters sums every shard into one counter vector.
-func (r *Registry) Counters() [NumCounters]uint64 {
-	var out [NumCounters]uint64
-	if r == nil {
-		return out
-	}
-	for i := range r.shards {
-		s := &r.shards[i]
-		for c := Counter(0); c < NumCounters; c++ {
-			out[c] += s.counters[c].Load()
-		}
-	}
-	return out
-}
-
-// Histogram sums histogram h across every shard.
-func (r *Registry) Histogram(h Histo) [HistBuckets]uint64 {
-	var out [HistBuckets]uint64
-	if r == nil {
-		return out
-	}
-	for i := range r.shards {
-		s := &r.shards[i]
-		for b := 0; b < HistBuckets; b++ {
-			out[b] += s.histos[h][b].Load()
-		}
-	}
-	return out
 }

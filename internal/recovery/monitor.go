@@ -247,7 +247,7 @@ func (m *Monitor) Tick() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	p.Obs().Shard(0).Inc(obs.CtrMonitorTick)
+	p.Telemetry().PoolAdd(obs.CtrMonitorTick, 1)
 	m.ticks++
 
 	for _, o := range beats {

@@ -145,8 +145,7 @@ func (s *Service) recoverWith(exec *shm.Client, cid int) (Report, error) {
 	p.Trace(obs.Event{Type: obs.EvRecoveryStarted, Client: cid})
 	p.Telemetry().StampRecoveryStart(cid, t0.UnixNano())
 
-	mx := exec.Metrics()
-	hugeFreed := mx.Get(obs.CtrFreeHuge)
+	hugeFreed := exec.Count(obs.CtrFreeHuge)
 
 	// Step 2: redo decision and replay. The victim is fenced, so its era
 	// word holds from here on.
@@ -223,10 +222,7 @@ func (s *Service) recoverWith(exec *shm.Client, cid int) (Report, error) {
 	// so a snapshot taken after the recovery sees exact totals.
 	exec.FlushMetrics()
 	// Huge objects freed over the whole pass, most of them by the root sweep.
-	r.HugeFreed = int(mx.Get(obs.CtrFreeHuge) - hugeFreed)
-	sh := p.Obs().Shard(0)
-	sh.Inc(obs.CtrRecoveryPass)
-	sh.Observe(obs.HistRecoveryNS, time.Since(t0).Nanoseconds())
+	r.HugeFreed = int(exec.Count(obs.CtrFreeHuge) - hugeFreed)
 	// Close the crash-surviving timeline and extract the SLO: the duration
 	// is measured from the detection stamp the fence recorded, so it spans
 	// processes (the detector and the recoverer need not share one).
@@ -235,7 +231,6 @@ func (s *Service) recoverWith(exec *shm.Client, cid int) (Report, error) {
 	tel.PoolObserve(obs.HistRecoveryNS, time.Since(t0).Nanoseconds())
 	if dur := tel.StampRecovered(cid, r.Reclaimed, r.SweptRoots, time.Now().UnixNano()); dur > 0 {
 		r.Duration = time.Duration(dur)
-		sh.Observe(obs.HistDetectRecoverNS, dur)
 		tel.PoolObserve(obs.HistDetectRecoverNS, dur)
 	}
 	p.Trace(obs.Event{
@@ -334,7 +329,6 @@ func (s *Service) replayRedo(exec *shm.Client, cid int, eraII uint64) bool {
 // traceReplay records one decided replay: counter plus a trace event noting
 // which of the paper's two commit-evidence conditions justified it.
 func (s *Service) traceReplay(cid int, op shm.Op, cond uint8) {
-	s.pool.Obs().Shard(0).Inc(obs.CtrRedoReplay)
 	tel := s.pool.Telemetry()
 	tel.PoolAdd(obs.CtrRedoReplay, 1)
 	tel.StampRedoReplay(cid)

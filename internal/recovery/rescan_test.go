@@ -81,7 +81,7 @@ func (f *abandoned) release(t *testing.T, i int) {
 }
 
 // scans counts the dead-owner scans the service's executor has run.
-func (f *abandoned) scans() uint64 { return f.svc.Executor().Metrics().Get(obs.CtrScanPass) }
+func (f *abandoned) scans() uint64 { return f.svc.Executor().Count(obs.CtrScanPass) }
 
 // ticksUntilFree ticks mon until the segment is FREE and returns how many
 // ticks that took; the backstop's bound is the test's failure.

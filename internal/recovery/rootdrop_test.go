@@ -12,8 +12,7 @@ import (
 
 // frees is what client c has freed: blocks plus huge objects.
 func frees(c *shm.Client) uint64 {
-	m := c.Metrics()
-	return m.Get(obs.CtrFree) + m.Get(obs.CtrFreeHuge)
+	return c.Count(obs.CtrFree) + c.Count(obs.CtrFreeHuge)
 }
 
 // The last-reference drop (shm.SweepRootRefSlot) leaves the victim's private

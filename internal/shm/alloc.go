@@ -80,7 +80,7 @@ func (c *Client) Malloc(dataBytes, embedRefs int) (root, block layout.Addr, err 
 	}
 	if timed {
 		ns := time.Since(t0).Nanoseconds()
-		c.mx.Observe(obs.HistAllocNS, ns)
+		c.observe(obs.HistAllocNS, ns)
 		if c.timing {
 			c.loc[obs.CtrAllocNanos] += uint64(ns)
 		}

@@ -8,11 +8,9 @@ import (
 
 // Breakdown is the Figure 7 cost-split view: where allocation fast-path
 // time goes between cache flush, memory fence, and the rest of the
-// allocation work. It is a window onto the client's local counters — the
-// counters themselves live in the client's obs accumulator, the one
-// instrumentation mechanism — recording their state at attach time so
-// several breakdowns (or reconnecting clients sharing a shard) stay
-// independent. Like the client itself, a Breakdown may only be read by
+// allocation work. It is a window onto the client's local counters (the
+// ones its heartbeats publish), recording their state at attach time so
+// several breakdowns stay independent. Like the client itself, a Breakdown may only be read by
 // the client's goroutine or after a happens-before join with it.
 //
 // Shares are computed from the configured per-operation costs rather than

@@ -76,20 +76,17 @@ type Client struct {
 	epochTrigger string
 	epochSeq     uint64
 
-	// mx is this client's private metrics shard (pool.obs, shard cid):
-	// single-writer, cache-line-isolated. Hot paths do not even pay its
-	// atomics: they bump loc (plain, owner-only memory) and the running
-	// totals are published into the shard with atomic stores every
-	// pubEvery era bumps, on Heartbeat, on Close, and at scan/recovery
-	// boundaries. A crashed client's unpublished tail (< pubEvery events)
-	// is lost with it — metrics for the dead are best-effort; the recovery
-	// service's own shard carries the authoritative recovery counts.
-	mx  *obs.Shard
-	loc [obs.NumCounters]uint64
-	// pubTick counts era bumps since the last publish.
-	pubTick uint32
+	// loc and hist are this client's counters and histogram buckets, in
+	// plain owner-only memory: hot paths pay a plain increment, no atomic
+	// and no device access. FlushMetrics (on Heartbeat, on Close, at the
+	// end of a recovery pass) publishes both into the client's metric block
+	// in the pool's telemetry region, their one store; a crashed client's
+	// counts since its last publication are lost with it. Every lessee
+	// starts them from zero.
+	loc  [obs.NumCounters]uint64
+	hist [obs.NumHistos][obs.HistBuckets]uint64
 	// telLast is what this incarnation last stored into each slot of its
-	// telemetry block: publishShared stores only what changed (telemetry.go).
+	// telemetry block: FlushMetrics stores only what changed (telemetry.go).
 	telLast TelLast
 	// timing, when set (SetBreakdown), charges full Malloc wall time into
 	// the metrics for the Figure 7 breakdown. Latency histograms are
@@ -127,7 +124,6 @@ func (p *Pool) Connect() (*Client, error) {
 		classPages: make([][]*ownedPage, len(geo.Classes)),
 		ownedBySeg: make([]*ownedSeg, geo.NumSegments),
 		queues:     make(map[layout.Addr]*queueShadow),
-		mx:         p.obs.Shard(cid),
 	}
 	// Stripe claim-scan start positions by client ID so concurrent claimers
 	// spread across the Global Segment Allocation Vec instead of CAS-fighting
@@ -140,14 +136,6 @@ func (p *Pool) Connect() (*Client, error) {
 	c.era = p.dev.Load(geo.EraAddr(cid, cid)) + 1
 	c.logEra = c.era
 	c.h.Store(geo.EraAddr(cid, cid), c.era)
-	// Continue this Pool's in-heap metrics shard for the cid, which outlives
-	// the Client: a slot re-leased through the same Pool publishes counts
-	// cumulative over its incarnations. A new process, or a new Pool on the
-	// same file, starts from a fresh registry (newPoolAround), so its first
-	// lessee of the slot publishes from zero.
-	for i := range c.loc {
-		c.loc[i] = c.mx.Get(obs.Counter(i))
-	}
 	// The era row is NOT loaded here: observeEra seeds each column from the
 	// device on first touch (the row survives slot reuse, and its witness
 	// entries must never travel backwards, so the first write still reads
@@ -184,45 +172,35 @@ func (c *Client) SetBreakdown(b *Breakdown) {
 	c.timing = true
 }
 
-// Metrics exposes the client's private metrics shard (tests, adapters),
-// publishing any locally accumulated counts first.
-func (c *Client) Metrics() *obs.Shard {
-	c.publishMetrics()
-	return c.mx
-}
+// Count reads the client's own running total of counter ctr, published or
+// not (the owner's goroutine only).
+func (c *Client) Count(ctr obs.Counter) uint64 { return c.loc[ctr] }
 
-// FlushMetrics publishes the client's locally accumulated counters into its
-// shard immediately, and the full vector into the pool's crash-surviving
-// telemetry block. Only the client's own goroutine (or a caller that
-// happens-after it, e.g. after a worker join) may call it.
+// observe records one observation into the client's histogram h.
+func (c *Client) observe(h obs.Histo, v int64) { c.hist[h][obs.BucketOf(v)]++ }
+
+// FlushMetrics publishes the client's counters and histograms into its
+// metric block in the pool's telemetry region, through its RAS-fenceable
+// handle: once the client is fenced a straggling publication is dropped by
+// the device, so it can never clobber the final pre-fence vector forensics
+// read (and the slot's next lessee owns the block). Only the client's own
+// goroutine (or a caller that happens-after it, e.g. after a worker join)
+// may call it. Never called from the era-bump path — publication cost (the
+// words that changed, a few hundred plain stores the first two times) stays
+// off the allocation fast path and out of its access budgets.
 func (c *Client) FlushMetrics() {
-	c.publishMetrics()
-	c.publishShared()
-}
-
-// pubEvery is the metrics publication period in era bumps: small enough
-// that snapshots lag live clients by at most a few dozen operations, large
-// enough that the per-counter atomic stores amortize to noise on the
-// allocation fast path (which bumps the era twice per malloc/free cycle).
-const pubEvery = 64
-
-// publishMetrics stores the local counter totals into the shard. A fenced
-// client stops publishing: its slot may already have a new incarnation
-// owning the shard, and a stale overwrite would travel counts backwards.
-func (c *Client) publishMetrics() {
-	c.pubTick = 0
 	if c.h.Fenced() {
 		return
 	}
-	c.mx.SetCounters(&c.loc)
+	c.pool.tel.PublishShard(c.h, c.cid, &c.loc, &c.hist, time.Now().UnixNano(), &c.telLast)
 }
 
 // Heartbeat advances the client's liveness counter; the monitor declares
 // clients dead when the counter stops advancing. Heartbeating also
-// publishes the client's metrics — in-heap and into the pool's shared
-// telemetry block — so the same "I'm alive" cadence keeps the counters
-// every process sees fresh, and a client that stops beating leaves behind
-// a vector at most one heartbeat old.
+// publishes the client's metrics into the pool's telemetry region, so the
+// same "I'm alive" cadence keeps the counters every process sees fresh, and
+// a client that stops beating leaves behind a vector at most one heartbeat
+// old.
 func (c *Client) Heartbeat() {
 	// Heartbeats are also a publication epoch: deferred frees and page
 	// counters land on the device at the same "I'm alive" cadence, so the
@@ -230,23 +208,7 @@ func (c *Client) Heartbeat() {
 	c.flushPending(EpochHeartbeat)
 	a := c.geo.ClientHeartbeatAddr(c.cid)
 	c.h.Store(a, c.h.Load(a)+1)
-	c.publishMetrics()
-	c.publishShared()
-}
-
-// publishShared publishes the client's counter totals and histogram
-// vectors into its telemetry metric block in the pool words themselves.
-// It goes through the client's RAS-fenceable handle: once the client is
-// fenced, a straggling publication is dropped by the device, so it can
-// never clobber the final pre-fence vector forensics read. Never called
-// from the era-bump path — publication cost (the words that changed, a few
-// hundred plain stores the first two times) stays off the allocation fast
-// path and out of its access budgets.
-func (c *Client) publishShared() {
-	if c.h.Fenced() {
-		return
-	}
-	c.pool.tel.PublishShard(c.h, c.cid, &c.loc, c.mx, time.Now().UnixNano(), &c.telLast)
+	c.FlushMetrics()
 }
 
 // Fenced reports whether this client has been RAS-fenced.
@@ -271,8 +233,7 @@ func (c *Client) Close() error {
 	// the device drops this client's stores, and the pending blocks would
 	// stay off every list (which a dead owner's segment scan tolerates).
 	c.flushPending(EpochDetach)
-	c.publishMetrics()
-	c.publishShared()
+	c.FlushMetrics()
 	return c.pool.MarkClientDeadDetected(c.cid, obs.FenceClose, 0)
 }
 
@@ -327,7 +288,4 @@ func (c *Client) bumpEra() {
 		c.clearRedo() // see redo.go: the entry's era field is about to alias
 	}
 	c.loc[obs.CtrEraBump]++
-	if c.pubTick++; c.pubTick >= pubEvery {
-		c.publishMetrics()
-	}
 }

@@ -37,7 +37,10 @@ func (c *Client) NewReader() *Reader {
 // Pool returns the pool the reader reads.
 func (r *Reader) Pool() *Pool { return r.pool }
 
-// DataBytesOf returns the usable data size of an allocated block.
+// DataBytesOf returns the usable data size of an allocated block: its size
+// class's capacity, word-rounded, not the length that was allocated (a block
+// records only its size in words). A caller that needs the exact length
+// carries it itself, as examples/rpc and the MapReduce splits do.
 func (r *Reader) DataBytesOf(block layout.Addr) int {
 	m := layout.UnpackMeta(r.h.Load(block + layout.MetaOff))
 	if !m.Allocated() {

@@ -48,7 +48,7 @@ func (c *Client) flagSegmentLeaking(addr layout.Addr) {
 // used by the recovery service when replaying a release that hit zero).
 func (p *Pool) FlagSegmentLeaking(seg int) {
 	if p.flagLeaking(p.dev, seg, 0) {
-		p.obs.Shard(0).Inc(obs.CtrLeakFlag)
+		p.tel.PoolAdd(obs.CtrLeakFlag, 1)
 		p.Trace(obs.Event{Type: obs.EvSegmentFlagged, Segment: seg})
 	}
 }

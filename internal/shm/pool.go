@@ -46,15 +46,12 @@ type Config struct {
 type Pool struct {
 	dev *cxl.Device
 	geo *layout.Geometry
-	obs *obs.Registry
 	tel *Telemetry
 }
 
-// newPoolAround assembles a Pool over an already-built device. The
-// metrics registry has shard 0 for pool-level and recovery-service
-// accounting and shards 1..MaxClients per client ID.
+// newPoolAround assembles a Pool over an already-built device.
 func newPoolAround(dev *cxl.Device, geo *layout.Geometry) *Pool {
-	return &Pool{dev: dev, geo: geo, obs: obs.NewRegistry(geo.MaxClients + 1), tel: NewTelemetry(dev, geo)}
+	return &Pool{dev: dev, geo: geo, tel: NewTelemetry(dev, geo)}
 }
 
 // newBackend builds the device backend cfg selects for geo.
@@ -194,8 +191,10 @@ func (p *Pool) StaleClients() []int {
 // Device exposes the underlying device (recovery, validation, benchmarks).
 func (p *Pool) Device() *cxl.Device { return p.dev }
 
-// Obs exposes the pool's in-process metrics registry.
-func (p *Pool) Obs() *obs.Registry { return p.obs }
+// Obs reads the pool's counters and histograms: the sums of its telemetry
+// region's metric blocks, the same totals in every process and every Pool
+// over the same memory.
+func (p *Pool) Obs() Metrics { return Metrics{p.tel} }
 
 // Trace records one recovery-lifecycle event in the pool's crash-surviving
 // event ring (Telemetry.Events reads it back). It is the one record of such
@@ -255,7 +254,6 @@ func (p *Pool) MarkClientDeadDetected(cid int, reason obs.FenceReason, firstMiss
 	p.dev.FenceClient(cid)
 	p.tel.StampFence(cid, reason, firstMissNS, time.Now().UnixNano())
 	p.tel.PoolAdd(obs.CtrClientFenced, 1)
-	p.obs.Shard(0).Inc(obs.CtrClientFenced)
 	p.Trace(obs.Event{Type: obs.EvClientFenced, Client: cid, A: uint64(reason)})
 	return nil
 }

@@ -256,7 +256,7 @@ func TestQueueWraparound(t *testing.T) {
 		}
 	}
 	for _, c := range []*shm.Client{s, r} {
-		if n := c.Metrics().Get(obs.CtrQueueStaleSlot); n != 0 {
+		if n := c.Count(obs.CtrQueueStaleSlot); n != 0 {
 			t.Fatalf("client %d counted %d stale slots in a clean run", c.ID(), n)
 		}
 	}

@@ -167,7 +167,7 @@ func TestHandOffDropsHeaderGuess(t *testing.T) {
 		}
 	}
 	for _, c := range []*Client{snd, rcv} {
-		if n := c.Metrics().Get(obs.CtrCASRetry); n != 0 {
+		if n := c.Count(obs.CtrCASRetry); n != 0 {
 			t.Fatalf("client %d retried %d CAS over 100 hand-offs", c.ID(), n)
 		}
 		if err := c.CheckShadow(); err != nil {

@@ -83,8 +83,7 @@ func (c *Client) ScanSegment(seg int, ownerDead bool) ScanReport {
 	c.loc[obs.CtrScanPass]++
 	c.loc[obs.CtrScanReclaimed] += uint64(total.Reclaimed)
 	c.loc[obs.CtrScanRelinked] += uint64(total.Relinked)
-	c.mx.Observe(obs.HistScanNS, time.Since(t0).Nanoseconds())
-	c.publishMetrics()
+	c.observe(obs.HistScanNS, time.Since(t0).Nanoseconds())
 	return total
 }
 

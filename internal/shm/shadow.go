@@ -249,7 +249,7 @@ func (c *Client) flushPending(trigger string) {
 	c.loc[obs.CtrPublishBatch]++
 	if published > 0 {
 		c.loc[obs.CtrPublishedFrees] += uint64(published)
-		c.mx.Observe(obs.HistPublishBatch, int64(published))
+		c.observe(obs.HistPublishBatch, int64(published))
 	}
 }
 

@@ -100,14 +100,14 @@ type TelLast struct {
 	vec   [2][telVecWords]uint64
 }
 
-// PublishShard writes a client's counter vector and its shard's histogram
-// vectors into metric block idx through w. The inactive slot is filled
+// PublishShard writes a client's counter vector and histogram bucket vectors
+// into metric block idx through w. The inactive slot is filled
 // first and the commit word flipped last, so a crash at any word leaves
 // the previously committed slot untouched — readers never lose the last
 // stable vector, and never see a torn one. Only the words that differ from
 // what that slot held two publications ago are stored, plus time and commit;
 // last follows every store, so a publication cut short leaves it exact.
-func (t *Telemetry) PublishShard(w telWriter, idx int, counters *[obs.NumCounters]uint64, sh *obs.Shard, now int64, last *TelLast) {
+func (t *Telemetry) PublishShard(w telWriter, idx int, counters *[obs.NumCounters]uint64, histos *[obs.NumHistos][obs.HistBuckets]uint64, now int64, last *TelLast) {
 	if idx < 1 || idx > t.geo.MaxClients {
 		return
 	}
@@ -119,11 +119,8 @@ func (t *Telemetry) PublishShard(w telWriter, idx int, counters *[obs.NumCounter
 	a += layout.TelSlotOffCounters
 	var vec [telVecWords]uint64
 	n := copy(vec[:], counters[:])
-	for h := obs.Histo(0); h < obs.NumHistos; h++ {
-		for b := 0; b < obs.HistBuckets; b++ {
-			vec[n] = sh.Bucket(h, b)
-			n++
-		}
+	for h := range histos {
+		n += copy(vec[n:], histos[h][:])
 	}
 	for i, v := range vec {
 		if !last.known[next] || last.vec[next][i] != v {
@@ -170,8 +167,9 @@ func (t *Telemetry) casAdd(a layout.Addr, v uint64) {
 	}
 }
 
-// PoolAdd adds v to pool-block counter c (rare management-plane events:
-// fences, recovery passes, redo replays — never on a client hot path).
+// PoolAdd adds v to pool-block counter c: the one record of a pool-wide
+// fact (fences, recovery passes, redo replays, leak flags raised by the
+// recovery side, monitor ticks, fsck passes — never on a client hot path).
 func (t *Telemetry) PoolAdd(c obs.Counter, v uint64) {
 	t.casAdd(t.geo.TelSlotBase(0, 0)+layout.TelSlotOffCounters+layout.Addr(c), v)
 }
@@ -307,29 +305,27 @@ type TelemetryBlock struct {
 // raw arrays are positional and meaningless without this build's enums).
 func (b TelemetryBlock) MarshalJSON() ([]byte, error) {
 	type alias TelemetryBlock // avoid recursing into this method
+	snap := b.Snapshot()
 	return json.Marshal(struct {
 		alias
 		Counters   map[string]uint64                `json:"counters"`
 		Histograms map[string]obs.HistogramSnapshot `json:"histograms,omitempty"`
-	}{alias(b), b.CounterMap(), b.HistogramMap()})
+	}{alias(b), snap.Counters, snap.Histograms})
 }
 
-// CounterMap renders the block's counters under their stable export names.
-func (b *TelemetryBlock) CounterMap() map[string]uint64 {
-	out := make(map[string]uint64, obs.NumCounters)
-	for c := obs.Counter(0); c < obs.NumCounters; c++ {
-		out[c.Name()] = b.Counters[c]
-	}
-	return out
-}
+// Snapshot renders the block's vectors under their stable export names.
+func (b *TelemetryBlock) Snapshot() obs.Snapshot { return obs.SnapshotOf(&b.Counters, &b.Histos) }
 
-// HistogramMap finishes the block's histograms under their export names.
-func (b *TelemetryBlock) HistogramMap() map[string]obs.HistogramSnapshot {
-	out := make(map[string]obs.HistogramSnapshot, obs.NumHistos)
-	for h := obs.Histo(0); h < obs.NumHistos; h++ {
-		out[h.Name()] = obs.MakeHistogramSnapshot(b.Histos[h])
+// add adds o's vectors into b's.
+func (b *TelemetryBlock) add(o *TelemetryBlock) {
+	for i, v := range o.Counters {
+		b.Counters[i] += v
 	}
-	return out
+	for h := range o.Histos {
+		for i, v := range o.Histos[h] {
+			b.Histos[h][i] += v
+		}
+	}
 }
 
 // ReadBlock snapshots metric block idx. ok is false when the block was
@@ -475,15 +471,44 @@ type TelemetrySnapshot struct {
 // the pool block, and the event ring.
 func (t *Telemetry) Snapshot() TelemetrySnapshot {
 	s := TelemetrySnapshot{TimeNS: time.Now().UnixNano()}
-	s.Pool, _ = t.ReadBlock(0)
+	t.readBlocks(&s)
 	for cid := 1; cid <= t.geo.MaxClients; cid++ {
-		if b, ok := t.ReadBlock(cid); ok {
-			s.Clients = append(s.Clients, b)
-		}
 		if tl, ok := t.ReadTimeline(cid); ok {
 			s.Timelines = append(s.Timelines, tl)
 		}
 	}
 	s.Events = t.Events()
 	return s
+}
+
+// readBlocks decodes the pool block and every committed client block into s.
+func (t *Telemetry) readBlocks(s *TelemetrySnapshot) {
+	s.Pool, _ = t.ReadBlock(0)
+	for cid := 1; cid <= t.geo.MaxClients; cid++ {
+		if b, ok := t.ReadBlock(cid); ok {
+			s.Clients = append(s.Clients, b)
+		}
+	}
+}
+
+// Totals sums the pool block and every committed client block: the pool's
+// counter and histogram totals, from the one store that holds them.
+func (s *TelemetrySnapshot) Totals() obs.Snapshot {
+	sum := s.Pool
+	for i := range s.Clients {
+		sum.add(&s.Clients[i])
+	}
+	return sum.Snapshot()
+}
+
+// Metrics is the pool's counter and histogram view (Pool.Obs): every read
+// sums the telemetry region's metric blocks through the management plane.
+type Metrics struct{ t *Telemetry }
+
+// Snapshot sums the pool block and every committed client block. A live
+// client's counts since its last heartbeat, flush or close are not in it.
+func (m Metrics) Snapshot() obs.Snapshot {
+	var s TelemetrySnapshot
+	m.t.readBlocks(&s)
+	return s.Totals()
 }

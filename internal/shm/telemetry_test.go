@@ -88,9 +88,9 @@ func TestTelemetryCrashMidPublish(t *testing.T) {
 	for i := range committed {
 		committed[i] = 1000 + uint64(i)
 	}
-	sh := obs.NewRegistry(1).Shard(0)
-	sh.Observe(obs.HistAllocNS, 100)
-	tel.PublishShard(&haltingWriter{p: p, left: 1 << 20}, cid, &committed, sh, 42, new(shm.TelLast))
+	var histos [obs.NumHistos][obs.HistBuckets]uint64
+	histos[obs.HistAllocNS][obs.BucketOf(100)]++
+	tel.PublishShard(&haltingWriter{p: p, left: 1 << 20}, cid, &committed, &histos, 42, new(shm.TelLast))
 
 	var torn [obs.NumCounters]uint64
 	for i := range torn {
@@ -106,7 +106,7 @@ func TestTelemetryCrashMidPublish(t *testing.T) {
 					t.Fatalf("budget %d: publish finished under a smaller store budget than %d", budget, total)
 				}
 			}()
-			tel.PublishShard(&haltingWriter{p: p, left: budget}, cid, &torn, sh, 43, new(shm.TelLast))
+			tel.PublishShard(&haltingWriter{p: p, left: budget}, cid, &torn, &histos, 43, new(shm.TelLast))
 		}()
 		b, ok := tel.ReadBlock(cid)
 		if !ok || !b.Consistent {
@@ -120,7 +120,7 @@ func TestTelemetryCrashMidPublish(t *testing.T) {
 		}
 	}
 	// Sanity: the full budget does commit.
-	tel.PublishShard(&haltingWriter{p: p, left: total}, cid, &torn, sh, 43, new(shm.TelLast))
+	tel.PublishShard(&haltingWriter{p: p, left: total}, cid, &torn, &histos, 43, new(shm.TelLast))
 	if b, _ := tel.ReadBlock(cid); b.Publishes != 2 || b.Counters != torn {
 		t.Fatalf("complete publish did not commit (publishes=%d)", b.Publishes)
 	}
@@ -138,7 +138,7 @@ func TestTelemetrySeqlockNoTornReads(t *testing.T) {
 	if testing.Short() {
 		rounds = 300
 	}
-	sh := obs.NewRegistry(1).Shard(0)
+	var histos [obs.NumHistos][obs.HistBuckets]uint64
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -177,7 +177,7 @@ func TestTelemetrySeqlockNoTornReads(t *testing.T) {
 		for i := range ctrs {
 			ctrs[i] = uint64(k)
 		}
-		tel.PublishShard(p.Device(), cid, &ctrs, sh, int64(k), &last)
+		tel.PublishShard(p.Device(), cid, &ctrs, &histos, int64(k), &last)
 	}
 	close(stop)
 	wg.Wait()
@@ -329,7 +329,7 @@ func (w *countingWriter) Store(a layout.Addr, v uint64) {
 func TestTelemetryDeltaPublication(t *testing.T) {
 	p := newTestPool(t)
 	tel := p.Telemetry()
-	sh := obs.NewRegistry(1).Shard(0)
+	var histos [obs.NumHistos][obs.HistBuckets]uint64
 
 	t.Run("one counter changed", func(t *testing.T) {
 		const cid = 3
@@ -339,7 +339,7 @@ func TestTelemetryDeltaPublication(t *testing.T) {
 		for k := 1; k <= 6; k++ {
 			ctrs[obs.CtrAlloc]++
 			w := &countingWriter{p: p}
-			tel.PublishShard(w, cid, &ctrs, sh, int64(k), &last)
+			tel.PublishShard(w, cid, &ctrs, &histos, int64(k), &last)
 			switch {
 			case k <= 2 && w.stores != full:
 				t.Fatalf("publish %d (first write of its slot) stored %d words, want all %d", k, w.stores, full)
@@ -358,14 +358,14 @@ func TestTelemetryDeltaPublication(t *testing.T) {
 			ctrs[obs.CtrFree]++
 			func() {
 				defer func() { recover() }()
-				tel.PublishShard(&haltingWriter{p: p, left: budget}, cid, &ctrs, sh, 7, &last)
+				tel.PublishShard(&haltingWriter{p: p, left: budget}, cid, &ctrs, &histos, 7, &last)
 			}()
 			if b, _ := tel.ReadBlock(cid); b.TimeNS != 6 {
 				t.Fatalf("budget %d: a publication cut short became visible (time %d)", budget, b.TimeNS)
 			}
 		}
 		ctrs[obs.CtrAlloc]++
-		tel.PublishShard(p.Device(), cid, &ctrs, sh, 8, &last)
+		tel.PublishShard(p.Device(), cid, &ctrs, &histos, 8, &last)
 		if b, ok := tel.ReadBlock(cid); !ok || !b.Consistent || b.Counters != ctrs || b.TimeNS != 8 {
 			t.Fatalf("after four publications cut short: ok=%v %+v, want %+v", ok, b.Counters, ctrs)
 		}
@@ -414,7 +414,7 @@ func TestTelemetryDeltaPublication(t *testing.T) {
 		for k := 1; k <= rounds; k++ {
 			ctrs[0] = uint64(k)
 			ctrs[1+k%5]++
-			tel.PublishShard(p.Device(), cid, &ctrs, sh, int64(k), &last)
+			tel.PublishShard(p.Device(), cid, &ctrs, &histos, int64(k), &last)
 		}
 		close(stop)
 		wg.Wait()
@@ -470,4 +470,102 @@ func TestTelemetryDeltaPublication(t *testing.T) {
 			c2.FlushMetrics()
 		}
 	})
+}
+
+// The pool block is the one store of pool-wide facts, written by any
+// process: concurrent PoolAdds and PoolObserves sum exactly.
+func TestPoolBlockConcurrentAdds(t *testing.T) {
+	p := newTestPool(t)
+	tel := p.Telemetry()
+	const writers, each = 4, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				tel.PoolAdd(obs.CtrMonitorTick, 1)
+				tel.PoolAdd(obs.CtrFsckIssues, 2)
+				tel.PoolObserve(obs.HistRecoveryNS, int64(j%4096)+1)
+			}
+		}()
+	}
+	wg.Wait()
+	snap := p.Obs().Snapshot()
+	if got := snap.Counters[obs.CtrMonitorTick.Name()]; got != writers*each {
+		t.Errorf("monitor_ticks = %d, want %d", got, writers*each)
+	}
+	if got := snap.Counters[obs.CtrFsckIssues.Name()]; got != 2*writers*each {
+		t.Errorf("fsck_issues_found = %d, want %d", got, 2*writers*each)
+	}
+	if h := snap.Histograms[obs.HistRecoveryNS.Name()]; h.Count != writers*each || h.MaxNS > 8192 {
+		t.Errorf("recovery_ns: %d observations, max %d; want %d, at most 8192", h.Count, h.MaxNS, writers*each)
+	}
+}
+
+// Snapshots taken while a client publishes and the pool block is added to
+// never go backwards: every counter and histogram count is non-decreasing
+// across successive Pool.Obs snapshots.
+func TestObsSnapshotWhileWriting(t *testing.T) {
+	p := newTestPool(t)
+	c := connect(t, p)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			root, _, err := c.Malloc(64, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := c.ReleaseRoot(root); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%8 == 0 {
+				c.Heartbeat()
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				p.Telemetry().PoolAdd(obs.CtrMonitorTick, 1)
+			}
+		}
+	}()
+	var prev obs.Snapshot
+	seen := func() bool {
+		return prev.Counters[obs.CtrAlloc.Name()] > 0 && prev.Counters[obs.CtrMonitorTick.Name()] > 0
+	}
+	for i := 0; i < 200 || !seen() && i < 100_000; i++ {
+		snap := p.Obs().Snapshot()
+		for name, v := range prev.Counters {
+			if snap.Counters[name] < v {
+				t.Fatalf("counter %s went backwards: %d -> %d", name, v, snap.Counters[name])
+			}
+		}
+		for name, h := range prev.Histograms {
+			if got := snap.Histograms[name].Count; got < h.Count {
+				t.Fatalf("histogram %s count went backwards: %d -> %d", name, h.Count, got)
+			}
+		}
+		prev = snap
+	}
+	close(stop)
+	wg.Wait()
+	if !seen() {
+		t.Fatalf("no publication seen: %v", prev.Counters)
+	}
 }
